@@ -1,21 +1,15 @@
 //! `bench_des` — scaling benchmark for the sharded discrete-event engine.
 //!
 //! Runs a fig9-style ESlurm workload (power-law job sizes, exponential
-//! inter-arrival and runtimes) on a large emulated cluster, once per shard
-//! count, and reports wall-clock and events/sec for each engine
-//! configuration plus a cross-engine outcome fingerprint — the sharded
-//! runs must reproduce the serial outcomes exactly, or the benchmark
-//! aborts.
+//! inter-arrival and runtimes) on a large emulated cluster, once on one
+//! shard and once on four, and reports wall-clock and events/sec for each
+//! layout plus an outcome fingerprint — the sharded run must reproduce
+//! the 1-shard outcomes exactly, or the benchmark aborts.
 //!
-//! The full run covers a million-node cluster and a million-plus jobs
-//! (the scale ROADMAP item 1 targets); `--quick` shrinks that to ~100k
-//! nodes for CI. Writes `BENCH_DES.json` at the repository root, gated by
-//! the `des-scale` CI job the same way the footprint diff is.
-//!
-//! Speedup numbers are honest: `host_parallelism` records how many cores
-//! the host actually offered, and on a single-core box the parallel
-//! engine's conservative-window synchronization is pure overhead — the
-//! point of running it there is the bit-identity check, not the speedup.
+//! The full run covers a million-node cluster and a million-plus jobs;
+//! `--quick` shrinks that to ~100k nodes for CI. Writes `BENCH_DES.json`
+//! at the repository root, gated by the `des-scale` CI job the same way
+//! the footprint diff is.
 
 use emu::NodeId;
 use eslurm::{EslurmConfig, EslurmSystemBuilder};
@@ -45,12 +39,13 @@ struct Scale {
     jobs_target: u64,
     /// Largest job size (power-law cap).
     max_job: u32,
-    shard_counts: &'static [usize],
 }
+
+/// The serial layout first (the reference), then one sharded layout.
+const SHARD_COUNTS: [usize; 2] = [1, 4];
 
 struct RunResult {
     shards: usize,
-    parallel: bool,
     wall_s: f64,
     events: u64,
     fingerprint: u64,
@@ -87,7 +82,6 @@ fn run_once(scale: &Scale, seed: u64, shards: usize, profile: bool, mem: bool) -
         .engine_profile(profiler.clone())
         .mem_profile(mem_profiler.clone())
         .build();
-    let parallel = sys.sim.parallel_enabled();
 
     // Fig9-style stream: exponential inter-arrival tuned to hit the job
     // target, power-law node counts capped at `max_job`, exponential
@@ -148,7 +142,6 @@ fn run_once(scale: &Scale, seed: u64, shards: usize, profile: bool, mem: bool) -
 
     RunResult {
         shards,
-        parallel,
         wall_s,
         events: sys.sim.events_processed(),
         fingerprint: h,
@@ -168,7 +161,6 @@ fn main() {
             horizon: SimSpan::from_secs(900),
             jobs_target: 2_000,
             max_job: 128,
-            shard_counts: &[1, 2, 4],
         }
     } else {
         Scale {
@@ -177,7 +169,6 @@ fn main() {
             horizon: SimSpan::from_secs(3600),
             jobs_target: 1_050_000,
             max_job: 256,
-            shard_counts: &[1, 2, 4, 8],
         }
     };
     let total_nodes = 1 + scale.satellites + scale.n_slaves;
@@ -192,25 +183,21 @@ fn main() {
     );
 
     let mut results: Vec<RunResult> = Vec::new();
-    for &shards in scale.shard_counts {
+    for shards in SHARD_COUNTS {
         print!("  shards={shards} ... ");
         use std::io::Write as _;
         std::io::stdout().flush().ok();
         let r = run_once(&scale, args.seed, shards, args.profile, args.mem);
         println!(
-            "{} events in {:.2} s ({:.0} ev/s{})",
+            "{} events in {:.2} s ({:.0} ev/s)",
             r.events,
             r.wall_s,
-            r.events as f64 / r.wall_s.max(1e-9),
-            if r.parallel { ", workers" } else { ", merged" }
+            r.events as f64 / r.wall_s.max(1e-9)
         );
         if let Some(p) = &r.profile {
             println!(
-                "    profile: sync {:.1}%, imbalance {:.2}x, {:.1} ev/window, \
-                 {} cross-shard msgs",
-                p.sync_fraction() * 100.0,
+                "    profile: imbalance {:.2}x, {} cross-shard msgs",
                 p.imbalance(),
-                p.events_per_window(),
                 p.cross_shard_total()
             );
         }
@@ -242,11 +229,9 @@ fn main() {
         .map(|r| {
             vec![
                 r.shards.to_string(),
-                if r.parallel { "workers" } else { "merged" }.to_string(),
                 f(r.wall_s, 2),
                 r.events.to_string(),
                 f(r.events as f64 / r.wall_s.max(1e-9), 0),
-                f(serial.wall_s / r.wall_s.max(1e-9), 2),
                 format!("{:016x}", r.fingerprint),
             ]
         })
@@ -256,15 +241,7 @@ fn main() {
             "bench_des — {total_nodes} nodes, {} jobs submitted / {} completed in-horizon",
             serial.jobs_submitted, serial.jobs_recorded
         ),
-        &[
-            "shards",
-            "engine",
-            "wall s",
-            "events",
-            "events/s",
-            "speedup",
-            "fingerprint",
-        ],
+        &["shards", "wall s", "events", "events/s", "fingerprint"],
         &rows,
     );
     println!(
@@ -272,7 +249,7 @@ fn main() {
         if outcomes_match {
             "IDENTICAL across all shard counts"
         } else {
-            "DIVERGED — sharded engine broke determinism"
+            "DIVERGED — event order depends on the shard layout"
         }
     );
 
@@ -342,36 +319,16 @@ fn main() {
                 "shards".to_string(),
                 Value::Number(Number::U64(r.shards as u64)),
             );
-            o.insert(
-                "engine".to_string(),
-                Value::String(if r.parallel { "workers" } else { "merged" }.to_string()),
-            );
             o.insert("wall_s".to_string(), Value::Number(Number::F64(r.wall_s)));
             o.insert("events".to_string(), Value::Number(Number::U64(r.events)));
             o.insert(
                 "events_per_sec".to_string(),
                 Value::Number(Number::F64(r.events as f64 / r.wall_s.max(1e-9))),
             );
-            o.insert(
-                "speedup_vs_serial".to_string(),
-                Value::Number(Number::F64(serial.wall_s / r.wall_s.max(1e-9))),
-            );
             if let Some(p) = &r.profile {
-                o.insert(
-                    "sync_fraction".to_string(),
-                    Value::Number(Number::F64(p.sync_fraction())),
-                );
                 o.insert(
                     "imbalance".to_string(),
                     Value::Number(Number::F64(p.imbalance())),
-                );
-                o.insert(
-                    "null_window_fraction".to_string(),
-                    Value::Number(Number::F64(p.null_window_fraction())),
-                );
-                o.insert(
-                    "events_per_window".to_string(),
-                    Value::Number(Number::F64(p.events_per_window())),
                 );
                 o.insert(
                     "cross_shard_msgs".to_string(),
@@ -409,8 +366,5 @@ fn main() {
     std::fs::write(&path, json + "\n").expect("write BENCH_DES.json");
     println!("  [json] {}", path.display());
 
-    assert!(
-        outcomes_match,
-        "sharded runs diverged from the serial engine"
-    );
+    assert!(outcomes_match, "sharded run diverged from the 1-shard run");
 }

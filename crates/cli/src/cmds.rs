@@ -1156,18 +1156,17 @@ pub fn sched_report(args: &[String]) -> Result<(), CliError> {
 ///
 /// Runs the same emulation as `simulate` with the wall-clock engine
 /// profiler armed and prints the per-shard efficiency table: where each
-/// shard's wall time went (event execution, queue ops, barrier waits,
-/// mailbox drains), window efficiency (events per window, null-window
-/// rate, realized lookahead vs. the `min_hop()` bound), cross-shard
-/// message traffic, and the load-imbalance / sync-overhead summary.
+/// shard's wall time went (event execution vs. queue ops), cross-shard
+/// message traffic, and the load-imbalance summary. `--shards P`
+/// (default 1) only lays the queues and node state out over P shards:
+/// outcomes are identical for every P; the table shows what the layout
+/// costs.
 ///
 /// The profiler observes only host monotonic clocks, so outcomes and all
 /// virtual-time exports are bit-identical with it on or off. `--csv`
 /// writes the report as `engine_wall_*` series (excluded from `diff`
 /// gates by default); `--trace` writes a Chrome trace whose wall-clock
-/// engine track (pid 2) sits beside the virtual-time node lanes — note
-/// that full tracing forces the merged engine, so use `--trace` to study
-/// serial behaviour and plain `--shards P` for the parallel engine.
+/// engine track (pid 2) sits beside the virtual-time node lanes.
 pub fn engine_report(args: &[String]) -> Result<(), CliError> {
     const CMD: &str = "engine-report";
     let o = parse_opts(CMD, args)?;
@@ -1181,10 +1180,8 @@ pub fn engine_report(args: &[String]) -> Result<(), CliError> {
     let n_jobs = flag_or(CMD, &o, "jobs", 20u64)?;
     let seed = flag_or(CMD, &o, "seed", 42u64)?;
     let fault_events = flag_or(CMD, &o, "faults", 0usize)?;
-    let shards = flag_or(CMD, &o, "shards", 4usize)?;
+    let shards = flag_or(CMD, &o, "shards", 1usize)?;
 
-    // Recording an execution trace pins the engine to merged mode, so only
-    // arm the recorder when the caller actually asked for a trace file.
     let rec = if o.get("trace").is_some() {
         Recorder::full()
     } else {

@@ -1,7 +1,7 @@
 //! The discrete-event transport: deterministic, fast, and scalable to the
 //! million-node clusters the paper's FP-Tree argument targets.
 //!
-//! ## Sharded execution
+//! ## One loop over sharded data
 //!
 //! The event population is partitioned into `shards` independent
 //! [`KeyedQueue`]s, each with its own struct-of-arrays node store
@@ -9,32 +9,18 @@
 //! event carries a canonical [`EventKey`] `(time, lane, seq)` stamped at
 //! creation (lane = creator node + 1, or 0 for external injections and
 //! fault markers; seq = the creator's own counter), which is identical no
-//! matter how many shards exist — so sorting by key yields the *same*
-//! total order in every mode, and `shards = 1` is a special case rather
-//! than a preserved fork. Three execution strategies share that order:
+//! matter how many shards exist. The engine is one single-threaded loop
+//! that repeatedly pops the globally minimal key across the shard queues
+//! and dispatches it inline, so every shard count executes the *same*
+//! total order: `shards` is a data-layout knob (queue and node-store
+//! locality), never a behaviour switch, and outcomes and exports are
+//! bit-identical across shard counts by construction.
 //!
-//! * **Serial / merged** (`shards == 1`, or full tracing on, or the link
-//!   model offers no lookahead): repeatedly pop the globally minimal key
-//!   across the shard queues and dispatch inline. This is exactly the
-//!   serial engine; with tracing enabled it is the only mode, so the
-//!   obs/causal exports are byte-identical by construction.
-//! * **Parallel** (`shards > 1`, metrics-only or disabled recorder): one
-//!   worker thread per shard, synchronized by conservative time windows of
-//!   width [`LatencyModel::min_hop`] — no message can arrive within the
-//!   window that sent it, so shards process their windows concurrently.
-//!   Cross-shard deliveries travel through per-pair mailboxes and land in
-//!   later windows; socket opens/closes (the one cross-shard *state*
-//!   mutation) are deferred and applied sorted by `(key, sub)`, which
-//!   replays the serial order exactly (windows partition time, so sorted
-//!   per-window batches concatenate to the global sort). Outcomes —
-//!   meters, drops, clock, event counts, metric snapshots — are
-//!   bit-identical to the serial mode.
-//!
-//! Meter sampling is an engine-level tick (not a queued event), replayed
-//! identically in every mode: ticks fire at multiples of the interval,
-//! before any event at the same instant, and one final "kill tick" past
-//! `until` retires the cadence (matching the retired event-based
-//! scheduling, including its event count and clock effect).
+//! Meter sampling is an engine-level tick (not a queued event): ticks
+//! fire at multiples of the interval, before any event at the same
+//! instant, and one final "kill tick" past `until` retires the cadence
+//! (matching the retired event-based scheduling, including its event
+//! count and clock effect).
 
 use crate::actor::{Actor, Context, Payload};
 use crate::fault::FaultPlan;
@@ -42,15 +28,13 @@ use crate::meter::{Meter, SampleSeries};
 use crate::network::LatencyModel;
 use crate::node::NodeId;
 use crate::state::NodeStore;
-use obs::engine::{EngineMode, EnginePhase, EngineSpan, ShardSlot};
+use obs::engine::{EngineSpan, ShardSlot};
 use obs::{
     tag_scope, CausalRecord, Counter, EngineProfiler, EventKind, FlowKind, Hist, HopSend,
     MemProfiler, MemTag, Recorder, Sampler, SloEngine, TraceContext,
 };
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use simclock::{EventKey, KeyedQueue, SimSpan, SimTime};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -78,22 +62,21 @@ pub struct SimConfig {
     /// sampler's cadence over its named nodes (the sampler must then have
     /// an end time, or no ticks are scheduled).
     pub sampler: Sampler,
-    /// Number of event-queue shards (clamped to `[1, nodes]`). `1` runs
-    /// the classic serial loop; `> 1` runs one worker thread per shard
-    /// when the recorder permits (metrics-only or disabled — full tracing
-    /// falls back to a single-threaded merge that is still sharded but
-    /// preserves export byte-identity trivially).
+    /// Number of event-queue shards (clamped to `[1, nodes]`). Purely a
+    /// data layout: each shard owns a queue and the state of its nodes,
+    /// and one loop merges them in key order, so every shard count runs
+    /// the same events in the same order.
     pub shards: usize,
     /// Node → shard assignment (`partition[node] < shards`). `None`
     /// partitions nodes into contiguous balanced blocks. Correctness never
-    /// depends on the partition — only locality does — because the
-    /// synchronization window comes from the global link model.
+    /// depends on the partition — only locality does — because event
+    /// order comes from the shard-invariant keys.
     pub partition: Option<Vec<u32>>,
     /// Wall-clock engine profiler. Disabled by default; when enabled the
-    /// engine attributes *real* time per shard (execution, barrier waits,
-    /// mailbox drains, queue ops) and counts window efficiency. Strictly
-    /// outside the virtual-time path: it writes only to its own atomics,
-    /// so enabling it changes no outcome and no virtual-time export byte.
+    /// engine attributes *real* time per shard (execution, queue ops) and
+    /// counts cross-shard traffic. Strictly outside the virtual-time
+    /// path: it writes only to its own atomics, so enabling it changes no
+    /// outcome and no virtual-time export byte.
     pub engine: EngineProfiler,
     /// Online SLO engine. Disabled by default; when enabled it evaluates
     /// its specs on every sampling tick (it needs the sampling cadence to
@@ -168,43 +151,13 @@ enum Ev<M> {
     },
 }
 
-/// A deferred socket open/close, ordered by the key of the event that
-/// issued it plus a within-handler sub-counter, so sorted application
-/// replays the serial order exactly.
-#[derive(Clone, Copy)]
-struct SockOp {
-    key: EventKey,
-    sub: u16,
-    node: NodeId,
-    open: bool,
-}
-
 /// One shard: its event queue, the state of the nodes it owns, and its
 /// share of the run counters.
 struct Shard<M> {
     queue: KeyedQueue<Ev<M>>,
     nodes: NodeStore,
-    /// Socket ops awaiting sorted application (parallel mode only).
-    pending_socks: Vec<SockOp>,
-    /// Time of the latest event this shard processed.
-    last_time: SimTime,
     events: u64,
     drops: u64,
-}
-
-/// Cross-shard traffic for one (src, dst) pair within one window round.
-struct MailBatch<M> {
-    events: Vec<(EventKey, Ev<M>)>,
-    socks: Vec<SockOp>,
-}
-
-impl<M> Default for MailBatch<M> {
-    fn default() -> Self {
-        MailBatch {
-            events: Vec::new(),
-            socks: Vec::new(),
-        }
-    }
 }
 
 /// State shared read-only by every shard during dispatch.
@@ -214,34 +167,16 @@ struct SimShared {
     obs: Recorder,
     /// `node → (shard, local index)`.
     map: Vec<(u32, u32)>,
-    /// Conservative window width; see [`LatencyModel::min_hop`].
-    lookahead: SimSpan,
     nshards: usize,
     /// Wall-clock profiler (disabled by default; never read by handlers).
     engine: EngineProfiler,
 }
 
-/// How a context reaches simulation state: the single-threaded modes hold
-/// every shard; a parallel worker holds only its own plus mailboxes.
-enum Access<'a, M> {
-    Global(&'a mut [Shard<M>]),
-    Local {
-        shard: &'a mut Shard<M>,
-        sid: u32,
-        /// This worker's outbound row: `mail[dst]`.
-        mail: &'a [Mutex<MailBatch<M>>],
-    },
-}
-
 struct DesCtx<'a, M> {
-    access: Access<'a, M>,
+    shards: &'a mut [Shard<M>],
     shared: &'a SimShared,
     me: NodeId,
     now: SimTime,
-    /// Key of the event whose handler is running (orders deferred ops).
-    cur_key: EventKey,
-    /// Within-handler op counter (tie-break under `cur_key`).
-    sub: u16,
     /// The causal context current for the running handler (set from the
     /// delivered envelope or by `trace_begin`/`trace_adopt`). Always
     /// `None` when the recorder keeps no causal records.
@@ -249,27 +184,17 @@ struct DesCtx<'a, M> {
 }
 
 impl<M: Payload> DesCtx<'_, M> {
-    /// The store and local index of `node`. A parallel worker may only
-    /// reach nodes of its own shard this way (socket ops on remote peers
-    /// go through [`DesCtx::sock_op`] instead).
+    /// The store and local index of `node`.
     fn store(&mut self, node: NodeId) -> (&mut NodeStore, usize) {
         let (s, l) = self.shared.map[node.index()];
-        match &mut self.access {
-            Access::Global(shards) => (&mut shards[s as usize].nodes, l as usize),
-            Access::Local { shard, sid, .. } => {
-                debug_assert_eq!(s, *sid, "cross-shard state access from a worker");
-                (&mut shard.nodes, l as usize)
-            }
-        }
+        (&mut self.shards[s as usize].nodes, l as usize)
     }
 
     /// Route an event to the shard that owns its execution.
     fn push_event(&mut self, key: EventKey, dst_shard: u32, ev: Ev<M>) {
         if self.shared.engine.is_enabled() {
             // Cross-shard traffic gauge: which shard pairs talk, and how
-            // much. Same counting in both engines (merged included), so
-            // the profile answers partition-locality questions even from
-            // a single-threaded run.
+            // much — the partition-locality question a layout knob raises.
             let src = self.shared.map[self.me.index()].0;
             if src != dst_shard {
                 self.shared
@@ -277,47 +202,16 @@ impl<M: Payload> DesCtx<'_, M> {
                     .count_cross_shard(src as usize, dst_shard as usize);
             }
         }
-        match &mut self.access {
-            Access::Global(shards) => shards[dst_shard as usize].queue.push(key, ev),
-            Access::Local { shard, sid, mail } => {
-                if dst_shard == *sid {
-                    shard.queue.push(key, ev);
-                } else {
-                    mail[dst_shard as usize].lock().events.push((key, ev));
-                }
-            }
-        }
+        self.shards[dst_shard as usize].queue.push(key, ev);
     }
 
-    /// Apply (serial/merged) or defer (parallel) one socket open/close.
-    /// Parallel mode defers even own-shard ops: the per-window sorted
-    /// application interleaves them with remote shards' ops in the exact
-    /// serial order, which keeps `peak_sockets` bit-identical.
+    /// Apply one socket open/close to `node`'s meter.
     fn sock_op(&mut self, node: NodeId, open: bool) {
-        let (s, l) = self.shared.map[node.index()];
-        match &mut self.access {
-            Access::Global(shards) => {
-                let store = &mut shards[s as usize].nodes;
-                if open {
-                    store.open_socket(l as usize);
-                } else {
-                    store.close_socket(l as usize);
-                }
-            }
-            Access::Local { shard, sid, mail } => {
-                let op = SockOp {
-                    key: self.cur_key,
-                    sub: self.sub,
-                    node,
-                    open,
-                };
-                self.sub += 1;
-                if s == *sid {
-                    shard.pending_socks.push(op);
-                } else {
-                    mail[s as usize].lock().socks.push(op);
-                }
-            }
+        let (store, li) = self.store(node);
+        if open {
+            store.open_socket(li);
+        } else {
+            store.close_socket(li);
         }
     }
 
@@ -482,13 +376,12 @@ impl<M: Payload> Context<M> for DesCtx<'_, M> {
 /// executes on (deliveries and timers always run on the shard that owns
 /// the target node). Returns whether a message was dropped.
 fn exec_event<M: Payload, A: Actor<M>>(
-    key: EventKey,
+    now: SimTime,
     ev: Ev<M>,
-    access: Access<'_, M>,
+    shards: &mut [Shard<M>],
     actors: &mut [A],
     shared: &SimShared,
 ) -> bool {
-    let now = key.time;
     match ev {
         Ev::Deliver { from, to, msg, hop } => {
             if !shared.faults.is_up(to, now) {
@@ -502,12 +395,10 @@ fn exec_event<M: Payload, A: Actor<M>>(
             // The delivered context becomes current for the handler, so
             // any sends it makes chain as children of this hop.
             let mut ctx = DesCtx {
-                access,
+                shards,
                 shared,
                 me: to,
                 now,
-                cur_key: key,
-                sub: 0,
                 cur_ctx: hop.map(|h| h.ctx),
             };
             {
@@ -568,12 +459,10 @@ fn exec_event<M: Payload, A: Actor<M>>(
         Ev::Timer { node, token } => {
             let li = shared.map[node.index()].1 as usize;
             let mut ctx = DesCtx {
-                access,
+                shards,
                 shared,
                 me: node,
                 now,
-                cur_key: key,
-                sub: 0,
                 cur_ctx: None,
             };
             if !shared.faults.is_up(node, now) {
@@ -590,12 +479,10 @@ fn exec_event<M: Payload, A: Actor<M>>(
         }
         Ev::SocketClose { a, b } => {
             let mut ctx = DesCtx {
-                access,
+                shards,
                 shared,
                 me: a,
                 now,
-                cur_key: key,
-                sub: 0,
                 cur_ctx: None,
             };
             ctx.close_socket(b);
@@ -612,59 +499,6 @@ fn exec_event<M: Payload, A: Actor<M>>(
             false
         }
     }
-}
-
-/// A sense-reversing barrier that spins briefly before yielding, sized
-/// for the microsecond-scale window rounds of the parallel engine (a
-/// parking barrier would dominate the window cost; pure spinning would
-/// starve oversubscribed hosts).
-struct SpinBarrier {
-    count: AtomicUsize,
-    generation: AtomicUsize,
-    total: usize,
-}
-
-impl SpinBarrier {
-    fn new(total: usize) -> Self {
-        SpinBarrier {
-            count: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-            total,
-        }
-    }
-
-    fn wait(&self) {
-        let gen = self.generation.load(Ordering::Acquire);
-        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
-            self.count.store(0, Ordering::Release);
-            self.generation.fetch_add(1, Ordering::AcqRel);
-        } else {
-            let mut spins = 0u32;
-            while self.generation.load(Ordering::Acquire) == gen {
-                spins += 1;
-                if spins < 200 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-}
-
-/// Per-segment worker coordination: the barrier plus two ping-pong slots
-/// into which workers `fetch_min` their queue heads (ping-pong so a round
-/// can reset the *other* slot without racing the current one).
-struct RoundCtl {
-    barrier: SpinBarrier,
-    next: [AtomicU64; 2],
-}
-
-enum Mode {
-    /// Single-threaded k-way merge (identical to the serial engine).
-    Merged,
-    /// One worker thread per shard under conservative windows.
-    Parallel,
 }
 
 /// A cluster of actors driven by the discrete-event engine.
@@ -771,8 +605,6 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
             .map(|ids| Shard {
                 queue: KeyedQueue::with_capacity(ids.len() * 4 + 16),
                 nodes: NodeStore::new(config.seed, ids),
-                pending_socks: Vec::new(),
-                last_time: SimTime::ZERO,
                 events: 0,
                 drops: 0,
             })
@@ -804,14 +636,11 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
             }
         }
 
-        config
-            .engine
-            .attach(nshards, config.latency.min_hop().as_micros());
+        config.engine.attach(nshards);
         SimCluster {
             actors: groups,
             shards,
             shared: SimShared {
-                lookahead: config.latency.min_hop(),
                 latency: config.latency,
                 faults: config.faults,
                 obs: config.obs,
@@ -848,13 +677,6 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
         self.shared.nshards
     }
 
-    /// Whether runs use worker threads (as opposed to the single-threaded
-    /// merge): more than one shard, a usable lookahead window, and no
-    /// full/causal tracing (whose exports are append-ordered).
-    pub fn parallel_enabled(&self) -> bool {
-        matches!(self.pick_mode(), Mode::Parallel)
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -883,17 +705,7 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
     pub fn run_until(&mut self, horizon: SimTime) -> u64 {
         self.ensure_started();
         let before: u64 = self.shards.iter().map(|s| s.events).sum();
-        let mut ticks = 0u64;
-        match self.pick_mode() {
-            Mode::Merged => {
-                self.shared.engine.set_mode(EngineMode::Merged);
-                self.run_merged(horizon, &mut ticks);
-            }
-            Mode::Parallel => {
-                self.shared.engine.set_mode(EngineMode::Workers);
-                self.run_parallel(horizon, &mut ticks);
-            }
-        }
+        let ticks = self.run_merged(horizon);
         if self.shared.engine.is_enabled() {
             // Queue-depth and slab-occupancy gauges, read once per run:
             // the queues track their own high-water marks, so sampling at
@@ -911,8 +723,8 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
         n
     }
 
-    /// Run until no events remain. Panics if sampling is configured without
-    /// an `until` bound reachable from pending work — use `run_until` then.
+    /// Run until no events remain. Actors that re-arm timers forever never
+    /// go quiescent — bound those runs with [`SimCluster::run_until`].
     pub fn run_to_quiescence(&mut self) -> u64 {
         self.run_until(SimTime(u64::MAX))
     }
@@ -982,18 +794,6 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
         self.events_processed
     }
 
-    fn pick_mode(&self) -> Mode {
-        if self.shared.nshards == 1
-            || self.shared.obs.events_enabled()
-            || self.shared.obs.causal_enabled()
-            || self.shared.lookahead.as_micros() == 0
-        {
-            Mode::Merged
-        } else {
-            Mode::Parallel
-        }
-    }
-
     fn ensure_started(&mut self) {
         if self.started {
             return;
@@ -1002,12 +802,10 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
         for i in 0..self.n {
             let me = NodeId(i as u32);
             let mut ctx = DesCtx {
-                access: Access::Global(&mut self.shards),
+                shards: &mut self.shards,
                 shared: &self.shared,
                 me,
                 now: SimTime::ZERO,
-                cur_key: EventKey::system(SimTime::ZERO, 0),
-                sub: 0,
                 cur_ctx: None,
             };
             let (s, l) = self.shared.map[i];
@@ -1055,9 +853,8 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
         if feed {
             self.sampler.snapshot(t, &self.shared.obs);
         }
-        // SLO evaluation rides the sampling cadence: always on the main
-        // thread (ticks fire between segments in both engine modes), after
-        // the snapshot so hist/gauge signals see this tick's state.
+        // SLO evaluation rides the sampling cadence, after the snapshot so
+        // hist/gauge signals see this tick's state.
         self.slo.evaluate(t, &self.shared.obs, &self.sampler);
         // Host-memory series ride the same cadence into the sampler's
         // *host* store — the virtual-time store and its exports never see
@@ -1069,10 +866,10 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
         self.sample_next = Some(t + s.interval);
     }
 
-    /// Single-threaded execution: pop the globally minimal key across the
-    /// shard queues. With one shard this *is* the serial engine; with
-    /// several it is the reference merge the parallel mode must match.
-    fn run_merged(&mut self, horizon: SimTime, ticks: &mut u64) {
+    /// The event loop: pop the globally minimal key across the shard
+    /// queues and dispatch it inline. Returns the sampling ticks fired.
+    fn run_merged(&mut self, horizon: SimTime) -> u64 {
+        let mut ticks = 0u64;
         let mut prof = MergedProf::new(&self.shared.engine, self.shared.nshards);
         loop {
             let mut best: Option<(EventKey, usize)> = None;
@@ -1087,7 +884,7 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
             if let Some(st) = self.sample_next {
                 if st <= horizon && best.is_none_or(|(bk, _)| st <= bk.time) {
                     self.fire_sample(st);
-                    *ticks += 1;
+                    ticks += 1;
                     if let Some(p) = prof.as_mut() {
                         // Tick time belongs to the sampler, not a shard.
                         p.resync();
@@ -1109,9 +906,9 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
                 // it further); a no-op without `mem-profile`.
                 let _mem_scope = tag_scope(MemTag::DesShard(si));
                 exec_event(
-                    key,
+                    key.time,
                     ev,
-                    Access::Global(&mut self.shards),
+                    &mut self.shards,
                     &mut self.actors[si],
                     &self.shared,
                 )
@@ -1121,75 +918,18 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
             }
             let sh = &mut self.shards[si];
             sh.events += 1;
-            sh.last_time = key.time;
             if dropped {
                 sh.drops += 1;
             }
         }
         if let Some(p) = prof.as_mut() {
-            p.finish();
+            p.flush_span();
         }
-    }
-
-    /// Threaded execution under conservative windows. The main thread
-    /// handles sampling ticks and termination between *segments*; inside a
-    /// segment, one scoped worker per shard advances through window
-    /// rounds without touching the main thread.
-    fn run_parallel(&mut self, horizon: SimTime, ticks: &mut u64) {
-        let k = self.shared.nshards;
-        let mail: Vec<Vec<Mutex<MailBatch<M>>>> = (0..k)
-            .map(|_| (0..k).map(|_| Mutex::new(MailBatch::default())).collect())
-            .collect();
-        loop {
-            let best = self.shards.iter().filter_map(|s| s.queue.peek_key()).min();
-            if let Some(st) = self.sample_next {
-                if st <= horizon && best.is_none_or(|bk| st <= bk.time) {
-                    self.fire_sample(st);
-                    *ticks += 1;
-                    continue;
-                }
-            }
-            let Some(bk) = best else { break };
-            if bk.time > horizon {
-                break;
-            }
-            // Process events strictly before seg_end, so the next sampling
-            // tick (or the horizon) is reached in a fully drained state.
-            let hard_end = SimTime(horizon.as_micros().saturating_add(1));
-            let seg_end = match self.sample_next {
-                Some(st) if st <= horizon => hard_end.min(st),
-                _ => hard_end,
-            };
-            self.parallel_segment(seg_end, &mail);
-            for sh in &self.shards {
-                self.now = self.now.max(sh.last_time);
-            }
-        }
-    }
-
-    fn parallel_segment(&mut self, seg_end: SimTime, mail: &[Vec<Mutex<MailBatch<M>>>]) {
-        let ctl = RoundCtl {
-            barrier: SpinBarrier::new(self.shared.nshards),
-            next: [AtomicU64::new(u64::MAX), AtomicU64::new(u64::MAX)],
-        };
-        let shared = &self.shared;
-        std::thread::scope(|scope| {
-            for (sid, (shard, actors)) in self
-                .shards
-                .iter_mut()
-                .zip(self.actors.iter_mut())
-                .enumerate()
-            {
-                let ctl = &ctl;
-                scope.spawn(move || {
-                    worker_loop(sid as u32, shard, actors, shared, mail, ctl, seg_end);
-                });
-            }
-        });
+        ticks
     }
 }
 
-/// Wall-clock bookkeeping for the merged loop: splits each iteration into
+/// Wall-clock bookkeeping for the event loop: splits each iteration into
 /// queue time (best-key scan + pop) and busy time (handler execution),
 /// attributed to the shard that owned the event, and batches contiguous
 /// same-shard stretches into one `exec` span for the engine track.
@@ -1268,180 +1008,11 @@ impl MergedProf {
                 self.span_cap,
                 EngineSpan {
                     shard: si as u32,
-                    phase: EnginePhase::Exec,
                     start_ns,
                     dur_ns: self.ns_of(self.last).saturating_sub(start_ns),
                 },
             );
         }
-    }
-
-    fn finish(&mut self) {
-        self.flush_span();
-    }
-}
-
-/// Wall-clock bookkeeping for one parallel worker: per-round phase
-/// durations (mail drain, barrier waits, window execution) recorded into
-/// the worker's own [`ShardSlot`] — no cross-thread contention — plus one
-/// engine-track span per phase. `None` when profiling is off.
-struct WorkerProf {
-    shard: u32,
-    slot: Arc<ShardSlot>,
-    span_cap: usize,
-    base_ns: u64,
-    base: Instant,
-}
-
-impl WorkerProf {
-    fn new(engine: &EngineProfiler, sid: u32) -> Option<WorkerProf> {
-        let slot = engine.shard_slot(sid as usize)?;
-        let base_ns = engine.now_ns();
-        Some(WorkerProf {
-            shard: sid,
-            slot,
-            span_cap: engine.span_cap(),
-            base_ns,
-            base: Instant::now(),
-        })
-    }
-
-    fn span(&self, phase: EnginePhase, start: Instant, end: Instant) {
-        self.slot.push_span(
-            self.span_cap,
-            EngineSpan {
-                shard: self.shard,
-                phase,
-                start_ns: self.base_ns + (start - self.base).as_nanos() as u64,
-                dur_ns: (end - start).as_nanos() as u64,
-            },
-        );
-    }
-}
-
-/// One shard worker's life within a segment: window rounds of
-/// drain-mail → apply-socks → agree-on-min → process-window → publish.
-fn worker_loop<M: Payload, A: Actor<M>>(
-    sid: u32,
-    shard: &mut Shard<M>,
-    actors: &mut [A],
-    shared: &SimShared,
-    mail: &[Vec<Mutex<MailBatch<M>>>],
-    ctl: &RoundCtl,
-    seg_end: SimTime,
-) {
-    let la = shared.lookahead.as_micros();
-    let me = sid as usize;
-    let mut slot = 0usize;
-    // All heap traffic on this worker thread defaults to the shard's tag
-    // (FSM dispatch narrows it); a no-op without `mem-profile`.
-    let _mem_scope = tag_scope(MemTag::DesShard(me));
-    // Per-worker wall-clock profile. Timestamps are read only when enabled
-    // and written only to this shard's own atomics: the virtual-time path
-    // (queues, handlers, recorder) never sees them.
-    let prof = WorkerProf::new(&shared.engine, sid);
-    loop {
-        let t0 = prof.as_ref().map(|_| Instant::now());
-        // Drain inbound mail (published before the previous round's final
-        // barrier, so fully visible here).
-        for row in mail.iter() {
-            let mut b = row[me].lock();
-            for (key, ev) in b.events.drain(..) {
-                shard.queue.push(key, ev);
-            }
-            shard.pending_socks.append(&mut b.socks);
-        }
-        // Apply deferred socket ops in global order. All pending ops are
-        // from the previous window, so sorting the batch by (key, sub)
-        // replays exactly the serial interleaving.
-        if !shard.pending_socks.is_empty() {
-            shard
-                .pending_socks
-                .sort_unstable_by_key(|op| (op.key, op.sub));
-            for op in shard.pending_socks.drain(..) {
-                let (s, l) = shared.map[op.node.index()];
-                debug_assert_eq!(s, sid, "socket op routed to the wrong shard");
-                if op.open {
-                    shard.nodes.open_socket(l as usize);
-                } else {
-                    shard.nodes.close_socket(l as usize);
-                }
-            }
-        }
-        // Agree on the global minimum pending time.
-        let t1 = prof.as_ref().map(|_| Instant::now());
-        let local_min = shard
-            .queue
-            .peek_key()
-            .map_or(u64::MAX, |pk| pk.time.as_micros());
-        ctl.next[slot].fetch_min(local_min, Ordering::AcqRel);
-        ctl.barrier.wait();
-        let g = ctl.next[slot].load(Ordering::Acquire);
-        if sid == 0 {
-            ctl.next[1 - slot].store(u64::MAX, Ordering::Release);
-        }
-        let t2 = prof.as_ref().map(|_| Instant::now());
-        if let (Some(p), Some(t0), Some(t1), Some(t2)) = (&prof, t0, t1, t2) {
-            p.slot.add_drain((t1 - t0).as_nanos() as u64);
-            p.slot.add_barrier((t2 - t1).as_nanos() as u64);
-            p.span(EnginePhase::Drain, t0, t1);
-            p.span(EnginePhase::Barrier, t1, t2);
-        }
-        if g >= seg_end.as_micros() {
-            // Unanimous: every worker computes the same g. All mail was
-            // drained above, so the segment ends fully applied.
-            if let (Some(p), Some(t0), Some(t2)) = (&prof, t0, t2) {
-                p.slot.add_wall((t2 - t0).as_nanos() as u64);
-            }
-            break;
-        }
-        // Process this shard's events inside the conservative window. No
-        // cross-shard message sent at time >= g can arrive before
-        // g + lookahead + 1, so nothing a peer does this round lands in it.
-        let wend = SimTime(g.saturating_add(la)).min(seg_end);
-        let events_before = shard.events;
-        while let Some(pk) = shard.queue.peek_key() {
-            if pk.time >= wend {
-                break;
-            }
-            let (key, ev) = shard.queue.pop().expect("peeked event vanished");
-            let dropped = exec_event(
-                key,
-                ev,
-                Access::Local {
-                    shard: &mut *shard,
-                    sid,
-                    mail: &mail[me],
-                },
-                actors,
-                shared,
-            );
-            shard.events += 1;
-            shard.last_time = key.time;
-            if dropped {
-                shard.drops += 1;
-            }
-        }
-        let t3 = prof.as_ref().map(|_| Instant::now());
-        // Publish outbound mail before any peer starts its next drain.
-        ctl.barrier.wait();
-        if let (Some(p), Some(t0), Some(t2), Some(t3)) = (&prof, t0, t2, t3) {
-            let t4 = Instant::now();
-            let wev = shard.events - events_before;
-            p.slot.add_busy((t3 - t2).as_nanos() as u64);
-            p.slot.add_barrier((t4 - t3).as_nanos() as u64);
-            p.slot.add_wall((t4 - t0).as_nanos() as u64);
-            p.slot.add_events(wev);
-            // Realized window width: how far this round actually advanced
-            // virtual time (clamped by the segment end), vs. the model's
-            // full `min_hop()` lookahead.
-            p.slot.add_window(wev, wend.as_micros() - g);
-            if wev > 0 {
-                p.span(EnginePhase::Exec, t2, t3);
-            }
-            p.span(EnginePhase::Barrier, t3, t4);
-        }
-        slot ^= 1;
     }
 }
 
@@ -1517,18 +1088,13 @@ mod tests {
         assert_eq!(a.events_processed(), b.events_processed());
     }
 
-    /// The tentpole invariant at its smallest: a 2-shard run (every
-    /// message crosses the shard boundary) matches the serial engine
+    /// The key-invariance guarantee at its smallest: a 2-shard run (every
+    /// message crosses the shard boundary) matches the 1-shard run
     /// bit-for-bit in outcomes.
     #[test]
     fn sharded_ping_pong_matches_serial() {
         let mut serial = pingpong_cluster();
         let mut sharded = pingpong_cluster_sharded(2);
-        assert!(!serial.parallel_enabled());
-        assert!(
-            sharded.parallel_enabled(),
-            "2 shards + no tracing => workers"
-        );
         assert_eq!(sharded.shard_count(), 2);
         serial.run_to_quiescence();
         sharded.run_to_quiescence();
@@ -1762,6 +1328,15 @@ mod tests {
     }
 
     fn mesh_cluster(n: usize, shards: usize, seed: u64) -> SimCluster<u64, Mesh> {
+        mesh_cluster_obs(n, shards, seed, Recorder::disabled())
+    }
+
+    fn mesh_cluster_obs(
+        n: usize,
+        shards: usize,
+        seed: u64,
+        obs: Recorder,
+    ) -> SimCluster<u64, Mesh> {
         let faults = FaultPlan::from_outages(
             n,
             vec![
@@ -1780,6 +1355,7 @@ mod tests {
         let cfg = SimConfig {
             shards,
             faults,
+            obs,
             ..SimConfig::new(n, seed)
         };
         let actors = (0..n)
@@ -1792,45 +1368,47 @@ mod tests {
         SimCluster::new(actors, cfg)
     }
 
-    /// The full parity sweep: 2/4/8-shard parallel runs reproduce the
-    /// serial outcomes bit-for-bit — meters (including socket peaks, whose
-    /// order-sensitivity is the hardest case), drops, clock, event counts.
+    /// The full parity sweep: 2/4/8-shard runs reproduce the 1-shard
+    /// outcomes bit-for-bit — meters (including socket peaks, whose
+    /// order-sensitivity is the hardest case), drops, clock, event counts —
+    /// with the recorder off and under full tracing alike.
     #[test]
     fn sharded_mesh_matches_serial_across_shard_counts() {
         let n = 16;
-        let mut serial = mesh_cluster(n, 1, 42);
-        serial.run_until(SimTime::from_secs(4));
-        for shards in [2usize, 4, 8] {
-            let mut par = mesh_cluster(n, shards, 42);
-            assert!(par.parallel_enabled());
-            par.run_until(SimTime::from_secs(4));
-            assert_eq!(par.now(), serial.now(), "{shards} shards: clock differs");
-            assert_eq!(
-                par.events_processed(),
-                serial.events_processed(),
-                "{shards} shards: event count differs"
-            );
-            assert_eq!(par.dropped_messages(), serial.dropped_messages());
-            for i in 0..n {
-                let node = NodeId(i as u32);
-                let (a, b) = (serial.meter(node), par.meter(node));
-                assert_eq!(a.cpu_time(), b.cpu_time(), "node {i} cpu");
-                assert_eq!(a.msg_counts(), b.msg_counts(), "node {i} msgs");
-                assert_eq!(a.peak_sockets(), b.peak_sockets(), "node {i} socket peak");
-                assert_eq!(a.sockets(), b.sockets(), "node {i} sockets");
-                assert_eq!(a.peak_mem(), b.peak_mem(), "node {i} mem peaks");
+        for obs in [Recorder::disabled, Recorder::full] {
+            let mut serial = mesh_cluster_obs(n, 1, 42, obs());
+            serial.run_until(SimTime::from_secs(4));
+            for shards in [2usize, 4, 8] {
+                let mut par = mesh_cluster_obs(n, shards, 42, obs());
+                par.run_until(SimTime::from_secs(4));
+                assert_eq!(par.now(), serial.now(), "{shards} shards: clock differs");
                 assert_eq!(
-                    serial.actor(node).received,
-                    par.actor(node).received,
-                    "node {i} received count"
+                    par.events_processed(),
+                    serial.events_processed(),
+                    "{shards} shards: event count differs"
                 );
-                assert_eq!(serial.actor(node).sent, par.actor(node).sent);
+                assert_eq!(par.dropped_messages(), serial.dropped_messages());
+                for i in 0..n {
+                    let node = NodeId(i as u32);
+                    let (a, b) = (serial.meter(node), par.meter(node));
+                    assert_eq!(a.cpu_time(), b.cpu_time(), "node {i} cpu");
+                    assert_eq!(a.msg_counts(), b.msg_counts(), "node {i} msgs");
+                    assert_eq!(a.peak_sockets(), b.peak_sockets(), "node {i} socket peak");
+                    assert_eq!(a.sockets(), b.sockets(), "node {i} sockets");
+                    assert_eq!(a.peak_mem(), b.peak_mem(), "node {i} mem peaks");
+                    assert_eq!(
+                        serial.actor(node).received,
+                        par.actor(node).received,
+                        "node {i} received count"
+                    );
+                    assert_eq!(serial.actor(node).sent, par.actor(node).sent);
+                }
             }
         }
     }
 
-    /// Resuming a horizon-bounded run in more horizons yields the same
-    /// final state in parallel mode as one long serial run.
+    /// Resuming a horizon-bounded sharded run in more horizons yields the
+    /// same final state as one long 1-shard run.
     #[test]
     fn sharded_run_in_phases_matches_serial() {
         let mut serial = mesh_cluster(12, 1, 7);
@@ -1848,8 +1426,8 @@ mod tests {
         }
     }
 
-    /// Sampling ticks interleave identically with events in both engines,
-    /// and the tracked series come out bit-identical.
+    /// Sampling ticks interleave identically with events at every shard
+    /// count, and the tracked series come out bit-identical.
     #[test]
     fn sharded_sampling_matches_serial() {
         let make = |shards: usize| {
@@ -1885,46 +1463,6 @@ mod tests {
                 serial.series(node).unwrap().samples,
                 par.series(node).unwrap().samples
             );
-        }
-    }
-
-    /// Full tracing forces the single-threaded merge, which still uses the
-    /// sharded queues — outcomes must match the 1-shard run exactly.
-    #[test]
-    fn tracing_run_falls_back_to_merge_and_matches() {
-        let mut cfg = SimConfig {
-            shards: 4,
-            ..SimConfig::new(8, 11)
-        };
-        cfg.obs = Recorder::full();
-        let actors = (0..8)
-            .map(|_| Mesh {
-                n: 8,
-                received: 0,
-                sent: 0,
-            })
-            .collect();
-        let mut traced = SimCluster::new(actors, cfg);
-        assert!(!traced.parallel_enabled(), "tracing must force the merge");
-        traced.run_until(SimTime::from_secs(2));
-
-        // mesh_cluster has faults; build fault-free to mirror the traced cfg.
-        let mut plain = {
-            let actors = (0..8)
-                .map(|_| Mesh {
-                    n: 8,
-                    received: 0,
-                    sent: 0,
-                })
-                .collect();
-            SimCluster::new(actors, SimConfig::new(8, 11))
-        };
-        plain.run_until(SimTime::from_secs(2));
-        assert_eq!(traced.now(), plain.now());
-        for i in 0..8 {
-            let node = NodeId(i as u32);
-            assert_eq!(traced.meter(node).cpu_time(), plain.meter(node).cpu_time());
-            assert_eq!(traced.actor(node).received, plain.actor(node).received);
         }
     }
 

@@ -21,8 +21,8 @@
 //!   the collector was off can never drive a live counter negative.
 //! - **Tags are thread-local and scoped.** [`tag_scope`] pushes a
 //!   [`MemTag`] for the current thread and restores the previous tag on
-//!   drop; scopes nest. The engine tags its shard workers
-//!   (`des-shard{n}`), the ESlurm/RM FSMs tag their dispatch, backfill
+//!   drop; scopes nest. The engine tags event execution by owning
+//!   shard (`des-shard{n}`), the ESlurm/RM FSMs tag their dispatch, backfill
 //!   tags `sched`, retraining tags `ml`, and the sampler/SLO tick tags
 //!   `obs`; everything else is `untagged`.
 //! - **Non-perturbing.** The allocator changes *where* bytes live

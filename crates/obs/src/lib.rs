@@ -77,10 +77,7 @@ pub use causal::{
     build_traces, flow_summaries, CausalRecord, CriticalPath, FlowKind, FlowSummary, Hop, HopSend,
     PathStep, TraceContext, TraceTree,
 };
-pub use engine::{
-    EngineMode, EnginePhase, EngineProfiler, EngineReport, EngineSpan, ShardReport,
-    WALLCLOCK_PREFIX,
-};
+pub use engine::{EngineProfiler, EngineReport, EngineSpan, ShardReport, WALLCLOCK_PREFIX};
 pub use event::{EventKind, TraceEvent};
 pub use flight::{FlightConfig, FlightRecorder};
 pub use label::MetricId;

@@ -583,7 +583,7 @@ mod tests {
         let mk = |v: f64| {
             let mut store = SeriesStore::new();
             store.record(
-                MetricId::new("engine_wall_barrier_ns").with("shard", "0"),
+                MetricId::new("engine_wall_queue_ns").with("shard", "0"),
                 t(1),
                 v,
             );
@@ -613,7 +613,7 @@ mod tests {
             .all(|d| d.metric.starts_with(crate::engine::WALLCLOCK_PREFIX)));
         assert!(!report.regressions().is_empty());
         let overridden = DiffOptions {
-            per_metric: [("engine_wall_barrier_ns{shard=\"0\"}".to_string(), 5.0)]
+            per_metric: [("engine_wall_queue_ns{shard=\"0\"}".to_string(), 5.0)]
                 .into_iter()
                 .collect(),
             ..DiffOptions::default()
@@ -669,7 +669,7 @@ mod tests {
     #[test]
     fn deltas_carry_their_metric_domain() {
         assert_eq!(metric_domain("footprint_sockets"), "virtual");
-        assert_eq!(metric_domain("engine_wall_barrier_ns"), "wallclock");
+        assert_eq!(metric_domain("engine_wall_queue_ns"), "wallclock");
         assert_eq!(metric_domain("mem_host_live_bytes"), "host");
         let mk = |v: f64| {
             let mut store = SeriesStore::new();

@@ -18,9 +18,9 @@
 //! each node emits events in a deterministic order no matter how the event
 //! population is sharded — which makes `(time, lane, seq)` identical across
 //! shard counts, and the global sort by key a shard-count-invariant total
-//! order. This is the merge rule the parallel engine in `emu::sim` relies
-//! on: popping the minimum key across all shard queues replays exactly the
-//! serial execution.
+//! order. This is the merge rule the engine in `emu::sim` relies on:
+//! popping the minimum key across all shard queues replays exactly the
+//! 1-shard execution.
 //!
 //! [`KeyedQueue`] stores payloads in a slab (a `Vec` arena with a free
 //! list) and keeps only `(EventKey, slot)` pairs in the binary heap, so

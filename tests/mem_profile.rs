@@ -2,7 +2,7 @@
 //! end: the same fixed-seed ESlurm scenario as `engine_profile.rs`
 //! produces **bit-identical outcomes** and **byte-identical virtual-time
 //! exports** (Chrome trace, event JSONL, metrics CSV) with the heap
-//! profiler armed or not, for every shard count. The `mem_host_*` series
+//! profiler armed or not, on one shard and on four. The `mem_host_*` series
 //! live in the sampler's separate host store and never reach the default
 //! CSV — host-memory is its own measurement domain (DESIGN §15), like the
 //! wall-clock engine profile.
@@ -100,12 +100,12 @@ fn outcome_fingerprint(sys: &EslurmSystem) -> (SimTime, u64, u64, Vec<String>, V
 }
 
 /// Heap profiling on vs. off changes nothing the simulation can observe:
-/// same outcomes and a byte-identical virtual-time sampler CSV, at every
-/// shard count. The `mem_host_*` series go to the separate host store and
+/// same outcomes and a byte-identical virtual-time sampler CSV, on one
+/// shard and on four. The `mem_host_*` series go to the separate host store and
 /// appear only when the profiler is armed (and the feature compiled).
 #[test]
 fn profiled_runs_are_bit_identical_to_unprofiled() {
-    for shards in [1usize, 2, 4, 8] {
+    for shards in [1usize, 4] {
         let make = |mem: MemProfiler| {
             let s = Sampler::every_until(SimSpan::from_secs(1), SimTime::from_secs(300));
             let sys = run(shards, Recorder::metrics_only(), s.clone(), mem);

@@ -1,7 +1,7 @@
 //! The multi-tenant policy layers, end to end: the zero-cost-default
 //! guarantee (an explicit default `SchedPolicies` bundle is bit-identical
 //! to the policy-unaware scheduler on the fig9/fig10 seeds, in both the
-//! queueing simulator and the sharded DES across 1/2/4/8 shards),
+//! queueing simulator and the sharded DES on 1 and 4 shards),
 //! order-independence of the fair-share decay ledger for same-virtual-time
 //! completions, and the multifactor audit contract (`PriorityRanked`
 //! factor contributions sum exactly to the composed priority).
@@ -191,12 +191,12 @@ fn des_fingerprint(sys: &EslurmSystem) -> (SimTime, u64, u64, Vec<String>, Vec<S
 
 /// Acceptance gate: the default single-partition uniform-priority config
 /// gives same-seed bit-identical DES outcomes to the policy-unaware
-/// builder, across 1/2/4/8 shards.
+/// builder, on 1 and 4 shards.
 #[test]
 fn des_default_policy_builder_is_bit_identical_across_shards() {
     let baseline = des_fingerprint(&run_des(1, false));
     assert_eq!(baseline.3.len(), 12, "jobs lost in the baseline run");
-    for shards in [1usize, 2, 4, 8] {
+    for shards in [1usize, 4] {
         let with_policies = des_fingerprint(&run_des(shards, true));
         assert_eq!(
             with_policies, baseline,

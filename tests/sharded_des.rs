@@ -1,9 +1,9 @@
-//! The tentpole guarantee of the sharded DES, end to end: a full ESlurm
-//! deployment run over 1/2/4/8 event-queue shards produces **bit-identical
-//! outcomes** (job records, clocks, event counts, meters) and
-//! **byte-identical observability exports** (Chrome trace, event JSONL,
-//! metrics CSV) — the obs pipeline must not be able to tell the engines
-//! apart.
+//! The key-invariance guarantee of the sharded DES, end to end: a full
+//! ESlurm deployment run over 1/2/4/8 event-queue shards produces
+//! **bit-identical outcomes** (job records, clocks, event counts, meters)
+//! and **byte-identical observability exports** (Chrome trace, event
+//! JSONL, metrics CSV) — the obs pipeline must not be able to tell the
+//! layouts apart.
 
 use eslurm_suite::emu::{FaultPlan, NodeId, Outage};
 use eslurm_suite::eslurm::{EslurmConfig, EslurmSystem, EslurmSystemBuilder};
@@ -90,20 +90,14 @@ fn outcome_fingerprint(sys: &EslurmSystem) -> (SimTime, u64, u64, Vec<String>, V
     )
 }
 
-/// Parallel workers (metrics-only recorder) reproduce the serial outcomes
-/// exactly, for every shard count.
+/// Every shard count reproduces the 1-shard outcomes exactly.
 #[test]
 fn sharded_eslurm_outcomes_are_bit_identical() {
     let serial = run(1, Recorder::metrics_only(), Sampler::disabled());
-    assert!(!serial.sim.parallel_enabled());
     let baseline = outcome_fingerprint(&serial);
     assert_eq!(baseline.3.len(), 12, "jobs lost in the baseline run");
     for shards in [2usize, 4, 8] {
         let sys = run(shards, Recorder::metrics_only(), Sampler::disabled());
-        assert!(
-            sys.sim.parallel_enabled(),
-            "{shards}-shard metrics-only run should use worker threads"
-        );
         assert_eq!(
             outcome_fingerprint(&sys),
             baseline,
@@ -112,31 +106,27 @@ fn sharded_eslurm_outcomes_are_bit_identical() {
     }
 }
 
-/// The sampler CSV (written on the parallel path) is byte-identical across
-/// shard counts.
+/// The sampler CSV is byte-identical across shard counts.
 #[test]
 fn sharded_metrics_csv_is_byte_identical() {
     let make = |shards| {
         let s = Sampler::every_until(SimSpan::from_secs(1), SimTime::from_secs(300));
-        let sys = run(shards, Recorder::metrics_only(), s.clone());
-        (sys, s.to_csv())
+        run(shards, Recorder::metrics_only(), s.clone());
+        s.to_csv()
     };
-    let (serial_sys, serial_csv) = make(1);
+    let serial_csv = make(1);
     assert!(serial_csv.lines().count() > 100, "expected a dense CSV");
-    for shards in [2usize, 4] {
-        let (sys, csv) = make(shards);
-        assert!(sys.sim.parallel_enabled());
+    for shards in [2usize, 4, 8] {
         assert_eq!(
-            csv, serial_csv,
+            make(shards),
+            serial_csv,
             "{shards}-shard sampler CSV differs from serial"
         );
-        let _ = serial_sys; // keep the baseline alive for the comparison
     }
 }
 
-/// Full tracing forces the single-threaded merge over the sharded queues;
-/// the Chrome trace and event JSONL must come out byte-identical to the
-/// 1-shard run (the exports "must not notice").
+/// Under full tracing the Chrome trace and event JSONL come out
+/// byte-identical to the 1-shard run (the exports "must not notice").
 #[test]
 fn sharded_trace_exports_are_byte_identical() {
     let serial_rec = Recorder::full();
@@ -145,13 +135,9 @@ fn sharded_trace_exports_are_byte_identical() {
     let serial_jsonl = export::to_jsonl(&serial_rec.events());
     assert!(serial_rec.events().len() > 1000, "trace suspiciously small");
 
-    for shards in [4usize, 8] {
+    for shards in [2usize, 4, 8] {
         let rec = Recorder::full();
-        let sys = run(shards, rec.clone(), Sampler::disabled());
-        assert!(
-            !sys.sim.parallel_enabled(),
-            "full tracing must fall back to the merged engine"
-        );
+        run(shards, rec.clone(), Sampler::disabled());
         assert_eq!(
             export::to_chrome_trace(&rec.events()),
             serial_chrome,

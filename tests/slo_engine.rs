@@ -2,7 +2,7 @@
 //! same fixed-seed faulted ESlurm scenario as `engine_profile.rs` produces
 //! **bit-identical outcomes** and **byte-identical virtual-time exports**
 //! (Chrome trace, event JSONL, metrics CSV) with the SLO engine armed or
-//! not, at every shard count — plus the detection behaviour itself: a
+//! not, on one shard and on four — plus the detection behaviour itself: a
 //! tight objective breaches with a sane detection latency, breaches land
 //! as instants on their own export track, a breach snapshots the flight
 //! ring with a reason-tagged header, and health folding is
@@ -110,10 +110,10 @@ fn tight_slo() -> SloEngine {
 }
 
 /// SLOs on vs. off changes nothing the simulation can observe: same
-/// outcomes and a byte-identical sampler CSV, at every shard count.
+/// outcomes and a byte-identical sampler CSV, on one shard and on four.
 #[test]
 fn slo_runs_are_bit_identical_to_plain() {
-    for shards in [1usize, 2, 4, 8] {
+    for shards in [1usize, 4] {
         let make = |slo: SloEngine| {
             let s = Sampler::every_until(SimSpan::from_secs(1), SimTime::from_secs(300));
             let sys = run(shards, Recorder::metrics_only(), s.clone(), slo);
@@ -147,11 +147,7 @@ fn slo_trace_exports_are_byte_identical_plus_breach_track() {
     let make = |slo: SloEngine| {
         let rec = Recorder::full();
         let s = Sampler::every_until(SimSpan::from_secs(1), SimTime::from_secs(300));
-        let sys = run(1, rec.clone(), s, slo);
-        assert!(
-            !sys.sim.parallel_enabled(),
-            "full tracing must fall back to the merged engine"
-        );
+        run(1, rec.clone(), s, slo);
         rec
     };
     let plain_rec = make(SloEngine::disabled());
