@@ -9,7 +9,8 @@
 //! ratio, so CI or a reviewer can diff runs across commits.
 //!
 //! `--quick` shrinks repeat counts (for smoke runs); `--seed` varies the
-//! synthetic workload.
+//! synthetic workload. Exits non-zero when an SVR-fit or retrain row falls
+//! below [`FLOOR`], so CI's smoke run gates the speedups it reports.
 
 use eslurm_bench::{f, print_table, ExpArgs};
 use estimate::{features, EstimatorConfig, RuntimeEstimator};
@@ -35,6 +36,17 @@ fn time_ns<F: FnMut()>(mut f: F, reps: usize) -> u64 {
     best
 }
 
+/// Acceptance floor on the speedup of the [`GATED`] rows.
+const FLOOR: f64 = 2.0;
+const GATED: [&str; 4] = [
+    "svr_fit_47",
+    "svr_fit_200",
+    "svr_fit_recurrent",
+    "estimator_retrain_700",
+];
+const SVR_FIT_WHAT: &str =
+    "RefSvr::fit (Vec<Vec> Gram over all rows, n^2 K*beta) vs Svr::fit (flat Gram over distinct rows, K*beta from group sums)";
+
 struct Entry {
     name: &'static str,
     what: &'static str,
@@ -54,6 +66,66 @@ fn window(jobs: &[Job]) -> (Vec<Vec<f64>>, Vec<f64>) {
     (x, y)
 }
 
+/// The window as `RuntimeEstimator::retrain` prepares it: standardized,
+/// weighted features and log-runtime targets.
+fn prepared_window(jobs: &[Job]) -> (Vec<Vec<f64>>, Vec<f64>) {
+    let (raw, y) = window(jobs);
+    let scaler = StandardScaler::fit(&raw);
+    let x = scaler
+        .transform_all(&raw)
+        .iter()
+        .map(|r| features::apply_weights(r))
+        .collect();
+    (x, y)
+}
+
+/// The per-cluster model `estimate::framework` trains.
+fn framework_svr() -> Svr {
+    Svr::default_rbf()
+        .with_kernel(Kernel::Rbf { gamma: 30.0 })
+        .with_params(30.0, 0.05)
+}
+
+/// A `RefSvr` with `template`'s hyperparameters.
+fn reference_of(template: &Svr) -> RefSvr {
+    let mut m = RefSvr::default_rbf();
+    (m.kernel, m.c, m.epsilon) = (template.kernel, template.c, template.epsilon);
+    m
+}
+
+/// `RefSvr::fit` against `Svr::fit` on one training set, both configured
+/// as `template`.
+fn svr_fit_entry(
+    name: &'static str,
+    x: &[Vec<f64>],
+    y: &[f64],
+    template: &Svr,
+    reps: usize,
+) -> Entry {
+    let baseline_ns = time_ns(
+        || {
+            let mut m = reference_of(template);
+            m.fit(x, y);
+            std::hint::black_box(m.bias());
+        },
+        reps,
+    );
+    let optimized_ns = time_ns(
+        || {
+            let mut m = template.clone();
+            m.fit(x, y);
+            std::hint::black_box(m.bias());
+        },
+        reps,
+    );
+    Entry {
+        name,
+        what: SVR_FIT_WHAT,
+        baseline_ns,
+        optimized_ns,
+    }
+}
+
 /// An estimator with the window already recorded, ready to retrain.
 fn primed_estimator(jobs: &[Job], threads: usize) -> RuntimeEstimator {
     let mut est = RuntimeEstimator::new(EstimatorConfig {
@@ -71,14 +143,7 @@ fn primed_estimator(jobs: &[Job], threads: usize) -> RuntimeEstimator {
 /// K-means, one reference SVR per cluster fitted serially (framework
 /// hyperparameters), and the warm-start back-test over the window.
 fn reference_retrain(jobs: &[Job], k: usize, seed: u64) {
-    let raw: Vec<Vec<f64>> = jobs.iter().map(features::features).collect();
-    let scaler = StandardScaler::fit(&raw);
-    let x: Vec<Vec<f64>> = scaler
-        .transform_all(&raw)
-        .iter()
-        .map(|r| features::apply_weights(r))
-        .collect();
-    let y: Vec<f64> = jobs.iter().map(features::target).collect();
+    let (x, y) = prepared_window(jobs);
     let km = RefKMeans::fit(&x, k, 60, seed);
     let kk = km.centroids.len();
     let mut sets: Vec<(Vec<Vec<f64>>, Vec<f64>)> = vec![(Vec::new(), Vec::new()); kk];
@@ -88,10 +153,7 @@ fn reference_retrain(jobs: &[Job], k: usize, seed: u64) {
     }
     let mut models = Vec::with_capacity(kk);
     for (cx, cy) in &sets {
-        let mut m = RefSvr::default_rbf();
-        m.kernel = Kernel::Rbf { gamma: 30.0 };
-        m.c = 30.0;
-        m.epsilon = 0.05;
+        let mut m = reference_of(&framework_svr());
         m.fit(cx, cy);
         models.push(m);
     }
@@ -110,35 +172,43 @@ fn main() {
     let (x, y) = window(&window_jobs);
     let mut entries = Vec::new();
 
-    // SVR fit at one per-cluster size (~700/15) and at a whole window.
-    for &n in &[47usize, 200] {
-        let (cx, cy) = (&x[..n], &y[..n]);
-        let baseline = time_ns(
-            || {
-                let mut m = RefSvr::default_rbf();
-                m.fit(cx, cy);
-                std::hint::black_box(m.bias());
-            },
-            reps,
-        );
-        let optimized = time_ns(
-            || {
-                let mut m = Svr::default_rbf();
-                m.fit(cx, cy);
-                std::hint::black_box(m.bias());
-            },
-            reps,
-        );
-        entries.push(Entry {
-            name: if n == 47 { "svr_fit_47" } else { "svr_fit_200" },
-            what:
-                "RefSvr::fit (Vec<Vec> Gram, dense K*beta) vs Svr::fit (flat Gram, sparse deltas)",
-            baseline_ns: baseline,
-            optimized_ns: optimized,
-        });
+    // SVR fit at one per-cluster size (~700/15) and at a whole window
+    // (default model, raw features).
+    for (name, n) in [("svr_fit_47", 47usize), ("svr_fit_200", 200)] {
+        let default_rbf = Svr::default_rbf();
+        entries.push(svr_fit_entry(name, &x[..n], &y[..n], &default_rbf, reps));
     }
 
-    // SVR predict over a fitted model: pruned support vectors vs full scan.
+    // SVR fit on the traffic the framework produces: the largest
+    // per-cluster set of a 2000-job production-like window, framework
+    // hyperparameters. Recurrent jobs make most of its rows copies.
+    {
+        let recurrent = TraceConfig::tianhe2a()
+            .with_seed(args.seed)
+            .shrunk_to(2000)
+            .generate();
+        let (rx, ry) = prepared_window(&recurrent);
+        let labels = KMeans::fit(&rx, 15, 60, args.seed).labels;
+        let largest = (0..15)
+            .max_by_key(|&c| labels.iter().filter(|&&l| l == c).count())
+            .expect("15 clusters");
+        let (cx, cy): (Vec<Vec<f64>>, Vec<f64>) = rx
+            .into_iter()
+            .zip(ry)
+            .zip(&labels)
+            .filter(|(_, &l)| l == largest)
+            .map(|(row, _)| row)
+            .unzip();
+        entries.push(svr_fit_entry(
+            "svr_fit_recurrent",
+            &cx,
+            &cy,
+            &framework_svr(),
+            reps,
+        ));
+    }
+
+    // SVR predict over a fitted model: distinct support rows vs full scan.
     {
         let (cx, cy) = (&x[..200], &y[..200]);
         let mut fast = Svr::default_rbf();
@@ -164,7 +234,7 @@ fn main() {
         );
         entries.push(Entry {
             name: "svr_predict_1000q",
-            what: "predict x1000: full training-set scan vs pruned support vectors",
+            what: "predict x1000: full training-set scan vs distinct, pruned support rows",
             baseline_ns: baseline,
             optimized_ns: optimized,
         });
@@ -209,7 +279,7 @@ fn main() {
         );
         entries.push(Entry {
             name: "estimator_retrain_700",
-            what: "reference serial retrain vs flat-kernel SVRs on all cores",
+            what: "reference serial retrain vs grouped-Gram SVRs on all cores",
             baseline_ns: baseline,
             optimized_ns: optimized,
         });
@@ -302,4 +372,14 @@ fn main() {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_PERF.json");
     std::fs::write(&path, json + "\n").expect("write BENCH_PERF.json");
     println!("\n  [json] {}", path.display());
+
+    let below: Vec<String> = entries
+        .iter()
+        .filter(|e| GATED.contains(&e.name) && e.speedup() < FLOOR)
+        .map(|e| format!("{} {:.2}x", e.name, e.speedup()))
+        .collect();
+    if !below.is_empty() {
+        eprintln!("below the {FLOOR}x floor: {}", below.join(", "));
+        std::process::exit(1);
+    }
 }

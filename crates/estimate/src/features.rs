@@ -40,25 +40,49 @@ pub fn apply_weights(scaled: &[f64]) -> Vec<f64> {
 }
 
 /// FNV-1a, stable across runs and platforms (unlike `DefaultHasher`).
-fn fnv1a(s: &str) -> u64 {
+fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.as_bytes() {
+    for b in bytes {
         h ^= *b as u64;
         h = h.wrapping_mul(0x100000001b3);
     }
     h
 }
 
+/// The top 53 bits of a hash as a fraction in `[0, 1)`.
+fn unit(h: u64) -> f64 {
+    (h >> 11) as f64 / (1u64 << 53) as f64
+}
+
 /// Hash a string into `[0, 1)`.
 pub fn hash01(s: &str) -> f64 {
-    (fnv1a(s) >> 11) as f64 / (1u64 << 53) as f64
+    unit(fnv1a(s.as_bytes()))
+}
+
+/// `hash01(&format!("u{user}"))` without building the `String`: the same
+/// bytes, written into a stack buffer from the last digit backwards.
+fn hash01_user(user: u64) -> f64 {
+    let mut buf = [0u8; 21]; // 'u' + the 20 digits of u64::MAX
+    let mut at = buf.len();
+    let mut rest = user;
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    at -= 1;
+    buf[at] = b'u';
+    unit(fnv1a(&buf[at..]))
 }
 
 /// Salted variant of [`hash01`], for multi-dimensional embeddings.
 pub fn hash01_salted(s: &str, salt: u8) -> f64 {
-    let mut h = fnv1a(s) ^ (0x9E3779B97F4A7C15u64.wrapping_mul(salt as u64 + 1));
+    let mut h = fnv1a(s.as_bytes()) ^ (0x9E3779B97F4A7C15u64.wrapping_mul(salt as u64 + 1));
     h = (h ^ (h >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    ((h ^ (h >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+    unit(h ^ (h >> 31))
 }
 
 /// Extract the Table IV feature vector from a job.
@@ -67,7 +91,7 @@ pub fn features(job: &Job) -> Vec<f64> {
         hash01_salted(&job.name, 0),
         hash01_salted(&job.name, 1),
         hash01_salted(&job.name, 2),
-        hash01(&format!("u{}", job.user.0)),
+        hash01_user(job.user.0.into()),
         (job.nodes.max(1) as f64).log2(),
         (job.cores().max(1) as f64).log2(),
         job.submit_hour() as f64 / 24.0,
@@ -125,6 +149,13 @@ mod tests {
         assert_ne!(hash01_salted("abc", 0), hash01_salted("abc", 1));
         assert_ne!(hash01_salted("abc", 1), hash01_salted("abc", 2));
         assert_eq!(hash01_salted("abc", 1), hash01_salted("abc", 1));
+    }
+
+    #[test]
+    fn user_hash_matches_the_formatted_spelling() {
+        for user in (0..10_000).chain([u64::MAX]) {
+            assert_eq!(hash01_user(user), hash01(&format!("u{user}")), "{user}");
+        }
     }
 
     #[test]

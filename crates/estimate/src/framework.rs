@@ -153,8 +153,9 @@ impl RuntimeEstimator {
             m.records[c].ea_sum += ea;
             m.records[c].count += 1;
         }
+        // `retrain` is the only reader and takes the newest `window`.
         self.history.push_back(job.clone());
-        while self.history.len() > self.config.window * 4 {
+        while self.history.len() > self.config.window {
             self.history.pop_front();
         }
     }
@@ -402,7 +403,8 @@ pub struct ClusterDiag {
     pub training_samples: usize,
     /// Live average estimation accuracy (Eq. 5).
     pub aea: f64,
-    /// Non-zero dual coefficients in the cluster's SVR.
+    /// Distinct support rows stored by the cluster's SVR (recurrent jobs
+    /// with identical features share one row).
     pub support_vectors: usize,
 }
 
@@ -575,6 +577,37 @@ mod tests {
                 "threads={threads}"
             );
         }
+    }
+
+    #[test]
+    fn history_beyond_the_window_never_reaches_a_retrain() {
+        let cfg = EstimatorConfig {
+            window: 300,
+            ..Default::default()
+        };
+        let jobs = TraceConfig::small(900, 9).generate();
+        let all = train_on(&jobs, cfg.clone());
+        let tail = train_on(&jobs[600..], cfg);
+        for j in &jobs {
+            assert_eq!(all.model_estimate(j), tail.model_estimate(j));
+        }
+    }
+
+    #[test]
+    fn recurrent_window_stores_fewer_rows_than_jobs() {
+        let jobs = TraceConfig::tianhe2a().shrunk_to(2000).generate();
+        let est = train_on(
+            &jobs,
+            EstimatorConfig {
+                window: 2000,
+                ..Default::default()
+            },
+        );
+        let diags = est.cluster_diagnostics();
+        let trained: usize = diags.iter().map(|d| d.training_samples).sum();
+        let stored: usize = diags.iter().map(|d| d.support_vectors).sum();
+        assert_eq!(trained, 2000);
+        assert!(stored < trained, "{stored} rows for {trained} jobs");
     }
 
     #[test]

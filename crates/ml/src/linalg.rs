@@ -11,6 +11,8 @@
 //! (`‖a−b‖² = ‖a‖² + ‖b‖² − 2a·b`) so the inner loop is a plain dot
 //! product.
 
+use std::collections::HashMap;
+
 /// Solve `A x = b` for symmetric positive-definite `A` via Cholesky
 /// decomposition. Returns `None` when `A` is not positive definite.
 #[allow(clippy::needless_range_loop)] // index triples read clearer here
@@ -121,6 +123,26 @@ impl Matrix {
             rows: rows.len(),
             cols,
         }
+    }
+
+    /// Collapse bitwise-identical rows: the distinct rows in
+    /// first-occurrence order and, for every input row, the index of the
+    /// distinct row it equals. Panics on ragged input.
+    pub fn from_distinct_rows(rows: &[Vec<f64>]) -> (Matrix, Vec<usize>) {
+        let cols = rows.first().map(|r| r.len()).unwrap_or(0);
+        let mut seen: HashMap<Vec<u64>, usize> = HashMap::with_capacity(rows.len());
+        let mut data = Vec::new();
+        let group = rows.iter().map(|r| {
+            assert_eq!(r.len(), cols, "ragged row in Matrix::from_distinct_rows");
+            let next = seen.len();
+            let bits = r.iter().map(|v| v.to_bits()).collect();
+            *seen.entry(bits).or_insert_with(|| {
+                data.extend_from_slice(r);
+                next
+            })
+        });
+        let group = group.collect();
+        (Matrix::from_flat(data, seen.len(), cols), group)
     }
 
     /// Build from flat row-major data. Panics when `data.len() != rows*cols`.
@@ -281,24 +303,6 @@ fn dot_unrolled_portable(a: &[f64], b: &[f64]) -> f64 {
         tail += x * y;
     }
     (s0 + s1) + (s2 + s3) + tail
-}
-
-/// `y += alpha·x`, elementwise over the common prefix.
-///
-/// Same dispatch policy as [`dot_unrolled`]: AVX2+FMA when the host has
-/// it, a plain (auto-vectorizable) loop otherwise. FMA rounding differs
-/// from separate multiply-then-add by at most one ulp per element.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    #[cfg(target_arch = "x86_64")]
-    if x.len() >= SIMD_MIN_LEN && simd::available() {
-        // SAFETY: `available()` verified AVX2 and FMA support on this CPU.
-        unsafe { simd::axpy_fma(alpha, x, y) };
-        return;
-    }
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
 }
 
 /// `kb = K·β` for symmetric `K` (its leading `n×n` block, `n = beta.len()`),
@@ -580,21 +584,24 @@ pub fn sum_unrolled(a: &[f64]) -> f64 {
     (s0 + s1) + (s2 + s3) + t
 }
 
-/// Sum of absolute values over four independent accumulators (the ‖·‖₁
-/// row norms bounding a kernel matrix's spectral radius).
-pub fn sum_abs_unrolled(a: &[f64]) -> f64 {
+/// `Σ |aᵢ|·wᵢ` over four independent accumulators: the ‖·‖₁ norm of a
+/// kernel-matrix row whose column `i` stands for `wᵢ` identical columns
+/// (the row sums bounding the full matrix's spectral radius).
+pub fn dot_abs_unrolled(a: &[f64], w: &[f64]) -> f64 {
+    debug_assert_eq!(a.len(), w.len());
     let quads = a.len() / 4 * 4;
-    let (a4, tail) = a.split_at(quads);
+    let (a4, a_tail) = a.split_at(quads);
+    let (w4, w_tail) = w.split_at(quads);
     let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
-    for c in a4.chunks_exact(4) {
-        s0 += c[0].abs();
-        s1 += c[1].abs();
-        s2 += c[2].abs();
-        s3 += c[3].abs();
+    for (c, v) in a4.chunks_exact(4).zip(w4.chunks_exact(4)) {
+        s0 += c[0].abs() * v[0];
+        s1 += c[1].abs() * v[1];
+        s2 += c[2].abs() * v[2];
+        s3 += c[3].abs() * v[3];
     }
     let mut t = 0.0;
-    for x in tail {
-        t += x.abs();
+    for (x, v) in a_tail.iter().zip(w_tail) {
+        t += x.abs() * v;
     }
     (s0 + s1) + (s2 + s3) + t
 }
@@ -689,22 +696,6 @@ mod tests {
     }
 
     #[test]
-    fn axpy_matches_scalar_update() {
-        for n in [0usize, 1, 3, 4, 7, 8, 9, 16, 33, 100] {
-            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.29).sin()).collect();
-            let mut y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.53).cos()).collect();
-            let expected: Vec<f64> = y.iter().zip(&x).map(|(yi, xi)| yi + 1.7 * xi).collect();
-            axpy(1.7, &x, &mut y);
-            for (i, (got, want)) in y.iter().zip(&expected).enumerate() {
-                assert!(
-                    (got - want).abs() <= 1e-12 * want.abs().max(1.0),
-                    "n={n} i={i}: {got} vs {want}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn matrix_round_trips_rows() {
         let rows = vec![vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]];
         let m = Matrix::from_rows(&rows);
@@ -715,6 +706,25 @@ mod tests {
         let collected: Vec<&[f64]> = m.iter_rows().collect();
         assert_eq!(collected.len(), 3);
         assert_eq!(collected[2], &[5.0, 6.0]);
+    }
+
+    #[test]
+    fn distinct_rows_group_by_bits_in_first_occurrence_order() {
+        let rows = vec![
+            vec![1.0, 0.0],
+            vec![2.0, 3.0],
+            vec![1.0, 0.0],
+            vec![1.0, -0.0], // equal as numbers, not as bits
+            vec![2.0, 3.0],
+        ];
+        let (m, group) = Matrix::from_distinct_rows(&rows);
+        assert_eq!(group, vec![0, 1, 0, 2, 1]);
+        assert_eq!(m.rows(), 3);
+        for (row, &g) in rows.iter().zip(&group) {
+            assert_eq!(m.row(g), row.as_slice());
+        }
+        let (empty, group) = Matrix::from_distinct_rows(&[]);
+        assert_eq!((empty.rows(), group.len()), (0, 0));
     }
 
     #[test]

@@ -12,10 +12,16 @@
 //! the small per-cluster training sets of the runtime-estimation framework
 //! (tens to hundreds of samples) this converges quickly and needs no
 //! working-set machinery.
+//!
+//! HPC jobs recur, so most training rows are bitwise copies of another
+//! row, and copies have identical kernel rows: the fit builds the Gram over
+//! the `u` distinct rows and computes `K·β` as `K_u · (Σ_group β)` read back
+//! through the group index — `u² + n` per iteration instead of `n²`, the
+//! same iterates. With all rows distinct `u = n` and nothing changes.
 
 use crate::features::Regressor;
 use crate::linalg::{
-    axpy, linear_gram, rbf_gram, sq_dist, sum_abs_unrolled, sum_unrolled, sym_matvec, Matrix,
+    dot_abs_unrolled, linear_gram, rbf_gram, sq_dist, sum_unrolled, sym_matvec, Matrix,
 };
 
 /// Kernel choice for [`Svr`].
@@ -41,9 +47,9 @@ impl Kernel {
 
 /// ε-SVR model.
 ///
-/// The fitted state is pruned: only support vectors (non-zero dual
-/// coefficients) are stored, so `predict` is `O(#SV · d)` rather than
-/// `O(n · d)`.
+/// The fitted state is collapsed and pruned: one row per distinct training
+/// row, carrying its copies' summed dual coefficient, and only where that
+/// sum is non-zero — so `predict` is `O(#SV · d)` rather than `O(n · d)`.
 #[derive(Clone, Debug)]
 pub struct Svr {
     /// Box constraint (regularization strength).
@@ -56,10 +62,10 @@ pub struct Svr {
     pub kernel: Kernel,
     /// Gradient iterations.
     pub max_iter: usize,
-    /// Dual coefficients of the retained support vectors only.
+    /// Summed dual coefficient of each retained support row.
     beta: Vec<f64>,
     bias: f64,
-    /// Support vectors, flat row-major.
+    /// Distinct support rows, flat row-major.
     x: Matrix,
     /// Kernel with auto-gamma resolved against the training dimension.
     fitted_kernel: Kernel,
@@ -103,9 +109,10 @@ impl Svr {
         self.fitted
     }
 
-    /// Number of support vectors (non-zero dual coefficients).
+    /// Number of distinct support rows: exactly the rows that survived
+    /// pruning and that `predict` evaluates.
     pub fn support_vectors(&self) -> usize {
-        self.beta.iter().filter(|b| b.abs() > 1e-9).count()
+        self.beta.len()
     }
 
     /// Fitted bias term.
@@ -123,13 +130,9 @@ impl Svr {
     }
 }
 
-/// Below this magnitude a dual coefficient is treated as zero and its
-/// training point dropped from the fitted model.
+/// Below this magnitude a (summed) dual coefficient is treated as zero
+/// and its row dropped from the fitted model.
 const PRUNE_TOL: f64 = 1e-12;
-
-/// Incremental K·β updates are exactly re-derived from β this often, so
-/// axpy rounding cannot accumulate across hundreds of iterations.
-const KB_REFRESH_EVERY: usize = 64;
 
 impl Regressor for Svr {
     fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) {
@@ -146,24 +149,31 @@ impl Regressor for Svr {
         let kernel = self.resolve_kernel(d);
         self.fitted_kernel = kernel;
 
-        // Flat Gram matrix; RBF entries come from precomputed squared
-        // norms instead of n²/2 explicit distance loops.
-        let xm = Matrix::from_rows(x);
+        // Flat Gram matrix over the distinct rows only; RBF entries come
+        // from precomputed squared norms instead of explicit distance loops.
+        let (mut xu, group) = Matrix::from_distinct_rows(x);
+        let u = xu.rows();
         let k = match kernel {
-            Kernel::Rbf { gamma } => rbf_gram(&xm, gamma),
-            Kernel::Linear => linear_gram(&xm),
+            Kernel::Rbf { gamma } => rbf_gram(&xu, gamma),
+            Kernel::Linear => linear_gram(&xu),
         };
-        // Lipschitz bound on the gradient of the smooth part: ‖K‖∞.
-        let l = k.iter_rows().map(sum_abs_unrolled).fold(1e-9, f64::max);
-        let eta = 1.0 / l;
+        // Lipschitz bound on the gradient of the smooth part: ‖K‖∞ of the
+        // full n×n Gram, i.e. row sums weighted by group size.
+        let mut count = vec![0.0; u];
+        for &g in &group {
+            count[g] += 1.0;
+        }
+        let row_sums = k.iter_rows().map(|row| dot_abs_unrolled(row, &count));
+        let eta = 1.0 / row_sums.fold(1e-9, f64::max);
 
         let mut beta = vec![0.0; n];
         let mut new_beta = vec![0.0; n];
-        let mut kb = vec![0.0; n]; // K·β, maintained incrementally
-        for it in 0..self.max_iter {
+        let mut group_beta = vec![0.0; u]; // Σ β over each group
+        let mut kb = vec![0.0; u]; // K_u · group_beta; (K·β)ᵢ = kb[group[i]]
+        for _ in 0..self.max_iter {
             // Gradient step on the smooth part + soft threshold for ε‖β‖₁.
             for i in 0..n {
-                let z = beta[i] + eta * (y[i] - kb[i]);
+                let z = beta[i] + eta * (y[i] - kb[group[i]]);
                 new_beta[i] = soft_threshold(z, eta * self.epsilon);
             }
             // Project onto {Σβ = 0} ∩ box by a few alternating rounds.
@@ -175,35 +185,16 @@ impl Regressor for Svr {
                     *b = (*b - mean).clamp(-self.c, self.c);
                 }
             }
-            // Which coefficients actually moved? Saturated (±C) and
-            // inactive components typically reproject to exactly their
-            // old value, so late iterations move only the active set.
-            // Count without branching (zero deltas add exactly 0.0, so
-            // `delta` matches a nonzero-only accumulation bit for bit).
             let mut delta = 0.0;
-            let mut moved = 0usize;
-            for (nb, ob) in new_beta.iter().zip(&beta) {
-                let dj = nb - ob;
-                delta += dj.abs();
-                moved += (dj != 0.0) as usize;
+            group_beta.fill(0.0);
+            for ((nb, ob), &g) in new_beta.iter().zip(&mut beta).zip(&group) {
+                delta += (nb - *ob).abs();
+                *ob = *nb;
+                group_beta[g] += nb;
             }
-            let refresh = (it + 1) % KB_REFRESH_EVERY == 0;
-            if !refresh && moved * 2 < n {
-                // Sparse path: kb += Σ Δβⱼ · K[:,j] (= row j by symmetry),
-                // O(#moved · n) instead of O(n²).
-                for j in 0..n {
-                    let dj = new_beta[j] - beta[j];
-                    if dj != 0.0 {
-                        axpy(dj, k.row(j), &mut kb);
-                    }
-                }
-                beta.copy_from_slice(&new_beta);
-            } else {
-                // Dense (or periodic exact-refresh) path: recompute K·β
-                // from scratch via the symmetric half-traffic product.
-                beta.copy_from_slice(&new_beta);
-                sym_matvec(&k, &beta, &mut kb);
-            }
+            // The projection moves every coefficient every iteration, so
+            // K·β is recomputed whole, via the symmetric half-traffic product.
+            sym_matvec(&k, &group_beta, &mut kb);
             if delta < 1e-8 * n as f64 {
                 break;
             }
@@ -214,25 +205,22 @@ impl Regressor for Svr {
         let mut b_cnt = 0usize;
         for i in 0..n {
             if beta[i].abs() > 1e-7 && beta[i].abs() < self.c - 1e-7 {
-                b_sum += y[i] - kb[i] - self.epsilon * beta[i].signum();
+                b_sum += y[i] - kb[group[i]] - self.epsilon * beta[i].signum();
                 b_cnt += 1;
             }
         }
         self.bias = if b_cnt > 0 {
             b_sum / b_cnt as f64
         } else {
-            (0..n).map(|i| y[i] - kb[i]).sum::<f64>() / n as f64
+            (0..n).map(|i| y[i] - kb[group[i]]).sum::<f64>() / n as f64
         };
 
-        // Prune zero coefficients now so predict never revisits them.
-        let mut sv = xm;
-        sv.retain_rows(|i| beta[i].abs() > PRUNE_TOL);
-        self.beta = beta
-            .iter()
-            .copied()
-            .filter(|b| b.abs() > PRUNE_TOL)
-            .collect();
-        self.x = sv;
+        // Store one row per group, and only where the summed coefficient
+        // is non-zero, so predict never revisits copies or zeros.
+        xu.retain_rows(|g| group_beta[g].abs() > PRUNE_TOL);
+        group_beta.retain(|b| b.abs() > PRUNE_TOL);
+        self.beta = group_beta;
+        self.x = xu;
     }
 
     fn predict(&self, q: &[f64]) -> f64 {

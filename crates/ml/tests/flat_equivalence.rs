@@ -2,9 +2,10 @@
 //! pre-refactor reference implementations (`ml::reference`).
 //!
 //! The optimized SVR builds its Gram matrix with the squared-norm
-//! expansion `‖a−b‖² = ‖a‖² + ‖b‖² − 2a·b` and updates `K·β` from sparse
-//! β-deltas; both reorder floating point relative to the reference, so
-//! these tests assert agreement within `1e-9` rather than bit equality.
+//! expansion `‖a−b‖² = ‖a‖² + ‖b‖² − 2a·b` over the distinct rows only and
+//! computes `K·β` from per-group coefficient sums; both reorder floating
+//! point relative to the reference, so these tests assert agreement within
+//! `1e-9` rather than bit equality.
 //! The projected-gradient iteration is non-expansive, which keeps the
 //! per-iteration rounding differences from amplifying.
 //!
@@ -16,6 +17,7 @@ use ml::features::Regressor;
 use ml::reference::{RefKMeans, RefSvr};
 use ml::{KMeans, Kernel, Svr};
 use proptest::prelude::*;
+use rand::RngExt;
 use simclock::rng::{normal, stream_rng};
 
 /// Noisy samples of a smooth 2-D surface, the same shape of data the
@@ -36,6 +38,50 @@ fn regression_data(n: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
         .map(|r| (1.3 * r[0]).sin() + 0.4 * r[1] + normal(&mut rng, 0.0, 0.02))
         .collect();
     (x, y)
+}
+
+/// The estimator's real traffic: `reps.len()` distinct rows, row `j`
+/// occurring `reps[j]` times with a different target each time, shuffled.
+fn recurrent_data(reps: &[usize], seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
+    let (rows, centre) = regression_data(reps.len(), seed);
+    let mut rng = stream_rng(seed, 0x53);
+    let mut samples: Vec<(Vec<f64>, f64)> = Vec::new();
+    for ((row, c), &r) in rows.iter().zip(&centre).zip(reps) {
+        for _ in 0..r {
+            samples.push((row.clone(), c + normal(&mut rng, 0.0, 0.3)));
+        }
+    }
+    for i in (1..samples.len()).rev() {
+        samples.swap(i, rng.random_range(0..=i));
+    }
+    samples.into_iter().unzip()
+}
+
+/// Fit both models with the framework's `C` and `ε` and compare them on
+/// every training row and three fresh queries; the fast model must store
+/// no more than `distinct` rows.
+fn assert_matches_reference(x: &[Vec<f64>], y: &[f64], kernel: Kernel, distinct: usize) {
+    let mut fast = Svr::default_rbf()
+        .with_kernel(kernel)
+        .with_params(30.0, 0.05);
+    fast.fit(x, y);
+    let mut reference = RefSvr::default_rbf();
+    reference.kernel = kernel;
+    reference.c = 30.0;
+    reference.epsilon = 0.05;
+    reference.fit(x, y);
+
+    assert!(
+        fast.support_vectors() <= distinct,
+        "{} rows stored for {distinct} distinct",
+        fast.support_vectors()
+    );
+    assert!((fast.bias() - reference.bias()).abs() < 1e-9);
+    let fresh = [vec![-1.5, 0.3], vec![0.0, 0.0], vec![1.7, -0.8]];
+    for q in x.iter().chain(&fresh) {
+        let (a, b) = (fast.predict(q), reference.predict(q));
+        assert!((a - b).abs() < 1e-9, "{kernel:?}: pred {a} vs {b}");
+    }
 }
 
 /// Well-separated 2-D blobs so no point sits near an argmin tie.
@@ -112,6 +158,17 @@ proptest! {
     }
 
     #[test]
+    fn svr_matches_reference_on_recurrent_rows(
+        reps in prop::collection::vec(1usize..=40, 2..10),
+        seed in 0u64..1000,
+    ) {
+        let (x, y) = recurrent_data(&reps, seed);
+        for kernel in [Kernel::Rbf { gamma: 30.0 }, Kernel::Linear] {
+            assert_matches_reference(&x, &y, kernel, reps.len());
+        }
+    }
+
+    #[test]
     fn kmeans_matches_reference_on_separated_data(
         per in 10usize..50,
         k in 2usize..6,
@@ -151,6 +208,18 @@ fn svr_matches_reference_at_framework_config() {
     reference.fit(&x, &y);
     for q in &x {
         assert!((fast.predict(q) - reference.predict(q)).abs() < 1e-9);
+    }
+}
+
+/// The two ends of the grouping: one group holding every row, and one
+/// group per row (where the grouped fit is the dense fit).
+#[test]
+fn svr_matches_reference_at_all_identical_and_all_distinct_rows() {
+    for reps in [vec![60], vec![1; 60]] {
+        let (x, y) = recurrent_data(&reps, 11);
+        for kernel in [Kernel::Rbf { gamma: 30.0 }, Kernel::Linear] {
+            assert_matches_reference(&x, &y, kernel, reps.len());
+        }
     }
 }
 
