@@ -18,7 +18,8 @@ use crate::SchedPolicies;
 use obs::audit::{Decision, DecisionLog, EstSource, EstimateRef, SkipReason};
 use obs::{Counter, EventKind, Gauge, Hist, MetricId, Recorder, Sampler};
 use simclock::{EventQueue, SimSpan, SimTime};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 use workload::Job;
 
 /// Per-RM dispatch cost model: how long nodes stay occupied around the
@@ -131,6 +132,43 @@ impl BackfillConfig {
     }
 }
 
+/// What a scheduling pass needs to turn a queue entry down, 16 bytes: a
+/// pass over a deep queue reads these densely and reaches the entry's
+/// [`Queued`] record (and `jobs[]`) only for a candidate that fits the
+/// free nodes.
+#[derive(Clone, Copy)]
+struct ScanKey {
+    /// Planned node occupation at the current limit (launch + limit +
+    /// teardown): what a reservation must leave room for.
+    occupied: SimSpan,
+    /// Requested nodes clamped to the cluster; [`ScanKey::TOMBSTONE`]'s
+    /// width once the entry has left the queue.
+    width: u32,
+    /// Last skip reason logged for this entry — audit deduplication only
+    /// (queue scans re-derive the same verdict every event, so only
+    /// changes are logged). Written solely when auditing is enabled and
+    /// never read by scheduling decisions.
+    last_skip: Option<SkipReason>,
+}
+
+impl ScanKey {
+    /// Wider than any cluster (`u32::MAX` nodes is not a cluster this
+    /// simulator is for), and already "logged" as out of nodes: a scan
+    /// steps over a started entry on its too-wide path, silently, with no
+    /// test of its own.
+    const TOMBSTONE: ScanKey = ScanKey {
+        occupied: SimSpan::ZERO,
+        width: u32::MAX,
+        last_skip: Some(SkipReason::NoFreeNodes),
+    };
+
+    fn is_live(&self) -> bool {
+        self.width != u32::MAX
+    }
+}
+
+/// The rest of a queue entry: read when the job starts, ends, is ranked
+/// or is written to the audit log.
 #[derive(Clone, Copy)]
 struct Queued {
     job: usize,
@@ -139,11 +177,6 @@ struct Queued {
     original_submit: SimTime,
     /// The estimate the current limit was derived from (audit provenance).
     est: EstimateRef,
-    /// Last skip reason logged for this queue entry — audit deduplication
-    /// only (queue scans re-derive the same verdict every event, so only
-    /// changes are logged). Written solely when auditing is enabled and
-    /// never read by scheduling decisions.
-    last_skip: Option<SkipReason>,
     /// Index of the partition the job routed to (0 under the trivial set).
     part: u32,
     /// Composed priority in milli-units, recomputed before each
@@ -155,21 +188,246 @@ struct Queued {
     logged_prio: i64,
 }
 
+/// The wait queue, in scheduling order: scan keys and records in parallel
+/// arrays. An entry that starts is overwritten by a tombstone instead of
+/// shifting everything behind it; [`Queue::tidy`] squeezes tombstones out
+/// between passes, so an index is stable for the length of a pass.
+#[derive(Default)]
+struct Queue {
+    keys: Vec<ScanKey>,
+    recs: Vec<Queued>,
+    /// Index of the first live entry (`keys.len()` when there is none):
+    /// the head is never a tombstone.
+    head: usize,
+    /// Live entries.
+    live: usize,
+    /// No live entry is narrower than this (exact after a compaction, a
+    /// lower bound in between: removals leave it alone).
+    narrowest: u32,
+}
+
+impl Queue {
+    fn len(&self) -> usize {
+        self.live
+    }
+
+    fn push(&mut self, key: ScanKey, rec: Queued) {
+        debug_assert!(key.is_live(), "a u32::MAX-node cluster is not supported");
+        self.narrowest = if self.live == 0 {
+            key.width
+        } else {
+            self.narrowest.min(key.width)
+        };
+        self.keys.push(key);
+        self.recs.push(rec);
+        self.live += 1;
+    }
+
+    /// The entry at the front of the queue.
+    fn front(&self) -> Option<(ScanKey, Queued)> {
+        (self.live > 0).then(|| (self.keys[self.head], self.recs[self.head]))
+    }
+
+    /// Take the live entry at `i` out of the queue.
+    fn take(&mut self, i: usize) -> Queued {
+        debug_assert!(self.keys[i].is_live());
+        self.keys[i] = ScanKey::TOMBSTONE;
+        self.live -= 1;
+        if i == self.head {
+            self.head += 1;
+            while self.keys.get(self.head).is_some_and(|k| !k.is_live()) {
+                self.head += 1;
+            }
+        }
+        self.recs[i]
+    }
+
+    /// Between passes: squeeze the dead entries out once they are a
+    /// quarter of the arrays, so a removal pays for four moves at most and
+    /// a scan of a deep queue reads at most a third more keys than are
+    /// live.
+    fn tidy(&mut self) {
+        let dead = self.keys.len() - self.live;
+        if dead > 16 && dead * 4 > self.keys.len() {
+            self.compact();
+        }
+    }
+
+    fn compact(&mut self) {
+        let mut kept = 0;
+        self.narrowest = u32::MAX;
+        for i in self.head..self.keys.len() {
+            if self.keys[i].is_live() {
+                self.narrowest = self.narrowest.min(self.keys[i].width);
+                self.keys[kept] = self.keys[i];
+                self.recs[kept] = self.recs[i];
+                kept += 1;
+            }
+        }
+        debug_assert_eq!(kept, self.live);
+        self.keys.truncate(kept);
+        self.recs.truncate(kept);
+        self.head = 0;
+    }
+
+    /// Record a backfill skip of entry `i`, deduplicated per entry by
+    /// reason — queue scans re-derive the same verdict every event, so
+    /// only changes are logged. The dedup marker lives in the scan key,
+    /// so the steady-state cost on an audited scan is one field compare.
+    fn record_skip(
+        &mut self,
+        i: usize,
+        reason: SkipReason,
+        now: SimTime,
+        jobs: &[Job],
+        cfg: &BackfillConfig,
+    ) {
+        if !cfg.audit.enabled() || self.keys[i].last_skip == Some(reason) {
+            return;
+        }
+        self.keys[i].last_skip = Some(reason);
+        let q = &self.recs[i];
+        cfg.audit.record(
+            now.as_micros(),
+            jobs[q.job].id.0,
+            q.est,
+            Decision::SkippedBackfill { reason },
+        );
+    }
+
+    /// Recompute every queued job's multifactor priority and keep the
+    /// queue sorted by it (descending; the sort is stable, so equal
+    /// priorities keep arrival order — and the uniform composer returns
+    /// without touching the queue at all, preserving bit-identical FIFO
+    /// behavior). Material priority changes are recorded in the audit log
+    /// with each factor's weighted contribution.
+    fn reorder_by_priority(&mut self, now: SimTime, jobs: &[Job], cfg: &BackfillConfig) {
+        if cfg.policies.priority.is_uniform() || self.live == 0 {
+            return;
+        }
+        // Ranks are positions among live entries.
+        if self.keys.len() > self.live {
+            self.compact();
+        }
+        let ctx_of = |q: &Queued| FactorCtx {
+            now,
+            submit: q.original_submit,
+            cluster_nodes: cfg.nodes,
+            partition: cfg.policies.partitions.get(q.part as usize),
+            fairshare: &cfg.policies.fairshare,
+        };
+        for q in &mut self.recs {
+            q.prio_milli = cfg
+                .policies
+                .priority
+                .priority_milli(&jobs[q.job], &ctx_of(q));
+        }
+        // Descending, stably. Most passes only confirm the order they
+        // inherited; the two arrays are permuted when one does not.
+        let by_prio = |q: &Queued| Reverse(q.prio_milli);
+        if !self.recs.is_sorted_by_key(by_prio) {
+            let mut order: Vec<usize> = (0..self.live).collect();
+            order.sort_by_key(|&i| by_prio(&self.recs[i]));
+            self.keys = order.iter().map(|&i| self.keys[i]).collect();
+            self.recs = order.iter().map(|&i| self.recs[i]).collect();
+        }
+        if !cfg.audit.enabled() {
+            return;
+        }
+        // Log first rankings and drifts past ~1.5% of the last logged value:
+        // enough for `why-job` to show why a job ranked where it did, without
+        // re-logging every age tick. Never read by scheduling decisions.
+        let mut shares: Vec<FactorShare> = Vec::new();
+        for (rank, q) in self.recs.iter_mut().enumerate() {
+            if q.logged_prio != i64::MIN
+                && (q.prio_milli - q.logged_prio).abs() < (q.logged_prio.abs() / 64).max(1)
+            {
+                continue;
+            }
+            let total = cfg
+                .policies
+                .priority
+                .score_into(&jobs[q.job], &ctx_of(q), &mut shares);
+            debug_assert_eq!(total, q.prio_milli);
+            q.logged_prio = q.prio_milli;
+            cfg.audit.record(
+                now.as_micros(),
+                jobs[q.job].id.0,
+                q.est,
+                Decision::PriorityRanked {
+                    priority_milli: q.prio_milli,
+                    rank: rank as u32,
+                    factors: shares.iter().map(|s| (s.name, s.milli)).collect(),
+                },
+            );
+        }
+    }
+}
+
 #[derive(Clone, Copy)]
 struct Running {
     nodes: u32,
-    /// When the scheduler believes the nodes free up (limit-based).
-    planned_end: SimTime,
     /// Job id, so reservations can name their blockers.
     job_id: u64,
     /// Partition holding the nodes (releases its capacity at end).
     part: u32,
 }
 
+/// Where a running job sits in [`RunningSet`]: when the scheduler believes
+/// its nodes free up (limit-based), then its slot.
+type RunKey = (SimTime, u32);
+
+/// The running jobs, ordered by planned end. Jobs that plan to end at the
+/// same instant are ordered by slot, and a starting job takes the lowest
+/// free slot: the order a per-pass stable sort of a slot table gives, which
+/// decides how many spare nodes a reservation sees when planned ends tie.
+#[derive(Default)]
+struct RunningSet {
+    by_end: BTreeMap<RunKey, Running>,
+    free_slots: BinaryHeap<Reverse<u32>>,
+}
+
+impl RunningSet {
+    fn len(&self) -> usize {
+        self.by_end.len()
+    }
+
+    fn insert(&mut self, planned_end: SimTime, r: Running) -> RunKey {
+        // Every slot below the high-water mark is running or in the heap.
+        let high_water = (self.by_end.len() + self.free_slots.len()) as u32;
+        let slot = self.free_slots.pop().map_or(high_water, |s| s.0);
+        self.by_end.insert((planned_end, slot), r);
+        (planned_end, slot)
+    }
+
+    fn remove(&mut self, key: RunKey) -> Running {
+        self.free_slots.push(Reverse(key.1));
+        self.by_end.remove(&key).expect("ending a job twice")
+    }
+
+    /// `(planned end, job)` in the order the nodes are planned to free up.
+    fn iter(&self) -> impl Iterator<Item = (SimTime, &Running)> {
+        self.by_end.iter().map(|(&(end, _), r)| (end, r))
+    }
+
+    /// The counterfactual blocker set of a reservation at `shadow`: the
+    /// running jobs whose planned ends the reservation waits behind, in
+    /// deterministic (end time, job id) order.
+    fn blockers(&self, shadow: SimTime) -> Vec<u64> {
+        let mut blockers: Vec<(SimTime, u64)> = self
+            .by_end
+            .range(..=(shadow, u32::MAX))
+            .map(|(&(end, _), r)| (end, r.job_id))
+            .collect();
+        blockers.sort();
+        blockers.into_iter().map(|(_, id)| id).collect()
+    }
+}
+
 /// Deduplication state for the audit log: steady-state scheduling passes
 /// re-derive the same blocked head and reservation every event, so only
-/// *changes* are recorded (per-job skip dedup lives on the [`Queued`]
-/// entry itself, keeping the queue scan allocation- and lookup-free).
+/// *changes* are recorded (per-job skip dedup lives in the entry's
+/// [`ScanKey`], keeping the queue scan allocation- and lookup-free).
 /// Touched only when auditing is enabled; never feeds back into
 /// scheduling decisions.
 #[derive(Default)]
@@ -191,18 +449,66 @@ impl AuditCursor {
             self.last_resv = None;
         }
     }
+
+    /// Record the blocked head and its reservation, when either changed.
+    fn head_blocked(
+        &mut self,
+        now: SimTime,
+        head_id: u64,
+        est: EstimateRef,
+        at: SimTime,
+        running: &RunningSet,
+        cfg: &BackfillConfig,
+    ) {
+        if !cfg.audit.enabled() {
+            return;
+        }
+        if self.last_head != Some(head_id) {
+            self.last_head = Some(head_id);
+            cfg.audit
+                .record(now.as_micros(), head_id, est, Decision::HeadOfQueue);
+        }
+        if at != SimTime(u64::MAX) && self.last_resv != Some((head_id, at.as_micros())) {
+            self.last_resv = Some((head_id, at.as_micros()));
+            cfg.audit.record(
+                now.as_micros(),
+                head_id,
+                est,
+                Decision::ReservationPlaced {
+                    at_us: at.as_micros(),
+                    blockers: running.blockers(at),
+                },
+            );
+        }
+    }
 }
 
 enum Ev {
     Arrive(usize),
     /// Nodes release; payload describes what ended.
     End {
-        slot: usize,
+        run: RunKey,
         queued: Queued,
         started: SimTime,
         killed: bool,
     },
     RmUp,
+}
+
+/// Everything a scheduling pass reads and writes: the planner is this
+/// state plus [`SchedState::schedule`], a step function of `now` that
+/// emits `End` events. [`simulate`] drives it from its own event loop; a
+/// master actor that owns the queue can drive the same step from
+/// submission, completion and node-down messages.
+struct SchedState {
+    /// Nodes not held by a running job.
+    free: u32,
+    queue: Queue,
+    running: RunningSet,
+    /// Nodes each partition currently occupies (all in partition 0 under
+    /// the trivial set, where no capacity is ever consulted).
+    part_busy: Vec<u32>,
+    cursor: AuditCursor,
 }
 
 /// Run the simulation: `jobs` through a cluster of `cfg.nodes` nodes with
@@ -234,12 +540,7 @@ pub fn simulate(
         events.push(at + dur, Ev::RmUp);
     }
 
-    let mut free = cfg.nodes;
-    let mut queue: VecDeque<Queued> = VecDeque::new();
-    let mut running: Vec<Option<Running>> = Vec::new();
-    // Nodes each partition currently occupies (all in partition 0 under
-    // the trivial set, where no capacity is ever consulted).
-    let mut part_busy: Vec<u32> = vec![0; cfg.policies.partitions.len()];
+    let mut st = SchedState::new(cfg);
     let mut report = ScheduleReport {
         nodes: cfg.nodes,
         ..Default::default()
@@ -253,51 +554,51 @@ pub fn simulate(
 
     let tick = cfg.sampler.interval();
     let mut next_due = tick.map(|i| SimTime::ZERO + i);
-    let mut cursor = AuditCursor::default();
 
     while let Some((now, ev)) = events.pop() {
         // Catch the sampling cadence up to `now`: each tick records the
         // state as of the last event processed before it.
         if let (Some(i), Some(due)) = (tick, next_due.as_mut()) {
             while *due <= now && cfg.sampler.due(*due) {
-                sample_tick(cfg, *due, free);
+                sample_tick(cfg, *due, st.free);
                 *due += i;
             }
         }
         match ev {
             Ev::Arrive(i) => {
                 let mut info = policy.limit_info(&jobs[i]);
+                let width = jobs[i].nodes.min(cfg.nodes);
                 let mut part = 0u32;
                 if !cfg.policies.partitions.is_trivial() {
-                    let nodes = jobs[i].nodes.min(cfg.nodes);
-                    part = cfg.policies.partitions.route(nodes) as u32;
+                    part = cfg.policies.partitions.route(width) as u32;
                     apply_partition_limits(cfg, part, &mut info);
                 }
                 if cfg.audit.enabled() {
                     cfg.audit
                         .record(now.as_micros(), jobs[i].id.0, info.est, Decision::Submitted);
                 }
-                queue.push_back(Queued {
-                    job: i,
-                    limit: info.limit,
-                    resubmits: 0,
-                    original_submit: jobs[i].submit,
-                    est: info.est,
-                    last_skip: None,
-                    part,
-                    prio_milli: 0,
-                    logged_prio: i64::MIN,
-                });
+                st.enqueue(
+                    cfg,
+                    width,
+                    Queued {
+                        job: i,
+                        limit: info.limit,
+                        resubmits: 0,
+                        original_submit: jobs[i].submit,
+                        est: info.est,
+                        part,
+                        prio_milli: 0,
+                        logged_prio: i64::MIN,
+                    },
+                );
             }
             Ev::End {
-                slot,
+                run,
                 queued,
                 started,
                 killed,
             } => {
-                let r = running[slot].take().expect("ending a job twice");
-                free += r.nodes;
-                part_busy[r.part as usize] -= r.nodes;
+                let r = st.release(run);
                 let job = &jobs[queued.job];
                 // The machine time was consumed whether the job completed
                 // or was killed: fair-share charges both.
@@ -357,7 +658,7 @@ pub fn simulate(
                             }
                         }
                         if cfg.audit.enabled() {
-                            cursor.forget(job.id.0);
+                            st.cursor.forget(job.id.0);
                             cfg.audit.record(
                                 now.as_micros(),
                                 job.id.0,
@@ -368,13 +669,17 @@ pub fn simulate(
                                 },
                             );
                         }
-                        queue.push_back(Queued {
-                            limit: next.limit,
-                            est: next.est,
-                            resubmits: queued.resubmits + 1,
-                            last_skip: None,
-                            ..queued
-                        });
+                        // r.nodes is the clamped width the job ran at.
+                        st.enqueue(
+                            cfg,
+                            r.nodes,
+                            Queued {
+                                limit: next.limit,
+                                est: next.est,
+                                resubmits: queued.resubmits + 1,
+                                ..queued
+                            },
+                        );
                     } else {
                         report.abandoned += 1;
                     }
@@ -419,18 +724,7 @@ pub fn simulate(
         if in_outage(now, cfg) {
             continue; // the RM is down: no scheduling decisions
         }
-        schedule(
-            now,
-            &mut free,
-            &mut queue,
-            &mut running,
-            &mut part_busy,
-            &mut events,
-            jobs,
-            cfg,
-            &mut report,
-            &mut cursor,
-        );
+        st.schedule(now, &mut events, jobs, cfg, &mut report);
     }
     report
 }
@@ -448,82 +742,6 @@ fn apply_partition_limits(cfg: &BackfillConfig, part: u32, info: &mut LimitInfo)
     }
     if let Some(m) = p.max_time {
         info.limit = info.limit.min(m);
-    }
-}
-
-/// Nodes a partition may still take on (`u32::MAX` when uncapped — the
-/// trivial-set fast path, where this is never consulted against `free`).
-fn part_headroom(cfg: &BackfillConfig, part_busy: &[u32], part: u32) -> u32 {
-    match cfg.policies.partitions.get(part as usize).capacity {
-        Some(cap) => cap.saturating_sub(part_busy[part as usize]),
-        None => u32::MAX,
-    }
-}
-
-/// Recompute every queued job's multifactor priority and keep the queue
-/// sorted by it (descending; the sort is stable, so equal priorities keep
-/// arrival order — and the uniform composer returns without touching the
-/// queue at all, preserving bit-identical FIFO behavior). Material
-/// priority changes are recorded in the audit log with each factor's
-/// weighted contribution.
-fn reorder_by_priority(
-    now: SimTime,
-    queue: &mut VecDeque<Queued>,
-    jobs: &[Job],
-    cfg: &BackfillConfig,
-) {
-    if cfg.policies.priority.is_uniform() || queue.is_empty() {
-        return;
-    }
-    for q in queue.iter_mut() {
-        let ctx = FactorCtx {
-            now,
-            submit: q.original_submit,
-            cluster_nodes: cfg.nodes,
-            partition: cfg.policies.partitions.get(q.part as usize),
-            fairshare: &cfg.policies.fairshare,
-        };
-        q.prio_milli = cfg.policies.priority.priority_milli(&jobs[q.job], &ctx);
-    }
-    queue
-        .make_contiguous()
-        .sort_by_key(|q| std::cmp::Reverse(q.prio_milli));
-    if !cfg.audit.enabled() {
-        return;
-    }
-    // Log first rankings and drifts past ~1.5% of the last logged value:
-    // enough for `why-job` to show why a job ranked where it did, without
-    // re-logging every age tick. Never read by scheduling decisions.
-    let mut shares: Vec<FactorShare> = Vec::new();
-    for (rank, q) in queue.iter_mut().enumerate() {
-        if q.logged_prio != i64::MIN
-            && (q.prio_milli - q.logged_prio).abs() < (q.logged_prio.abs() / 64).max(1)
-        {
-            continue;
-        }
-        let ctx = FactorCtx {
-            now,
-            submit: q.original_submit,
-            cluster_nodes: cfg.nodes,
-            partition: cfg.policies.partitions.get(q.part as usize),
-            fairshare: &cfg.policies.fairshare,
-        };
-        let total = cfg
-            .policies
-            .priority
-            .score_into(&jobs[q.job], &ctx, &mut shares);
-        debug_assert_eq!(total, q.prio_milli);
-        q.logged_prio = q.prio_milli;
-        cfg.audit.record(
-            now.as_micros(),
-            jobs[q.job].id.0,
-            q.est,
-            Decision::PriorityRanked {
-                priority_milli: q.prio_milli,
-                rank: rank as u32,
-                factors: shares.iter().map(|s| (s.name, s.milli)).collect(),
-            },
-        );
     }
 }
 
@@ -573,223 +791,6 @@ const EST_ERR_BOUNDS: &[u64] = &[
     1, 5, 15, 60, 300, 900, 1_800, 3_600, 7_200, 14_400, 43_200, 86_400,
 ];
 
-#[allow(clippy::too_many_arguments)]
-fn schedule(
-    now: SimTime,
-    free: &mut u32,
-    queue: &mut VecDeque<Queued>,
-    running: &mut Vec<Option<Running>>,
-    part_busy: &mut [u32],
-    events: &mut EventQueue<Ev>,
-    jobs: &[Job],
-    cfg: &BackfillConfig,
-    report: &mut ScheduleReport,
-    cursor: &mut AuditCursor,
-) {
-    // A non-uniform priority layer re-sorts the queue before every pass;
-    // the uniform default returns immediately, leaving arrival order.
-    reorder_by_priority(now, queue, jobs, cfg);
-    // Start jobs in queue order while they fit (cluster + partition).
-    while let Some(&head) = queue.front() {
-        let nodes = jobs[head.job].nodes.min(cfg.nodes);
-        if nodes <= *free && nodes <= part_headroom(cfg, part_busy, head.part) {
-            queue.pop_front();
-            cfg.obs.inc(Counter::BackfillHeadStarts);
-            cfg.obs.event_at(
-                now,
-                0,
-                EventKind::BackfillHeadStart,
-                jobs[head.job].id.0,
-                nodes as u64,
-            );
-            start(
-                now, head, free, running, part_busy, events, jobs, cfg, report, cursor,
-            );
-        } else {
-            break;
-        }
-    }
-    match cfg.algo {
-        SchedAlgo::Fcfs => {
-            // FIFO plans no reservations at all.
-            sched_gauges(cfg, queue, running, 0);
-            return;
-        }
-        SchedAlgo::Conservative => {
-            conservative_pass(
-                now, free, queue, running, part_busy, events, jobs, cfg, report, cursor,
-            );
-            // Every job still queued holds a profile reservation.
-            sched_gauges(cfg, queue, running, queue.len() as i64);
-            return;
-        }
-        SchedAlgo::Easy => {}
-    }
-    let Some(&head) = queue.front() else {
-        sched_gauges(cfg, queue, running, 0);
-        return;
-    };
-    let head_nodes = jobs[head.job].nodes.min(cfg.nodes);
-
-    // EASY reservation for the head: walk planned ends until enough nodes
-    // accumulate — both cluster-wide and, when the head's partition is
-    // capped, within that partition (releases from other partitions do
-    // not relieve a partition-full head).
-    let mut ends: Vec<(SimTime, u32, u32)> = running
-        .iter()
-        .flatten()
-        .map(|r| (r.planned_end, r.nodes, r.part))
-        .collect();
-    ends.sort_by_key(|e| e.0);
-    let mut acc = *free;
-    let mut part_acc = part_headroom(cfg, part_busy, head.part);
-    let mut shadow = SimTime(u64::MAX);
-    let mut extra = 0u32;
-    for (t, n, p) in ends {
-        acc += n;
-        if p == head.part {
-            part_acc = part_acc.saturating_add(n);
-        }
-        if acc >= head_nodes && part_acc >= head_nodes {
-            shadow = t;
-            extra = acc - head_nodes;
-            break;
-        }
-    }
-
-    if cfg.audit.enabled() {
-        let head_id = jobs[head.job].id.0;
-        if cursor.last_head != Some(head_id) {
-            cursor.last_head = Some(head_id);
-            cfg.audit
-                .record(now.as_micros(), head_id, head.est, Decision::HeadOfQueue);
-        }
-        if shadow != SimTime(u64::MAX) && cursor.last_resv != Some((head_id, shadow.as_micros())) {
-            cursor.last_resv = Some((head_id, shadow.as_micros()));
-            cfg.audit.record(
-                now.as_micros(),
-                head_id,
-                head.est,
-                Decision::ReservationPlaced {
-                    at_us: shadow.as_micros(),
-                    blockers: blocker_set(running, shadow),
-                },
-            );
-        }
-    }
-
-    // Backfill the rest of the queue.
-    let mut i = 1;
-    while i < queue.len() {
-        let cand = queue[i];
-        let nodes = jobs[cand.job].nodes.min(cfg.nodes);
-        if nodes > *free {
-            record_skip(
-                cfg,
-                now,
-                jobs[cand.job].id.0,
-                &mut queue[i],
-                SkipReason::NoFreeNodes,
-            );
-        } else if nodes > part_headroom(cfg, part_busy, cand.part) {
-            record_skip(
-                cfg,
-                now,
-                jobs[cand.job].id.0,
-                &mut queue[i],
-                SkipReason::PartitionFull,
-            );
-        } else {
-            let occupied = cfg.dispatch.occupation(nodes, cand.limit);
-            let fits_before_shadow = now + occupied <= shadow;
-            let fits_in_extra = nodes <= extra;
-            if fits_before_shadow || fits_in_extra {
-                queue.remove(i);
-                cfg.obs.inc(Counter::BackfillFills);
-                cfg.obs.event_at(
-                    now,
-                    0,
-                    EventKind::BackfillFill,
-                    jobs[cand.job].id.0,
-                    nodes as u64,
-                );
-                if cfg.audit.enabled() {
-                    // Slack left before the head's reservation (zero when
-                    // the job rode the reservation's spare nodes instead).
-                    let slack_us = if fits_before_shadow {
-                        shadow.as_micros() - (now + occupied).as_micros()
-                    } else {
-                        0
-                    };
-                    cfg.audit.record(
-                        now.as_micros(),
-                        jobs[cand.job].id.0,
-                        cand.est,
-                        Decision::Backfilled {
-                            slack_us,
-                            head_job: jobs[head.job].id.0,
-                        },
-                    );
-                }
-                start(
-                    now, cand, free, running, part_busy, events, jobs, cfg, report, cursor,
-                );
-                if !fits_before_shadow {
-                    extra -= nodes;
-                }
-                continue; // same index now holds the next candidate
-            }
-            record_skip(
-                cfg,
-                now,
-                jobs[cand.job].id.0,
-                &mut queue[i],
-                SkipReason::WouldDelayHead,
-            );
-        }
-        i += 1;
-    }
-    // EASY holds exactly one reservation: the blocked head's.
-    sched_gauges(cfg, queue, running, 1);
-}
-
-/// The counterfactual blocker set of a reservation at `shadow`: the
-/// running jobs whose planned ends the reservation waits behind, in
-/// deterministic (end time, job id) order.
-fn blocker_set(running: &[Option<Running>], shadow: SimTime) -> Vec<u64> {
-    let mut blockers: Vec<(SimTime, u64)> = running
-        .iter()
-        .flatten()
-        .filter(|r| r.planned_end <= shadow)
-        .map(|r| (r.planned_end, r.job_id))
-        .collect();
-    blockers.sort();
-    blockers.into_iter().map(|(_, id)| id).collect()
-}
-
-/// Record a backfill skip, deduplicated per queue entry by reason — queue
-/// scans re-derive the same verdict every event, so only changes are
-/// logged. The dedup marker lives on the entry itself, so the steady-state
-/// cost on an audited scan is one `Copy` field compare.
-fn record_skip(
-    cfg: &BackfillConfig,
-    now: SimTime,
-    job_id: u64,
-    q: &mut Queued,
-    reason: SkipReason,
-) {
-    if !cfg.audit.enabled() || q.last_skip == Some(reason) {
-        return;
-    }
-    q.last_skip = Some(reason);
-    cfg.audit.record(
-        now.as_micros(),
-        job_id,
-        q.est,
-        Decision::SkippedBackfill { reason },
-    );
-}
-
 /// One sampling-cadence tick: the busy-node series plus a snapshot of the
 /// scheduling gauges/counters living in `cfg.obs`.
 fn sample_tick(cfg: &BackfillConfig, t: SimTime, free: u32) {
@@ -801,202 +802,344 @@ fn sample_tick(cfg: &BackfillConfig, t: SimTime, free: u32) {
     cfg.sampler.snapshot(t, &cfg.obs);
 }
 
-/// Publish queue/occupancy/reservation gauges after a scheduling pass.
-fn sched_gauges(
-    cfg: &BackfillConfig,
-    queue: &VecDeque<Queued>,
-    running: &[Option<Running>],
-    reservations: i64,
-) {
-    if cfg.obs.enabled() {
-        cfg.obs.gauge_set(Gauge::QueueDepth, queue.len() as i64);
-        cfg.obs
-            .gauge_set(Gauge::JobsRunning, running.iter().flatten().count() as i64);
-        cfg.obs.gauge_set(Gauge::Reservations, reservations);
+impl SchedState {
+    fn new(cfg: &BackfillConfig) -> Self {
+        SchedState {
+            free: cfg.nodes,
+            queue: Queue::default(),
+            running: RunningSet::default(),
+            part_busy: vec![0; cfg.policies.partitions.len()],
+            cursor: AuditCursor::default(),
+        }
     }
-}
 
-/// Conservative backfill: walk the queue in order, give every job its
-/// earliest profile reservation, and start the ones whose reservation is
-/// *now*.
-#[allow(clippy::too_many_arguments)]
-fn conservative_pass(
-    now: SimTime,
-    free: &mut u32,
-    queue: &mut VecDeque<Queued>,
-    running: &mut Vec<Option<Running>>,
-    part_busy: &mut [u32],
-    events: &mut EventQueue<Ev>,
-    jobs: &[Job],
-    cfg: &BackfillConfig,
-    report: &mut ScheduleReport,
-    cursor: &mut AuditCursor,
-) {
-    let mut profile = AvailabilityProfile::new(now, cfg.nodes);
-    for r in running.iter().flatten() {
-        // A job whose planned end coincides with `now` still holds its
-        // nodes: its End event sits at the same timestamp later in the
-        // event order, and `free` is only incremented when it processes.
-        // Keep such nodes reserved for an instant so this pass cannot
-        // hand them out before they are physically released.
-        let end = r.planned_end.max(now + SimSpan::from_micros(1));
-        profile.reserve(now, end, r.nodes);
+    /// Append a job of clamped `width` to the back of the queue.
+    fn enqueue(&mut self, cfg: &BackfillConfig, width: u32, rec: Queued) {
+        let key = ScanKey {
+            occupied: cfg.dispatch.occupation(width, rec.limit),
+            width,
+            last_skip: None,
+        };
+        self.queue.push(key, rec);
     }
-    let mut i = 0;
-    while i < queue.len() {
-        let q = queue[i];
-        let nodes = jobs[q.job].nodes.min(cfg.nodes);
-        let occupied = cfg.dispatch.occupation(nodes, q.limit);
-        let start_at = profile.earliest_fit(now, nodes, occupied);
-        profile.reserve(start_at, start_at + occupied, nodes);
-        if start_at == now && nodes > part_headroom(cfg, part_busy, q.part) {
-            // The cluster-wide profile found room now, but the job's
-            // partition is at capacity (reservations are partition-blind
-            // planning constructs; actual starts are not).
-            record_skip(
-                cfg,
-                now,
-                jobs[q.job].id.0,
-                &mut queue[i],
-                SkipReason::PartitionFull,
-            );
-            i += 1;
-            continue;
+
+    /// A running job's nodes come back.
+    fn release(&mut self, run: RunKey) -> Running {
+        let r = self.running.remove(run);
+        self.free += r.nodes;
+        self.part_busy[r.part as usize] -= r.nodes;
+        r
+    }
+
+    /// Nodes a partition may still take on (`u32::MAX` when uncapped, as
+    /// the one partition of the trivial set always is).
+    fn part_headroom(&self, cfg: &BackfillConfig, part: u32) -> u32 {
+        match cfg.policies.partitions.get(part as usize).capacity {
+            Some(cap) => cap.saturating_sub(self.part_busy[part as usize]),
+            None => u32::MAX,
         }
-        if start_at == now {
-            queue.remove(i);
-            let (counter, kind) = if i == 0 {
-                (Counter::BackfillHeadStarts, EventKind::BackfillHeadStart)
-            } else {
-                (Counter::BackfillFills, EventKind::BackfillFill)
-            };
-            cfg.obs.inc(counter);
+    }
+
+    /// Publish queue/occupancy/reservation gauges after a scheduling pass.
+    fn gauges(&self, cfg: &BackfillConfig, reservations: i64) {
+        if cfg.obs.enabled() {
             cfg.obs
-                .event_at(now, 0, kind, jobs[q.job].id.0, nodes as u64);
-            if cfg.audit.enabled() && i > 0 {
-                // Started out of queue order: a conservative backfill.
-                // The profile guarantees zero slack is stolen from any
-                // reservation, so slack is reported against the head's.
-                cfg.audit.record(
-                    now.as_micros(),
-                    jobs[q.job].id.0,
-                    q.est,
-                    Decision::Backfilled {
-                        slack_us: 0,
-                        head_job: jobs[queue[0].job].id.0,
-                    },
-                );
-            }
-            start(
-                now, q, free, running, part_busy, events, jobs, cfg, report, cursor,
-            );
-            continue;
+                .gauge_set(Gauge::QueueDepth, self.queue.len() as i64);
+            cfg.obs
+                .gauge_set(Gauge::JobsRunning, self.running.len() as i64);
+            cfg.obs.gauge_set(Gauge::Reservations, reservations);
         }
-        if cfg.audit.enabled() {
-            let job = &jobs[q.job];
-            if i == 0 {
-                let head_id = job.id.0;
-                if cursor.last_head != Some(head_id) {
-                    cursor.last_head = Some(head_id);
-                    cfg.audit
-                        .record(now.as_micros(), head_id, q.est, Decision::HeadOfQueue);
+    }
+
+    /// One scheduling pass at `now`.
+    fn schedule(
+        &mut self,
+        now: SimTime,
+        events: &mut EventQueue<Ev>,
+        jobs: &[Job],
+        cfg: &BackfillConfig,
+        report: &mut ScheduleReport,
+    ) {
+        self.queue.tidy();
+        // A non-uniform priority layer re-sorts the queue before every pass;
+        // the uniform default returns immediately, leaving arrival order.
+        self.queue.reorder_by_priority(now, jobs, cfg);
+        // Start jobs in queue order while they fit (cluster + partition).
+        while let Some((key, head)) = self.queue.front() {
+            if key.width > self.free || key.width > self.part_headroom(cfg, head.part) {
+                break;
+            }
+            self.queue.take(self.queue.head);
+            cfg.obs.inc(Counter::BackfillHeadStarts);
+            cfg.obs.event_at(
+                now,
+                0,
+                EventKind::BackfillHeadStart,
+                jobs[head.job].id.0,
+                key.width as u64,
+            );
+            self.start(now, head, events, jobs, cfg, report);
+        }
+        match cfg.algo {
+            // FIFO plans no reservations at all.
+            SchedAlgo::Fcfs => self.gauges(cfg, 0),
+            SchedAlgo::Conservative => {
+                self.conservative_pass(now, events, jobs, cfg, report);
+                // Every job still queued holds a profile reservation.
+                self.gauges(cfg, self.queue.len() as i64);
+            }
+            SchedAlgo::Easy => {
+                // EASY holds exactly one reservation: the blocked head's.
+                let blocked = self.queue.len() > 0;
+                if blocked {
+                    self.easy_pass(now, events, jobs, cfg, report);
                 }
-                if cursor.last_resv != Some((head_id, start_at.as_micros())) {
-                    cursor.last_resv = Some((head_id, start_at.as_micros()));
+                self.gauges(cfg, blocked as i64);
+            }
+        }
+    }
+
+    /// EASY backfill behind a blocked head: reserve for the head, then
+    /// start whatever fits the free nodes without delaying it.
+    fn easy_pass(
+        &mut self,
+        now: SimTime,
+        events: &mut EventQueue<Ev>,
+        jobs: &[Job],
+        cfg: &BackfillConfig,
+        report: &mut ScheduleReport,
+    ) {
+        let (head_key, head) = self.queue.front().expect("EASY pass without a head");
+        let head_id = jobs[head.job].id.0;
+        let head_nodes = head_key.width;
+
+        // EASY reservation for the head: walk planned ends, soonest first,
+        // until enough nodes accumulate — both cluster-wide and, when the
+        // head's partition is capped, within that partition (releases from
+        // other partitions do not relieve a partition-full head).
+        let mut acc = self.free;
+        let mut part_acc = self.part_headroom(cfg, head.part);
+        let mut shadow = SimTime(u64::MAX);
+        let mut extra = 0u32;
+        for (end, r) in self.running.iter() {
+            acc += r.nodes;
+            if r.part == head.part {
+                part_acc = part_acc.saturating_add(r.nodes);
+            }
+            if acc >= head_nodes && part_acc >= head_nodes {
+                shadow = end;
+                extra = acc - head_nodes;
+                break;
+            }
+        }
+
+        self.cursor
+            .head_blocked(now, head_id, head.est, shadow, &self.running, cfg);
+
+        // Backfill the rest of the queue. No entry is narrower than
+        // `narrowest`, so once fewer nodes are free nothing more can start
+        // and the pass is over; only the audit log still wants the
+        // `NoFreeNodes` verdicts that changed. A capped partition is the
+        // one test that needs the record of a candidate that will not
+        // start.
+        let audit = cfg.audit.enabled();
+        let capped = !cfg.policies.partitions.is_trivial();
+        let mut i = self.queue.head + 1;
+        while self.free >= self.queue.narrowest || audit {
+            // On to the next entry that can use the free nodes, or whose
+            // `NoFreeNodes` is news to the log (a tombstone is neither).
+            let free = self.free;
+            let next = self.queue.keys[i..].iter().position(|k| {
+                k.width <= free || (audit && k.last_skip != Some(SkipReason::NoFreeNodes))
+            });
+            let Some(ahead) = next else { break };
+            i += ahead;
+            let key = self.queue.keys[i];
+            let skip = if key.width > free {
+                SkipReason::NoFreeNodes
+            } else if capped && key.width > self.part_headroom(cfg, self.queue.recs[i].part) {
+                SkipReason::PartitionFull
+            } else {
+                let fits_before_shadow = now + key.occupied <= shadow;
+                if fits_before_shadow || key.width <= extra {
+                    let cand = self.queue.take(i);
+                    let cand_id = jobs[cand.job].id.0;
+                    cfg.obs.inc(Counter::BackfillFills);
+                    cfg.obs
+                        .event_at(now, 0, EventKind::BackfillFill, cand_id, key.width as u64);
+                    if audit {
+                        // Slack left before the head's reservation (zero when
+                        // the job rode the reservation's spare nodes instead).
+                        let slack_us = if fits_before_shadow {
+                            shadow.as_micros() - (now + key.occupied).as_micros()
+                        } else {
+                            0
+                        };
+                        cfg.audit.record(
+                            now.as_micros(),
+                            cand_id,
+                            cand.est,
+                            Decision::Backfilled {
+                                slack_us,
+                                head_job: head_id,
+                            },
+                        );
+                    }
+                    self.start(now, cand, events, jobs, cfg, report);
+                    if !fits_before_shadow {
+                        extra -= key.width;
+                    }
+                    i += 1;
+                    continue;
+                }
+                SkipReason::WouldDelayHead
+            };
+            self.queue.record_skip(i, skip, now, jobs, cfg);
+            i += 1;
+        }
+    }
+
+    /// Conservative backfill: walk the queue in order, give every job its
+    /// earliest profile reservation, and start the ones whose reservation is
+    /// *now*.
+    fn conservative_pass(
+        &mut self,
+        now: SimTime,
+        events: &mut EventQueue<Ev>,
+        jobs: &[Job],
+        cfg: &BackfillConfig,
+        report: &mut ScheduleReport,
+    ) {
+        let mut profile = AvailabilityProfile::new(now, cfg.nodes);
+        for (planned_end, r) in self.running.iter() {
+            // A job whose planned end coincides with `now` still holds its
+            // nodes: its End event sits at the same timestamp later in the
+            // event order, and `free` is only incremented when it processes.
+            // Keep such nodes reserved for an instant so this pass cannot
+            // hand them out before they are physically released.
+            let end = planned_end.max(now + SimSpan::from_micros(1));
+            profile.reserve(now, end, r.nodes);
+        }
+        for i in self.queue.head..self.queue.keys.len() {
+            let key = self.queue.keys[i];
+            if !key.is_live() {
+                continue;
+            }
+            let q = self.queue.recs[i];
+            let job_id = jobs[q.job].id.0;
+            let nodes = key.width;
+            let start_at = profile.earliest_fit(now, nodes, key.occupied);
+            profile.reserve(start_at, start_at + key.occupied, nodes);
+            // Whoever has nothing live in front of it is the head.
+            let is_head = i == self.queue.head;
+            if start_at == now && nodes > self.part_headroom(cfg, q.part) {
+                // The cluster-wide profile found room now, but the job's
+                // partition is at capacity (reservations are partition-blind
+                // planning constructs; actual starts are not).
+                self.queue
+                    .record_skip(i, SkipReason::PartitionFull, now, jobs, cfg);
+            } else if start_at == now {
+                self.queue.take(i);
+                let (counter, kind) = if is_head {
+                    (Counter::BackfillHeadStarts, EventKind::BackfillHeadStart)
+                } else {
+                    (Counter::BackfillFills, EventKind::BackfillFill)
+                };
+                cfg.obs.inc(counter);
+                cfg.obs.event_at(now, 0, kind, job_id, nodes as u64);
+                if cfg.audit.enabled() && !is_head {
+                    // Started out of queue order: a conservative backfill.
+                    // The profile guarantees zero slack is stolen from any
+                    // reservation, so slack is reported against the head's.
+                    let (_, head) = self.queue.front().expect("a backfill has a head");
                     cfg.audit.record(
                         now.as_micros(),
-                        head_id,
+                        job_id,
                         q.est,
-                        Decision::ReservationPlaced {
-                            at_us: start_at.as_micros(),
-                            blockers: blocker_set(running, start_at),
+                        Decision::Backfilled {
+                            slack_us: 0,
+                            head_job: jobs[head.job].id.0,
                         },
                     );
                 }
-            } else if nodes > *free {
-                record_skip(cfg, now, job.id.0, &mut queue[i], SkipReason::NoFreeNodes);
+                self.start(now, q, events, jobs, cfg, report);
+            } else if is_head {
+                self.cursor
+                    .head_blocked(now, job_id, q.est, start_at, &self.running, cfg);
+            } else if nodes > self.free {
+                self.queue
+                    .record_skip(i, SkipReason::NoFreeNodes, now, jobs, cfg);
             } else {
                 // Nodes are physically free, but starting now would push
                 // back someone's profile reservation.
-                record_skip(
-                    cfg,
-                    now,
-                    job.id.0,
-                    &mut queue[i],
-                    SkipReason::WouldDelayReservation,
-                );
+                self.queue
+                    .record_skip(i, SkipReason::WouldDelayReservation, now, jobs, cfg);
             }
         }
-        i += 1;
     }
-}
 
-#[allow(clippy::too_many_arguments)]
-fn start(
-    now: SimTime,
-    q: Queued,
-    free: &mut u32,
-    running: &mut Vec<Option<Running>>,
-    part_busy: &mut [u32],
-    events: &mut EventQueue<Ev>,
-    jobs: &[Job],
-    cfg: &BackfillConfig,
-    report: &mut ScheduleReport,
-    cursor: &mut AuditCursor,
-) {
-    let job = &jobs[q.job];
-    let nodes = job.nodes.min(cfg.nodes);
-    debug_assert!(nodes <= *free);
-    *free -= nodes;
-    part_busy[q.part as usize] += nodes;
+    /// Start `q` (already taken out of the queue) on its nodes.
+    fn start(
+        &mut self,
+        now: SimTime,
+        q: Queued,
+        events: &mut EventQueue<Ev>,
+        jobs: &[Job],
+        cfg: &BackfillConfig,
+        report: &mut ScheduleReport,
+    ) {
+        let job = &jobs[q.job];
+        let nodes = job.nodes.min(cfg.nodes);
+        debug_assert!(nodes <= self.free);
+        self.free -= nodes;
+        self.part_busy[q.part as usize] += nodes;
 
-    if cfg.audit.enabled() {
-        cursor.forget(job.id.0);
-        cfg.audit.record(
-            now.as_micros(),
-            job.id.0,
-            q.est,
-            Decision::Started { nodes },
+        if cfg.audit.enabled() {
+            self.cursor.forget(job.id.0);
+            cfg.audit.record(
+                now.as_micros(),
+                job.id.0,
+                q.est,
+                Decision::Started { nodes },
+            );
+        }
+
+        let killed = cfg.kill_at_limit && job.actual_runtime > q.limit;
+        let run = if killed { q.limit } else { job.actual_runtime };
+        let occupied = cfg.dispatch.occupation(nodes, run);
+        let planned = cfg.dispatch.occupation(nodes, q.limit);
+
+        // Root-only dispatch trace: queue wait is submission→start, processing
+        // is the modelled launch overhead, so `eslurm critical-path` can rank
+        // scheduler-level dispatches alongside the RM broadcast trees.
+        cfg.obs.causal_root(
+            obs::FlowKind::Dispatch,
+            0,
+            q.original_submit.as_micros(),
+            (now - q.original_submit).as_micros(),
+            cfg.dispatch.launch(nodes).as_micros(),
+        );
+
+        report.occupied_node_secs += nodes as f64 * occupied.as_secs_f64();
+
+        let run = self.running.insert(
+            now + planned,
+            Running {
+                nodes,
+                job_id: job.id.0,
+                part: q.part,
+            },
+        );
+        events.push(
+            now + occupied,
+            Ev::End {
+                run,
+                queued: q,
+                started: now,
+                killed,
+            },
         );
     }
-
-    let killed = cfg.kill_at_limit && job.actual_runtime > q.limit;
-    let run = if killed { q.limit } else { job.actual_runtime };
-    let occupied = cfg.dispatch.occupation(nodes, run);
-    let planned = cfg.dispatch.occupation(nodes, q.limit);
-
-    // Root-only dispatch trace: queue wait is submission→start, processing
-    // is the modelled launch overhead, so `eslurm critical-path` can rank
-    // scheduler-level dispatches alongside the RM broadcast trees.
-    cfg.obs.causal_root(
-        obs::FlowKind::Dispatch,
-        0,
-        q.original_submit.as_micros(),
-        (now - q.original_submit).as_micros(),
-        cfg.dispatch.launch(nodes).as_micros(),
-    );
-
-    report.occupied_node_secs += nodes as f64 * occupied.as_secs_f64();
-
-    let slot = running.iter().position(|r| r.is_none()).unwrap_or_else(|| {
-        running.push(None);
-        running.len() - 1
-    });
-    running[slot] = Some(Running {
-        nodes,
-        planned_end: now + planned,
-        job_id: job.id.0,
-        part: q.part,
-    });
-    events.push(
-        now + occupied,
-        Ev::End {
-            slot,
-            queued: q,
-            started: now,
-            killed,
-        },
-    );
 }
 
 #[cfg(test)]
@@ -1269,6 +1412,221 @@ mod tests {
         let oracle = simulate(&jobs, &mut OracleLimit, &cfg);
         assert!(oracle.avg_wait() <= user.avg_wait().mul_f64(1.2));
         assert_eq!(oracle.killed, 0);
+    }
+
+    /// The planner driven by hand, one pass at a time, so a test can look
+    /// at the state between passes.
+    struct Planner<'a> {
+        st: SchedState,
+        events: EventQueue<Ev>,
+        report: ScheduleReport,
+        jobs: &'a [Job],
+        cfg: &'a BackfillConfig,
+    }
+
+    impl<'a> Planner<'a> {
+        fn new(jobs: &'a [Job], cfg: &'a BackfillConfig) -> Self {
+            Planner {
+                st: SchedState::new(cfg),
+                events: EventQueue::new(),
+                report: ScheduleReport::default(),
+                jobs,
+                cfg,
+            }
+        }
+
+        /// Queue `jobs[i]` at its own estimate.
+        fn submit(&mut self, i: usize) {
+            let job = &self.jobs[i];
+            let limit = job.user_estimate.expect("test jobs carry an estimate");
+            self.st.enqueue(
+                self.cfg,
+                job.nodes.min(self.cfg.nodes),
+                Queued {
+                    job: i,
+                    limit,
+                    resubmits: 0,
+                    original_submit: job.submit,
+                    est: EstimateRef::new(limit.as_micros(), EstSource::User),
+                    part: 0,
+                    prio_milli: 0,
+                    logged_prio: i64::MIN,
+                },
+            );
+        }
+
+        fn pass(&mut self, now: SimTime) {
+            self.st
+                .schedule(now, &mut self.events, self.jobs, self.cfg, &mut self.report);
+        }
+
+        /// Release the nodes of the next job to end; returns when.
+        fn next_end(&mut self) -> SimTime {
+            match self.events.pop() {
+                Some((now, Ev::End { run, .. })) => {
+                    self.st.release(run);
+                    now
+                }
+                _ => panic!("no job is running"),
+            }
+        }
+
+        /// Ids of the queued jobs, front to back.
+        fn queued(&self) -> Vec<u64> {
+            let q = &self.st.queue;
+            (q.head..q.keys.len())
+                .filter(|&i| q.keys[i].is_live())
+                .map(|i| self.jobs[q.recs[i].job].id.0)
+                .collect()
+        }
+    }
+
+    fn started_at(log: &DecisionLog, job: u64) -> Vec<u64> {
+        log.for_job(job)
+            .iter()
+            .filter(|r| matches!(r.decision, Decision::Started { .. }))
+            .map(|r| r.t_us / 1_000_000)
+            .collect()
+    }
+
+    #[test]
+    fn a_pass_cut_short_at_zero_free_nodes_loses_nothing() {
+        // Job 0 holds the whole cluster; every pass until it ends stops
+        // before looking at a single candidate. The release at t=100 must
+        // still start the head and the narrow job behind it.
+        let jobs = vec![
+            job(0, 4, 0, 100, 100),
+            job(1, 2, 1, 100, 100),
+            job(2, 1, 2, 10, 10),
+        ];
+        let mut cfg = zero_overhead(4);
+        let r = simulate(&jobs, &mut UserLimit::default(), &cfg);
+        assert_eq!(r.completed, 3);
+        assert_eq!(r.total_wait, SimSpan::from_secs(99 + 98));
+        assert_eq!(r.makespan, SimTime::from_secs(200));
+        // An audited pass reads on past the cut, to the same outcome, and
+        // logs the verdict the cut stands for.
+        cfg.audit = DecisionLog::unbounded();
+        let audited = simulate(&jobs, &mut UserLimit::default(), &cfg);
+        assert_eq!(format!("{audited:?}"), format!("{r:?}"));
+        assert_eq!(started_at(&cfg.audit, 1), [100]);
+        assert_eq!(started_at(&cfg.audit, 2), [100]);
+        let skipped = |job| {
+            cfg.audit.for_job(job).iter().any(|r| {
+                r.decision
+                    == Decision::SkippedBackfill {
+                        reason: SkipReason::NoFreeNodes,
+                    }
+            })
+        };
+        assert!(!skipped(1), "the head is never a backfill candidate");
+        assert!(skipped(2));
+    }
+
+    #[test]
+    fn tombstones_never_surface() {
+        // 0 runs; 1 is a blocked head; 2 and 3 backfill from the middle of
+        // the queue and leave tombstones between the head and 4.
+        let jobs = vec![
+            job(0, 6, 0, 100, 100),
+            job(1, 8, 0, 100, 100),
+            job(2, 1, 0, 50, 50),
+            job(3, 1, 0, 50, 50),
+            job(4, 4, 0, 500, 500),
+        ];
+        for algo in [SchedAlgo::Easy, SchedAlgo::Conservative] {
+            let mut cfg = zero_overhead(8);
+            cfg.algo = algo;
+            cfg.obs = Recorder::full();
+            let mut p = Planner::new(&jobs, &cfg);
+            (0..jobs.len()).for_each(|i| p.submit(i));
+            p.pass(SimTime::ZERO);
+            assert_eq!(p.queued(), [1, 4], "{algo:?}");
+            assert_eq!(p.st.queue.keys.len(), 5, "{algo:?}: nothing shifted");
+            assert_eq!(cfg.obs.gauge(Gauge::QueueDepth), 2, "{algo:?}");
+            assert_eq!(cfg.obs.gauge(Gauge::JobsRunning), 3, "{algo:?}");
+            // Conservative: one reservation per queued job, none for a
+            // tombstone.
+            let reservations = if algo == SchedAlgo::Easy { 1 } else { 2 };
+            assert_eq!(cfg.obs.gauge(Gauge::Reservations), reservations);
+
+            // 2 and 3 end at t=50 and free two nodes: nothing fits.
+            assert_eq!(p.next_end(), SimTime::from_secs(50));
+            assert_eq!(p.next_end(), SimTime::from_secs(50));
+            p.pass(SimTime::from_secs(50));
+            assert_eq!(p.queued(), [1, 4], "{algo:?}");
+
+            // 0 ends: the head starts, and the new head is 4, not a
+            // tombstone.
+            let now = p.next_end();
+            p.pass(now);
+            assert_eq!(p.queued(), [4], "{algo:?}");
+            let (key, head) = p.st.queue.front().expect("4 is queued");
+            assert!(key.is_live());
+            assert_eq!(jobs[head.job].id.0, 4);
+            assert_eq!(cfg.obs.gauge(Gauge::QueueDepth), 1, "{algo:?}");
+            assert_eq!(cfg.obs.gauge(Gauge::Reservations), 1, "{algo:?}");
+            assert_eq!(p.st.free, 0);
+        }
+    }
+
+    #[test]
+    fn resubmission_joins_the_back_after_compaction() {
+        let jobs: Vec<Job> = (0..60)
+            .map(|i| job(i, 1 + i as u32 % 7, 0, 10, 10))
+            .collect();
+        let cfg = zero_overhead(64);
+        let mut p = Planner::new(&jobs, &cfg);
+        (0..jobs.len()).for_each(|i| p.submit(i));
+        // Take the head, then every entry that is not a multiple of three.
+        let q = &mut p.st.queue;
+        let killed = q.take(0);
+        for i in (1..60).filter(|i| i % 3 != 0) {
+            q.take(i);
+        }
+        assert_eq!(q.head, 3);
+        assert_eq!(q.keys.len(), 60);
+        q.tidy();
+        assert_eq!((q.head, q.keys.len(), q.len()), (0, 19, 19));
+        // Exact again: the narrowest survivor is job 21 (width 1).
+        assert_eq!(q.narrowest, 1);
+        p.st.enqueue(&cfg, 1, killed);
+        let want: Vec<u64> = (3..60).step_by(3).chain([0]).collect();
+        assert_eq!(p.queued(), want);
+    }
+
+    #[test]
+    fn equal_planned_ends_keep_a_fixed_order() {
+        // 9 (1 node) and 3 (3 nodes) start together and plan to end
+        // together, 9 in the lower slot. The head (7) needs four of six
+        // nodes with two free: walking 9 then 3 reaches four nodes at job
+        // 3 with two to spare, so the long two-node job 8 may ride the
+        // spare nodes. (Walking 3 first would leave one.)
+        let jobs = vec![
+            job(9, 1, 0, 100, 100),
+            job(3, 3, 0, 100, 100),
+            job(7, 4, 1, 50, 50),
+            job(8, 2, 2, 1000, 1000),
+        ];
+        let mut cfg = zero_overhead(6);
+        cfg.audit = DecisionLog::unbounded();
+        simulate(&jobs, &mut UserLimit::default(), &cfg);
+        assert_eq!(started_at(&cfg.audit, 8), [2]);
+        // The reservation names its blockers by (planned end, job id),
+        // whatever their slots.
+        let blockers: Vec<Vec<u64>> = cfg
+            .audit
+            .for_job(7)
+            .into_iter()
+            .filter_map(|r| match r.decision {
+                Decision::ReservationPlaced { at_us, blockers } => {
+                    assert_eq!(at_us, 100_000_000);
+                    Some(blockers)
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(blockers, [vec![3, 9]]);
     }
 
     #[test]

@@ -40,20 +40,15 @@ impl AvailabilityProfile {
     /// Earliest time ≥ `not_before` at which `nodes` are continuously free
     /// for `dur`.
     pub fn earliest_fit(&self, not_before: SimTime, nodes: u32, dur: SimSpan) -> SimTime {
-        // Candidate starts are breakpoints (clamped to not_before).
-        let mut candidates: Vec<SimTime> =
-            self.steps.iter().map(|&(t, _)| t.max(not_before)).collect();
-        candidates.push(not_before);
-        candidates.sort();
-        candidates.dedup();
-        for start in candidates {
-            if self.fits(start, nodes, dur) {
-                return start;
-            }
-        }
-        // The profile's tail is constant; if nothing fit, the tail free
-        // count is < nodes forever — caller's cluster is too small.
-        SimTime(u64::MAX)
+        // Candidate starts are `not_before` and every later breakpoint, and
+        // `steps` is already in time order.
+        let later = self.steps.iter().map(|&(t, _)| t);
+        std::iter::once(not_before)
+            .chain(later.filter(|&t| t > not_before))
+            .find(|&start| self.fits(start, nodes, dur))
+            // The profile's tail is constant; if nothing fit, the tail free
+            // count is < nodes forever — caller's cluster is too small.
+            .unwrap_or(SimTime(u64::MAX))
     }
 
     /// Whether `nodes` are free on all of `[start, start + dur)`.
@@ -132,6 +127,25 @@ mod tests {
         assert_eq!(p.earliest_fit(t(0), 1, d(1)), t(0));
         assert_eq!(p.earliest_fit(t(5), 1, d(1)), t(10));
         assert_eq!(p.earliest_fit(t(5), 4, d(1)), t(15));
+    }
+
+    #[test]
+    fn not_before_between_breakpoints_is_itself_a_candidate() {
+        let mut p = AvailabilityProfile::new(t(0), 4);
+        p.reserve(t(10), t(20), 3);
+        p.reserve(t(30), t(40), 4);
+        // t=23 is no breakpoint, but [23, 28) lies in the free gap.
+        assert_eq!(p.earliest_fit(t(23), 4, d(5)), t(23));
+        // Too long for the rest of the gap: the next breakpoint that works.
+        assert_eq!(p.earliest_fit(t(23), 4, d(8)), t(40));
+        // Inside a partial reservation: one node now, two at its end.
+        assert_eq!(p.earliest_fit(t(12), 1, d(5)), t(12));
+        assert_eq!(p.earliest_fit(t(12), 2, d(5)), t(20));
+        // Before the profile starts nothing is known to be free.
+        let late = AvailabilityProfile::new(t(50), 4);
+        assert_eq!(late.earliest_fit(t(45), 1, d(1)), t(50));
+        // More than the cluster has never fits.
+        assert_eq!(p.earliest_fit(t(0), 5, d(1)), SimTime(u64::MAX));
     }
 
     #[test]

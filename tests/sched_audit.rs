@@ -1,6 +1,7 @@
 //! The scheduler decision audit log, end to end: non-perturbation
 //! (bit-identical outcomes with auditing on/off, byte-identical logs for
-//! the same seed), timeline completeness, the kill→resubmit estimate
+//! the same seed, and logs pinned to committed hashes for three
+//! scenarios), timeline completeness, the kill→resubmit estimate
 //! hand-off, and reconciliation of the audit accuracy numbers against
 //! `estimate::eval`'s percentile rule.
 
@@ -9,7 +10,11 @@ use eslurm_suite::estimate::{signed_error_percentiles, EstimatorConfig};
 use eslurm_suite::obs::audit::{
     AuditReport, Decision, DecisionLog, DecisionRecord, EstSource, SkipReason,
 };
-use eslurm_suite::sched::prelude::{simulate, BackfillConfig, SchedAlgo, ScheduleReport};
+use eslurm_suite::sched::prelude::{
+    simulate, BackfillConfig, FairShareLedger, MultifactorPriority, Partition, PartitionSet,
+    SchedAlgo, SchedPolicies, ScheduleReport,
+};
+use eslurm_suite::simclock::SimSpan;
 use eslurm_suite::workload::TraceConfig;
 
 /// The pinned audit scenario: the same fixed-seed workload the CLI's
@@ -24,6 +29,102 @@ fn audited_run(audit: DecisionLog) -> ScheduleReport {
         ..BackfillConfig::new(64)
     };
     simulate(&jobs, &mut policy, &cfg)
+}
+
+/// The pinned conservative scenario (a second seed and cluster size).
+fn conservative_run(audit: DecisionLog) -> ScheduleReport {
+    let jobs = TraceConfig::small(300, 17).generate();
+    let mut policy = PredictiveLimit::new(EstimatorConfig::default());
+    let cfg = BackfillConfig {
+        algo: SchedAlgo::Conservative,
+        audit,
+        ..BackfillConfig::new(48)
+    };
+    simulate(&jobs, &mut policy, &cfg)
+}
+
+/// Every policy layer at once: capped partitions with time limits, the
+/// re-sorted multifactor queue and a charging fair-share ledger.
+fn partitioned_multifactor_run(audit: DecisionLog) -> ScheduleReport {
+    let jobs = TraceConfig::multi_tenant(500, 42)
+        .with_users(200)
+        .generate();
+    let mut policy = PredictiveLimit::new(EstimatorConfig::default());
+    let cfg = BackfillConfig {
+        algo: SchedAlgo::Easy,
+        audit,
+        policies: SchedPolicies::default()
+            .with_partitions(PartitionSet::new(vec![
+                Partition::named("debug")
+                    .job_nodes(0, Some(2))
+                    .capacity(16)
+                    .max_time(SimSpan::from_hours(2))
+                    .qos(1.5),
+                Partition::named("batch")
+                    .job_nodes(3, Some(32))
+                    .capacity(64)
+                    .default_time(SimSpan::from_hours(4)),
+                Partition::named("all"),
+            ]))
+            .with_priority(MultifactorPriority::slurm_default())
+            .with_fairshare(FairShareLedger::new(SimSpan::from_hours(24), 48)),
+        ..BackfillConfig::new(96)
+    };
+    simulate(&jobs, &mut policy, &cfg)
+}
+
+const EASY_GOLDEN: (u64, usize, u64) = (0xe0f200983dee2c1e, 2094, 0x5c147ca230b7e535);
+const CONSERVATIVE_GOLDEN: (u64, usize, u64) = (0xaf0c7ccc5d77dc22, 1124, 0x64dffa86ede8c7e2);
+const MULTI_TENANT_GOLDEN: (u64, usize, u64) = (0x148279a5376e049f, 4731, 0x88a107f06883e88e);
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `(decision-log JSONL hash, record count, ScheduleReport debug hash)` of
+/// an audited run.
+fn golden(run: fn(DecisionLog) -> ScheduleReport) -> (u64, usize, u64) {
+    let log = DecisionLog::unbounded();
+    let report = run(log.clone());
+    (
+        fnv1a(log.to_jsonl().as_bytes()),
+        log.len(),
+        fnv1a(format!("{report:?}").as_bytes()),
+    )
+}
+
+/// The decision log is what `why-job` renders and what the `pipeline`
+/// benchmark workload derives its placement from, so a planner refactor
+/// must reproduce it byte for byte. Values captured at commit 56d2fba
+/// (the full-scan planner); regenerate only for an intended policy change.
+#[test]
+fn decision_logs_match_the_committed_goldens() {
+    assert_eq!(
+        golden(audited_run),
+        EASY_GOLDEN,
+        "easy: (log hash, records, report hash)"
+    );
+    assert_eq!(
+        golden(conservative_run),
+        CONSERVATIVE_GOLDEN,
+        "conservative: (log hash, records, report hash)"
+    );
+    assert_eq!(
+        golden(partitioned_multifactor_run),
+        MULTI_TENANT_GOLDEN,
+        "partitioned + multifactor: (log hash, records, report hash)"
+    );
+    // That pin is only worth having while the scenario reaches the
+    // partition and priority decisions.
+    let log = DecisionLog::unbounded();
+    partitioned_multifactor_run(log.clone());
+    let jsonl = log.to_jsonl();
+    for decision in ["partition_full", "priority_ranked", "backfilled"] {
+        assert!(jsonl.contains(&format!("\"{decision}\"")), "no {decision}");
+    }
 }
 
 fn assert_reports_identical(a: &ScheduleReport, b: &ScheduleReport) {
@@ -71,18 +172,11 @@ fn same_seed_produces_byte_identical_logs() {
 
 #[test]
 fn conservative_auditing_is_also_non_perturbing() {
-    let jobs = TraceConfig::small(300, 17).generate();
-    let run = |audit: DecisionLog| {
-        let mut policy = PredictiveLimit::new(EstimatorConfig::default());
-        let cfg = BackfillConfig {
-            algo: SchedAlgo::Conservative,
-            audit,
-            ..BackfillConfig::new(48)
-        };
-        simulate(&jobs, &mut policy, &cfg)
-    };
     let log = DecisionLog::unbounded();
-    assert_reports_identical(&run(DecisionLog::disabled()), &run(log.clone()));
+    assert_reports_identical(
+        &conservative_run(DecisionLog::disabled()),
+        &conservative_run(log.clone()),
+    );
     assert!(!log.is_empty());
 }
 
