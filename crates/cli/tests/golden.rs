@@ -1,0 +1,177 @@
+//! Golden pin of the `eslurm` binary. Each row of `tests/golden.expected`
+//! is a command line and what it must produce:
+//!
+//! ```text
+//! <command line> -> exit=<code> stdout=<fnv1a>:<len> stderr=… [<file>=…]
+//! ```
+//!
+//! The test runs every row's command for real, in order, in one scratch
+//! directory (later rows read files earlier rows wrote: `t.jsonl`,
+//! `m.csv`), and rebuilds the row from the exit code and the FNV-1a hash
+//! and length of stdout, stderr and each file the command created (a
+//! file is a row's own if its name was not there before, so no two rows
+//! share an output name). Only wall-clock fields are masked
+//! (`eval_wall_ns`, `eval overhead … wall`, every number `engine-report`
+//! prints), so the rows hold in debug and release alike. On a mismatch
+//! the observed rows are left in `$CARGO_TARGET_TMPDIR/golden.actual`; an
+//! intended change copies that file over the committed one. A new command
+//! or flag is pinned by adding its command line with an empty right side.
+#![cfg(not(feature = "mem-profile"))] // `mem-report` pins the feature-off text
+
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
+use std::path::Path;
+use std::process::Command;
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Replace the number that follows each occurrence of `prefix` by `#`.
+fn mask_after(text: &str, prefix: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    let mut rest = text;
+    while let Some(at) = rest.find(prefix) {
+        let (head, tail) = rest.split_at(at + prefix.len());
+        out.push_str(head);
+        out.push('#');
+        rest = tail.trim_start_matches(|c: char| c.is_ascii_digit() || c == '.');
+    }
+    out + rest
+}
+
+/// Shape only: every number becomes `#`, every run of blanks one space.
+fn mask_numbers(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    for c in text.chars() {
+        let c = match c {
+            '0'..='9' | '.' if out.ends_with('#') => continue,
+            '0'..='9' => '#',
+            ' ' if out.ends_with(' ') => continue,
+            c => c,
+        };
+        out.push(c);
+    }
+    out
+}
+
+/// Hash and length of what `cmd` printed or wrote, wall-clock masked.
+fn stamp(cmd: &str, bytes: &[u8]) -> String {
+    let text = || std::str::from_utf8(bytes).expect("CLI output is UTF-8");
+    let masked = match cmd.split(' ').next() {
+        _ if cmd.ends_with("--help") => bytes.to_vec(),
+        Some("slo-report") => {
+            mask_after(&mask_after(text(), "\"eval_wall_ns\":"), "eval overhead ").into_bytes()
+        }
+        Some("engine-report") => mask_numbers(text()).into_bytes(),
+        _ => bytes.to_vec(),
+    };
+    format!("{:016x}:{}", fnv1a(&masked), masked.len())
+}
+
+/// The file names in `dir`, sorted.
+fn listing(dir: &Path) -> BTreeSet<String> {
+    std::fs::read_dir(dir)
+        .expect("scratch dir lists")
+        .map(|e| e.expect("dir entry").file_name())
+        .map(|name| name.to_string_lossy().into_owned())
+        .collect()
+}
+
+/// Run `cmd` in `dir`, append its row to `rows`, hand back its stdout.
+fn run(dir: &Path, cmd: &str, rows: &mut String) -> String {
+    let before = listing(dir);
+    let out = Command::new(env!("CARGO_BIN_EXE_eslurm"))
+        .args(cmd.split_whitespace())
+        .current_dir(dir)
+        .output()
+        .expect("eslurm binary runs");
+    let _ = write!(
+        rows,
+        "{cmd} -> exit={} stdout={} stderr={}",
+        out.status.code().expect("exited, not signalled"),
+        stamp(cmd, &out.stdout),
+        stamp(cmd, &out.stderr)
+    );
+    for name in listing(dir).difference(&before) {
+        let bytes = std::fs::read(dir.join(name)).expect("written file reads");
+        if cmd.starts_with("engine-report") && name.ends_with(".json") {
+            // Wall-clock spans sort among the virtual-time events: no
+            // stable hash; the test body reads the document instead.
+            let _ = write!(rows, " {name}=written");
+        } else {
+            let _ = write!(rows, " {name}={}", stamp(cmd, &bytes));
+        }
+    }
+    rows.push('\n');
+    String::from_utf8(out.stdout).expect("CLI output is UTF-8")
+}
+
+fn json(text: &str) -> serde::Value {
+    serde_json::from_str(text).unwrap_or_else(|e| panic!("not JSON ({e:?}): {text}"))
+}
+
+#[test]
+fn every_command_matches_its_golden_row() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("golden");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+
+    let expected = include_str!("golden.expected");
+    let mut rows = String::new();
+    let mut stdout = BTreeMap::new();
+    for row in expected.lines() {
+        let cmd = row.split(" -> ").next().expect("split yields one item");
+        if cmd.contains("m_regressed.csv") {
+            // The injected regression: ten times the master's virtual memory.
+            let base = std::fs::read_to_string(dir.join("m.csv")).expect("metrics row ran");
+            let worse: String = base
+                .lines()
+                .map(
+                    |l| match l.starts_with("\"footprint_virt_bytes{node=\"\"master") {
+                        true => format!("{l}0\n"),
+                        false => format!("{l}\n"),
+                    },
+                )
+                .collect();
+            assert_ne!(worse, base, "no master memory series to regress");
+            std::fs::write(dir.join("m_regressed.csv"), worse).expect("scratch write");
+        }
+        stdout.insert(cmd, run(&dir, cmd, &mut rows));
+    }
+
+    let actual = Path::new(env!("CARGO_TARGET_TMPDIR")).join("golden.actual");
+    std::fs::write(&actual, &rows).expect("actual rows written");
+    let diff: Vec<String> = rows
+        .lines()
+        .zip(expected.lines())
+        .filter(|(got, want)| got != want)
+        .map(|(got, want)| format!("  got  {got}\n  want {want}"))
+        .collect();
+    assert!(
+        diff.is_empty(),
+        "{} golden row(s) differ (observed rows: {}):\n{}",
+        diff.len(),
+        actual.display(),
+        diff.join("\n")
+    );
+
+    // What a hash cannot say: the engine trace is valid Chrome JSON with
+    // the wall-clock track (pid 2) beside the virtual-time lanes (pid 0).
+    let trace = json(&std::fs::read_to_string(dir.join("e.json")).expect("engine trace"));
+    let Some(serde::Value::Array(events)) = trace.get("traceEvents") else {
+        panic!("engine trace has no traceEvents array");
+    };
+    let pid = |e: &serde::Value| match e.get("pid") {
+        Some(serde::Value::Number(n)) => n.as_u64(),
+        _ => None,
+    };
+    assert!(events.iter().any(|e| pid(e) == Some(0)), "no node lanes");
+    assert!(
+        events.iter().any(|e| pid(e) == Some(2)
+            && e.get("name") == Some(&serde::Value::String("process_name".into()))),
+        "no wall-clock engine track"
+    );
+}
