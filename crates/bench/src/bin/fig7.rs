@@ -13,8 +13,8 @@
 
 use emu::NodeId;
 use eslurm::{EslurmConfig, EslurmSystemBuilder};
-use eslurm_bench::{f, fmt_bytes, print_table, write_csv, ExpArgs};
-use obs::{MetricId, Sampler, SeriesPoint, SeriesStore, SeriesSummary};
+use eslurm_bench::{f, fmt_bytes, node_series, node_stat, print_table, write_csv, ExpArgs};
+use obs::{Sampler, SeriesStore};
 use rand::RngExt;
 use rm::{RmClusterBuilder, RmProfile};
 use simclock::rng::stream_rng;
@@ -30,15 +30,8 @@ struct Usage {
     sockets_peak: u32,
 }
 
-/// The `family{node=<node>}` series from the sampler's store.
-fn node_series<'a>(store: &'a SeriesStore, family: &'static str, node: &str) -> &'a [SeriesPoint] {
-    store
-        .get(&MetricId::new(family).with("node", node))
-        .unwrap_or(&[])
-}
-
 fn summarize(name: &str, store: &SeriesStore, node: &str, peak_sockets: u32) -> Usage {
-    let stat = |family| SeriesSummary::of(node_series(store, family, node).iter().map(|p| p.value));
+    let stat = |family| node_stat(store, family, node);
     Usage {
         name: name.to_string(),
         cpu_util_mean: stat("footprint_cpu_util").mean,

@@ -7,18 +7,10 @@
 
 use emu::NodeId;
 use eslurm::{EslurmConfig, EslurmSystemBuilder};
-use eslurm_bench::{f, fmt_bytes, print_table, write_csv, ExpArgs};
-use obs::{MetricId, Sampler, SeriesStore, SeriesSummary};
+use eslurm_bench::{f, fmt_bytes, node_stat, print_table, write_csv, ExpArgs};
+use obs::{Sampler, SeriesStore};
 use rm::{RmClusterBuilder, RmProfile};
 use simclock::{SimSpan, SimTime};
-
-/// Mean/last statistics of `family{node=<node>}` in the sampler's store.
-fn node_stat(store: &SeriesStore, family: &'static str, node: &str) -> SeriesSummary {
-    let pts = store
-        .get(&MetricId::new(family).with("node", node))
-        .unwrap_or(&[]);
-    SeriesSummary::of(pts.iter().map(|p| p.value))
-}
 
 /// One table row + one CSV row for a sampled node.
 fn usage_rows(

@@ -8,7 +8,8 @@
 
 use emu::NodeId;
 use eslurm::{EslurmConfig, EslurmSystemBuilder};
-use eslurm_bench::{f, fmt_bytes, print_table, write_csv, ExpArgs};
+use eslurm_bench::{f, fmt_bytes, node_stat, print_table, write_csv, ExpArgs};
+use obs::Sampler;
 use rand::RngExt;
 use simclock::rng::stream_rng;
 use simclock::{SimSpan, SimTime};
@@ -31,8 +32,10 @@ fn main() {
             n_satellites: m,
             ..Default::default()
         };
+        // 1 Hz footprint sampling of the master and every satellite.
+        let sampler = Sampler::every_until(SimSpan::from_secs(1), horizon);
         let mut sys = EslurmSystemBuilder::new(cfg, n, args.seed)
-            .sample_until(horizon, true)
+            .sampler(sampler.clone())
             .build();
         // A production-like job stream (~2K jobs/day, sizes to 1/4 scale).
         let mut rng = stream_rng(args.seed, 0x105);
@@ -53,16 +56,21 @@ fn main() {
         sys.sim.run_until(horizon);
         println!("{} events", sys.sim.events_processed());
 
-        // Table V: master usage.
-        let s = sys.sim.series(NodeId::MASTER).expect("master tracked");
-        t5.push(vec![
-            label.clone(),
-            format!("{:.1}", s.final_cpu_time().as_secs_f64() / 60.0),
-            fmt_bytes(s.mean(|x| x.virt_mem as f64) as u64),
-            fmt_bytes(s.mean(|x| x.real_mem as f64) as u64),
-            f(s.mean(|x| x.sockets as f64), 1),
-            sys.sim.meter(NodeId::MASTER).peak_sockets().to_string(),
-        ]);
+        // Table V: master usage, read from the sampler's store in place (a
+        // full-scale day is 22M points; `Sampler::store` would copy them).
+        let peak = sys.sim.meter(NodeId::MASTER).peak_sockets();
+        let row = sampler.with_store(|store| {
+            let stat = |family| node_stat(store, family, "master");
+            vec![
+                label.clone(),
+                format!("{:.1}", stat("footprint_cpu_time_s").last / 60.0),
+                fmt_bytes(stat("footprint_virt_bytes").mean as u64),
+                fmt_bytes(stat("footprint_real_bytes").mean as u64),
+                f(stat("footprint_sockets").mean, 1),
+                peak.to_string(),
+            ]
+        });
+        t5.push(row.expect("sampler armed above"));
 
         // Table VI: satellite averages.
         let mut tasks = 0.0;

@@ -6,6 +6,7 @@
 //! and smoke runs) and `--seed <n>`, prints aligned text tables, and drops
 //! CSV series under `results/`.
 
+use obs::{MetricId, SeriesPoint, SeriesStore, SeriesSummary};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -119,6 +120,23 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     for row in rows {
         println!("{}", line(row));
     }
+}
+
+/// The `family{node=<node>}` footprint series of a sampler's store (empty
+/// when the node was not tracked).
+pub fn node_series<'a>(
+    store: &'a SeriesStore,
+    family: &'static str,
+    node: &str,
+) -> &'a [SeriesPoint] {
+    store
+        .get(&MetricId::new(family).with("node", node))
+        .unwrap_or(&[])
+}
+
+/// Order statistics of `family{node=<node>}` in a sampler's store.
+pub fn node_stat(store: &SeriesStore, family: &'static str, node: &str) -> SeriesSummary {
+    SeriesSummary::of(node_series(store, family, node).iter().map(|p| p.value))
 }
 
 /// Format a float with the given precision.

@@ -10,6 +10,7 @@ use estimate::{
 };
 use obs::audit::{render_report, render_timeline, AuditReport};
 use obs::causal::{render_critical_path, render_flow_summaries, render_tree};
+use obs::export::ChromeTrace;
 use obs::{
     build_traces, compare_csv, flow_summaries, mem_profile_compiled, DecisionLog, DiffOptions,
     EngineProfiler, FlightConfig, FlowKind, MemProfiler, Recorder, Sampler, SeriesStore, SloEngine,
@@ -23,102 +24,143 @@ use simclock::{SimSpan, SimTime};
 use std::path::Path;
 use workload::{stats, swf, trace, Job, TraceConfig};
 
-/// One subcommand: its name, a one-line summary, and the flags it takes.
+/// One subcommand: its name, a one-line summary, the flags it takes, and
+/// the function that runs it. This table is the only place a command is
+/// registered: `dispatch`, per-command help and the usage text read it.
 pub struct CmdSpec {
     /// The subcommand name as typed on the command line.
     pub name: &'static str,
     /// One-line summary shown in help.
     pub summary: &'static str,
-    /// Accepted `--flags`.
+    /// For the commands that emulate a cluster: their defaults of the six
+    /// [`SCENARIO_FLAGS`], which they accept ahead of their own `flags`
+    /// and [`scenario`] parses.
+    pub scenario: Option<Scenario>,
+    /// Accepted `--flags` of the command's own.
     pub flags: &'static [&'static str],
+    /// The implementation, handed the parsed options.
+    pub run: fn(&Opts) -> Result<(), CliError>,
 }
+
+impl CmdSpec {
+    /// Every flag the command accepts, in help order.
+    pub fn all_flags(&self) -> impl Iterator<Item = &'static str> {
+        let shared: &[&str] = match self.scenario {
+            Some(_) => &SCENARIO_FLAGS,
+            None => &[],
+        };
+        shared.iter().chain(self.flags).copied()
+    }
+}
+
+/// The flags every emulated-scenario command shares, parsed in one place
+/// ([`scenario`]).
+pub const SCENARIO_FLAGS: [&str; 6] = ["nodes", "satellites", "minutes", "jobs", "seed", "faults"];
+
+/// The emulated scenario eight commands share: `nodes` compute nodes +
+/// `satellites` satellites running a synthetic job stream for `minutes`
+/// of virtual time, optionally with `faults` small outage events hitting
+/// the compute nodes. A command's table entry holds its defaults; what
+/// [`scenario`] parses holds the values of the run.
+pub struct Scenario {
+    nodes: usize,
+    satellites: usize,
+    minutes: u64,
+    jobs: u64,
+    seed: u64,
+    faults: usize,
+}
+
+/// A command's scenario defaults (`--seed` is 42 everywhere).
+const fn defaults(
+    nodes: usize,
+    satellites: usize,
+    minutes: u64,
+    jobs: u64,
+    faults: usize,
+) -> Option<Scenario> {
+    Some(Scenario {
+        nodes,
+        satellites,
+        minutes,
+        jobs,
+        seed: 42,
+        faults,
+    })
+}
+
+/// The reference fault scenario `trace`, `explain` and `critical-path` share.
+const FAULTED: Option<Scenario> = defaults(64, 2, 5, 10, 2);
 
 /// Every subcommand the CLI knows, in help order.
 pub const COMMANDS: &[CmdSpec] = &[
     CmdSpec {
         name: "gen-trace",
         summary: "generate a synthetic workload trace",
+        scenario: None,
         flags: &["jobs", "system", "seed", "out"],
+        run: gen_trace,
     },
     CmdSpec {
         name: "analyze",
         summary: "workload statistics for a trace",
+        scenario: None,
         flags: &["samples", "seed"],
+        run: analyze,
     },
     CmdSpec {
         name: "replay",
         summary: "replay a trace through the backfill scheduler",
+        scenario: None,
         flags: &["nodes", "policy", "algo", "resubmits", "obs"],
+        run: replay,
     },
     CmdSpec {
         name: "predict",
         summary: "compare runtime-prediction models",
+        scenario: None,
         flags: &["warmup", "window", "seed"],
+        run: predict,
     },
     CmdSpec {
         name: "simulate",
         summary: "run an emulated ESlurm cluster",
-        flags: &[
-            "nodes",
-            "satellites",
-            "minutes",
-            "jobs",
-            "seed",
-            "faults",
-            "obs",
-        ],
+        scenario: defaults(256, 2, 10, 20, 0),
+        flags: &["obs"],
+        run: simulate,
     },
     CmdSpec {
         name: "trace",
         summary: "record an execution trace of an emulated faulted run",
-        flags: &[
-            "nodes",
-            "satellites",
-            "minutes",
-            "jobs",
-            "seed",
-            "faults",
-            "out",
-            "format",
-        ],
+        scenario: FAULTED,
+        flags: &["out", "format"],
+        run: trace_cmd,
     },
     CmdSpec {
         name: "metrics",
         summary: "sample an emulated run's resource footprint",
-        flags: &[
-            "nodes",
-            "satellites",
-            "minutes",
-            "jobs",
-            "seed",
-            "faults",
-            "interval",
-            "csv",
-            "prom",
-            "flight",
-        ],
+        scenario: defaults(128, 2, 5, 10, 0),
+        flags: &["interval", "csv", "prom", "flight"],
+        run: metrics,
     },
     CmdSpec {
         name: "explain",
         summary: "reconstruct one trace's causal tree and critical path",
-        flags: &["nodes", "satellites", "minutes", "jobs", "seed", "faults"],
+        scenario: FAULTED,
+        flags: &[],
+        run: explain,
     },
     CmdSpec {
         name: "critical-path",
         summary: "slowest causal chain with per-hop latency breakdown",
-        flags: &[
-            "nodes",
-            "satellites",
-            "minutes",
-            "jobs",
-            "seed",
-            "faults",
-            "flow",
-        ],
+        scenario: FAULTED,
+        flags: &["flow"],
+        run: critical_path,
     },
     CmdSpec {
         name: "why-job",
         summary: "decision timeline of one job in an audited backfill run",
+        scenario: None,
         flags: &[
             "trace",
             "nodes",
@@ -131,10 +173,12 @@ pub const COMMANDS: &[CmdSpec] = &[
             "banks",
             "priority",
         ],
+        run: why_job,
     },
     CmdSpec {
         name: "sched-report",
         summary: "backfill hit-rate, skip reasons, and estimator accuracy",
+        scenario: None,
         flags: &[
             "trace",
             "nodes",
@@ -149,32 +193,20 @@ pub const COMMANDS: &[CmdSpec] = &[
             "audit",
             "obs",
         ],
+        run: sched_report,
     },
     CmdSpec {
         name: "engine-report",
         summary: "wall-clock per-shard profile of the simulation engine",
-        flags: &[
-            "nodes",
-            "satellites",
-            "minutes",
-            "jobs",
-            "seed",
-            "faults",
-            "shards",
-            "csv",
-            "trace",
-        ],
+        scenario: defaults(256, 4, 10, 20, 0),
+        flags: &["shards", "csv", "trace"],
+        run: engine_report,
     },
     CmdSpec {
         name: "slo-report",
         summary: "evaluate SLOs online over an emulated run and gate breaches",
+        scenario: defaults(128, 2, 10, 20, 0),
         flags: &[
-            "nodes",
-            "satellites",
-            "minutes",
-            "jobs",
-            "seed",
-            "faults",
             "sweep-p99",
             "queue-wait-p90",
             "inbox-depth",
@@ -183,38 +215,28 @@ pub const COMMANDS: &[CmdSpec] = &[
             "flight",
             "check",
         ],
+        run: slo_report,
     },
     CmdSpec {
         name: "mem-report",
         summary: "per-subsystem host-heap attribution of an emulated run",
-        flags: &[
-            "nodes",
-            "satellites",
-            "minutes",
-            "jobs",
-            "seed",
-            "faults",
-            "shards",
-            "format",
-            "out",
-            "csv",
-        ],
+        scenario: defaults(128, 2, 5, 10, 0),
+        flags: &["shards", "format", "out", "csv"],
+        run: mem_report,
     },
     CmdSpec {
         name: "diff",
         summary: "compare two metrics CSVs and gate footprint regressions",
-        flags: &[
-            "threshold-pct",
-            "thresholds",
-            "all",
-            "include-wallclock",
-            "include-domain",
-        ],
+        scenario: None,
+        flags: &["threshold-pct", "thresholds", "all", "include-domain"],
+        run: diff,
     },
     CmdSpec {
         name: "convert",
         summary: "convert between .jsonl and .swf traces",
+        scenario: None,
         flags: &["cores-per-node"],
+        run: convert,
     },
 ];
 
@@ -252,29 +274,19 @@ pub const EXIT_CODES: &str = "    0  success\n    \
      3  footprint-regression gate tripped (`diff`)\n    \
      4  SLO gate tripped (`slo-report --check`)\n";
 
-/// Route a subcommand name to its implementation. Returns `None` for
-/// names not in [`COMMANDS`], so `main` treats them as usage errors; a
-/// unit test asserts every registered command dispatches.
+/// Route a subcommand name to its implementation: find the spec, parse
+/// against its flags, then `--help` or the spec's `run`. Returns `None`
+/// for names not in [`COMMANDS`], so `main` treats them as usage errors.
 pub fn dispatch(cmd: &str, rest: &[String]) -> Option<Result<(), CliError>> {
-    Some(match cmd {
-        "gen-trace" => gen_trace(rest),
-        "analyze" => analyze(rest),
-        "replay" => replay(rest),
-        "predict" => predict(rest),
-        "simulate" => simulate(rest),
-        "trace" => trace_cmd(rest),
-        "metrics" => metrics(rest),
-        "explain" => explain(rest),
-        "critical-path" => critical_path(rest),
-        "why-job" => why_job(rest),
-        "sched-report" => sched_report(rest),
-        "engine-report" => engine_report(rest),
-        "slo-report" => slo_report(rest),
-        "mem-report" => mem_report(rest),
-        "diff" => diff(rest),
-        "convert" => convert(rest),
-        _ => return None,
-    })
+    let spec = spec(cmd)?;
+    Some(Opts::parse(spec, rest).and_then(|o| {
+        if o.wants_help() {
+            print_help(spec.name);
+            Ok(())
+        } else {
+            (spec.run)(&o)
+        }
+    }))
 }
 
 fn spec(name: &str) -> Option<&'static CmdSpec> {
@@ -286,29 +298,10 @@ fn spec(name: &str) -> Option<&'static CmdSpec> {
 pub fn print_help(name: &str) {
     if let Some(s) = spec(name) {
         println!("eslurm {} — {}\noptions:", s.name, s.summary);
-        for k in s.flags {
+        for k in s.all_flags() {
             println!("    --{k} <value>");
         }
     }
-}
-
-/// Parse `args` against the subcommand's declared flags.
-fn parse_opts(name: &'static str, args: &[String]) -> Result<Opts, CliError> {
-    let s = spec(name).expect("command registered in COMMANDS");
-    Opts::parse(args, s.flags).map_err(|e| CliError::usage(name, e))
-}
-
-/// A typed flag with a default; bad values are usage errors.
-fn flag_or<T: std::str::FromStr>(
-    cmd: &'static str,
-    o: &Opts,
-    name: &str,
-    default: T,
-) -> Result<T, CliError>
-where
-    T::Err: std::fmt::Display,
-{
-    o.get_or(name, default).map_err(|e| CliError::usage(cmd, e))
 }
 
 fn load_trace(path: &str) -> Result<Vec<Job>, CliError> {
@@ -335,13 +328,38 @@ fn save_trace(jobs: &[Job], path: &str) -> Result<(), CliError> {
     .map_err(|e| CliError::io(format!("writing {path}"), e))
 }
 
+/// Write an export to `path`; a failure names the file.
+fn write_file(path: &str, body: impl AsRef<[u8]>) -> Result<(), CliError> {
+    std::fs::write(path, body).map_err(|e| CliError::io(format!("writing {path}"), e))
+}
+
+/// A full recorder when the flag naming its export file was given.
+fn recorder_for(export: Option<&str>) -> Recorder {
+    match export {
+        Some(_) => Recorder::full(),
+        None => Recorder::disabled(),
+    }
+}
+
+/// The required leading integer argument (`explain 3`, `why-job 17`).
+fn positional_id(o: &Opts, what: &str) -> Result<u64, CliError> {
+    let id = o.positional(0, what)?;
+    id.parse()
+        .map_err(|_| o.usage(format!("{what} `{id}` is not an integer")))
+}
+
 /// Serialize the recorded events in the requested format and write them.
 fn write_obs(rec: &Recorder, path: &str, format: &str) -> Result<usize, CliError> {
     let events = rec.events();
     let body = match format {
         // Chrome traces get flow events too, so Perfetto draws the
         // cross-node causal arrows between the span slices.
-        "chrome" => obs::export::to_chrome_trace_with_flows(&events, &rec.causal_records()),
+        "chrome" => ChromeTrace {
+            events: &events,
+            flows: &rec.causal_records(),
+            ..Default::default()
+        }
+        .render(),
         "jsonl" => obs::export::to_jsonl(&events),
         other => {
             return Err(CliError::usage(
@@ -350,7 +368,7 @@ fn write_obs(rec: &Recorder, path: &str, format: &str) -> Result<usize, CliError
             ))
         }
     };
-    std::fs::write(path, body).map_err(|e| CliError::io(format!("writing {path}"), e))?;
+    write_file(path, body)?;
     Ok(events.len())
 }
 
@@ -365,27 +383,16 @@ fn format_for(path: &str) -> &'static str {
 }
 
 /// `eslurm gen-trace --jobs N --system tianhe2a|ng --seed S --out FILE`
-pub fn gen_trace(args: &[String]) -> Result<(), CliError> {
-    const CMD: &str = "gen-trace";
-    let o = parse_opts(CMD, args)?;
-    if o.wants_help() {
-        print_help(CMD);
-        return Ok(());
-    }
+fn gen_trace(o: &Opts) -> Result<(), CliError> {
     let system = o.get("system").unwrap_or("tianhe2a");
-    let seed = flag_or(CMD, &o, "seed", 42u64)?;
+    let seed = o.get_or("seed", 42u64)?;
     let mut cfg = match system {
         "tianhe2a" => TraceConfig::tianhe2a(),
         "ng" | "ng-tianhe" => TraceConfig::ng_tianhe(),
-        other => {
-            return Err(CliError::usage(
-                CMD,
-                format!("unknown --system {other} (tianhe2a | ng)"),
-            ))
-        }
+        other => return Err(o.usage(format!("unknown --system {other} (tianhe2a | ng)"))),
     }
     .with_seed(seed);
-    let jobs = flag_or(CMD, &o, "jobs", 0usize)?;
+    let jobs = o.get_or("jobs", 0usize)?;
     if jobs > 0 {
         cfg = cfg.shrunk_to(jobs);
     }
@@ -401,19 +408,11 @@ pub fn gen_trace(args: &[String]) -> Result<(), CliError> {
 }
 
 /// `eslurm analyze FILE`
-pub fn analyze(args: &[String]) -> Result<(), CliError> {
-    const CMD: &str = "analyze";
-    let o = parse_opts(CMD, args)?;
-    if o.wants_help() {
-        print_help(CMD);
-        return Ok(());
-    }
-    let path = o
-        .positional(0, "trace file")
-        .map_err(|e| CliError::usage(CMD, e))?;
+fn analyze(o: &Opts) -> Result<(), CliError> {
+    let path = o.positional(0, "trace file")?;
     let jobs = load_trace(path)?;
-    let samples = flag_or(CMD, &o, "samples", 20_000usize)?;
-    let seed = flag_or(CMD, &o, "seed", 1u64)?;
+    let samples = o.get_or("samples", 20_000usize)?;
+    let seed = o.get_or("seed", 1u64)?;
 
     let s = stats::summarize(&jobs);
     println!("jobs: {}   users: {}   names: {}", s.jobs, s.users, s.names);
@@ -455,28 +454,16 @@ pub fn analyze(args: &[String]) -> Result<(), CliError> {
 
 /// `eslurm replay FILE --nodes N --policy user|predictive|oracle --algo ...
 /// [--obs trace.json]`
-pub fn replay(args: &[String]) -> Result<(), CliError> {
-    const CMD: &str = "replay";
-    let o = parse_opts(CMD, args)?;
-    if o.wants_help() {
-        print_help(CMD);
-        return Ok(());
-    }
-    let path = o
-        .positional(0, "trace file")
-        .map_err(|e| CliError::usage(CMD, e))?;
+fn replay(o: &Opts) -> Result<(), CliError> {
+    let path = o.positional(0, "trace file")?;
     let jobs = load_trace(path)?;
-    let nodes = flag_or(CMD, &o, "nodes", 1024u32)?;
-    let algo = parse_algo(CMD, &o)?;
-    let mut policy = parse_policy(CMD, &o, "user")?;
-    let rec = if o.get("obs").is_some() {
-        Recorder::full()
-    } else {
-        Recorder::disabled()
-    };
+    let nodes = o.get_or("nodes", 1024u32)?;
+    let algo = parse_algo(o)?;
+    let mut policy = parse_policy(o, "user")?;
+    let rec = recorder_for(o.get("obs"));
     let cfg = BackfillConfig {
         algo,
-        max_resubmits: flag_or(CMD, &o, "resubmits", 3u32)?,
+        max_resubmits: o.get_or("resubmits", 3u32)?,
         obs: rec.clone(),
         ..BackfillConfig::new(nodes)
     };
@@ -508,20 +495,12 @@ pub fn replay(args: &[String]) -> Result<(), CliError> {
 }
 
 /// `eslurm predict FILE [--warmup N] [--window N]`
-pub fn predict(args: &[String]) -> Result<(), CliError> {
-    const CMD: &str = "predict";
-    let o = parse_opts(CMD, args)?;
-    if o.wants_help() {
-        print_help(CMD);
-        return Ok(());
-    }
-    let path = o
-        .positional(0, "trace file")
-        .map_err(|e| CliError::usage(CMD, e))?;
+fn predict(o: &Opts) -> Result<(), CliError> {
+    let path = o.positional(0, "trace file")?;
     let jobs = load_trace(path)?;
-    let warmup = flag_or(CMD, &o, "warmup", jobs.len() / 10)?;
-    let window = flag_or(CMD, &o, "window", 2000usize)?;
-    let seed = flag_or(CMD, &o, "seed", 7u64)?;
+    let warmup = o.get_or("warmup", jobs.len() / 10)?;
+    let window = o.get_or("window", 2000usize)?;
+    let seed = o.get_or("seed", 7u64)?;
     let mut models: Vec<Box<dyn RuntimePredictor>> = vec![
         Box::new(UserEstimate),
         Box::new(Last2::default()),
@@ -549,131 +528,103 @@ pub fn predict(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Shared emulation driver for `simulate` and `trace`: a cluster of
-/// `nodes` compute nodes + `satellites` satellites running a synthetic
-/// job stream for `minutes` of virtual time, optionally with `fault_events`
-/// small outage events hitting the compute nodes.
-#[allow(clippy::too_many_arguments)]
-fn run_emulation(
-    nodes: usize,
-    satellites: usize,
-    minutes: u64,
-    n_jobs: u64,
-    seed: u64,
-    fault_events: usize,
-    rec: Recorder,
-    sampler: Sampler,
-    shards: usize,
-    engine: EngineProfiler,
-    slo: SloEngine,
-    mem: MemProfiler,
-) -> EslurmSystem {
+/// Parse the six [`SCENARIO_FLAGS`] over the command's own defaults and
+/// hand back the scenario with a builder already configured for it
+/// (cluster shape, seed, fault plan). The command chains the instruments
+/// it arms onto the builder and passes it to [`Scenario::run`].
+fn scenario(o: &Opts) -> Result<(Scenario, EslurmSystemBuilder), CliError> {
+    let d = o.spec().scenario.as_ref();
+    let d = d.expect("only commands with scenario defaults call scenario()");
+    let sc = Scenario {
+        nodes: o.get_or("nodes", d.nodes)?,
+        satellites: o.get_or("satellites", d.satellites)?,
+        minutes: o.get_or("minutes", d.minutes)?,
+        jobs: o.get_or("jobs", d.jobs)?,
+        seed: o.get_or("seed", d.seed)?,
+        faults: o.get_or("faults", d.faults)?,
+    };
     let cfg = EslurmConfig {
-        n_satellites: satellites,
-        eq1_width: (nodes / satellites.max(1)).max(32),
+        n_satellites: sc.satellites,
+        eq1_width: (sc.nodes / sc.satellites.max(1)).max(32),
         relay_width: 32,
         ..Default::default()
     };
-    let mut builder = EslurmSystemBuilder::new(cfg, nodes, seed)
-        .obs(rec)
-        .sampler(sampler)
-        .shards(shards)
-        .engine_profile(engine)
-        .slo(slo)
-        .mem_profile(mem);
-    if fault_events > 0 {
-        builder = builder.faults(compute_fault_plan(
-            nodes,
-            satellites,
-            minutes,
-            fault_events,
-            seed,
-        ));
+    let mut builder = EslurmSystemBuilder::new(cfg, sc.nodes, sc.seed);
+    if sc.faults > 0 {
+        builder = builder.faults(sc.compute_fault_plan());
     }
-    let mut sys = builder.build();
-    let horizon = SimTime::ZERO + SimSpan::from_secs(minutes * 60);
-    for j in 0..n_jobs {
-        let size = ((j % 5 + 1) as usize * nodes / 8).max(1).min(nodes);
-        let start = (j as usize * 13) % (nodes - size + 1);
-        sys.submit(
-            SimTime::from_secs(5 + j * 7),
-            j,
-            &(start..start + size).collect::<Vec<_>>(),
-            SimSpan::from_secs(60),
-        );
-    }
-    sys.sim.run_until(horizon);
-    sys
+    Ok((sc, builder))
 }
 
-/// A plan of `events` small outages on the *compute* nodes: the builder
-/// draws node ids in `0..nodes` compute space, which we shift past the
-/// master and satellites into the deployment's global id space.
-fn compute_fault_plan(
-    nodes: usize,
-    satellites: usize,
-    minutes: u64,
-    events: usize,
-    seed: u64,
-) -> FaultPlan {
-    let horizon = SimSpan::from_secs(minutes * 60);
-    let plan = FaultPlanBuilder::new(nodes, horizon, seed ^ 0xFA17)
-        .small_events(events, 4)
-        .mean_outage(SimSpan::from_secs(120))
-        .build();
-    let offset = (1 + satellites) as u32;
-    let shifted: Vec<Outage> = plan
-        .outages()
-        .iter()
-        .map(|o| Outage {
-            node: NodeId(o.node.0 + offset),
-            ..*o
-        })
-        .collect();
-    FaultPlan::from_outages(1 + satellites + nodes, shifted)
+impl Scenario {
+    /// The end of the run.
+    fn horizon(&self) -> SimTime {
+        SimTime::ZERO + SimSpan::from_secs(self.minutes * 60)
+    }
+
+    /// Build the cluster, submit the job stream, run to the horizon.
+    fn run(&self, builder: EslurmSystemBuilder) -> EslurmSystem {
+        let nodes = self.nodes;
+        let mut sys = builder.build();
+        for j in 0..self.jobs {
+            let size = ((j % 5 + 1) as usize * nodes / 8).max(1).min(nodes);
+            let start = (j as usize * 13) % (nodes - size + 1);
+            sys.submit(
+                SimTime::from_secs(5 + j * 7),
+                j,
+                &(start..start + size).collect::<Vec<_>>(),
+                SimSpan::from_secs(60),
+            );
+        }
+        sys.sim.run_until(self.horizon());
+        sys
+    }
+
+    /// A plan of `faults` small outages on the *compute* nodes: the builder
+    /// draws node ids in `0..nodes` compute space, which we shift past the
+    /// master and satellites into the deployment's global id space.
+    fn compute_fault_plan(&self) -> FaultPlan {
+        let horizon = SimSpan::from_secs(self.minutes * 60);
+        let plan = FaultPlanBuilder::new(self.nodes, horizon, self.seed ^ 0xFA17)
+            .small_events(self.faults, 4)
+            .mean_outage(SimSpan::from_secs(120))
+            .build();
+        let offset = (1 + self.satellites) as u32;
+        let shifted: Vec<Outage> = plan
+            .outages()
+            .iter()
+            .map(|o| Outage {
+                node: NodeId(o.node.0 + offset),
+                ..*o
+            })
+            .collect();
+        FaultPlan::from_outages(1 + self.satellites + self.nodes, shifted)
+    }
+
+    /// The status line the report commands end on.
+    fn status(&self, sys: &EslurmSystem) -> String {
+        format!(
+            "jobs completed: {}/{}; engine events: {}",
+            sys.master().records.len(),
+            self.jobs,
+            sys.sim.events_processed()
+        )
+    }
 }
 
 /// `eslurm simulate --nodes N --satellites M --minutes T --jobs J
 /// [--faults K] [--obs trace.json]`
-pub fn simulate(args: &[String]) -> Result<(), CliError> {
-    const CMD: &str = "simulate";
-    let o = parse_opts(CMD, args)?;
-    if o.wants_help() {
-        print_help(CMD);
-        return Ok(());
-    }
-    let nodes = flag_or(CMD, &o, "nodes", 256usize)?;
-    let satellites = flag_or(CMD, &o, "satellites", 2usize)?;
-    let minutes = flag_or(CMD, &o, "minutes", 10u64)?;
-    let n_jobs = flag_or(CMD, &o, "jobs", 20u64)?;
-    let seed = flag_or(CMD, &o, "seed", 42u64)?;
-    let fault_events = flag_or(CMD, &o, "faults", 0usize)?;
-
-    let rec = if o.get("obs").is_some() {
-        Recorder::full()
-    } else {
-        Recorder::disabled()
-    };
-    let sys = run_emulation(
-        nodes,
-        satellites,
-        minutes,
-        n_jobs,
-        seed,
-        fault_events,
-        rec.clone(),
-        Sampler::disabled(),
-        1,
-        EngineProfiler::disabled(),
-        SloEngine::disabled(),
-        MemProfiler::disabled(),
-    );
+fn simulate(o: &Opts) -> Result<(), CliError> {
+    let (sc, builder) = scenario(o)?;
+    let rec = recorder_for(o.get("obs"));
+    let sys = sc.run(builder.obs(rec.clone()));
 
     let master = sys.master();
     println!(
-        "emulated {nodes} compute nodes + {satellites} satellites for {minutes} virtual minutes"
+        "emulated {} compute nodes + {} satellites for {} virtual minutes",
+        sc.nodes, sc.satellites, sc.minutes
     );
-    println!("jobs completed:    {}/{n_jobs}", master.records.len());
+    println!("jobs completed:    {}/{}", master.records.len(), sc.jobs);
     if let Some(r) = master.records.first() {
         println!("first occupation:  {:.3}s", r.occupation().as_secs_f64());
     }
@@ -701,43 +652,24 @@ pub fn simulate(args: &[String]) -> Result<(), CliError> {
 
 /// `eslurm trace --nodes N --satellites M --minutes T --jobs J --seed S
 /// --faults K --out FILE --format chrome|jsonl`
-pub fn trace_cmd(args: &[String]) -> Result<(), CliError> {
-    const CMD: &str = "trace";
-    let o = parse_opts(CMD, args)?;
-    if o.wants_help() {
-        print_help(CMD);
-        return Ok(());
-    }
-    let nodes = flag_or(CMD, &o, "nodes", 64usize)?;
-    let satellites = flag_or(CMD, &o, "satellites", 2usize)?;
-    let minutes = flag_or(CMD, &o, "minutes", 5u64)?;
-    let n_jobs = flag_or(CMD, &o, "jobs", 10u64)?;
-    let seed = flag_or(CMD, &o, "seed", 42u64)?;
-    let fault_events = flag_or(CMD, &o, "faults", 2usize)?;
+fn trace_cmd(o: &Opts) -> Result<(), CliError> {
+    let (sc, builder) = scenario(o)?;
     let out = o.get("out").unwrap_or("trace.json");
     let format = o.get("format").unwrap_or_else(|| format_for(out));
 
     let rec = Recorder::full();
-    let sys = run_emulation(
-        nodes,
-        satellites,
-        minutes,
-        n_jobs,
-        seed,
-        fault_events,
-        rec.clone(),
-        Sampler::disabled(),
-        1,
-        EngineProfiler::disabled(),
-        SloEngine::disabled(),
-        MemProfiler::disabled(),
-    );
+    let sys = sc.run(builder.obs(rec.clone()));
     let n = write_obs(&rec, out, format)?;
     println!(
-        "traced {nodes}+{satellites} nodes for {minutes} virtual minutes: \
-         {n} events -> {out} ({format})"
+        "traced {}+{} nodes for {} virtual minutes: \
+         {n} events -> {out} ({format})",
+        sc.nodes, sc.satellites, sc.minutes
     );
-    println!("jobs completed:    {}/{n_jobs}", sys.master().records.len());
+    println!(
+        "jobs completed:    {}/{}",
+        sys.master().records.len(),
+        sc.jobs
+    );
     print!("{}", rec.summary());
     Ok(())
 }
@@ -752,52 +684,29 @@ pub fn trace_cmd(args: &[String]) -> Result<(), CliError> {
 /// metric values in Prometheus text format, and — when `--flight` names a
 /// file — arms the bounded flight ring, dumping it there at the end of the
 /// run (faulted runs also auto-dump on the first `node_down`).
-pub fn metrics(args: &[String]) -> Result<(), CliError> {
-    const CMD: &str = "metrics";
-    let o = parse_opts(CMD, args)?;
-    if o.wants_help() {
-        print_help(CMD);
-        return Ok(());
-    }
-    let nodes = flag_or(CMD, &o, "nodes", 128usize)?;
-    let satellites = flag_or(CMD, &o, "satellites", 2usize)?;
-    let minutes = flag_or(CMD, &o, "minutes", 5u64)?;
-    let n_jobs = flag_or(CMD, &o, "jobs", 10u64)?;
-    let seed = flag_or(CMD, &o, "seed", 42u64)?;
-    let fault_events = flag_or(CMD, &o, "faults", 0usize)?;
-    let interval_s = flag_or(CMD, &o, "interval", 1u64)?;
+fn metrics(o: &Opts) -> Result<(), CliError> {
+    let (sc, builder) = scenario(o)?;
+    let interval_s = o.get_or("interval", 1u64)?;
     if interval_s == 0 {
-        return Err(CliError::usage(CMD, "--interval must be at least 1"));
+        return Err(o.usage("--interval must be at least 1"));
     }
 
     let rec = match o.get("flight") {
         Some(path) => Recorder::with_flight(FlightConfig::dumping_to(path)),
         None => Recorder::metrics_only(),
     };
-    let horizon = SimTime::ZERO + SimSpan::from_secs(minutes * 60);
-    let sampler = Sampler::every_until(SimSpan::from_secs(interval_s), horizon);
-    let sys = run_emulation(
-        nodes,
-        satellites,
-        minutes,
-        n_jobs,
-        seed,
-        fault_events,
-        rec.clone(),
-        sampler.clone(),
-        1,
-        EngineProfiler::disabled(),
-        SloEngine::disabled(),
-        MemProfiler::disabled(),
-    );
+    let sampler = Sampler::every_until(SimSpan::from_secs(interval_s), sc.horizon());
+    let sys = sc.run(builder.obs(rec.clone()).sampler(sampler.clone()));
 
     let store = sampler.store();
     println!(
-        "sampled {} series ({} points) every {interval_s}s over {minutes} \
-         virtual minutes; {}/{n_jobs} jobs completed",
+        "sampled {} series ({} points) every {interval_s}s over {} \
+         virtual minutes; {}/{} jobs completed",
         store.len(),
         store.n_points(),
-        sys.master().records.len()
+        sc.minutes,
+        sys.master().records.len(),
+        sc.jobs
     );
     println!(
         "{:<44} {:>6} {:>12} {:>12} {:>12} {:>12}",
@@ -815,13 +724,11 @@ pub fn metrics(args: &[String]) -> Result<(), CliError> {
         );
     }
     if let Some(path) = o.get("csv") {
-        std::fs::write(path, sampler.to_csv())
-            .map_err(|e| CliError::io(format!("writing {path}"), e))?;
+        write_file(path, sampler.to_csv())?;
         println!("csv:    {} series -> {path}", store.len());
     }
     if let Some(path) = o.get("prom") {
-        std::fs::write(path, obs::export::to_prometheus(&rec))
-            .map_err(|e| CliError::io(format!("writing {path}"), e))?;
+        write_file(path, obs::export::to_prometheus(&rec))?;
         println!("prom:   final exposition -> {path}");
     }
     if let Some(path) = o.get("flight") {
@@ -836,30 +743,12 @@ pub fn metrics(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Run the reference fault scenario (the same defaults as `eslurm trace`)
-/// with full causal tracing on and rebuild the per-trace causal trees.
-fn causal_run(cmd: &'static str, o: &Opts) -> Result<Vec<TraceTree>, CliError> {
-    let nodes = flag_or(cmd, o, "nodes", 64usize)?;
-    let satellites = flag_or(cmd, o, "satellites", 2usize)?;
-    let minutes = flag_or(cmd, o, "minutes", 5u64)?;
-    let n_jobs = flag_or(cmd, o, "jobs", 10u64)?;
-    let seed = flag_or(cmd, o, "seed", 42u64)?;
-    let fault_events = flag_or(cmd, o, "faults", 2usize)?;
+/// Run the scenario with full causal tracing on and rebuild the per-trace
+/// causal trees.
+fn causal_run(o: &Opts) -> Result<Vec<TraceTree>, CliError> {
+    let (sc, builder) = scenario(o)?;
     let rec = Recorder::full();
-    run_emulation(
-        nodes,
-        satellites,
-        minutes,
-        n_jobs,
-        seed,
-        fault_events,
-        rec.clone(),
-        Sampler::disabled(),
-        1,
-        EngineProfiler::disabled(),
-        SloEngine::disabled(),
-        MemProfiler::disabled(),
-    );
+    sc.run(builder.obs(rec.clone()));
     Ok(build_traces(&rec.causal_records()))
 }
 
@@ -869,24 +758,13 @@ fn causal_run(cmd: &'static str, o: &Opts) -> Result<Vec<TraceTree>, CliError> {
 /// Re-runs the (deterministic) scenario with causal tracing on, then
 /// prints the full causal tree of the requested trace followed by its
 /// critical path with the per-hop latency breakdown.
-pub fn explain(args: &[String]) -> Result<(), CliError> {
-    const CMD: &str = "explain";
-    let o = parse_opts(CMD, args)?;
-    if o.wants_help() {
-        print_help(CMD);
-        return Ok(());
-    }
-    let id_str = o
-        .positional(0, "trace id")
-        .map_err(|e| CliError::usage(CMD, e))?;
-    let id: u64 = id_str
-        .parse()
-        .map_err(|_| CliError::usage(CMD, format!("trace id `{id_str}` is not an integer")))?;
-    let trees = causal_run(CMD, &o)?;
+fn explain(o: &Opts) -> Result<(), CliError> {
+    let id = positional_id(o, "trace id")?;
+    let trees = causal_run(o)?;
     let Some(tree) = trees.iter().find(|t| t.trace == id) else {
         let last = trees.last().map(|t| t.trace).unwrap_or(0);
         return Err(CliError::parse(
-            CMD,
+            o.spec().name,
             format!(
                 "trace {id} was not recorded ({} traces, ids 1..={last})",
                 trees.len()
@@ -904,30 +782,22 @@ pub fn explain(args: &[String]) -> Result<(), CliError> {
 /// Re-runs the (deterministic) scenario with causal tracing on, prints the
 /// slowest chain across all traces (optionally restricted to one flow
 /// kind) with its per-hop breakdown, then latency percentiles per flow.
-pub fn critical_path(args: &[String]) -> Result<(), CliError> {
-    const CMD: &str = "critical-path";
-    let o = parse_opts(CMD, args)?;
-    if o.wants_help() {
-        print_help(CMD);
-        return Ok(());
-    }
-    let flow = match o.get("flow") {
-        Some(s) => Some(FlowKind::parse(s).ok_or_else(|| {
-            CliError::usage(
-                CMD,
-                format!("unknown --flow {s} (dispatch | sweep | recovery)"),
-            )
-        })?),
-        None => None,
-    };
-    let trees = causal_run(CMD, &o)?;
+fn critical_path(o: &Opts) -> Result<(), CliError> {
+    let flow =
+        match o.get("flow") {
+            Some(s) => Some(FlowKind::parse(s).ok_or_else(|| {
+                o.usage(format!("unknown --flow {s} (dispatch | sweep | recovery)"))
+            })?),
+            None => None,
+        };
+    let trees = causal_run(o)?;
     let selected: Vec<TraceTree> = trees
         .into_iter()
         .filter(|t| flow.is_none_or(|f| t.flow == f))
         .collect();
     if selected.is_empty() {
         return Err(CliError::parse(
-            CMD,
+            o.spec().name,
             "no traces recorded for the requested flow",
         ));
     }
@@ -947,32 +817,26 @@ pub fn critical_path(args: &[String]) -> Result<(), CliError> {
 
 /// `--algo easy|fcfs|conservative` (shared by replay and the audit
 /// commands).
-fn parse_algo(cmd: &'static str, o: &Opts) -> Result<SchedAlgo, CliError> {
+fn parse_algo(o: &Opts) -> Result<SchedAlgo, CliError> {
     match o.get("algo").unwrap_or("easy") {
         "easy" => Ok(SchedAlgo::Easy),
         "fcfs" => Ok(SchedAlgo::Fcfs),
         "conservative" => Ok(SchedAlgo::Conservative),
-        other => Err(CliError::usage(
-            cmd,
-            format!("unknown --algo {other} (easy | fcfs | conservative)"),
-        )),
+        other => Err(o.usage(format!(
+            "unknown --algo {other} (easy | fcfs | conservative)"
+        ))),
     }
 }
 
 /// `--policy user|predictive|oracle` with a per-command default.
-fn parse_policy(
-    cmd: &'static str,
-    o: &Opts,
-    default: &'static str,
-) -> Result<Box<dyn LimitPolicy>, CliError> {
+fn parse_policy(o: &Opts, default: &'static str) -> Result<Box<dyn LimitPolicy>, CliError> {
     match o.get("policy").unwrap_or(default) {
         "user" => Ok(Box::new(UserLimit::default())),
         "predictive" => Ok(Box::new(PredictiveLimit::new(EstimatorConfig::default()))),
         "oracle" => Ok(Box::new(OracleLimit)),
-        other => Err(CliError::usage(
-            cmd,
-            format!("unknown --policy {other} (user | predictive | oracle)"),
-        )),
+        other => Err(o.usage(format!(
+            "unknown --policy {other} (user | predictive | oracle)"
+        ))),
     }
 }
 
@@ -991,16 +855,13 @@ struct AuditRun {
 /// bundle of an audited run. `fifo` (the default) is the trivial bundle —
 /// bit-identical to the pre-policy scheduler; `multifactor` turns on the
 /// Slurm-flavored composition with a 24 h-half-life fair-share ledger.
-fn parse_policies(cmd: &'static str, o: &Opts, banks: usize) -> Result<SchedPolicies, CliError> {
+fn parse_policies(o: &Opts, banks: usize) -> Result<SchedPolicies, CliError> {
     match o.get("priority").unwrap_or("fifo") {
         "fifo" => Ok(SchedPolicies::default()),
         "multifactor" => Ok(SchedPolicies::default()
             .with_priority(MultifactorPriority::slurm_default())
             .with_fairshare(FairShareLedger::new(SimSpan::from_hours(24), banks as u32))),
-        other => Err(CliError::usage(
-            cmd,
-            format!("unknown --priority {other} (fifo | multifactor)"),
-        )),
+        other => Err(o.usage(format!("unknown --priority {other} (fifo | multifactor)"))),
     }
 }
 
@@ -1013,14 +874,14 @@ fn parse_policies(cmd: &'static str, o: &Opts, banks: usize) -> Result<SchedPoli
 /// banks, and `--priority multifactor` ranks the queue with the
 /// Slurm-flavored factor composition (per-factor contributions land in
 /// the audit log).
-fn audit_run(cmd: &'static str, o: &Opts) -> Result<AuditRun, CliError> {
-    let users = flag_or(cmd, o, "users", 0usize)?;
-    let banks = flag_or(cmd, o, "banks", 48usize)?;
+fn audit_run(o: &Opts) -> Result<AuditRun, CliError> {
+    let users = o.get_or("users", 0usize)?;
+    let banks = o.get_or("banks", 48usize)?;
     let jobs = match o.get("trace") {
         Some(path) => load_trace(path)?,
         None => {
-            let n = flag_or(cmd, o, "jobs", 400usize)?;
-            let seed = flag_or(cmd, o, "seed", 42u64)?;
+            let n = o.get_or("jobs", 400usize)?;
+            let seed = o.get_or("seed", 42u64)?;
             if users > 0 {
                 TraceConfig::multi_tenant(n, seed)
                     .with_users(users)
@@ -1031,21 +892,17 @@ fn audit_run(cmd: &'static str, o: &Opts) -> Result<AuditRun, CliError> {
             }
         }
     };
-    let nodes = flag_or(cmd, o, "nodes", 64u32)?;
-    let algo = parse_algo(cmd, o)?;
-    let mut policy = parse_policy(cmd, o, "predictive")?;
-    let rec = if o.get("obs").is_some() {
-        Recorder::full()
-    } else {
-        Recorder::disabled()
-    };
+    let nodes = o.get_or("nodes", 64u32)?;
+    let algo = parse_algo(o)?;
+    let mut policy = parse_policy(o, "predictive")?;
+    let rec = recorder_for(o.get("obs"));
     let log = DecisionLog::unbounded();
     let cfg = BackfillConfig {
         algo,
-        max_resubmits: flag_or(cmd, o, "resubmits", 3u32)?,
+        max_resubmits: o.get_or("resubmits", 3u32)?,
         obs: rec.clone(),
         audit: log.clone(),
-        policies: parse_policies(cmd, o, banks)?,
+        policies: parse_policies(o, banks)?,
         ..BackfillConfig::new(nodes)
     };
     let policy_name = policy.name();
@@ -1070,24 +927,13 @@ fn audit_run(cmd: &'static str, o: &Opts) -> Result<AuditRun, CliError> {
 /// blocker set), backfills and skips, starts, kills, resubmissions, and
 /// completion — each line carrying the estimate (value + source + cluster)
 /// the decision was based on.
-pub fn why_job(args: &[String]) -> Result<(), CliError> {
-    const CMD: &str = "why-job";
-    let o = parse_opts(CMD, args)?;
-    if o.wants_help() {
-        print_help(CMD);
-        return Ok(());
-    }
-    let id_str = o
-        .positional(0, "job id")
-        .map_err(|e| CliError::usage(CMD, e))?;
-    let id: u64 = id_str
-        .parse()
-        .map_err(|_| CliError::usage(CMD, format!("job id `{id_str}` is not an integer")))?;
-    let run = audit_run(CMD, &o)?;
+fn why_job(o: &Opts) -> Result<(), CliError> {
+    let id = positional_id(o, "job id")?;
+    let run = audit_run(o)?;
     let records = run.log.records();
     if !records.iter().any(|r| r.job == id) {
         return Err(CliError::parse(
-            CMD,
+            o.spec().name,
             format!(
                 "job {id} made no decisions in this run ({} jobs audited)",
                 run.n_jobs
@@ -1112,14 +958,8 @@ pub fn why_job(args: &[String]) -> Result<(), CliError> {
 /// `--audit` exports the raw decision log as JSONL (byte-identical across
 /// same-seed runs); `--obs` exports a Chrome trace whose pid 1 carries
 /// per-job queued→run lanes next to the scheduler's flow arrows.
-pub fn sched_report(args: &[String]) -> Result<(), CliError> {
-    const CMD: &str = "sched-report";
-    let o = parse_opts(CMD, args)?;
-    if o.wants_help() {
-        print_help(CMD);
-        return Ok(());
-    }
-    let run = audit_run(CMD, &o)?;
+fn sched_report(o: &Opts) -> Result<(), CliError> {
+    let run = audit_run(o)?;
     let records = run.log.records();
     println!(
         "audited {} jobs on {} nodes ({:?}, {} limits)",
@@ -1135,17 +975,17 @@ pub fn sched_report(args: &[String]) -> Result<(), CliError> {
     );
     print!("{}", render_report(&AuditReport::from_records(&records)));
     if let Some(path) = o.get("audit") {
-        std::fs::write(path, obs::audit::to_jsonl(&records))
-            .map_err(|e| CliError::io(format!("writing {path}"), e))?;
+        write_file(path, obs::audit::to_jsonl(&records))?;
         println!("audit:  {} decisions -> {path}", records.len());
     }
     if let Some(path) = o.get("obs") {
-        let doc = obs::export::to_chrome_trace_with_flows_and_jobs(
-            &run.rec.events(),
-            &run.rec.causal_records(),
-            &records,
-        );
-        std::fs::write(path, doc).map_err(|e| CliError::io(format!("writing {path}"), e))?;
+        let doc = ChromeTrace {
+            events: &run.rec.events(),
+            flows: &run.rec.causal_records(),
+            jobs: &records,
+            ..Default::default()
+        };
+        write_file(path, doc.render())?;
         println!("trace:  job lanes + flows -> {path}");
     }
     Ok(())
@@ -1167,66 +1007,69 @@ pub fn sched_report(args: &[String]) -> Result<(), CliError> {
 /// writes the report as `engine_wall_*` series (excluded from `diff`
 /// gates by default); `--trace` writes a Chrome trace whose wall-clock
 /// engine track (pid 2) sits beside the virtual-time node lanes.
-pub fn engine_report(args: &[String]) -> Result<(), CliError> {
-    const CMD: &str = "engine-report";
-    let o = parse_opts(CMD, args)?;
-    if o.wants_help() {
-        print_help(CMD);
-        return Ok(());
-    }
-    let nodes = flag_or(CMD, &o, "nodes", 256usize)?;
-    let satellites = flag_or(CMD, &o, "satellites", 4usize)?;
-    let minutes = flag_or(CMD, &o, "minutes", 10u64)?;
-    let n_jobs = flag_or(CMD, &o, "jobs", 20u64)?;
-    let seed = flag_or(CMD, &o, "seed", 42u64)?;
-    let fault_events = flag_or(CMD, &o, "faults", 0usize)?;
-    let shards = flag_or(CMD, &o, "shards", 1usize)?;
+fn engine_report(o: &Opts) -> Result<(), CliError> {
+    let (sc, builder) = scenario(o)?;
+    let shards = o.get_or("shards", 1usize)?;
 
-    let rec = if o.get("trace").is_some() {
-        Recorder::full()
-    } else {
-        Recorder::disabled()
-    };
+    let rec = recorder_for(o.get("trace"));
     let profiler = EngineProfiler::enabled();
-    let sys = run_emulation(
-        nodes,
-        satellites,
-        minutes,
-        n_jobs,
-        seed,
-        fault_events,
-        rec.clone(),
-        Sampler::disabled(),
-        shards,
-        profiler.clone(),
-        SloEngine::disabled(),
-        MemProfiler::disabled(),
+    let sys = sc.run(
+        builder
+            .obs(rec.clone())
+            .shards(shards)
+            .engine_profile(profiler.clone()),
     );
     let report = profiler
         .report()
         .expect("enabled profiler is attached by SimCluster::new");
     print!("{}", report.render());
-    println!(
-        "jobs completed: {}/{n_jobs}; engine events: {}",
-        sys.master().records.len(),
-        sys.sim.events_processed()
-    );
+    println!("{}", sc.status(&sys));
     if let Some(path) = o.get("csv") {
         let mut store = SeriesStore::new();
-        report.to_series(&mut store, SimTime::ZERO + SimSpan::from_secs(minutes * 60));
-        std::fs::write(path, store.to_csv())
-            .map_err(|e| CliError::io(format!("writing {path}"), e))?;
+        report.to_series(&mut store, sc.horizon());
+        write_file(path, store.to_csv())?;
         println!("csv:    {} series -> {path}", store.len());
     }
     if let Some(path) = o.get("trace") {
-        let body = obs::export::to_chrome_trace_full(
-            &rec.events(),
-            &rec.causal_records(),
-            &[],
-            &profiler.spans(),
-        );
-        std::fs::write(path, body).map_err(|e| CliError::io(format!("writing {path}"), e))?;
+        let doc = ChromeTrace {
+            events: &rec.events(),
+            flows: &rec.causal_records(),
+            engine: &profiler.spans(),
+            ..Default::default()
+        };
+        write_file(path, doc.render())?;
         println!("trace:  virtual-time lanes + wall-clock engine track -> {path}");
+    }
+    Ok(())
+}
+
+/// The `--format table|csv|json [--out FILE]` tail of the report commands:
+/// `render` holds the three renderings in that order. With `--out` the
+/// body goes to the file and stdout names it; without, stdout is exactly
+/// the body — a document a parser can read — and the `status` line goes
+/// to stderr.
+fn emit_report(
+    o: &Opts,
+    what: &str,
+    render: [&dyn Fn() -> String; 3],
+    status: &str,
+) -> Result<(), CliError> {
+    const FORMATS: [&str; 3] = ["table", "csv", "json"];
+    let format = o.get("format").unwrap_or(FORMATS[0]);
+    let Some(i) = FORMATS.iter().position(|f| *f == format) else {
+        return Err(o.usage(format!("unknown --format {format} (table | csv | json)")));
+    };
+    let body = render[i]();
+    match o.get("out") {
+        Some(path) => {
+            write_file(path, &body)?;
+            println!("{what} report ({format}) -> {path}");
+            println!("{status}");
+        }
+        None => {
+            print!("{body}");
+            eprintln!("{status}");
+        }
     }
     Ok(())
 }
@@ -1243,24 +1086,12 @@ pub fn engine_report(args: &[String]) -> Result<(), CliError> {
 /// `--flight` arms the bounded flight ring with a 60 s dump cooldown —
 /// each breach dumps a reason-tagged forensic snapshot there. `--check`
 /// exits 4 when any spec recorded a breach, mirroring `diff`'s exit 3.
-pub fn slo_report(args: &[String]) -> Result<(), CliError> {
-    const CMD: &str = "slo-report";
-    let o = parse_opts(CMD, args)?;
-    if o.wants_help() {
-        print_help(CMD);
-        return Ok(());
-    }
-    let nodes = flag_or(CMD, &o, "nodes", 128usize)?;
-    let satellites = flag_or(CMD, &o, "satellites", 2usize)?;
-    let minutes = flag_or(CMD, &o, "minutes", 10u64)?;
-    let n_jobs = flag_or(CMD, &o, "jobs", 20u64)?;
-    let seed = flag_or(CMD, &o, "seed", 42u64)?;
-    let fault_events = flag_or(CMD, &o, "faults", 0usize)?;
-    let sweep_p99_us = flag_or(CMD, &o, "sweep-p99", 10_000_000f64)?;
-    let queue_wait_p90_s = flag_or(CMD, &o, "queue-wait-p90", 600f64)?;
-    let inbox_depth = flag_or(CMD, &o, "inbox-depth", 10_000f64)?;
-    let format = o.get("format").unwrap_or("table");
-    let check = flag_or(CMD, &o, "check", false)?;
+fn slo_report(o: &Opts) -> Result<(), CliError> {
+    let (sc, builder) = scenario(o)?;
+    let sweep_p99_us = o.get_or("sweep-p99", 10_000_000f64)?;
+    let queue_wait_p90_s = o.get_or("queue-wait-p90", 600f64)?;
+    let inbox_depth = o.get_or("inbox-depth", 10_000f64)?;
+    let check = o.get_or("check", false)?;
 
     let rec = match o.get("flight") {
         Some(path) => Recorder::with_flight(
@@ -1268,51 +1099,16 @@ pub fn slo_report(args: &[String]) -> Result<(), CliError> {
         ),
         None => Recorder::metrics_only(),
     };
-    let horizon = SimTime::ZERO + SimSpan::from_secs(minutes * 60);
-    let sampler = Sampler::every_until(SimSpan::from_secs(1), horizon);
+    let sampler = Sampler::every_until(SimSpan::from_secs(1), sc.horizon());
     let slo = SloEngine::paper_presets(sweep_p99_us, queue_wait_p90_s, inbox_depth);
-    let sys = run_emulation(
-        nodes,
-        satellites,
-        minutes,
-        n_jobs,
-        seed,
-        fault_events,
-        rec.clone(),
-        sampler,
-        1,
-        EngineProfiler::disabled(),
-        slo,
-        MemProfiler::disabled(),
-    );
+    let sys = sc.run(builder.obs(rec).sampler(sampler).slo(slo));
     let report = sys
         .sim
         .slo_engine()
         .report()
         .expect("engine armed above is enabled");
-    let body = match format {
-        "table" => report.render(),
-        "csv" => report.to_csv(),
-        "json" => report.to_json(),
-        other => {
-            return Err(CliError::usage(
-                CMD,
-                format!("unknown --format {other} (table | csv | json)"),
-            ))
-        }
-    };
-    match o.get("out") {
-        Some(path) => {
-            std::fs::write(path, &body).map_err(|e| CliError::io(format!("writing {path}"), e))?;
-            println!("slo report ({format}) -> {path}");
-        }
-        None => print!("{body}"),
-    }
-    println!(
-        "jobs completed: {}/{n_jobs}; engine events: {}",
-        sys.master().records.len(),
-        sys.sim.events_processed()
-    );
+    let (table, csv, json) = (|| report.render(), || report.to_csv(), || report.to_json());
+    emit_report(o, "slo", [&table, &csv, &json], &sc.status(&sys))?;
     let unmet = report.unmet();
     if check && unmet > 0 {
         return Err(CliError::SloUnmet { count: unmet });
@@ -1334,21 +1130,9 @@ pub fn slo_report(args: &[String]) -> Result<(), CliError> {
 /// written by `--csv` never reach the default `diff` gates. Requires a
 /// binary built with `--features mem-profile`; without it the command
 /// explains and exits 0.
-pub fn mem_report(args: &[String]) -> Result<(), CliError> {
-    const CMD: &str = "mem-report";
-    let o = parse_opts(CMD, args)?;
-    if o.wants_help() {
-        print_help(CMD);
-        return Ok(());
-    }
-    let nodes = flag_or(CMD, &o, "nodes", 128usize)?;
-    let satellites = flag_or(CMD, &o, "satellites", 2usize)?;
-    let minutes = flag_or(CMD, &o, "minutes", 5u64)?;
-    let n_jobs = flag_or(CMD, &o, "jobs", 10u64)?;
-    let seed = flag_or(CMD, &o, "seed", 42u64)?;
-    let fault_events = flag_or(CMD, &o, "faults", 0usize)?;
-    let shards = flag_or(CMD, &o, "shards", 1usize)?;
-    let format = o.get("format").unwrap_or("table");
+fn mem_report(o: &Opts) -> Result<(), CliError> {
+    let (sc, builder) = scenario(o)?;
+    let shards = o.get_or("shards", 1usize)?;
 
     if !mem_profile_compiled() {
         println!(
@@ -1359,57 +1143,28 @@ pub fn mem_report(args: &[String]) -> Result<(), CliError> {
         );
         return Ok(());
     }
-    let horizon = SimTime::ZERO + SimSpan::from_secs(minutes * 60);
     // The sampler drives the sampling tick that feeds `mem_host_*` series;
     // arm it on the 1 Hz cadence whether or not `--csv` exports them.
-    let sampler = Sampler::every_until(SimSpan::from_secs(1), horizon);
+    let sampler = Sampler::every_until(SimSpan::from_secs(1), sc.horizon());
     let profiler = MemProfiler::enabled();
-    let sys = run_emulation(
-        nodes,
-        satellites,
-        minutes,
-        n_jobs,
-        seed,
-        fault_events,
-        Recorder::disabled(),
-        sampler.clone(),
-        shards,
-        EngineProfiler::disabled(),
-        SloEngine::disabled(),
-        profiler.clone(),
+    let sys = sc.run(
+        builder
+            .sampler(sampler.clone())
+            .shards(shards)
+            .mem_profile(profiler.clone()),
     );
     let report = profiler
         .report()
         .expect("mem_profile_compiled() checked above, so the handle is armed");
-    let body = match format {
-        "table" => report.render(),
-        "csv" => report.to_csv(),
-        "json" => report.to_json(),
-        other => {
-            return Err(CliError::usage(
-                CMD,
-                format!("unknown --format {other} (table | csv | json)"),
-            ))
-        }
-    };
-    match o.get("out") {
-        Some(path) => {
-            std::fs::write(path, &body).map_err(|e| CliError::io(format!("writing {path}"), e))?;
-            println!("mem report ({format}) -> {path}");
-        }
-        None => print!("{body}"),
-    }
-    println!(
-        "jobs completed: {}/{n_jobs}; engine events: {}",
-        sys.master().records.len(),
-        sys.sim.events_processed()
-    );
+    // The CSV notice is part of the status, so it follows the status to
+    // stderr when the report itself is on stdout.
+    let mut status = sc.status(&sys);
     if let Some(path) = o.get("csv") {
-        std::fs::write(path, sampler.host_csv())
-            .map_err(|e| CliError::io(format!("writing {path}"), e))?;
-        println!("csv:    mem_host_* series -> {path}");
+        write_file(path, sampler.host_csv())?;
+        status += &format!("\ncsv:    mem_host_* series -> {path}");
     }
-    Ok(())
+    let (table, csv, json) = (|| report.render(), || report.to_csv(), || report.to_json());
+    emit_report(o, "mem", [&table, &csv, &json], &status)
 }
 
 /// `eslurm diff BASE.csv NEW.csv [--threshold-pct P]
@@ -1424,25 +1179,13 @@ pub fn mem_report(args: &[String]) -> Result<(), CliError> {
 /// host-memory `mem_host_*` series — are never gated unless
 /// `--include-domain` (or an explicit `--thresholds` entry) opts their
 /// domain in: host timing and allocator jitter must not fail a
-/// virtual-time determinism gate. `--include-wallclock true` is kept as
-/// an alias for `--include-domain wallclock`.
-pub fn diff(args: &[String]) -> Result<(), CliError> {
-    const CMD: &str = "diff";
-    let o = parse_opts(CMD, args)?;
-    if o.wants_help() {
-        print_help(CMD);
-        return Ok(());
-    }
-    let base_path = o
-        .positional(0, "baseline csv")
-        .map_err(|e| CliError::usage(CMD, e))?;
-    let new_path = o
-        .positional(1, "candidate csv")
-        .map_err(|e| CliError::usage(CMD, e))?;
+/// virtual-time determinism gate.
+fn diff(o: &Opts) -> Result<(), CliError> {
+    let base_path = o.positional(0, "baseline csv")?;
+    let new_path = o.positional(1, "candidate csv")?;
     let mut opts = DiffOptions {
-        default_threshold_pct: flag_or(CMD, &o, "threshold-pct", 5.0f64)?,
-        gate_all: flag_or(CMD, &o, "all", false)?,
-        include_wallclock: flag_or(CMD, &o, "include-wallclock", false)?,
+        default_threshold_pct: o.get_or("threshold-pct", 5.0f64)?,
+        gate_all: o.get_or("all", false)?,
         ..DiffOptions::default()
     };
     if let Some(list) = o.get("include-domain") {
@@ -1451,10 +1194,9 @@ pub fn diff(args: &[String]) -> Result<(), CliError> {
                 "wallclock" => opts.include_wallclock = true,
                 "host-mem" => opts.include_hostmem = true,
                 other => {
-                    return Err(CliError::usage(
-                        CMD,
-                        format!("unknown --include-domain {other} (wallclock | host-mem)"),
-                    ))
+                    return Err(o.usage(format!(
+                        "unknown --include-domain {other} (wallclock | host-mem)"
+                    )))
                 }
             }
         }
@@ -1463,15 +1205,12 @@ pub fn diff(args: &[String]) -> Result<(), CliError> {
         for part in list.split(',').filter(|p| !p.is_empty()) {
             // Split at the LAST `=`: rendered metric names may carry label
             // sets with their own `=` (`footprint_sockets{node="master"}`).
-            let (metric, pct) = part.rsplit_once('=').ok_or_else(|| {
-                CliError::usage(
-                    CMD,
-                    format!("--thresholds entry `{part}` is not metric=pct"),
-                )
-            })?;
+            let (metric, pct) = part
+                .rsplit_once('=')
+                .ok_or_else(|| o.usage(format!("--thresholds entry `{part}` is not metric=pct")))?;
             let pct: f64 = pct
                 .parse()
-                .map_err(|e| CliError::usage(CMD, format!("--thresholds {metric}: {e}")))?;
+                .map_err(|e| o.usage(format!("--thresholds {metric}: {e}")))?;
             opts.per_metric.insert(metric.to_string(), pct);
         }
     }
@@ -1515,19 +1254,9 @@ pub fn diff(args: &[String]) -> Result<(), CliError> {
 }
 
 /// `eslurm convert IN OUT`
-pub fn convert(args: &[String]) -> Result<(), CliError> {
-    const CMD: &str = "convert";
-    let o = parse_opts(CMD, args)?;
-    if o.wants_help() {
-        print_help(CMD);
-        return Ok(());
-    }
-    let input = o
-        .positional(0, "input file")
-        .map_err(|e| CliError::usage(CMD, e))?;
-    let output = o
-        .positional(1, "output file")
-        .map_err(|e| CliError::usage(CMD, e))?;
+fn convert(o: &Opts) -> Result<(), CliError> {
+    let input = o.positional(0, "input file")?;
+    let output = o.positional(1, "output file")?;
     let jobs = load_trace(input)?;
     save_trace(&jobs, output)?;
     println!("converted {} jobs: {input} -> {output}", jobs.len());
@@ -1538,20 +1267,16 @@ pub fn convert(args: &[String]) -> Result<(), CliError> {
 mod tests {
     use super::*;
 
-    /// The drift guard: every command registered in COMMANDS must both
-    /// dispatch to an implementation and appear in the usage text, so a
-    /// new subcommand cannot be silently absent from `eslurm --help` (or
-    /// listed in help without actually routing anywhere).
+    /// The drift guard for the help text: every command registered in
+    /// COMMANDS appears in the usage text with its summary. (That it also
+    /// dispatches is true by construction: `dispatch` runs the `run` of
+    /// the spec it found, so there is no second table to fall out of step.)
+    /// And the one place scenario flags are declared stays the one place:
+    /// a scenario command lists only the flags of its own.
     #[test]
     fn every_registered_command_dispatches_and_is_listed() {
-        let help = vec!["--help".to_string()];
         let usage_text = usage();
         for c in COMMANDS {
-            assert!(
-                dispatch(c.name, &help).is_some(),
-                "`{}` is in COMMANDS but dispatch() does not route it",
-                c.name
-            );
             assert!(
                 usage_text.contains(c.name),
                 "`{}` missing from usage text",
@@ -1562,8 +1287,17 @@ mod tests {
                 "`{}` summary missing from usage text",
                 c.name
             );
+            if c.scenario.is_some() {
+                for f in SCENARIO_FLAGS {
+                    assert!(
+                        !c.flags.contains(&f),
+                        "`{}` redeclares scenario flag --{f}",
+                        c.name
+                    );
+                }
+            }
         }
-        assert!(dispatch("no-such-command", &help).is_none());
+        assert!(dispatch("no-such-command", &[]).is_none());
         assert!(usage_text.contains("help"));
     }
 

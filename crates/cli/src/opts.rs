@@ -1,50 +1,63 @@
 //! A small, dependency-free option parser: `--key value` pairs and
 //! positional arguments, with typed getters and unknown-flag detection.
+//! Parsed options know the command they belong to, so every getter hands
+//! back a ready [`CliError::Usage`] for it.
 
+use crate::cmds::CmdSpec;
+use crate::error::CliError;
 use std::collections::BTreeMap;
 
-/// Parsed command-line options.
+/// Parsed command-line options of one subcommand.
 pub struct Opts {
+    spec: &'static CmdSpec,
     flags: BTreeMap<String, String>,
     positional: Vec<String>,
     help: bool,
 }
 
 impl Opts {
-    /// Parse `args`, accepting only the `known` `--flags`.
-    pub fn parse(args: &[String], known: &[&'static str]) -> Result<Opts, String> {
-        let mut flags = BTreeMap::new();
-        let mut positional = Vec::new();
-        let mut help = false;
+    /// Parse `args`, accepting only the `--flags` `spec` declares.
+    pub fn parse(spec: &'static CmdSpec, args: &[String]) -> Result<Opts, CliError> {
+        let mut o = Opts {
+            spec,
+            flags: BTreeMap::new(),
+            positional: Vec::new(),
+            help: false,
+        };
         let mut it = args.iter();
         while let Some(a) = it.next() {
             if a == "--help" || a == "-h" {
-                help = true;
+                o.help = true;
             } else if let Some(name) = a.strip_prefix("--") {
-                if !known.contains(&name) {
-                    return Err(format!(
+                if !spec.all_flags().any(|k| k == name) {
+                    return Err(o.usage(format!(
                         "unknown option --{name} (expected one of: {})",
-                        known
-                            .iter()
+                        spec.all_flags()
                             .map(|k| format!("--{k}"))
                             .collect::<Vec<_>>()
                             .join(", ")
-                    ));
+                    )));
                 }
                 let value = it
                     .next()
-                    .ok_or_else(|| format!("--{name} needs a value"))?
+                    .ok_or_else(|| o.usage(format!("--{name} needs a value")))?
                     .clone();
-                flags.insert(name.to_string(), value);
+                o.flags.insert(name.to_string(), value);
             } else {
-                positional.push(a.clone());
+                o.positional.push(a.clone());
             }
         }
-        Ok(Opts {
-            flags,
-            positional,
-            help,
-        })
+        Ok(o)
+    }
+
+    /// The command these options were parsed for.
+    pub fn spec(&self) -> &'static CmdSpec {
+        self.spec
+    }
+
+    /// A usage error on this command.
+    pub fn usage(&self, message: impl Into<String>) -> CliError {
+        CliError::usage(self.spec.name, message)
     }
 
     /// Whether `--help` was requested.
@@ -53,11 +66,11 @@ impl Opts {
     }
 
     /// A required positional argument.
-    pub fn positional(&self, idx: usize, what: &str) -> Result<&str, String> {
+    pub fn positional(&self, idx: usize, what: &str) -> Result<&str, CliError> {
         self.positional
             .get(idx)
             .map(|s| s.as_str())
-            .ok_or_else(|| format!("missing {what} argument"))
+            .ok_or_else(|| self.usage(format!("missing {what} argument")))
     }
 
     /// An optional string flag.
@@ -65,14 +78,14 @@ impl Opts {
         self.flags.get(name).map(|s| s.as_str())
     }
 
-    /// A typed flag with a default.
-    pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String>
+    /// A typed flag with a default; a bad value is a usage error.
+    pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, CliError>
     where
         T::Err: std::fmt::Display,
     {
         match self.flags.get(name) {
             None => Ok(default),
-            Some(v) => v.parse().map_err(|e| format!("--{name}: {e}")),
+            Some(v) => v.parse().map_err(|e| self.usage(format!("--{name}: {e}"))),
         }
     }
 }
@@ -81,13 +94,22 @@ impl Opts {
 mod tests {
     use super::*;
 
-    fn args(s: &[&str]) -> Vec<String> {
-        s.iter().map(|x| x.to_string()).collect()
+    static SPEC: CmdSpec = CmdSpec {
+        name: "test",
+        summary: "",
+        scenario: None,
+        flags: &["jobs", "seed"],
+        run: |_| Ok(()),
+    };
+
+    fn parse(s: &[&str]) -> Result<Opts, CliError> {
+        let args: Vec<String> = s.iter().map(|x| x.to_string()).collect();
+        Opts::parse(&SPEC, &args)
     }
 
     #[test]
     fn parses_flags_and_positionals() {
-        let o = Opts::parse(&args(&["file.jsonl", "--jobs", "100"]), &["jobs", "seed"]).unwrap();
+        let o = parse(&["file.jsonl", "--jobs", "100"]).unwrap();
         assert_eq!(o.positional(0, "input").unwrap(), "file.jsonl");
         assert_eq!(o.get_or("jobs", 0usize).unwrap(), 100);
         assert_eq!(o.get_or("seed", 42u64).unwrap(), 42);
@@ -95,18 +117,19 @@ mod tests {
 
     #[test]
     fn rejects_unknown_flags() {
-        assert!(Opts::parse(&args(&["--bogus", "1"]), &["jobs"]).is_err());
+        assert!(parse(&["--bogus", "1"]).is_err());
     }
 
     #[test]
     fn missing_value_is_an_error() {
-        assert!(Opts::parse(&args(&["--jobs"]), &["jobs"]).is_err());
+        assert!(parse(&["--jobs"]).is_err());
     }
 
     #[test]
     fn bad_typed_value_reports_flag() {
-        let o = Opts::parse(&args(&["--jobs", "abc"]), &["jobs"]).unwrap();
-        let err = o.get_or("jobs", 0usize).unwrap_err();
+        let o = parse(&["--jobs", "abc"]).unwrap();
+        let err = o.get_or("jobs", 0usize).unwrap_err().to_string();
         assert!(err.contains("--jobs"), "{err}");
+        assert!(err.starts_with("test: "), "{err}");
     }
 }

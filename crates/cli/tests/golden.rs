@@ -127,14 +127,10 @@ fn every_command_matches_its_golden_row() {
         if cmd.contains("m_regressed.csv") {
             // The injected regression: ten times the master's virtual memory.
             let base = std::fs::read_to_string(dir.join("m.csv")).expect("metrics row ran");
+            let series = "\"footprint_virt_bytes{node=\"\"master";
             let worse: String = base
                 .lines()
-                .map(
-                    |l| match l.starts_with("\"footprint_virt_bytes{node=\"\"master") {
-                        true => format!("{l}0\n"),
-                        false => format!("{l}\n"),
-                    },
-                )
+                .map(|l| format!("{l}{}\n", if l.starts_with(series) { "0" } else { "" }))
                 .collect();
             assert_ne!(worse, base, "no master memory series to regress");
             std::fs::write(dir.join("m_regressed.csv"), worse).expect("scratch write");
@@ -174,4 +170,16 @@ fn every_command_matches_its_golden_row() {
             && e.get("name") == Some(&serde::Value::String("process_name".into()))),
         "no wall-clock engine track"
     );
+
+    // With no `--out`, stdout is the document and nothing else: it parses,
+    // and equals what `--out` wrote but for the wall-clock field.
+    let doc = |text: &str| match json(text) {
+        serde::Value::Object(mut fields) => fields.remove("eval_wall_ns").map(|_| fields),
+        _ => None,
+    };
+    let file = std::fs::read_to_string(dir.join("slo.json")).expect("--out row ran");
+    assert!(doc(&file).is_some(), "slo report JSON lost eval_wall_ns");
+    assert_eq!(doc(&stdout["slo-report --format json"]), doc(&file));
+    let csv = &stdout["slo-report --format csv"];
+    assert!(csv.ends_with("false,\n"), "stdout is not just CSV: {csv}");
 }

@@ -30,8 +30,8 @@ pub mod thread;
 
 pub use actor::{Actor, Context, Payload};
 pub use fault::{FaultPlan, FaultPlanBuilder, Outage};
-pub use meter::{Meter, Sample, SampleSeries};
+pub use meter::{Meter, Sample};
 pub use network::LatencyModel;
 pub use node::NodeId;
-pub use sim::{Sampling, SimCluster, SimConfig};
+pub use sim::{SimCluster, SimConfig};
 pub use thread::ThreadCluster;

@@ -186,41 +186,6 @@ pub(crate) fn apply(cur: u64, delta: i64) -> u64 {
     }
 }
 
-/// A recorded time series of samples for one node, plus summary helpers.
-#[derive(Clone, Debug, Default)]
-pub struct SampleSeries {
-    /// The raw samples, in time order.
-    pub samples: Vec<Sample>,
-}
-
-impl SampleSeries {
-    /// Push one sample.
-    pub fn push(&mut self, s: Sample) {
-        self.samples.push(s);
-    }
-
-    /// Mean of an extracted metric across all samples (0.0 when empty).
-    pub fn mean<F: Fn(&Sample) -> f64>(&self, f: F) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().map(&f).sum::<f64>() / self.samples.len() as f64
-    }
-
-    /// Max of an extracted metric across all samples (0.0 when empty).
-    pub fn max<F: Fn(&Sample) -> f64>(&self, f: F) -> f64 {
-        self.samples.iter().map(&f).fold(0.0, f64::max)
-    }
-
-    /// Final cumulative CPU time in the series.
-    pub fn final_cpu_time(&self) -> SimSpan {
-        self.samples
-            .last()
-            .map(|s| s.cpu_time)
-            .unwrap_or(SimSpan::ZERO)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,27 +233,5 @@ mod tests {
         m.charge_cpu(SimSpan::from_millis(1));
         let s = m.sample(SimTime::ZERO);
         assert_eq!(s.cpu_util, 0.0);
-    }
-
-    #[test]
-    fn series_summaries() {
-        let mut series = SampleSeries::default();
-        let mut m = Meter::new();
-        m.alloc_real(100);
-        series.push(m.sample(SimTime::from_secs(1)));
-        m.alloc_real(300);
-        m.charge_cpu(SimSpan::from_secs(1));
-        series.push(m.sample(SimTime::from_secs(2)));
-        assert_eq!(series.mean(|s| s.real_mem as f64), 250.0);
-        assert_eq!(series.max(|s| s.real_mem as f64), 400.0);
-        assert_eq!(series.final_cpu_time(), SimSpan::from_secs(1));
-    }
-
-    #[test]
-    fn empty_series_is_zero() {
-        let s = SampleSeries::default();
-        assert_eq!(s.mean(|s| s.sockets as f64), 0.0);
-        assert_eq!(s.max(|s| s.sockets as f64), 0.0);
-        assert_eq!(s.final_cpu_time(), SimSpan::ZERO);
     }
 }

@@ -16,15 +16,16 @@
 //! locality), never a behaviour switch, and outcomes and exports are
 //! bit-identical across shard counts by construction.
 //!
-//! Meter sampling is an engine-level tick (not a queued event): ticks
-//! fire at multiples of the interval, before any event at the same
-//! instant, and one final "kill tick" past `until` retires the cadence
-//! (matching the retired event-based scheduling, including its event
-//! count and clock effect).
+//! Meter sampling is an engine-level tick (not a queued event), driven by
+//! the end-bounded [`Sampler`] of the [`SimConfig`] alone: ticks fire at
+//! multiples of its interval, before any event at the same instant, and
+//! one final "kill tick" past its end time retires the cadence (matching
+//! the retired event-based scheduling, including its event count and
+//! clock effect).
 
 use crate::actor::{Actor, Context, Payload};
 use crate::fault::FaultPlan;
-use crate::meter::{Meter, SampleSeries};
+use crate::meter::Meter;
 use crate::network::LatencyModel;
 use crate::node::NodeId;
 use crate::state::NodeStore;
@@ -47,20 +48,18 @@ pub struct SimConfig {
     pub latency: LatencyModel,
     /// Ground-truth outage schedule.
     pub faults: FaultPlan,
-    /// Optional metering: `(interval, tracked nodes, stop time)`. Samples
-    /// are recorded for the tracked nodes only — at 20K nodes a 1 Hz series
-    /// for everyone would dwarf the experiment itself.
-    pub sampling: Option<Sampling>,
     /// Observability sink. Disabled by default; when enabled the transport
     /// records message counters/latency histograms (and, in full-trace
     /// mode, send/recv/process spans plus fault-plan node up/down marks).
     pub obs: Recorder,
-    /// Time-series sink. Disabled by default; when enabled, each meter
-    /// sampling tick also records per-node `footprint_*{node=...}` series
-    /// and snapshots the recorder's metrics into the sampler's store. When
-    /// no explicit [`Sampling`] is configured, one is synthesized from the
-    /// sampler's cadence over its named nodes (the sampler must then have
-    /// an end time, or no ticks are scheduled).
+    /// Time-series sink and the one source of the sampling cadence.
+    /// Disabled by default; an enabled sampler with an end time
+    /// ([`Sampler::every_until`]) ticks at its interval, and each tick
+    /// records `footprint_*{node=...}` series for the nodes it was given
+    /// names for (only those — at 20K nodes a 1 Hz series for everyone
+    /// would dwarf the experiment itself) and snapshots the recorder's
+    /// metrics into its store. Without an end time no ticks are scheduled:
+    /// an open-ended tick would keep the run alive forever.
     pub sampler: Sampler,
     /// Number of event-queue shards (clamped to `[1, nodes]`). Purely a
     /// data layout: each shard owns a queue and the state of its nodes,
@@ -80,7 +79,7 @@ pub struct SimConfig {
     pub engine: EngineProfiler,
     /// Online SLO engine. Disabled by default; when enabled it evaluates
     /// its specs on every sampling tick (it needs the sampling cadence to
-    /// run — configure a [`Sampling`] or an end-bounded sampler). It reads
+    /// run — configure an end-bounded sampler). It reads
     /// the recorder and sampler and writes only its own state, so enabling
     /// it perturbs no outcome and no base export byte.
     pub slo: SloEngine,
@@ -93,17 +92,6 @@ pub struct SimConfig {
     pub mem: MemProfiler,
 }
 
-/// Periodic meter sampling configuration.
-#[derive(Clone, Debug)]
-pub struct Sampling {
-    /// Sampling period (the paper samples once per second).
-    pub interval: SimSpan,
-    /// Nodes whose meters are recorded.
-    pub tracked: Vec<NodeId>,
-    /// No samples are taken after this time.
-    pub until: SimTime,
-}
-
 impl SimConfig {
     /// A default config for `n` fault-free nodes.
     pub fn new(n: usize, seed: u64) -> Self {
@@ -111,7 +99,6 @@ impl SimConfig {
             seed,
             latency: LatencyModel::default(),
             faults: FaultPlan::none(n),
-            sampling: None,
             obs: Recorder::disabled(),
             sampler: Sampler::disabled(),
             shards: 1,
@@ -121,6 +108,15 @@ impl SimConfig {
             mem: MemProfiler::disabled(),
         }
     }
+}
+
+/// The sampling cadence, read once from the [`Sampler`] at build time.
+struct Ticks {
+    interval: SimSpan,
+    /// No samples are taken after this time.
+    until: SimTime,
+    /// The nodes the sampler was given names for.
+    tracked: Vec<NodeId>,
 }
 
 enum Ev<M> {
@@ -530,10 +526,8 @@ pub struct SimCluster<M: Payload, A: Actor<M>> {
     sampler: Sampler,
     slo: SloEngine,
     mem: MemProfiler,
-    sampling: Option<Sampling>,
-    /// One series per entry of `sampling.tracked`, in the same order, so
-    /// the per-sample hot path is a plain index instead of a hash lookup.
-    series: Vec<SampleSeries>,
+    /// The sampler's cadence; `None` when it is disabled or open-ended.
+    ticks: Option<Ticks>,
     /// Next engine-level sampling tick; `None` once the cadence retired.
     sample_next: Option<SimTime>,
     started: bool,
@@ -564,31 +558,22 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
             }
             None => (0..n).map(|i| (i * nshards / n.max(1)) as u32).collect(),
         };
-        let mut sampling = config.sampling;
-        if sampling.is_none() && config.sampler.enabled() {
-            // The sampler alone can drive the sampling cadence, tracking
-            // the nodes it was given names for. An end time is required —
-            // an open-ended tick would keep the run alive forever.
-            if let (Some(interval), Some(until)) =
-                (config.sampler.interval(), config.sampler.until())
-            {
-                sampling = Some(Sampling {
+        let ticks =
+            config
+                .sampler
+                .interval()
+                .zip(config.sampler.until())
+                .map(|(interval, until)| Ticks {
                     interval,
+                    until,
                     tracked: config
                         .sampler
                         .named_nodes()
                         .into_iter()
                         .map(NodeId)
                         .collect(),
-                    until,
                 });
-            }
-        }
-        let series = sampling
-            .as_ref()
-            .map(|s| vec![SampleSeries::default(); s.tracked.len()])
-            .unwrap_or_default();
-        let sample_next = sampling.as_ref().map(|s| SimTime::ZERO + s.interval);
+        let sample_next = ticks.as_ref().map(|s| SimTime::ZERO + s.interval);
 
         // Group actors by shard, recording each node's (shard, local).
         let mut map = vec![(0u32, 0u32); n];
@@ -651,8 +636,7 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
             sampler: config.sampler,
             slo: config.slo,
             mem: config.mem,
-            sampling,
-            series,
+            ticks,
             sample_next,
             started: false,
             events_processed: 0,
@@ -735,13 +719,6 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
         self.shards[s as usize].nodes.meter(l as usize)
     }
 
-    /// Recorded sample series for a tracked node.
-    pub fn series(&self, node: NodeId) -> Option<&SampleSeries> {
-        let s = self.sampling.as_ref()?;
-        let i = s.tracked.iter().position(|&t| t == node)?;
-        self.series.get(i)
-    }
-
     /// Immutable access to an actor (for extracting results after a run).
     pub fn actor(&self, node: NodeId) -> &A {
         let (s, l) = self.shared.map[node.index()];
@@ -759,34 +736,10 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
         self.shards.iter().map(|s| s.drops).sum()
     }
 
-    /// The observability recorder this cluster records into (disabled
-    /// unless one was supplied via [`SimConfig`]).
-    pub fn obs(&self) -> &Recorder {
-        &self.shared.obs
-    }
-
-    /// The time-series sampler this cluster feeds (disabled unless one
-    /// was supplied via [`SimConfig`]).
-    pub fn sampler(&self) -> &Sampler {
-        &self.sampler
-    }
-
-    /// The wall-clock engine profiler this cluster reports into (disabled
-    /// unless one was supplied via [`SimConfig`]).
-    pub fn engine_profiler(&self) -> &EngineProfiler {
-        &self.shared.engine
-    }
-
     /// The online SLO engine this cluster evaluates on each sampling tick
     /// (disabled unless one was supplied via [`SimConfig`]).
     pub fn slo_engine(&self) -> &SloEngine {
         &self.slo
-    }
-
-    /// The host-memory profiler this cluster samples on each sampling
-    /// tick (disabled unless one was supplied via [`SimConfig`]).
-    pub fn mem_profiler(&self) -> &MemProfiler {
-        &self.mem
     }
 
     /// Total events processed so far (queue events plus sampling ticks).
@@ -819,47 +772,33 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
     /// retired event-based scheduling did.
     fn fire_sample(&mut self, t: SimTime) {
         self.now = self.now.max(t);
-        let Some(s) = &self.sampling else {
+        let Some(s) = self.ticks.as_ref().filter(|s| t <= s.until) else {
             self.sample_next = None;
             return;
         };
-        if t > s.until {
-            self.sample_next = None;
-            return;
-        }
-        let feed = self.sampler.due(t);
-        for (series, &node) in self.series.iter_mut().zip(&s.tracked) {
+        for &node in &s.tracked {
             let (sh, li) = self.shared.map[node.index()];
             let sample = self.shards[sh as usize].nodes.sample(li as usize, t);
-            if feed {
-                let id = node.0;
-                self.sampler
-                    .record_node(t, id, "footprint_cpu_util", sample.cpu_util);
-                self.sampler.record_node(
-                    t,
-                    id,
-                    "footprint_cpu_time_s",
-                    sample.cpu_time.as_secs_f64(),
-                );
-                self.sampler
-                    .record_node(t, id, "footprint_virt_bytes", sample.virt_mem as f64);
-                self.sampler
-                    .record_node(t, id, "footprint_real_bytes", sample.real_mem as f64);
-                self.sampler
-                    .record_node(t, id, "footprint_sockets", sample.sockets as f64);
-            }
-            series.push(sample);
+            let id = node.0;
+            self.sampler
+                .record_node(t, id, "footprint_cpu_util", sample.cpu_util);
+            self.sampler
+                .record_node(t, id, "footprint_cpu_time_s", sample.cpu_time.as_secs_f64());
+            self.sampler
+                .record_node(t, id, "footprint_virt_bytes", sample.virt_mem as f64);
+            self.sampler
+                .record_node(t, id, "footprint_real_bytes", sample.real_mem as f64);
+            self.sampler
+                .record_node(t, id, "footprint_sockets", sample.sockets as f64);
         }
-        if feed {
-            self.sampler.snapshot(t, &self.shared.obs);
-        }
+        self.sampler.snapshot(t, &self.shared.obs);
         // SLO evaluation rides the sampling cadence, after the snapshot so
         // hist/gauge signals see this tick's state.
         self.slo.evaluate(t, &self.shared.obs, &self.sampler);
         // Host-memory series ride the same cadence into the sampler's
         // *host* store — the virtual-time store and its exports never see
         // them, so base exports stay byte-identical under profiling.
-        if feed {
+        {
             let _mem_scope = tag_scope(MemTag::Obs);
             self.mem.sample_into(&self.sampler, t);
         }
@@ -1209,14 +1148,18 @@ mod tests {
         assert_eq!(c.actor(NodeId(0)).fires, 3);
     }
 
+    /// The `family{node=<name>}` points the sampler holds for a node.
+    fn footprint(sampler: &Sampler, family: &'static str, node: &str) -> Vec<obs::SeriesPoint> {
+        let id = obs::MetricId::new(family).with("node", node);
+        sampler.store().get(&id).unwrap_or_default().to_vec()
+    }
+
     #[test]
     fn sampling_records_tracked_series() {
         let mut cfg = SimConfig::new(2, 5);
-        cfg.sampling = Some(Sampling {
-            interval: SimSpan::from_secs(1),
-            tracked: vec![NodeId(0)],
-            until: SimTime::from_secs(5),
-        });
+        let sampler = Sampler::every_until(SimSpan::from_secs(1), SimTime::from_secs(5));
+        sampler.name_node(0, "tracked");
+        cfg.sampler = sampler.clone();
         let actors = vec![
             Ticker {
                 period: SimSpan::from_secs(1),
@@ -1229,9 +1172,12 @@ mod tests {
         ];
         let mut c = SimCluster::new(actors, cfg);
         c.run_until(SimTime::from_secs(10));
-        let series = c.series(NodeId(0)).unwrap();
-        assert_eq!(series.samples.len(), 5);
-        assert!(c.series(NodeId(1)).is_none());
+        let cpu = footprint(&sampler, "footprint_cpu_time_s", "tracked");
+        assert_eq!(cpu.len(), 5);
+        assert_eq!(cpu[4].t_us, 5_000_000);
+        // Only named nodes are tracked.
+        assert_eq!(sampler.store().len(), 5, "one series per footprint family");
+        assert!(footprint(&sampler, "footprint_cpu_time_s", "node1").is_empty());
     }
 
     #[test]
@@ -1241,7 +1187,6 @@ mod tests {
         sampler.name_node(0, "master");
         cfg.sampler = sampler.clone();
         cfg.obs = Recorder::metrics_only();
-        // No explicit Sampling: one is synthesized from the sampler.
         let actors = vec![
             Ticker {
                 period: SimSpan::from_secs(1),
@@ -1263,8 +1208,6 @@ mod tests {
             store.get(&obs::MetricId::new("msgs_sent")).is_some(),
             "recorder snapshot series missing"
         );
-        // The synthesized sampling also feeds the classic meter series.
-        assert_eq!(c.series(NodeId(0)).expect("meter series").samples.len(), 5);
     }
 
     #[test]
@@ -1426,22 +1369,22 @@ mod tests {
         }
     }
 
-    /// Sampling ticks interleave identically with events at every shard
-    /// count, and the tracked series come out bit-identical.
+    /// Ticks interleave identically with events at every shard count, and
+    /// the tracked series come out bit-identical.
     #[test]
     fn sharded_sampling_matches_serial() {
         let make = |shards: usize| {
+            let sampler = Sampler::every_until(SimSpan::from_secs(1), SimTime::from_secs(3));
+            for node in [0, 5, 9] {
+                sampler.name_node(node, &format!("n{node}"));
+            }
             let mut c = {
-                let mut cfg = SimConfig {
+                let cfg = SimConfig {
                     shards,
                     faults: FaultPlan::none(10),
+                    sampler: sampler.clone(),
                     ..SimConfig::new(10, 9)
                 };
-                cfg.sampling = Some(Sampling {
-                    interval: SimSpan::from_secs(1),
-                    tracked: vec![NodeId(0), NodeId(5), NodeId(9)],
-                    until: SimTime::from_secs(3),
-                });
                 let actors = (0..10)
                     .map(|_| Mesh {
                         n: 10,
@@ -1452,18 +1395,18 @@ mod tests {
                 SimCluster::new(actors, cfg)
             };
             c.run_until(SimTime::from_secs(5));
-            c
+            (c, sampler)
         };
-        let serial = make(1);
-        let par = make(4);
+        let (serial, serial_samples) = make(1);
+        let (par, par_samples) = make(4);
         assert_eq!(serial.now(), par.now());
         assert_eq!(serial.events_processed(), par.events_processed());
-        for node in [NodeId(0), NodeId(5), NodeId(9)] {
-            assert_eq!(
-                serial.series(node).unwrap().samples,
-                par.series(node).unwrap().samples
-            );
+        for node in ["n0", "n5", "n9"] {
+            let cpu = footprint(&serial_samples, "footprint_cpu_time_s", node);
+            assert_eq!(cpu.len(), 3);
+            assert!(cpu[2].value > 0.0, "{node} charged no CPU");
         }
+        assert_eq!(serial_samples.to_csv(), par_samples.to_csv());
     }
 
     /// An explicit partition overrides the contiguous default.

@@ -8,7 +8,7 @@
 use crate::config::EslurmConfig;
 use crate::master::EslurmMaster;
 use crate::satellite::SatelliteDaemon;
-use emu::{Actor, Context, FaultPlan, NodeId, Sampling, SimCluster, SimConfig};
+use emu::{Actor, Context, FaultPlan, NodeId, SimCluster, SimConfig};
 use monitoring::FailurePredictor;
 use obs::{tag_scope, EngineProfiler, MemProfiler, MemTag, Recorder, Sampler, SloEngine};
 use rm::proto::{NodeSlice, RmMsg};
@@ -91,38 +91,24 @@ pub struct EslurmSystem {
 pub struct EslurmSystemBuilder {
     cfg: EslurmConfig,
     n_slaves: usize,
-    seed: u64,
-    faults: Option<FaultPlan>,
     predictor: Option<Arc<Mutex<dyn FailurePredictor>>>,
-    sample_until: Option<SimTime>,
-    track_satellites: bool,
-    obs: Recorder,
-    sampler: Sampler,
-    shards: usize,
     policies: SchedPolicies,
-    engine: EngineProfiler,
-    slo: SloEngine,
-    mem: MemProfiler,
+    /// The engine's configuration, instruments included: [`SimConfig`] is
+    /// the one list of them, and every instrument setter below writes
+    /// straight into it.
+    sim: SimConfig,
 }
 
 impl EslurmSystemBuilder {
     /// Start building a cluster of `n_slaves` compute nodes.
     pub fn new(cfg: EslurmConfig, n_slaves: usize, seed: u64) -> Self {
+        let sim = SimConfig::new(1 + cfg.n_satellites + n_slaves, seed);
         EslurmSystemBuilder {
             cfg,
             n_slaves,
-            seed,
-            faults: None,
             predictor: None,
-            sample_until: None,
-            track_satellites: false,
-            obs: Recorder::disabled(),
-            sampler: Sampler::disabled(),
-            shards: 1,
             policies: SchedPolicies::default(),
-            engine: EngineProfiler::disabled(),
-            slo: SloEngine::disabled(),
-            mem: MemProfiler::disabled(),
+            sim,
         }
     }
 
@@ -157,7 +143,7 @@ impl EslurmSystemBuilder {
     /// satellite's shard. Outcomes are bit-identical for every `n`; only
     /// wall-clock changes.
     pub fn shards(mut self, n: usize) -> Self {
-        self.shards = n.max(1);
+        self.sim.shards = n.max(1);
         self
     }
 
@@ -165,7 +151,7 @@ impl EslurmSystemBuilder {
     /// traces message flow and fault marks, the master traces job/task/FSM
     /// activity, and every satellite traces task service times.
     pub fn obs(mut self, recorder: Recorder) -> Self {
-        self.obs = recorder;
+        self.sim.obs = recorder;
         self
     }
 
@@ -174,22 +160,22 @@ impl EslurmSystemBuilder {
     /// time, window-efficiency counters, and cross-shard traffic. Unlike
     /// every other sink on this builder the profiler measures real time —
     /// it never touches the virtual-time path, so enabling it changes no
-    /// outcome and no trace/CSV byte. Read it back via
-    /// [`SimCluster::engine_profiler`] after the run.
+    /// outcome and no trace/CSV byte. Keep a clone of the handle to read
+    /// the profile back after the run.
     pub fn engine_profile(mut self, profiler: EngineProfiler) -> Self {
-        self.engine = profiler;
+        self.sim.engine = profiler;
         self
     }
 
     /// Evaluate SLO specs online against this run's telemetry (mirrored on
-    /// `RmClusterBuilder`). The engine runs on the sampling cadence, so a
-    /// sampler or `sample_until` bound must also be configured for it to
+    /// `RmClusterBuilder`). The engine runs on the sampling cadence, so an
+    /// end-bounded [`Self::sampler`] must also be configured for it to
     /// tick. Like the profiler it is strictly observational: it reads the
     /// recorder/sampler and writes only its own state, so enabling it
     /// changes no outcome and no base trace/CSV byte. Read results back
     /// via [`SimCluster::slo_engine`] after the run.
     pub fn slo(mut self, engine: SloEngine) -> Self {
-        self.slo = engine;
+        self.sim.slo = engine;
         self
     }
 
@@ -199,16 +185,16 @@ impl EslurmSystemBuilder {
     /// profiler it never touches the virtual-time path: outcomes and base
     /// exports are byte-identical with it armed or not; the per-tag
     /// `mem_host_*` series land in the sampler's separate host store.
-    /// Read results back via [`SimCluster::mem_profiler`] after the run.
+    /// Keep a clone of the handle to read the report back after the run.
     pub fn mem_profile(mut self, profiler: MemProfiler) -> Self {
-        self.mem = profiler;
+        self.sim.mem = profiler;
         self
     }
 
     /// Inject the given outage schedule (indices refer to the final node
     /// layout: 0 = master, 1..=m satellites, then compute nodes).
     pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
+        self.sim.faults = plan;
         self
     }
 
@@ -218,21 +204,12 @@ impl EslurmSystemBuilder {
         self
     }
 
-    /// Record 1 Hz meter samples for the master (and optionally the
-    /// satellites) until `until`.
-    pub fn sample_until(mut self, until: SimTime, satellites_too: bool) -> Self {
-        self.sample_until = Some(until);
-        self.track_satellites = satellites_too;
-        self
-    }
-
-    /// Feed labeled footprint time series into `sampler` on the metering
-    /// cadence. Tracked nodes get stable labels: the master is
-    /// `node=master`, satellites `node=sat<i>`. Combine with
-    /// [`Self::sample_until`] to set cadence and tracking, or let the
-    /// sampler's own `every_until` configuration drive both.
+    /// Feed labeled footprint time series into `sampler` on its own
+    /// cadence (an end-bounded `Sampler::every_until`; see
+    /// [`SimConfig::sampler`]). The master and the satellites are tracked
+    /// under stable labels: `node=master`, `node=sat<i>`.
     pub fn sampler(mut self, sampler: Sampler) -> Self {
-        self.sampler = sampler;
+        self.sim.sampler = sampler;
         self
     }
 
@@ -246,12 +223,12 @@ impl EslurmSystemBuilder {
         let mut actors: Vec<EslurmNode> = Vec::with_capacity(total);
         actors.push(EslurmNode::Master(
             EslurmMaster::new(self.cfg.clone(), slave_ids, sat_ids.clone())
-                .with_obs(self.obs.clone()),
+                .with_obs(self.sim.obs.clone()),
         ));
         for _ in 0..m {
             actors.push(EslurmNode::Satellite(
                 SatelliteDaemon::new(self.cfg.clone(), self.predictor.clone())
-                    .with_obs(self.obs.clone()),
+                    .with_obs(self.sim.obs.clone()),
             ));
         }
         for _ in 0..self.n_slaves {
@@ -265,10 +242,9 @@ impl EslurmSystemBuilder {
             })));
         }
 
-        let mut config = SimConfig::new(total, self.seed);
-        config.shards = self.shards;
-        if self.shards > 1 {
-            let k = self.shards.min(m.max(1));
+        let mut config = self.sim;
+        if config.shards > 1 {
+            let k = config.shards.min(m.max(1));
             let mut part = vec![0u32; total];
             for i in 0..m {
                 part[1 + i] = (i % k) as u32;
@@ -283,30 +259,9 @@ impl EslurmSystemBuilder {
             }
             config.partition = Some(part);
         }
-        config.obs = self.obs;
-        config.engine = self.engine;
-        config.slo = self.slo;
-        config.mem = self.mem;
-        if self.sampler.enabled() {
-            self.sampler.name_node(NodeId::MASTER.0, "master");
-            for (i, &s) in sat_ids.iter().enumerate() {
-                self.sampler.name_node(s, &format!("sat{}", i + 1));
-            }
-            config.sampler = self.sampler;
-        }
-        if let Some(f) = self.faults {
-            config.faults = f;
-        }
-        if let Some(until) = self.sample_until {
-            let mut tracked = vec![NodeId::MASTER];
-            if self.track_satellites {
-                tracked.extend(sat_ids.iter().map(|&s| NodeId(s)));
-            }
-            config.sampling = Some(Sampling {
-                interval: SimSpan::from_secs(1),
-                tracked,
-                until,
-            });
+        config.sampler.name_node(NodeId::MASTER.0, "master");
+        for (i, &s) in sat_ids.iter().enumerate() {
+            config.sampler.name_node(s, &format!("sat{}", i + 1));
         }
         EslurmSystem {
             sim: SimCluster::new(actors, config),

@@ -52,110 +52,101 @@ fn push_chrome_event(out: &mut String, e: &TraceEvent) {
 /// Events are sorted by timestamp so the file loads with a monotone
 /// timeline regardless of recording order.
 pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
-    to_chrome_trace_with_flows(events, &[])
-}
-
-/// Like [`to_chrome_trace`], but also rendering each causal hop as a pair
-/// of Chrome *flow events* (`ph:"s"` on the sender at send time, `ph:"f"`
-/// binding to the receiver's enclosing slice at receive time), so Perfetto
-/// draws cross-node arrows from a send to the work it triggered.
-pub fn to_chrome_trace_with_flows(events: &[TraceEvent], causal: &[CausalRecord]) -> String {
-    to_chrome_trace_with_flows_and_jobs(events, causal, &[])
-}
-
-/// Like [`to_chrome_trace_with_flows`], but also rendering the decision
-/// audit log as *job lanes*: a second Chrome process (pid 1, one thread
-/// per job id) whose queued→run spans sit next to the node lanes (pid 0)
-/// and PR 4's flow arrows, so Perfetto shows each job's wait, its runtime,
-/// and the backfill skips in between.
-pub fn to_chrome_trace_with_flows_and_jobs(
-    events: &[TraceEvent],
-    causal: &[CausalRecord],
-    audit: &[DecisionRecord],
-) -> String {
-    to_chrome_trace_full(events, causal, audit, &[])
-}
-
-/// Like [`to_chrome_trace_with_flows_and_jobs`], but also rendering the
-/// wall-clock engine profile as a third Chrome process
-/// ([`crate::engine::ENGINE_TRACK_PID`], one thread per shard). The engine
-/// track measures *wall* microseconds while every other lane measures
-/// *virtual* microseconds; the separate process id is what keeps Perfetto
-/// from interleaving the two clock domains on one track. With no engine
-/// spans the output is byte-identical to the virtual-time-only export.
-pub fn to_chrome_trace_full(
-    events: &[TraceEvent],
-    causal: &[CausalRecord],
-    audit: &[DecisionRecord],
-    engine: &[EngineSpan],
-) -> String {
-    to_chrome_trace_with_slo(events, causal, audit, engine, &[])
-}
-
-/// Like [`to_chrome_trace_full`], but also stamping SLO breach / clear /
-/// anomaly transitions as instants on their own track
-/// ([`crate::slo::SLO_TRACK_PID`], one thread per spec). SLO events are
-/// virtual-time stamped like the node lanes; the separate process id
-/// groups them as one "slo" strip in Perfetto. With no SLO events the
-/// output is byte-identical to [`to_chrome_trace_full`].
-pub fn to_chrome_trace_with_slo(
-    events: &[TraceEvent],
-    causal: &[CausalRecord],
-    audit: &[DecisionRecord],
-    engine: &[EngineSpan],
-    slo: &[SloEvent],
-) -> String {
-    let mut items: Vec<(u64, String)> = Vec::with_capacity(
-        events.len() + causal.len() * 2 + audit.len() + engine.len() + slo.len(),
-    );
-    for e in events {
-        let mut s = String::with_capacity(96);
-        push_chrome_event(&mut s, e);
-        items.push((e.ts_us, s));
+    ChromeTrace {
+        events,
+        ..Default::default()
     }
-    for r in causal {
-        if let CausalRecord::Hop {
-            span,
-            flow,
-            from,
-            to,
-            send_us,
-            recv_us,
-            ..
-        } = *r
-        {
-            items.push((
+    .render()
+}
+
+/// A Chrome-trace document with optional tracks beside the node lanes.
+/// Every track defaults to empty, and an empty track adds no byte: with
+/// only `events` set, [`ChromeTrace::render`] is [`to_chrome_trace`]. Set
+/// the tracks you have and take the rest from `..Default::default()`.
+#[derive(Clone, Copy, Default)]
+pub struct ChromeTrace<'a> {
+    /// The node lanes (pid 0, one thread per node), in virtual time.
+    pub events: &'a [TraceEvent],
+    /// Causal hops, each rendered as a pair of Chrome *flow events*
+    /// (`ph:"s"` on the sender at send time, `ph:"f"` binding to the
+    /// receiver's enclosing slice at receive time), so Perfetto draws
+    /// cross-node arrows from a send to the work it triggered.
+    pub flows: &'a [CausalRecord],
+    /// The decision audit log as *job lanes*: a second Chrome process
+    /// (pid 1, one thread per job id) whose queued→run spans sit next to
+    /// the node lanes, with the backfill skips in between.
+    pub jobs: &'a [DecisionRecord],
+    /// The wall-clock engine profile as a third Chrome process
+    /// ([`crate::engine::ENGINE_TRACK_PID`], one thread per shard). This
+    /// track measures *wall* microseconds while every other one measures
+    /// *virtual* microseconds; the separate process id is what keeps
+    /// Perfetto from interleaving the two clock domains on one track.
+    pub engine: &'a [EngineSpan],
+    /// SLO breach / clear / anomaly transitions as virtual-time instants
+    /// on their own track ([`crate::slo::SLO_TRACK_PID`], one thread per
+    /// spec), grouped as one "slo" strip in Perfetto.
+    pub slo: &'a [SloEvent],
+}
+
+impl ChromeTrace<'_> {
+    /// Render the document, all tracks merged and sorted by timestamp.
+    pub fn render(&self) -> String {
+        let mut items: Vec<(u64, String)> = Vec::with_capacity(
+            self.events.len()
+                + self.flows.len() * 2
+                + self.jobs.len()
+                + self.engine.len()
+                + self.slo.len(),
+        );
+        for e in self.events {
+            let mut s = String::with_capacity(96);
+            push_chrome_event(&mut s, e);
+            items.push((e.ts_us, s));
+        }
+        for r in self.flows {
+            if let CausalRecord::Hop {
+                span,
+                flow,
+                from,
+                to,
                 send_us,
-                format!(
-                    "{{\"name\":\"{}\",\"cat\":\"causal\",\"ph\":\"s\",\"id\":{span},\
-                     \"pid\":0,\"tid\":{from},\"ts\":{send_us}}}",
-                    flow.name()
-                ),
-            ));
-            items.push((
                 recv_us,
-                format!(
-                    "{{\"name\":\"{}\",\"cat\":\"causal\",\"ph\":\"f\",\"bp\":\"e\",\
-                     \"id\":{span},\"pid\":0,\"tid\":{to},\"ts\":{recv_us}}}",
-                    flow.name()
-                ),
-            ));
+                ..
+            } = *r
+            {
+                items.push((
+                    send_us,
+                    format!(
+                        "{{\"name\":\"{}\",\"cat\":\"causal\",\"ph\":\"s\",\"id\":{span},\
+                         \"pid\":0,\"tid\":{from},\"ts\":{send_us}}}",
+                        flow.name()
+                    ),
+                ));
+                items.push((
+                    recv_us,
+                    format!(
+                        "{{\"name\":\"{}\",\"cat\":\"causal\",\"ph\":\"f\",\"bp\":\"e\",\
+                         \"id\":{span},\"pid\":0,\"tid\":{to},\"ts\":{recv_us}}}",
+                        flow.name()
+                    ),
+                ));
+            }
         }
-    }
-    push_job_lane_items(&mut items, audit);
-    push_engine_track_items(&mut items, engine);
-    push_slo_track_items(&mut items, slo);
-    items.sort_by_key(|(ts, _)| *ts);
-    let mut out = String::with_capacity(items.len() * 96 + 64);
-    out.push_str("{\"traceEvents\":[");
-    for (i, (_, s)) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+        push_job_lane_items(&mut items, self.jobs);
+        push_engine_track_items(&mut items, self.engine);
+        push_slo_track_items(&mut items, self.slo);
+        items.sort_by_key(|(ts, _)| *ts);
+        let mut out = String::with_capacity(items.len() * 96 + 64);
+        out.push_str("{\"traceEvents\":[");
+        for (i, (_, s)) in items.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(s);
         }
-        out.push_str(s);
+        out.push_str("],\"displayTimeUnit\":\"ms\"}");
+        out
     }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
 }
 
 /// Fold the audit log into per-job lane items on pid 1: `queued` spans
@@ -634,7 +625,12 @@ mod tests {
             recv_us: 100,
             process_us: 40,
         });
-        let doc = to_chrome_trace_with_flows(&r.events(), &r.causal_records());
+        let doc = ChromeTrace {
+            events: &r.events(),
+            flows: &r.causal_records(),
+            ..Default::default()
+        }
+        .render();
         let v = serde_json::parse_value_str(&doc).expect("flow trace must be valid JSON");
         let events = v
             .get("traceEvents")
@@ -677,7 +673,11 @@ mod tests {
         );
         log.record(5_000, 7, est, Decision::Started { nodes: 4 });
         log.record(9_000, 7, est, Decision::Completed { est_error_us: 0 });
-        let doc = to_chrome_trace_with_flows_and_jobs(&[], &[], &log.records());
+        let doc = ChromeTrace {
+            jobs: &log.records(),
+            ..Default::default()
+        }
+        .render();
         let v = serde_json::parse_value_str(&doc).expect("job-lane trace must be valid JSON");
         let events = v
             .get("traceEvents")

@@ -4,7 +4,7 @@
 //! millions of events. Production post-mortems only need the moments
 //! before a fault, so the flight recorder keeps the last `per_node` events
 //! for each node under a global byte budget and dumps them (JSONL) when a
-//! node goes down or the process panics. Eviction is strictly oldest-first
+//! node goes down or an SLO breaches. Eviction is strictly oldest-first
 //! in recording order, across all nodes.
 
 use std::collections::{BTreeMap, VecDeque};
@@ -26,8 +26,8 @@ pub struct FlightConfig {
     /// Global budget: retained events never account for more than this
     /// many bytes ([`EVENT_BYTES`] each).
     pub max_bytes: usize,
-    /// Where to dump on a `node_down` event or panic (no auto-dump when
-    /// unset; manual dumps still work).
+    /// Where to dump on a `node_down` event or an SLO breach (no
+    /// auto-dump when unset; manual dumps still work).
     pub dump_path: Option<PathBuf>,
     /// Dedupe window for triggered dumps, µs of virtual time: a tagged
     /// dump within this span of the previous one is skipped (the earlier
@@ -193,18 +193,6 @@ fn escape_json(s: &str) -> String {
         }
     }
     out
-}
-
-/// Install a process-wide panic hook that dumps `rec`'s flight ring (if it
-/// has one with a dump path) before delegating to the previous hook. Call
-/// at most once per process, from the binary's entry point.
-pub fn install_panic_dump(rec: &crate::Recorder) {
-    let rec = rec.clone();
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let _ = rec.flight_dump();
-        prev(info);
-    }));
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 //!   DES mode; in real-thread mode the transport's clock already reports
 //!   wall time since run start, so the same call sites work unchanged. The
 //!   [`flight::FlightRecorder`] bounds retention per node and by bytes,
-//!   dumping on `node_down` or panic for post-mortems.
+//!   dumping on `node_down` or an SLO breach for post-mortems.
 //! - **Exports are deterministic.** [`export::to_chrome_trace`] renders a
 //!   `chrome://tracing` / Perfetto-loadable document, [`export::to_jsonl`]
 //!   one object per line, [`export::to_prometheus`] the text exposition
@@ -56,7 +56,6 @@ pub mod causal;
 pub mod engine;
 pub mod event;
 pub mod export;
-pub mod expose;
 pub mod flight;
 pub mod label;
 pub mod metric;

@@ -164,11 +164,6 @@ impl Recorder {
         Recorder(Some(Arc::new(Shared::new(false, Some(cfg)))))
     }
 
-    /// Full trace plus a flight ring (for tests comparing the two).
-    pub fn full_with_flight(cfg: FlightConfig) -> Self {
-        Recorder(Some(Arc::new(Shared::new(true, Some(cfg)))))
-    }
-
     /// Whether any recording happens at all.
     #[inline]
     pub fn enabled(&self) -> bool {
@@ -451,8 +446,8 @@ impl Recorder {
 
     /// Dump the flight ring to its configured path now. Returns the event
     /// count written, or `None` when there is no ring or no dump path.
-    /// Manual dumps are headerless and ignore the cooldown (the panic
-    /// hook must always write).
+    /// Manual dumps are headerless and ignore the cooldown (an explicit
+    /// request must always write).
     pub fn flight_dump(&self) -> Option<std::io::Result<usize>> {
         let s = self.0.as_ref()?;
         let fl = s.flight.as_ref()?;

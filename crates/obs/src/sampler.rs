@@ -108,20 +108,6 @@ impl Sampler {
         }
     }
 
-    /// The label value for node `id`: its given name, or `node<id>`.
-    pub fn node_name(&self, id: u32) -> String {
-        match &self.0 {
-            Some(s) => s
-                .inner
-                .lock()
-                .node_names
-                .get(&id)
-                .cloned()
-                .unwrap_or_else(|| format!("node{id}")),
-            None => format!("node{id}"),
-        }
-    }
-
     /// The node ids that were given names, in id order.
     pub fn named_nodes(&self) -> Vec<u32> {
         match &self.0 {

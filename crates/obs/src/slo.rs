@@ -546,8 +546,8 @@ impl SloEngine {
 
     /// Evaluate every spec and detector at virtual time `t`. Called by
     /// the engine on each sampling tick (main thread, between events), so
-    /// an enabled engine needs a sampling cadence — arm a
-    /// [`Sampler`] or explicit `Sampling` on the cluster. Reads the
+    /// an enabled engine needs a sampling cadence — arm an end-bounded
+    /// [`Sampler`] on the cluster. Reads the
     /// recorder/sampler, writes only its own state: non-perturbing by
     /// construction. Returns breach reasons to route to forensics.
     pub fn evaluate(&self, t: SimTime, rec: &Recorder, sampler: &Sampler) {

@@ -6,7 +6,7 @@ use crate::master::CentralizedMaster;
 use crate::profile::{HeartbeatMode, RmProfile};
 use crate::proto::{NodeSlice, RmMsg};
 use crate::slave::{SlaveConfig, SlaveDaemon, SlaveHeartbeat};
-use emu::{Actor, Context, FaultPlan, NodeId, Sampling, SimCluster, SimConfig};
+use emu::{Actor, Context, FaultPlan, NodeId, SimCluster, SimConfig};
 use obs::{tag_scope, EngineProfiler, MemProfiler, MemTag, Recorder, Sampler, SloEngine};
 use rand::RngExt;
 use sched::prelude::*;
@@ -127,15 +127,10 @@ impl ClusterHarness {
 pub struct RmClusterBuilder {
     profile: RmProfile,
     n: usize,
-    seed: u64,
-    faults: Option<FaultPlan>,
-    sample_until: Option<SimTime>,
-    obs: Recorder,
-    sampler: Sampler,
     policies: SchedPolicies,
-    engine: EngineProfiler,
-    slo: SloEngine,
-    mem: MemProfiler,
+    /// The engine's configuration, instruments included: every instrument
+    /// setter below writes straight into it.
+    sim: SimConfig,
 }
 
 impl RmClusterBuilder {
@@ -145,15 +140,8 @@ impl RmClusterBuilder {
         RmClusterBuilder {
             profile,
             n,
-            seed: 0,
-            faults: None,
-            sample_until: None,
-            obs: Recorder::disabled(),
-            sampler: Sampler::disabled(),
             policies: SchedPolicies::default(),
-            engine: EngineProfiler::disabled(),
-            slo: SloEngine::disabled(),
-            mem: MemProfiler::disabled(),
+            sim: SimConfig::new(n, 0),
         }
     }
 
@@ -181,34 +169,28 @@ impl RmClusterBuilder {
 
     /// Master seed for the simulation's RNG streams.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.sim.seed = seed;
         self
     }
 
     /// Inject the given outage schedule (node 0 = master, 1..n = slaves).
     pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// Record 1 Hz meter samples for the master until `until`.
-    pub fn sample_until(mut self, until: SimTime) -> Self {
-        self.sample_until = Some(until);
+        self.sim.faults = plan;
         self
     }
 
     /// Record transport and daemon telemetry into `recorder`, exactly as
     /// `EslurmSystemBuilder::obs` does for the distributed stack.
     pub fn obs(mut self, recorder: Recorder) -> Self {
-        self.obs = recorder;
+        self.sim.obs = recorder;
         self
     }
 
-    /// Feed footprint time series into `sampler` on the metering cadence
-    /// (node 0 is named `master`), exactly as `EslurmSystemBuilder::sampler`
+    /// Feed footprint time series into `sampler` on its own cadence (node
+    /// 0 is tracked as `master`), exactly as `EslurmSystemBuilder::sampler`
     /// does for the distributed stack.
     pub fn sampler(mut self, sampler: Sampler) -> Self {
-        self.sampler = sampler;
+        self.sim.sampler = sampler;
         self
     }
 
@@ -217,17 +199,17 @@ impl RmClusterBuilder {
     /// stack. Non-perturbing: outcomes and virtual-time exports are
     /// unchanged with the profiler on or off.
     pub fn engine_profile(mut self, profiler: EngineProfiler) -> Self {
-        self.engine = profiler;
+        self.sim.engine = profiler;
         self
     }
 
     /// Evaluate SLO specs online against this run's telemetry, exactly as
     /// `EslurmSystemBuilder::slo` does for the distributed stack. The
-    /// engine ticks on the sampling cadence (configure `sample_until` or
-    /// an end-bounded sampler) and is strictly observational — outcomes
-    /// and base exports are unchanged with it on or off.
+    /// engine ticks on the sampling cadence (configure an end-bounded
+    /// sampler) and is strictly observational — outcomes and base exports
+    /// are unchanged with it on or off.
     pub fn slo(mut self, engine: SloEngine) -> Self {
-        self.slo = engine;
+        self.sim.slo = engine;
         self
     }
 
@@ -236,7 +218,7 @@ impl RmClusterBuilder {
     /// (host-memory domain, DESIGN §15; inert without the `mem-profile`
     /// feature). Centralized-RM FSMs all run under the `rm` tag.
     pub fn mem_profile(mut self, profiler: MemProfiler) -> Self {
-        self.mem = profiler;
+        self.sim.mem = profiler;
         self
     }
 
@@ -259,37 +241,19 @@ impl RmClusterBuilder {
             master: NodeId::MASTER,
             heartbeat,
             conn_lifetime: self.profile.conn_lifetime,
-            obs: self.obs.clone(),
+            obs: self.sim.obs.clone(),
             ..SlaveConfig::default()
         };
         let mut actors = Vec::with_capacity(n);
         actors.push(RmNode::Master(
-            CentralizedMaster::new(self.profile, slaves).with_obs(self.obs.clone()),
+            CentralizedMaster::new(self.profile, slaves).with_obs(self.sim.obs.clone()),
         ));
         for _ in 1..n {
             actors.push(RmNode::Slave(SlaveDaemon::new(slave_cfg.clone())));
         }
-        let mut config = SimConfig::new(n, self.seed);
-        config.obs = self.obs;
-        config.engine = self.engine;
-        config.slo = self.slo;
-        config.mem = self.mem;
-        if self.sampler.enabled() {
-            self.sampler.name_node(NodeId::MASTER.0, "master");
-            config.sampler = self.sampler;
-        }
-        if let Some(f) = self.faults {
-            config.faults = f;
-        }
-        if let Some(until) = self.sample_until {
-            config.sampling = Some(Sampling {
-                interval: SimSpan::from_secs(1),
-                tracked: vec![NodeId::MASTER],
-                until,
-            });
-        }
+        self.sim.sampler.name_node(NodeId::MASTER.0, "master");
         ClusterHarness {
-            sim: SimCluster::new(actors, config),
+            sim: SimCluster::new(actors, self.sim),
             policies: self.policies,
         }
     }
@@ -319,15 +283,18 @@ mod tests {
 
     #[test]
     fn sampling_records_master_series() {
+        let sampler = Sampler::every_until(SimSpan::from_secs(1), SimTime::from_secs(60));
         let mut h = RmClusterBuilder::new(RmProfile::lsf(), 33)
             .seed(5)
-            .sample_until(SimTime::from_secs(60))
+            .sampler(sampler.clone())
             .build();
         h.sim.run_until(SimTime::from_secs(120));
-        let series = h.sim.series(NodeId::MASTER).expect("master tracked");
-        assert_eq!(series.samples.len(), 60);
+        let id = obs::MetricId::new("footprint_virt_bytes").with("node", "master");
+        let store = sampler.store();
+        let virt = store.get(&id).expect("master tracked");
+        assert_eq!(virt.len(), 60);
         // Memory allocated at start shows up in every sample.
-        assert!(series.samples[0].virt_mem > 1 << 30);
+        assert!(virt[0].value > (1u64 << 30) as f64);
     }
 
     #[test]

@@ -3,46 +3,17 @@
 //! critical-path decomposition sums exactly to the end-to-end latency,
 //! must not perturb the simulation when the recorder is off (or on), and
 //! must yield the same tree *shape* on both transports.
+//!
+//! The faulted scenario itself is `common::satellite_outage_run`.
+
+mod common;
 
 use eslurm_suite::eslurm::prelude::*;
 use obs::causal::{render_critical_path, render_flow_summaries};
 use obs::{build_traces, flow_summaries, FlowKind, TraceTree};
 
-/// The reference fault scenario: one satellite that dies during the first
-/// job's dispatch window, forcing BT-failure retries and a takeover-free
-/// recovery, plus periodic heartbeat sweeps.
 fn faulted_run(seed: u64, rec: Recorder) -> (Recorder, EslurmSystem) {
-    let cfg = EslurmConfig {
-        n_satellites: 1,
-        eq1_width: 32,
-        relay_width: 8,
-        ..Default::default()
-    };
-    let plan = FaultPlan::from_outages(
-        1 + 1 + 32,
-        vec![Outage {
-            node: NodeId(1),
-            down_at: SimTime::from_secs(4),
-            up_at: SimTime::from_secs(60),
-        }],
-    );
-    let mut sys = EslurmSystemBuilder::new(cfg, 32, seed)
-        .obs(rec.clone())
-        .faults(plan)
-        .build();
-    sys.submit(
-        SimTime::from_secs(5),
-        1,
-        &(0..16).collect::<Vec<_>>(),
-        SimSpan::from_secs(10),
-    );
-    sys.submit(
-        SimTime::from_secs(70),
-        2,
-        &(16..32).collect::<Vec<_>>(),
-        SimSpan::from_secs(10),
-    );
-    sys.sim.run_until(SimTime::from_secs(180));
+    let sys = common::satellite_outage_run(seed, rec.clone());
     (rec, sys)
 }
 

@@ -5,9 +5,13 @@
 //! order-independence of the fair-share decay ledger for same-virtual-time
 //! completions, and the multifactor audit contract (`PriorityRanked`
 //! factor contributions sum exactly to the composed priority).
+//!
+//! The DES scenario and `outcome_fingerprint` come from `tests/common`
+//! (its fault-free variant); policy parity is this suite's own.
 
-use eslurm_suite::emu::NodeId;
-use eslurm_suite::eslurm::{EslurmConfig, EslurmSystem, EslurmSystemBuilder, PredictiveLimit};
+mod common;
+
+use eslurm_suite::eslurm::{EslurmSystem, PredictiveLimit};
 use eslurm_suite::estimate::EstimatorConfig;
 use eslurm_suite::obs::audit::{Decision, DecisionLog};
 use eslurm_suite::sched::prelude::{
@@ -125,68 +129,17 @@ fn explicit_default_policies_emit_byte_identical_audit_logs() {
     );
 }
 
-/// A fixed-seed ESlurm deployment scenario (the `tests/sharded_des.rs`
-/// shape, minus faults): 3 satellites, 180 compute nodes, 12 jobs, run to
-/// t=600s.
+/// The shared scenario minus faults, with the default policies spelled
+/// out on the builder or not mentioned at all.
 fn run_des(shards: usize, policies: bool) -> EslurmSystem {
-    let m = 3;
-    let n_slaves = 180;
-    let cfg = EslurmConfig {
-        n_satellites: m,
-        eq1_width: 48,
-        relay_width: 8,
-        hb_sweep_interval: SimSpan::from_secs(60),
-        sat_hb_interval: SimSpan::from_secs(5),
-        ..Default::default()
-    };
-    let mut b = EslurmSystemBuilder::new(cfg, n_slaves, 33).shards(shards);
+    let mut b = common::scenario().shards(shards);
     if policies {
         b = b
             .partitions(PartitionSet::single_default())
             .fairshare(FairShareLedger::disabled())
             .priority(MultifactorPriority::uniform());
     }
-    let mut sys = b.build();
-    for j in 0..12u64 {
-        let start = (j as usize * 13) % (n_slaves - 48);
-        sys.submit(
-            SimTime::from_secs(10 + j * 25),
-            j,
-            &(start..start + 40).collect::<Vec<_>>(),
-            SimSpan::from_secs(20 + (j % 4) * 15),
-        );
-    }
-    sys.sim.run_until(SimTime::from_secs(600));
-    sys
-}
-
-fn des_fingerprint(sys: &EslurmSystem) -> (SimTime, u64, u64, Vec<String>, Vec<String>) {
-    let records: Vec<String> = sys
-        .master()
-        .records
-        .iter()
-        .map(|r| format!("{:?}", r))
-        .collect();
-    let meters: Vec<String> = (0..1 + sys.n_satellites + sys.n_slaves)
-        .map(|i| {
-            let m = sys.sim.meter(NodeId(i as u32));
-            format!(
-                "{:?}|{:?}|{:?}|{:?}|{:?}",
-                m.cpu_time(),
-                m.msg_counts(),
-                m.peak_sockets(),
-                m.sockets(),
-                m.peak_mem()
-            )
-        })
-        .collect();
-    (
-        sys.sim.now(),
-        sys.sim.events_processed(),
-        sys.sim.dropped_messages(),
-        records,
-        meters,
-    )
+    common::run(b)
 }
 
 /// Acceptance gate: the default single-partition uniform-priority config
@@ -194,15 +147,15 @@ fn des_fingerprint(sys: &EslurmSystem) -> (SimTime, u64, u64, Vec<String>, Vec<S
 /// builder, on 1 and 4 shards.
 #[test]
 fn des_default_policy_builder_is_bit_identical_across_shards() {
-    let baseline = des_fingerprint(&run_des(1, false));
+    let baseline = common::outcome_fingerprint(&run_des(1, false));
     assert_eq!(baseline.3.len(), 12, "jobs lost in the baseline run");
     for shards in [1usize, 4] {
-        let with_policies = des_fingerprint(&run_des(shards, true));
+        let with_policies = common::outcome_fingerprint(&run_des(shards, true));
         assert_eq!(
             with_policies, baseline,
             "{shards}-shard run with explicit default policies diverged"
         );
-        let without = des_fingerprint(&run_des(shards, false));
+        let without = common::outcome_fingerprint(&run_des(shards, false));
         assert_eq!(
             without, baseline,
             "{shards}-shard policy-unaware run diverged"

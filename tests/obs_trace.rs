@@ -2,44 +2,16 @@
 //! coherent trace — fault markers where the outage schedule says, task
 //! retries when a satellite dies holding a dispatch, virtual-time
 //! monotone instants, and bitwise-identical traces for identical seeds.
+//!
+//! The faulted scenario itself is `common::satellite_outage_run`.
+
+mod common;
 
 use eslurm_suite::eslurm::prelude::*;
 
-/// A 32-node deployment whose only satellite (node 1) is down during the
-/// first job's dispatch window, forcing BT-failure retries.
 fn faulted_run(seed: u64) -> (Recorder, usize) {
-    let cfg = EslurmConfig {
-        n_satellites: 1,
-        eq1_width: 32,
-        relay_width: 8,
-        ..Default::default()
-    };
     let rec = Recorder::full();
-    let plan = FaultPlan::from_outages(
-        1 + 1 + 32,
-        vec![Outage {
-            node: NodeId(1),
-            down_at: SimTime::from_secs(4),
-            up_at: SimTime::from_secs(60),
-        }],
-    );
-    let mut sys = EslurmSystemBuilder::new(cfg, 32, seed)
-        .obs(rec.clone())
-        .faults(plan)
-        .build();
-    sys.submit(
-        SimTime::from_secs(5),
-        1,
-        &(0..16).collect::<Vec<_>>(),
-        SimSpan::from_secs(10),
-    );
-    sys.submit(
-        SimTime::from_secs(70),
-        2,
-        &(16..32).collect::<Vec<_>>(),
-        SimSpan::from_secs(10),
-    );
-    sys.sim.run_until(SimTime::from_secs(180));
+    let sys = common::satellite_outage_run(seed, rec.clone());
     (rec, sys.master().records.len())
 }
 

@@ -4,102 +4,24 @@
 //! and **byte-identical observability exports** (Chrome trace, event
 //! JSONL, metrics CSV) — the obs pipeline must not be able to tell the
 //! layouts apart.
+//!
+//! Scenario and `outcome_fingerprint` come from `tests/common`; the
+//! 1/2/4/8 sweep is this suite's own.
 
-use eslurm_suite::emu::{FaultPlan, NodeId, Outage};
-use eslurm_suite::eslurm::{EslurmConfig, EslurmSystem, EslurmSystemBuilder};
-use eslurm_suite::obs::{export, Recorder, Sampler};
-use eslurm_suite::simclock::{SimSpan, SimTime};
+mod common;
 
-fn cfg(m: usize) -> EslurmConfig {
-    EslurmConfig {
-        n_satellites: m,
-        eq1_width: 48,
-        relay_width: 8,
-        hb_sweep_interval: SimSpan::from_secs(60),
-        sat_hb_interval: SimSpan::from_secs(5),
-        ..Default::default()
-    }
-}
-
-/// A fixed-seed ESlurm scenario: 3 satellites, 180 compute nodes, a couple
-/// of mid-run outages, 12 jobs. Runs to t=600s.
-fn run(shards: usize, obs: Recorder, sampler: Sampler) -> EslurmSystem {
-    let m = 3;
-    let n_slaves = 180;
-    let total = 1 + m + n_slaves;
-    let plan = FaultPlan::from_outages(
-        total,
-        vec![
-            Outage {
-                node: NodeId((1 + m + 17) as u32),
-                down_at: SimTime::from_secs(90),
-                up_at: SimTime::from_secs(400),
-            },
-            Outage {
-                node: NodeId((1 + m + 101) as u32),
-                down_at: SimTime::from_secs(150),
-                up_at: SimTime::from_secs(2000),
-            },
-        ],
-    );
-    let mut sys = EslurmSystemBuilder::new(cfg(m), n_slaves, 33)
-        .faults(plan)
-        .obs(obs)
-        .sampler(sampler)
-        .shards(shards)
-        .build();
-    for j in 0..12u64 {
-        let start = (j as usize * 13) % (n_slaves - 48);
-        sys.submit(
-            SimTime::from_secs(10 + j * 25),
-            j,
-            &(start..start + 40).collect::<Vec<_>>(),
-            SimSpan::from_secs(20 + (j % 4) * 15),
-        );
-    }
-    sys.sim.run_until(SimTime::from_secs(600));
-    sys
-}
-
-fn outcome_fingerprint(sys: &EslurmSystem) -> (SimTime, u64, u64, Vec<String>, Vec<String>) {
-    let records: Vec<String> = sys
-        .master()
-        .records
-        .iter()
-        .map(|r| format!("{:?}", r))
-        .collect();
-    let meters: Vec<String> = (0..1 + sys.n_satellites + sys.n_slaves)
-        .map(|i| {
-            let m = sys.sim.meter(NodeId(i as u32));
-            format!(
-                "{:?}|{:?}|{:?}|{:?}|{:?}",
-                m.cpu_time(),
-                m.msg_counts(),
-                m.peak_sockets(),
-                m.sockets(),
-                m.peak_mem()
-            )
-        })
-        .collect();
-    (
-        sys.sim.now(),
-        sys.sim.events_processed(),
-        sys.sim.dropped_messages(),
-        records,
-        meters,
-    )
-}
+use common::{faulted, outcome_fingerprint, run};
+use eslurm_suite::obs::{export, Recorder};
 
 /// Every shard count reproduces the 1-shard outcomes exactly.
 #[test]
 fn sharded_eslurm_outcomes_are_bit_identical() {
-    let serial = run(1, Recorder::metrics_only(), Sampler::disabled());
-    let baseline = outcome_fingerprint(&serial);
+    let make = |shards| run(faulted().shards(shards).obs(Recorder::metrics_only()));
+    let baseline = outcome_fingerprint(&make(1));
     assert_eq!(baseline.3.len(), 12, "jobs lost in the baseline run");
     for shards in [2usize, 4, 8] {
-        let sys = run(shards, Recorder::metrics_only(), Sampler::disabled());
         assert_eq!(
-            outcome_fingerprint(&sys),
+            outcome_fingerprint(&make(shards)),
             baseline,
             "{shards}-shard outcomes diverged from serial"
         );
@@ -110,8 +32,11 @@ fn sharded_eslurm_outcomes_are_bit_identical() {
 #[test]
 fn sharded_metrics_csv_is_byte_identical() {
     let make = |shards| {
-        let s = Sampler::every_until(SimSpan::from_secs(1), SimTime::from_secs(300));
-        run(shards, Recorder::metrics_only(), s.clone());
+        let s = common::sampler();
+        run(faulted()
+            .shards(shards)
+            .obs(Recorder::metrics_only())
+            .sampler(s.clone()));
         s.to_csv()
     };
     let serial_csv = make(1);
@@ -129,24 +54,17 @@ fn sharded_metrics_csv_is_byte_identical() {
 /// byte-identical to the 1-shard run (the exports "must not notice").
 #[test]
 fn sharded_trace_exports_are_byte_identical() {
-    let serial_rec = Recorder::full();
-    let _serial = run(1, serial_rec.clone(), Sampler::disabled());
-    let serial_chrome = export::to_chrome_trace(&serial_rec.events());
-    let serial_jsonl = export::to_jsonl(&serial_rec.events());
-    assert!(serial_rec.events().len() > 1000, "trace suspiciously small");
-
-    for shards in [2usize, 4, 8] {
+    let make = |shards| {
         let rec = Recorder::full();
-        run(shards, rec.clone(), Sampler::disabled());
-        assert_eq!(
-            export::to_chrome_trace(&rec.events()),
-            serial_chrome,
-            "{shards}-shard Chrome trace differs"
-        );
-        assert_eq!(
-            export::to_jsonl(&rec.events()),
-            serial_jsonl,
-            "{shards}-shard event JSONL differs"
-        );
+        run(faulted().shards(shards).obs(rec.clone()));
+        let events = rec.events();
+        assert!(events.len() > 1000, "trace suspiciously small");
+        (export::to_chrome_trace(&events), export::to_jsonl(&events))
+    };
+    let (serial_chrome, serial_jsonl) = make(1);
+    for shards in [2usize, 4, 8] {
+        let (chrome, jsonl) = make(shards);
+        assert_eq!(chrome, serial_chrome, "{shards}-shard Chrome trace differs");
+        assert_eq!(jsonl, serial_jsonl, "{shards}-shard event JSONL differs");
     }
 }

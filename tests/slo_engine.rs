@@ -1,102 +1,24 @@
 //! The online SLO engine's non-perturbation guarantee, end to end: the
-//! same fixed-seed faulted ESlurm scenario as `engine_profile.rs` produces
-//! **bit-identical outcomes** and **byte-identical virtual-time exports**
-//! (Chrome trace, event JSONL, metrics CSV) with the SLO engine armed or
-//! not, on one shard and on four — plus the detection behaviour itself: a
-//! tight objective breaches with a sane detection latency, breaches land
-//! as instants on their own export track, a breach snapshots the flight
-//! ring with a reason-tagged header, and health folding is
-//! order-independent (proptest).
+//! shared fixed-seed faulted scenario produces **bit-identical outcomes**
+//! and **byte-identical virtual-time exports** (Chrome trace, event JSONL,
+//! metrics CSV) with the SLO engine armed or not, on one shard and on four
+//! — plus the detection behaviour itself: a tight objective breaches with
+//! a sane detection latency, breaches land as instants on their own export
+//! track, a breach snapshots the flight ring with a reason-tagged header,
+//! and health folding is order-independent (proptest).
+//!
+//! The armed-vs-plain comparison is `common::assert_non_perturbing`;
+//! breach detection, the SLO track, the flight dump and health folding are
+//! this suite's own.
 
-use eslurm_suite::emu::{FaultPlan, NodeId, Outage};
-use eslurm_suite::eslurm::{EslurmConfig, EslurmSystem, EslurmSystemBuilder};
-use eslurm_suite::obs::{
-    export, FlightConfig, Recorder, Sampler, SloEngine, SloEventKind, SloSpec,
-};
+mod common;
+
+use common::{assert_non_perturbing, cfg, sampled_run};
+use eslurm_suite::eslurm::EslurmSystemBuilder;
+use eslurm_suite::obs::export::{self, ChromeTrace};
+use eslurm_suite::obs::{FlightConfig, Recorder, Sampler, SloEngine, SloEventKind, SloSpec};
 use eslurm_suite::simclock::{SimSpan, SimTime};
 use proptest::prelude::*;
-
-fn cfg(m: usize) -> EslurmConfig {
-    EslurmConfig {
-        n_satellites: m,
-        eq1_width: 48,
-        relay_width: 8,
-        hb_sweep_interval: SimSpan::from_secs(60),
-        sat_hb_interval: SimSpan::from_secs(5),
-        ..Default::default()
-    }
-}
-
-/// The `engine_profile.rs` scenario — 3 satellites, 180 compute nodes,
-/// two mid-run outages, 12 jobs, run to t=600s — with an SLO engine
-/// threaded through the builder.
-fn run(shards: usize, obs: Recorder, sampler: Sampler, slo: SloEngine) -> EslurmSystem {
-    let m = 3;
-    let n_slaves = 180;
-    let total = 1 + m + n_slaves;
-    let plan = FaultPlan::from_outages(
-        total,
-        vec![
-            Outage {
-                node: NodeId((1 + m + 17) as u32),
-                down_at: SimTime::from_secs(90),
-                up_at: SimTime::from_secs(400),
-            },
-            Outage {
-                node: NodeId((1 + m + 101) as u32),
-                down_at: SimTime::from_secs(150),
-                up_at: SimTime::from_secs(2000),
-            },
-        ],
-    );
-    let mut sys = EslurmSystemBuilder::new(cfg(m), n_slaves, 33)
-        .faults(plan)
-        .obs(obs)
-        .sampler(sampler)
-        .shards(shards)
-        .slo(slo)
-        .build();
-    for j in 0..12u64 {
-        let start = (j as usize * 13) % (n_slaves - 48);
-        sys.submit(
-            SimTime::from_secs(10 + j * 25),
-            j,
-            &(start..start + 40).collect::<Vec<_>>(),
-            SimSpan::from_secs(20 + (j % 4) * 15),
-        );
-    }
-    sys.sim.run_until(SimTime::from_secs(600));
-    sys
-}
-
-fn outcome_fingerprint(sys: &EslurmSystem) -> (SimTime, u64, u64, Vec<String>, Vec<String>) {
-    let records: Vec<String> = sys
-        .master()
-        .records
-        .iter()
-        .map(|r| format!("{:?}", r))
-        .collect();
-    let meters: Vec<String> = (0..1 + sys.n_satellites + sys.n_slaves)
-        .map(|i| {
-            let m = sys.sim.meter(NodeId(i as u32));
-            format!(
-                "{:?}|{:?}|{:?}|{:?}|{:?}",
-                m.cpu_time(),
-                m.msg_counts(),
-                m.peak_sockets(),
-                m.sockets(),
-                m.peak_mem()
-            )
-        })
-        .collect();
-    (
-        sys.sim.now(),
-        sys.sim.events_processed(),
-        sys.sim.dropped_messages(),
-        records,
-        meters,
-    )
-}
 
 /// A spec set with one objective tight enough to breach in this scenario
 /// (sweeps take milliseconds, the target is 1µs) and one that must stay
@@ -113,23 +35,9 @@ fn tight_slo() -> SloEngine {
 /// outcomes and a byte-identical sampler CSV, on one shard and on four.
 #[test]
 fn slo_runs_are_bit_identical_to_plain() {
-    for shards in [1usize, 4] {
-        let make = |slo: SloEngine| {
-            let s = Sampler::every_until(SimSpan::from_secs(1), SimTime::from_secs(300));
-            let sys = run(shards, Recorder::metrics_only(), s.clone(), slo);
-            (outcome_fingerprint(&sys), s.to_csv())
-        };
-        let (plain_fp, plain_csv) = make(SloEngine::disabled());
-        let slo = tight_slo();
-        let (slo_fp, slo_csv) = make(slo.clone());
-        assert_eq!(
-            slo_fp, plain_fp,
-            "{shards}-shard outcomes changed under SLO evaluation"
-        );
-        assert_eq!(
-            slo_csv, plain_csv,
-            "{shards}-shard sampler CSV changed under SLO evaluation"
-        );
+    let armed = assert_non_perturbing(Recorder::metrics_only, tight_slo, EslurmSystemBuilder::slo);
+    for (run, slo) in armed {
+        let shards = run.sys.sim.shard_count();
         let report = slo.report().expect("armed engine reports");
         assert!(report.evals_total > 0, "{shards}-shard engine never ticked");
         assert!(
@@ -144,35 +52,19 @@ fn slo_runs_are_bit_identical_to_plain() {
 /// *adds* the pid-3 SLO track with the breach instants.
 #[test]
 fn slo_trace_exports_are_byte_identical_plus_breach_track() {
-    let make = |slo: SloEngine| {
-        let rec = Recorder::full();
-        let s = Sampler::every_until(SimSpan::from_secs(1), SimTime::from_secs(300));
-        run(1, rec.clone(), s, slo);
-        rec
-    };
-    let plain_rec = make(SloEngine::disabled());
-    let plain_chrome = export::to_chrome_trace(&plain_rec.events());
-    let plain_jsonl = export::to_jsonl(&plain_rec.events());
-    assert!(plain_rec.events().len() > 1000, "trace suspiciously small");
-
-    let slo = tight_slo();
-    let rec = make(slo.clone());
-    assert_eq!(
-        export::to_chrome_trace(&rec.events()),
-        plain_chrome,
-        "base Chrome trace differs with SLOs armed"
-    );
-    assert_eq!(
-        export::to_jsonl(&rec.events()),
-        plain_jsonl,
-        "event JSONL differs with SLOs armed"
-    );
+    let armed = assert_non_perturbing(Recorder::full, tight_slo, EslurmSystemBuilder::slo);
+    let (run, slo) = &armed[0];
+    let rec_events = run.rec.events();
 
     // An empty SLO event list leaves even the combined export unchanged.
-    let combined_empty = export::to_chrome_trace_with_slo(&rec.events(), &[], &[], &[], &[]);
+    let with_track = |slo| ChromeTrace {
+        events: &rec_events,
+        slo,
+        ..Default::default()
+    };
     assert_eq!(
-        combined_empty,
-        export::to_chrome_trace_full(&rec.events(), &[], &[], &[]),
+        with_track(&[]).render(),
+        export::to_chrome_trace(&rec_events),
         "empty SLO track must not change the combined export"
     );
 
@@ -180,7 +72,7 @@ fn slo_trace_exports_are_byte_identical_plus_breach_track() {
     // breach instant; the SLO JSONL names the breached spec.
     let events = slo.events();
     assert!(!events.is_empty());
-    let combined = export::to_chrome_trace_with_slo(&rec.events(), &[], &[], &[], &events);
+    let combined = with_track(&events).render();
     assert!(combined.contains("\"name\":\"slo\""), "missing slo track");
     assert!(
         combined.contains("breach:sweep_p99_us"),
@@ -197,8 +89,7 @@ fn slo_trace_exports_are_byte_identical_plus_breach_track() {
 #[test]
 fn tight_objective_breaches_with_sane_latency() {
     let slo = tight_slo();
-    let s = Sampler::every_until(SimSpan::from_secs(1), SimTime::from_secs(300));
-    run(1, Recorder::metrics_only(), s, slo.clone());
+    sampled_run(1, Recorder::metrics_only, |b| b.slo(slo.clone()));
     let report = slo.report().expect("armed engine reports");
     let sweep = &report.specs[0];
     assert_eq!(sweep.name, "sweep_p99_us");
