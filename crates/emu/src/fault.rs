@@ -27,46 +27,70 @@ pub struct Outage {
 }
 
 /// A schedule of node outages, queryable by `(node, time)`.
+///
+/// The per-node index is in compressed-row form: the outages of node `i`
+/// are `outages[by_node[first[i]..first[i + 1]]]`. Every delivered message
+/// asks [`FaultPlan::is_up`] about its receiver, almost always about a
+/// node that never fails, so that question must cost two adjacent `u32`
+/// reads (none at all for a plan without outages) — a `Vec` per node costs
+/// 24 bytes per node and a dependent load to learn it is empty.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
     /// All outages, sorted by `down_at`.
     outages: Vec<Outage>,
-    /// Per-node outage indices for fast lookup.
-    by_node: Vec<Vec<u32>>,
+    /// `cluster_size + 1` offsets into `by_node` (empty for the default
+    /// plan, which covers no nodes).
+    first: Vec<u32>,
+    /// Outage indices grouped by node, ascending within a node.
+    by_node: Vec<u32>,
 }
 
 impl FaultPlan {
     /// A plan with no failures for `n` nodes.
     pub fn none(n: usize) -> Self {
-        FaultPlan {
-            outages: Vec::new(),
-            by_node: vec![Vec::new(); n],
-        }
+        Self::from_outages(n, Vec::new())
     }
 
     /// Build from an explicit outage list for `n` nodes.
     pub fn from_outages(n: usize, mut outages: Vec<Outage>) -> Self {
         outages.sort_by_key(|o| (o.down_at, o.node));
-        let mut by_node = vec![Vec::new(); n];
-        for (i, o) in outages.iter().enumerate() {
+        // Counting sort by node: count, prefix-sum, then place.
+        let mut first = vec![0u32; n + 1];
+        for o in &outages {
             assert!(o.node.index() < n, "outage for node outside cluster");
             assert!(o.up_at > o.down_at, "outage must have positive duration");
-            by_node[o.node.index()].push(i as u32);
+            first[o.node.index() + 1] += 1;
         }
-        FaultPlan { outages, by_node }
+        for i in 0..n {
+            first[i + 1] += first[i];
+        }
+        let mut next = first.clone();
+        let mut by_node = vec![0u32; outages.len()];
+        for (i, o) in outages.iter().enumerate() {
+            let at = &mut next[o.node.index()];
+            by_node[*at as usize] = i as u32;
+            *at += 1;
+        }
+        FaultPlan {
+            outages,
+            first,
+            by_node,
+        }
+    }
+
+    /// The outages of `node` (none for a node outside the plan).
+    fn outages_of(&self, node: NodeId) -> impl Iterator<Item = &Outage> {
+        let i = node.index();
+        let idxs = match (self.first.get(i), self.first.get(i + 1)) {
+            (Some(&lo), Some(&hi)) => &self.by_node[lo as usize..hi as usize],
+            _ => &[],
+        };
+        idxs.iter().map(|&i| &self.outages[i as usize])
     }
 
     /// Whether `node` is up at time `t`.
     pub fn is_up(&self, node: NodeId, t: SimTime) -> bool {
-        self.by_node
-            .get(node.index())
-            .map(|idxs| {
-                idxs.iter().all(|&i| {
-                    let o = &self.outages[i as usize];
-                    t < o.down_at || t >= o.up_at
-                })
-            })
-            .unwrap_or(true)
+        self.outages.is_empty() || self.outages_of(node).all(|o| t < o.down_at || t >= o.up_at)
     }
 
     /// All outages, sorted by start time.
@@ -104,19 +128,16 @@ impl FaultPlan {
 
     /// Number of nodes in the plan's cluster.
     pub fn cluster_size(&self) -> usize {
-        self.by_node.len()
+        self.first.len().saturating_sub(1)
     }
 
     /// If `node` is down at `t`, the time it next comes back up; `None` when
     /// the node is up at `t`.
     pub fn next_up_after(&self, node: NodeId, t: SimTime) -> Option<SimTime> {
-        self.by_node.get(node.index()).and_then(|idxs| {
-            idxs.iter()
-                .map(|&i| &self.outages[i as usize])
-                .filter(|o| t >= o.down_at && t < o.up_at)
-                .map(|o| o.up_at)
-                .max()
-        })
+        self.outages_of(node)
+            .filter(|o| t >= o.down_at && t < o.up_at)
+            .map(|o| o.up_at)
+            .max()
     }
 }
 
@@ -285,6 +306,83 @@ mod tests {
         let p = FaultPlanBuilder::tianhe_like(4096, SimSpan::from_hours(240), 7).build();
         // 28 small events plus one ~600-node event => >600 outages.
         assert!(p.outages().len() > 600, "got {}", p.outages().len());
+    }
+
+    #[test]
+    fn default_plan_covers_no_nodes() {
+        let p = FaultPlan::default();
+        assert_eq!(p.cluster_size(), 0);
+        assert!(p.is_up(NodeId(0), SimTime::ZERO));
+        assert_eq!(p.next_up_after(NodeId(0), SimTime::ZERO), None);
+        assert_eq!(FaultPlan::none(0).cluster_size(), 0);
+        assert_eq!(FaultPlan::none(7).cluster_size(), 7);
+    }
+
+    #[test]
+    fn nodes_outside_the_plan_are_up() {
+        let p = FaultPlan::from_outages(
+            3,
+            vec![Outage {
+                node: NodeId(2),
+                down_at: SimTime::from_secs(10),
+                up_at: SimTime::from_secs(20),
+            }],
+        );
+        let t = SimTime::from_secs(15);
+        assert!(!p.is_up(NodeId(2), t));
+        for outside in [3, 4, u32::MAX] {
+            assert!(p.is_up(NodeId(outside), t));
+            assert_eq!(p.next_up_after(NodeId(outside), t), None);
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// The indexed queries equal a naive scan over `outages()` at
+            /// every breakpoint ± 1 µs, for every node of the plan and one
+            /// past it, under overlapping outages of one node.
+            #[test]
+            fn queries_match_a_naive_scan(
+                n in 1usize..65,
+                raw in prop::collection::vec((0u32..64, 1u64..500, 1u64..200), 0..41),
+            ) {
+                let outages: Vec<Outage> = raw
+                    .iter()
+                    .map(|&(node, down, len)| Outage {
+                        node: NodeId(node % n as u32),
+                        down_at: SimTime(down),
+                        up_at: SimTime(down + len),
+                    })
+                    .collect();
+                let plan = FaultPlan::from_outages(n, outages.clone());
+                prop_assert_eq!(plan.cluster_size(), n);
+                prop_assert_eq!(plan.outages().len(), outages.len());
+                let mut probes = vec![0u64];
+                for o in &outages {
+                    for edge in [o.down_at.0, o.up_at.0] {
+                        probes.extend([edge - 1, edge, edge + 1]);
+                    }
+                }
+                for node in (0..=n as u32).map(NodeId) {
+                    for &t in &probes {
+                        let t = SimTime(t);
+                        let covering = || {
+                            plan.outages()
+                                .iter()
+                                .filter(move |o| o.node == node && t >= o.down_at && t < o.up_at)
+                        };
+                        prop_assert_eq!(plan.is_up(node, t), covering().next().is_none());
+                        prop_assert_eq!(
+                            plan.next_up_after(node, t),
+                            covering().map(|o| o.up_at).max()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,13 +1,20 @@
-//! Struct-of-arrays node state for the DES engine.
+//! Per-node engine state for the DES engine.
 //!
-//! The serial engine kept one `Meter` struct, one `tx_free` slot and one
-//! RNG per node in parallel `Vec`s of structs. At a million nodes the hot
-//! loop touches only one or two fields per event (a CPU charge, a socket
-//! count, the sender's `tx_free`), so a struct-of-arrays layout keeps each
-//! of those accesses on a densely packed cache line instead of striding
-//! over ~300-byte node records. Each shard of the sharded engine owns one
-//! [`NodeStore`] covering exactly its nodes, indexed by *local* index; the
-//! engine maps `NodeId` → `(shard, local)` once per event.
+//! Each shard of the engine owns one [`NodeStore`] covering exactly its
+//! nodes, indexed by *local* index; the engine maps `NodeId` →
+//! `(shard, local)` once per event.
+//!
+//! The state is split by who touches it, not by type. Every delivered
+//! message counts a receive on its node, charges CPU from the handler, and
+//! for each reply draws a latency from the node's RNG, advances its
+//! `tx_free`, stamps `next_seq` and counts a send: six fields of one node,
+//! all of them on every `Deliver`. They sit together in one 72-byte
+//! [`HotNode`] record, so the first touch of a node (8 % of the
+//! 200,000-node sweep profile was that stall, spread over six arrays)
+//! brings in everything the event will use. What only `alloc_*`, socket
+//! calls and sampling ticks read — memory and socket levels, their peaks,
+//! the sampling window — stays in parallel arrays: the master and the
+//! satellites use those, the 200,000 compute nodes almost never do.
 //!
 //! RNG streams are derived from the *global* node id, so the draws a node
 //! makes are identical no matter which shard hosts it.
@@ -17,9 +24,30 @@ use rand::rngs::StdRng;
 use simclock::rng::stream_rng;
 use simclock::{SimSpan, SimTime};
 
-/// Per-node engine state for one shard, split into parallel arrays.
+/// What one send + receive touches, together.
+pub(crate) struct HotNode {
+    pub recv: u64,
+    pub cpu_time: SimSpan,
+    pub sent: u64,
+    /// Time the node's NIC is next free to transmit.
+    pub tx_free: SimTime,
+    /// Per-node event creation counter: the `seq` of the node's lane.
+    next_seq: u64,
+    pub rng: StdRng,
+}
+
+impl HotNode {
+    /// Stamp the node's next event sequence number (post-increment).
+    pub fn take_seq(&mut self) -> u64 {
+        let s = self.next_seq;
+        self.next_seq += 1;
+        s
+    }
+}
+
+/// Per-node engine state for one shard.
 pub(crate) struct NodeStore {
-    cpu_time: Vec<SimSpan>,
+    hot: Vec<HotNode>,
     cpu_at_sample: Vec<SimSpan>,
     last_sample: Vec<SimTime>,
     virt: Vec<u64>,
@@ -28,13 +56,6 @@ pub(crate) struct NodeStore {
     peak_real: Vec<u64>,
     sockets: Vec<u32>,
     peak_sockets: Vec<u32>,
-    sent: Vec<u64>,
-    recv: Vec<u64>,
-    /// Time the node's NIC is next free to transmit.
-    tx_free: Vec<SimTime>,
-    /// Per-node event creation counter: the `seq` of the node's lane.
-    next_seq: Vec<u64>,
-    rngs: Vec<StdRng>,
 }
 
 impl NodeStore {
@@ -43,7 +64,17 @@ impl NodeStore {
     pub fn new(seed: u64, ids: &[u32]) -> Self {
         let n = ids.len();
         NodeStore {
-            cpu_time: vec![SimSpan::ZERO; n],
+            hot: ids
+                .iter()
+                .map(|&id| HotNode {
+                    recv: 0,
+                    cpu_time: SimSpan::ZERO,
+                    sent: 0,
+                    tx_free: SimTime::ZERO,
+                    next_seq: 0,
+                    rng: stream_rng(seed, id as u64),
+                })
+                .collect(),
             cpu_at_sample: vec![SimSpan::ZERO; n],
             last_sample: vec![SimTime::ZERO; n],
             virt: vec![0; n],
@@ -52,20 +83,12 @@ impl NodeStore {
             peak_real: vec![0; n],
             sockets: vec![0; n],
             peak_sockets: vec![0; n],
-            sent: vec![0; n],
-            recv: vec![0; n],
-            tx_free: vec![SimTime::ZERO; n],
-            next_seq: vec![0; n],
-            rngs: ids.iter().map(|&id| stream_rng(seed, id as u64)).collect(),
         }
     }
 
-    pub fn charge_cpu(&mut self, i: usize, span: SimSpan) {
-        self.cpu_time[i] += span;
-    }
-
-    pub fn cpu_time(&self, i: usize) -> SimSpan {
-        self.cpu_time[i]
+    /// The send/receive record of node `i`.
+    pub fn hot(&mut self, i: usize) -> &mut HotNode {
+        &mut self.hot[i]
     }
 
     pub fn alloc_virt(&mut self, i: usize, delta: i64) {
@@ -91,37 +114,11 @@ impl NodeStore {
         self.sockets[i] = self.sockets[i].saturating_sub(1);
     }
 
-    pub fn count_sent(&mut self, i: usize) {
-        self.sent[i] += 1;
-    }
-
-    pub fn count_received(&mut self, i: usize) {
-        self.recv[i] += 1;
-    }
-
-    pub fn tx_free(&self, i: usize) -> SimTime {
-        self.tx_free[i]
-    }
-
-    pub fn set_tx_free(&mut self, i: usize, t: SimTime) {
-        self.tx_free[i] = t;
-    }
-
-    /// Stamp the node's next event sequence number (post-increment).
-    pub fn take_seq(&mut self, i: usize) -> u64 {
-        let s = self.next_seq[i];
-        self.next_seq[i] += 1;
-        s
-    }
-
-    pub fn rng(&mut self, i: usize) -> &mut StdRng {
-        &mut self.rngs[i]
-    }
-
     /// Materialize a [`Meter`] snapshot of node `i` (by value).
     pub fn meter(&self, i: usize) -> Meter {
+        let hot = &self.hot[i];
         Meter::from_raw(
-            self.cpu_time[i],
+            hot.cpu_time,
             self.cpu_at_sample[i],
             self.last_sample[i],
             self.virt[i],
@@ -130,27 +127,28 @@ impl NodeStore {
             self.peak_sockets[i],
             self.peak_virt[i],
             self.peak_real[i],
-            self.sent[i],
-            self.recv[i],
+            hot.sent,
+            hot.recv,
         )
     }
 
     /// Take a footprint sample of node `i`, with the same windowed-CPU
     /// semantics as [`Meter::sample`].
     pub fn sample(&mut self, i: usize, now: SimTime) -> Sample {
+        let cpu_time = self.hot[i].cpu_time;
         let window = now - self.last_sample[i];
-        let used = self.cpu_time[i] - self.cpu_at_sample[i];
+        let used = cpu_time - self.cpu_at_sample[i];
         let cpu_util = if window.as_micros() == 0 {
             0.0
         } else {
             used.as_secs_f64() / window.as_secs_f64()
         };
         self.last_sample[i] = now;
-        self.cpu_at_sample[i] = self.cpu_time[i];
+        self.cpu_at_sample[i] = cpu_time;
         Sample {
             at: now,
             cpu_util,
-            cpu_time: self.cpu_time[i],
+            cpu_time,
             virt_mem: self.virt[i],
             real_mem: self.real[i],
             sockets: self.sockets[i],
@@ -167,15 +165,15 @@ mod tests {
         let mut store = NodeStore::new(1, &[5, 9]);
         let mut m = Meter::new();
         for target in [0usize, 1] {
-            store.charge_cpu(target, SimSpan::from_millis(500));
+            store.hot(target).cpu_time += SimSpan::from_millis(500);
             store.alloc_virt(target, 1000);
             store.alloc_virt(target, -400);
             store.alloc_real(target, 256);
             store.open_socket(target);
             store.open_socket(target);
             store.close_socket(target);
-            store.count_sent(target);
-            store.count_received(target);
+            store.hot(target).sent += 1;
+            store.hot(target).recv += 1;
         }
         m.charge_cpu(SimSpan::from_millis(500));
         m.alloc_virt(1000);
@@ -203,14 +201,14 @@ mod tests {
         let mut store = NodeStore::new(42, &[7]);
         let mut reference = stream_rng(42, 7);
         use rand::RngExt;
-        assert_eq!(store.rng(0).random::<u64>(), reference.random::<u64>());
+        assert_eq!(store.hot(0).rng.random::<u64>(), reference.random::<u64>());
     }
 
     #[test]
     fn seq_counter_is_per_node() {
         let mut store = NodeStore::new(1, &[0, 1]);
-        assert_eq!(store.take_seq(0), 0);
-        assert_eq!(store.take_seq(0), 1);
-        assert_eq!(store.take_seq(1), 0);
+        assert_eq!(store.hot(0).take_seq(), 0);
+        assert_eq!(store.hot(0).take_seq(), 1);
+        assert_eq!(store.hot(1).take_seq(), 0);
     }
 }

@@ -75,8 +75,9 @@ struct Task {
     sent_at: SimTime,
 }
 
-/// The ESlurm master actor.
-pub struct EslurmMaster {
+/// The master's working state: everything but the result fields callers
+/// read after a run.
+struct MasterState {
     cfg: EslurmConfig,
     slaves: NodeSlice,
     satellites: Vec<u32>,
@@ -89,6 +90,22 @@ pub struct EslurmMaster {
     dispatching: bool,
     next_task: u64,
     sweep_seq: u64,
+    /// Serial work backlog (delays user-request replies).
+    busy_until: SimTime,
+    pending_queries: BTreeMap<u64, NodeId>,
+    query_arrival: BTreeMap<u64, SimTime>,
+    obs: Recorder,
+    /// Per-satellite task-assignment counters (`tasks_assigned{sat=..}`),
+    /// the tree-level footprint breakdown behind the aggregate
+    /// [`Counter::TasksAssigned`]. Empty when `obs` is disabled.
+    sat_tasks: Vec<LabeledCounter>,
+}
+
+/// The ESlurm master actor.
+pub struct EslurmMaster {
+    /// Boxed: there is one master among up to a million compute daemons,
+    /// and `EslurmNode` is as large as its largest variant.
+    st: Box<MasterState>,
     /// Completed jobs, in completion order.
     pub records: Vec<JobRecord>,
     /// Completed heartbeat sweeps.
@@ -97,17 +114,8 @@ pub struct EslurmMaster {
     pub reassignments: u64,
     /// Broadcast tasks the master had to handle itself.
     pub takeovers: u64,
-    /// Serial work backlog (delays user-request replies).
-    busy_until: SimTime,
-    pending_queries: BTreeMap<u64, NodeId>,
-    query_arrival: BTreeMap<u64, SimTime>,
     /// `(request id, response latency)` for served user requests.
     pub query_log: Vec<(u64, SimSpan)>,
-    obs: Recorder,
-    /// Per-satellite task-assignment counters (`tasks_assigned{sat=..}`),
-    /// the tree-level footprint breakdown behind the aggregate
-    /// [`Counter::TasksAssigned`]. Empty when `obs` is disabled.
-    sat_tasks: Vec<LabeledCounter>,
 }
 
 impl EslurmMaster {
@@ -116,35 +124,37 @@ impl EslurmMaster {
         let m = satellites.len();
         assert!(m >= 1, "ESlurm needs at least one satellite");
         EslurmMaster {
-            cfg,
-            slaves: NodeSlice::new(slaves),
-            satellites,
-            fsm: vec![SatFsm::new(); m],
-            hb_pending: vec![false; m],
-            rr: 0,
-            jobs: BTreeMap::new(),
-            tasks: BTreeMap::new(),
-            dispatch_q: VecDeque::new(),
-            dispatching: false,
-            next_task: 0,
-            sweep_seq: 0,
+            st: Box::new(MasterState {
+                cfg,
+                slaves: NodeSlice::new(slaves),
+                satellites,
+                fsm: vec![SatFsm::new(); m],
+                hb_pending: vec![false; m],
+                rr: 0,
+                jobs: BTreeMap::new(),
+                tasks: BTreeMap::new(),
+                dispatch_q: VecDeque::new(),
+                dispatching: false,
+                next_task: 0,
+                sweep_seq: 0,
+                busy_until: SimTime::ZERO,
+                pending_queries: BTreeMap::new(),
+                query_arrival: BTreeMap::new(),
+                obs: Recorder::disabled(),
+                sat_tasks: Vec::new(),
+            }),
             records: Vec::new(),
             sweeps: Vec::new(),
             reassignments: 0,
             takeovers: 0,
-            busy_until: SimTime::ZERO,
-            pending_queries: BTreeMap::new(),
-            query_arrival: BTreeMap::new(),
             query_log: Vec::new(),
-            obs: Recorder::disabled(),
-            sat_tasks: Vec::new(),
         }
     }
 
     /// Record job/task/FSM telemetry into `obs` (builder-style).
     pub fn with_obs(mut self, obs: Recorder) -> Self {
         if obs.enabled() {
-            self.sat_tasks = (1..=self.satellites.len())
+            self.st.sat_tasks = (1..=self.st.satellites.len())
                 .map(|i| {
                     obs.labeled_counter(
                         MetricId::new("tasks_assigned").with("sat", format!("sat{i}")),
@@ -152,20 +162,20 @@ impl EslurmMaster {
                 })
                 .collect();
         }
-        self.obs = obs;
+        self.st.obs = obs;
         self
     }
 
     /// Apply an FSM event to satellite `idx`, tracing the transition if
     /// the observable state actually changed.
     fn apply_fsm(&mut self, idx: usize, event: SatEvent, now: SimTime) {
-        let before = self.fsm[idx].state(now);
-        let after = self.fsm[idx].apply(event, now);
+        let before = self.st.fsm[idx].state(now);
+        let after = self.st.fsm[idx].apply(event, now);
         if before != after {
-            self.obs.inc(Counter::FsmTransitions);
-            self.obs.event_at(
+            self.st.obs.inc(Counter::FsmTransitions);
+            self.st.obs.event_at(
                 now,
-                self.satellites[idx],
+                self.st.satellites[idx],
                 EventKind::FsmTransition,
                 before.wire_id() as u64,
                 after.wire_id() as u64,
@@ -181,25 +191,25 @@ impl EslurmMaster {
 
     /// Current FSM state of satellite `idx`.
     pub fn satellite_state(&self, idx: usize, now: SimTime) -> SatState {
-        self.fsm[idx].state(now)
+        self.st.fsm[idx].state(now)
     }
 
     fn start_ctl(&mut self, ctx: &mut dyn Context<RmMsg>, job: u64, kind: CtlKind) {
-        let state = self.jobs.get_mut(&job).expect("ctl for unknown job");
+        let state = self.st.jobs.get_mut(&job).expect("ctl for unknown job");
         state.phase = kind;
         state.tasks_done = 0;
         state.reached = 0;
         let trace = state.trace;
         let list = state.nodes.clone();
-        let n = satellites_needed(list.len(), self.cfg.eq1_width, self.satellites.len());
+        let n = satellites_needed(list.len(), self.st.cfg.eq1_width, self.st.satellites.len());
         let parts = partition(list.len(), n);
         state.tasks_total = parts.len() as u32;
         let task_ids: Vec<u64> = parts
             .iter()
             .map(|&(lo, len)| {
-                let id = self.next_task;
-                self.next_task += 1;
-                self.tasks.insert(
+                let id = self.st.next_task;
+                self.st.next_task += 1;
+                self.st.tasks.insert(
                     id,
                     Task {
                         job,
@@ -221,17 +231,18 @@ impl EslurmMaster {
         for id in task_ids {
             self.assign_task(ctx, id);
         }
-        self.obs
-            .gauge_set(Gauge::TasksInFlight, self.tasks.len() as i64);
+        self.st
+            .obs
+            .gauge_set(Gauge::TasksInFlight, self.st.tasks.len() as i64);
     }
 
     /// Round-robin over RUNNING satellites; `None` if the pool is dry.
     fn next_satellite(&mut self, now: SimTime) -> Option<usize> {
-        let m = self.satellites.len();
+        let m = self.st.satellites.len();
         for k in 0..m {
-            let idx = (self.rr + k) % m;
-            if self.fsm[idx].is_available(now) {
-                self.rr = (idx + 1) % m;
+            let idx = (self.st.rr + k) % m;
+            if self.st.fsm[idx].is_available(now) {
+                self.st.rr = (idx + 1) % m;
                 return Some(idx);
             }
         }
@@ -242,27 +253,28 @@ impl EslurmMaster {
         match self.next_satellite(ctx.now()) {
             Some(idx) => {
                 self.apply_fsm(idx, SatEvent::TaskAssigned, ctx.now());
-                self.obs.inc(Counter::TasksAssigned);
-                if let Some(c) = self.sat_tasks.get(idx) {
+                self.st.obs.inc(Counter::TasksAssigned);
+                if let Some(c) = self.st.sat_tasks.get(idx) {
                     c.inc();
                 }
-                let sat_node = self.satellites[idx] as u64;
+                let sat_node = self.st.satellites[idx] as u64;
                 let task = self
+                    .st
                     .tasks
                     .get_mut(&task_id)
                     .expect("assigning unknown task");
                 task.sat = Some(idx);
-                self.obs.event_at(
+                self.st.obs.event_at(
                     ctx.now(),
                     ctx.me().0,
                     EventKind::TaskAssign,
                     task.job,
                     sat_node,
                 );
-                self.dispatch_q.push_back(task_id);
-                if !self.dispatching {
-                    self.dispatching = true;
-                    ctx.set_timer(self.cfg.task_prep_cpu, TOKEN_DISPATCH);
+                self.st.dispatch_q.push_back(task_id);
+                if !self.st.dispatching {
+                    self.st.dispatching = true;
+                    ctx.set_timer(self.st.cfg.task_prep_cpu, TOKEN_DISPATCH);
                 }
             }
             None => self.take_over(ctx, task_id),
@@ -273,8 +285,9 @@ impl EslurmMaster {
     /// exceeded or no satellite available) — correctness over offload.
     fn take_over(&mut self, ctx: &mut dyn Context<RmMsg>, task_id: u64) {
         self.takeovers += 1;
-        self.obs.inc(Counter::Takeovers);
+        self.st.obs.inc(Counter::Takeovers);
         let task = self
+            .st
             .tasks
             .get_mut(&task_id)
             .expect("takeover of unknown task");
@@ -285,7 +298,8 @@ impl EslurmMaster {
         if let Some(rec) = ctx.trace_begin(FlowKind::Recovery) {
             task.trace = Some(rec);
         }
-        self.obs
+        self.st
+            .obs
             .event_at(ctx.now(), ctx.me().0, EventKind::TaskTakeover, task.job, 0);
         if task.list.is_empty() {
             let (job, kind) = (task.job, task.kind);
@@ -293,7 +307,7 @@ impl EslurmMaster {
             self.task_completed(ctx, job, kind, 0);
             return;
         }
-        let w = self.cfg.relay_width.max(2);
+        let w = self.st.cfg.relay_width.max(2);
         let task_len = task.list.len();
         let k = if task_len < w { task_len } else { w };
         let chunks = split_balanced(task_len, k);
@@ -303,8 +317,8 @@ impl EslurmMaster {
         let list = task.list.clone();
         for (lo, len) in chunks {
             let head = list.nodes()[lo];
-            Self::track_work(&mut self.busy_until, ctx, self.cfg.msg_cpu);
-            ctx.open_socket_for(NodeId(head), self.cfg.conn_lifetime);
+            Self::track_work(&mut self.st.busy_until, ctx, self.st.cfg.msg_cpu);
+            ctx.open_socket_for(NodeId(head), self.st.cfg.conn_lifetime);
             ctx.send(
                 NodeId(head),
                 RmMsg::JobCtl {
@@ -317,7 +331,7 @@ impl EslurmMaster {
         }
         let depth = topology::relay_depth(task_len, w) as u64;
         ctx.set_timer(
-            self.cfg.task_timeout * (depth + 1),
+            self.st.cfg.task_timeout * (depth + 1),
             task_id * TOKEN_BASE + TASK_TIMEOUT,
         );
     }
@@ -330,7 +344,7 @@ impl EslurmMaster {
         reached: u32,
     ) {
         let (is_sweep, runtime) = {
-            let Some(state) = self.jobs.get_mut(&job) else {
+            let Some(state) = self.st.jobs.get_mut(&job) else {
                 return;
             };
             if state.phase != kind {
@@ -348,12 +362,13 @@ impl EslurmMaster {
         };
         // Whole broadcast finished.
         if is_sweep {
-            let state = self.jobs.remove(&job).expect("sweep vanished");
+            let state = self.st.jobs.remove(&job).expect("sweep vanished");
             let completion = ctx.now() - state.submitted;
-            self.obs.inc(Counter::SweepsDone);
-            self.obs
+            self.st.obs.inc(Counter::SweepsDone);
+            self.st
+                .obs
                 .observe(Hist::SweepCompletionUs, completion.as_micros());
-            self.obs.span_from(
+            self.st.obs.span_from(
                 state.submitted,
                 ctx.now(),
                 ctx.me().0,
@@ -370,14 +385,14 @@ impl EslurmMaster {
         }
         match kind {
             CtlKind::Launch => {
-                let state = self.jobs.get_mut(&job).expect("job vanished");
+                let state = self.st.jobs.get_mut(&job).expect("job vanished");
                 state.launch_done = Some(ctx.now());
                 ctx.set_timer(runtime, job * TOKEN_BASE + JOB_RUN_DONE);
             }
             CtlKind::Terminate => {
-                let state = self.jobs.remove(&job).expect("job vanished");
-                self.obs.inc(Counter::JobsCompleted);
-                self.obs.span_from(
+                let state = self.st.jobs.remove(&job).expect("job vanished");
+                self.st.obs.inc(Counter::JobsCompleted);
+                self.st.obs.span_from(
                     state.submitted,
                     ctx.now(),
                     ctx.me().0,
@@ -385,10 +400,10 @@ impl EslurmMaster {
                     job,
                     0,
                 );
-                Self::track_work(&mut self.busy_until, ctx, self.cfg.sched_cpu);
-                let keep = self.cfg.job_record_leak as i64;
-                ctx.alloc_virt(-(self.cfg.per_job_virt as i64) + keep);
-                ctx.alloc_real(-(self.cfg.per_job_real as i64) + keep / 4);
+                Self::track_work(&mut self.st.busy_until, ctx, self.st.cfg.sched_cpu);
+                let keep = self.st.cfg.job_record_leak as i64;
+                ctx.alloc_virt(-(self.st.cfg.per_job_virt as i64) + keep);
+                ctx.alloc_real(-(self.st.cfg.per_job_real as i64) + keep / 4);
                 self.records.push(JobRecord {
                     job,
                     submitted: state.submitted,
@@ -402,15 +417,15 @@ impl EslurmMaster {
     }
 
     fn start_sweep(&mut self, ctx: &mut dyn Context<RmMsg>) {
-        let job = SWEEP_BIT | self.sweep_seq;
-        self.sweep_seq += 1;
-        Self::track_work(&mut self.busy_until, ctx, self.cfg.sched_cpu);
+        let job = SWEEP_BIT | self.st.sweep_seq;
+        self.st.sweep_seq += 1;
+        Self::track_work(&mut self.st.busy_until, ctx, self.st.cfg.sched_cpu);
         let trace = ctx.trace_begin(FlowKind::Sweep);
-        self.jobs.insert(
+        self.st.jobs.insert(
             job,
             JobState {
                 kind: JobKind::Sweep,
-                nodes: self.slaves.clone(),
+                nodes: self.st.slaves.clone(),
                 submitted: ctx.now(),
                 launch_done: None,
                 phase: CtlKind::Ping,
@@ -427,15 +442,17 @@ impl EslurmMaster {
 impl Actor<RmMsg> for EslurmMaster {
     fn on_start(&mut self, ctx: &mut dyn Context<RmMsg>) {
         ctx.alloc_virt(
-            (self.cfg.base_virt + self.slaves.len() as u64 * self.cfg.per_node_virt) as i64,
+            (self.st.cfg.base_virt + self.st.slaves.len() as u64 * self.st.cfg.per_node_virt)
+                as i64,
         );
         ctx.alloc_real(
-            (self.cfg.base_real + self.slaves.len() as u64 * self.cfg.per_node_real) as i64,
+            (self.st.cfg.base_real + self.st.slaves.len() as u64 * self.st.cfg.per_node_real)
+                as i64,
         );
         // Probe the satellite pool right away so it is RUNNING before the
         // first jobs arrive; subsequent rounds follow the configured period.
         ctx.set_timer(SimSpan::from_millis(10), TOKEN_SAT_HB);
-        ctx.set_timer(self.cfg.hb_sweep_interval, TOKEN_SWEEP);
+        ctx.set_timer(self.st.cfg.hb_sweep_interval, TOKEN_SWEEP);
     }
 
     fn on_message(&mut self, ctx: &mut dyn Context<RmMsg>, from: NodeId, msg: RmMsg) {
@@ -445,11 +462,11 @@ impl Actor<RmMsg> for EslurmMaster {
                 nodes,
                 runtime_us,
             } => {
-                Self::track_work(&mut self.busy_until, ctx, self.cfg.sched_cpu);
-                ctx.alloc_virt(self.cfg.per_job_virt as i64);
-                ctx.alloc_real(self.cfg.per_job_real as i64);
-                self.obs.inc(Counter::JobsSubmitted);
-                self.obs.event_at(
+                Self::track_work(&mut self.st.busy_until, ctx, self.st.cfg.sched_cpu);
+                ctx.alloc_virt(self.st.cfg.per_job_virt as i64);
+                ctx.alloc_real(self.st.cfg.per_job_real as i64);
+                self.st.obs.inc(Counter::JobsSubmitted);
+                self.st.obs.event_at(
                     ctx.now(),
                     ctx.me().0,
                     EventKind::JobSubmit,
@@ -457,7 +474,7 @@ impl Actor<RmMsg> for EslurmMaster {
                     nodes.len() as u64,
                 );
                 let trace = ctx.trace_begin(FlowKind::Dispatch);
-                self.jobs.insert(
+                self.st.jobs.insert(
                     job,
                     JobState {
                         kind: JobKind::Real {
@@ -482,8 +499,8 @@ impl Actor<RmMsg> for EslurmMaster {
                 reached,
                 ok: _,
             } => {
-                Self::track_work(&mut self.busy_until, ctx, self.cfg.msg_cpu);
-                let Some(t) = self.tasks.get_mut(&task) else {
+                Self::track_work(&mut self.st.busy_until, ctx, self.st.cfg.msg_cpu);
+                let Some(t) = self.st.tasks.get_mut(&task) else {
                     return;
                 };
                 if t.done {
@@ -493,15 +510,16 @@ impl Actor<RmMsg> for EslurmMaster {
                 if let Some(idx) = t.sat {
                     self.apply_fsm(idx, SatEvent::BtSuccess, ctx.now());
                 }
-                self.tasks.remove(&task);
-                self.obs
-                    .gauge_set(Gauge::TasksInFlight, self.tasks.len() as i64);
+                self.st.tasks.remove(&task);
+                self.st
+                    .obs
+                    .gauge_set(Gauge::TasksInFlight, self.st.tasks.len() as i64);
                 self.task_completed(ctx, job, kind, reached);
             }
             RmMsg::CtlAck { job, kind, count } => {
                 // Ack for a master-takeover relay.
-                Self::track_work(&mut self.busy_until, ctx, self.cfg.msg_cpu);
-                let found = self.tasks.iter_mut().find(|(_, t)| {
+                Self::track_work(&mut self.st.busy_until, ctx, self.st.cfg.msg_cpu);
+                let found = self.st.tasks.iter_mut().find(|(_, t)| {
                     t.job == job && t.kind == kind && !t.done && t.takeover_expected > 0
                 });
                 if let Some((&id, t)) = found {
@@ -510,14 +528,15 @@ impl Actor<RmMsg> for EslurmMaster {
                     if t.takeover_received >= t.takeover_expected {
                         t.done = true;
                         let reached = t.takeover_reached;
-                        self.tasks.remove(&id);
+                        self.st.tasks.remove(&id);
                         self.task_completed(ctx, job, kind, reached);
                     }
                 }
             }
             RmMsg::CancelJob { job } => {
-                Self::track_work(&mut self.busy_until, ctx, self.cfg.sched_cpu);
+                Self::track_work(&mut self.st.busy_until, ctx, self.st.cfg.sched_cpu);
                 let cancellable = self
+                    .st
                     .jobs
                     .get(&job)
                     .map(|s| {
@@ -536,16 +555,16 @@ impl Actor<RmMsg> for EslurmMaster {
                 }
             }
             RmMsg::StatusQuery { id } => {
-                self.query_arrival.insert(id, ctx.now());
-                Self::track_work(&mut self.busy_until, ctx, self.cfg.sched_cpu);
-                self.pending_queries.insert(id, from);
-                let delay = self.busy_until - ctx.now();
+                self.st.query_arrival.insert(id, ctx.now());
+                Self::track_work(&mut self.st.busy_until, ctx, self.st.cfg.sched_cpu);
+                self.st.pending_queries.insert(id, from);
+                let delay = self.st.busy_until - ctx.now();
                 ctx.set_timer(delay, id * TOKEN_BASE + QUERY_REPLY);
             }
             RmMsg::SatHeartbeatAck { state } => {
-                Self::track_work(&mut self.busy_until, ctx, self.cfg.msg_cpu);
-                if let Some(idx) = self.satellites.iter().position(|&s| s == from.0) {
-                    self.hb_pending[idx] = false;
+                Self::track_work(&mut self.st.busy_until, ctx, self.st.cfg.msg_cpu);
+                if let Some(idx) = self.st.satellites.iter().position(|&s| s == from.0) {
+                    self.st.hb_pending[idx] = false;
                     let _ = SatState::from_wire(state);
                     self.apply_fsm(idx, SatEvent::HbSuccess, ctx.now());
                 }
@@ -558,39 +577,43 @@ impl Actor<RmMsg> for EslurmMaster {
         match token {
             TOKEN_SWEEP => {
                 self.start_sweep(ctx);
-                ctx.set_timer(self.cfg.hb_sweep_interval, TOKEN_SWEEP);
+                ctx.set_timer(self.st.cfg.hb_sweep_interval, TOKEN_SWEEP);
                 return;
             }
             TOKEN_SAT_HB => {
                 // Unanswered probes from the previous round are failures.
-                for idx in 0..self.satellites.len() {
-                    if self.hb_pending[idx] {
-                        self.hb_pending[idx] = false;
+                for idx in 0..self.st.satellites.len() {
+                    if self.st.hb_pending[idx] {
+                        self.st.hb_pending[idx] = false;
                         self.apply_fsm(idx, SatEvent::HbFailure, ctx.now());
                     }
                 }
-                for idx in 0..self.satellites.len() {
-                    if self.fsm[idx].state(ctx.now()) == SatState::Down {
+                for idx in 0..self.st.satellites.len() {
+                    if self.st.fsm[idx].state(ctx.now()) == SatState::Down {
                         continue; // needs administrator intervention
                     }
-                    Self::track_work(&mut self.busy_until, ctx, self.cfg.msg_cpu);
-                    ctx.open_socket_for(NodeId(self.satellites[idx]), self.cfg.conn_lifetime);
-                    ctx.send(NodeId(self.satellites[idx]), RmMsg::SatHeartbeat);
-                    self.hb_pending[idx] = true;
+                    Self::track_work(&mut self.st.busy_until, ctx, self.st.cfg.msg_cpu);
+                    ctx.open_socket_for(NodeId(self.st.satellites[idx]), self.st.cfg.conn_lifetime);
+                    ctx.send(NodeId(self.st.satellites[idx]), RmMsg::SatHeartbeat);
+                    self.st.hb_pending[idx] = true;
                 }
-                ctx.set_timer(self.cfg.sat_hb_interval, TOKEN_SAT_HB);
+                ctx.set_timer(self.st.cfg.sat_hb_interval, TOKEN_SAT_HB);
                 return;
             }
             TOKEN_DISPATCH => {
-                if let Some(task_id) = self.dispatch_q.pop_front() {
-                    if let Some(t) = self.tasks.get_mut(&task_id) {
+                if let Some(task_id) = self.st.dispatch_q.pop_front() {
+                    if let Some(t) = self.st.tasks.get_mut(&task_id) {
                         if !t.done {
                             if let Some(idx) = t.sat {
-                                Self::track_work(&mut self.busy_until, ctx, self.cfg.task_prep_cpu);
+                                Self::track_work(
+                                    &mut self.st.busy_until,
+                                    ctx,
+                                    self.st.cfg.task_prep_cpu,
+                                );
                                 ctx.trace_adopt(t.trace);
                                 t.sent_at = ctx.now();
-                                let sat_node = NodeId(self.satellites[idx]);
-                                ctx.open_socket_for(sat_node, self.cfg.conn_lifetime);
+                                let sat_node = NodeId(self.st.satellites[idx]);
+                                ctx.open_socket_for(sat_node, self.st.cfg.conn_lifetime);
                                 ctx.send(
                                     sat_node,
                                     RmMsg::BcastTask {
@@ -598,30 +621,30 @@ impl Actor<RmMsg> for EslurmMaster {
                                         job: t.job,
                                         kind: t.kind,
                                         list: t.list.clone(),
-                                        width: self.cfg.relay_width as u16,
+                                        width: self.st.cfg.relay_width as u16,
                                     },
                                 );
                                 // Timeout covers satellite processing plus
                                 // the depth-scaled relay round trip below it.
                                 let proc = SimSpan(
-                                    self.cfg.sat_per_node_cpu.as_micros()
+                                    self.st.cfg.sat_per_node_cpu.as_micros()
                                         * t.list.len().max(1) as u64,
                                 );
                                 let depth =
-                                    topology::relay_depth(t.list.len(), self.cfg.relay_width)
+                                    topology::relay_depth(t.list.len(), self.st.cfg.relay_width)
                                         as u64;
                                 ctx.set_timer(
-                                    self.cfg.task_timeout * (depth + 2) + proc,
+                                    self.st.cfg.task_timeout * (depth + 2) + proc,
                                     task_id * TOKEN_BASE + TASK_TIMEOUT,
                                 );
                             }
                         }
                     }
                 }
-                if self.dispatch_q.is_empty() {
-                    self.dispatching = false;
+                if self.st.dispatch_q.is_empty() {
+                    self.st.dispatching = false;
                 } else {
-                    ctx.set_timer(self.cfg.task_prep_cpu, TOKEN_DISPATCH);
+                    ctx.set_timer(self.st.cfg.task_prep_cpu, TOKEN_DISPATCH);
                 }
                 return;
             }
@@ -632,25 +655,28 @@ impl Actor<RmMsg> for EslurmMaster {
             JOB_RUN_DONE => {
                 // Skip jobs already heading out (e.g. cancelled mid-run).
                 let still_running = self
+                    .st
                     .jobs
                     .get(&id)
                     .map(|s| s.phase == CtlKind::Launch)
                     .unwrap_or(false);
                 if still_running {
-                    Self::track_work(&mut self.busy_until, ctx, self.cfg.sched_cpu);
-                    if let Some(s) = self.jobs.get(&id) {
+                    Self::track_work(&mut self.st.busy_until, ctx, self.st.cfg.sched_cpu);
+                    if let Some(s) = self.st.jobs.get(&id) {
                         ctx.trace_adopt(s.trace);
                     }
                     self.start_ctl(ctx, id, CtlKind::Terminate);
                 }
             }
             QUERY_REPLY => {
-                if let Some(asker) = self.pending_queries.remove(&id) {
-                    if let Some(arrived) = self.query_arrival.remove(&id) {
+                if let Some(asker) = self.st.pending_queries.remove(&id) {
+                    if let Some(arrived) = self.st.query_arrival.remove(&id) {
                         let latency = ctx.now() - arrived;
-                        self.obs.inc(Counter::QueriesServed);
-                        self.obs.observe(Hist::QueryLatencyUs, latency.as_micros());
-                        self.obs.event_at(
+                        self.st.obs.inc(Counter::QueriesServed);
+                        self.st
+                            .obs
+                            .observe(Hist::QueryLatencyUs, latency.as_micros());
+                        self.st.obs.event_at(
                             ctx.now(),
                             ctx.me().0,
                             EventKind::QueryServed,
@@ -663,7 +689,7 @@ impl Actor<RmMsg> for EslurmMaster {
                 }
             }
             TASK_TIMEOUT => {
-                let Some(t) = self.tasks.get_mut(&id) else {
+                let Some(t) = self.st.tasks.get_mut(&id) else {
                     return;
                 };
                 if t.done {
@@ -680,7 +706,7 @@ impl Actor<RmMsg> for EslurmMaster {
                     // Master's own relay: close it out with partial coverage.
                     t.done = true;
                     let (job, kind, reached) = (t.job, t.kind, t.takeover_reached);
-                    self.tasks.remove(&id);
+                    self.st.tasks.remove(&id);
                     self.task_completed(ctx, job, kind, reached);
                     return;
                 }
@@ -692,10 +718,10 @@ impl Actor<RmMsg> for EslurmMaster {
                 if let Some(idx) = t.sat.take() {
                     self.apply_fsm(idx, SatEvent::BtFailure, ctx.now());
                 }
-                if attempts <= self.cfg.reassign_threshold {
+                if attempts <= self.st.cfg.reassign_threshold {
                     self.reassignments += 1;
-                    self.obs.inc(Counter::TaskRetries);
-                    self.obs.event_at(
+                    self.st.obs.inc(Counter::TaskRetries);
+                    self.st.obs.event_at(
                         ctx.now(),
                         ctx.me().0,
                         EventKind::TaskRetry,

@@ -67,8 +67,9 @@ const TOKEN_KIND_BITS: u64 = 2;
 const START_TIMER: u64 = 0;
 const DEADLINE_TIMER: u64 = 1;
 
-/// The satellite daemon actor.
-pub struct SatelliteDaemon {
+/// A satellite's working state: everything but the result fields callers
+/// read after a run.
+struct SatelliteState {
     cfg: EslurmConfig,
     /// Shared failure predictor (the monitoring subsystem's suspect feed).
     predictor: Option<Arc<Mutex<dyn FailurePredictor>>>,
@@ -76,6 +77,14 @@ pub struct SatelliteDaemon {
     next_token: u64,
     /// Relay-buffer high-water mark, in nodes (drives resident memory).
     buf_nodes: usize,
+    obs: Recorder,
+}
+
+/// The satellite daemon actor.
+pub struct SatelliteDaemon {
+    /// Boxed: satellites are a few dozen among up to a million compute
+    /// daemons, and `EslurmNode` is as large as its largest variant.
+    st: Box<SatelliteState>,
     /// Tasks processed successfully.
     pub tasks_done: u64,
     /// Total nodes across received tasks (Table VI's "average nodes in
@@ -83,7 +92,6 @@ pub struct SatelliteDaemon {
     pub task_nodes_total: u64,
     /// FP-Tree placement statistics.
     pub fp_stats: FpPlacementStats,
-    obs: Recorder,
 }
 
 impl SatelliteDaemon {
@@ -92,26 +100,28 @@ impl SatelliteDaemon {
     /// ablation).
     pub fn new(cfg: EslurmConfig, predictor: Option<Arc<Mutex<dyn FailurePredictor>>>) -> Self {
         SatelliteDaemon {
-            cfg,
-            predictor,
-            tasks: BTreeMap::new(),
-            next_token: 0,
-            buf_nodes: 0,
+            st: Box::new(SatelliteState {
+                cfg,
+                predictor,
+                tasks: BTreeMap::new(),
+                next_token: 0,
+                buf_nodes: 0,
+                obs: Recorder::disabled(),
+            }),
             tasks_done: 0,
             task_nodes_total: 0,
             fp_stats: FpPlacementStats::default(),
-            obs: Recorder::disabled(),
         }
     }
 
     /// Record task-service telemetry into `obs` (builder-style).
     pub fn with_obs(mut self, obs: Recorder) -> Self {
-        self.obs = obs;
+        self.st.obs = obs;
         self
     }
 
     fn state(&self) -> SatState {
-        if self.tasks.is_empty() {
+        if self.st.tasks.is_empty() {
             SatState::Running
         } else {
             SatState::Busy
@@ -129,21 +139,21 @@ impl SatelliteDaemon {
     ) {
         self.task_nodes_total += list.len() as u64;
         // Relay buffers grow to the largest task seen (high-water).
-        if list.len() > self.buf_nodes {
-            let grow = (list.len() - self.buf_nodes) as u64 * self.cfg.sat_per_task_node_real;
+        if list.len() > self.st.buf_nodes {
+            let grow = (list.len() - self.st.buf_nodes) as u64 * self.st.cfg.sat_per_task_node_real;
             ctx.alloc_real(grow as i64);
             ctx.alloc_virt(grow as i64);
-            self.buf_nodes = list.len();
+            self.st.buf_nodes = list.len();
         }
         // Processing (FP-Tree construction + payload marshalling) costs
         // CPU proportional to the list and delays the relay by the same
         // amount — this is the per-node cost that caps how much one
         // satellite should be handed (Fig. 11a).
-        let proc = SimSpan(self.cfg.sat_per_node_cpu.as_micros() * list.len().max(1) as u64);
+        let proc = SimSpan(self.st.cfg.sat_per_node_cpu.as_micros() * list.len().max(1) as u64);
         ctx.charge_cpu(proc);
-        let token = self.next_token;
-        self.next_token += 1;
-        self.tasks.insert(
+        let token = self.st.next_token;
+        self.st.next_token += 1;
+        self.st.tasks.insert(
             token,
             PendingTask {
                 task,
@@ -165,11 +175,12 @@ impl SatelliteDaemon {
 
     fn relay(&mut self, ctx: &mut dyn Context<RmMsg>, token: u64) {
         let suspects = self
+            .st
             .predictor
             .as_ref()
             .map(|p| p.lock().expect("predictor poisoned").suspects(ctx.now()))
             .unwrap_or_default();
-        let Some(t) = self.tasks.get_mut(&token) else {
+        let Some(t) = self.st.tasks.get_mut(&token) else {
             return;
         };
         if t.relayed {
@@ -180,7 +191,7 @@ impl SatelliteDaemon {
         // message-borne context is long cleared).
         ctx.trace_adopt(t.trace);
         if t.list.is_empty() {
-            let done = self.tasks.remove(&token).expect("task vanished");
+            let done = self.st.tasks.remove(&token).expect("task vanished");
             self.tasks_done += 1;
             ctx.send(
                 done.origin,
@@ -196,7 +207,7 @@ impl SatelliteDaemon {
         }
         // FP-Tree construction: rearrange so suspects sit on leaves, then
         // relay by the ordinary grouping rule.
-        let w = self.cfg.relay_width.max(2);
+        let w = self.st.cfg.relay_width.max(2);
         // The arranged list is this relay's `Deliver` payload; building it
         // in a recycled buffer keeps the per-task allocation out of the
         // DES hot path.
@@ -225,7 +236,7 @@ impl SatelliteDaemon {
         let (job, kind) = (t.job, t.kind);
         for (lo, len) in chunks {
             let head = arranged.nodes()[lo];
-            ctx.open_socket_for(NodeId(head), self.cfg.conn_lifetime);
+            ctx.open_socket_for(NodeId(head), self.st.cfg.conn_lifetime);
             ctx.send(
                 NodeId(head),
                 RmMsg::JobCtl {
@@ -238,19 +249,21 @@ impl SatelliteDaemon {
         }
         let depth = topology::relay_depth(arranged.len(), w) as u64;
         ctx.set_timer(
-            self.cfg.task_timeout * (depth + 1),
+            self.st.cfg.task_timeout * (depth + 1),
             token << TOKEN_KIND_BITS | DEADLINE_TIMER,
         );
     }
 
     fn finish_task(&mut self, ctx: &mut dyn Context<RmMsg>, token: u64, complete: bool) {
-        let Some(t) = self.tasks.remove(&token) else {
+        let Some(t) = self.st.tasks.remove(&token) else {
             return;
         };
         self.tasks_done += 1;
         let service = ctx.now() - t.started;
-        self.obs.observe(Hist::TaskServiceUs, service.as_micros());
-        self.obs.span_from(
+        self.st
+            .obs
+            .observe(Hist::TaskServiceUs, service.as_micros());
+        self.st.obs.span_from(
             t.started,
             ctx.now(),
             ctx.me().0,
@@ -258,7 +271,7 @@ impl SatelliteDaemon {
             t.job,
             0,
         );
-        ctx.charge_cpu(self.cfg.msg_cpu);
+        ctx.charge_cpu(self.st.cfg.msg_cpu);
         ctx.send(
             t.origin,
             RmMsg::BcastDone {
@@ -274,8 +287,8 @@ impl SatelliteDaemon {
 
 impl Actor<RmMsg> for SatelliteDaemon {
     fn on_start(&mut self, ctx: &mut dyn Context<RmMsg>) {
-        ctx.alloc_virt(self.cfg.sat_base_virt as i64);
-        ctx.alloc_real(self.cfg.sat_base_real as i64);
+        ctx.alloc_virt(self.st.cfg.sat_base_virt as i64);
+        ctx.alloc_real(self.st.cfg.sat_base_real as i64);
     }
 
     fn on_message(&mut self, ctx: &mut dyn Context<RmMsg>, from: NodeId, msg: RmMsg) {
@@ -290,8 +303,9 @@ impl Actor<RmMsg> for SatelliteDaemon {
                 self.begin_task(ctx, from, task, job, kind, list);
             }
             RmMsg::CtlAck { job, kind, count } => {
-                ctx.charge_cpu(self.cfg.msg_cpu);
+                ctx.charge_cpu(self.st.cfg.msg_cpu);
                 let found = self
+                    .st
                     .tasks
                     .iter_mut()
                     .find(|(_, t)| t.job == job && t.kind == kind && t.relayed);
@@ -304,7 +318,7 @@ impl Actor<RmMsg> for SatelliteDaemon {
                 }
             }
             RmMsg::SatHeartbeat => {
-                ctx.charge_cpu(self.cfg.msg_cpu);
+                ctx.charge_cpu(self.st.cfg.msg_cpu);
                 ctx.send(
                     from,
                     RmMsg::SatHeartbeatAck {
@@ -314,7 +328,7 @@ impl Actor<RmMsg> for SatelliteDaemon {
             }
             RmMsg::Shutdown => {
                 // Abandon in-flight work; the master's timeouts reassign it.
-                self.tasks.clear();
+                self.st.tasks.clear();
             }
             _ => {}
         }
@@ -327,8 +341,8 @@ impl Actor<RmMsg> for SatelliteDaemon {
             DEADLINE_TIMER
                 // Some subtrees never acknowledged (failed heads below the
                 // first layer); report the partial coverage.
-                if self.tasks.contains_key(&t) => {
-                    let pt = &self.tasks[&t];
+                if self.st.tasks.contains_key(&t) => {
+                    let pt = &self.st.tasks[&t];
                     if let Some(tc) = pt.trace {
                         // The wait on missing acks is timeout backoff.
                         ctx.trace_backoff(&tc, pt.relayed_at);

@@ -9,8 +9,7 @@ use emu::{Actor, Context, NodeId};
 use obs::{Counter, Recorder, TraceContext};
 use rand::RngExt;
 use simclock::{SimSpan, SimTime};
-use std::collections::BTreeMap;
-use topology::{relay_depth, split_balanced};
+use topology::{balanced_chunks, relay_depth};
 
 /// Heartbeat behaviour of a slave.
 #[derive(Clone, Copy, Debug)]
@@ -88,7 +87,11 @@ const TOKEN_RELAY_BASE: u64 = 1;
 /// The slave daemon actor.
 pub struct SlaveDaemon {
     cfg: SlaveConfig,
-    relays: BTreeMap<u64, Relay>,
+    /// Live relays by timer token, oldest first. Tokens only grow, so push
+    /// order is token order — the order an ack searches in — and a node
+    /// holds a handful at most, so a scan beats a map and its per-relay
+    /// node allocation.
+    relays: Vec<(u64, Relay)>,
     next_token: u64,
     /// Launch/terminate messages this node has executed (for assertions).
     pub ctl_handled: u64,
@@ -99,7 +102,7 @@ impl SlaveDaemon {
     pub fn new(cfg: SlaveConfig) -> Self {
         SlaveDaemon {
             cfg,
-            relays: BTreeMap::new(),
+            relays: Vec::new(),
             next_token: TOKEN_RELAY_BASE,
             ctl_handled: 0,
         }
@@ -136,7 +139,7 @@ impl SlaveDaemon {
         // Relay: chunk the remaining list, hand each chunk to its head.
         let w = (width as usize).max(2);
         let k = if list.len() < w { list.len() } else { w };
-        let chunks = split_balanced(list.len(), k);
+        let chunks = balanced_chunks(list.len(), k);
         let expected = chunks.len() as u32;
         for (lo, len) in chunks {
             let head = list.nodes()[lo];
@@ -153,7 +156,7 @@ impl SlaveDaemon {
         }
         let token = self.next_token;
         self.next_token += 1;
-        self.relays.insert(
+        self.relays.push((
             token,
             Relay {
                 origin: from,
@@ -166,7 +169,7 @@ impl SlaveDaemon {
                 started: ctx.now(),
                 trace: ctx.trace_current(),
             },
-        );
+        ));
         let depth = relay_depth(list.len(), w) as u64;
         ctx.set_timer(self.cfg.ack_timeout * depth.max(1), token);
     }
@@ -233,14 +236,15 @@ impl Actor<RmMsg> for SlaveDaemon {
                 // it; a stale ack after timeout is dropped).
                 let found = self
                     .relays
-                    .iter_mut()
-                    .find(|(_, r)| r.job == job && r.kind == kind && !r.done);
-                if let Some((&token, relay)) = found {
+                    .iter()
+                    .position(|(_, r)| r.job == job && r.kind == kind && !r.done);
+                if let Some(at) = found {
+                    let relay = &mut self.relays[at].1;
                     relay.received += 1;
                     relay.count += count;
                     if relay.received >= relay.expected {
                         Self::finish_relay(ctx, relay);
-                        self.relays.remove(&token);
+                        self.relays.remove(at);
                     }
                 }
             }
@@ -256,7 +260,8 @@ impl Actor<RmMsg> for SlaveDaemon {
             ctx.open_socket_for(master, self.cfg.conn_lifetime);
             ctx.send(master, RmMsg::Heartbeat { node: me });
             self.arm_heartbeat(ctx);
-        } else if let Some(mut relay) = self.relays.remove(&token) {
+        } else if let Some(at) = self.relays.iter().position(|&(t, _)| t == token) {
+            let (_, mut relay) = self.relays.remove(at);
             // Children that didn't answer in time are reported as missing
             // (partial count) — the parent layer handles re-routing. The
             // wait on the silent subtree is timeout backoff in the trace.
@@ -423,6 +428,44 @@ mod tests {
         // count; everything else is covered.
         assert!(count < n as u32, "count {count}");
         assert!(count >= n as u32 - 6, "count {count} lost too many");
+    }
+
+    #[test]
+    fn same_job_relays_take_acks_oldest_first_and_late_timers_are_noops() {
+        // Node 1 gets two launches of job 7 at one instant: relay A over
+        // [2] expects one ack, relay B over [2, 3] expects two. Acks carry
+        // only (job, kind), so which relay an ack feeds is the table's
+        // search order — oldest token first.
+        let mut c = cluster(4);
+        let at = simclock::SimTime::from_millis(1);
+        for nodes in [vec![2], vec![2, 3]] {
+            c.inject(
+                at,
+                NodeId::MASTER,
+                NodeId(1),
+                RmMsg::JobCtl {
+                    job: 7,
+                    kind: CtlKind::Launch,
+                    list: NodeSlice::new(nodes),
+                    width: 4,
+                },
+            );
+        }
+        let acks = |c: &SimCluster<RmMsg, Node>| {
+            let Node::Sink(sink) = c.actor(NodeId::MASTER) else {
+                panic!()
+            };
+            sink.acks.clone()
+        };
+        c.run_until(simclock::SimTime::from_secs(1));
+        // A closes on the first ack to arrive (itself + one child), B on
+        // the other two; newest-first would report B's 3 before A's 2.
+        let want = vec![(7, CtlKind::Launch, 2), (7, CtlKind::Launch, 3)];
+        assert_eq!(acks(&c), want);
+        // Both relays' ack timers are still queued; firing them for
+        // tokens that already completed sends nothing.
+        assert!(c.run_to_quiescence() >= 2);
+        assert_eq!(acks(&c), want);
     }
 
     #[test]

@@ -8,31 +8,30 @@
 //! nodes between internal and leaf positions without changing the
 //! construction algorithm (§IV-D/E).
 
+/// The `k` contiguous, balanced chunks of `len` items, as `(start, len)`
+/// pairs computed on the fly; the first `len % k` chunks are one longer.
+/// `k` is capped at `len`, so no chunk is empty.
+pub fn balanced_chunks(len: usize, k: usize) -> impl ExactSizeIterator<Item = (usize, usize)> {
+    assert!(k > 0, "cannot split into zero groups");
+    let k = k.min(len);
+    // `len == 0` yields no chunks; the divisor only has to be non-zero.
+    let (base, extra) = (len / k.max(1), len % k.max(1));
+    // Chunk `i` starts after `i` base-sized chunks and `min(i, extra)`
+    // one-longer ones.
+    (0..k).map(move |i| (i * base + i.min(extra), base + usize::from(i < extra)))
+}
+
 /// Split `len` items into `k` contiguous, balanced chunks.
 ///
-/// Returns `(start, len)` pairs; the first `len % k` chunks are one longer.
+/// Returns the `(start, len)` pairs of [`balanced_chunks`].
 pub fn split_balanced(len: usize, k: usize) -> Vec<(usize, usize)> {
-    let mut out = Vec::with_capacity(k.min(len));
-    split_balanced_into(len, k, &mut out);
-    out
+    balanced_chunks(len, k).collect()
 }
 
 /// [`split_balanced`] into a caller-provided buffer (appended, not
 /// cleared), so hot loops can reuse one allocation across many splits.
 pub fn split_balanced_into(len: usize, k: usize, out: &mut Vec<(usize, usize)>) {
-    assert!(k > 0, "cannot split into zero groups");
-    let k = k.min(len);
-    if len == 0 {
-        return;
-    }
-    let base = len / k;
-    let extra = len % k;
-    let mut start = 0;
-    for i in 0..k {
-        let l = base + usize::from(i < extra);
-        out.push((start, l));
-        start += l;
-    }
+    out.extend(balanced_chunks(len, k));
 }
 
 /// Mark which positions of an `n`-element node list become **leaves** of a
@@ -55,7 +54,7 @@ fn mark(start: usize, len: usize, w: usize, leaves: &mut [bool]) {
     // Fewer nodes than the width: every node becomes its own group head
     // with nothing below it — all leaves (the `n < w` arm of Eq. 2).
     let k = if len < w { len } else { w };
-    for (cs, cl) in split_balanced(len, k) {
+    for (cs, cl) in balanced_chunks(len, k) {
         let head = start + cs;
         if cl == 1 {
             leaves[head] = true;
@@ -116,7 +115,7 @@ impl CommTree {
             return;
         }
         let k = if len < w { len } else { w };
-        for (cs, cl) in split_balanced(len, k) {
+        for (cs, cl) in balanced_chunks(len, k) {
             let head = (start + cs) as u32;
             match parent {
                 None => self.root_children.push(head),
