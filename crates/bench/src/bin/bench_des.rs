@@ -14,7 +14,7 @@
 use emu::NodeId;
 use eslurm::{EslurmConfig, EslurmSystemBuilder};
 use eslurm_bench::{f, print_table, ExpArgs};
-use obs::{mem_profile_compiled, EngineProfiler, EngineReport, MemProfiler, MemReport};
+use obs::{mem_profile_compiled, MemProfiler, MemReport};
 use serde::{Number, Value};
 use simclock::rng::{exponential, stream_rng};
 use simclock::{SimSpan, SimTime};
@@ -51,14 +51,12 @@ struct RunResult {
     fingerprint: u64,
     jobs_submitted: u64,
     jobs_recorded: u64,
-    /// Wall-clock engine profile, present under `--profile`.
-    profile: Option<EngineReport>,
     /// Tagged heap profile, present under `--mem` when the binary was
     /// built with the `mem-profile` feature.
     mem: Option<MemReport>,
 }
 
-fn run_once(scale: &Scale, seed: u64, shards: usize, profile: bool, mem: bool) -> RunResult {
+fn run_once(scale: &Scale, seed: u64, shards: usize, mem: bool) -> RunResult {
     let cfg = EslurmConfig {
         n_satellites: scale.satellites,
         eq1_width: 64,
@@ -67,11 +65,6 @@ fn run_once(scale: &Scale, seed: u64, shards: usize, profile: bool, mem: bool) -
         sat_hb_interval: SimSpan::from_secs(30),
         ..Default::default()
     };
-    let profiler = if profile {
-        EngineProfiler::enabled()
-    } else {
-        EngineProfiler::disabled()
-    };
     let mem_profiler = if mem {
         MemProfiler::enabled()
     } else {
@@ -79,7 +72,6 @@ fn run_once(scale: &Scale, seed: u64, shards: usize, profile: bool, mem: bool) -
     };
     let mut sys = EslurmSystemBuilder::new(cfg, scale.n_slaves, seed)
         .shards(shards)
-        .engine_profile(profiler.clone())
         .mem_profile(mem_profiler.clone())
         .build();
 
@@ -147,7 +139,6 @@ fn run_once(scale: &Scale, seed: u64, shards: usize, profile: bool, mem: bool) -
         fingerprint: h,
         jobs_submitted: jobs,
         jobs_recorded: sys.master().records.len() as u64,
-        profile: profiler.report(),
         mem: mem_profiler.report(),
     }
 }
@@ -187,20 +178,13 @@ fn main() {
         print!("  shards={shards} ... ");
         use std::io::Write as _;
         std::io::stdout().flush().ok();
-        let r = run_once(&scale, args.seed, shards, args.profile, args.mem);
+        let r = run_once(&scale, args.seed, shards, args.mem);
         println!(
             "{} events in {:.2} s ({:.0} ev/s)",
             r.events,
             r.wall_s,
             r.events as f64 / r.wall_s.max(1e-9)
         );
-        if let Some(p) = &r.profile {
-            println!(
-                "    profile: imbalance {:.2}x, {} cross-shard msgs",
-                p.imbalance(),
-                p.cross_shard_total()
-            );
-        }
         if let Some(m) = &r.mem {
             println!(
                 "    mem: {} peak across {} tag(s), {:.2} allocs/event",
@@ -285,7 +269,6 @@ fn main() {
         Value::Number(Number::U64(host_par as u64)),
     );
     root.insert("outcomes_match".to_string(), Value::Bool(outcomes_match));
-    root.insert("profiled".to_string(), Value::Bool(args.profile));
     root.insert(
         "mem_profiled".to_string(),
         Value::Bool(args.mem && mem_profile_compiled()),
@@ -325,25 +308,6 @@ fn main() {
                 "events_per_sec".to_string(),
                 Value::Number(Number::F64(r.events as f64 / r.wall_s.max(1e-9))),
             );
-            if let Some(p) = &r.profile {
-                o.insert(
-                    "imbalance".to_string(),
-                    Value::Number(Number::F64(p.imbalance())),
-                );
-                o.insert(
-                    "cross_shard_msgs".to_string(),
-                    Value::Number(Number::U64(p.cross_shard_total())),
-                );
-                o.insert(
-                    "shard_events_per_sec".to_string(),
-                    Value::Array(
-                        p.shards
-                            .iter()
-                            .map(|s| Value::Number(Number::F64(s.events_per_sec())))
-                            .collect(),
-                    ),
-                );
-            }
             if let Some(m) = &r.mem {
                 o.insert(
                     "allocs_per_event".to_string(),

@@ -1,10 +1,9 @@
 //! # eslurm-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper's
-//! evaluation (see `DESIGN.md` §3 for the index), plus Criterion
-//! micro-benchmarks. Every binary accepts `--quick` (reduced scale, for CI
-//! and smoke runs) and `--seed <n>`, prints aligned text tables, and drops
-//! CSV series under `results/`.
+//! evaluation (see `DESIGN.md` §3 for the index). Every binary accepts
+//! `--quick` (reduced scale, for CI and smoke runs) and `--seed <n>`,
+//! prints aligned text tables, and drops CSV series under `results/`.
 
 use obs::{MetricId, SeriesPoint, SeriesStore, SeriesSummary};
 use std::fmt::Write as _;
@@ -17,9 +16,6 @@ pub struct ExpArgs {
     pub quick: bool,
     /// Master seed.
     pub seed: u64,
-    /// Arm the wall-clock engine profiler (binaries that drive the DES
-    /// report sync overhead and load imbalance when set).
-    pub profile: bool,
     /// Arm the tagged tracking allocator (binaries that drive the DES
     /// report per-tag heap peaks and allocations-per-event when set;
     /// needs a binary built with `--features mem-profile` to measure).
@@ -27,20 +23,17 @@ pub struct ExpArgs {
 }
 
 impl ExpArgs {
-    /// Parse from `std::env::args` (`--quick`, `--seed <n>`, `--profile`,
-    /// `--mem`).
+    /// Parse from `std::env::args` (`--quick`, `--seed <n>`, `--mem`).
     pub fn parse() -> Self {
         let mut args = ExpArgs {
             quick: false,
             seed: 42,
-            profile: false,
             mem: false,
         };
         let mut it = std::env::args().skip(1);
         while let Some(a) = it.next() {
             match a.as_str() {
                 "--quick" => args.quick = true,
-                "--profile" => args.profile = true,
                 "--mem" => args.mem = true,
                 "--seed" => {
                     args.seed = match it.next().and_then(|v| v.parse().ok()) {
@@ -54,7 +47,6 @@ impl ExpArgs {
                 "--help" | "-h" => {
                     eprintln!(
                         "options: --quick (reduced scale), --seed <n>, \
-                         --profile (wall-clock engine profiler), \
                          --mem (tagged heap profiler)"
                     );
                     std::process::exit(0);
@@ -164,14 +156,12 @@ mod tests {
         let a = ExpArgs {
             quick: true,
             seed: 1,
-            profile: false,
             mem: false,
         };
         assert_eq!(a.scale(100, 10), 10);
         let b = ExpArgs {
             quick: false,
             seed: 1,
-            profile: false,
             mem: false,
         };
         assert_eq!(b.scale(100, 10), 100);

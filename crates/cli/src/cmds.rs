@@ -13,8 +13,7 @@ use obs::causal::{render_critical_path, render_flow_summaries, render_tree};
 use obs::export::ChromeTrace;
 use obs::{
     build_traces, compare_csv, flow_summaries, mem_profile_compiled, DecisionLog, DiffOptions,
-    EngineProfiler, FlightConfig, FlowKind, MemProfiler, Recorder, Sampler, SeriesStore, SloEngine,
-    TraceTree,
+    FlightConfig, FlowKind, MemProfiler, Recorder, Sampler, SloEngine, TraceTree,
 };
 use sched::prelude::{
     simulate as run_schedule, BackfillConfig, FairShareLedger, LimitPolicy, MultifactorPriority,
@@ -194,13 +193,6 @@ pub const COMMANDS: &[CmdSpec] = &[
             "obs",
         ],
         run: sched_report,
-    },
-    CmdSpec {
-        name: "engine-report",
-        summary: "wall-clock per-shard profile of the simulation engine",
-        scenario: defaults(256, 4, 10, 20, 0),
-        flags: &["shards", "csv", "trace"],
-        run: engine_report,
     },
     CmdSpec {
         name: "slo-report",
@@ -991,58 +983,6 @@ fn sched_report(o: &Opts) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `eslurm engine-report --nodes N --satellites M --minutes T --jobs J
-/// --seed S [--faults K] [--shards P] [--csv FILE] [--trace FILE]`
-///
-/// Runs the same emulation as `simulate` with the wall-clock engine
-/// profiler armed and prints the per-shard efficiency table: where each
-/// shard's wall time went (event execution vs. queue ops), cross-shard
-/// message traffic, and the load-imbalance summary. `--shards P`
-/// (default 1) only lays the queues and node state out over P shards:
-/// outcomes are identical for every P; the table shows what the layout
-/// costs.
-///
-/// The profiler observes only host monotonic clocks, so outcomes and all
-/// virtual-time exports are bit-identical with it on or off. `--csv`
-/// writes the report as `engine_wall_*` series (excluded from `diff`
-/// gates by default); `--trace` writes a Chrome trace whose wall-clock
-/// engine track (pid 2) sits beside the virtual-time node lanes.
-fn engine_report(o: &Opts) -> Result<(), CliError> {
-    let (sc, builder) = scenario(o)?;
-    let shards = o.get_or("shards", 1usize)?;
-
-    let rec = recorder_for(o.get("trace"));
-    let profiler = EngineProfiler::enabled();
-    let sys = sc.run(
-        builder
-            .obs(rec.clone())
-            .shards(shards)
-            .engine_profile(profiler.clone()),
-    );
-    let report = profiler
-        .report()
-        .expect("enabled profiler is attached by SimCluster::new");
-    print!("{}", report.render());
-    println!("{}", sc.status(&sys));
-    if let Some(path) = o.get("csv") {
-        let mut store = SeriesStore::new();
-        report.to_series(&mut store, sc.horizon());
-        write_file(path, store.to_csv())?;
-        println!("csv:    {} series -> {path}", store.len());
-    }
-    if let Some(path) = o.get("trace") {
-        let doc = ChromeTrace {
-            events: &rec.events(),
-            flows: &rec.causal_records(),
-            engine: &profiler.spans(),
-            ..Default::default()
-        };
-        write_file(path, doc.render())?;
-        println!("trace:  virtual-time lanes + wall-clock engine track -> {path}");
-    }
-    Ok(())
-}
-
 /// The `--format table|csv|json [--out FILE]` tail of the report commands:
 /// `render` holds the three renderings in that order. With `--out` the
 /// body goes to the file and stdout names it; without, stdout is exactly
@@ -1169,17 +1109,16 @@ fn mem_report(o: &Opts) -> Result<(), CliError> {
 
 /// `eslurm diff BASE.csv NEW.csv [--threshold-pct P]
 /// [--thresholds metric=P,metric=P] [--all true]
-/// [--include-domain wallclock,host-mem]`
+/// [--include-domain host-mem]`
 ///
 /// Compares two sampler CSVs and exits 3 when any gated metric's mean or
 /// max grew past its threshold. `footprint_*` metrics are gated by
 /// default; `--thresholds` gates the listed metrics with their own
 /// limits, and `--all true` gates every shared metric. Metrics from the
-/// non-virtual measurement domains — wall-clock `engine_wall_*` and
-/// host-memory `mem_host_*` series — are never gated unless
-/// `--include-domain` (or an explicit `--thresholds` entry) opts their
-/// domain in: host timing and allocator jitter must not fail a
-/// virtual-time determinism gate.
+/// non-virtual measurement domain — host-memory `mem_host_*` series —
+/// are never gated unless `--include-domain` (or an explicit
+/// `--thresholds` entry) opts the domain in: allocator jitter must not
+/// fail a virtual-time determinism gate.
 fn diff(o: &Opts) -> Result<(), CliError> {
     let base_path = o.positional(0, "baseline csv")?;
     let new_path = o.positional(1, "candidate csv")?;
@@ -1191,12 +1130,9 @@ fn diff(o: &Opts) -> Result<(), CliError> {
     if let Some(list) = o.get("include-domain") {
         for domain in list.split(',').filter(|p| !p.is_empty()) {
             match domain {
-                "wallclock" => opts.include_wallclock = true,
                 "host-mem" => opts.include_hostmem = true,
                 other => {
-                    return Err(o.usage(format!(
-                        "unknown --include-domain {other} (wallclock | host-mem)"
-                    )))
+                    return Err(o.usage(format!("unknown --include-domain {other} (host-mem)")))
                 }
             }
         }
@@ -1228,7 +1164,7 @@ fn diff(o: &Opts) -> Result<(), CliError> {
     for d in &report.deltas {
         // Gate verdicts name the metric's measurement domain so a failure
         // line says which clock it was judged in (virtual determinism vs.
-        // opted-in wallclock/host noise).
+        // opted-in host noise).
         let gate = match (d.regressed, d.threshold_pct) {
             (true, Some(t)) => format!("FAIL >{t}% ({} domain)", d.domain),
             (false, Some(t)) => format!("ok <={t}%"),

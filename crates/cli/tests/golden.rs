@@ -11,8 +11,8 @@
 //! and length of stdout, stderr and each file the command created (a
 //! file is a row's own if its name was not there before, so no two rows
 //! share an output name). Only wall-clock fields are masked
-//! (`eval_wall_ns`, `eval overhead … wall`, every number `engine-report`
-//! prints), so the rows hold in debug and release alike. On a mismatch
+//! (`eval_wall_ns`, `eval overhead … wall`), so the rows hold in debug
+//! and release alike. On a mismatch
 //! the observed rows are left in `$CARGO_TARGET_TMPDIR/golden.actual`; an
 //! intended change copies that file over the committed one. A new command
 //! or flag is pinned by adding its command line with an empty right side.
@@ -42,21 +42,6 @@ fn mask_after(text: &str, prefix: &str) -> String {
     out + rest
 }
 
-/// Shape only: every number becomes `#`, every run of blanks one space.
-fn mask_numbers(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        let c = match c {
-            '0'..='9' | '.' if out.ends_with('#') => continue,
-            '0'..='9' => '#',
-            ' ' if out.ends_with(' ') => continue,
-            c => c,
-        };
-        out.push(c);
-    }
-    out
-}
-
 /// Hash and length of what `cmd` printed or wrote, wall-clock masked.
 fn stamp(cmd: &str, bytes: &[u8]) -> String {
     let text = || std::str::from_utf8(bytes).expect("CLI output is UTF-8");
@@ -65,7 +50,6 @@ fn stamp(cmd: &str, bytes: &[u8]) -> String {
         Some("slo-report") => {
             mask_after(&mask_after(text(), "\"eval_wall_ns\":"), "eval overhead ").into_bytes()
         }
-        Some("engine-report") => mask_numbers(text()).into_bytes(),
         _ => bytes.to_vec(),
     };
     format!("{:016x}:{}", fnv1a(&masked), masked.len())
@@ -97,13 +81,7 @@ fn run(dir: &Path, cmd: &str, rows: &mut String) -> String {
     );
     for name in listing(dir).difference(&before) {
         let bytes = std::fs::read(dir.join(name)).expect("written file reads");
-        if cmd.starts_with("engine-report") && name.ends_with(".json") {
-            // Wall-clock spans sort among the virtual-time events: no
-            // stable hash; the test body reads the document instead.
-            let _ = write!(rows, " {name}=written");
-        } else {
-            let _ = write!(rows, " {name}={}", stamp(cmd, &bytes));
-        }
+        let _ = write!(rows, " {name}={}", stamp(cmd, &bytes));
     }
     rows.push('\n');
     String::from_utf8(out.stdout).expect("CLI output is UTF-8")
@@ -154,22 +132,17 @@ fn every_command_matches_its_golden_row() {
         diff.join("\n")
     );
 
-    // What a hash cannot say: the engine trace is valid Chrome JSON with
-    // the wall-clock track (pid 2) beside the virtual-time lanes (pid 0).
-    let trace = json(&std::fs::read_to_string(dir.join("e.json")).expect("engine trace"));
-    let Some(serde::Value::Array(events)) = trace.get("traceEvents") else {
-        panic!("engine trace has no traceEvents array");
-    };
-    let pid = |e: &serde::Value| match e.get("pid") {
-        Some(serde::Value::Number(n)) => n.as_u64(),
-        _ => None,
-    };
-    assert!(events.iter().any(|e| pid(e) == Some(0)), "no node lanes");
-    assert!(
-        events.iter().any(|e| pid(e) == Some(2)
-            && e.get("name") == Some(&serde::Value::String("process_name".into()))),
-        "no wall-clock engine track"
-    );
+    // Every command the binary lists (its usage walks `cmds::COMMANDS`)
+    // has a `--help` row: none comes or goes without this file noticing.
+    let listed = stdout["--help"].split("COMMANDS:\n").nth(1);
+    let names = listed.expect("usage lists commands").lines();
+    for name in names.map_while(|l| l.split_whitespace().next()) {
+        let row = format!("{name} --help");
+        assert!(
+            name == "help" || stdout.contains_key(row.as_str()),
+            "no `{row}` row"
+        );
+    }
 
     // With no `--out`, stdout is the document and nothing else: it parses,
     // and equals what `--out` wrote but for the wall-clock field.

@@ -48,9 +48,9 @@ impl Meter {
         Meter::default()
     }
 
-    /// Assemble a meter from raw component values. Used by the engine's
-    /// node store (`emu::state`) to materialize `Meter` snapshots without
-    /// keeping one `Meter` struct per node.
+    /// Assemble a meter from raw component values. The engine's node store
+    /// (`emu::state`) keeps these split between one hot record per node and
+    /// cold parallel arrays, and joins them into a `Meter` only on request.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_raw(
         cpu_time: SimSpan,

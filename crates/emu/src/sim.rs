@@ -29,16 +29,13 @@ use crate::meter::Meter;
 use crate::network::LatencyModel;
 use crate::node::NodeId;
 use crate::state::{HotNode, NodeStore};
-use obs::engine::{EngineSpan, ShardSlot};
 use obs::{
-    tag_scope, CausalRecord, Counter, EngineProfiler, EventKind, FlowKind, Hist, HopSend,
-    MemProfiler, MemTag, Recorder, Sampler, SloEngine, TraceContext,
+    tag_scope, CausalRecord, Counter, EventKind, FlowKind, Hist, HopSend, MemProfiler, MemTag,
+    Recorder, Sampler, SloEngine, TraceContext,
 };
 use rand::rngs::StdRng;
 use simclock::{EventKey, KeyedQueue, SimSpan, SimTime};
 use std::cmp::Ordering;
-use std::sync::Arc;
-use std::time::Instant;
 
 /// Configuration of a simulated cluster.
 #[derive(Clone, Debug)]
@@ -72,12 +69,6 @@ pub struct SimConfig {
     /// depends on the partition — only locality does — because event
     /// order comes from the shard-invariant keys.
     pub partition: Option<Vec<u32>>,
-    /// Wall-clock engine profiler. Disabled by default; when enabled the
-    /// engine attributes *real* time per shard (execution, queue ops) and
-    /// counts cross-shard traffic. Strictly outside the virtual-time
-    /// path: it writes only to its own atomics, so enabling it changes no
-    /// outcome and no virtual-time export byte.
-    pub engine: EngineProfiler,
     /// Online SLO engine. Disabled by default; when enabled it evaluates
     /// its specs on every sampling tick (it needs the sampling cadence to
     /// run — configure an end-bounded sampler). It reads
@@ -104,7 +95,6 @@ impl SimConfig {
             sampler: Sampler::disabled(),
             shards: 1,
             partition: None,
-            engine: EngineProfiler::disabled(),
             slo: SloEngine::disabled(),
             mem: MemProfiler::disabled(),
         }
@@ -167,8 +157,6 @@ struct SimShared {
     /// `node → (shard, local index)`.
     map: Vec<(u32, u32)>,
     nshards: usize,
-    /// Wall-clock profiler (disabled by default; never read by handlers).
-    engine: EngineProfiler,
 }
 
 struct DesCtx<'a, M> {
@@ -197,16 +185,6 @@ impl<M: Payload> DesCtx<'_, M> {
 
     /// Route an event to the shard that owns its execution.
     fn push_event(&mut self, key: EventKey, dst_shard: u32, ev: Ev<M>) {
-        if self.shared.engine.is_enabled() {
-            // Cross-shard traffic gauge: which shard pairs talk, and how
-            // much — the partition-locality question a layout knob raises.
-            let src = self.shared.map[self.me.index()].0;
-            if src != dst_shard {
-                self.shared
-                    .engine
-                    .count_cross_shard(src as usize, dst_shard as usize);
-            }
-        }
         self.shards[dst_shard as usize].queue.push(key, ev);
     }
 
@@ -627,7 +605,6 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
             }
         }
 
-        config.engine.attach(nshards);
         SimCluster {
             actors: groups,
             shards,
@@ -637,7 +614,6 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
                 obs: config.obs,
                 map,
                 nshards,
-                engine: config.engine,
             },
             sampler: config.sampler,
             slo: config.slo,
@@ -696,17 +672,6 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
         self.ensure_started();
         let before: u64 = self.shards.iter().map(|s| s.events).sum();
         let ticks = self.run_merged(horizon);
-        if self.shared.engine.is_enabled() {
-            // Queue-depth and slab-occupancy gauges, read once per run:
-            // the queues track their own high-water marks, so sampling at
-            // run end loses nothing.
-            for (si, sh) in self.shards.iter().enumerate() {
-                if let Some(slot) = self.shared.engine.shard_slot(si) {
-                    slot.observe_queue_depth(sh.queue.high_water() as u64);
-                    slot.set_pool(sh.queue.slab_slots() as u64, sh.queue.free_slots() as u64);
-                }
-            }
-        }
         let after: u64 = self.shards.iter().map(|s| s.events).sum();
         let n = after - before + ticks;
         self.events_processed += n;
@@ -815,7 +780,6 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
     /// queues and dispatch it inline. Returns the sampling ticks fired.
     fn run_merged(&mut self, horizon: SimTime) -> u64 {
         let mut ticks = 0u64;
-        let mut prof = MergedProf::new(&self.shared.engine, self.shared.nshards);
         loop {
             // The heap roots alone decide: `(time, lane)` of each shard's
             // head, without touching the slab the payloads live in.
@@ -840,10 +804,6 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
                 if st <= horizon && best.is_none_or(|((bt, _), _)| st <= bt) {
                     self.fire_sample(st);
                     ticks += 1;
-                    if let Some(p) = prof.as_mut() {
-                        // Tick time belongs to the sampler, not a shard.
-                        p.resync();
-                    }
                     continue;
                 }
             }
@@ -852,7 +812,6 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
                 break;
             }
             let (key, ev) = self.shards[si].queue.pop().expect("peeked event vanished");
-            let t_pop = prof.as_ref().map(|_| Instant::now());
             debug_assert!(key.time >= self.now, "event time went backwards");
             self.now = key.time;
             let dropped = {
@@ -868,106 +827,13 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
                     &self.shared,
                 )
             };
-            if let (Some(p), Some(t_pop)) = (prof.as_mut(), t_pop) {
-                p.on_event(si, t_pop);
-            }
             let sh = &mut self.shards[si];
             sh.events += 1;
             if dropped {
                 sh.drops += 1;
             }
         }
-        if let Some(p) = prof.as_mut() {
-            p.flush_span();
-        }
         ticks
-    }
-}
-
-/// Wall-clock bookkeeping for the event loop: splits each iteration into
-/// queue time (best-key scan + pop) and busy time (handler execution),
-/// attributed to the shard that owned the event, and batches contiguous
-/// same-shard stretches into one `exec` span for the engine track.
-///
-/// `None` when profiling is off, so the disabled loop pays one `Option`
-/// discriminant check per event and reads no clocks.
-struct MergedProf {
-    slots: Vec<Arc<ShardSlot>>,
-    span_cap: usize,
-    /// Maps `Instant`s onto the profiler's epoch-relative nanoseconds
-    /// without re-reading the profiler clock per event.
-    base_ns: u64,
-    base: Instant,
-    /// End of the previous attribution (exec end, loop start, or sampler
-    /// resync): the next event's queue time starts here.
-    last: Instant,
-    /// Open exec-span batch: `(shard, span start, events in batch)`.
-    batch: Option<(usize, Instant, u32)>,
-}
-
-/// Contiguous same-shard events folded into one engine-track span before
-/// a flush (also flushed on any shard switch).
-const MERGED_SPAN_BATCH: u32 = 8_192;
-
-impl MergedProf {
-    fn new(engine: &EngineProfiler, nshards: usize) -> Option<MergedProf> {
-        if !engine.is_enabled() {
-            return None;
-        }
-        let slots: Option<Vec<Arc<ShardSlot>>> =
-            (0..nshards).map(|si| engine.shard_slot(si)).collect();
-        let base_ns = engine.now_ns();
-        let now = Instant::now();
-        Some(MergedProf {
-            slots: slots?,
-            span_cap: engine.span_cap(),
-            base_ns,
-            base: now,
-            last: now,
-            batch: None,
-        })
-    }
-
-    fn ns_of(&self, t: Instant) -> u64 {
-        self.base_ns + (t - self.base).as_nanos() as u64
-    }
-
-    /// Drop wall time that belongs to no shard (sampling ticks).
-    fn resync(&mut self) {
-        self.flush_span();
-        self.last = Instant::now();
-    }
-
-    /// Account one executed event: popped at `t_pop`, finished now.
-    fn on_event(&mut self, si: usize, t_pop: Instant) {
-        let t_done = Instant::now();
-        let slot = &self.slots[si];
-        slot.add_queue((t_pop - self.last).as_nanos() as u64);
-        slot.add_busy((t_done - t_pop).as_nanos() as u64);
-        slot.add_wall((t_done - self.last).as_nanos() as u64);
-        slot.add_events(1);
-        match &mut self.batch {
-            Some((shard, _, n)) if *shard == si && *n < MERGED_SPAN_BATCH => *n += 1,
-            _ => {
-                self.flush_span();
-                self.batch = Some((si, self.last, 1));
-            }
-        }
-        self.last = t_done;
-    }
-
-    fn flush_span(&mut self) {
-        if let Some((si, start, _)) = self.batch.take() {
-            let start_ns = self.ns_of(start);
-            self.slots[si].push_span(
-                self.span_cap,
-                EngineSpan {
-                    shard: si as u32,
-                    start_ns,
-                    dur_ns: self.ns_of(self.last).saturating_sub(start_ns),
-                },
-            );
-        }
     }
 }
 
@@ -1396,7 +1262,7 @@ mod tests {
     /// puts them in injection order.
     #[test]
     fn cross_shard_time_lane_ties_run_in_seq_order() {
-        use std::sync::Mutex;
+        use std::sync::{Arc, Mutex};
         struct Log(Arc<Mutex<Vec<u64>>>);
         impl Actor<u64> for Log {
             fn on_message(&mut self, _: &mut dyn Context<u64>, _: NodeId, msg: u64) {

@@ -10,10 +10,9 @@ use crate::master::EslurmMaster;
 use crate::satellite::SatelliteDaemon;
 use emu::{Actor, Context, FaultPlan, NodeId, SimCluster, SimConfig};
 use monitoring::FailurePredictor;
-use obs::{tag_scope, EngineProfiler, MemProfiler, MemTag, Recorder, Sampler, SloEngine};
+use obs::{tag_scope, MemProfiler, MemTag, Recorder, Sampler, SloEngine};
 use rm::proto::{NodeSlice, RmMsg};
 use rm::slave::{SlaveConfig, SlaveDaemon, SlaveHeartbeat};
-use sched::prelude::*;
 use simclock::{SimSpan, SimTime};
 use std::sync::{Arc, Mutex};
 
@@ -83,9 +82,6 @@ pub struct EslurmSystem {
     pub n_satellites: usize,
     /// Number of compute nodes.
     pub n_slaves: usize,
-    /// Multi-tenant policy layers for scheduling runs over this cluster
-    /// (see [`EslurmSystem::backfill_config`]).
-    pub policies: SchedPolicies,
 }
 
 /// Builder for [`EslurmSystem`].
@@ -93,7 +89,6 @@ pub struct EslurmSystemBuilder {
     cfg: EslurmConfig,
     n_slaves: usize,
     predictor: Option<Arc<Mutex<dyn FailurePredictor>>>,
-    policies: SchedPolicies,
     /// The engine's configuration, instruments included: [`SimConfig`] is
     /// the one list of them, and every instrument setter below writes
     /// straight into it.
@@ -108,32 +103,8 @@ impl EslurmSystemBuilder {
             cfg,
             n_slaves,
             predictor: None,
-            policies: SchedPolicies::default(),
             sim,
         }
-    }
-
-    /// Install a partition set for scheduling runs over this cluster
-    /// (mirrored verbatim on `RmClusterBuilder` — the builder-parity
-    /// convention). The default single unconstrained partition leaves
-    /// outcomes bit-identical to a partition-unaware scheduler.
-    pub fn partitions(mut self, partitions: PartitionSet) -> Self {
-        self.policies.partitions = partitions;
-        self
-    }
-
-    /// Install a fair-share ledger (mirrored on `RmClusterBuilder`). The
-    /// default disabled ledger charges nothing and scores everyone 1.0.
-    pub fn fairshare(mut self, fairshare: FairShareLedger) -> Self {
-        self.policies.fairshare = fairshare;
-        self
-    }
-
-    /// Install a priority composition (mirrored on `RmClusterBuilder`).
-    /// The default uniform composer never reorders the queue.
-    pub fn priority(mut self, priority: MultifactorPriority) -> Self {
-        self.policies.priority = priority;
-        self
     }
 
     /// Run the DES over `n` event-queue shards (see [`SimConfig::shards`]).
@@ -156,22 +127,10 @@ impl EslurmSystemBuilder {
         self
     }
 
-    /// Profile the engine's *wall-clock* behaviour into `profiler`
-    /// (mirrored on `RmClusterBuilder`): per-shard busy/barrier/drain/queue
-    /// time, window-efficiency counters, and cross-shard traffic. Unlike
-    /// every other sink on this builder the profiler measures real time —
-    /// it never touches the virtual-time path, so enabling it changes no
-    /// outcome and no trace/CSV byte. Keep a clone of the handle to read
-    /// the profile back after the run.
-    pub fn engine_profile(mut self, profiler: EngineProfiler) -> Self {
-        self.sim.engine = profiler;
-        self
-    }
-
     /// Evaluate SLO specs online against this run's telemetry (mirrored on
     /// `RmClusterBuilder`). The engine runs on the sampling cadence, so an
     /// end-bounded [`Self::sampler`] must also be configured for it to
-    /// tick. Like the profiler it is strictly observational: it reads the
+    /// tick. It is strictly observational: it reads the
     /// recorder/sampler and writes only its own state, so enabling it
     /// changes no outcome and no base trace/CSV byte. Read results back
     /// via [`SimCluster::slo_engine`] after the run.
@@ -182,8 +141,8 @@ impl EslurmSystemBuilder {
 
     /// Profile the reproduction's *own heap* into `profiler` (host-memory
     /// domain, DESIGN §15). Requires the `mem-profile` feature to measure
-    /// anything — without it the handle is inert. Like the wall-clock
-    /// profiler it never touches the virtual-time path: outcomes and base
+    /// anything — without it the handle is inert. The
+    /// profiler never touches the virtual-time path: outcomes and base
     /// exports are byte-identical with it armed or not; the per-tag
     /// `mem_host_*` series land in the sampler's separate host store.
     /// Keep a clone of the handle to read the report back after the run.
@@ -268,7 +227,6 @@ impl EslurmSystemBuilder {
             sim: SimCluster::new(actors, config),
             n_satellites: m,
             n_slaves: self.n_slaves,
-            policies: self.policies,
         }
     }
 }
@@ -293,15 +251,6 @@ impl EslurmSystem {
     /// The node id of compute node `i` (0-based).
     pub fn slave_id(&self, i: usize) -> u32 {
         (1 + self.n_satellites + i) as u32
-    }
-
-    /// A [`BackfillConfig`] sized to this cluster's compute nodes with the
-    /// builder's policy layers installed — the bridge from the emulated
-    /// system to `sched::simulate` scheduling runs.
-    pub fn backfill_config(&self) -> BackfillConfig {
-        let mut cfg = BackfillConfig::new(self.n_slaves as u32);
-        cfg.policies = self.policies.clone();
-        cfg
     }
 
     /// Submit a job over the given compute-node indices (0-based) at `at`.

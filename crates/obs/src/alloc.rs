@@ -4,8 +4,8 @@
 //! The paper's fig7 claim is about the resource footprint of the
 //! management stack itself. The `footprint_*` series (PR 3) model that
 //! footprint in *virtual* time; this module measures the reproduction's
-//! *real* heap — the third measurement domain next to virtual time and
-//! wall clock (DESIGN §15).
+//! *real* heap — the second measurement domain next to virtual time
+//! (DESIGN §15).
 //!
 //! ## Shape
 //!
@@ -55,8 +55,8 @@ use simclock::SimTime;
 use crate::label::MetricId;
 use crate::sampler::Sampler;
 
-/// Name prefix of every host-memory series — the third metric domain
-/// next to virtual-time series and [`crate::engine::WALLCLOCK_PREFIX`].
+/// Name prefix of every host-memory series — the second metric domain
+/// next to virtual-time series (DESIGN §15).
 /// Host values vary run-to-run by nature, so `compare_csv` keeps them
 /// out of the regression gate unless explicitly included.
 pub const HOSTMEM_PREFIX: &str = "mem_host_";

@@ -11,7 +11,6 @@ use std::fmt::Write as _;
 
 use crate::audit::{Decision, DecisionRecord};
 use crate::causal::CausalRecord;
-use crate::engine::{EngineSpan, ENGINE_TRACK_PID};
 use crate::event::TraceEvent;
 use crate::metric::{Counter, Gauge, Hist, HistSnapshot};
 use crate::recorder::{LabeledValue, MetricsSummary, Recorder};
@@ -76,12 +75,6 @@ pub struct ChromeTrace<'a> {
     /// (pid 1, one thread per job id) whose queued→run spans sit next to
     /// the node lanes, with the backfill skips in between.
     pub jobs: &'a [DecisionRecord],
-    /// The wall-clock engine profile as a third Chrome process
-    /// ([`crate::engine::ENGINE_TRACK_PID`], one thread per shard). This
-    /// track measures *wall* microseconds while every other one measures
-    /// *virtual* microseconds; the separate process id is what keeps
-    /// Perfetto from interleaving the two clock domains on one track.
-    pub engine: &'a [EngineSpan],
     /// SLO breach / clear / anomaly transitions as virtual-time instants
     /// on their own track ([`crate::slo::SLO_TRACK_PID`], one thread per
     /// spec), grouped as one "slo" strip in Perfetto.
@@ -92,11 +85,7 @@ impl ChromeTrace<'_> {
     /// Render the document, all tracks merged and sorted by timestamp.
     pub fn render(&self) -> String {
         let mut items: Vec<(u64, String)> = Vec::with_capacity(
-            self.events.len()
-                + self.flows.len() * 2
-                + self.jobs.len()
-                + self.engine.len()
-                + self.slo.len(),
+            self.events.len() + self.flows.len() * 2 + self.jobs.len() + self.slo.len(),
         );
         for e in self.events {
             let mut s = String::with_capacity(96);
@@ -133,7 +122,6 @@ impl ChromeTrace<'_> {
             }
         }
         push_job_lane_items(&mut items, self.jobs);
-        push_engine_track_items(&mut items, self.engine);
         push_slo_track_items(&mut items, self.slo);
         items.sort_by_key(|(ts, _)| *ts);
         let mut out = String::with_capacity(items.len() * 96 + 64);
@@ -219,48 +207,6 @@ fn push_job_lane_items(items: &mut Vec<(u64, String)>, audit: &[DecisionRecord])
             }
             _ => {}
         }
-    }
-}
-
-/// Fold wall-clock engine spans into their own Chrome process
-/// ([`ENGINE_TRACK_PID`], one thread per shard). Timestamps are wall
-/// microseconds since the profiler's monotonic epoch — a different time
-/// base from every other lane, which is exactly why they get their own
-/// process id.
-fn push_engine_track_items(items: &mut Vec<(u64, String)>, engine: &[EngineSpan]) {
-    if engine.is_empty() {
-        return;
-    }
-    items.push((
-        0,
-        format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{ENGINE_TRACK_PID},\
-             \"args\":{{\"name\":\"engine (wall-clock)\"}}}}"
-        ),
-    ));
-    let mut named: Vec<u32> = engine.iter().map(|s| s.shard).collect();
-    named.sort_unstable();
-    named.dedup();
-    for shard in named {
-        items.push((
-            0,
-            format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{ENGINE_TRACK_PID},\
-                 \"tid\":{shard},\"args\":{{\"name\":\"shard {shard}\"}}}}"
-            ),
-        ));
-    }
-    for s in engine {
-        let ts = s.start_ns / 1_000;
-        let dur = (s.dur_ns / 1_000).max(1);
-        items.push((
-            ts,
-            format!(
-                "{{\"name\":\"exec\",\"cat\":\"engine\",\"ph\":\"X\",\"pid\":{ENGINE_TRACK_PID},\
-                 \"tid\":{},\"ts\":{ts},\"dur\":{dur},\"args\":{{}}}}",
-                s.shard,
-            ),
-        ));
     }
 }
 

@@ -4,7 +4,7 @@
 //! a lock-cheap metrics [`Recorder`] (counters / gauges / fixed-bucket
 //! histograms keyed by static ids, plus a labeled per-entity registry),
 //! span-style event tracing with a bounded flight ring, and a
-//! virtual-time [`Sampler`] feeding CSV / Prometheus expositions — shared
+//! virtual-time [`Sampler`] whose series export as CSV — shared
 //! by the DES and real-thread transports.
 //!
 //! ## Design
@@ -53,7 +53,6 @@
 pub mod alloc;
 pub mod audit;
 pub mod causal;
-pub mod engine;
 pub mod event;
 pub mod export;
 pub mod flight;
@@ -76,7 +75,6 @@ pub use causal::{
     build_traces, flow_summaries, CausalRecord, CriticalPath, FlowKind, FlowSummary, Hop, HopSend,
     PathStep, TraceContext, TraceTree,
 };
-pub use engine::{EngineProfiler, EngineReport, EngineSpan, ShardReport, WALLCLOCK_PREFIX};
 pub use event::{EventKind, TraceEvent};
 pub use flight::{FlightConfig, FlightRecorder};
 pub use label::MetricId;

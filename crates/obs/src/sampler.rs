@@ -30,8 +30,7 @@ struct SamplerInner {
     store: SeriesStore,
     /// Host-domain (`mem_host_*`) series, kept apart from the
     /// virtual-time store so the default CSV/summaries stay
-    /// byte-identical whether or not host-memory profiling ran — the
-    /// same separation the wall-clock `engine_wall_*` CSV uses.
+    /// byte-identical whether or not host-memory profiling ran.
     host_store: SeriesStore,
     node_names: BTreeMap<u32, String>,
 }
@@ -222,8 +221,8 @@ impl Sampler {
         }
     }
 
-    /// Render the host-domain series as CSV — a separate document, like
-    /// the `engine_wall_*` CSV, so the virtual-time export stays pure.
+    /// Render the host-domain series as CSV — a separate document,
+    /// so the virtual-time export stays pure.
     pub fn host_csv(&self) -> String {
         match &self.0 {
             Some(s) => s.inner.lock().host_store.to_csv(),

@@ -284,13 +284,8 @@ pub struct DiffOptions {
     pub per_metric: BTreeMap<String, f64>,
     /// Gate every shared metric instead of only footprint metrics.
     pub gate_all: bool,
-    /// Also gate wall-clock engine metrics ([`crate::engine::WALLCLOCK_PREFIX`]).
-    /// Off by default: wall-clock timings vary run-to-run by design, so
-    /// gating them (even under `gate_all`) would make the regression gate
-    /// flaky. A per-metric override still wins over this exclusion.
-    pub include_wallclock: bool,
     /// Also gate host-memory metrics ([`crate::alloc::HOSTMEM_PREFIX`]).
-    /// Off by default for the same reason as wall clock: real heap sizes
+    /// Off by default, even under `gate_all`: real heap sizes
     /// vary run-to-run (allocator, OS, concurrency), so only an explicit
     /// opt-in (or a per-metric override) puts them in the gate.
     pub include_hostmem: bool,
@@ -302,7 +297,6 @@ impl Default for DiffOptions {
             default_threshold_pct: 5.0,
             per_metric: BTreeMap::new(),
             gate_all: false,
-            include_wallclock: false,
             include_hostmem: false,
         }
     }
@@ -312,9 +306,6 @@ impl DiffOptions {
     fn gates(&self, metric: &str) -> Option<f64> {
         if let Some(&t) = self.per_metric.get(metric) {
             return Some(t);
-        }
-        if !self.include_wallclock && metric.starts_with(crate::engine::WALLCLOCK_PREFIX) {
-            return None;
         }
         if !self.include_hostmem && metric.starts_with(crate::alloc::HOSTMEM_PREFIX) {
             return None;
@@ -326,15 +317,12 @@ impl DiffOptions {
     }
 }
 
-/// The measurement domain a metric name belongs to: `"wallclock"` for
-/// [`crate::engine::WALLCLOCK_PREFIX`] series, `"host"` for
+/// The measurement domain a metric name belongs to: `"host"` for
 /// [`crate::alloc::HOSTMEM_PREFIX`] series, `"virtual"` for everything
 /// else (DESIGN §15). Gate-failure messages carry this so a tripped gate
 /// says which clock it came from.
 pub fn metric_domain(name: &str) -> &'static str {
-    if name.starts_with(crate::engine::WALLCLOCK_PREFIX) {
-        "wallclock"
-    } else if name.starts_with(crate::alloc::HOSTMEM_PREFIX) {
+    if name.starts_with(crate::alloc::HOSTMEM_PREFIX) {
         "host"
     } else {
         "virtual"
@@ -575,57 +563,7 @@ mod tests {
         assert!(improved.regressions().is_empty());
     }
 
-    /// Wall-clock engine metrics vary run-to-run by design: even under
-    /// `gate_all` they stay out of the gate unless `include_wallclock` (or
-    /// a per-metric override, which always wins) opts them in.
-    #[test]
-    fn wallclock_metrics_are_ungated_by_default() {
-        let mk = |v: f64| {
-            let mut store = SeriesStore::new();
-            store.record(
-                MetricId::new("engine_wall_queue_ns").with("shard", "0"),
-                t(1),
-                v,
-            );
-            store.record(MetricId::new("footprint_sockets"), t(1), 3.0);
-            store.to_csv()
-        };
-        let a = mk(100.0);
-        let b = mk(900.0); // 9x wall-clock jitter: must not trip the gate
-        let strict = DiffOptions {
-            gate_all: true,
-            ..DiffOptions::default()
-        };
-        let report = compare_csv(&a, &b, &strict).expect("diff runs");
-        assert!(
-            report.regressions().is_empty(),
-            "wall-clock metric tripped the gate"
-        );
-        let included = DiffOptions {
-            gate_all: true,
-            include_wallclock: true,
-            ..DiffOptions::default()
-        };
-        let report = compare_csv(&a, &b, &included).expect("diff runs");
-        assert!(report
-            .regressions()
-            .iter()
-            .all(|d| d.metric.starts_with(crate::engine::WALLCLOCK_PREFIX)));
-        assert!(!report.regressions().is_empty());
-        let overridden = DiffOptions {
-            per_metric: [("engine_wall_queue_ns{shard=\"0\"}".to_string(), 5.0)]
-                .into_iter()
-                .collect(),
-            ..DiffOptions::default()
-        };
-        let report = compare_csv(&a, &b, &overridden).expect("diff runs");
-        assert!(
-            !report.regressions().is_empty(),
-            "per-metric override must win"
-        );
-    }
-
-    /// Host-memory metrics are the third excluded-by-default domain: real
+    /// Host-memory metrics are the excluded-by-default domain: real
     /// heap sizes vary run-to-run, so only `include_hostmem` (or a
     /// per-metric override) gates them — and every delta names its
     /// domain.
@@ -669,12 +607,11 @@ mod tests {
     #[test]
     fn deltas_carry_their_metric_domain() {
         assert_eq!(metric_domain("footprint_sockets"), "virtual");
-        assert_eq!(metric_domain("engine_wall_queue_ns"), "wallclock");
         assert_eq!(metric_domain("mem_host_live_bytes"), "host");
         let mk = |v: f64| {
             let mut store = SeriesStore::new();
             store.record(MetricId::new("footprint_sockets"), t(1), v);
-            store.record(MetricId::new("engine_wall_exec_ns"), t(1), v);
+            store.record(MetricId::new("mem_host_live_bytes"), t(1), v);
             store.to_csv()
         };
         let report = compare_csv(&mk(1.0), &mk(2.0), &DiffOptions::default()).expect("diff runs");

@@ -46,9 +46,9 @@ use crate::recorder::Recorder;
 use crate::sampler::Sampler;
 
 /// Chrome-trace process id for the SLO breach track. Virtual-time lanes
-/// use pid 0 (nodes) and pid 1 (jobs); the wall-clock engine track is
-/// pid 2. Breach instants ride their own pid so they group as one
-/// Perfetto track.
+/// use pid 0 (nodes) and pid 1 (jobs); pid 2 stays unused so exports
+/// written when it held a wall-clock track keep their bytes.
+/// Breach instants ride their own pid so they group as one Perfetto track.
 pub const SLO_TRACK_PID: u32 = 3;
 
 /// Comparison direction of an SLO target.
@@ -906,7 +906,7 @@ pub struct SloReport {
     /// Evaluation ticks run.
     pub evals_total: u64,
     /// Wall-clock nanoseconds spent evaluating (overhead accounting;
-    /// varies run-to-run by design, like `engine_wall_*`).
+    /// varies run-to-run by design).
     pub eval_wall_ns: u64,
 }
 

@@ -7,9 +7,8 @@ use crate::profile::{HeartbeatMode, RmProfile};
 use crate::proto::{NodeSlice, RmMsg};
 use crate::slave::{SlaveConfig, SlaveDaemon, SlaveHeartbeat};
 use emu::{Actor, Context, FaultPlan, NodeId, SimCluster, SimConfig};
-use obs::{tag_scope, EngineProfiler, MemProfiler, MemTag, Recorder, Sampler, SloEngine};
+use obs::{tag_scope, MemProfiler, MemTag, Recorder, Sampler, SloEngine};
 use rand::RngExt;
-use sched::prelude::*;
 use simclock::rng::stream_rng;
 use simclock::{SimSpan, SimTime};
 
@@ -49,9 +48,6 @@ impl Actor<RmMsg> for RmNode {
 pub struct ClusterHarness {
     /// The running simulation.
     pub sim: SimCluster<RmMsg, RmNode>,
-    /// Multi-tenant policy layers for scheduling runs over this cluster
-    /// (see [`ClusterHarness::backfill_config`]).
-    pub policies: SchedPolicies,
 }
 
 impl ClusterHarness {
@@ -61,15 +57,6 @@ impl ClusterHarness {
             RmNode::Master(m) => m,
             RmNode::Slave(_) => unreachable!("node 0 is always the master"),
         }
-    }
-
-    /// A [`BackfillConfig`] sized to this cluster's slave count with the
-    /// builder's policy layers installed, mirroring
-    /// `EslurmSystem::backfill_config`.
-    pub fn backfill_config(&self) -> BackfillConfig {
-        let mut cfg = BackfillConfig::new(self.sim.len().saturating_sub(1) as u32);
-        cfg.policies = self.policies.clone();
-        cfg
     }
 
     /// Submit a job to the master at `at`.
@@ -127,7 +114,6 @@ impl ClusterHarness {
 pub struct RmClusterBuilder {
     profile: RmProfile,
     n: usize,
-    policies: SchedPolicies,
     /// The engine's configuration, instruments included: every instrument
     /// setter below writes straight into it.
     sim: SimConfig,
@@ -140,31 +126,8 @@ impl RmClusterBuilder {
         RmClusterBuilder {
             profile,
             n,
-            policies: SchedPolicies::default(),
             sim: SimConfig::new(n, 0),
         }
-    }
-
-    /// Install a partition set for scheduling runs over this cluster,
-    /// exactly as `EslurmSystemBuilder::partitions` does for the
-    /// distributed stack.
-    pub fn partitions(mut self, partitions: PartitionSet) -> Self {
-        self.policies.partitions = partitions;
-        self
-    }
-
-    /// Install a fair-share ledger, exactly as
-    /// `EslurmSystemBuilder::fairshare` does for the distributed stack.
-    pub fn fairshare(mut self, fairshare: FairShareLedger) -> Self {
-        self.policies.fairshare = fairshare;
-        self
-    }
-
-    /// Install a priority composition, exactly as
-    /// `EslurmSystemBuilder::priority` does for the distributed stack.
-    pub fn priority(mut self, priority: MultifactorPriority) -> Self {
-        self.policies.priority = priority;
-        self
     }
 
     /// Master seed for the simulation's RNG streams.
@@ -191,15 +154,6 @@ impl RmClusterBuilder {
     /// does for the distributed stack.
     pub fn sampler(mut self, sampler: Sampler) -> Self {
         self.sim.sampler = sampler;
-        self
-    }
-
-    /// Profile the engine's wall-clock behaviour into `profiler`, exactly
-    /// as `EslurmSystemBuilder::engine_profile` does for the distributed
-    /// stack. Non-perturbing: outcomes and virtual-time exports are
-    /// unchanged with the profiler on or off.
-    pub fn engine_profile(mut self, profiler: EngineProfiler) -> Self {
-        self.sim.engine = profiler;
         self
     }
 
@@ -254,7 +208,6 @@ impl RmClusterBuilder {
         self.sim.sampler.name_node(NodeId::MASTER.0, "master");
         ClusterHarness {
             sim: SimCluster::new(actors, self.sim),
-            policies: self.policies,
         }
     }
 }
@@ -295,18 +248,5 @@ mod tests {
         assert_eq!(virt.len(), 60);
         // Memory allocated at start shows up in every sample.
         assert!(virt[0].value > (1u64 << 30) as f64);
-    }
-
-    #[test]
-    fn builder_policies_reach_the_backfill_config() {
-        let h = RmClusterBuilder::new(RmProfile::slurm(), 17)
-            .priority(MultifactorPriority::slurm_default())
-            .fairshare(FairShareLedger::new(SimSpan::from_hours(24), 4))
-            .build();
-        let cfg = h.backfill_config();
-        assert_eq!(cfg.nodes, 16);
-        assert!(!cfg.policies.priority.is_uniform());
-        assert!(cfg.policies.fairshare.enabled());
-        assert!(!cfg.policies.is_trivial());
     }
 }

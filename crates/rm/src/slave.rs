@@ -35,7 +35,6 @@ struct Relay {
     received: u32,
     /// Nodes covered so far (self + acknowledged subtrees).
     count: u32,
-    done: bool,
     /// When the relay fanned out (start of the ack-timeout window).
     started: SimTime,
     /// Causal context the incoming `JobCtl` carried, so a timeout-driven
@@ -165,7 +164,6 @@ impl SlaveDaemon {
                 expected,
                 received: 0,
                 count: 1,
-                done: false,
                 started: ctx.now(),
                 trace: ctx.trace_current(),
             },
@@ -174,11 +172,7 @@ impl SlaveDaemon {
         ctx.set_timer(self.cfg.ack_timeout * depth.max(1), token);
     }
 
-    fn finish_relay(ctx: &mut dyn Context<RmMsg>, relay: &mut Relay) {
-        if relay.done {
-            return;
-        }
-        relay.done = true;
+    fn finish_relay(ctx: &mut dyn Context<RmMsg>, relay: &Relay) {
         ctx.send(
             relay.origin,
             RmMsg::CtlAck {
@@ -237,7 +231,7 @@ impl Actor<RmMsg> for SlaveDaemon {
                 let found = self
                     .relays
                     .iter()
-                    .position(|(_, r)| r.job == job && r.kind == kind && !r.done);
+                    .position(|(_, r)| r.job == job && r.kind == kind);
                 if let Some(at) = found {
                     let relay = &mut self.relays[at].1;
                     relay.received += 1;
@@ -261,7 +255,7 @@ impl Actor<RmMsg> for SlaveDaemon {
             ctx.send(master, RmMsg::Heartbeat { node: me });
             self.arm_heartbeat(ctx);
         } else if let Some(at) = self.relays.iter().position(|&(t, _)| t == token) {
-            let (_, mut relay) = self.relays.remove(at);
+            let (_, relay) = self.relays.remove(at);
             // Children that didn't answer in time are reported as missing
             // (partial count) — the parent layer handles re-routing. The
             // wait on the silent subtree is timeout backoff in the trace.
@@ -269,7 +263,7 @@ impl Actor<RmMsg> for SlaveDaemon {
                 ctx.trace_backoff(&tc, relay.started);
                 ctx.trace_adopt(Some(tc));
             }
-            Self::finish_relay(ctx, &mut relay);
+            Self::finish_relay(ctx, &relay);
         }
     }
 }

@@ -117,10 +117,6 @@ pub struct KeyedQueue<E> {
     heap: Vec<Entry>,
     slab: Vec<Slot<E>>,
     free: Vec<u32>,
-    /// Most events ever pending at once (never reset by `pop`/`clear`):
-    /// the queue-depth gauge the wall-clock engine profiler reads. Plain
-    /// bookkeeping on the owner's thread — it cannot affect event order.
-    high_water: usize,
 }
 
 impl<E> Default for KeyedQueue<E> {
@@ -141,7 +137,6 @@ impl<E> KeyedQueue<E> {
             heap: Vec::with_capacity(cap),
             slab: Vec::with_capacity(cap),
             free: Vec::new(),
-            high_water: 0,
         }
     }
 
@@ -195,9 +190,6 @@ impl<E> KeyedQueue<E> {
         let hole = self.heap.len();
         self.heap.push(entry);
         self.sift_up(hole, entry);
-        if self.heap.len() > self.high_water {
-            self.high_water = self.heap.len();
-        }
     }
 
     /// Remove and return the minimum-key event.
@@ -277,11 +269,6 @@ impl<E> KeyedQueue<E> {
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Most events ever pending at once over the queue's lifetime.
-    pub fn high_water(&self) -> usize {
-        self.high_water
     }
 
     /// Total payload slots the slab arena has ever allocated (its memory
@@ -364,20 +351,17 @@ mod tests {
     #[test]
     fn gauges_track_depth_and_slab_occupancy() {
         let mut q = KeyedQueue::new();
-        assert_eq!((q.high_water(), q.slab_slots(), q.free_slots()), (0, 0, 0));
+        assert_eq!((q.slab_slots(), q.free_slots()), (0, 0));
         for i in 0..8u64 {
             q.push(EventKey::for_node(SimTime(i), 0, i), i);
         }
-        assert_eq!(q.high_water(), 8);
         for _ in 0..5 {
             q.pop();
         }
-        // Draining never lowers the high-water mark; freed slots are listed.
-        assert_eq!(q.high_water(), 8);
+        // Draining keeps the slab; freed slots are listed.
         assert_eq!(q.slab_slots(), 8);
         assert_eq!(q.free_slots(), 5);
         q.push(EventKey::for_node(SimTime(99), 0, 99), 99);
-        assert_eq!(q.high_water(), 8, "refill below peak keeps the mark");
         assert_eq!(q.free_slots(), 4, "push reuses a recycled slot");
         assert_eq!(q.slab_slots(), 8);
     }
@@ -421,6 +405,7 @@ mod tests {
                 let mut q: KeyedQueue<u64> = KeyedQueue::new();
                 let mut oracle: BTreeMap<EventKey, u64> = BTreeMap::new();
                 let mut payload = 0u64;
+                let mut peak = 0;
                 for (op, time, lane, seq) in ops {
                     if op == 0 {
                         let want = oracle.pop_first();
@@ -439,7 +424,8 @@ mod tests {
                     prop_assert_eq!(q.peek_head(), head.map(|k| (k.time, k.lane)));
                     prop_assert_eq!(q.len(), oracle.len());
                     // Slots are recycled: the slab never outgrows the peak.
-                    prop_assert_eq!(q.slab_slots(), q.high_water());
+                    peak = peak.max(q.len());
+                    prop_assert_eq!(q.slab_slots(), peak);
                     prop_assert_eq!(q.free_slots(), q.slab_slots() - q.len());
                 }
                 while let Some(want) = oracle.pop_first() {

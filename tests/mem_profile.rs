@@ -1,11 +1,10 @@
 //! The tagged tracking allocator's non-perturbation guarantee, end to
-//! end: the same fixed-seed ESlurm scenario as `engine_profile.rs`
+//! end: the shared fixed-seed ESlurm scenario of `tests/common`
 //! produces **bit-identical outcomes** and **byte-identical virtual-time
 //! exports** (Chrome trace, event JSONL, metrics CSV) with the heap
 //! profiler armed or not, on one shard and on four. The `mem_host_*` series
 //! live in the sampler's separate host store and never reach the default
-//! CSV — host-memory is its own measurement domain (DESIGN §15), like the
-//! wall-clock engine profile.
+//! CSV — host-memory is its own measurement domain (DESIGN §15).
 //!
 //! When the `mem-profile` feature is off the profiler is compiled out
 //! entirely and `MemProfiler::enabled()` hands back a disabled handle, so

@@ -1,17 +1,11 @@
 //! The multi-tenant policy layers, end to end: the zero-cost-default
 //! guarantee (an explicit default `SchedPolicies` bundle is bit-identical
-//! to the policy-unaware scheduler on the fig9/fig10 seeds, in both the
-//! queueing simulator and the sharded DES on 1 and 4 shards),
+//! to the policy-unaware scheduler on the fig9/fig10 seeds),
 //! order-independence of the fair-share decay ledger for same-virtual-time
 //! completions, and the multifactor audit contract (`PriorityRanked`
 //! factor contributions sum exactly to the composed priority).
-//!
-//! The DES scenario and `outcome_fingerprint` come from `tests/common`
-//! (its fault-free variant); policy parity is this suite's own.
 
-mod common;
-
-use eslurm_suite::eslurm::{EslurmSystem, PredictiveLimit};
+use eslurm_suite::eslurm::PredictiveLimit;
 use eslurm_suite::estimate::EstimatorConfig;
 use eslurm_suite::obs::audit::{Decision, DecisionLog};
 use eslurm_suite::sched::prelude::{
@@ -127,40 +121,6 @@ fn explicit_default_policies_emit_byte_identical_audit_logs() {
         !ja.contains("priority_ranked"),
         "uniform priority must never emit PriorityRanked records"
     );
-}
-
-/// The shared scenario minus faults, with the default policies spelled
-/// out on the builder or not mentioned at all.
-fn run_des(shards: usize, policies: bool) -> EslurmSystem {
-    let mut b = common::scenario().shards(shards);
-    if policies {
-        b = b
-            .partitions(PartitionSet::single_default())
-            .fairshare(FairShareLedger::disabled())
-            .priority(MultifactorPriority::uniform());
-    }
-    common::run(b)
-}
-
-/// Acceptance gate: the default single-partition uniform-priority config
-/// gives same-seed bit-identical DES outcomes to the policy-unaware
-/// builder, on 1 and 4 shards.
-#[test]
-fn des_default_policy_builder_is_bit_identical_across_shards() {
-    let baseline = common::outcome_fingerprint(&run_des(1, false));
-    assert_eq!(baseline.3.len(), 12, "jobs lost in the baseline run");
-    for shards in [1usize, 4] {
-        let with_policies = common::outcome_fingerprint(&run_des(shards, true));
-        assert_eq!(
-            with_policies, baseline,
-            "{shards}-shard run with explicit default policies diverged"
-        );
-        let without = common::outcome_fingerprint(&run_des(shards, false));
-        assert_eq!(
-            without, baseline,
-            "{shards}-shard policy-unaware run diverged"
-        );
-    }
 }
 
 /// Multifactor smoke: a prioritized, fair-share-charged run records
