@@ -63,8 +63,8 @@ pub trait Context<M: Payload> {
     /// This node's deterministic RNG stream.
     fn rng(&mut self) -> &mut StdRng;
 
-    /// Ground-truth liveness of `node`. Only the monitoring substrate may
-    /// consult this (it stands in for the hardware diagnostic network);
+    /// Ground-truth liveness of `node`. Only monitoring code may consult
+    /// this (it stands in for the hardware diagnostic network);
     /// RM protocol logic must rely on timeouts instead.
     fn is_up(&self, node: NodeId) -> bool;
 

@@ -3,8 +3,8 @@
 //! A [`FaultPlan`] is a ground-truth schedule of node down/up intervals.
 //! Messages to a node that is down at delivery time are dropped, which is
 //! how failures surface to the protocols (timeouts). The plan also feeds the
-//! monitoring substrate, which turns upcoming outages into (noisy) alerts
-//! for the FP-Tree's failure predictor.
+//! `monitoring` crate's oracle predictor, which turns upcoming outages into
+//! the (noisy) suspect sets the FP-Tree constructor reads.
 //!
 //! [`FaultPlanBuilder::tianhe_like`] mimics the failure mix the paper
 //! reports from ten days of production: many small events (1–8 nodes) plus

@@ -13,7 +13,7 @@
 //!   ([`fsm`]), BT/HB failure detection, task reassignment, and master
 //!   takeover ([`master`]);
 //! * the **FP-Tree** (§IV): satellites construct failure-prediction-based
-//!   communication trees from the monitoring substrate's suspect sets
+//!   communication trees from the failure predictor's suspect sets
 //!   before every relay ([`satellite`], building on `eslurm-topology`);
 //! * the **job-runtime-estimation framework** (§V) wired into the
 //!   backfill scheduler as a walltime-limit policy ([`limits`], building

@@ -359,7 +359,6 @@ impl Actor<RmMsg> for SatelliteDaemon {
 mod tests {
     use super::*;
     use emu::{SimCluster, SimConfig};
-    use monitoring::NullPredictor;
     use rm::slave::{SlaveConfig, SlaveDaemon, SlaveHeartbeat};
 
     enum Node {
@@ -404,10 +403,7 @@ mod tests {
     fn cluster(n_slaves: usize, cfg: EslurmConfig) -> SimCluster<RmMsg, Node> {
         let mut actors = vec![
             Node::Master(Vec::new()),
-            Node::Sat(SatelliteDaemon::new(
-                cfg,
-                Some(Arc::new(Mutex::new(NullPredictor))),
-            )),
+            Node::Sat(SatelliteDaemon::new(cfg, None)),
         ];
         for _ in 0..n_slaves {
             actors.push(Node::Slave(SlaveDaemon::new(SlaveConfig {

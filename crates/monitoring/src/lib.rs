@@ -1,28 +1,16 @@
 //! # eslurm-monitoring
 //!
-//! A synthetic stand-in for the Tianhe monitoring and diagnostic subsystem
-//! (paper §IV-C): the three-layer BMU/CMU/SMU management hierarchy
-//! ([`units`]), per-node hardware sensor streams ([`sensors`]), alert
-//! collection with the over-prediction policy ([`alerts`]), and pluggable
-//! failure predictors ([`predictor`]) that feed suspect sets to the
-//! FP-Tree constructor.
+//! The suspect-set feed of the Tianhe monitoring and diagnostic subsystem
+//! (paper §IV-C): the pluggable [`FailurePredictor`] the FP-Tree
+//! constructor reads, and [`OraclePredictor`], a parameterised oracle over
+//! the ground-truth fault plan.
 //!
-//! Substitution note (see `DESIGN.md`): the real subsystem reads 200+
+//! Substitution note (see `DESIGN.md` §1): the real subsystem reads 200+
 //! hardware indicators over a dedicated network. The FP-Tree consumes only
-//! the resulting *suspect set*, so this substrate models the statistical
-//! behaviour of that set — detection lead time, detection probability, and
-//! false-alarm rate — as controlled experiment parameters.
+//! the resulting *suspect set*, so the oracle models the statistical
+//! behaviour of that set — detection lead time, recall, and false
+//! positives per query — as controlled experiment parameters.
 
-pub mod alerts;
 pub mod predictor;
-pub mod sensors;
-pub mod trend;
-pub mod units;
 
-pub use alerts::{Alert, AlertBus};
-pub use predictor::{
-    score, FailurePredictor, MonitorPredictor, NullPredictor, OraclePredictor, PredictionQuality,
-};
-pub use sensors::{SensorKind, SensorModel, SensorReading};
-pub use trend::TrendPredictor;
-pub use units::{BmuId, CmuId, UnitHierarchy};
+pub use predictor::{score, FailurePredictor, OraclePredictor, PredictionQuality};

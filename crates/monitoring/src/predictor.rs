@@ -2,21 +2,13 @@
 //!
 //! The paper implements failure-node prediction as a plugin so that "more
 //! advanced techniques can be easily integrated" (§IV-C). We mirror that
-//! with the [`FailurePredictor`] trait and three implementations:
-//!
-//! * [`MonitorPredictor`] — the production path: periodically scans the
-//!   sensor substrate, raises alerts through the BMU/CMU/SMU hierarchy,
-//!   and suspects any node with a live alert (over-prediction principle);
-//! * [`OraclePredictor`] — a tunable-precision/recall oracle over the
-//!   ground-truth fault plan, for controlled experiments;
-//! * [`NullPredictor`] — never suspects anyone (the FP-Tree-off ablation,
-//!   which degenerates the FP-Tree to the plain grouping tree).
+//! with the [`FailurePredictor`] trait and one implementation,
+//! [`OraclePredictor`]: a tunable-precision/recall oracle over the
+//! ground-truth fault plan, which every experiment uses. Running without a
+//! predictor (the FP-Tree-off ablation, which degenerates the FP-Tree to
+//! the plain grouping tree) is `None` at the call site.
 
-use crate::alerts::AlertBus;
-use crate::sensors::SensorModel;
-use crate::units::UnitHierarchy;
 use emu::FaultPlan;
-use obs::{Counter, Recorder};
 use rand::rngs::StdRng;
 use rand::RngExt;
 use simclock::rng::stream_rng;
@@ -27,16 +19,6 @@ use std::collections::HashSet;
 pub trait FailurePredictor: Send {
     /// The current suspect set at time `now`.
     fn suspects(&mut self, now: SimTime) -> HashSet<u32>;
-}
-
-/// Predictor that never suspects anything (FP-Tree ablation).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullPredictor;
-
-impl FailurePredictor for NullPredictor {
-    fn suspects(&mut self, _now: SimTime) -> HashSet<u32> {
-        HashSet::new()
-    }
 }
 
 /// A ground-truth oracle with tunable recall and false-positive count.
@@ -119,98 +101,6 @@ impl FailurePredictor for OraclePredictor {
     }
 }
 
-/// The full monitoring path: sensors → alerts → suspects.
-pub struct MonitorPredictor {
-    n_nodes: u32,
-    sensors: SensorModel,
-    bus: AlertBus,
-    faults: FaultPlan,
-    scan_interval: SimSpan,
-    last_scan: Option<SimTime>,
-    rng: StdRng,
-    obs: Recorder,
-}
-
-impl MonitorPredictor {
-    /// Build the production-style predictor.
-    pub fn new(
-        hierarchy: UnitHierarchy,
-        sensors: SensorModel,
-        faults: FaultPlan,
-        scan_interval: SimSpan,
-        alert_ttl: SimSpan,
-        seed: u64,
-    ) -> Self {
-        let n_nodes = hierarchy.node_count();
-        MonitorPredictor {
-            n_nodes,
-            sensors,
-            bus: AlertBus::new(hierarchy, alert_ttl),
-            faults,
-            scan_interval,
-            last_scan: None,
-            rng: stream_rng(seed, 0x5E05),
-            obs: Recorder::disabled(),
-        }
-    }
-
-    /// Mirror scan activity onto `recorder`: `Counter::SensorScans` per
-    /// sweep in [`catch_up`](Self::suspects) and `Counter::AlertsRaised`
-    /// through the underlying [`AlertBus`].
-    pub fn with_obs(mut self, recorder: Recorder) -> Self {
-        self.bus = self.bus.with_obs(recorder.clone());
-        self.obs = recorder;
-        self
-    }
-
-    /// Run any scans that are due up to `now`.
-    fn catch_up(&mut self, now: SimTime) {
-        let mut next = match self.last_scan {
-            None => SimTime::ZERO,
-            Some(t) => t + self.scan_interval,
-        };
-        // Cap the number of catch-up scans so a long idle gap doesn't
-        // degenerate into thousands of scans: beyond the alert TTL only the
-        // most recent scans matter.
-        let earliest_useful = SimTime(
-            now.as_micros()
-                .saturating_sub(self.scan_interval.as_micros() * 4 + self.bus_ttl().as_micros()),
-        );
-        if next < earliest_useful {
-            next = earliest_useful;
-        }
-        while next <= now {
-            let readings = self
-                .sensors
-                .scan(self.n_nodes, next, &self.faults, &mut self.rng);
-            self.obs.inc(Counter::SensorScans);
-            self.bus.ingest(&readings);
-            self.last_scan = Some(next);
-            next += self.scan_interval;
-        }
-        self.bus.expire(now);
-    }
-
-    fn bus_ttl(&self) -> SimSpan {
-        // AlertBus owns the ttl; mirror the construction parameter by
-        // probing suspects at a synthetic horizon would be awkward, so we
-        // keep a generous default here for the catch-up bound.
-        SimSpan::from_secs(600)
-    }
-}
-
-impl FailurePredictor for MonitorPredictor {
-    fn suspects(&mut self, now: SimTime) -> HashSet<u32> {
-        self.catch_up(now);
-        let mut s = self.bus.suspects(now);
-        // Nodes already down are trivially suspect.
-        for n in self.faults.down_at(now) {
-            s.insert(n.0);
-        }
-        s
-    }
-}
-
 /// Precision/recall of a predicted suspect set against ground truth.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PredictionQuality {
@@ -254,11 +144,6 @@ mod tests {
     }
 
     #[test]
-    fn null_predictor_is_empty() {
-        assert!(NullPredictor.suspects(SimTime::from_secs(5)).is_empty());
-    }
-
-    #[test]
     fn oracle_sees_upcoming_and_current_outages() {
         let plan = plan_with_outage(4, 100, 200, 10);
         let mut o = OraclePredictor::new(plan, SimSpan::from_secs(60), 1);
@@ -290,24 +175,38 @@ mod tests {
     }
 
     #[test]
-    fn monitor_predictor_flags_failing_node() {
-        let plan = plan_with_outage(7, 300, 900, 32);
-        let mut m = MonitorPredictor::new(
-            UnitHierarchy::tianhe(32),
-            SensorModel {
-                detection_prob: 1.0,
-                false_alarm_prob: 0.0,
-                ..Default::default()
-            },
-            plan,
-            SimSpan::from_secs(30),
-            SimSpan::from_secs(300),
-            42,
-        );
-        // At t=250 the outage (t=300) is inside the 120 s sensor lead.
-        let s = m.suspects(SimTime::from_secs(250));
-        assert!(s.contains(&7), "suspects: {s:?}");
-        assert_eq!(s.len(), 1);
+    fn oracle_measures_as_configured_and_repeats_per_seed() {
+        // 2,000 nodes that all fail at t=100: every one is upcoming at t=50.
+        let n = 2_000u32;
+        let outage = |node| Outage {
+            node: NodeId(node),
+            down_at: SimTime::from_secs(100),
+            up_at: SimTime::from_secs(200),
+        };
+        let plan = FaultPlan::from_outages(n as usize, (0..n).map(outage).collect());
+        let (now, lead) = (SimTime::from_secs(50), SimSpan::from_secs(60));
+        let actual: HashSet<u32> = plan.failing_within(now, lead).iter().map(|n| n.0).collect();
+        assert_eq!(actual.len(), n as usize);
+        for r in [0.25, 0.5, 0.9] {
+            let mut o = OraclePredictor::new(plan.clone(), lead, 11).with_recall(r);
+            let q = score(&o.suspects(now), &actual);
+            assert!((q.recall - r).abs() <= 0.05, "recall {r}: got {}", q.recall);
+            assert_eq!(q.precision, 1.0);
+        }
+
+        let mut noisy =
+            OraclePredictor::new(FaultPlan::none(n as usize), lead, 11).with_false_positives(8);
+        let s = noisy.suspects(now);
+        assert!(!s.is_empty() && s.len() <= 8);
+        assert_eq!(score(&s, &HashSet::new()).precision, 0.0);
+
+        let run = || {
+            let mut o = OraclePredictor::new(plan.clone(), lead, 11)
+                .with_recall(0.5)
+                .with_false_positives(3);
+            [10, 50, 90].map(|t| o.suspects(SimTime::from_secs(t)))
+        };
+        assert_eq!(run(), run());
     }
 
     #[test]

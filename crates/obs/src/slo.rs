@@ -1,5 +1,5 @@
-//! Online SLO engine: burn-rate alerting, anomaly detection, and health
-//! scoring evaluated *during* the run, in virtual time.
+//! Online SLO engine: burn-rate alerting and anomaly detection evaluated
+//! *during* the run, in virtual time.
 //!
 //! The PR 3–8 observability layers can prove the paper's latency claims
 //! only after a run, by exporting and diffing series. This module closes
@@ -10,10 +10,7 @@
 //! SRE multi-window burn-rate rule — a breach fires only when *both* the
 //! fast and the slow window burn past the threshold, and clears with
 //! hysteresis when the fast window cools down. An EWMA/z-score
-//! [`AnomalySpec`] watches any sampled series for distribution shifts,
-//! and [`SloEngine::health`] folds `monitoring::AlertBus` suspicions into
-//! a per-node/cluster health score with order-independent (set-based)
-//! aggregation.
+//! [`AnomalySpec`] watches any sampled series for distribution shifts.
 //!
 //! Like every obs layer before it, the engine follows the recorder
 //! discipline — `Option<Arc<..>>` handle, disabled by default, every call
@@ -32,7 +29,7 @@
 //! ([`SLO_TRACK_PID`]) so Perfetto shows breaches next to the node lanes
 //! without interleaving.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -730,46 +727,6 @@ impl SloEngine {
         }
     }
 
-    /// Fold external per-node suspicions (e.g. `monitoring::AlertBus`
-    /// alerts as `(node, sensor-kind-name)` pairs) with the engine's own
-    /// breach/anomaly state into a health score.
-    ///
-    /// Aggregation is set-based and therefore **order-independent**: the
-    /// same suspicions in any order — in particular same-tick alerts,
-    /// which have no defined order — produce an identical score (pinned
-    /// by a property test).
-    pub fn health<'a>(&self, suspicions: impl IntoIterator<Item = (u32, &'a str)>) -> HealthScore {
-        let mut kinds_by_node: BTreeMap<u32, BTreeSet<&str>> = BTreeMap::new();
-        for (node, kind) in suspicions {
-            kinds_by_node.entry(node).or_default().insert(kind);
-        }
-        let nodes: BTreeMap<u32, f64> = kinds_by_node
-            .iter()
-            .map(|(&node, kinds)| (node, (100.0 - 25.0 * kinds.len() as f64).max(0.0)))
-            .collect();
-        let (active_breaches, active_anomalies) = match &self.0 {
-            Some(s) => {
-                let inner = s.inner.lock();
-                (
-                    inner.specs.iter().filter(|st| st.breached).count(),
-                    inner.anomalies.iter().filter(|an| an.active).count(),
-                )
-            }
-            None => (0, 0),
-        };
-        let cluster = (100.0
-            - 15.0 * active_breaches as f64
-            - 5.0 * active_anomalies as f64
-            - 10.0 * nodes.len() as f64)
-            .max(0.0);
-        HealthScore {
-            cluster,
-            nodes,
-            active_breaches,
-            active_anomalies,
-        }
-    }
-
     /// Snapshot per-spec statistics and events into an owned report, or
     /// `None` when disabled.
     pub fn report(&self) -> Option<SloReport> {
@@ -847,22 +804,6 @@ fn sample_signal(
             })
         }
     }
-}
-
-/// Per-node/cluster health from [`SloEngine::health`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct HealthScore {
-    /// Cluster-wide score in `[0, 100]`: 100 minus penalties for active
-    /// breaches (15 each), active anomalies (5 each), and suspect nodes
-    /// (10 each).
-    pub cluster: f64,
-    /// Per-suspect-node score: 100 minus 25 per distinct alert kind.
-    /// Nodes with no suspicions are absent (implicitly 100).
-    pub nodes: BTreeMap<u32, f64>,
-    /// Specs currently in breach.
-    pub active_breaches: usize,
-    /// Detectors currently flagging an anomaly.
-    pub active_anomalies: usize,
 }
 
 /// Frozen per-spec numbers from an [`SloEngine::report`] snapshot.
@@ -1086,9 +1027,6 @@ mod tests {
         assert!(e.events().is_empty());
         assert!(e.report().is_none());
         assert!(e.active_breaches().is_empty());
-        let h = e.health([(3, "temperature")]);
-        assert_eq!(h.active_breaches, 0);
-        assert_eq!(h.nodes.len(), 1);
     }
 
     #[test]
@@ -1270,19 +1208,6 @@ mod tests {
             assert!(r.specs[0].evals > 0, "armed collector must be sampled");
             assert!(r.specs[0].breaches >= 1, "1-byte peak target must breach");
         }
-    }
-
-    #[test]
-    fn health_folding_is_set_based() {
-        let e = SloEngine::new(vec![SloSpec::master_inbox(10.0)]);
-        let a = e.health([(1, "temperature"), (2, "ecc"), (1, "temperature")]);
-        let b = e.health([(2, "ecc"), (1, "temperature")]);
-        assert_eq!(a, b, "duplicates and order must not matter");
-        assert_eq!(a.nodes[&1], 75.0);
-        assert_eq!(a.nodes[&2], 75.0);
-        assert_eq!(a.cluster, 80.0); // two suspect nodes, no breaches
-        let c = e.health([(1, "temperature"), (1, "ecc"), (1, "fan")]);
-        assert_eq!(c.nodes[&1], 25.0);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Centralized resource-manager baselines running on the cluster emulator:
 //!
-//! * [`proto`] — the control-plane wire protocol (shared with the ESlurm
-//!   overlay in the `eslurm` crate), with a real byte codec and zero-copy
-//!   node-list slices;
+//! * [`proto`] — the control-plane message set (shared with the ESlurm
+//!   overlay in the `eslurm` crate), with modelled wire sizes and
+//!   zero-copy node-list slices;
 //! * [`profile`] — behavioural profiles of SGE, Torque, OpenPBS, LSF, and
 //!   Slurm (heartbeat style, connection policy, fan-out, per-node/job
 //!   memory);
@@ -23,5 +23,5 @@ pub mod slave;
 pub use driver::{ClusterHarness, RmClusterBuilder, RmNode};
 pub use master::{CentralizedMaster, JobRecord};
 pub use profile::{Fanout, HeartbeatMode, RmProfile};
-pub use proto::{decode, encode, CtlKind, NodeSlice, RmMsg};
+pub use proto::{CtlKind, NodeSlice, RmMsg};
 pub use slave::{SlaveConfig, SlaveDaemon, SlaveHeartbeat};

@@ -7,12 +7,9 @@
 //! never copies the list, while the modelled wire size still charges for
 //! the four bytes per node a real encoding would ship.
 //!
-//! [`encode`]/[`decode`] provide an actual byte-level codec (exercised in
-//! tests and available to embedders); the emulator itself uses the
-//! analytic [`Payload::size_bytes`] to avoid serializing millions of
-//! messages.
+//! No transport moves bytes: the DES and `emu::thread` both pass typed
+//! messages and charge latency from the analytic [`Payload::size_bytes`].
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use emu::Payload;
 use std::sync::Arc;
 
@@ -224,230 +221,6 @@ impl Payload for RmMsg {
     }
 }
 
-/// Encode a message to bytes (tag byte + fields, lists inline).
-pub fn encode(msg: &RmMsg) -> Bytes {
-    let mut b = BytesMut::with_capacity(msg.size_bytes() as usize);
-    match msg {
-        RmMsg::Register { node } => {
-            b.put_u8(0);
-            b.put_u32(*node);
-        }
-        RmMsg::Poll => b.put_u8(1),
-        RmMsg::PollReply { load } => {
-            b.put_u8(2);
-            b.put_u8(*load);
-        }
-        RmMsg::Heartbeat { node } => {
-            b.put_u8(3);
-            b.put_u32(*node);
-        }
-        RmMsg::HeartbeatAck => b.put_u8(4),
-        RmMsg::SubmitJob {
-            job,
-            nodes,
-            runtime_us,
-        } => {
-            b.put_u8(5);
-            b.put_u64(*job);
-            b.put_u64(*runtime_us);
-            put_list(&mut b, nodes);
-        }
-        RmMsg::JobCtl {
-            job,
-            kind,
-            list,
-            width,
-        } => {
-            b.put_u8(6);
-            b.put_u64(*job);
-            b.put_u8(kind_tag(*kind));
-            b.put_u16(*width);
-            put_list(&mut b, list);
-        }
-        RmMsg::CtlAck { job, kind, count } => {
-            b.put_u8(7);
-            b.put_u64(*job);
-            b.put_u8(kind_tag(*kind));
-            b.put_u32(*count);
-        }
-        RmMsg::BcastTask {
-            task,
-            job,
-            kind,
-            list,
-            width,
-        } => {
-            b.put_u8(8);
-            b.put_u64(*task);
-            b.put_u64(*job);
-            b.put_u8(kind_tag(*kind));
-            b.put_u16(*width);
-            put_list(&mut b, list);
-        }
-        RmMsg::BcastDone {
-            task,
-            job,
-            kind,
-            reached,
-            ok,
-        } => {
-            b.put_u8(9);
-            b.put_u64(*task);
-            b.put_u64(*job);
-            b.put_u8(kind_tag(*kind));
-            b.put_u32(*reached);
-            b.put_u8(u8::from(*ok));
-        }
-        RmMsg::SatHeartbeat => b.put_u8(10),
-        RmMsg::SatHeartbeatAck { state } => {
-            b.put_u8(11);
-            b.put_u8(*state);
-        }
-        RmMsg::Shutdown => b.put_u8(12),
-        RmMsg::StatusQuery { id } => {
-            b.put_u8(13);
-            b.put_u64(*id);
-        }
-        RmMsg::StatusReply { id } => {
-            b.put_u8(14);
-            b.put_u64(*id);
-        }
-        RmMsg::CancelJob { job } => {
-            b.put_u8(15);
-            b.put_u64(*job);
-        }
-    }
-    b.freeze()
-}
-
-/// Decode a message produced by [`encode`].
-pub fn decode(mut buf: Bytes) -> Option<RmMsg> {
-    if buf.is_empty() {
-        return None;
-    }
-    let tag = buf.get_u8();
-    // Fixed-size prefix each tag requires before any variable-length list.
-    let fixed = match tag {
-        0 | 3 => 4,
-        1 | 4 | 10 | 12 => 0,
-        2 | 11 => 1,
-        5 => 16,
-        6 => 11,
-        7 => 13,
-        8 => 19,
-        9 => 22,
-        13..=15 => 8,
-        _ => return None,
-    };
-    if buf.remaining() < fixed {
-        return None;
-    }
-    Some(match tag {
-        0 => RmMsg::Register {
-            node: buf.get_u32(),
-        },
-        1 => RmMsg::Poll,
-        2 => RmMsg::PollReply { load: buf.get_u8() },
-        3 => RmMsg::Heartbeat {
-            node: buf.get_u32(),
-        },
-        4 => RmMsg::HeartbeatAck,
-        5 => {
-            let job = buf.get_u64();
-            let runtime_us = buf.get_u64();
-            RmMsg::SubmitJob {
-                job,
-                nodes: get_list(&mut buf)?,
-                runtime_us,
-            }
-        }
-        6 => {
-            let job = buf.get_u64();
-            let kind = kind_from(buf.get_u8())?;
-            let width = buf.get_u16();
-            RmMsg::JobCtl {
-                job,
-                kind,
-                list: get_list(&mut buf)?,
-                width,
-            }
-        }
-        7 => RmMsg::CtlAck {
-            job: buf.get_u64(),
-            kind: kind_from(buf.get_u8())?,
-            count: buf.get_u32(),
-        },
-        8 => {
-            let task = buf.get_u64();
-            let job = buf.get_u64();
-            let kind = kind_from(buf.get_u8())?;
-            let width = buf.get_u16();
-            RmMsg::BcastTask {
-                task,
-                job,
-                kind,
-                list: get_list(&mut buf)?,
-                width,
-            }
-        }
-        9 => RmMsg::BcastDone {
-            task: buf.get_u64(),
-            job: buf.get_u64(),
-            kind: kind_from(buf.get_u8())?,
-            reached: buf.get_u32(),
-            ok: buf.get_u8() != 0,
-        },
-        10 => RmMsg::SatHeartbeat,
-        11 => RmMsg::SatHeartbeatAck {
-            state: buf.get_u8(),
-        },
-        12 => RmMsg::Shutdown,
-        13 => RmMsg::StatusQuery { id: buf.get_u64() },
-        14 => RmMsg::StatusReply { id: buf.get_u64() },
-        15 => RmMsg::CancelJob { job: buf.get_u64() },
-        _ => return None,
-    })
-}
-
-fn kind_tag(k: CtlKind) -> u8 {
-    match k {
-        CtlKind::Launch => 0,
-        CtlKind::Terminate => 1,
-        CtlKind::Ping => 2,
-    }
-}
-
-fn kind_from(t: u8) -> Option<CtlKind> {
-    match t {
-        0 => Some(CtlKind::Launch),
-        1 => Some(CtlKind::Terminate),
-        2 => Some(CtlKind::Ping),
-        _ => None,
-    }
-}
-
-fn put_list(b: &mut BytesMut, list: &NodeSlice) {
-    b.put_u32(list.len() as u32);
-    for n in list.nodes() {
-        b.put_u32(*n);
-    }
-}
-
-fn get_list(buf: &mut Bytes) -> Option<NodeSlice> {
-    if buf.remaining() < 4 {
-        return None;
-    }
-    let n = buf.get_u32() as usize;
-    if buf.remaining() < 4 * n {
-        return None;
-    }
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(buf.get_u32());
-    }
-    Some(NodeSlice::new(v))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -517,64 +290,5 @@ mod tests {
             width: 32,
         };
         assert_eq!(big.size_bytes() - small.size_bytes(), 4 * 999);
-    }
-
-    #[test]
-    fn encode_decode_round_trips() {
-        let msgs = vec![
-            RmMsg::Register { node: 7 },
-            RmMsg::Poll,
-            RmMsg::PollReply { load: 3 },
-            RmMsg::Heartbeat { node: 9 },
-            RmMsg::HeartbeatAck,
-            RmMsg::SubmitJob {
-                job: 42,
-                nodes: NodeSlice::new(vec![1, 2, 3]),
-                runtime_us: 1_000_000,
-            },
-            RmMsg::JobCtl {
-                job: 42,
-                kind: CtlKind::Launch,
-                list: NodeSlice::new(vec![4, 5]),
-                width: 16,
-            },
-            RmMsg::CtlAck {
-                job: 42,
-                kind: CtlKind::Terminate,
-                count: 12,
-            },
-            RmMsg::BcastTask {
-                task: 1,
-                job: 42,
-                kind: CtlKind::Terminate,
-                list: NodeSlice::new(vec![9]),
-                width: 8,
-            },
-            RmMsg::BcastDone {
-                task: 1,
-                job: 42,
-                kind: CtlKind::Launch,
-                reached: 9,
-                ok: true,
-            },
-            RmMsg::SatHeartbeat,
-            RmMsg::SatHeartbeatAck { state: 1 },
-            RmMsg::Shutdown,
-            RmMsg::StatusQuery { id: 99 },
-            RmMsg::StatusReply { id: 99 },
-            RmMsg::CancelJob { job: 3 },
-        ];
-        for m in msgs {
-            let decoded = decode(encode(&m)).expect("decode");
-            assert_eq!(m, decoded);
-        }
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert_eq!(decode(Bytes::from_static(&[200])), None);
-        assert_eq!(decode(Bytes::new()), None);
-        // Truncated list.
-        assert!(decode(Bytes::from_static(&[5, 0, 0, 0, 0, 0, 0, 0, 1])).is_none());
     }
 }

@@ -1,7 +1,6 @@
 //! Property-based tests on the core invariants, spanning crates.
 
 use eslurm_suite::eslurm::satellites_needed;
-use eslurm_suite::rm::{decode, encode, CtlKind, NodeSlice, RmMsg};
 use eslurm_suite::sched::prelude::{simulate, BackfillConfig, UserLimit};
 use eslurm_suite::topology::{
     broadcast, leaf_positions, rearrange, relay_depth, split_balanced, BcastParams, Structure,
@@ -99,47 +98,6 @@ proptest! {
         } else {
             prop_assert_eq!(d, 0);
         }
-    }
-
-    /// Protocol codec round-trips arbitrary messages.
-    #[test]
-    fn codec_round_trips(
-        job in any::<u64>(),
-        count in any::<u32>(),
-        width in 2u16..512,
-        list in prop::collection::vec(any::<u32>(), 0..200),
-        kind_sel in 0u8..3,
-    ) {
-        let kind = match kind_sel {
-            0 => CtlKind::Launch,
-            1 => CtlKind::Terminate,
-            _ => CtlKind::Ping,
-        };
-        let msgs = vec![
-            RmMsg::JobCtl { job, kind, list: NodeSlice::new(list.clone()), width },
-            RmMsg::CtlAck { job, kind, count },
-            RmMsg::BcastTask { task: count as u64, job, kind, list: NodeSlice::new(list), width },
-        ];
-        for m in msgs {
-            prop_assert_eq!(Some(m.clone()), decode(encode(&m)));
-        }
-    }
-
-    /// Truncated encodings never panic, they just fail to decode.
-    #[test]
-    fn codec_truncation_safe(
-        list in prop::collection::vec(any::<u32>(), 0..50),
-        cut in 0usize..64,
-    ) {
-        let m = RmMsg::JobCtl {
-            job: 1,
-            kind: CtlKind::Launch,
-            list: NodeSlice::new(list),
-            width: 8,
-        };
-        let bytes = encode(&m);
-        let cut = cut.min(bytes.len());
-        let _ = decode(bytes.slice(0..cut)); // must not panic
     }
 
     /// The scheduler conserves jobs: completed + abandoned = submitted.
