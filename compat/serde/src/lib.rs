@@ -81,6 +81,15 @@ impl Value {
     }
 }
 
+macro_rules! value_from {
+    ($($t:ty),*) => {
+        $(impl From<$t> for Value {
+            fn from(v: $t) -> Value { v.to_value() }
+        })*
+    };
+}
+value_from!(u64, f64, bool, &str, String);
+
 /// Error produced when a [`Value`] does not match the shape a
 /// [`Deserialize`] implementation expects.
 #[derive(Clone, Debug, PartialEq)]

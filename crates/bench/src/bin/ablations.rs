@@ -87,7 +87,7 @@ fn main() {
             sys.submit(
                 SimTime::from_secs(2 + j * 30),
                 j,
-                &(0..n_slaves.min(1024)).collect::<Vec<_>>(),
+                0..n_slaves.min(1024),
                 SimSpan::from_secs(10),
             );
         }

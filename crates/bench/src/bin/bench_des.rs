@@ -11,35 +11,10 @@
 //! at the repository root, gated by the `des-scale` CI job the same way
 //! the footprint diff is.
 
-use emu::NodeId;
-use eslurm::{EslurmConfig, EslurmSystemBuilder};
-use eslurm_bench::{f, print_table, ExpArgs};
+use eslurm_bench::{f, obj, print_table, write_bench, ExpArgs, Fig9Scale};
 use obs::{mem_profile_compiled, MemProfiler, MemReport};
-use serde::{Number, Value};
-use simclock::rng::{exponential, stream_rng};
-use simclock::{SimSpan, SimTime};
-use std::collections::BTreeMap;
-use std::path::Path;
-use std::time::Instant;
-
-/// Stable 64-bit FNV-1a over a byte stream (fingerprints must not depend
-/// on the process' hash seeds).
-fn fnv64(bytes: &[u8], mut h: u64) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-struct Scale {
-    n_slaves: usize,
-    satellites: usize,
-    horizon: SimSpan,
-    jobs_target: u64,
-    /// Largest job size (power-law cap).
-    max_job: u32,
-}
+use serde::Value;
+use simclock::SimSpan;
 
 /// The serial layout first (the reference), then one sharded layout.
 const SHARD_COUNTS: [usize; 2] = [1, 4];
@@ -56,89 +31,20 @@ struct RunResult {
     mem: Option<MemReport>,
 }
 
-fn run_once(scale: &Scale, seed: u64, shards: usize, mem: bool) -> RunResult {
-    let cfg = EslurmConfig {
-        n_satellites: scale.satellites,
-        eq1_width: 64,
-        relay_width: 8,
-        hb_sweep_interval: SimSpan::from_secs(120),
-        sat_hb_interval: SimSpan::from_secs(30),
-        ..Default::default()
-    };
+fn run_once(scale: &Fig9Scale, seed: u64, shards: usize, mem: bool) -> RunResult {
     let mem_profiler = if mem {
         MemProfiler::enabled()
     } else {
         MemProfiler::disabled()
     };
-    let mut sys = EslurmSystemBuilder::new(cfg, scale.n_slaves, seed)
-        .shards(shards)
-        .mem_profile(mem_profiler.clone())
-        .build();
-
-    // Fig9-style stream: exponential inter-arrival tuned to hit the job
-    // target, power-law node counts capped at `max_job`, exponential
-    // runtimes with a 5 s floor. Identical for every shard count.
-    let horizon_s = scale.horizon.as_secs_f64();
-    let rate = scale.jobs_target as f64 / horizon_s;
-    let mut rng = stream_rng(seed + 1, 0x10B5);
-    let n = scale.n_slaves as u32;
-    let max_exp = (scale.max_job.min(n) as f64).log2();
-    let mut t = 0.0f64;
-    let mut jobs = 0u64;
-    let mut idxs: Vec<usize> = Vec::with_capacity(scale.max_job as usize);
-    loop {
-        t += exponential(&mut rng, rate);
-        if t >= horizon_s {
-            break;
-        }
-        let count = 2f64
-            .powf(rand::RngExt::random::<f64>(&mut rng) * max_exp)
-            .round()
-            .max(1.0) as u32;
-        let start = rand::RngExt::random_range(&mut rng, 0..n - count.min(n - 1));
-        idxs.clear();
-        idxs.extend((start..start + count).map(|i| i as usize));
-        let rt = SimSpan::from_secs_f64(exponential(&mut rng, 1.0 / 600.0).max(5.0));
-        sys.submit(SimTime::from_secs_f64(t), jobs, &idxs, rt);
-        jobs += 1;
-    }
-
-    let wall = Instant::now();
-    sys.sim.run_until(SimTime::ZERO + scale.horizon);
-    let wall_s = wall.elapsed().as_secs_f64();
-
-    // Outcome fingerprint: clock, event count, drops, every job record,
-    // and the master/satellite meters — what the paper's figures read.
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    h = fnv64(&sys.sim.now().as_micros().to_le_bytes(), h);
-    h = fnv64(&sys.sim.events_processed().to_le_bytes(), h);
-    h = fnv64(&sys.sim.dropped_messages().to_le_bytes(), h);
-    for r in &sys.master().records {
-        h = fnv64(format!("{r:?}").as_bytes(), h);
-    }
-    for i in 0..=scale.satellites {
-        let m = sys.sim.meter(NodeId(i as u32));
-        h = fnv64(
-            format!(
-                "{:?}|{:?}|{}|{}|{:?}",
-                m.cpu_time(),
-                m.msg_counts(),
-                m.sockets(),
-                m.peak_sockets(),
-                m.peak_mem()
-            )
-            .as_bytes(),
-            h,
-        );
-    }
-
+    let run = scale.run(seed, |b| b.shards(shards).mem_profile(mem_profiler.clone()));
     RunResult {
         shards,
-        wall_s,
-        events: sys.sim.events_processed(),
-        fingerprint: h,
-        jobs_submitted: jobs,
-        jobs_recorded: sys.master().records.len() as u64,
+        wall_s: run.wall_s,
+        events: run.sys.sim.events_processed(),
+        fingerprint: run.fingerprint,
+        jobs_submitted: run.jobs_submitted,
+        jobs_recorded: run.sys.master().records.len() as u64,
         mem: mem_profiler.report(),
     }
 }
@@ -146,7 +52,7 @@ fn run_once(scale: &Scale, seed: u64, shards: usize, mem: bool) -> RunResult {
 fn main() {
     let args = ExpArgs::parse();
     let scale = if args.quick {
-        Scale {
+        Fig9Scale {
             n_slaves: 100_000,
             satellites: 8,
             horizon: SimSpan::from_secs(900),
@@ -154,7 +60,7 @@ fn main() {
             max_job: 128,
         }
     } else {
-        Scale {
+        Fig9Scale {
             n_slaves: 1_000_000,
             satellites: 16,
             horizon: SimSpan::from_secs(3600),
@@ -237,98 +143,53 @@ fn main() {
         }
     );
 
-    let mut root = BTreeMap::new();
-    root.insert(
-        "generated_by".to_string(),
-        Value::String("cargo run --release -p eslurm-bench --bin bench_des".to_string()),
-    );
-    root.insert("quick".to_string(), Value::Bool(args.quick));
-    root.insert("seed".to_string(), Value::Number(Number::U64(args.seed)));
-    root.insert(
-        "nodes".to_string(),
-        Value::Number(Number::U64(total_nodes as u64)),
-    );
-    root.insert(
-        "satellites".to_string(),
-        Value::Number(Number::U64(scale.satellites as u64)),
-    );
-    root.insert(
-        "jobs_submitted".to_string(),
-        Value::Number(Number::U64(serial.jobs_submitted)),
-    );
-    root.insert(
-        "jobs_completed".to_string(),
-        Value::Number(Number::U64(serial.jobs_recorded)),
-    );
-    root.insert(
-        "horizon_s".to_string(),
-        Value::Number(Number::U64(scale.horizon.as_secs())),
-    );
-    root.insert(
-        "host_parallelism".to_string(),
-        Value::Number(Number::U64(host_par as u64)),
-    );
-    root.insert("outcomes_match".to_string(), Value::Bool(outcomes_match));
-    root.insert(
-        "mem_profiled".to_string(),
-        Value::Bool(args.mem && mem_profile_compiled()),
-    );
+    let allocs_per_event = |m: &MemReport, events: u64| -> Value {
+        (m.total_allocs() as f64 / events.max(1) as f64).into()
+    };
+    let mut root = vec![
+        ("nodes", (total_nodes as u64).into()),
+        ("satellites", (scale.satellites as u64).into()),
+        ("jobs_submitted", serial.jobs_submitted.into()),
+        ("jobs_completed", serial.jobs_recorded.into()),
+        ("horizon_s", scale.horizon.as_secs().into()),
+        ("host_parallelism", (host_par as u64).into()),
+        ("outcomes_match", outcomes_match.into()),
+        ("mem_profiled", (args.mem && mem_profile_compiled()).into()),
+    ];
     // The serial run's heap profile is the reference: per-tag peaks plus
     // the allocations-per-event figure the mem-profile CI job gates on.
     if let Some(m) = &serial.mem {
-        let mut o = BTreeMap::new();
-        o.insert(
-            "allocs_per_event".to_string(),
-            Value::Number(Number::F64(
-                m.total_allocs() as f64 / serial.events.max(1) as f64,
-            )),
-        );
-        o.insert(
-            "total_peak_bytes".to_string(),
-            Value::Number(Number::U64(m.total_peak())),
-        );
-        let mut peaks = BTreeMap::new();
-        for t in &m.tags {
-            peaks.insert(t.tag.clone(), Value::Number(Number::U64(t.peak_bytes)));
-        }
-        o.insert("peak_bytes".to_string(), Value::Object(peaks));
-        root.insert("mem".to_string(), Value::Object(o));
+        let peaks = m.tags.iter().map(|t| (t.tag.as_str(), t.peak_bytes.into()));
+        root.push((
+            "mem",
+            obj([
+                ("allocs_per_event", allocs_per_event(m, serial.events)),
+                ("total_peak_bytes", m.total_peak().into()),
+                ("peak_bytes", obj(peaks)),
+            ]),
+        ));
     }
-    let runs: Vec<Value> = results
-        .iter()
-        .map(|r| {
-            let mut o = BTreeMap::new();
-            o.insert(
-                "shards".to_string(),
-                Value::Number(Number::U64(r.shards as u64)),
-            );
-            o.insert("wall_s".to_string(), Value::Number(Number::F64(r.wall_s)));
-            o.insert("events".to_string(), Value::Number(Number::U64(r.events)));
-            o.insert(
-                "events_per_sec".to_string(),
-                Value::Number(Number::F64(r.events as f64 / r.wall_s.max(1e-9))),
-            );
-            if let Some(m) = &r.mem {
-                o.insert(
-                    "allocs_per_event".to_string(),
-                    Value::Number(Number::F64(
-                        m.total_allocs() as f64 / r.events.max(1) as f64,
-                    )),
-                );
-                o.insert(
-                    "peak_bytes_total".to_string(),
-                    Value::Number(Number::U64(m.total_peak())),
-                );
-            }
-            Value::Object(o)
-        })
-        .collect();
-    root.insert("runs".to_string(), Value::Array(runs));
-
-    let json = serde_json::to_string(&Value::Object(root)).expect("serialize report");
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_DES.json");
-    std::fs::write(&path, json + "\n").expect("write BENCH_DES.json");
-    println!("  [json] {}", path.display());
+    // Each layout's fingerprint is in the report: the `des-scale` gate
+    // compares them itself.
+    let runs = results.iter().map(|r| {
+        let mut o = vec![
+            ("shards", (r.shards as u64).into()),
+            ("wall_s", r.wall_s.into()),
+            ("events", r.events.into()),
+            (
+                "events_per_sec",
+                (r.events as f64 / r.wall_s.max(1e-9)).into(),
+            ),
+            ("fingerprint", format!("{:016x}", r.fingerprint).into()),
+        ];
+        if let Some(m) = &r.mem {
+            o.push(("allocs_per_event", allocs_per_event(m, r.events)));
+            o.push(("peak_bytes_total", m.total_peak().into()));
+        }
+        obj(o)
+    });
+    root.push(("runs", Value::Array(runs.collect())));
+    write_bench("DES", "bench_des", &args, root);
 
     assert!(outcomes_match, "sharded run diverged from the 1-shard run");
 }

@@ -16,33 +16,22 @@
 //! `--quick` shrinks the trace, `--seed` varies it.
 
 use eslurm::PredictiveLimit;
-use eslurm_bench::{f, print_table, ExpArgs};
+use eslurm_bench::{f, fnv64, obj, print_table, write_bench, ExpArgs, FNV_OFFSET};
 use estimate::EstimatorConfig;
 use obs::audit::{Decision, DecisionLog};
 use sched::prelude::{
     bank_of, simulate, BackfillConfig, FairShareLedger, MultifactorPriority, PartitionSet,
     SchedAlgo, SchedPolicies, ScheduleReport,
 };
-use serde::{Number, Value};
+use serde::Value;
 use simclock::SimSpan;
 use std::collections::BTreeMap;
-use std::path::Path;
 use workload::{Job, TraceConfig};
-
-/// Stable 64-bit FNV-1a over a byte stream (fingerprints must not depend
-/// on the process' hash seeds).
-fn fnv64(bytes: &[u8], mut h: u64) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Outcome fingerprint of one scheduling run: every field a correctness
 /// test would compare, floats by bit pattern.
 fn fingerprint(r: &ScheduleReport) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV_OFFSET;
     for v in [
         r.completed as u64,
         r.killed as u64,
@@ -294,83 +283,33 @@ fn main() {
         }
     );
 
-    let mut root = BTreeMap::new();
-    root.insert(
-        "generated_by".to_string(),
-        Value::String("cargo run --release -p eslurm-bench --bin bench_multi".to_string()),
+    let policies = runs.iter().map(|r| {
+        obj([
+            ("policy", r.name.into()),
+            ("completed", (r.report.completed as u64).into()),
+            ("killed", (r.report.killed as u64).into()),
+            ("wait_p50_s", r.wait_p50.into()),
+            ("wait_p90_s", r.wait_p90.into()),
+            ("wait_p99_s", r.wait_p99.into()),
+            ("user_unfairness", r.unfairness.into()),
+            ("bank_unfairness", r.bank_unfairness.into()),
+            ("priority_inversions", r.inversions.into()),
+            ("utilization", r.report.utilization().into()),
+        ])
+    });
+    write_bench(
+        "MULTI",
+        "bench_multi",
+        &args,
+        vec![
+            ("jobs", (n_jobs as u64).into()),
+            ("users", (users as u64).into()),
+            ("banks", (banks as u64).into()),
+            ("nodes", (nodes as u64).into()),
+            ("default_config_identical", default_config_identical.into()),
+            ("policies", Value::Array(policies.collect())),
+        ],
     );
-    root.insert("quick".to_string(), Value::Bool(args.quick));
-    root.insert("seed".to_string(), Value::Number(Number::U64(args.seed)));
-    root.insert(
-        "jobs".to_string(),
-        Value::Number(Number::U64(n_jobs as u64)),
-    );
-    root.insert(
-        "users".to_string(),
-        Value::Number(Number::U64(users as u64)),
-    );
-    root.insert(
-        "banks".to_string(),
-        Value::Number(Number::U64(banks as u64)),
-    );
-    root.insert(
-        "nodes".to_string(),
-        Value::Number(Number::U64(nodes as u64)),
-    );
-    root.insert(
-        "default_config_identical".to_string(),
-        Value::Bool(default_config_identical),
-    );
-    let policies: Vec<Value> = runs
-        .iter()
-        .map(|r| {
-            let mut o = BTreeMap::new();
-            o.insert("policy".to_string(), Value::String(r.name.to_string()));
-            o.insert(
-                "completed".to_string(),
-                Value::Number(Number::U64(r.report.completed as u64)),
-            );
-            o.insert(
-                "killed".to_string(),
-                Value::Number(Number::U64(r.report.killed as u64)),
-            );
-            o.insert(
-                "wait_p50_s".to_string(),
-                Value::Number(Number::F64(r.wait_p50)),
-            );
-            o.insert(
-                "wait_p90_s".to_string(),
-                Value::Number(Number::F64(r.wait_p90)),
-            );
-            o.insert(
-                "wait_p99_s".to_string(),
-                Value::Number(Number::F64(r.wait_p99)),
-            );
-            o.insert(
-                "user_unfairness".to_string(),
-                Value::Number(Number::F64(r.unfairness)),
-            );
-            o.insert(
-                "bank_unfairness".to_string(),
-                Value::Number(Number::F64(r.bank_unfairness)),
-            );
-            o.insert(
-                "priority_inversions".to_string(),
-                Value::Number(Number::U64(r.inversions)),
-            );
-            o.insert(
-                "utilization".to_string(),
-                Value::Number(Number::F64(r.report.utilization())),
-            );
-            Value::Object(o)
-        })
-        .collect();
-    root.insert("policies".to_string(), Value::Array(policies));
-
-    let json = serde_json::to_string(&Value::Object(root)).expect("serialize report");
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_MULTI.json");
-    std::fs::write(&path, json + "\n").expect("write BENCH_MULTI.json");
-    println!("  [json] {}", path.display());
 
     assert!(
         default_config_identical,

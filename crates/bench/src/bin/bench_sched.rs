@@ -8,14 +8,11 @@
 //! the trace, `--seed` varies it.
 
 use eslurm::PredictiveLimit;
-use eslurm_bench::{f, print_table, ExpArgs};
+use eslurm_bench::{f, print_table, time_ns, write_bench, ExpArgs};
 use estimate::EstimatorConfig;
 use obs::audit::{AuditReport, Decision, DecisionLog};
 use sched::prelude::{simulate, BackfillConfig, SchedAlgo, ScheduleReport};
-use serde::{Number, Value};
 use std::collections::BTreeMap;
-use std::path::Path;
-use std::time::Instant;
 use workload::{Job, TraceConfig};
 
 fn run(jobs: &[Job], nodes: u32, audit: DecisionLog) -> ScheduleReport {
@@ -26,18 +23,6 @@ fn run(jobs: &[Job], nodes: u32, audit: DecisionLog) -> ScheduleReport {
         ..BackfillConfig::new(nodes)
     };
     simulate(jobs, &mut policy, &cfg)
-}
-
-/// Best-of-`reps` wall time of `f`, in nanoseconds (one warmup call).
-fn time_ns<F: FnMut()>(mut f: F, reps: usize) -> u64 {
-    f();
-    let mut best = u64::MAX;
-    for _ in 0..reps.max(1) {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_nanos() as u64);
-    }
-    best
 }
 
 /// Per-job wait (submission → final start) in seconds, reconstructed from
@@ -122,63 +107,24 @@ fn main() {
         ],
     );
 
-    let mut root = BTreeMap::new();
-    root.insert(
-        "generated_by".to_string(),
-        Value::String("cargo run --release -p eslurm-bench --bin bench_sched".to_string()),
+    println!();
+    write_bench(
+        "SCHED",
+        "bench_sched",
+        &args,
+        vec![
+            ("jobs", (n_jobs as u64).into()),
+            ("nodes", (nodes as u64).into()),
+            ("completed", (report.completed as u64).into()),
+            ("killed", (report.killed as u64).into()),
+            ("wait_p50_s", wait_p50.into()),
+            ("wait_p99_s", wait_p99.into()),
+            ("backfill_hit_rate", audit.backfill_hit_rate().into()),
+            ("utilization", report.utilization().into()),
+            ("sim_audit_off_ns", off_ns.into()),
+            ("sim_audit_on_ns", on_ns.into()),
+            ("audit_overhead_pct", overhead_pct.into()),
+            ("decisions_logged", (log.len() as u64).into()),
+        ],
     );
-    root.insert("quick".to_string(), Value::Bool(args.quick));
-    root.insert("seed".to_string(), Value::Number(Number::U64(args.seed)));
-    root.insert(
-        "jobs".to_string(),
-        Value::Number(Number::U64(n_jobs as u64)),
-    );
-    root.insert(
-        "nodes".to_string(),
-        Value::Number(Number::U64(nodes as u64)),
-    );
-    root.insert(
-        "completed".to_string(),
-        Value::Number(Number::U64(report.completed as u64)),
-    );
-    root.insert(
-        "killed".to_string(),
-        Value::Number(Number::U64(report.killed as u64)),
-    );
-    root.insert(
-        "wait_p50_s".to_string(),
-        Value::Number(Number::F64(wait_p50)),
-    );
-    root.insert(
-        "wait_p99_s".to_string(),
-        Value::Number(Number::F64(wait_p99)),
-    );
-    root.insert(
-        "backfill_hit_rate".to_string(),
-        Value::Number(Number::F64(audit.backfill_hit_rate())),
-    );
-    root.insert(
-        "utilization".to_string(),
-        Value::Number(Number::F64(report.utilization())),
-    );
-    root.insert(
-        "sim_audit_off_ns".to_string(),
-        Value::Number(Number::U64(off_ns)),
-    );
-    root.insert(
-        "sim_audit_on_ns".to_string(),
-        Value::Number(Number::U64(on_ns)),
-    );
-    root.insert(
-        "audit_overhead_pct".to_string(),
-        Value::Number(Number::F64(overhead_pct)),
-    );
-    root.insert(
-        "decisions_logged".to_string(),
-        Value::Number(Number::U64(log.len() as u64)),
-    );
-    let json = serde_json::to_string(&Value::Object(root)).expect("serialize report");
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_SCHED.json");
-    std::fs::write(&path, json + "\n").expect("write BENCH_SCHED.json");
-    println!("\n  [json] {}", path.display());
 }

@@ -17,36 +17,27 @@
 //! counts, time-to-detect, and evaluation overhead to `BENCH_SLO.json` at
 //! the repository root, gated by the `slo` CI job.
 
-use emu::{FaultPlan, FaultPlanBuilder, NodeId, Outage};
-use eslurm::{EslurmConfig, EslurmSystemBuilder};
-use eslurm_bench::{f, print_table, ExpArgs};
+use emu::{FaultPlanBuilder, NodeId};
+use eslurm_bench::{f, obj, outcome_fingerprint, print_table, write_bench, ExpArgs, Fig9Scale};
 use obs::{AnomalySpec, MetricId, Sampler, SloEngine, SloReport, SloSpec};
-use rm::{RmClusterBuilder, RmProfile};
-use serde::{Number, Value};
-use simclock::rng::{exponential, stream_rng};
+use rm::{JobStream, RmClusterBuilder, RmProfile};
+use serde::Value;
 use simclock::{SimSpan, SimTime};
-use std::collections::BTreeMap;
-use std::path::Path;
 use std::time::Instant;
 
-/// Stable 64-bit FNV-1a over a byte stream (fingerprints must not depend
-/// on the process' hash seeds).
-fn fnv64(bytes: &[u8], mut h: u64) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 struct Scale {
-    n_slaves: usize,
-    satellites: usize,
-    horizon: SimSpan,
-    jobs_target: u64,
-    max_job: u32,
+    fig9: Fig9Scale,
     fault_events: usize,
     rm_slaves: usize,
+}
+
+impl Scale {
+    /// `fault_events` small outages over `n` nodes within the horizon.
+    fn faults(&self, n: usize) -> FaultPlanBuilder {
+        FaultPlanBuilder::new(n, self.fig9.horizon, 0xFA17)
+            .small_events(self.fault_events, 4)
+            .mean_outage(SimSpan::from_secs(120))
+    }
 }
 
 struct RunResult {
@@ -56,25 +47,6 @@ struct RunResult {
     events: u64,
     fingerprint: u64,
     report: Option<SloReport>,
-}
-
-/// Outages on the compute nodes, shifted past master + satellites into
-/// the deployment's global id space (same recipe as `eslurm slo-report`).
-fn fault_plan(n_slaves: usize, satellites: usize, horizon: SimSpan, events: usize) -> FaultPlan {
-    let plan = FaultPlanBuilder::new(n_slaves, horizon, 0xFA17)
-        .small_events(events, 4)
-        .mean_outage(SimSpan::from_secs(120))
-        .build();
-    let offset = (1 + satellites) as u32;
-    let shifted: Vec<Outage> = plan
-        .outages()
-        .iter()
-        .map(|o| Outage {
-            node: NodeId(o.node.0 + offset),
-            ..*o
-        })
-        .collect();
-    FaultPlan::from_outages(1 + satellites + n_slaves, shifted)
 }
 
 /// The fig9 scenario's spec set: a deliberately unreachable sweep-p99
@@ -92,14 +64,7 @@ fn fig9_slo() -> SloEngine {
 }
 
 fn run_fig9(scale: &Scale, seed: u64, shards: usize, slo_on: bool) -> RunResult {
-    let cfg = EslurmConfig {
-        n_satellites: scale.satellites,
-        eq1_width: 64,
-        relay_width: 8,
-        hb_sweep_interval: SimSpan::from_secs(120),
-        sat_hb_interval: SimSpan::from_secs(30),
-        ..Default::default()
-    };
+    let fig9 = &scale.fig9;
     let slo = if slo_on {
         fig9_slo()
     } else {
@@ -107,86 +72,34 @@ fn run_fig9(scale: &Scale, seed: u64, shards: usize, slo_on: bool) -> RunResult 
     };
     // The baseline keeps the same sampling cadence (ticks count as
     // events), so off/on runs see an identical event stream by design.
-    let sampler = Sampler::every_until(SimSpan::from_secs(1), SimTime::ZERO + scale.horizon);
-    let rec = obs::Recorder::metrics_only();
-    let mut sys = EslurmSystemBuilder::new(cfg, scale.n_slaves, seed)
-        .shards(shards)
-        .obs(rec)
-        .sampler(sampler)
-        .faults(fault_plan(
-            scale.n_slaves,
-            scale.satellites,
-            scale.horizon,
-            scale.fault_events,
-        ))
-        .slo(slo)
-        .build();
-
-    let horizon_s = scale.horizon.as_secs_f64();
-    let rate = scale.jobs_target as f64 / horizon_s;
-    let mut rng = stream_rng(seed + 1, 0x10B5);
-    let n = scale.n_slaves as u32;
-    let max_exp = (scale.max_job.min(n) as f64).log2();
-    let mut t = 0.0f64;
-    let mut jobs = 0u64;
-    let mut idxs: Vec<usize> = Vec::with_capacity(scale.max_job as usize);
-    loop {
-        t += exponential(&mut rng, rate);
-        if t >= horizon_s {
-            break;
-        }
-        let count = 2f64
-            .powf(rand::RngExt::random::<f64>(&mut rng) * max_exp)
-            .round()
-            .max(1.0) as u32;
-        let start = rand::RngExt::random_range(&mut rng, 0..n - count.min(n - 1));
-        idxs.clear();
-        idxs.extend((start..start + count).map(|i| i as usize));
-        let rt = SimSpan::from_secs_f64(exponential(&mut rng, 1.0 / 600.0).max(5.0));
-        sys.submit(SimTime::from_secs_f64(t), jobs, &idxs, rt);
-        jobs += 1;
-    }
-
-    let wall = Instant::now();
-    sys.sim.run_until(SimTime::ZERO + scale.horizon);
-    let wall_s = wall.elapsed().as_secs_f64();
-
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    h = fnv64(&sys.sim.now().as_micros().to_le_bytes(), h);
-    h = fnv64(&sys.sim.events_processed().to_le_bytes(), h);
-    h = fnv64(&sys.sim.dropped_messages().to_le_bytes(), h);
-    for r in &sys.master().records {
-        h = fnv64(format!("{r:?}").as_bytes(), h);
-    }
-    for i in 0..=scale.satellites {
-        let m = sys.sim.meter(NodeId(i as u32));
-        h = fnv64(
-            format!(
-                "{:?}|{:?}|{}|{}|{:?}",
-                m.cpu_time(),
-                m.msg_counts(),
-                m.sockets(),
-                m.peak_sockets(),
-                m.peak_mem()
-            )
-            .as_bytes(),
-            h,
-        );
-    }
-
+    let sampler = Sampler::every_until(SimSpan::from_secs(1), SimTime::ZERO + fig9.horizon);
+    // Outages on the compute nodes only, placed past master + satellites
+    // (same recipe as `eslurm slo-report`).
+    let total = 1 + fig9.satellites + fig9.n_slaves;
+    let faults = scale
+        .faults(fig9.n_slaves)
+        .build()
+        .placed(1 + fig9.satellites, total);
+    let run = fig9.run(seed, |b| {
+        b.shards(shards)
+            .obs(obs::Recorder::metrics_only())
+            .sampler(sampler)
+            .faults(faults)
+            .slo(slo)
+    });
     RunResult {
         shards,
         slo_on,
-        wall_s,
-        events: sys.sim.events_processed(),
-        fingerprint: h,
-        report: sys.sim.slo_engine().report(),
+        wall_s: run.wall_s,
+        events: run.sys.sim.events_processed(),
+        fingerprint: run.fingerprint,
+        report: run.sys.sim.slo_engine().report(),
     }
 }
 
 fn run_multi_tenant(scale: &Scale, seed: u64, slo_on: bool) -> RunResult {
     let n = 1 + scale.rm_slaves;
-    let horizon = SimTime::ZERO + scale.horizon;
+    let horizon = SimTime::ZERO + scale.fig9.horizon;
     let slo = if slo_on {
         SloEngine::with_config(
             vec![
@@ -209,41 +122,28 @@ fn run_multi_tenant(scale: &Scale, seed: u64, slo_on: bool) -> RunResult {
         .seed(seed)
         .obs(obs::Recorder::metrics_only())
         .sampler(Sampler::every_until(SimSpan::from_secs(1), horizon))
-        .faults(
-            FaultPlanBuilder::new(n, scale.horizon, 0xFA17)
-                .small_events(scale.fault_events, 4)
-                .mean_outage(SimSpan::from_secs(120))
-                .build(),
-        )
+        .faults(scale.faults(n).build())
         .slo(slo)
         .build();
-    harness.submit_stream(
+    harness.submit_stream(JobStream::new(
         scale.rm_slaves as u32,
-        scale.horizon,
+        scale.fig9.horizon,
         240.0,
         64,
         SimSpan::from_secs(600),
         seed,
-    );
+    ));
     let wall = Instant::now();
     harness.sim.run_until(horizon);
     let wall_s = wall.elapsed().as_secs_f64();
 
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    h = fnv64(&harness.sim.now().as_micros().to_le_bytes(), h);
-    h = fnv64(&harness.sim.events_processed().to_le_bytes(), h);
-    h = fnv64(&harness.sim.dropped_messages().to_le_bytes(), h);
     let m = harness.sim.meter(NodeId::MASTER);
-    h = fnv64(
-        format!(
-            "{:?}|{:?}|{}|{}",
-            m.cpu_time(),
-            m.msg_counts(),
-            m.sockets(),
-            m.peak_sockets()
-        )
-        .as_bytes(),
-        h,
+    let master = format!(
+        "{:?}|{:?}|{}|{}",
+        m.cpu_time(),
+        m.msg_counts(),
+        m.sockets(),
+        m.peak_sockets()
     );
 
     RunResult {
@@ -251,102 +151,82 @@ fn run_multi_tenant(scale: &Scale, seed: u64, slo_on: bool) -> RunResult {
         slo_on,
         wall_s,
         events: harness.sim.events_processed(),
-        fingerprint: h,
+        fingerprint: outcome_fingerprint(&harness.sim, [master]),
         report: harness.sim.slo_engine().report(),
     }
 }
 
 fn run_json(r: &RunResult, workload: &str) -> Value {
-    let mut o = BTreeMap::new();
-    o.insert("workload".to_string(), Value::String(workload.to_string()));
-    o.insert(
-        "shards".to_string(),
-        Value::Number(Number::U64(r.shards as u64)),
-    );
-    o.insert("slo_enabled".to_string(), Value::Bool(r.slo_on));
-    o.insert("wall_s".to_string(), Value::Number(Number::F64(r.wall_s)));
-    o.insert("events".to_string(), Value::Number(Number::U64(r.events)));
-    o.insert(
-        "events_per_sec".to_string(),
-        Value::Number(Number::F64(r.events as f64 / r.wall_s.max(1e-9))),
-    );
-    o.insert(
-        "fingerprint".to_string(),
-        Value::String(format!("{:016x}", r.fingerprint)),
-    );
+    let mut o = vec![
+        ("workload", workload.into()),
+        ("shards", (r.shards as u64).into()),
+        ("slo_enabled", r.slo_on.into()),
+        ("wall_s", r.wall_s.into()),
+        ("events", r.events.into()),
+        (
+            "events_per_sec",
+            (r.events as f64 / r.wall_s.max(1e-9)).into(),
+        ),
+        ("fingerprint", format!("{:016x}", r.fingerprint).into()),
+    ];
     if let Some(rep) = &r.report {
-        o.insert(
-            "breach_count".to_string(),
-            Value::Number(Number::U64(rep.total_breaches())),
-        );
-        o.insert(
-            "unmet_specs".to_string(),
-            Value::Number(Number::U64(rep.unmet() as u64)),
-        );
-        o.insert(
-            "anomalies".to_string(),
-            Value::Number(Number::U64(rep.anomalies.iter().map(|a| a.anomalies).sum())),
-        );
-        o.insert(
-            "evals_total".to_string(),
-            Value::Number(Number::U64(rep.evals_total)),
-        );
-        o.insert(
-            "eval_wall_ns".to_string(),
-            Value::Number(Number::U64(rep.eval_wall_ns)),
-        );
-        o.insert(
-            "eval_overhead_fraction".to_string(),
-            Value::Number(Number::F64(
-                rep.eval_wall_ns as f64 / 1e9 / r.wall_s.max(1e-9),
-            )),
-        );
+        let anomalies: u64 = rep.anomalies.iter().map(|a| a.anomalies).sum();
+        let overhead = rep.eval_wall_ns as f64 / 1e9 / r.wall_s.max(1e-9);
         let detect: Vec<Value> = rep
             .specs
             .iter()
             .filter_map(|s| s.detect_us)
-            .map(|d| Value::Number(Number::U64(d)))
+            .map(Value::from)
             .collect();
-        if let Some(Value::Number(Number::U64(first))) = detect.first().cloned() {
-            o.insert(
-                "time_to_detect_us".to_string(),
-                Value::Number(Number::U64(first)),
-            );
+        o.extend([
+            ("breach_count", rep.total_breaches().into()),
+            ("unmet_specs", (rep.unmet() as u64).into()),
+            ("anomalies", anomalies.into()),
+            ("evals_total", rep.evals_total.into()),
+            ("eval_wall_ns", rep.eval_wall_ns.into()),
+            ("eval_overhead_fraction", overhead.into()),
+        ]);
+        if let Some(first) = detect.first() {
+            o.push(("time_to_detect_us", first.clone()));
         }
-        o.insert("detect_us".to_string(), Value::Array(detect));
+        o.push(("detect_us", Value::Array(detect)));
     }
-    Value::Object(o)
+    obj(o)
 }
 
 fn main() {
     let args = ExpArgs::parse();
     let scale = if args.quick {
         Scale {
-            n_slaves: 2_000,
-            satellites: 4,
-            horizon: SimSpan::from_secs(900),
-            jobs_target: 300,
-            max_job: 64,
+            fig9: Fig9Scale {
+                n_slaves: 2_000,
+                satellites: 4,
+                horizon: SimSpan::from_secs(900),
+                jobs_target: 300,
+                max_job: 64,
+            },
             fault_events: 4,
             rm_slaves: 400,
         }
     } else {
         Scale {
-            n_slaves: 20_000,
-            satellites: 8,
-            horizon: SimSpan::from_secs(3600),
-            jobs_target: 3_000,
-            max_job: 128,
+            fig9: Fig9Scale {
+                n_slaves: 20_000,
+                satellites: 8,
+                horizon: SimSpan::from_secs(3600),
+                jobs_target: 3_000,
+                max_job: 128,
+            },
             fault_events: 8,
             rm_slaves: 2_000,
         }
     };
     println!(
         "bench_slo: {} + {} nodes (fig9), {} nodes (multi_tenant), {} s horizon, {} outage events",
-        scale.n_slaves,
-        scale.satellites,
+        scale.fig9.n_slaves,
+        scale.fig9.satellites,
         scale.rm_slaves,
-        scale.horizon.as_secs(),
+        scale.fig9.horizon.as_secs(),
         scale.fault_events
     );
 
@@ -442,41 +322,11 @@ fn main() {
         }
     );
 
-    let mut root = BTreeMap::new();
-    root.insert(
-        "generated_by".to_string(),
-        Value::String("cargo run --release -p eslurm-bench --bin bench_slo".to_string()),
-    );
-    root.insert("quick".to_string(), Value::Bool(args.quick));
-    root.insert("seed".to_string(), Value::Number(Number::U64(args.seed)));
-    root.insert("outcomes_match".to_string(), Value::Bool(outcomes_match));
     // Headline fields the CI gate reads, from the serial slo-on fig9 run.
     let head = &fig9[1];
     let head_rep = head.report.as_ref().expect("slo-on run has a report");
-    root.insert(
-        "breach_count".to_string(),
-        Value::Number(Number::U64(head_rep.total_breaches())),
-    );
-    root.insert(
-        "time_to_detect_us".to_string(),
-        match head_rep.specs.iter().find_map(|s| s.detect_us) {
-            Some(d) => Value::Number(Number::U64(d)),
-            None => Value::Null,
-        },
-    );
-    root.insert(
-        "eval_wall_ns".to_string(),
-        Value::Number(Number::U64(head_rep.eval_wall_ns)),
-    );
-    root.insert(
-        "evals_total".to_string(),
-        Value::Number(Number::U64(head_rep.evals_total)),
-    );
-    root.insert(
-        "events_per_sec".to_string(),
-        Value::Number(Number::F64(head.events as f64 / head.wall_s.max(1e-9))),
-    );
-    let runs: Vec<Value> = fig9
+    let detect = head_rep.specs.iter().find_map(|s| s.detect_us);
+    let runs = fig9
         .iter()
         .map(|r| run_json(r, "fig9"))
         .chain([
@@ -484,12 +334,23 @@ fn main() {
             run_json(&mt, "multi_tenant"),
         ])
         .collect();
-    root.insert("runs".to_string(), Value::Array(runs));
-
-    let json = serde_json::to_string(&Value::Object(root)).expect("serialize report");
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_SLO.json");
-    std::fs::write(&path, json + "\n").expect("write BENCH_SLO.json");
-    println!("  [json] {}", path.display());
+    write_bench(
+        "SLO",
+        "bench_slo",
+        &args,
+        vec![
+            ("outcomes_match", outcomes_match.into()),
+            ("breach_count", head_rep.total_breaches().into()),
+            ("time_to_detect_us", detect.map_or(Value::Null, Value::from)),
+            ("eval_wall_ns", head_rep.eval_wall_ns.into()),
+            ("evals_total", head_rep.evals_total.into()),
+            (
+                "events_per_sec",
+                (head.events as f64 / head.wall_s.max(1e-9)).into(),
+            ),
+            ("runs", Value::Array(runs)),
+        ],
+    );
 
     assert!(outcomes_match, "the SLO engine perturbed run outcomes");
     assert!(

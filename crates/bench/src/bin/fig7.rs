@@ -15,9 +15,7 @@ use emu::NodeId;
 use eslurm::{EslurmConfig, EslurmSystemBuilder};
 use eslurm_bench::{f, fmt_bytes, node_series, node_stat, print_table, write_csv, ExpArgs};
 use obs::{Sampler, SeriesStore};
-use rand::RngExt;
-use rm::{RmClusterBuilder, RmProfile};
-use simclock::rng::stream_rng;
+use rm::{JobStream, RmClusterBuilder, RmProfile};
 use simclock::{SimSpan, SimTime};
 
 struct Usage {
@@ -77,45 +75,20 @@ fn dump_series(name: &str, store: &SeriesStore, node: &str) {
     );
 }
 
-/// Inject a Fig. 7-style job stream into an ESlurm system (same
-/// distribution as [`rm::ClusterHarness::submit_stream`], mapped onto
-/// slave indices).
-fn eslurm_job_stream(
-    sys: &mut eslurm::EslurmSystem,
-    horizon: SimSpan,
-    rate_per_hour: f64,
-    mean_runtime: SimSpan,
-    seed: u64,
-) {
-    let n = sys.n_slaves as u32;
-    let mut rng = stream_rng(seed, 0x10B5);
-    let mut t = 0.0f64;
-    let mut job = 0u64;
-    let rate = rate_per_hour / 3600.0;
-    loop {
-        t += simclock::rng::exponential(&mut rng, rate);
-        if t >= horizon.as_secs_f64() {
-            break;
-        }
-        job += 1;
-        let max_exp = (n as f64).log2();
-        let count = 2f64.powf(rng.random::<f64>() * max_exp).round().max(1.0) as u32;
-        let start = rng.random_range(0..n - count.min(n - 1));
-        let idxs: Vec<usize> = (start..start + count).map(|i| i as usize).collect();
-        let runtime = SimSpan::from_secs_f64(
-            simclock::rng::exponential(&mut rng, 1.0 / mean_runtime.as_secs_f64()).max(5.0),
-        );
-        sys.submit(SimTime::from_secs_f64(t), job, &idxs, runtime);
-    }
-}
-
 fn main() {
     let args = ExpArgs::parse();
     let n: usize = args.scale(4096, 512);
     let horizon = SimSpan::from_hours(args.scale(24, 2));
     let horizon_t = SimTime::ZERO + horizon;
-    let rate = 42.0; // ≈ 1K jobs/day
-    let mean_rt = SimSpan::from_secs(1200);
+    // The one load all six RMs run under: ≈ 1K jobs/day, 20 min mean.
+    let stream = JobStream::new(
+        n as u32,
+        horizon,
+        42.0,
+        n as u32,
+        SimSpan::from_secs(1200),
+        args.seed + 1,
+    );
 
     println!(
         "Fig 7: {n} nodes, {} h horizon, ~1K jobs/day",
@@ -133,7 +106,7 @@ fn main() {
             .seed(args.seed)
             .sampler(sampler.clone())
             .build();
-        h.submit_stream(n as u32, horizon, rate, n as u32, mean_rt, args.seed + 1);
+        h.submit_stream(stream.clone());
         h.sim.run_until(horizon_t);
         println!("{} events", h.sim.events_processed());
         let store = sampler.store();
@@ -157,7 +130,7 @@ fn main() {
         let mut sys = EslurmSystemBuilder::new(cfg, n, args.seed)
             .sampler(sampler.clone())
             .build();
-        eslurm_job_stream(&mut sys, horizon, rate, mean_rt, args.seed + 1);
+        sys.submit_stream(stream);
         sys.sim.run_until(horizon_t);
         println!("{} events", sys.sim.events_processed());
         let store = sampler.store();
@@ -248,7 +221,7 @@ fn main() {
             h.submit(
                 SimTime::from_secs(60),
                 1,
-                (1..=size).collect(),
+                0..size as usize,
                 SimSpan::from_secs(10),
             );
             h.sim.run_until(SimTime::from_secs(600));
@@ -269,7 +242,7 @@ fn main() {
             sys.submit(
                 SimTime::from_secs(60),
                 1,
-                &(0..size as usize).collect::<Vec<_>>(),
+                0..size as usize,
                 SimSpan::from_secs(10),
             );
             sys.sim.run_until(SimTime::from_secs(600));

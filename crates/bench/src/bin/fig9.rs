@@ -9,7 +9,7 @@ use emu::NodeId;
 use eslurm::{EslurmConfig, EslurmSystemBuilder};
 use eslurm_bench::{f, fmt_bytes, node_stat, print_table, write_csv, ExpArgs};
 use obs::{Sampler, SeriesStore};
-use rm::{RmClusterBuilder, RmProfile};
+use rm::{JobStream, RmClusterBuilder, RmProfile};
 use simclock::{SimSpan, SimTime};
 
 /// One table row + one CSV row for a sampled node.
@@ -49,8 +49,15 @@ fn main() {
     let n: usize = args.scale(16_384, 1024);
     let horizon = SimSpan::from_hours(args.scale(24, 2));
     let horizon_t = SimTime::ZERO + horizon;
-    let rate = 60.0;
-    let mean_rt = SimSpan::from_secs(1500);
+    // The same stream for both RMs.
+    let stream = JobStream::new(
+        n as u32,
+        horizon,
+        60.0,
+        n as u32,
+        SimSpan::from_secs(1500),
+        args.seed + 1,
+    );
 
     println!("Fig 9: {n} nodes, {} h horizon", horizon.as_secs() / 3600);
 
@@ -65,7 +72,7 @@ fn main() {
             .seed(args.seed)
             .sampler(sampler.clone())
             .build();
-        h.submit_stream(n as u32, horizon, rate, n as u32, mean_rt, args.seed + 1);
+        h.submit_stream(stream.clone());
         h.sim.run_until(horizon_t);
         println!("{} events", h.sim.events_processed());
         let store = sampler.store();
@@ -86,29 +93,7 @@ fn main() {
         let mut sys = EslurmSystemBuilder::new(cfg, n, args.seed)
             .sampler(sampler.clone())
             .build();
-        // Same stream shape as the Slurm run.
-        let n_u32 = n as u32;
-        let mut rng = simclock::rng::stream_rng(args.seed + 1, 0x10B5);
-        let mut t = 0.0f64;
-        let mut job = 0u64;
-        loop {
-            t += simclock::rng::exponential(&mut rng, rate / 3600.0);
-            if t >= horizon.as_secs_f64() {
-                break;
-            }
-            job += 1;
-            let max_exp = (n_u32 as f64).log2();
-            let count = 2f64
-                .powf(rand::RngExt::random::<f64>(&mut rng) * max_exp)
-                .round()
-                .max(1.0) as u32;
-            let start = rand::RngExt::random_range(&mut rng, 0..n_u32 - count.min(n_u32 - 1));
-            let idxs: Vec<usize> = (start..start + count).map(|i| i as usize).collect();
-            let rt = SimSpan::from_secs_f64(
-                simclock::rng::exponential(&mut rng, 1.0 / mean_rt.as_secs_f64()).max(5.0),
-            );
-            sys.submit(SimTime::from_secs_f64(t), job, &idxs, rt);
-        }
+        sys.submit_stream(stream);
         sys.sim.run_until(horizon_t);
         println!("{} events", sys.sim.events_processed());
 

@@ -12,29 +12,13 @@
 //! synthetic workload. Exits non-zero when an SVR-fit or retrain row falls
 //! below [`FLOOR`], so CI's smoke run gates the speedups it reports.
 
-use eslurm_bench::{f, print_table, ExpArgs};
+use eslurm_bench::{f, obj, print_table, time_ns, write_bench, ExpArgs};
 use estimate::{features, EstimatorConfig, RuntimeEstimator};
 use ml::features::Regressor;
 use ml::reference::{RefKMeans, RefSvr};
 use ml::{KMeans, Kernel, StandardScaler, Svr};
-use serde::{Number, Value};
-use std::collections::BTreeMap;
-use std::path::Path;
-use std::time::Instant;
+use serde::Value;
 use workload::{Job, TraceConfig};
-
-/// Best-of-`reps` wall time of `f`, in nanoseconds (after one warmup
-/// call). Best-of is robust to scheduler noise for CPU-bound closures.
-fn time_ns<F: FnMut()>(mut f: F, reps: usize) -> u64 {
-    f();
-    let mut best = u64::MAX;
-    for _ in 0..reps.max(1) {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_nanos() as u64);
-    }
-    best
-}
 
 /// Acceptance floor on the speedup of the [`GATED`] rows.
 const FLOOR: f64 = 2.0;
@@ -331,47 +315,26 @@ fn main() {
     );
 
     // Machine-readable JSON at the repository root.
-    let benches: Vec<Value> = entries
-        .iter()
-        .map(|e| {
-            let mut m = BTreeMap::new();
-            m.insert("name".to_string(), Value::String(e.name.to_string()));
-            m.insert("what".to_string(), Value::String(e.what.to_string()));
-            m.insert(
-                "baseline_ns".to_string(),
-                Value::Number(Number::U64(e.baseline_ns)),
-            );
-            m.insert(
-                "optimized_ns".to_string(),
-                Value::Number(Number::U64(e.optimized_ns)),
-            );
-            m.insert(
-                "speedup".to_string(),
-                Value::Number(Number::F64(e.speedup())),
-            );
-            Value::Object(m)
-        })
-        .collect();
-    let mut root = BTreeMap::new();
-    root.insert(
-        "generated_by".to_string(),
-        Value::String("cargo run --release -p eslurm-bench --bin perf_report".to_string()),
+    let benches = entries.iter().map(|e| {
+        obj([
+            ("name", e.name.into()),
+            ("what", e.what.into()),
+            ("baseline_ns", e.baseline_ns.into()),
+            ("optimized_ns", e.optimized_ns.into()),
+            ("speedup", e.speedup().into()),
+        ])
+    });
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
+    println!();
+    write_bench(
+        "PERF",
+        "perf_report",
+        &args,
+        vec![
+            ("threads", threads.into()),
+            ("benches", Value::Array(benches.collect())),
+        ],
     );
-    root.insert("quick".to_string(), Value::Bool(args.quick));
-    root.insert("seed".to_string(), Value::Number(Number::U64(args.seed)));
-    root.insert(
-        "threads".to_string(),
-        Value::Number(Number::U64(
-            std::thread::available_parallelism()
-                .map(|n| n.get() as u64)
-                .unwrap_or(1),
-        )),
-    );
-    root.insert("benches".to_string(), Value::Array(benches));
-    let json = serde_json::to_string(&Value::Object(root)).expect("serialize report");
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_PERF.json");
-    std::fs::write(&path, json + "\n").expect("write BENCH_PERF.json");
-    println!("\n  [json] {}", path.display());
 
     let below: Vec<String> = entries
         .iter()

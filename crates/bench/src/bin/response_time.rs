@@ -12,7 +12,7 @@ use emu::NodeId;
 use eslurm::{EslurmConfig, EslurmSystemBuilder};
 use eslurm_bench::{f, print_table, write_csv, ExpArgs};
 use rand::RngExt;
-use rm::{RmClusterBuilder, RmMsg, RmProfile};
+use rm::{JobStream, RmClusterBuilder, RmMsg, RmProfile};
 use simclock::rng::stream_rng;
 use simclock::{SimSpan, SimTime};
 
@@ -67,14 +67,14 @@ fn main() {
                     p.msg_cpu = p.msg_cpu.mul_f64(contention);
                     p.sched_cpu = p.sched_cpu.mul_f64(contention);
                     let mut h = RmClusterBuilder::new(p, n + 1).seed(args.seed).build();
-                    h.submit_stream(
+                    h.submit_stream(JobStream::new(
                         n as u32,
                         horizon,
                         job_rate,
                         n as u32,
                         SimSpan::from_secs(900),
                         args.seed + 1,
-                    );
+                    ));
                     for (i, at) in query_times(horizon, query_rate, args.seed)
                         .iter()
                         .enumerate()

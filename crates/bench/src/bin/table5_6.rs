@@ -10,8 +10,7 @@ use emu::NodeId;
 use eslurm::{EslurmConfig, EslurmSystemBuilder};
 use eslurm_bench::{f, fmt_bytes, node_stat, print_table, write_csv, ExpArgs};
 use obs::Sampler;
-use rand::RngExt;
-use simclock::rng::stream_rng;
+use rm::JobStream;
 use simclock::{SimSpan, SimTime};
 
 fn main() {
@@ -37,22 +36,21 @@ fn main() {
         let mut sys = EslurmSystemBuilder::new(cfg, n, args.seed)
             .sampler(sampler.clone())
             .build();
-        // A production-like job stream (~2K jobs/day, sizes to 1/4 scale).
-        let mut rng = stream_rng(args.seed, 0x105);
-        let mut t = 0.0;
-        let mut job = 0u64;
-        while t < horizon_h as f64 * 3600.0 {
-            t += simclock::rng::exponential(&mut rng, 2000.0 / 86_400.0);
-            job += 1;
-            let max_exp = (n as f64 / 4.0).log2();
-            let count = 2f64.powf(rng.random::<f64>() * max_exp).round().max(1.0) as usize;
-            let start = rng.random_range(0..(n - count.min(n - 1)) as u32) as usize;
-            let rt = SimSpan::from_secs_f64(
-                simclock::rng::exponential(&mut rng, 1.0 / 1800.0).max(10.0),
-            );
-            let idxs: Vec<usize> = (start..start + count).collect();
-            sys.submit(SimTime::from_secs_f64(t), job, &idxs, rt);
-        }
+        // A production-like job stream (~2K jobs/day, sizes to 1/4 scale),
+        // on the RNG stream and runtime floor the committed tables were
+        // generated with.
+        sys.submit_stream(
+            JobStream::new(
+                n as u32,
+                SimSpan::from_hours(horizon_h),
+                2000.0 / 24.0,
+                n as u32 / 4,
+                SimSpan::from_secs(1800),
+                args.seed,
+            )
+            .rng_stream(0x105)
+            .min_runtime(SimSpan::from_secs(10)),
+        );
         sys.sim.run_until(horizon);
         println!("{} events", sys.sim.events_processed());
 

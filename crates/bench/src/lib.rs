@@ -3,11 +3,24 @@
 //! The experiment harness: one binary per table/figure of the paper's
 //! evaluation (see `DESIGN.md` §3 for the index). Every binary accepts
 //! `--quick` (reduced scale, for CI and smoke runs) and `--seed <n>`,
-//! prints aligned text tables, and drops CSV series under `results/`.
+//! prints aligned text tables, and drops CSV series under `results/`
+//! (`target/results-quick/` under `--quick`).
+//!
+//! What more than one binary needs lives here once: the fig9-scale ESlurm
+//! scenario `bench_des` and `bench_slo` time ([`Fig9Scale`]), the outcome
+//! fingerprint ([`outcome_fingerprint`] over [`fnv64`]), the best-of-N
+//! timer ([`time_ns`]) and the `BENCH_*.json` writer ([`write_bench`]). The
+//! job stream itself is [`rm::JobStream`].
 
+use emu::{Actor, NodeId, Payload, SimCluster};
+use eslurm::{EslurmConfig, EslurmSystem, EslurmSystemBuilder};
 use obs::{MetricId, SeriesPoint, SeriesStore, SeriesSummary};
+use rm::JobStream;
+use serde::Value;
+use simclock::{SimSpan, SimTime};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 /// Command-line arguments shared by all experiment binaries.
 #[derive(Clone, Debug)]
@@ -70,14 +83,22 @@ impl ExpArgs {
     }
 }
 
-/// The output directory for CSV series (created on demand).
+/// The output directory for CSV series (created on demand): the committed
+/// full-scale `results/`, or the untracked `target/results-quick/` when the
+/// process was started with `--quick`, so a smoke run never overwrites the
+/// series EXPERIMENTS.md quotes.
 pub fn results_dir() -> PathBuf {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let quick = std::env::args().any(|a| a == "--quick");
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join(if quick {
+        "../../target/results-quick"
+    } else {
+        "../../results"
+    });
     std::fs::create_dir_all(&dir).expect("create results dir");
     dir
 }
 
-/// Write a CSV file under `results/`.
+/// Write a CSV file under [`results_dir`].
 pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) {
     let mut out = String::new();
     let _ = writeln!(out, "{}", header.join(","));
@@ -145,6 +166,169 @@ pub fn fmt_bytes(b: u64) -> String {
     } else {
         format!("{:.1} KiB", b as f64 / 1024.0)
     }
+}
+
+/// Stable 64-bit FNV-1a step over a byte stream, continuing from `h`
+/// (fingerprints must not depend on the process' hash seeds).
+pub fn fnv64(bytes: &[u8], mut h: u64) -> u64 {
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// The FNV-1a offset basis every fingerprint starts from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Outcome fingerprint of a DES run: clock, event count, drops, then
+/// whatever `parts` the figures read from it (job records, meters), in
+/// order.
+pub fn outcome_fingerprint<M: Payload, A: Actor<M>>(
+    sim: &SimCluster<M, A>,
+    parts: impl IntoIterator<Item = String>,
+) -> u64 {
+    let counts = [
+        sim.now().as_micros(),
+        sim.events_processed(),
+        sim.dropped_messages(),
+    ];
+    let h = counts
+        .iter()
+        .fold(FNV_OFFSET, |h, v| fnv64(&v.to_le_bytes(), h));
+    parts.into_iter().fold(h, |h, p| fnv64(p.as_bytes(), h))
+}
+
+/// Best-of-`reps` wall time of `f`, in nanoseconds (after one warmup
+/// call). Best-of is robust to scheduler noise for CPU-bound closures.
+pub fn time_ns<F: FnMut()>(mut f: F, reps: usize) -> u64 {
+    f();
+    let mut best = u64::MAX;
+    for _ in 0..reps.max(1) {
+        let t = Instant::now();
+        f();
+        best = best.min(t.elapsed().as_nanos() as u64);
+    }
+    best
+}
+
+/// The fig9-style ESlurm scenario at benchmark scale: a large cluster
+/// under the shared job stream (power-law sizes capped at `max_job`,
+/// exponential inter-arrival tuned to `jobs_target`, 600 s mean runtimes).
+#[derive(Clone, Copy, Debug)]
+pub struct Fig9Scale {
+    /// Compute nodes.
+    pub n_slaves: usize,
+    /// Satellite pool size.
+    pub satellites: usize,
+    /// Virtual time covered.
+    pub horizon: SimSpan,
+    /// Jobs expected to arrive within the horizon.
+    pub jobs_target: u64,
+    /// Largest job size (power-law cap).
+    pub max_job: u32,
+}
+
+/// One finished [`Fig9Scale::run`].
+pub struct Fig9Run {
+    /// The cluster at the horizon.
+    pub sys: EslurmSystem,
+    /// Wall-clock of the event loop alone (build and injection excluded).
+    pub wall_s: f64,
+    /// Jobs the stream injected.
+    pub jobs_submitted: u64,
+    /// Clock, event count, drops, every job record, and the master and
+    /// satellite meters — what the paper's figures read.
+    pub fingerprint: u64,
+}
+
+impl Fig9Scale {
+    /// Build the scenario's cluster with whatever `arm` chains onto its
+    /// builder (instruments, shard count, fault plan), inject the job
+    /// stream — identical for every layout and instrument set — and run
+    /// to the horizon.
+    pub fn run(
+        &self,
+        seed: u64,
+        arm: impl FnOnce(EslurmSystemBuilder) -> EslurmSystemBuilder,
+    ) -> Fig9Run {
+        let cfg = EslurmConfig {
+            n_satellites: self.satellites,
+            eq1_width: 64,
+            relay_width: 8,
+            hb_sweep_interval: SimSpan::from_secs(120),
+            sat_hb_interval: SimSpan::from_secs(30),
+            ..Default::default()
+        };
+        let mut sys = arm(EslurmSystemBuilder::new(cfg, self.n_slaves, seed)).build();
+        let horizon_s = self.horizon.as_secs_f64();
+        let stream = JobStream::new(
+            self.n_slaves as u32,
+            self.horizon,
+            self.jobs_target as f64 * 3600.0 / horizon_s,
+            self.max_job,
+            SimSpan::from_secs(600),
+            seed + 1,
+        );
+        // Job ids count from 0 here: they are hashed into the pinned
+        // fingerprints.
+        let jobs_submitted = stream.fold(0, |n, a| {
+            sys.submit(a.at, a.job - 1, a.nodes, a.runtime);
+            n + 1
+        });
+
+        let wall = Instant::now();
+        sys.sim.run_until(SimTime::ZERO + self.horizon);
+        let wall_s = wall.elapsed().as_secs_f64();
+
+        let records = sys.master().records.iter().map(|r| format!("{r:?}"));
+        let meters = (0..=self.satellites).map(|i| {
+            let m = sys.sim.meter(NodeId(i as u32));
+            format!(
+                "{:?}|{:?}|{}|{}|{:?}",
+                m.cpu_time(),
+                m.msg_counts(),
+                m.sockets(),
+                m.peak_sockets(),
+                m.peak_mem()
+            )
+        });
+        let fingerprint = outcome_fingerprint(&sys.sim, records.chain(meters));
+        Fig9Run {
+            sys,
+            wall_s,
+            jobs_submitted,
+            fingerprint,
+        }
+    }
+}
+
+/// A JSON object from `(key, value)` pairs.
+pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
+    Value::Object(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+/// Write `BENCH_<name>.json` at the repository root: `fields` plus the
+/// provenance every report carries (the generating `bin`, `--quick`,
+/// `--seed`).
+pub fn write_bench(name: &str, bin: &str, args: &ExpArgs, fields: Vec<(&str, Value)>) {
+    let generated_by = format!("cargo run --release -p eslurm-bench --bin {bin}");
+    let provenance = [
+        ("generated_by", generated_by.into()),
+        ("quick", args.quick.into()),
+        ("seed", args.seed.into()),
+    ];
+    let json = serde_json::to_string(&obj(provenance.into_iter().chain(fields)))
+        .expect("serialize report");
+    let path =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_".to_owned() + name + ".json");
+    std::fs::write(&path, json + "\n").expect("write bench report");
+    println!("  [json] {}", path.display());
 }
 
 #[cfg(test)]

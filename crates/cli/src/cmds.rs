@@ -2,7 +2,7 @@
 
 use crate::error::CliError;
 use crate::opts::Opts;
-use emu::{FaultPlan, FaultPlanBuilder, NodeId, Outage};
+use emu::FaultPlanBuilder;
 use eslurm::{EslurmConfig, EslurmSystem, EslurmSystemBuilder, PredictiveLimit};
 use estimate::{
     evaluate, forest_baseline, svm_baseline, EslurmPredictor, EstimatorConfig, Irpa, Last2, Prep,
@@ -543,7 +543,14 @@ fn scenario(o: &Opts) -> Result<(Scenario, EslurmSystemBuilder), CliError> {
     };
     let mut builder = EslurmSystemBuilder::new(cfg, sc.nodes, sc.seed);
     if sc.faults > 0 {
-        builder = builder.faults(sc.compute_fault_plan());
+        // Small outages on the *compute* nodes only, placed past the master
+        // and satellites in the deployment's global id space.
+        let first_compute = 1 + sc.satellites;
+        let plan = FaultPlanBuilder::new(sc.nodes, sc.horizon() - SimTime::ZERO, sc.seed ^ 0xFA17)
+            .small_events(sc.faults, 4)
+            .mean_outage(SimSpan::from_secs(120))
+            .build();
+        builder = builder.faults(plan.placed(first_compute, first_compute + sc.nodes));
     }
     Ok((sc, builder))
 }
@@ -564,33 +571,12 @@ impl Scenario {
             sys.submit(
                 SimTime::from_secs(5 + j * 7),
                 j,
-                &(start..start + size).collect::<Vec<_>>(),
+                start..start + size,
                 SimSpan::from_secs(60),
             );
         }
         sys.sim.run_until(self.horizon());
         sys
-    }
-
-    /// A plan of `faults` small outages on the *compute* nodes: the builder
-    /// draws node ids in `0..nodes` compute space, which we shift past the
-    /// master and satellites into the deployment's global id space.
-    fn compute_fault_plan(&self) -> FaultPlan {
-        let horizon = SimSpan::from_secs(self.minutes * 60);
-        let plan = FaultPlanBuilder::new(self.nodes, horizon, self.seed ^ 0xFA17)
-            .small_events(self.faults, 4)
-            .mean_outage(SimSpan::from_secs(120))
-            .build();
-        let offset = (1 + self.satellites) as u32;
-        let shifted: Vec<Outage> = plan
-            .outages()
-            .iter()
-            .map(|o| Outage {
-                node: NodeId(o.node.0 + offset),
-                ..*o
-            })
-            .collect();
-        FaultPlan::from_outages(1 + self.satellites + self.nodes, shifted)
     }
 
     /// The status line the report commands end on.

@@ -78,6 +78,17 @@ impl FaultPlan {
         }
     }
 
+    /// The same outages in an `n`-node layout where this plan's node `i` is
+    /// node `offset + i`: a plan drawn over the compute nodes, placed past
+    /// the master and satellites of the deployment it is injected into.
+    pub fn placed(&self, offset: usize, n: usize) -> FaultPlan {
+        let shifted = self.outages.iter().map(|o| Outage {
+            node: NodeId(o.node.0 + offset as u32),
+            ..*o
+        });
+        Self::from_outages(n, shifted.collect())
+    }
+
     /// The outages of `node` (none for a node outside the plan).
     fn outages_of(&self, node: NodeId) -> impl Iterator<Item = &Outage> {
         let i = node.index();
@@ -264,6 +275,22 @@ mod tests {
         assert!(p.is_up(NodeId(2), SimTime::from_secs(20)));
         assert!(p.is_up(NodeId(1), SimTime::from_secs(15)));
         assert_eq!(p.down_at(SimTime::from_secs(15)), vec![NodeId(2)]);
+    }
+
+    #[test]
+    fn placed_plan_shifts_every_outage() {
+        let h = SimSpan::from_hours(1);
+        let compute = FaultPlanBuilder::new(20, h, 3).small_events(5, 4).build();
+        let placed = compute.placed(3, 23);
+        assert_eq!(placed.cluster_size(), 23);
+        assert_eq!(placed.outages().len(), compute.outages().len());
+        for (p, c) in placed.outages().iter().zip(compute.outages()) {
+            assert_eq!(
+                (p.node.0 - 3, p.down_at, p.up_at),
+                (c.node.0, c.down_at, c.up_at)
+            );
+            assert!(!placed.is_up(p.node, p.down_at));
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //!
 //! let cfg = EslurmConfig { n_satellites: 2, eq1_width: 16, relay_width: 8, ..Default::default() };
 //! let mut sys = EslurmSystemBuilder::new(cfg, 64, 1).build();
-//! sys.submit(SimTime::from_secs(1), 1, &(0..16).collect::<Vec<_>>(), SimSpan::from_secs(10));
+//! sys.submit(SimTime::from_secs(1), 1, 0..16, SimSpan::from_secs(10));
 //! sys.sim.run_until(SimTime::from_secs(60));
 //! assert_eq!(sys.master().records.len(), 1);
 //! ```
@@ -58,6 +58,6 @@ pub mod prelude {
     pub use crate::system::{EslurmNode, EslurmSystem, EslurmSystemBuilder};
     pub use emu::{Actor, Context, FaultPlan, FaultPlanBuilder, NodeId, Outage, SimConfig};
     pub use obs::{Counter, EventKind, Gauge, Hist, MetricsSummary, Recorder, TraceEvent};
-    pub use rm::{CtlKind, NodeSlice, RmMsg};
+    pub use rm::{CtlKind, JobStream, NodeSlice, RmMsg};
     pub use simclock::{SimSpan, SimTime};
 }

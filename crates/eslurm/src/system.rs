@@ -13,7 +13,9 @@ use monitoring::FailurePredictor;
 use obs::{tag_scope, MemProfiler, MemTag, Recorder, Sampler, SloEngine};
 use rm::proto::{NodeSlice, RmMsg};
 use rm::slave::{SlaveConfig, SlaveDaemon, SlaveHeartbeat};
+use rm::JobStream;
 use simclock::{SimSpan, SimTime};
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 /// A node of an ESlurm cluster. One value per emulated node, nearly all of
@@ -254,8 +256,8 @@ impl EslurmSystem {
     }
 
     /// Submit a job over the given compute-node indices (0-based) at `at`.
-    pub fn submit(&mut self, at: SimTime, job: u64, slave_idxs: &[usize], runtime: SimSpan) {
-        let nodes = NodeSlice::from_nodes(slave_idxs.iter().map(|&i| self.slave_id(i)));
+    pub fn submit(&mut self, at: SimTime, job: u64, slave_idxs: Range<usize>, runtime: SimSpan) {
+        let nodes = NodeSlice::from_nodes(slave_idxs.map(|i| self.slave_id(i)));
         self.sim.inject(
             at,
             NodeId::MASTER,
@@ -266,6 +268,16 @@ impl EslurmSystem {
                 runtime_us: runtime.as_micros(),
             },
         );
+    }
+
+    /// Submit every arrival of `stream`, as
+    /// [`rm::ClusterHarness::submit_stream`] does on the centralized
+    /// stack. Returns the number of jobs injected.
+    pub fn submit_stream(&mut self, stream: JobStream) -> u64 {
+        stream.fold(0, |n, a| {
+            self.submit(a.at, a.job, a.nodes, a.runtime);
+            n + 1
+        })
     }
 }
 
@@ -295,12 +307,7 @@ mod tests {
     #[test]
     fn job_lifecycle_completes() {
         let mut sys = EslurmSystemBuilder::new(small_cfg(2), 64, 3).build();
-        sys.submit(
-            SimTime::from_secs(1),
-            42,
-            &(0..32).collect::<Vec<_>>(),
-            SimSpan::from_secs(10),
-        );
+        sys.submit(SimTime::from_secs(1), 42, 0..32, SimSpan::from_secs(10));
         sys.sim.run_until(SimTime::from_secs(30));
         let master = sys.master();
         assert_eq!(master.records.len(), 1);
@@ -355,12 +362,7 @@ mod tests {
         )
         .build();
         // 64 nodes, width 16 => Eq. 1 gives 4 satellites.
-        sys.submit(
-            SimTime::from_secs(1),
-            1,
-            &(0..64).collect::<Vec<_>>(),
-            SimSpan::from_secs(5),
-        );
+        sys.submit(SimTime::from_secs(1), 1, 0..64, SimSpan::from_secs(5));
         sys.sim.run_until(SimTime::from_secs(20));
         let with_work = (0..4).filter(|&i| sys.satellite(i).tasks_done > 0).count();
         assert_eq!(with_work, 4, "expected all satellites to carry a share");
@@ -384,12 +386,7 @@ mod tests {
         let mut sys = EslurmSystemBuilder::new(small_cfg(m), 64, 11)
             .faults(faults)
             .build();
-        sys.submit(
-            SimTime::from_secs(1),
-            77,
-            &(0..48).collect::<Vec<_>>(),
-            SimSpan::from_secs(5),
-        );
+        sys.submit(SimTime::from_secs(1), 77, 0..48, SimSpan::from_secs(5));
         sys.sim.run_until(SimTime::from_secs(120));
         let master = sys.master();
         assert_eq!(master.records.len(), 1, "job lost after satellite failure");
@@ -406,12 +403,7 @@ mod tests {
     fn cancellation_cuts_a_running_job_short() {
         let mut sys = EslurmSystemBuilder::new(small_cfg(2), 64, 15).build();
         // A ten-minute job, cancelled two minutes in.
-        sys.submit(
-            SimTime::from_secs(1),
-            9,
-            &(0..32).collect::<Vec<_>>(),
-            SimSpan::from_secs(600),
-        );
+        sys.submit(SimTime::from_secs(1), 9, 0..32, SimSpan::from_secs(600));
         sys.sim.inject(
             SimTime::from_secs(120),
             NodeId(1),
@@ -445,12 +437,7 @@ mod tests {
     fn deterministic_run() {
         let build = || {
             let mut sys = EslurmSystemBuilder::new(small_cfg(2), 64, 13).build();
-            sys.submit(
-                SimTime::from_secs(2),
-                5,
-                &(0..16).collect::<Vec<_>>(),
-                SimSpan::from_secs(7),
-            );
+            sys.submit(SimTime::from_secs(2), 5, 0..16, SimSpan::from_secs(7));
             sys.sim.run_until(SimTime::from_secs(60));
             (
                 sys.sim.events_processed(),

@@ -191,10 +191,6 @@ mod collector {
     pub(super) static SLOTS: [Slot; N_SLOTS] = [Slot::NEW; N_SLOTS];
     /// Runtime gate: stats accumulate only while armed.
     pub(super) static ENABLED: AtomicBool = AtomicBool::new(false);
-    /// Total live bytes at the *first* arm — the process-wide growth
-    /// baseline the SLO growth signal compares against.
-    pub(super) static ARM_BASE: AtomicU64 = AtomicU64::new(0);
-    pub(super) static ARMED_ONCE: AtomicBool = AtomicBool::new(false);
 
     thread_local! {
         /// Current tag slot of this thread. `const` init: reading it from
@@ -367,69 +363,6 @@ impl Drop for TagScope {
 }
 
 // ---------------------------------------------------------------------
-// Global read-outs (the SLO engine's feed).
-// ---------------------------------------------------------------------
-
-/// Whether the collector is compiled in *and* armed by a profiler.
-#[inline]
-pub fn profiling_active() -> bool {
-    #[cfg(feature = "mem-profile")]
-    {
-        collector::ENABLED.load(std::sync::atomic::Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "mem-profile"))]
-    {
-        false
-    }
-}
-
-/// Total live (counted) heap bytes across every tag. Zero when the
-/// feature is off or the collector is unarmed.
-pub fn live_bytes_total() -> u64 {
-    #[cfg(feature = "mem-profile")]
-    {
-        collector::SLOTS
-            .iter()
-            .map(|s| s.live.load(std::sync::atomic::Ordering::Relaxed))
-            .sum()
-    }
-    #[cfg(not(feature = "mem-profile"))]
-    {
-        0
-    }
-}
-
-/// Sum of per-tag peak live bytes — an upper bound on the true global
-/// peak (tags peak at different times). Zero when inactive.
-pub fn peak_bytes_total() -> u64 {
-    #[cfg(feature = "mem-profile")]
-    {
-        collector::SLOTS
-            .iter()
-            .map(|s| s.peak.load(std::sync::atomic::Ordering::Relaxed))
-            .sum()
-    }
-    #[cfg(not(feature = "mem-profile"))]
-    {
-        0
-    }
-}
-
-/// Live bytes now minus live bytes when the collector was first armed.
-/// Zero when inactive.
-pub fn growth_bytes_total() -> i64 {
-    #[cfg(feature = "mem-profile")]
-    {
-        let base = collector::ARM_BASE.load(std::sync::atomic::Ordering::Relaxed);
-        live_bytes_total() as i64 - base as i64
-    }
-    #[cfg(not(feature = "mem-profile"))]
-    {
-        0
-    }
-}
-
-// ---------------------------------------------------------------------
 // The profiler handle + report.
 // ---------------------------------------------------------------------
 
@@ -474,9 +407,6 @@ impl MemProfiler {
         {
             use std::sync::atomic::Ordering;
             collector::ENABLED.store(true, Ordering::Relaxed);
-            if !collector::ARMED_ONCE.swap(true, Ordering::Relaxed) {
-                collector::ARM_BASE.store(live_bytes_total(), Ordering::Relaxed);
-            }
             MemProfiler(Some(Arc::new(MemShared {
                 baseline: collector::slot_snapshot(),
                 armed_at: Instant::now(),
@@ -846,8 +776,6 @@ mod tests {
             ml_after.live_bytes < ml.live_bytes,
             "free not charged back to the allocating tag"
         );
-        assert!(profiling_active());
-        assert!(live_bytes_total() > 0);
     }
 
     #[cfg(feature = "mem-profile")]
@@ -877,9 +805,5 @@ mod tests {
         assert!(!p.active());
         assert!(p.report().is_none());
         assert!(!mem_profile_compiled());
-        assert!(!profiling_active());
-        assert_eq!(live_bytes_total(), 0);
-        assert_eq!(peak_bytes_total(), 0);
-        assert_eq!(growth_bytes_total(), 0);
     }
 }

@@ -88,6 +88,6 @@ pub use series::{
     SeriesStore, SeriesSummary,
 };
 pub use slo::{
-    AnomalySpec, HostMemStat, SloEngine, SloEvent, SloEventKind, SloOp, SloReport, SloSignal,
-    SloSpec, SloStat, SLO_TRACK_PID,
+    AnomalySpec, SloEngine, SloEvent, SloEventKind, SloOp, SloReport, SloSignal, SloSpec, SloStat,
+    SLO_TRACK_PID,
 };

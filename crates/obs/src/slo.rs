@@ -131,33 +131,6 @@ pub enum SloSignal {
     HistQuantile { hist: Hist, q: f64 },
     /// The instantaneous value of a recorder gauge.
     GaugeValue { gauge: Gauge },
-    /// A host-memory aggregate from the tracking allocator
-    /// ([`crate::alloc`]). Skipped (no verdict) unless the `mem-profile`
-    /// feature is compiled in *and* a [`crate::MemProfiler`] armed the
-    /// collector — so a spec watching host memory is inert, never
-    /// breaching, in unprofiled builds.
-    HostMem { stat: HostMemStat },
-}
-
-/// Which host-memory aggregate a [`SloSignal::HostMem`] watches.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HostMemStat {
-    /// Total live heap bytes across every tag.
-    LiveBytes,
-    /// Sum of per-tag peak live bytes.
-    PeakBytes,
-    /// Live bytes now minus live bytes when profiling first armed.
-    GrowthBytes,
-}
-
-impl HostMemStat {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            HostMemStat::LiveBytes => "live",
-            HostMemStat::PeakBytes => "peak",
-            HostMemStat::GrowthBytes => "growth",
-        }
-    }
 }
 
 impl SloSignal {
@@ -167,9 +140,6 @@ impl SloSignal {
             SloSignal::Series { id, stat } => format!("{}[{}]", id.prom(), stat.as_str()),
             SloSignal::HistQuantile { hist, q } => format!("{}[p{:.0}]", hist.name(), q * 100.0),
             SloSignal::GaugeValue { gauge } => gauge.name().to_string(),
-            SloSignal::HostMem { stat } => {
-                format!("{}bytes[{}]", crate::alloc::HOSTMEM_PREFIX, stat.as_str())
-            }
         }
     }
 }
@@ -272,34 +242,6 @@ impl SloSpec {
             },
             SloOp::AtMost,
             max_depth,
-        )
-    }
-
-    /// Preset: the per-tag-peak sum of the process's own heap must stay
-    /// at or below `max_bytes`. Inert unless host-memory profiling is
-    /// compiled in and armed.
-    pub fn host_mem_peak(max_bytes: f64) -> Self {
-        SloSpec::new(
-            "host_mem_peak_bytes",
-            SloSignal::HostMem {
-                stat: HostMemStat::PeakBytes,
-            },
-            SloOp::AtMost,
-            max_bytes,
-        )
-    }
-
-    /// Preset: live heap growth since profiling armed must stay at or
-    /// below `max_bytes` (a leak tripwire). Inert unless host-memory
-    /// profiling is compiled in and armed.
-    pub fn host_mem_growth(max_bytes: f64) -> Self {
-        SloSpec::new(
-            "host_mem_growth_bytes",
-            SloSignal::HostMem {
-                stat: HostMemStat::GrowthBytes,
-            },
-            SloOp::AtMost,
-            max_bytes,
         )
     }
 
@@ -793,16 +735,6 @@ fn sample_signal(
         }
         SloSignal::HistQuantile { hist, q } => rec.hist(*hist).quantile_bound(*q).map(|b| b as f64),
         SloSignal::GaugeValue { gauge } => Some(rec.gauge(*gauge) as f64),
-        SloSignal::HostMem { stat } => {
-            if !crate::alloc::profiling_active() {
-                return None;
-            }
-            Some(match stat {
-                HostMemStat::LiveBytes => crate::alloc::live_bytes_total() as f64,
-                HostMemStat::PeakBytes => crate::alloc::peak_bytes_total() as f64,
-                HostMemStat::GrowthBytes => crate::alloc::growth_bytes_total() as f64,
-            })
-        }
     }
 }
 
@@ -1174,40 +1106,6 @@ mod tests {
         assert!(r.anomalies[0].active_now);
         // The report's unmet() counts SLO specs only.
         assert_eq!(r.unmet(), 0);
-    }
-
-    /// A host-memory spec produces no verdicts while the tracking
-    /// allocator is inactive — in unprofiled builds it can never breach —
-    /// and judges normally once the collector arms (feature-gated half).
-    #[test]
-    fn host_mem_spec_is_inert_until_profiling_arms() {
-        let mut spec = SloSpec::host_mem_peak(1.0); // 1 byte: absurdly tight
-        assert_eq!(spec.signal.describe(), "mem_host_bytes[peak]");
-        spec.fast_window = SimSpan::from_secs(3);
-        spec.slow_window = SimSpan::from_secs(10);
-        let e = SloEngine::with_config(vec![spec], Vec::new(), false);
-        let rec = Recorder::metrics_only();
-        if !crate::alloc::profiling_active() {
-            for t in 1..=10 {
-                tick(&e, &rec, t);
-            }
-            assert_eq!(
-                e.report().unwrap().specs[0].evals,
-                0,
-                "inactive collector must yield no verdicts"
-            );
-            assert!(e.events().is_empty());
-        }
-        #[cfg(feature = "mem-profile")]
-        {
-            let _p = crate::alloc::MemProfiler::enabled();
-            for t in 11..=30 {
-                tick(&e, &rec, t);
-            }
-            let r = e.report().unwrap();
-            assert!(r.specs[0].evals > 0, "armed collector must be sampled");
-            assert!(r.specs[0].breaches >= 1, "1-byte peak target must breach");
-        }
     }
 
     #[test]

@@ -8,9 +8,11 @@ use crate::proto::{NodeSlice, RmMsg};
 use crate::slave::{SlaveConfig, SlaveDaemon, SlaveHeartbeat};
 use emu::{Actor, Context, FaultPlan, NodeId, SimCluster, SimConfig};
 use obs::{tag_scope, MemProfiler, MemTag, Recorder, Sampler, SloEngine};
+use rand::rngs::StdRng;
 use rand::RngExt;
-use simclock::rng::stream_rng;
+use simclock::rng::{exponential, stream_rng};
 use simclock::{SimSpan, SimTime};
+use std::ops::Range;
 
 /// A node of a centralized-RM cluster.
 pub enum RmNode {
@@ -59,53 +61,122 @@ impl ClusterHarness {
         }
     }
 
-    /// Submit a job to the master at `at`.
-    pub fn submit(&mut self, at: SimTime, job: u64, nodes: Vec<u32>, runtime: SimSpan) {
+    /// Submit a job over the given compute-node indices (0-based; compute
+    /// node `i` is node `1 + i`) to the master at `at`.
+    pub fn submit(&mut self, at: SimTime, job: u64, nodes: Range<usize>, runtime: SimSpan) {
         self.sim.inject(
             at,
             NodeId::MASTER,
             NodeId::MASTER,
             RmMsg::SubmitJob {
                 job,
-                nodes: NodeSlice::new(nodes),
+                nodes: NodeSlice::from_nodes(nodes.map(|i| 1 + i as u32)),
                 runtime_us: runtime.as_micros(),
             },
         );
     }
 
-    /// A synthetic job stream for the resource-usage experiments:
-    /// `rate_per_hour` jobs arriving Poisson-style, sizes log-uniform in
-    /// `1..=max_nodes`, runtimes exponential with the given mean. Returns
-    /// the number of jobs injected.
-    pub fn submit_stream(
-        &mut self,
-        n_slaves: u32,
+    /// Submit every arrival of `stream`. Returns the number of jobs
+    /// injected.
+    pub fn submit_stream(&mut self, stream: JobStream) -> u64 {
+        stream.fold(0, |n, a| {
+            self.submit(a.at, a.job, a.nodes, a.runtime);
+            n + 1
+        })
+    }
+}
+
+/// One arrival of a [`JobStream`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct Arrival {
+    /// Submission time.
+    pub at: SimTime,
+    /// Job id, counting from 1.
+    pub job: u64,
+    /// The contiguous compute-node indices (0-based) the job runs on.
+    pub nodes: Range<usize>,
+    /// How long the job runs once launched.
+    pub runtime: SimSpan,
+}
+
+/// The synthetic load of the resource-usage experiments, the same on
+/// every stack: jobs arriving Poisson-style until a horizon, sizes
+/// log-uniform in `1..=max_nodes` placed uniformly over the compute
+/// nodes, runtimes exponential with a floor. Per arrival it draws, in
+/// this order, inter-arrival, size, start and runtime.
+#[derive(Clone, Debug)]
+pub struct JobStream {
+    rng: StdRng,
+    seed: u64,
+    t: f64,
+    job: u64,
+    n_compute: u32,
+    horizon_s: f64,
+    rate: f64,
+    max_exp: f64,
+    mean_runtime_s: f64,
+    min_runtime_s: f64,
+}
+
+impl JobStream {
+    /// `rate_per_hour` jobs per hour over `horizon` on `n_compute` compute
+    /// nodes, sizes up to `max_nodes`, runtimes of mean `mean_runtime`
+    /// floored at 5 s.
+    pub fn new(
+        n_compute: u32,
         horizon: SimSpan,
         rate_per_hour: f64,
         max_nodes: u32,
         mean_runtime: SimSpan,
         seed: u64,
-    ) -> u64 {
-        let mut rng = stream_rng(seed, 0x10B5);
-        let mut t = 0.0f64;
-        let mut job = 0u64;
-        let rate = rate_per_hour / 3600.0;
-        loop {
-            t += simclock::rng::exponential(&mut rng, rate);
-            if t >= horizon.as_secs_f64() {
-                break;
-            }
-            job += 1;
-            let max_exp = (max_nodes.min(n_slaves) as f64).log2();
-            let nodes_count = 2f64.powf(rng.random::<f64>() * max_exp).round().max(1.0) as u32;
-            let start = rng.random_range(1..=n_slaves - nodes_count.min(n_slaves - 1));
-            let nodes: Vec<u32> = (start..start + nodes_count).collect();
-            let runtime = SimSpan::from_secs_f64(
-                simclock::rng::exponential(&mut rng, 1.0 / mean_runtime.as_secs_f64()).max(5.0),
-            );
-            self.submit(SimTime::from_secs_f64(t), job, nodes, runtime);
+    ) -> Self {
+        JobStream {
+            rng: stream_rng(seed, 0x10B5),
+            seed,
+            t: 0.0,
+            job: 0,
+            n_compute,
+            horizon_s: horizon.as_secs_f64(),
+            rate: rate_per_hour / 3600.0,
+            max_exp: (max_nodes.min(n_compute) as f64).log2(),
+            mean_runtime_s: mean_runtime.as_secs_f64(),
+            min_runtime_s: 5.0,
         }
-        job
+    }
+
+    /// Draw from RNG stream `id` of the seed instead of `0x10B5`.
+    pub fn rng_stream(mut self, id: u64) -> Self {
+        self.rng = stream_rng(self.seed, id);
+        self
+    }
+
+    /// Floor runtimes at `floor` instead of 5 s.
+    pub fn min_runtime(mut self, floor: SimSpan) -> Self {
+        self.min_runtime_s = floor.as_secs_f64();
+        self
+    }
+}
+
+impl Iterator for JobStream {
+    type Item = Arrival;
+
+    fn next(&mut self) -> Option<Arrival> {
+        self.t += exponential(&mut self.rng, self.rate);
+        if self.t >= self.horizon_s {
+            return None;
+        }
+        self.job += 1;
+        let n = self.n_compute;
+        let u = self.rng.random::<f64>();
+        let count = 2f64.powf(u * self.max_exp).round().max(1.0) as u32;
+        let start = self.rng.random_range(0..n - count.min(n - 1)) as usize;
+        let runtime = exponential(&mut self.rng, 1.0 / self.mean_runtime_s).max(self.min_runtime_s);
+        Some(Arrival {
+            at: SimTime::from_secs_f64(self.t),
+            job: self.job,
+            nodes: start..start + count as usize,
+            runtime: SimSpan::from_secs_f64(runtime),
+        })
     }
 }
 
@@ -221,14 +292,14 @@ mod tests {
         let mut h = RmClusterBuilder::new(RmProfile::slurm(), 65)
             .seed(5)
             .build();
-        let n = h.submit_stream(
+        let n = h.submit_stream(JobStream::new(
             64,
             SimSpan::from_secs(600),
             120.0,
             32,
             SimSpan::from_secs(60),
             9,
-        );
+        ));
         assert!(n > 5, "stream produced only {n} jobs");
         h.sim.run_until(SimTime::from_secs(3600));
         assert_eq!(h.master_actor().records.len() as u64, n);

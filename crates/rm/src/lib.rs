@@ -12,7 +12,8 @@
 //!   grouping-tree relay with aggregated, timeout-guarded acks;
 //! * [`master`] — the centralized master daemon (the bottleneck the paper
 //!   measures in Fig. 7);
-//! * [`driver`] — harness glue to build clusters and inject job streams.
+//! * [`driver`] — harness glue to build clusters, and the one synthetic
+//!   job stream ([`JobStream`]) every stack is loaded with.
 
 pub mod driver;
 pub mod master;
@@ -20,7 +21,7 @@ pub mod profile;
 pub mod proto;
 pub mod slave;
 
-pub use driver::{ClusterHarness, RmClusterBuilder, RmNode};
+pub use driver::{Arrival, ClusterHarness, JobStream, RmClusterBuilder, RmNode};
 pub use master::{CentralizedMaster, JobRecord};
 pub use profile::{Fanout, HeartbeatMode, RmProfile};
 pub use proto::{CtlKind, NodeSlice, RmMsg};

@@ -450,7 +450,7 @@ mod tests {
         h.submit(
             SimTime::from_secs(1),
             1,
-            (1..=job_nodes).collect(),
+            0..job_nodes as usize,
             SimSpan::from_secs(10),
         );
         h.sim.run_until(SimTime::from_secs(300));
@@ -492,12 +492,7 @@ mod tests {
         let mut h = RmClusterBuilder::new(profile, 65).seed(3).build();
         h.sim.run_until(SimTime::from_millis(10));
         let before = h.sim.meter(NodeId::MASTER).virt_mem();
-        h.submit(
-            SimTime::from_millis(20),
-            1,
-            (1..=64).collect(),
-            SimSpan::from_secs(5),
-        );
+        h.submit(SimTime::from_millis(20), 1, 0..64, SimSpan::from_secs(5));
         h.sim.run_until(SimTime::from_secs(2));
         let during = h.sim.meter(NodeId::MASTER).virt_mem();
         assert_eq!(during, before + per_job);
@@ -511,12 +506,7 @@ mod tests {
         let mut h = RmClusterBuilder::new(RmProfile::slurm(), 65)
             .seed(3)
             .build();
-        h.submit(
-            SimTime::from_secs(1),
-            1,
-            (1..=64).collect(),
-            SimSpan::from_secs(600),
-        );
+        h.submit(SimTime::from_secs(1), 1, 0..64, SimSpan::from_secs(600));
         h.sim.inject(
             SimTime::from_secs(60),
             NodeId(1),

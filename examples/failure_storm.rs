@@ -74,20 +74,9 @@ fn main() {
         eq1_width: 512,
         ..Default::default()
     };
-    // Shift ground truth by the node-id offset of the full system layout
-    // (0 = master, 1..=4 satellites, compute nodes after).
-    let sys_plan = {
-        let outages: Vec<_> = plan
-            .outages()
-            .iter()
-            .map(|o| Outage {
-                node: NodeId(o.node.0 + 5),
-                down_at: o.down_at,
-                up_at: o.up_at,
-            })
-            .collect();
-        FaultPlan::from_outages(n as usize + 5, outages)
-    };
+    // Ground truth placed in the full system layout (0 = master, 1..=4
+    // satellites, compute nodes after).
+    let sys_plan = plan.placed(5, n as usize + 5);
     let shared = Arc::new(Mutex::new(
         OraclePredictor::new(sys_plan.clone(), SimSpan::from_secs(300), 2).with_recall(0.9),
     ));

@@ -19,24 +19,9 @@ fn main() {
 
     // Submit three jobs: a small one, a half-cluster one, and a full-
     // cluster one, each running for a minute of virtual time.
-    system.submit(
-        SimTime::from_secs(5),
-        1,
-        &(0..16).collect::<Vec<_>>(),
-        SimSpan::from_secs(60),
-    );
-    system.submit(
-        SimTime::from_secs(6),
-        2,
-        &(16..144).collect::<Vec<_>>(),
-        SimSpan::from_secs(60),
-    );
-    system.submit(
-        SimTime::from_secs(7),
-        3,
-        &(0..256).collect::<Vec<_>>(),
-        SimSpan::from_secs(60),
-    );
+    system.submit(SimTime::from_secs(5), 1, 0..16, SimSpan::from_secs(60));
+    system.submit(SimTime::from_secs(6), 2, 16..144, SimSpan::from_secs(60));
+    system.submit(SimTime::from_secs(7), 3, 0..256, SimSpan::from_secs(60));
 
     // Run ten minutes of virtual time.
     system.sim.run_until(SimTime::from_secs(600));

@@ -50,7 +50,7 @@ pub fn run(builder: EslurmSystemBuilder) -> EslurmSystem {
         sys.submit(
             SimTime::from_secs(10 + j * 25),
             j,
-            &(start..start + 40).collect::<Vec<_>>(),
+            start..start + 40,
             SimSpan::from_secs(20 + (j % 4) * 15),
         );
     }
@@ -190,12 +190,7 @@ pub fn satellite_outage_run(seed: u64, rec: Recorder) -> EslurmSystem {
         .faults(plan)
         .build();
     for (job, at, nodes) in [(1, 5, 0..16), (2, 70, 16..32)] {
-        sys.submit(
-            SimTime::from_secs(at),
-            job,
-            &nodes.collect::<Vec<_>>(),
-            SimSpan::from_secs(10),
-        );
+        sys.submit(SimTime::from_secs(at), job, nodes, SimSpan::from_secs(10));
     }
     sys.sim.run_until(SimTime::from_secs(180));
     sys

@@ -1,12 +1,15 @@
 //! The paper's core architectural claim, as an integration test: under
 //! identical load, ESlurm's master consumes a fraction of a centralized
 //! master's CPU, memory, and connections — because the satellite layer
-//! absorbs the fan-out.
+//! absorbs the fan-out. "Identical load" is itself asserted: every master
+//! is handed the same arrivals of the one shared `JobStream`.
 
 use eslurm_suite::emu::NodeId;
 use eslurm_suite::eslurm::{EslurmConfig, EslurmSystemBuilder};
-use eslurm_suite::rm::{RmClusterBuilder, RmProfile};
+use eslurm_suite::obs::{build_traces, EventKind, FlowKind, Recorder};
+use eslurm_suite::rm::{JobRecord, JobStream, RmClusterBuilder, RmProfile};
 use eslurm_suite::simclock::{SimSpan, SimTime};
+use std::collections::BTreeSet;
 
 const N: usize = 512;
 const HORIZON_S: u64 = 1800;
@@ -17,7 +20,7 @@ fn run_centralized(profile: RmProfile) -> (SimSpan, u64, u32, u64) {
         h.submit(
             SimTime::from_secs(30 + j * 60),
             j,
-            (1..=256).collect(),
+            0..256,
             SimSpan::from_secs(45),
         );
     }
@@ -39,7 +42,7 @@ fn run_eslurm() -> (SimSpan, u64, u32, u64) {
         sys.submit(
             SimTime::from_secs(30 + j * 60),
             j,
-            &(0..256).collect::<Vec<_>>(),
+            0..256,
             SimSpan::from_secs(45),
         );
     }
@@ -102,4 +105,103 @@ fn eslurm_master_sockets_independent_of_cluster_size() {
         "master sockets grew with the cluster: {small} -> {big}"
     );
     assert!(big <= 8);
+}
+
+/// `(at µs, job, first compute index, count, runtime µs)`.
+type Handed = (u64, u64, usize, usize, u64);
+
+/// What a master was handed, read back from its own telemetry: each
+/// `JobSubmit` event gives arrival time and job id, the compute nodes its
+/// dispatch trace reached give the index range, and the terminate going
+/// out after `launch_done` gives the runtime (plus whatever CPU the master
+/// spent first).
+fn handed(rec: &Recorder, first_compute: u32, records: &[JobRecord]) -> Vec<Handed> {
+    let trees = build_traces(&rec.causal_records());
+    let submits = rec.events().into_iter();
+    submits
+        .filter(|e| e.kind == EventKind::JobSubmit)
+        .map(|e| {
+            let tree = trees
+                .iter()
+                .find(|t| t.flow == FlowKind::Dispatch && t.root_ts_us == e.ts_us)
+                .expect("every submission roots a dispatch trace");
+            let hops = || tree.hops.iter();
+            let reached: BTreeSet<u32> = hops()
+                .map(|h| h.to)
+                .filter(|&n| n >= first_compute)
+                .collect();
+            assert_eq!(reached.len() as u64, e.b, "job {} node count", e.a);
+            let first = reached.first().expect("a job has nodes") - first_compute;
+            let record = records
+                .iter()
+                .find(|r| r.job == e.a)
+                .expect("job completed");
+            let launched = record.launch_done.as_micros();
+            let terminate = hops().map(|h| h.send_us).filter(|&s| s > launched).min();
+            let ran = terminate.expect("terminate sent") - launched;
+            (e.ts_us, e.a, first as usize, reached.len(), ran)
+        })
+        .collect()
+}
+
+#[test]
+fn every_master_is_handed_the_same_job_stream() {
+    let horizon = SimSpan::from_secs(1800);
+    let stream = || JobStream::new(64, horizon, 120.0, 32, SimSpan::from_secs(60), 43);
+    let want: Vec<Handed> = stream()
+        .map(|a| {
+            let (at, rt) = (a.at.as_micros(), a.runtime.as_micros());
+            (at, a.job, a.nodes.start, a.nodes.len(), rt)
+        })
+        .collect();
+    // As the parent commit's `ClusterHarness::submit_stream` drew them
+    // from `stream_rng(43, 0x10B5)` (node ids there, indices here).
+    let pinned: [Handed; 8] = [
+        (115_937_848, 1, 0, 2, 28_875_969),
+        (133_809_528, 2, 48, 1, 35_591_691),
+        (141_421_348, 3, 47, 3, 51_759_775),
+        (144_534_515, 4, 44, 13, 44_612_962),
+        (176_306_526, 5, 9, 2, 21_694_207),
+        (218_476_307, 6, 34, 9, 33_886_862),
+        (226_152_381, 7, 1, 5, 64_929_930),
+        (280_028_963, 8, 47, 2, 27_077_031),
+    ];
+    assert_eq!(want[..8], pinned);
+    assert_eq!(want.len(), 59);
+
+    let end = SimTime::ZERO + horizon + SimSpan::from_secs(1800);
+    let mut stacks: Vec<(&str, Vec<Handed>)> = Vec::new();
+    for profile in RmProfile::baselines() {
+        let (name, rec) = (profile.name, Recorder::full());
+        let mut h = RmClusterBuilder::new(profile, 65)
+            .seed(7)
+            .obs(rec.clone())
+            .build();
+        assert_eq!(h.submit_stream(stream()), 59);
+        h.sim.run_until(end);
+        stacks.push((name, handed(&rec, 1, &h.master_actor().records)));
+    }
+    let cfg = EslurmConfig {
+        n_satellites: 2,
+        eq1_width: 16,
+        relay_width: 8,
+        ..Default::default()
+    };
+    let rec = Recorder::full();
+    let mut sys = EslurmSystemBuilder::new(cfg, 64, 7)
+        .obs(rec.clone())
+        .build();
+    assert_eq!(sys.submit_stream(stream()), 59);
+    sys.sim.run_until(end);
+    let first_compute = sys.slave_id(0);
+    stacks.push(("ESlurm", handed(&rec, first_compute, &sys.master().records)));
+
+    for (name, got) in &stacks {
+        assert_eq!(got.len(), want.len(), "{name}: submissions");
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!((g.0, g.1, g.2, g.3), (w.0, w.1, w.2, w.3), "{name}");
+            // The terminate leaves within 10 ms of master CPU of the runtime.
+            assert!((w.4..w.4 + 10_000).contains(&g.4), "{name}: {g:?} vs {w:?}");
+        }
+    }
 }

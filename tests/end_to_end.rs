@@ -44,11 +44,10 @@ fn workload_completes_with_failures_and_prediction() {
     // only sometimes — the RM must cope either way.
     for j in 0..40u64 {
         let start = (j as usize * 7) % (n_slaves - 64);
-        let idxs: Vec<usize> = (start..start + 32).collect();
         sys.submit(
             SimTime::from_secs(10 + j * 15),
             j,
-            &idxs,
+            start..start + 32,
             SimSpan::from_secs(30 + (j % 5) * 10),
         );
     }
@@ -117,7 +116,7 @@ fn satellite_crash_recovers_and_fsm_tracks_it() {
         sys.submit(
             SimTime::from_secs(35 + j * 10),
             j,
-            &(0..80).collect::<Vec<_>>(),
+            0..80,
             SimSpan::from_secs(20),
         );
     }
@@ -150,12 +149,7 @@ fn identical_seeds_identical_outcomes() {
     let run = |seed: u64| {
         let mut sys = EslurmSystemBuilder::new(cfg(2), 100, seed).build();
         for j in 0..10u64 {
-            sys.submit(
-                SimTime::from_secs(5 + j),
-                j,
-                &(0..50).collect::<Vec<_>>(),
-                SimSpan::from_secs(15),
-            );
+            sys.submit(SimTime::from_secs(5 + j), j, 0..50, SimSpan::from_secs(15));
         }
         sys.sim.run_until(SimTime::from_secs(600));
         let m = sys.master();

@@ -33,7 +33,7 @@ fn sampled_run(seed: u64, rec: Recorder) -> (Recorder, Sampler) {
         sys.submit(
             SimTime::from_secs(*start),
             i as u64 + 1,
-            &(0..16).collect::<Vec<_>>(),
+            0..16,
             SimSpan::from_secs(15),
         );
     }

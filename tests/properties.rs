@@ -131,7 +131,7 @@ proptest! {
         seed in 0u64..200,
         n_outages in 0usize..12,
     ) {
-        use eslurm_suite::emu::{FaultPlan, FaultPlanBuilder};
+        use eslurm_suite::emu::FaultPlanBuilder;
         use eslurm_suite::eslurm::{EslurmConfig, EslurmSystemBuilder};
         use eslurm_suite::simclock::{SimSpan, SimTime};
 
@@ -140,26 +140,11 @@ proptest! {
         let total = 1 + m + n_slaves;
         // Random compute-node outages (never the master or satellites, which
         // have their own dedicated tests).
-        let plan = if n_outages == 0 {
-            FaultPlan::none(total)
-        } else {
-            let raw = FaultPlanBuilder::new(total, SimSpan::from_secs(400), seed)
-                .small_events(n_outages, 4)
-                .mean_outage(SimSpan::from_secs(120))
-                .build();
-            let shifted: Vec<_> = raw
-                .outages()
-                .iter()
-                .map(|o| eslurm_suite::emu::Outage {
-                    node: eslurm_suite::emu::NodeId(
-                        1 + m as u32 + (o.node.0 % n_slaves as u32),
-                    ),
-                    down_at: o.down_at,
-                    up_at: o.up_at,
-                })
-                .collect();
-            FaultPlan::from_outages(total, shifted)
-        };
+        let plan = FaultPlanBuilder::new(n_slaves, SimSpan::from_secs(400), seed)
+            .small_events(n_outages, 4)
+            .mean_outage(SimSpan::from_secs(120))
+            .build()
+            .placed(1 + m, total);
         let cfg = EslurmConfig {
             n_satellites: m,
             eq1_width: 48,
@@ -171,8 +156,7 @@ proptest! {
             sys.submit(
                 SimTime::from_secs(5 + j * 20),
                 j,
-                &((j as usize * 11) % 40..(j as usize * 11) % 40 + 60)
-                    .collect::<Vec<_>>(),
+                (j as usize * 11) % 40..(j as usize * 11) % 40 + 60,
                 SimSpan::from_secs(15),
             );
         }
@@ -208,8 +192,7 @@ proptest! {
                 sys.submit(
                     SimTime::from_secs(5 + j * 30),
                     j,
-                    &((j as usize * 9) % 30..(j as usize * 9) % 30 + 25)
-                        .collect::<Vec<_>>(),
+                    (j as usize * 9) % 30..(j as usize * 9) % 30 + 25,
                     SimSpan::from_secs(20),
                 );
             }

@@ -130,12 +130,7 @@ fn breach_dumps_the_flight_ring_with_a_reason_tag() {
         ))
         .slo(slo.clone())
         .build();
-    sys.submit(
-        SimTime::from_secs(5),
-        1,
-        &[0, 1, 2, 3],
-        SimSpan::from_secs(30),
-    );
+    sys.submit(SimTime::from_secs(5), 1, 0..4, SimSpan::from_secs(30));
     sys.sim.run_until(SimTime::from_secs(300));
 
     assert!(

@@ -157,12 +157,7 @@ fn satellite_relay_on_threads_matches_des_outcome() {
         3,
     )
     .build();
-    sys.submit(
-        SimTime::from_secs(1),
-        4,
-        &(0..n_slaves).collect::<Vec<_>>(),
-        SimSpan::from_secs(1),
-    );
+    sys.submit(SimTime::from_secs(1), 4, 0..n_slaves, SimSpan::from_secs(1));
     sys.sim.run_until(SimTime::from_secs(30));
     assert_eq!(sys.master().records.len(), 1);
 
