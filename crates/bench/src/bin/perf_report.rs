@@ -1,5 +1,5 @@
 //! Machine-readable performance report for the flat-kernel ML pipeline
-//! and the parallel estimator retrain.
+//! and the estimator retrain.
 //!
 //! Times the preserved pre-optimization reference implementations
 //! (`ml::reference`) against the optimized paths on identical inputs, on
@@ -110,22 +110,21 @@ fn svr_fit_entry(
     }
 }
 
-/// An estimator with the window already recorded, ready to retrain.
-fn primed_estimator(jobs: &[Job], threads: usize) -> RuntimeEstimator {
-    let mut est = RuntimeEstimator::new(EstimatorConfig {
-        train_threads: threads,
-        ..Default::default()
-    });
+/// The window recorded into a fresh estimator (which extracts each job's
+/// features once), then one retrain on it.
+fn record_and_retrain(jobs: &[Job]) -> usize {
+    let mut est = RuntimeEstimator::new(EstimatorConfig::default());
     for j in jobs {
         est.record_completion(j);
     }
-    est
+    est.retrain(jobs.last().expect("non-empty window").submit);
+    est.current_k()
 }
 
 /// The seed's retrain, reconstructed end to end on the same inputs the
 /// framework sees: feature extraction, scaling, weighting, reference
-/// K-means, one reference SVR per cluster fitted serially (framework
-/// hyperparameters), and the warm-start back-test over the window.
+/// K-means, one reference SVR per cluster (framework hyperparameters),
+/// and the warm-start back-test over the window.
 fn reference_retrain(jobs: &[Job], k: usize, seed: u64) {
     let (x, y) = prepared_window(jobs);
     let km = RefKMeans::fit(&x, k, 60, seed);
@@ -246,51 +245,20 @@ fn main() {
         });
     }
 
-    // Full estimator retrain: the seed's serial reference pipeline vs the
-    // optimized one (flat-kernel SVRs trained on all cores). Both sides
-    // run the identical feature-prep stage; the optimized side times
-    // `RuntimeEstimator::retrain` itself on a primed window.
-    let now = window_jobs.last().expect("non-empty trace").submit;
+    // Full estimator retrain: the seed's reference pipeline vs the
+    // optimized one, both timed from the window's jobs (feature extraction
+    // included) to a trained model on one thread.
     {
         let baseline = time_ns(|| reference_retrain(&window_jobs, 15, args.seed), reps);
-        let mut est = primed_estimator(&window_jobs, 0);
         let optimized = time_ns(
             || {
-                est.retrain(now);
-                std::hint::black_box(est.current_k());
+                std::hint::black_box(record_and_retrain(&window_jobs));
             },
             reps,
         );
         entries.push(Entry {
             name: "estimator_retrain_700",
-            what: "reference serial retrain vs grouped-Gram SVRs on all cores",
-            baseline_ns: baseline,
-            optimized_ns: optimized,
-        });
-    }
-
-    // Parallelism in isolation: same optimized code, 1 thread vs all.
-    // On a single-core host this is expected to sit at ~1.0x.
-    {
-        let mut serial = primed_estimator(&window_jobs, 1);
-        let baseline = time_ns(
-            || {
-                serial.retrain(now);
-                std::hint::black_box(serial.current_k());
-            },
-            reps,
-        );
-        let mut parallel = primed_estimator(&window_jobs, 0);
-        let optimized = time_ns(
-            || {
-                parallel.retrain(now);
-                std::hint::black_box(parallel.current_k());
-            },
-            reps,
-        );
-        entries.push(Entry {
-            name: "retrain_parallelism_only",
-            what: "optimized retrain, train_threads=1 vs one per core",
+            what: "features + retrain: reference vs grouped-Gram SVRs (fused passes), K-means and back-test per distinct row",
             baseline_ns: baseline,
             optimized_ns: optimized,
         });
@@ -324,16 +292,12 @@ fn main() {
             ("speedup", e.speedup().into()),
         ])
     });
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
     println!();
     write_bench(
         "PERF",
         "perf_report",
         &args,
-        vec![
-            ("threads", threads.into()),
-            ("benches", Value::Array(benches.collect())),
-        ],
+        vec![("benches", Value::Array(benches.collect()))],
     );
 
     let below: Vec<String> = entries

@@ -6,6 +6,7 @@
 //! (EA / AEA bookkeeping, Eqs. 4–5).
 
 use crate::features::{apply_weights, features, target, untarget};
+use ml::linalg::Matrix;
 use ml::{KMeans, Regressor, StandardScaler, Svr};
 use simclock::{SimSpan, SimTime};
 use std::collections::VecDeque;
@@ -27,10 +28,6 @@ pub struct EstimatorConfig {
     pub aea_gate: f64,
     /// Seed for clustering.
     pub seed: u64,
-    /// Worker threads for per-cluster SVR training during [`RuntimeEstimator::retrain`]
-    /// (`0` = one per available core). SVR fitting is RNG-free, so the
-    /// trained model is bit-identical for every thread count.
-    pub train_threads: usize,
 }
 
 impl Default for EstimatorConfig {
@@ -42,7 +39,6 @@ impl Default for EstimatorConfig {
             slack: 1.05,
             aea_gate: 0.90,
             seed: 0xE5,
-            train_threads: 0,
         }
     }
 }
@@ -113,7 +109,10 @@ struct ClusterModel {
 pub struct RuntimeEstimator {
     /// Configuration in force.
     pub config: EstimatorConfig,
-    history: VecDeque<Job>,
+    /// Raw feature rows and targets of the newest `window` completed jobs,
+    /// newest first: the order `retrain` reads them in.
+    rows: VecDeque<Vec<f64>>,
+    targets: VecDeque<f64>,
     model: Option<ClusterModel>,
     last_train: Option<SimTime>,
     retrain_count: u64,
@@ -135,7 +134,8 @@ impl RuntimeEstimator {
     pub fn new(config: EstimatorConfig) -> Self {
         RuntimeEstimator {
             config,
-            history: VecDeque::new(),
+            rows: VecDeque::new(),
+            targets: VecDeque::new(),
             model: None,
             last_train: None,
             retrain_count: 0,
@@ -145,8 +145,9 @@ impl RuntimeEstimator {
     /// Record module: a job completed; append it to the historical queue
     /// and update the AEA of the cluster that predicted it.
     pub fn record_completion(&mut self, job: &Job) {
+        let raw = features(job);
         if let Some(m) = &mut self.model {
-            let f = apply_weights(&m.scaler.transform(&features(job)));
+            let f = apply_weights(&m.scaler.transform(&raw));
             let c = m.kmeans.assign(&f);
             let predicted = untarget(m.models[c].predict(&f)) * self.config.slack;
             let ea = estimation_accuracy(predicted, job.actual_runtime.as_secs_f64());
@@ -154,20 +155,20 @@ impl RuntimeEstimator {
             m.records[c].count += 1;
         }
         // `retrain` is the only reader and takes the newest `window`.
-        self.history.push_back(job.clone());
-        while self.history.len() > self.config.window {
-            self.history.pop_front();
-        }
+        self.rows.push_front(raw);
+        self.targets.push_front(target(job));
+        self.rows.truncate(self.config.window);
+        self.targets.truncate(self.config.window);
     }
 
     /// Estimation model generator: retrain if the period elapsed. Returns
     /// whether a retraining happened.
     pub fn maybe_retrain(&mut self, now: SimTime) -> bool {
         let due = match self.last_train {
-            None => self.history.len() >= 30,
+            None => self.rows.len() >= 30,
             Some(t) => now.since(t) >= self.config.retrain_every,
         };
-        if !due || self.history.len() < 10 {
+        if !due || self.rows.len() < 10 {
             return false;
         }
         self.retrain(now);
@@ -177,40 +178,56 @@ impl RuntimeEstimator {
     /// Force a retrain on the current interest window.
     pub fn retrain(&mut self, now: SimTime) {
         let _mem = obs::tag_scope(obs::MemTag::Ml);
-        let window: Vec<&Job> = self.history.iter().rev().take(self.config.window).collect();
-        if window.len() < 10 {
+        let w = self.rows.len().min(self.config.window);
+        if w < 10 {
             return;
         }
-        let raw: Vec<Vec<f64>> = window.iter().map(|j| features(j)).collect();
-        let scaler = StandardScaler::fit(&raw);
+        let raw = &self.rows.make_contiguous()[..w];
+        let y = &self.targets.make_contiguous()[..w];
+        let scaler = StandardScaler::fit(raw);
         let x: Vec<Vec<f64>> = scaler
-            .transform_all(&raw)
+            .transform_all(raw)
             .iter()
             .map(|r| apply_weights(r))
             .collect();
-        let y: Vec<f64> = window.iter().map(|j| target(j)).collect();
 
         let k = match self.config.k {
             Some(k) => k.min(x.len()),
             None => ml::elbow_k(&x, 20, self.config.seed),
         };
         let kmeans = KMeans::fit(&x, k, 60, self.config.seed + self.retrain_count);
+        // Copies of a row share its cluster and so its back-test
+        // prediction below, which is made once per distinct row.
+        let (distinct, group) = Matrix::from_distinct_rows(&x);
         // Per-cluster SVRs use a much more local kernel than a global model
         // could afford: within a cluster the job-name feature must resolve
         // individual applications, and the small per-cluster sample keeps
         // the tight bandwidth from starving for data. This is where the
         // cluster-then-regress design earns its accuracy.
         let mut sets: Vec<(Vec<Vec<f64>>, Vec<f64>)> = vec![(Vec::new(), Vec::new()); kmeans.k()];
-        for ((xi, yi), &l) in x.iter().zip(&y).zip(&kmeans.labels) {
-            sets[l].0.push(xi.clone());
-            sets[l].1.push(*yi);
+        for ((xi, &yi), &l) in x.into_iter().zip(y).zip(&kmeans.labels) {
+            sets[l].0.push(xi);
+            sets[l].1.push(yi);
         }
-        let models = train_cluster_models(&sets, self.config.train_threads);
+        let template = Svr::default_rbf()
+            .with_kernel(ml::Kernel::Rbf { gamma: 30.0 })
+            .with_params(30.0, 0.05);
+        let models: Vec<Svr> = sets
+            .iter()
+            .map(|(cx, cy)| {
+                let mut m = template.clone();
+                m.fit(cx, cy);
+                m
+            })
+            .collect();
         // Warm-start each cluster's accuracy record by back-testing on the
         // window itself, so the AEA gate has data from the first estimate.
+        let mut predictions = vec![None; distinct.rows()];
         let mut records = vec![ClusterRecord::default(); kmeans.k()];
-        for ((xi, yi), &l) in x.iter().zip(&y).zip(&kmeans.labels) {
-            let predicted = untarget(models[l].predict(xi)) * self.config.slack;
+        for ((yi, &l), &g) in y.iter().zip(&kmeans.labels).zip(&group) {
+            let predicted = *predictions[g].get_or_insert_with(|| {
+                untarget(models[l].predict(distinct.row(g))) * self.config.slack
+            });
             let ea = estimation_accuracy(predicted, untarget(*yi));
             records[l].ea_sum += ea;
             records[l].count += 1;
@@ -322,76 +339,6 @@ impl RuntimeEstimator {
             })
             .collect()
     }
-}
-
-/// Fit one SVR per cluster training set, concurrently.
-///
-/// Clusters are uneven (fit cost is quadratic in cluster size), so the
-/// threads pull indices from a shared atomic counter instead of taking
-/// fixed chunks: whichever thread finishes a small cluster immediately
-/// picks up the next one. Each cluster's fit runs start-to-finish on one
-/// thread and `Svr::fit` draws no randomness, so the resulting models are
-/// bit-identical for every `threads` value — scheduling only decides
-/// *who* computes each model, never *what* is computed.
-fn train_cluster_models(sets: &[(Vec<Vec<f64>>, Vec<f64>)], threads: usize) -> Vec<Svr> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    let template = Svr::default_rbf()
-        .with_kernel(ml::Kernel::Rbf { gamma: 30.0 })
-        .with_params(30.0, 0.05);
-    let threads = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    }
-    .min(sets.len())
-    .max(1);
-
-    if threads == 1 {
-        return sets
-            .iter()
-            .map(|(cx, cy)| {
-                let mut m = template.clone();
-                m.fit(cx, cy);
-                m
-            })
-            .collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<Svr>> = (0..sets.len()).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                let template = &template;
-                s.spawn(move || {
-                    let mut out: Vec<(usize, Svr)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= sets.len() {
-                            break;
-                        }
-                        let mut m = template.clone();
-                        m.fit(&sets[i].0, &sets[i].1);
-                        out.push((i, m));
-                    }
-                    out
-                })
-            })
-            .collect();
-        for h in handles {
-            for (i, m) in h.join().expect("SVR training thread panicked") {
-                slots[i] = Some(m);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| m.expect("every cluster trained"))
-        .collect()
 }
 
 /// Diagnostics of one cluster of the estimation model.
@@ -546,40 +493,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_retrain_is_bit_identical_to_serial() {
-        let jobs = TraceConfig::small(900, 12).generate();
-        let serial = train_on(
-            &jobs,
-            EstimatorConfig {
-                train_threads: 1,
-                ..Default::default()
-            },
-        );
-        for threads in [2, 4, 8] {
-            let parallel = train_on(
-                &jobs,
-                EstimatorConfig {
-                    train_threads: threads,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(serial.current_k(), parallel.current_k());
-            // Every model estimate must agree to the last bit: same
-            // cluster match, same raw f64 prediction, same AEA.
-            for j in &jobs {
-                let a = serial.model_estimate(j).unwrap();
-                let b = parallel.model_estimate(j).unwrap();
-                assert_eq!(a, b, "threads={threads} diverged on job {:?}", j.id);
-            }
-            assert_eq!(
-                serial.cluster_diagnostics(),
-                parallel.cluster_diagnostics(),
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
     fn history_beyond_the_window_never_reaches_a_retrain() {
         let cfg = EstimatorConfig {
             window: 300,
@@ -608,6 +521,33 @@ mod tests {
         let stored: usize = diags.iter().map(|d| d.support_vectors).sum();
         assert_eq!(trained, 2000);
         assert!(stored < trained, "{stored} rows for {trained} jobs");
+    }
+
+    /// The warm-start back-test predicts once per distinct row; booking
+    /// each job of the window with its own features and its own
+    /// prediction gives the same records to the bit.
+    #[test]
+    fn back_test_books_every_job_as_its_own_prediction_would() {
+        let jobs = TraceConfig::tianhe2a().shrunk_to(1000).generate();
+        let est = train_on(
+            &jobs,
+            EstimatorConfig {
+                window: 1000,
+                ..Default::default()
+            },
+        );
+        let m = est.model.as_ref().expect("trained");
+        let mut want = vec![ClusterRecord::default(); m.kmeans.k()];
+        for (job, &l) in jobs.iter().rev().zip(&m.kmeans.labels) {
+            let x = apply_weights(&m.scaler.transform(&features(job)));
+            let predicted = untarget(m.models[l].predict(&x)) * est.config.slack;
+            want[l].ea_sum += estimation_accuracy(predicted, untarget(target(job)));
+            want[l].count += 1;
+        }
+        let bits = |r: &[ClusterRecord]| -> Vec<(u64, u64)> {
+            r.iter().map(|c| (c.ea_sum.to_bits(), c.count)).collect()
+        };
+        assert_eq!(bits(&m.records), bits(&want));
     }
 
     #[test]

@@ -337,6 +337,62 @@ pub fn sym_matvec(k: &Matrix, beta: &[f64], kb: &mut [f64]) {
     }
 }
 
+/// The per-sample passes of one SVR dual iteration ([`crate::svr`]) on
+/// the AVX2 kernels: each does every quad `i < n/4·4` and returns the four
+/// lane sums of what it wrote, or `None` — nothing written — where the CPU
+/// lacks AVX2 and the caller's scalar loop does every index. Same bits
+/// either way.
+///
+/// `out[i] = soft(β[i] + η·(y[i] − kb[group[i]]), t)`.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+pub(crate) fn svr_gradient_quads(
+    beta: &[f64],
+    y: &[f64],
+    kb: &[f64],
+    group: &[usize],
+    eta: f64,
+    t: f64,
+    out: &mut [f64],
+) -> Option<[f64; 4]> {
+    #[cfg(target_arch = "x86_64")]
+    if simd::available() {
+        // SAFETY: `available()` verified AVX2 support on this CPU.
+        return Some(unsafe { simd::svr_gradient(beta, y, kb, group, eta, t, out) });
+    }
+    None
+}
+
+/// `buf[i] = (buf[i] − mean).clamp(−c, c)`, as [`svr_gradient_quads`].
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+pub(crate) fn svr_project_quads(buf: &mut [f64], mean: f64, c: f64) -> Option<[f64; 4]> {
+    #[cfg(target_arch = "x86_64")]
+    if simd::available() {
+        // SAFETY: `available()` verified AVX2 support on this CPU.
+        return Some(unsafe { simd::svr_project(buf, mean, c) });
+    }
+    None
+}
+
+/// The last projection round committed — `v = (buf[i] − mean).clamp(−c,
+/// c)`, `buf[i] = |v − β[i]|`, `β[i] = v`, `group_beta[group[i]] += v` —
+/// as [`svr_gradient_quads`]; the lanes sum `|Δβ|`.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+pub(crate) fn svr_commit_quads(
+    buf: &mut [f64],
+    beta: &mut [f64],
+    mean: f64,
+    c: f64,
+    group: &[usize],
+    group_beta: &mut [f64],
+) -> Option<[f64; 4]> {
+    #[cfg(target_arch = "x86_64")]
+    if simd::available() {
+        // SAFETY: `available()` verified AVX2 support on this CPU.
+        return Some(unsafe { simd::svr_commit(buf, beta, mean, c, group, group_beta) });
+    }
+    None
+}
+
 /// Runtime-dispatched AVX2+FMA kernels for the Gram/matvec hot paths.
 ///
 /// The workspace builds for the baseline x86-64 target (SSE2), which caps
@@ -561,27 +617,126 @@ mod simd {
             i += 1;
         }
     }
-}
 
-/// Sum over four independent accumulators — same rationale as
-/// [`dot_unrolled`]: a naive `iter().sum()` is a serial FP-add chain that
-/// runs at one element per add-latency. Summation order differs from the
-/// naive sum by a few ulps.
-pub fn sum_unrolled(a: &[f64]) -> f64 {
-    let quads = a.len() / 4 * 4;
-    let (a4, tail) = a.split_at(quads);
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
-    for c in a4.chunks_exact(4) {
-        s0 += c[0];
-        s1 += c[1];
-        s2 += c[2];
-        s3 += c[3];
+    // The kernels behind `super::svr_*_quads`: lane `i mod 4` sums in index
+    // order, as the SVR's four-lane sums add them. Unlike the FMA kernels above,
+    // every op is one IEEE operation per element (multiply then add;
+    // `andnot`/`max`/`or` for the soft threshold; `max`/`min` for the
+    // clamp, operands ordered so a NaN passes through as in `f64::clamp`),
+    // so these are bit-identical to the scalar formulas.
+
+    /// `out[i] = soft(β[i] + η·(y[i] − kb[group[i]]), t)`, where
+    /// `soft(z, t) = (|z| − t)₊` with `z`'s sign.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 (check [`available`]).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn svr_gradient(
+        beta: &[f64],
+        y: &[f64],
+        kb: &[f64],
+        group: &[usize],
+        eta: f64,
+        t: f64,
+        out: &mut [f64],
+    ) -> [f64; 4] {
+        let n = out.len();
+        assert!(beta.len() == n && y.len() == n && group.len() == n);
+        // Every pointer access below is at `i..i + 4` with `i + 4 <= n`,
+        // inside slices of length `n`; `kb` is indexed with bounds checks.
+        let (bp, yp, op) = (beta.as_ptr(), y.as_ptr(), out.as_mut_ptr());
+        let (sign, zero) = (_mm256_set1_pd(-0.0), _mm256_setzero_pd());
+        let (veta, vt) = (_mm256_set1_pd(eta), _mm256_set1_pd(t));
+        let mut acc = zero;
+        let mut i = 0usize;
+        while i + 4 <= n {
+            let k = _mm256_set_pd(
+                kb[group[i + 3]],
+                kb[group[i + 2]],
+                kb[group[i + 1]],
+                kb[group[i]],
+            );
+            let step = _mm256_mul_pd(veta, _mm256_sub_pd(_mm256_loadu_pd(yp.add(i)), k));
+            let z = _mm256_add_pd(_mm256_loadu_pd(bp.add(i)), step);
+            let mag = _mm256_max_pd(_mm256_sub_pd(_mm256_andnot_pd(sign, z), vt), zero);
+            let v = _mm256_or_pd(mag, _mm256_and_pd(sign, z));
+            _mm256_storeu_pd(op.add(i), v);
+            acc = _mm256_add_pd(acc, v);
+            i += 4;
+        }
+        lanes(acc)
     }
-    let mut t = 0.0;
-    for x in tail {
-        t += x;
+
+    /// `buf[i] = (buf[i] − mean).clamp(−c, c)`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 (check [`available`]).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn svr_project(buf: &mut [f64], mean: f64, c: f64) -> [f64; 4] {
+        let n = buf.len();
+        // Every pointer access below is at `i..i + 4` with `i + 4 <= n`.
+        let p = buf.as_mut_ptr();
+        let (vmean, lo, hi) = (_mm256_set1_pd(mean), _mm256_set1_pd(-c), _mm256_set1_pd(c));
+        let mut acc = _mm256_setzero_pd();
+        let mut i = 0usize;
+        while i + 4 <= n {
+            let x = _mm256_sub_pd(_mm256_loadu_pd(p.add(i)), vmean);
+            let v = _mm256_min_pd(hi, _mm256_max_pd(lo, x));
+            _mm256_storeu_pd(p.add(i), v);
+            acc = _mm256_add_pd(acc, v);
+            i += 4;
+        }
+        lanes(acc)
     }
-    (s0 + s1) + (s2 + s3) + t
+
+    /// The last projection round, committed: `v = (buf[i] − mean).clamp(−c,
+    /// c)`, then `buf[i] = |v − β[i]|`, `β[i] = v` and
+    /// `group_beta[group[i]] += v` in index order. The lanes sum `|Δβ|`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 (check [`available`]).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn svr_commit(
+        buf: &mut [f64],
+        beta: &mut [f64],
+        mean: f64,
+        c: f64,
+        group: &[usize],
+        group_beta: &mut [f64],
+    ) -> [f64; 4] {
+        let n = buf.len();
+        assert!(beta.len() == n && group.len() == n);
+        // Every pointer access below is at `i..i + 4` with `i + 4 <= n`,
+        // inside slices of length `n`; `group_beta` is indexed with bounds
+        // checks.
+        let (p, bp) = (buf.as_mut_ptr(), beta.as_mut_ptr());
+        let sign = _mm256_set1_pd(-0.0);
+        let (vmean, lo, hi) = (_mm256_set1_pd(mean), _mm256_set1_pd(-c), _mm256_set1_pd(c));
+        let mut acc = _mm256_setzero_pd();
+        let mut i = 0usize;
+        while i + 4 <= n {
+            let x = _mm256_sub_pd(_mm256_loadu_pd(p.add(i)), vmean);
+            let v = _mm256_min_pd(hi, _mm256_max_pd(lo, x));
+            let d = _mm256_andnot_pd(sign, _mm256_sub_pd(v, _mm256_loadu_pd(bp.add(i))));
+            _mm256_storeu_pd(bp.add(i), v);
+            _mm256_storeu_pd(p.add(i), d);
+            acc = _mm256_add_pd(acc, d);
+            for (l, vl) in lanes(v).into_iter().enumerate() {
+                group_beta[group[i + l]] += vl;
+            }
+            i += 4;
+        }
+        lanes(acc)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn lanes(v: __m256d) -> [f64; 4] {
+        let mut out = [0.0f64; 4];
+        // SAFETY: `out` holds exactly the four doubles an unaligned store writes.
+        unsafe { _mm256_storeu_pd(out.as_mut_ptr(), v) };
+        out
+    }
 }
 
 /// `Σ |aᵢ|·wᵢ` over four independent accumulators: the ‖·‖₁ norm of a
