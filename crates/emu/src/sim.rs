@@ -30,8 +30,8 @@ use crate::network::LatencyModel;
 use crate::node::NodeId;
 use crate::state::{HotNode, NodeStore};
 use obs::{
-    tag_scope, CausalRecord, Counter, EventKind, FlowKind, Hist, HopSend, MemProfiler, MemTag,
-    Recorder, Sampler, SloEngine, TraceContext,
+    bucket_index, tag_scope, CausalRecord, Counter, EventKind, FlowKind, Hist, HopSend,
+    MemProfiler, MemTag, Recorder, Sampler, SloEngine, TraceContext,
 };
 use rand::rngs::StdRng;
 use simclock::{EventKey, KeyedQueue, SimSpan, SimTime};
@@ -147,6 +147,59 @@ struct Shard<M> {
     nodes: NodeStore,
     events: u64,
     drops: u64,
+    /// Send metrics of this shard's senders not yet in the recorder. The
+    /// contract: `Counter::MsgsSent`, `Counter::BytesSent` and
+    /// `Hist::HopLatencyUs` are read by nobody while events run, only by
+    /// a sampling tick and after `run_until` returns — and
+    /// `SimCluster::flush_sends` hands the tally over at exactly those
+    /// two points, so every read sees every send before it.
+    sends: SendTally,
+}
+
+/// Send metrics added up in plain integers on the hot path, in place of
+/// five relaxed atomic read-modify-writes per message. Adds wrap, as the
+/// recorder's `fetch_add` does.
+struct SendTally {
+    msgs: u64,
+    bytes: u64,
+    /// `Hist::HopLatencyUs` bucket counts of the flight times.
+    hop_buckets: Vec<u64>,
+    /// Sum of the flight times, µs.
+    hop_sum: u64,
+}
+
+impl SendTally {
+    fn new() -> Self {
+        SendTally {
+            msgs: 0,
+            bytes: 0,
+            hop_buckets: vec![0; Hist::HopLatencyUs.bounds().len() + 1],
+            hop_sum: 0,
+        }
+    }
+
+    #[inline]
+    fn add(&mut self, size: u64, flight_us: u64) {
+        self.msgs = self.msgs.wrapping_add(1);
+        self.bytes = self.bytes.wrapping_add(size);
+        let b = bucket_index(Hist::HopLatencyUs.bounds(), flight_us);
+        self.hop_buckets[b] = self.hop_buckets[b].wrapping_add(1);
+        self.hop_sum = self.hop_sum.wrapping_add(flight_us);
+    }
+
+    /// Move the tally into `obs` and start again from zero.
+    fn flush_into(&mut self, obs: &Recorder) {
+        if self.msgs == 0 {
+            return;
+        }
+        obs.add(Counter::MsgsSent, self.msgs);
+        obs.add(Counter::BytesSent, self.bytes);
+        obs.merge_hist(Hist::HopLatencyUs, &self.hop_buckets, self.hop_sum);
+        self.msgs = 0;
+        self.bytes = 0;
+        self.hop_buckets.fill(0);
+        self.hop_sum = 0;
+    }
 }
 
 /// State shared read-only by every shard during dispatch.
@@ -223,8 +276,11 @@ impl<M: Payload> Context<M> for DesCtx<'_, M> {
         let me = self.me;
         let size = msg.size_bytes();
         let cur_ctx = self.cur_ctx;
+        let (sender_shard, sender_li) = shared.map[me.index()];
         let (depart, arrive, seq) = {
-            let hot = self.hot(me);
+            let hot = self.shards[sender_shard as usize]
+                .nodes
+                .hot(sender_li as usize);
             let depart = hot.tx_free.max(now) + shared.latency.tx_gap(size);
             hot.tx_free = depart;
             let arrive = depart + shared.latency.latency(size, &mut hot.rng);
@@ -246,9 +302,9 @@ impl<M: Payload> Context<M> for DesCtx<'_, M> {
         });
         if shared.obs.enabled() {
             let flight = arrive.as_micros() - now.as_micros();
-            shared.obs.inc(Counter::MsgsSent);
-            shared.obs.add(Counter::BytesSent, size as u64);
-            shared.obs.observe(Hist::HopLatencyUs, flight);
+            self.shards[sender_shard as usize]
+                .sends
+                .add(size as u64, flight);
             shared.obs.span(
                 now.as_micros(),
                 flight,
@@ -576,6 +632,7 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
                 nodes: NodeStore::new(config.seed, ids),
                 events: 0,
                 drops: 0,
+                sends: SendTally::new(),
             })
             .collect();
 
@@ -672,6 +729,7 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
         self.ensure_started();
         let before: u64 = self.shards.iter().map(|s| s.events).sum();
         let ticks = self.run_merged(horizon);
+        self.flush_sends();
         let after: u64 = self.shards.iter().map(|s| s.events).sum();
         let n = after - before + ticks;
         self.events_processed += n;
@@ -737,11 +795,20 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
         }
     }
 
+    /// Hand every shard's send tally to the recorder (see `Shard::sends`
+    /// for when this must run).
+    fn flush_sends(&mut self) {
+        for sh in &mut self.shards {
+            sh.sends.flush_into(&self.shared.obs);
+        }
+    }
+
     /// Fire one engine-level sampling tick at `t`. A tick past `until`
     /// retires the cadence without sampling (the "kill tick"), but still
     /// counts as an event and advances the clock — exactly what the
     /// retired event-based scheduling did.
     fn fire_sample(&mut self, t: SimTime) {
+        self.flush_sends();
         self.now = self.now.max(t);
         let Some(s) = self.ticks.as_ref().filter(|s| t <= s.until) else {
             self.sample_next = None;

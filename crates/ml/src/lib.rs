@@ -7,7 +7,7 @@
 //! * [`svr`] — ε-insensitive support vector regression (RBF/linear
 //!   kernels), the paper's per-cluster estimator;
 //! * [`forest`] — CART regression trees and random forests;
-//! * [`linear`] — ridge and Bayesian ridge regression (IRPA ingredients);
+//! * [`linear`] — Bayesian ridge regression (an IRPA ingredient);
 //! * [`tobit`] — censored (Tobit) regression, the core of TRIP;
 //! * [`features`] — the common [`Regressor`] trait and standard scaling;
 //! * [`linalg`] — the small dense solves the above need.
@@ -19,7 +19,6 @@ pub mod forest;
 pub mod kmeans;
 pub mod linalg;
 pub mod linear;
-pub mod metrics;
 pub mod reference;
 pub mod svr;
 pub mod tobit;
@@ -27,7 +26,6 @@ pub mod tobit;
 pub use features::{Regressor, StandardScaler};
 pub use forest::{DecisionTree, RandomForest};
 pub use kmeans::{elbow_k, KMeans};
-pub use linear::{BayesianRidge, Ridge};
-pub use metrics::{cross_validate, mae, r2, rmse, CvScore};
+pub use linear::BayesianRidge;
 pub use svr::{Kernel, Svr};
 pub use tobit::{CensoredSample, Tobit};

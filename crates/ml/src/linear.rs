@@ -1,69 +1,8 @@
-//! Linear models: ridge regression (closed form) and Bayesian ridge
-//! (evidence-maximization), both ingredients of the IRPA ensemble baseline.
+//! Bayesian ridge regression (evidence maximization), an ingredient of
+//! the IRPA ensemble baseline.
 
 use crate::features::Regressor;
 use crate::linalg::{cholesky_solve, dot, normal_equations};
-
-/// Ridge regression with an intercept, solved by the normal equations.
-#[derive(Clone, Debug)]
-pub struct Ridge {
-    /// L2 penalty.
-    pub alpha: f64,
-    weights: Vec<f64>,
-    intercept: f64,
-}
-
-impl Ridge {
-    /// Ridge with penalty `alpha`.
-    pub fn new(alpha: f64) -> Self {
-        Ridge {
-            alpha,
-            weights: Vec::new(),
-            intercept: 0.0,
-        }
-    }
-
-    /// Fitted coefficients (without intercept).
-    pub fn coefficients(&self) -> &[f64] {
-        &self.weights
-    }
-}
-
-impl Regressor for Ridge {
-    fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) {
-        assert_eq!(x.len(), y.len());
-        if x.is_empty() {
-            self.weights.clear();
-            self.intercept = 0.0;
-            return;
-        }
-        // Center y for a penalty-free intercept.
-        let y_mean = y.iter().sum::<f64>() / y.len() as f64;
-        let yc: Vec<f64> = y.iter().map(|v| v - y_mean).collect();
-        let d = x[0].len();
-        let x_mean: Vec<f64> = (0..d)
-            .map(|j| x.iter().map(|r| r[j]).sum::<f64>() / x.len() as f64)
-            .collect();
-        let xc: Vec<Vec<f64>> = x
-            .iter()
-            .map(|r| r.iter().zip(&x_mean).map(|(v, m)| v - m).collect())
-            .collect();
-        let (a, b) = normal_equations(&xc, &yc, self.alpha);
-        self.weights = cholesky_solve(&a, &b).unwrap_or_else(|| vec![0.0; d]);
-        self.intercept = y_mean - dot(&self.weights, &x_mean);
-    }
-
-    fn predict(&self, q: &[f64]) -> f64 {
-        if self.weights.is_empty() {
-            return self.intercept;
-        }
-        self.intercept + dot(&self.weights, q)
-    }
-
-    fn name(&self) -> &'static str {
-        "Ridge"
-    }
-}
 
 /// Bayesian ridge regression: the L2 penalty and noise precision are
 /// learned from the data by iterating the evidence-approximation updates
@@ -183,26 +122,6 @@ mod tests {
     }
 
     #[test]
-    fn ridge_recovers_coefficients() {
-        let (x, y) = linear_data(500, 0.01, 1);
-        let mut m = Ridge::new(1e-6);
-        m.fit(&x, &y);
-        assert!((m.coefficients()[0] - 3.0).abs() < 0.05);
-        assert!((m.coefficients()[1] + 2.0).abs() < 0.05);
-        assert!((m.predict(&[0.0, 0.0]) - 5.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn heavy_ridge_shrinks_weights() {
-        let (x, y) = linear_data(100, 0.01, 2);
-        let mut weak = Ridge::new(1e-6);
-        let mut strong = Ridge::new(1e6);
-        weak.fit(&x, &y);
-        strong.fit(&x, &y);
-        assert!(strong.coefficients()[0].abs() < weak.coefficients()[0].abs() / 10.0);
-    }
-
-    #[test]
     fn bayesian_ridge_close_to_truth() {
         let (x, y) = linear_data(400, 0.5, 3);
         let mut m = BayesianRidge::new();
@@ -214,9 +133,6 @@ mod tests {
 
     #[test]
     fn empty_fit_is_safe() {
-        let mut m = Ridge::new(1.0);
-        m.fit(&[], &[]);
-        assert_eq!(m.predict(&[1.0]), 0.0);
         let mut b = BayesianRidge::new();
         b.fit(&[], &[]);
         assert_eq!(b.predict(&[1.0]), 0.0);

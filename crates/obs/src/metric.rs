@@ -347,6 +347,33 @@ impl Histogram {
         self.count.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Add observations tallied elsewhere: `counts[i]` more values in
+    /// bucket `i` (one slot per bound plus the overflow bucket), summing
+    /// to `sum`. The result equals observing each value one by one.
+    ///
+    /// # Panics
+    /// If `counts` is not `bounds().len() + 1` long.
+    pub(crate) fn merge(&self, counts: &[u64], sum: u64) {
+        assert_eq!(counts.len(), self.counts.len(), "bucket count mismatch");
+        let mut count = 0u64;
+        for (cell, &c) in self.counts.iter().zip(counts) {
+            if c != 0 {
+                cell.fetch_add(c, Ordering::Relaxed);
+                count = count.wrapping_add(c);
+            }
+        }
+        self.sum.fetch_add(sum, Ordering::Relaxed);
+        self.count.fetch_add(count, Ordering::Relaxed);
+    }
+
+    /// The observation count and sum, without copying the buckets.
+    pub(crate) fn count_sum(&self) -> (u64, u64) {
+        (
+            self.count.load(Ordering::Relaxed),
+            self.sum.load(Ordering::Relaxed),
+        )
+    }
+
     /// The bucket bounds this histogram was built with.
     pub fn bounds(&self) -> &'static [u64] {
         self.bounds
@@ -460,6 +487,25 @@ mod tests {
         // Overflow observations still count toward quantiles, reported at
         // the last finite bound.
         assert_eq!(s.quantile_bound(0.99), Some(100));
+    }
+
+    #[test]
+    fn merge_equals_observing_one_by_one() {
+        const BOUNDS: &[u64] = &[10, 100];
+        let (one, bulk) = (Histogram::new(BOUNDS), Histogram::new(BOUNDS));
+        one.observe(3);
+        bulk.observe(3);
+        let values = [0u64, 10, 11, 100, 101, u64::MAX];
+        let mut counts = [0u64; 3];
+        let mut sum = 0u64;
+        for v in values {
+            one.observe(v);
+            counts[bucket_index(BOUNDS, v)] += 1;
+            sum = sum.wrapping_add(v);
+        }
+        bulk.merge(&counts, sum);
+        assert_eq!(bulk.snapshot(), one.snapshot());
+        assert_eq!(bulk.count_sum(), (7, 3u64.wrapping_add(sum)));
     }
 
     #[test]

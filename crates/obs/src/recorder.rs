@@ -49,7 +49,12 @@ struct FlightState {
     last_dump_t_us: AtomicU64,
 }
 
+/// Source of [`Shared::id`].
+static NEXT_SINK_ID: AtomicU64 = AtomicU64::new(0);
+
 struct Shared {
+    /// Tells this sink apart from every other one in the process.
+    id: u64,
     /// Whether `event`/`span` keep an unbounded trace (the flight ring,
     /// when configured, retains events regardless).
     record_events: bool,
@@ -71,6 +76,7 @@ struct Shared {
 impl Shared {
     fn new(record_events: bool, flight: Option<FlightConfig>) -> Self {
         Shared {
+            id: NEXT_SINK_ID.fetch_add(1, Ordering::Relaxed),
             record_events,
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             gauges: std::array::from_fn(|_| AtomicI64::new(0)),
@@ -208,6 +214,20 @@ impl Recorder {
         }
     }
 
+    /// Add histogram observations tallied elsewhere: `counts[i]` more
+    /// values in bucket `i` of `h`'s bounds (plus the overflow bucket),
+    /// summing to `sum` — the same state as observing each one. How a
+    /// transport that counts on its own hot path hands the totals over
+    /// before anyone reads them.
+    ///
+    /// # Panics
+    /// If `counts` is not `h.bounds().len() + 1` long.
+    pub fn merge_hist(&self, h: Hist, counts: &[u64], sum: u64) {
+        if let Some(s) = &self.0 {
+            s.hists[h as usize].merge(counts, sum);
+        }
+    }
+
     /// Register (or fetch) the labeled counter `id` and return its handle.
     /// Handles from a disabled recorder are inert.
     ///
@@ -279,6 +299,16 @@ impl Recorder {
                 .collect(),
             None => Vec::new(),
         }
+    }
+
+    /// The labeled registry held locked for one read pass, or `None` when
+    /// disabled. The sampler's per-tick path: it reads every value in
+    /// place, with no id cloned and no histogram bucket copied.
+    pub(crate) fn labeled_registry(&self) -> Option<LabeledRegistry<'_>> {
+        self.0.as_ref().map(|s| LabeledRegistry {
+            sink: s.id,
+            reg: s.labeled.lock(),
+        })
     }
 
     /// Record an instant event.
@@ -490,6 +520,15 @@ impl Recorder {
         }
     }
 
+    /// One histogram's observation count and sum, without copying its
+    /// buckets (the sampler records only these two).
+    pub(crate) fn hist_count_sum(&self, h: Hist) -> (u64, u64) {
+        match &self.0 {
+            Some(s) => s.hists[h as usize].count_sum(),
+            None => (0, 0),
+        }
+    }
+
     /// Snapshot every metric into a summary.
     pub fn summary(&self) -> MetricsSummary {
         MetricsSummary {
@@ -577,6 +616,44 @@ impl LabeledHist {
     pub fn snapshot(&self) -> Option<HistSnapshot> {
         self.0.as_ref().map(|h| h.snapshot())
     }
+}
+
+/// A locked view of a recorder's labeled registry (see
+/// [`Recorder::labeled_registry`]).
+pub(crate) struct LabeledRegistry<'a> {
+    /// The recorder's [`Shared::id`].
+    sink: u64,
+    reg: parking_lot::MutexGuard<'a, std::collections::BTreeMap<MetricId, LabeledCell>>,
+}
+
+impl LabeledRegistry<'_> {
+    /// Changes whenever the set of registered ids may have: the sink
+    /// tells recorders apart, and a registry only ever grows.
+    pub(crate) fn key(&self) -> (u64, usize) {
+        (self.sink, self.reg.len())
+    }
+
+    /// Every labeled metric in id order, histograms as `(count, sum)`.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&MetricId, LabeledRead)> {
+        self.reg.iter().map(|(id, cell)| {
+            let v = match cell {
+                LabeledCell::Counter(c) => LabeledRead::Counter(c.load(Ordering::Relaxed)),
+                LabeledCell::Gauge(g) => LabeledRead::Gauge(g.load(Ordering::Relaxed)),
+                LabeledCell::Hist(h) => {
+                    let (count, sum) = h.count_sum();
+                    LabeledRead::Hist { count, sum }
+                }
+            };
+            (id, v)
+        })
+    }
+}
+
+/// A labeled metric's value as the sampler records it.
+pub(crate) enum LabeledRead {
+    Counter(u64),
+    Gauge(i64),
+    Hist { count: u64, sum: u64 },
 }
 
 /// A point-in-time value of one labeled metric.

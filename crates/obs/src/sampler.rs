@@ -8,6 +8,13 @@
 //! counter/gauge/histogram and every labeled metric the paired
 //! [`Recorder`] holds. The store then feeds the CSV/Prometheus expositions
 //! and the `eslurm-cli diff` regression gate.
+//!
+//! A tick costs what it records. Each series is resolved to its store
+//! slot once — a footprint by `(node, family)`, the static metrics in
+//! `all()` order on the first snapshot, the labeled ones whenever the
+//! recorder's registry grows — and every later tick appends by index.
+//! Histograms are read as `(count, sum)` in place. A sampler with an end
+//! time knows its tick count and sizes each per-tick series for it once.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -16,12 +23,20 @@ use parking_lot::Mutex;
 use simclock::{SimSpan, SimTime};
 
 use crate::label::MetricId;
-use crate::recorder::{LabeledValue, Recorder};
+use crate::metric::{Counter, Gauge, Hist};
+use crate::recorder::{LabeledRead, Recorder};
 use crate::series::{SeriesStore, SeriesSummary};
+
+/// Most points a per-tick series reserves up front (1 MiB of points);
+/// a longer run grows the series as it goes.
+const MAX_RESERVED_TICKS: u64 = 1 << 16;
 
 struct SamplerShared {
     interval: SimSpan,
     until: Option<SimTime>,
+    /// Points each per-tick series reserves when created: the tick count
+    /// of an end-bounded sampler, else none.
+    ticks: usize,
     inner: Mutex<SamplerInner>,
 }
 
@@ -33,6 +48,16 @@ struct SamplerInner {
     /// byte-identical whether or not host-memory profiling ran.
     host_store: SeriesStore,
     node_names: BTreeMap<u32, String>,
+    /// Store slot of each `family{node=<name>}` footprint series.
+    node_slots: BTreeMap<(u32, &'static str), usize>,
+    /// Store slots of the static counters, gauges and histogram
+    /// `stat=count|sum` series, in `all()` order; empty before the first
+    /// snapshot.
+    static_slots: Vec<usize>,
+    /// Store slots of the labeled series in registry order (two per
+    /// histogram), and the registry key they were resolved against.
+    labeled_slots: Vec<usize>,
+    labeled_key: Option<(u64, usize)>,
 }
 
 /// Handle to a (possibly disabled) time-series sampling sink. Clones share
@@ -55,22 +80,26 @@ impl Sampler {
         Sampler(None)
     }
 
-    /// A sampler ticking every `interval` with no end time.
-    pub fn every(interval: SimSpan) -> Self {
+    fn build(interval: SimSpan, until: Option<SimTime>) -> Self {
+        let ticks = until.map_or(0, |u| {
+            (u.as_micros() / interval.as_micros().max(1)).min(MAX_RESERVED_TICKS) as usize
+        });
         Sampler(Some(Arc::new(SamplerShared {
             interval,
-            until: None,
+            until,
+            ticks,
             inner: Mutex::new(SamplerInner::default()),
         })))
     }
 
+    /// A sampler ticking every `interval` with no end time.
+    pub fn every(interval: SimSpan) -> Self {
+        Sampler::build(interval, None)
+    }
+
     /// A sampler ticking every `interval` until `until` (inclusive).
     pub fn every_until(interval: SimSpan, until: SimTime) -> Self {
-        Sampler(Some(Arc::new(SamplerShared {
-            interval,
-            until: Some(until),
-            inner: Mutex::new(SamplerInner::default()),
-        })))
+        Sampler::build(interval, Some(until))
     }
 
     /// Whether any sampling happens at all.
@@ -103,7 +132,10 @@ impl Sampler {
     /// `node=node0`). Drivers call this once at cluster build time.
     pub fn name_node(&self, id: u32, name: &str) {
         if let Some(s) = &self.0 {
-            s.inner.lock().node_names.insert(id, name.to_string());
+            let mut inner = s.inner.lock();
+            inner.node_names.insert(id, name.to_string());
+            // Later points go to the series under the new name.
+            inner.node_slots.retain(|&(node, _), _| node != id);
         }
     }
 
@@ -143,14 +175,8 @@ impl Sampler {
     pub fn record_node(&self, t: SimTime, id: u32, family: &'static str, value: f64) {
         if let Some(s) = &self.0 {
             let mut inner = s.inner.lock();
-            let name = inner
-                .node_names
-                .get(&id)
-                .cloned()
-                .unwrap_or_else(|| format!("node{id}"));
-            inner
-                .store
-                .record(MetricId::new(family).with("node", name), t, value);
+            let slot = inner.node_slot(id, family, s.ticks);
+            inner.store.push(slot, t.as_micros(), value);
         }
     }
 
@@ -164,34 +190,49 @@ impl Sampler {
             return;
         }
         let _mem = crate::alloc::tag_scope(crate::alloc::MemTag::Obs);
-        let mut inner = s.inner.lock();
+        let t_us = t.as_micros();
+        let mut guard = s.inner.lock();
+        let inner = &mut *guard;
         let store = &mut inner.store;
-        for c in crate::metric::Counter::all() {
-            store.record(MetricId::new(c.name()), t, rec.counter(c) as f64);
+        if inner.static_slots.is_empty() {
+            inner.static_slots = static_ids().map(|id| store.slot(id, s.ticks)).collect();
         }
-        for g in crate::metric::Gauge::all() {
-            store.record(MetricId::new(g.name()), t, rec.gauge(g) as f64);
+        let hists = Hist::all().map(|h| rec.hist_count_sum(h));
+        let values = Counter::all()
+            .map(|c| rec.counter(c) as f64)
+            .into_iter()
+            .chain(Gauge::all().map(|g| rec.gauge(g) as f64))
+            .chain(hists.iter().flat_map(|&(n, sum)| [n as f64, sum as f64]));
+        for (&slot, v) in inner.static_slots.iter().zip(values) {
+            store.push(slot, t_us, v);
         }
-        for h in crate::metric::Hist::all() {
-            let snap = rec.hist(h);
-            store.record(
-                MetricId::new(h.name()).with("stat", "count"),
-                t,
-                snap.count as f64,
-            );
-            store.record(
-                MetricId::new(h.name()).with("stat", "sum"),
-                t,
-                snap.sum as f64,
-            );
+
+        let Some(reg) = rec.labeled_registry() else {
+            return;
+        };
+        if inner.labeled_key != Some(reg.key()) {
+            inner.labeled_slots.clear();
+            for (id, v) in reg.iter() {
+                if let LabeledRead::Hist { .. } = v {
+                    for stat in ["count", "sum"] {
+                        let slot = store.slot(id.clone().with("stat", stat), s.ticks);
+                        inner.labeled_slots.push(slot);
+                    }
+                } else {
+                    inner.labeled_slots.push(store.slot(id.clone(), s.ticks));
+                }
+            }
+            inner.labeled_key = Some(reg.key());
         }
-        for (id, value) in rec.labeled_snapshot() {
-            match value {
-                LabeledValue::Counter(v) => store.record(id, t, v as f64),
-                LabeledValue::Gauge(v) => store.record(id, t, v as f64),
-                LabeledValue::Hist(snap) => {
-                    store.record(id.clone().with("stat", "count"), t, snap.count as f64);
-                    store.record(id.with("stat", "sum"), t, snap.sum as f64);
+        let mut slots = inner.labeled_slots.iter().copied();
+        let mut push = |v: f64| store.push(slots.next().expect("slot per series"), t_us, v);
+        for (_, v) in reg.iter() {
+            match v {
+                LabeledRead::Counter(c) => push(c as f64),
+                LabeledRead::Gauge(g) => push(g as f64),
+                LabeledRead::Hist { count, sum } => {
+                    push(count as f64);
+                    push(sum as f64);
                 }
             }
         }
@@ -237,6 +278,38 @@ impl Sampler {
             None => Vec::new(),
         }
     }
+}
+
+impl SamplerInner {
+    /// The store slot of `family{node=<name>}` for node `id`, resolved on
+    /// its first point.
+    fn node_slot(&mut self, id: u32, family: &'static str, capacity: usize) -> usize {
+        if let Some(&slot) = self.node_slots.get(&(id, family)) {
+            return slot;
+        }
+        let name = self
+            .node_names
+            .get(&id)
+            .cloned()
+            .unwrap_or_else(|| format!("node{id}"));
+        let slot = self
+            .store
+            .slot(MetricId::new(family).with("node", name), capacity);
+        self.node_slots.insert((id, family), slot);
+        slot
+    }
+}
+
+/// The ids of the static series a snapshot records, in `all()` order.
+fn static_ids() -> impl Iterator<Item = MetricId> {
+    let hists = Hist::all()
+        .into_iter()
+        .flat_map(|h| ["count", "sum"].map(|stat| MetricId::new(h.name()).with("stat", stat)));
+    Counter::all()
+        .map(|c| MetricId::new(c.name()))
+        .into_iter()
+        .chain(Gauge::all().map(|g| MetricId::new(g.name())))
+        .chain(hists)
 }
 
 #[cfg(test)]
@@ -299,6 +372,54 @@ mod tests {
             .get(&MetricId::new("queue_depth"))
             .expect("gauge series");
         assert_eq!(q[0].value, 2.0);
+    }
+
+    /// Resolved slots follow the registry as it grows and as the paired
+    /// recorder changes: each value lands in its own id's series.
+    #[test]
+    fn snapshot_slots_track_registry_growth_and_recorder() {
+        let s = Sampler::every(SimSpan::from_secs(1));
+        let rec = Recorder::metrics_only();
+        rec.labeled_counter(MetricId::new("b").with("k", "1"))
+            .add(5);
+        s.snapshot(SimTime::from_secs(1), &rec);
+        rec.labeled_gauge(MetricId::new("a").with("k", "1")).set(-3);
+        rec.labeled_hist(MetricId::new("h").with("k", "1"), &[10])
+            .observe(40);
+        s.snapshot(SimTime::from_secs(2), &rec);
+        // Another recorder with as many labeled ids, all different.
+        let other = Recorder::metrics_only();
+        for name in ["c", "d", "e"] {
+            other.labeled_counter(MetricId::new(name)).add(9);
+        }
+        s.snapshot(SimTime::from_secs(3), &other);
+        let store = s.store();
+        let values = |id: MetricId| -> Vec<(u64, f64)> {
+            let pts = store.get(&id).unwrap_or_else(|| panic!("{id} missing"));
+            pts.iter().map(|p| (p.t_us / 1_000_000, p.value)).collect()
+        };
+        assert_eq!(
+            values(MetricId::new("b").with("k", "1")),
+            [(1, 5.0), (2, 5.0)]
+        );
+        assert_eq!(values(MetricId::new("a").with("k", "1")), [(2, -3.0)]);
+        let h = || MetricId::new("h").with("k", "1");
+        assert_eq!(values(h().with("stat", "count")), [(2, 1.0)]);
+        assert_eq!(values(h().with("stat", "sum")), [(2, 40.0)]);
+        assert_eq!(values(MetricId::new("e")), [(3, 9.0)]);
+        assert_eq!(values(MetricId::new("msgs_sent")).len(), 3);
+    }
+
+    #[test]
+    fn renaming_a_node_starts_a_new_series() {
+        let s = Sampler::every(SimSpan::from_secs(1));
+        s.record_node(SimTime::from_secs(1), 4, "footprint_sockets", 1.0);
+        s.name_node(4, "sat1");
+        s.record_node(SimTime::from_secs(2), 4, "footprint_sockets", 2.0);
+        let store = s.store();
+        let id = |name: &str| MetricId::new("footprint_sockets").with("node", name);
+        assert_eq!(store.get(&id("node4")).map(<[_]>::len), Some(1));
+        assert_eq!(store.get(&id("sat1")).map(<[_]>::len), Some(1));
     }
 
     #[test]

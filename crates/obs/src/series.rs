@@ -2,13 +2,18 @@
 //! and the run-diff comparison used as a regression gate.
 //!
 //! A [`SeriesStore`] maps a [`MetricId`] to its sampled points in time
-//! order. Everything downstream is deterministic: the store iterates in
-//! id order (a `BTreeMap`), values render with Rust's shortest-round-trip
+//! order. Each series lives in a numbered *slot*: the id → slot map gives
+//! the id order every reader walks, and a writer that resolved its slot
+//! once (the [`crate::Sampler`] does, per footprint family and per
+//! recorder metric) appends by index, with no id built, compared or
+//! dropped per point. Everything downstream is deterministic: the store
+//! iterates in id order, values render with Rust's shortest-round-trip
 //! `f64` formatting, and the CSV writer quotes fields RFC-4180 style — so
-//! two same-seed runs produce byte-identical files and
-//! [`compare_csv`] of a run against itself is always empty.
+//! two same-seed runs produce byte-identical files and [`compare_csv`] of
+//! a run against itself is always empty.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use simclock::SimTime;
 
@@ -26,7 +31,10 @@ pub struct SeriesPoint {
 /// Time series keyed by metric id, in deterministic (id) order.
 #[derive(Clone, Debug, Default)]
 pub struct SeriesStore {
-    series: BTreeMap<MetricId, Vec<SeriesPoint>>,
+    /// Id → slot in `points`, in the id order every reader sees.
+    index: BTreeMap<MetricId, usize>,
+    /// The points of each slot, in time order.
+    points: Vec<Vec<SeriesPoint>>,
 }
 
 impl SeriesStore {
@@ -37,62 +45,100 @@ impl SeriesStore {
 
     /// Append one point to `id`'s series.
     pub fn record(&mut self, id: MetricId, t: SimTime, value: f64) {
-        self.series.entry(id).or_default().push(SeriesPoint {
-            t_us: t.as_micros(),
-            value,
-        });
+        let slot = self.slot(id, 0);
+        self.push(slot, t.as_micros(), value);
+    }
+
+    /// The slot of `id`'s series. A series created here reserves room for
+    /// `capacity` points, so a writer that knows its point count sizes it
+    /// once.
+    pub(crate) fn slot(&mut self, id: MetricId, capacity: usize) -> usize {
+        let points = &mut self.points;
+        *self.index.entry(id).or_insert_with(|| {
+            points.push(Vec::with_capacity(capacity));
+            points.len() - 1
+        })
+    }
+
+    /// Append one point to the series in `slot`. Points arrive in time
+    /// order; readers rely on it to find a window by binary search.
+    pub(crate) fn push(&mut self, slot: usize, t_us: u64, value: f64) {
+        let pts = &mut self.points[slot];
+        debug_assert!(
+            pts.last().is_none_or(|p| p.t_us <= t_us),
+            "series point at {t_us} µs precedes the last one"
+        );
+        pts.push(SeriesPoint { t_us, value });
     }
 
     /// The points recorded for `id`, if any.
     pub fn get(&self, id: &MetricId) -> Option<&[SeriesPoint]> {
-        self.series.get(id).map(|v| v.as_slice())
+        self.index.get(id).map(|&s| self.points[s].as_slice())
     }
 
     /// Iterate `(id, points)` in id order.
     pub fn iter(&self) -> impl Iterator<Item = (&MetricId, &[SeriesPoint])> {
-        self.series.iter().map(|(k, v)| (k, v.as_slice()))
+        self.index
+            .iter()
+            .map(|(id, &s)| (id, self.points[s].as_slice()))
     }
 
     /// Number of distinct series.
     pub fn len(&self) -> usize {
-        self.series.len()
+        self.index.len()
     }
 
     /// Whether the store holds no series at all.
     pub fn is_empty(&self) -> bool {
-        self.series.is_empty()
+        self.index.is_empty()
     }
 
     /// Total points across all series.
     pub fn n_points(&self) -> usize {
-        self.series.values().map(Vec::len).sum()
+        self.points.iter().map(Vec::len).sum()
     }
 
     /// Merge another store into this one (points append in time order as
     /// long as both stores were recorded in time order).
     pub fn merge(&mut self, other: &SeriesStore) {
-        for (id, pts) in &other.series {
-            self.series
-                .entry(id.clone())
-                .or_default()
-                .extend(pts.iter().copied());
+        for (id, pts) in other.iter() {
+            let slot = self.slot(id.clone(), 0);
+            self.points[slot].extend_from_slice(pts);
         }
     }
 
     /// Render the store as CSV: header `metric,t_us,value`, one row per
     /// point, series in id order. The metric column is the Prometheus-style
     /// rendering of the id, quoted when it contains a comma or quote.
+    ///
+    /// One buffer, sized up front from the rendered names and the point
+    /// counts; every cell is written straight into it.
     pub fn to_csv(&self) -> String {
-        let mut out = String::with_capacity(32 + self.n_points() * 32);
-        out.push_str("metric,t_us,value\n");
-        for (id, pts) in &self.series {
-            let name = csv_field(&id.prom());
-            for p in pts {
-                out.push_str(&name);
+        const HEADER: &str = "metric,t_us,value\n";
+        let series: Vec<(String, &[SeriesPoint])> = self
+            .iter()
+            .map(|(id, pts)| (csv_field(&id.prom()), pts))
+            .collect();
+        // Two commas and a newline, the widest `t_us` of the series, and a
+        // value as wide as most shortest-round-trip renderings.
+        let row = |name: &str, pts: &[SeriesPoint]| {
+            let t_width = pts.last().map_or(1, |p| decimal_width(p.t_us));
+            name.len() + 3 + t_width + 20
+        };
+        let capacity = HEADER.len()
+            + series
+                .iter()
+                .map(|(name, pts)| pts.len() * row(name, pts))
+                .sum::<usize>();
+        let mut out = String::with_capacity(capacity);
+        out.push_str(HEADER);
+        for (name, pts) in &series {
+            for p in *pts {
+                out.push_str(name);
                 out.push(',');
-                out.push_str(&p.t_us.to_string());
+                let _ = write!(out, "{}", p.t_us);
                 out.push(',');
-                out.push_str(&fmt_value(p.value));
+                push_value(&mut out, p.value);
                 out.push('\n');
             }
         }
@@ -101,25 +147,31 @@ impl SeriesStore {
 
     /// Per-series summaries, in id order.
     pub fn summaries(&self) -> Vec<(MetricId, SeriesSummary)> {
-        self.series
-            .iter()
+        self.iter()
             .map(|(id, pts)| (id.clone(), SeriesSummary::of(pts.iter().map(|p| p.value))))
             .collect()
     }
 }
 
-/// Deterministic `f64` rendering for exports: finite values use Rust's
-/// shortest round-trip formatting; NaN/inf are clamped to literal names.
-fn fmt_value(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else if v.is_nan() {
-        "NaN".to_string()
-    } else if v > 0.0 {
-        "inf".to_string()
+/// Number of decimal digits of `n`.
+fn decimal_width(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// Append `v` exactly as `format!("{v}")` renders it — shortest
+/// round-trip digits, `NaN`, `inf`, `-inf` — for deterministic exports.
+///
+/// An integral value below 2⁵³ in magnitude takes the (twice as fast)
+/// integer path: every integer in that range is exactly representable
+/// with an ulp of at most one, so its shortest round-trip digits are the
+/// integer's own. −0.0 stays on the float path, which keeps its sign.
+fn push_value(out: &mut String, v: f64) {
+    const EXACT: f64 = (1u64 << 53) as f64;
+    let _ = if v.fract() == 0.0 && v.abs() < EXACT && !(v == 0.0 && v.is_sign_negative()) {
+        write!(out, "{}", v as i64)
     } else {
-        "-inf".to_string()
-    }
+        write!(out, "{v}")
+    };
 }
 
 /// Quote a CSV field RFC-4180 style when it contains a comma, quote, or
@@ -447,9 +499,159 @@ pub fn compare_csv(a: &str, b: &str, opts: &DiffOptions) -> Result<DiffReport, S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
+    }
+
+    /// The value renderer the CSV writer had before it wrote into one
+    /// buffer, kept as its oracle.
+    fn fmt_value(v: f64) -> String {
+        if v.is_finite() {
+            format!("{v}")
+        } else if v.is_nan() {
+            "NaN".to_string()
+        } else if v > 0.0 {
+            "inf".to_string()
+        } else {
+            "-inf".to_string()
+        }
+    }
+
+    /// The CSV rendering `to_csv` had before, row by row through
+    /// `to_string`: the oracle the one-buffer writer is held to.
+    fn oracle_csv(store: &SeriesStore) -> String {
+        let mut out = String::new();
+        out.push_str("metric,t_us,value\n");
+        for (id, pts) in store.iter() {
+            let name = csv_field(&id.prom());
+            for p in pts {
+                out.push_str(&name);
+                out.push(',');
+                out.push_str(&p.t_us.to_string());
+                out.push(',');
+                out.push_str(&fmt_value(p.value));
+                out.push('\n');
+            }
+        }
+        out
+    }
+
+    /// One series holding `points` (sorted by time) under `id`.
+    fn store_of(id: MetricId, points: &mut [(u64, f64)]) -> SeriesStore {
+        points.sort_by_key(|&(t_us, _)| t_us);
+        let mut store = SeriesStore::new();
+        let slot = store.slot(id, 0);
+        for &(t_us, v) in points.iter() {
+            store.push(slot, t_us, v);
+        }
+        store
+    }
+
+    /// Values where a fast path would most plausibly part ways with the
+    /// float formatter: signed zeros, NaN payloads, infinities,
+    /// subnormals, the 2⁵³ edge and large round integers.
+    #[test]
+    fn csv_values_match_the_float_formatter_at_the_edges() {
+        let two53 = (1u64 << 53) as f64;
+        let mut values = vec![
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0xfff8_dead_beef_0001),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+            0.1,
+            1.5,
+            -2.5,
+            1e21,
+            1e-7,
+        ];
+        for d in [-2.0, -1.0, 0.0, 1.0, 2.0] {
+            values.push(two53 + d);
+            values.push(-(two53 + d));
+        }
+        for e in 15..=17 {
+            let p = 10f64.powi(e);
+            values.extend([p, p - 1.0, p + 1.0, -p, 3.0 * p + 7.0]);
+        }
+        let mut points: Vec<(u64, f64)> = values
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (i as u64, v))
+            .collect();
+        points.push((u64::MAX, 42.0));
+        let store = store_of(MetricId::new("edge"), &mut points);
+        assert_eq!(store.to_csv(), oracle_csv(&store));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary `f64` bit patterns (NaNs, subnormals and infinities
+        /// included), integers from 1e15 to 1e17 of either sign, and
+        /// arbitrary `u64` times under metric names that need RFC-4180
+        /// quoting: the one-buffer writer is byte-equal to the oracle.
+        #[test]
+        fn csv_writer_is_byte_equal_to_the_oracle(
+            raw in prop::collection::vec((any::<u64>(), any::<u64>(), 0u8..4), 0..40),
+            big in prop::collection::vec(1_000_000_000_000_000u64..=100_000_000_000_000_000, 4),
+            label in prop::sample::select(&["plain", "a,b", "say \"hi\"", "back\\slash", "two\nlines"][..]),
+        ) {
+            let mut points: Vec<(u64, f64)> = raw
+                .iter()
+                .map(|&(t_us, bits, kind)| {
+                    let v = match kind {
+                        0 => f64::from_bits(bits),
+                        1 => (bits >> 11) as f64 - (1u64 << 52) as f64,
+                        2 => big[(bits % 4) as usize] as f64,
+                        _ => -(big[(bits % 4) as usize] as f64),
+                    };
+                    (t_us, v)
+                })
+                .collect();
+            let id = MetricId::new("footprint_sockets").with("node", label);
+            let mut store = store_of(id, &mut points);
+            store.record(MetricId::new("zz_tail"), SimTime(raw.len() as u64), -0.0);
+            prop_assert_eq!(store.to_csv(), oracle_csv(&store));
+        }
+    }
+
+    #[test]
+    fn slots_keep_id_order_and_points() {
+        let mut store = SeriesStore::new();
+        let z = store.slot(MetricId::new("zzz"), 8);
+        let a = store.slot(MetricId::new("aaa"), 0);
+        assert_eq!(store.slot(MetricId::new("zzz"), 0), z, "one slot per id");
+        store.push(z, 1, 1.0);
+        store.push(a, 1, 2.0);
+        store.record(MetricId::new("zzz"), SimTime(2), 3.0);
+        let names: Vec<&str> = store.iter().map(|(id, _)| id.name()).collect();
+        assert_eq!(names, vec!["aaa", "zzz"]);
+        let zzz = store.get(&MetricId::new("zzz")).expect("series");
+        assert_eq!(zzz.iter().map(|p| p.value).collect::<Vec<_>>(), [1.0, 3.0]);
+        assert_eq!((store.len(), store.n_points()), (2, 3));
+        let mut merged = SeriesStore::new();
+        merged.merge(&store);
+        assert_eq!(merged.to_csv(), store.to_csv());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "precedes the last one")]
+    fn a_point_back_in_time_is_refused() {
+        let mut store = SeriesStore::new();
+        store.record(MetricId::new("m"), t(2), 1.0);
+        store.record(MetricId::new("m"), t(1), 1.0);
     }
 
     #[test]

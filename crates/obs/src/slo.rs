@@ -41,6 +41,7 @@ use crate::label::MetricId;
 use crate::metric::{Gauge, Hist};
 use crate::recorder::Recorder;
 use crate::sampler::Sampler;
+use crate::series::SeriesPoint;
 
 /// Chrome-trace process id for the SLO breach track. Virtual-time lanes
 /// use pid 0 (nodes) and pid 1 (jobs); pid 2 stays unused so exports
@@ -587,9 +588,8 @@ impl SloEngine {
                 let fresh = sampler.with_store(|store| {
                     let pts = store.get(&an.spec.id)?;
                     // Consume only samples newer than the high-water mark.
-                    let newer: Vec<(u64, f64)> = pts
+                    let newer: Vec<(u64, f64)> = newer_than(pts, an.consumed_to)
                         .iter()
-                        .filter(|p| an.consumed_to.is_none_or(|hw| p.t_us > hw))
                         .map(|p| (p.t_us, p.value))
                         .collect();
                     (!newer.is_empty()).then_some(newer)
@@ -724,9 +724,8 @@ fn sample_signal(
             sampler
                 .with_store(|store| {
                     let pts = store.get(id)?;
-                    let mut vals: Vec<f64> = pts
+                    let mut vals: Vec<f64> = window(pts, t_us, window_us)
                         .iter()
-                        .filter(|p| p.t_us <= t_us && t_us.saturating_sub(p.t_us) <= window_us)
                         .map(|p| p.value)
                         .collect();
                     stat.reduce(&mut vals)
@@ -736,6 +735,23 @@ fn sample_signal(
         SloSignal::HistQuantile { hist, q } => rec.hist(*hist).quantile_bound(*q).map(|b| b as f64),
         SloSignal::GaugeValue { gauge } => Some(rec.gauge(*gauge) as f64),
     }
+}
+
+/// The points of a time-ordered series inside the window
+/// `[t_us − window_us, t_us]`, found by binary search rather than a scan
+/// from the run's start.
+fn window(pts: &[SeriesPoint], t_us: u64, window_us: u64) -> &[SeriesPoint] {
+    let from = t_us.saturating_sub(window_us);
+    let lo = pts.partition_point(|p| p.t_us < from);
+    let hi = pts.partition_point(|p| p.t_us <= t_us);
+    &pts[lo..hi]
+}
+
+/// The points of a time-ordered series after the high-water mark `hw`
+/// (all of them when nothing was consumed yet).
+fn newer_than(pts: &[SeriesPoint], hw: Option<u64>) -> &[SeriesPoint] {
+    let from = hw.map_or(0, |hw| pts.partition_point(|p| p.t_us <= hw));
+    &pts[from..]
 }
 
 /// Frozen per-spec numbers from an [`SloEngine::report`] snapshot.
@@ -946,6 +962,42 @@ fn fmt_f64(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The binary-searched window and high-water slices select exactly
+        /// the points the whole-series scans they replace selected.
+        #[test]
+        fn windowed_reads_match_the_rescan(
+            times in prop::collection::vec(0u64..200, 0..60),
+            t_us in 0u64..260,
+            window_us in 0u64..120,
+            hw in (0u64..220, any::<bool>()),
+        ) {
+            let mut times = times;
+            times.sort_unstable();
+            let pts: Vec<SeriesPoint> = times
+                .iter()
+                .enumerate()
+                .map(|(i, &t)| SeriesPoint { t_us: t, value: i as f64 })
+                .collect();
+            let scanned: Vec<SeriesPoint> = pts
+                .iter()
+                .filter(|p| p.t_us <= t_us && t_us.saturating_sub(p.t_us) <= window_us)
+                .copied()
+                .collect();
+            prop_assert_eq!(window(&pts, t_us, window_us), &scanned[..]);
+            let hw = hw.1.then_some(hw.0);
+            let scanned: Vec<SeriesPoint> = pts
+                .iter()
+                .filter(|p| hw.is_none_or(|hw| p.t_us > hw))
+                .copied()
+                .collect();
+            prop_assert_eq!(newer_than(&pts, hw), &scanned[..]);
+        }
+    }
 
     fn tick(engine: &SloEngine, rec: &Recorder, t_s: u64) {
         engine.evaluate(SimTime::from_secs(t_s), rec, &Sampler::disabled());

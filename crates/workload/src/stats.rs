@@ -227,39 +227,6 @@ pub fn size_histogram(jobs: &[Job]) -> Vec<(u32, usize)> {
     buckets
 }
 
-/// Offered node-load over time: the fraction of `capacity` node-seconds
-/// demanded in each `bucket`-long window (assuming immediate starts). The
-/// input to sizing saturating replays.
-pub fn offered_load_profile(jobs: &[Job], capacity: u32, bucket: SimSpan) -> Vec<(u64, f64)> {
-    if jobs.is_empty() || capacity == 0 || bucket.as_secs() == 0 {
-        return Vec::new();
-    }
-    let end = jobs
-        .iter()
-        .map(|j| (j.submit + j.actual_runtime).as_secs())
-        .max()
-        .unwrap_or(0);
-    let nb = (end / bucket.as_secs() + 1) as usize;
-    let mut demand = vec![0.0f64; nb];
-    for j in jobs {
-        // Spread the job's node-seconds across the buckets it spans.
-        let start = j.submit.as_secs();
-        let finish = (j.submit + j.actual_runtime).as_secs();
-        let (b0, b1) = (start / bucket.as_secs(), finish / bucket.as_secs());
-        for b in b0..=b1.min(nb as u64 - 1) {
-            let w_start = (b * bucket.as_secs()).max(start);
-            let w_end = ((b + 1) * bucket.as_secs()).min(finish.max(w_start));
-            demand[b as usize] += j.nodes as f64 * (w_end - w_start) as f64;
-        }
-    }
-    let denom = capacity as f64 * bucket.as_secs() as f64;
-    demand
-        .into_iter()
-        .enumerate()
-        .map(|(b, d)| (b as u64 * bucket.as_secs(), d / denom))
-        .collect()
-}
-
 /// Summary statistics of a trace, for reports and sanity checks.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceSummary {
@@ -403,21 +370,6 @@ mod tests {
         let total: usize = h.iter().map(|(_, c)| c).sum();
         assert_eq!(total, 4);
         assert!(h.last().unwrap().0 >= 100);
-    }
-
-    #[test]
-    fn offered_load_matches_hand_computation() {
-        // One 10-node job running 100 s from t=0 on a 20-node cluster:
-        // 50 % load in the first 100 s bucket.
-        let mut j = mk("a", 1, 0, 100, None);
-        j.nodes = 10;
-        let profile = offered_load_profile(&[j], 20, SimSpan::from_secs(100));
-        assert!((profile[0].1 - 0.5).abs() < 1e-9, "{profile:?}");
-    }
-
-    #[test]
-    fn offered_load_empty_inputs() {
-        assert!(offered_load_profile(&[], 10, SimSpan::from_secs(60)).is_empty());
     }
 
     #[test]

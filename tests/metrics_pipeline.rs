@@ -2,7 +2,10 @@
 //! hold end-to-end on a real emulated run — strictly well-formed Prometheus
 //! text, CSV that round-trips through the regression gate with a zero
 //! self-diff, byte-identical CSV for identical seeds, and a flight ring
-//! that auto-dumps the moment a node dies.
+//! that auto-dumps the moment a node dies — and the bytes of all three
+//! exports pinned, so a cheaper recording path cannot drift them.
+
+mod common;
 
 use eslurm_suite::eslurm::prelude::*;
 use eslurm_suite::obs::{compare_csv, export, DiffOptions, FlightConfig, MetricId, Sampler};
@@ -185,6 +188,64 @@ fn same_seed_runs_emit_byte_identical_csv() {
         c.to_csv(),
         "different seeds should visibly differ"
     );
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `(series CSV, Prometheus text, summary JSON, send-metric series)`
+/// hashes of the common faulted scenario, sampled at 1 Hz. The last hash
+/// covers the per-tick `msgs_sent`, `bytes_sent` and
+/// `hop_latency_us{stat=count|sum}` points, the metrics the engine tallies
+/// per shard and hands the recorder before each sampling tick.
+fn export_hashes(shards: usize) -> [u64; 4] {
+    let run = common::sampled_run(shards, Recorder::metrics_only, |b| b);
+    let store = run.sampler.store();
+    let hop = || MetricId::new("hop_latency_us");
+    let mut sends = Vec::new();
+    for id in [
+        MetricId::new("msgs_sent"),
+        MetricId::new("bytes_sent"),
+        hop().with("stat", "count"),
+        hop().with("stat", "sum"),
+    ] {
+        let pts = store.get(&id).expect("send metric sampled");
+        assert_eq!(pts.len(), 300, "{id}: one point per tick");
+        for p in pts {
+            sends.extend(p.t_us.to_le_bytes());
+            sends.extend(p.value.to_bits().to_le_bytes());
+        }
+    }
+    [
+        fnv1a(run.sampler.to_csv().as_bytes()),
+        fnv1a(export::to_prometheus(&run.rec).as_bytes()),
+        fnv1a(export::summary_to_json(&run.rec.summary()).as_bytes()),
+        fnv1a(&sends),
+    ]
+}
+
+/// The export bytes of a sampled run, pinned at 1 and 4 shards: series
+/// id order, every rendered value, and send metrics that reach the
+/// recorder before each tick reads it and before the run returns.
+#[test]
+fn sampled_exports_match_the_pinned_hashes() {
+    const PINNED: [u64; 4] = [
+        0x8d54_3ed9_6fce_710f,
+        0xf7a3_85a9_d2a8_de83,
+        0x32bc_db2b_8d27_3b1a,
+        0x6446_1a5d_87fc_1042,
+    ];
+    for shards in [1, 4] {
+        let got = export_hashes(shards);
+        assert_eq!(
+            got, PINNED,
+            "{shards} shard(s): got {got:x?}, pinned {PINNED:x?}"
+        );
+    }
 }
 
 #[test]
