@@ -15,14 +15,14 @@ use monitoring::FailurePredictor;
 use obs::{EventKind, Hist, Recorder, TraceContext};
 use rm::proto::{CtlKind, NodeSlice, RmMsg};
 use simclock::{SimSpan, SimTime};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::{Arc, Mutex};
-use topology::fptree::rearrange_into;
-use topology::split_balanced;
+use topology::balanced_chunks;
+use topology::fptree::{rearrange_sorted_into, sorted_suspects};
 
 /// Aggregate FP-Tree construction statistics (the paper's "FP-tree node
 /// placement" evaluation: 81.7 % of failed nodes placed on leaves).
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FpPlacementStats {
     /// FP-Trees constructed.
     pub trees: u64,
@@ -35,6 +35,27 @@ pub struct FpPlacementStats {
 }
 
 impl FpPlacementStats {
+    /// Append `list` to `out` rearranged so that `suspects` sit on leaves
+    /// of the width-`w` tree (the FP-Tree), and count the tree and where
+    /// its suspects landed.
+    fn arrange(&mut self, list: &[u32], suspects: &HashSet<u32>, w: usize, out: &mut Vec<u32>) {
+        self.trees += 1;
+        self.total_nodes += list.len() as u64;
+        let suspects = sorted_suspects(suspects);
+        let start = out.len();
+        rearrange_sorted_into(list, &suspects, w, out);
+        if suspects.is_empty() {
+            return;
+        }
+        let leaves = topology::leaf_positions(list.len(), w);
+        for (node, leaf) in out[start..].iter().zip(leaves) {
+            if suspects.binary_search(node).is_ok() {
+                self.suspects_seen += 1;
+                self.suspects_on_leaves += u64::from(leaf);
+            }
+        }
+    }
+
     /// Fraction of suspects placed on leaves (1.0 when none were seen).
     pub fn placement_ratio(&self) -> f64 {
         if self.suspects_seen == 0 {
@@ -212,25 +233,15 @@ impl SatelliteDaemon {
         // in a recycled buffer keeps the per-task allocation out of the
         // DES hot path.
         let mut arranged = NodeSlice::recycled_buf();
-        rearrange_into(t.list.nodes(), &suspects, w, &mut arranged);
-        let leaves = topology::leaf_positions(arranged.len(), w);
-        self.fp_stats.trees += 1;
-        self.fp_stats.total_nodes += arranged.len() as u64;
-        for (pos, node) in arranged.iter().enumerate() {
-            if suspects.contains(node) {
-                self.fp_stats.suspects_seen += 1;
-                if leaves[pos] {
-                    self.fp_stats.suspects_on_leaves += 1;
-                }
-            }
-        }
+        self.fp_stats
+            .arrange(t.list.nodes(), &suspects, w, &mut arranged);
         let arranged = NodeSlice::new(arranged);
         let k = if arranged.len() < w {
             arranged.len()
         } else {
             w
         };
-        let chunks = split_balanced(arranged.len(), k);
+        let chunks = balanced_chunks(arranged.len(), k);
         t.expected = chunks.len() as u32;
         t.relayed_at = ctx.now();
         let (job, kind) = (t.job, t.kind);
@@ -623,5 +634,65 @@ mod tests {
         assert_eq!(sat.fp_stats.suspects_seen, 1);
         assert_eq!(sat.fp_stats.suspects_on_leaves, 1);
         assert_eq!(sat.fp_stats.placement_ratio(), 1.0);
+    }
+
+    /// The placement as first written: set lookups through
+    /// `rearrange_into`, and a second `leaf_positions` for every tree.
+    fn arrange_reference(
+        stats: &mut FpPlacementStats,
+        list: &[u32],
+        suspects: &HashSet<u32>,
+        w: usize,
+        out: &mut Vec<u32>,
+    ) {
+        topology::fptree::rearrange_into(list, suspects, w, out);
+        let leaves = topology::leaf_positions(out.len(), w);
+        stats.trees += 1;
+        stats.total_nodes += out.len() as u64;
+        for (pos, node) in out.iter().enumerate() {
+            if suspects.contains(node) {
+                stats.suspects_seen += 1;
+                if leaves[pos] {
+                    stats.suspects_on_leaves += 1;
+                }
+            }
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+            /// A satellite's run of FP-Trees against the set-lookup
+            /// placement: the same relay lists and the same statistics,
+            /// for suspect sets from empty to dense, some outside the list.
+            #[test]
+            fn arrange_matches_the_set_lookup_placement(
+                tasks in prop::collection::vec(
+                    (0u32..200, 2usize..34, 1u32..30, 0u32..4099, 0u32..3),
+                    1..6,
+                )
+            ) {
+                let mut got = FpPlacementStats::default();
+                let mut want = FpPlacementStats::default();
+                for (len, w, every, offset, extra) in tasks {
+                    let list: Vec<u32> = (0..len).map(|i| 2 + (offset + i * 13) % 4099).collect();
+                    // `every` past 20 leaves the set empty.
+                    let suspects: HashSet<u32> = list
+                        .iter()
+                        .copied()
+                        .filter(|n| every <= 20 && n % every == 0)
+                        .chain((0..extra).map(|i| 9_000 + i))
+                        .collect();
+                    let (mut a, mut b) = (Vec::new(), Vec::new());
+                    got.arrange(&list, &suspects, w, &mut a);
+                    arrange_reference(&mut want, &list, &suspects, w, &mut b);
+                    prop_assert_eq!(a, b);
+                    prop_assert_eq!(got, want);
+                }
+            }
+        }
     }
 }

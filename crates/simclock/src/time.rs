@@ -129,9 +129,30 @@ impl SimSpan {
         self.0 / 1_000_000
     }
 
-    /// Checked scale by a non-negative float (used for jitter).
+    /// Checked scale by a non-negative float (used for jitter), rounded
+    /// half away from zero.
+    #[inline]
     pub fn mul_f64(self, k: f64) -> Self {
-        SimSpan((self.0 as f64 * k.max(0.0)).round() as u64)
+        SimSpan(round_to_u64(self.0 as f64 * k.max(0.0)))
+    }
+}
+
+/// `x.round() as u64`, in integer arithmetic where that is exact. On an
+/// x86-64 baseline without SSE4.1, `f64::round` is a call into libm, and
+/// every DES send scales three spans.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    // 2^52: from here up every f64 is a multiple of 1/2 or coarser.
+    const EXACT_BELOW: f64 = 4_503_599_627_370_496.0;
+    if (0.0..EXACT_BELOW).contains(&x) {
+        // `x` and its truncation `i` are both zero or within a factor of
+        // two of each other, so `x - i` is exact: x's fraction. (Through
+        // `i64`: one instruction each way, where `u64` takes a sequence.)
+        let i = x as i64;
+        (i + i64::from(x - i as f64 >= 0.5)) as u64
+    } else {
+        // NaN, infinities and large values: `as` saturates them as before.
+        x.round() as u64
     }
 }
 
@@ -251,6 +272,65 @@ mod tests {
     fn mul_f64_rounds_and_clamps() {
         assert_eq!(SimSpan::from_secs(2).mul_f64(1.25).as_micros(), 2_500_000);
         assert_eq!(SimSpan::from_secs(2).mul_f64(-1.0), SimSpan::ZERO);
+    }
+
+    #[test]
+    fn integer_rounding_matches_f64_round_at_the_edges() {
+        let two52 = 4_503_599_627_370_496.0f64;
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            two52 - 1.0,
+            two52 - 0.5,
+            two52,
+            two52 + 1.0,
+            2.0 * two52,
+            1e300,
+            f64::INFINITY,
+            f64::NAN,
+            -0.5,
+            -3.0,
+        ];
+        for k in [0.0f64, 1.0, 2.0, 41.0, 1e6, 1e15] {
+            let half = k + 0.5;
+            xs.extend([half, half.next_down(), half.next_up(), k.next_up()]);
+        }
+        for x in xs {
+            assert_eq!(round_to_u64(x), x.round() as u64, "x = {x:e}");
+        }
+        assert_eq!(SimSpan(0).mul_f64(f64::INFINITY), SimSpan::ZERO, "0 × ∞");
+        assert_eq!(SimSpan(3).mul_f64(f64::INFINITY), SimSpan(u64::MAX));
+        assert_eq!(
+            SimSpan(3).mul_f64(0.5),
+            SimSpan(2),
+            "half rounds away from zero"
+        );
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(4096))]
+            /// `mul_f64` against its `f64::round` definition, over spans
+            /// of every magnitude and factors both in the jitter range and
+            /// drawn from arbitrary bit patterns.
+            #[test]
+            fn mul_f64_matches_f64_round(
+                span in any::<u64>(),
+                shift in 0u32..64,
+                jitter in 0.0f64..4.0,
+                bits in any::<u64>(),
+            ) {
+                let span = span >> shift;
+                for k in [jitter, f64::from_bits(bits)] {
+                    let want = (span as f64 * k.max(0.0)).round() as u64;
+                    prop_assert_eq!(SimSpan(span).mul_f64(k).0, want, "{} × {:e}", span, k);
+                }
+            }
+        }
     }
 
     #[test]

@@ -32,26 +32,35 @@ pub fn rearrange(nodelist: &[u32], suspects: &HashSet<u32>, w: usize) -> Vec<u32
 /// so hot relay loops can reuse one allocation across many trees — the
 /// same contract as [`crate::tree::split_balanced_into`].
 pub fn rearrange_into(nodelist: &[u32], suspects: &HashSet<u32>, w: usize, out: &mut Vec<u32>) {
+    rearrange_sorted_into(nodelist, &sorted_suspects(suspects), w, out);
+}
+
+/// The suspect set as a sorted list, for [`rearrange_sorted_into`]: a
+/// binary search over the few suspects of a broadcast instead of a hash
+/// per node.
+pub fn sorted_suspects(suspects: &HashSet<u32>) -> Vec<u32> {
+    let mut v: Vec<u32> = suspects.iter().copied().collect();
+    v.sort_unstable();
+    v
+}
+
+/// [`rearrange_into`] with the suspects given as a sorted, duplicate-free
+/// slice (see [`sorted_suspects`]). With no suspects it is a plain copy.
+pub fn rearrange_sorted_into(nodelist: &[u32], suspects: &[u32], w: usize, out: &mut Vec<u32>) {
+    debug_assert!(suspects.windows(2).all(|p| p[0] < p[1]));
     let n = nodelist.len();
-    if n == 0 {
+    if suspects.is_empty() || n == 0 {
+        out.extend_from_slice(nodelist);
         return;
     }
     let leaves = leaf_positions(n, w);
-    // Two order-preserving queues over the input.
-    let mut failed: Vec<u32> = nodelist
+    // Two order-preserving queues over the input, consumed from the front:
+    // reversed so `pop` is O(1).
+    let (mut failed, mut healthy): (Vec<u32>, Vec<u32>) = nodelist
         .iter()
-        .copied()
-        .filter(|n| suspects.contains(n))
-        .collect();
-    let mut healthy: Vec<u32> = nodelist
-        .iter()
-        .copied()
-        .filter(|n| !suspects.contains(n))
-        .collect();
+        .rev()
+        .partition(|node| suspects.binary_search(node).is_ok());
     let n_failed = failed.len();
-    // Consume from the front: reverse so `pop` is O(1).
-    failed.reverse();
-    healthy.reverse();
 
     // Spread suspects *evenly* across the leaf positions instead of
     // packing them into the earliest ones: a run of consecutive dead
@@ -73,10 +82,8 @@ pub fn rearrange_into(nodelist: &[u32], suspects: &HashSet<u32>, w: usize, out: 
     for (p, is_leaf) in leaves.iter().enumerate() {
         let pick = if *is_leaf && failed_slot[p] {
             failed.pop().or_else(|| healthy.pop())
-        } else if *is_leaf {
-            healthy.pop().or_else(|| failed.pop())
         } else {
-            // Internal position: prefer a healthy node.
+            // Internal position, or a leaf kept for a healthy node.
             healthy.pop().or_else(|| failed.pop())
         };
         out.push(pick.expect("queues jointly hold exactly n nodes"));
@@ -170,6 +177,82 @@ mod tests {
 
     fn suspects(v: &[u32]) -> HashSet<u32> {
         v.iter().copied().collect()
+    }
+
+    /// The rearrangement as first written, with set lookups: the oracle
+    /// the sorted-list version is held to.
+    fn rearrange_reference(nodelist: &[u32], suspects: &HashSet<u32>, w: usize) -> Vec<u32> {
+        let n = nodelist.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        let leaves = leaf_positions(n, w);
+        let mut failed: Vec<u32> = nodelist
+            .iter()
+            .copied()
+            .filter(|n| suspects.contains(n))
+            .collect();
+        let mut healthy: Vec<u32> = nodelist
+            .iter()
+            .copied()
+            .filter(|n| !suspects.contains(n))
+            .collect();
+        let n_failed = failed.len();
+        failed.reverse();
+        healthy.reverse();
+        let leaf_idx: Vec<usize> = (0..n).filter(|&p| leaves[p]).collect();
+        let mut failed_slot = vec![false; n];
+        if n_failed > 0 && !leaf_idx.is_empty() {
+            let take = n_failed.min(leaf_idx.len());
+            for k in 0..take {
+                let pos = leaf_idx[k * leaf_idx.len() / take];
+                failed_slot[pos] = true;
+            }
+        }
+        let mut out = Vec::with_capacity(n);
+        for (p, is_leaf) in leaves.iter().enumerate() {
+            let pick = if *is_leaf && failed_slot[p] {
+                failed.pop().or_else(|| healthy.pop())
+            } else if *is_leaf {
+                healthy.pop().or_else(|| failed.pop())
+            } else {
+                healthy.pop().or_else(|| failed.pop())
+            };
+            out.push(pick.expect("queues jointly hold exactly n nodes"));
+        }
+        out
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+            /// `rearrange_into` against the set-lookup oracle: lists of up
+            /// to 300 distinct nodes, widths 2–33, and suspect sets from
+            /// empty to every node, some of them outside the list.
+            #[test]
+            fn rearrange_into_matches_the_set_lookup_oracle(
+                len in 0usize..300,
+                w in 2usize..34,
+                every in 1u32..40,
+                offset in 0u32..1000,
+                extra in 0u32..5,
+            ) {
+                let list: Vec<u32> = (0..len as u32).map(|i| offset + i * 7 % 1009).collect();
+                let s: HashSet<u32> = list
+                    .iter()
+                    .copied()
+                    .filter(|n| n % every == 0)
+                    .chain((0..extra).map(|i| 5_000 + i))
+                    .collect();
+                let mut out = vec![u32::MAX];
+                rearrange_into(&list, &s, w, &mut out);
+                prop_assert_eq!(out[0], u32::MAX, "appends, does not clear");
+                prop_assert_eq!(&out[1..], &rearrange_reference(&list, &s, w)[..]);
+            }
+        }
     }
 
     #[test]
