@@ -90,6 +90,7 @@ impl FaultPlan {
     }
 
     /// The outages of `node` (none for a node outside the plan).
+    #[inline]
     fn outages_of(&self, node: NodeId) -> impl Iterator<Item = &Outage> {
         let i = node.index();
         let idxs = match (self.first.get(i), self.first.get(i + 1)) {
@@ -100,6 +101,7 @@ impl FaultPlan {
     }
 
     /// Whether `node` is up at time `t`.
+    #[inline]
     pub fn is_up(&self, node: NodeId, t: SimTime) -> bool {
         self.outages.is_empty() || self.outages_of(node).all(|o| t < o.down_at || t >= o.up_at)
     }

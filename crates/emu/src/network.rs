@@ -57,6 +57,7 @@ impl LatencyModel {
 
     /// One-way latency for a message of `size_bytes`, excluding the transmit
     /// gap and connection setup.
+    #[inline]
     pub fn latency(&self, size_bytes: u32, rng: &mut StdRng) -> SimSpan {
         let kib = size_bytes as f64 / 1024.0;
         let raw = self.base + self.per_kib.mul_f64(kib);
@@ -64,6 +65,7 @@ impl LatencyModel {
     }
 
     /// Transmit gap the sender NIC needs before the next send.
+    #[inline]
     pub fn tx_gap(&self, size_bytes: u32) -> SimSpan {
         // Gap grows mildly with message size (DMA + packetization).
         self.send_gap + self.per_kib.mul_f64(size_bytes as f64 / 1024.0 / 4.0)
@@ -74,6 +76,7 @@ impl LatencyModel {
         self.jitter(self.connect, rng)
     }
 
+    #[inline]
     fn jitter(&self, raw: SimSpan, rng: &mut StdRng) -> SimSpan {
         if self.jitter_frac == 0.0 {
             return raw;

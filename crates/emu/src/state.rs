@@ -91,6 +91,11 @@ impl NodeStore {
         &mut self.hot[i]
     }
 
+    /// The send/receive record of node `i`, read-only.
+    pub fn hot_ref(&self, i: usize) -> &HotNode {
+        &self.hot[i]
+    }
+
     pub fn alloc_virt(&mut self, i: usize, delta: i64) {
         self.virt[i] = apply(self.virt[i], delta);
         self.peak_virt[i] = self.peak_virt[i].max(self.virt[i]);

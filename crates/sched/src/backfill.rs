@@ -532,10 +532,13 @@ pub fn simulate(
     let mut order: Vec<usize> = (0..jobs.len()).collect();
     order.sort_by_key(|&i| jobs[i].submit);
 
-    let mut events: EventQueue<Ev> = EventQueue::with_capacity(jobs.len() * 2);
-    for &i in &order {
-        events.push(jobs[i].submit, Ev::Arrive(i));
-    }
+    // Arrivals are already sorted: a cursor over `order` merges with a
+    // queue that holds only `RmUp` and `End`. At one instant an arrival
+    // goes first, then `RmUp`, then `End` — the order one queue gave them
+    // when every arrival was pushed before every `RmUp`, and those before
+    // any `End`.
+    let mut arrived = 0;
+    let mut events: EventQueue<Ev> = EventQueue::new();
     for &(at, dur) in &cfg.rm_outages {
         events.push(at + dur, Ev::RmUp);
     }
@@ -555,7 +558,18 @@ pub fn simulate(
     let tick = cfg.sampler.interval();
     let mut next_due = tick.map(|i| SimTime::ZERO + i);
 
-    while let Some((now, ev)) = events.pop() {
+    loop {
+        let arrival = order
+            .get(arrived)
+            .filter(|&&i| events.peek_time().is_none_or(|t| jobs[i].submit <= t));
+        let (now, ev) = if let Some(&i) = arrival {
+            arrived += 1;
+            (jobs[i].submit, Ev::Arrive(i))
+        } else if let Some(next) = events.pop() {
+            next
+        } else {
+            break;
+        };
         // Catch the sampling cadence up to `now`: each tick records the
         // state as of the last event processed before it.
         if let (Some(i), Some(due)) = (tick, next_due.as_mut()) {
@@ -1295,6 +1309,61 @@ mod tests {
         let r = simulate(&jobs, &mut UserLimit::default(), &cfg);
         assert_eq!(r.completed, 1);
         assert_eq!(r.total_wait, SimSpan::from_secs(60));
+    }
+
+    #[test]
+    fn arrival_then_rm_up_then_end_at_one_instant() {
+        // At t=100 job 1 arrives, the RM comes back from [50, 100) and job
+        // 0 ends. The arrival goes first, so job 1 queues behind a busy
+        // node and is handed the node only when the end releases it.
+        struct Log(Vec<String>);
+        impl LimitPolicy for Log {
+            fn limit(&mut self, job: &Job) -> SimSpan {
+                self.0.push(format!("limit {}", job.id.0));
+                job.user_estimate.expect("test jobs carry an estimate")
+            }
+            fn on_complete(&mut self, job: &Job, now: SimTime) {
+                self.0
+                    .push(format!("complete {} @{}", job.id.0, now.as_secs()));
+            }
+            fn name(&self) -> String {
+                "log".into()
+            }
+        }
+        let jobs = vec![job(0, 1, 0, 100, 100), job(1, 1, 100, 10, 10)];
+        let mut cfg = zero_overhead(1);
+        cfg.rm_outages = vec![(SimTime::from_secs(50), SimSpan::from_secs(50))];
+        cfg.audit = DecisionLog::unbounded();
+        let mut log = Log(Vec::new());
+        let r = simulate(&jobs, &mut log, &cfg);
+        assert_eq!(
+            log.0,
+            ["limit 0", "limit 1", "complete 0 @100", "complete 1 @110"]
+        );
+        let decisions: Vec<(u64, Decision)> = cfg
+            .audit
+            .for_job(1)
+            .into_iter()
+            .map(|r| (r.t_us / 1_000_000, r.decision))
+            .collect();
+        assert_eq!(
+            decisions,
+            [
+                (100, Decision::Submitted),
+                (100, Decision::HeadOfQueue),
+                (
+                    100,
+                    Decision::ReservationPlaced {
+                        at_us: 100_000_000,
+                        blockers: vec![0]
+                    }
+                ),
+                (100, Decision::Started { nodes: 1 }),
+                (110, Decision::Completed { est_error_us: 0 }),
+            ]
+        );
+        assert_eq!((r.completed, r.total_wait), (2, SimSpan::ZERO));
+        assert_eq!(r.makespan, SimTime::from_secs(110));
     }
 
     #[test]

@@ -77,7 +77,9 @@
 //!   next one `push` fills.
 //!
 //! [`KeyedQueue::peek_head`] answers "which shard goes next" from the head
-//! entry alone; [`KeyedQueue::peek_key`] also reads the slot for `seq`.
+//! entry alone; [`KeyedQueue::peek_key`] also reads the slot for `seq`, and
+//! [`KeyedQueue::peek_event`] for the payload, so a caller can learn what
+//! the next event touches one `pop` ahead.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -521,6 +523,14 @@ impl<E> KeyedQueue<E> {
         })
     }
 
+    /// The payload of the minimum pending key: the event the next
+    /// [`pop`](Self::pop) returns, left in place.
+    #[inline]
+    pub fn peek_event(&self) -> Option<&E> {
+        let head = self.head()?;
+        self.slab[head.slot as usize].event.as_ref()
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len
@@ -661,9 +671,12 @@ mod tests {
         assert_eq!(got, vec![100, 0, 1, 3, 5, 9, 200]);
     }
 
+    /// Also checks that `peek_event` names the head on an empty queue, on
+    /// a bucket's least entry behind an empty heap, and after a rebase.
     #[test]
     fn push_before_the_settled_instant_rebases() {
         let mut q = KeyedQueue::new();
+        assert_eq!(q.peek_event(), None);
         let mut seq = 0u64;
         let mut push = |q: &mut KeyedQueue<u64>, t: u64| {
             q.push(EventKey::for_node(SimTime(t), 1, seq), t);
@@ -672,6 +685,8 @@ mod tests {
         for t in [200, 200, 300, 1 << 40, 250] {
             push(&mut q, t);
         }
+        assert!(q.heap.is_empty());
+        assert_eq!(q.peek_event(), Some(&200));
         assert_eq!(q.pop().map(|(_, t)| t), Some(200));
         assert_eq!(q.settled, 200);
         // One entry still at the settled instant, three later: a push
@@ -679,13 +694,16 @@ mod tests {
         push(&mut q, 50);
         assert_eq!(q.settled, 50);
         assert_eq!(q.peek_head(), Some((SimTime(50), 2)));
+        assert_eq!(q.peek_event(), Some(&50));
         // And again from an empty heap, between pending times.
         assert_eq!(q.pop().map(|(_, t)| t), Some(50));
         push(&mut q, 20);
+        assert_eq!(q.peek_event(), Some(&20));
         push(&mut q, 260);
         let got: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|(_, t)| t).collect();
         assert_eq!(got, vec![20, 200, 250, 260, 300, 1 << 40]);
         assert!(q.is_empty() && pool_within_bound(&q));
+        assert_eq!(q.peek_event(), None);
     }
 
     #[test]
@@ -735,11 +753,13 @@ mod tests {
         use std::collections::BTreeMap;
 
         /// One step of a differential run: the queue and the oracle agree
-        /// on the head, the depth, and the slab and chunk-pool bounds.
+        /// on the head and its payload, the depth, and the slab and
+        /// chunk-pool bounds.
         fn check(q: &KeyedQueue<u64>, oracle: &BTreeMap<EventKey, u64>, peak: usize) {
             let head = oracle.keys().next().copied();
             assert_eq!(q.peek_key(), head);
             assert_eq!(q.peek_head(), head.map(|k| (k.time, k.lane)));
+            assert_eq!(q.peek_event(), oracle.values().next());
             assert_eq!(q.len(), oracle.len());
             // Slots are recycled: the slab never outgrows the peak.
             assert_eq!(q.slab_slots(), peak);
@@ -753,7 +773,10 @@ mod tests {
             /// lanes, so most comparisons are `(time, lane)` ties decided
             /// by `seq` alone or same-time ties decided by lane, freed
             /// slots are refilled with new `seq`s all the time, and a push
-            /// at time 0 after a pop at time 1 rebases.
+            /// at time 0 after a pop at time 1 rebases. After every step,
+            /// `peek_event` names the payload the next `pop` returns —
+            /// on an empty queue, on a bucket head behind an empty heap
+            /// and after a rebase alike.
             #[test]
             fn matches_btreemap_oracle(
                 ops in prop::collection::vec((0u8..4, 0u64..2, 0u32..3, 0u64..1000), 1..400)
@@ -779,8 +802,10 @@ mod tests {
                     check(&q, &oracle, peak);
                 }
                 while let Some(want) = oracle.pop_first() {
+                    prop_assert_eq!(q.peek_event(), Some(&want.1));
                     prop_assert_eq!(q.pop(), Some(want));
                 }
+                prop_assert_eq!(q.peek_event(), None);
                 prop_assert_eq!(q.pop(), None);
             }
 

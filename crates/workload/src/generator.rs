@@ -246,9 +246,41 @@ struct UserState {
     /// Selection weight per template (users concentrate on one or two
     /// production applications; later/churned templates matter less).
     template_weights: Vec<f64>,
-    /// `(template index, last submit)` pairs, most recent last.
+    /// `(template index, submit)` pairs in push order, at most 1,024; a
+    /// push past that drops the oldest 512.
     recent: Vec<(usize, SimTime)>,
+    /// Per template, the latest submit among its `recent` pairs (`None`
+    /// when it has none), so "used within the last 24 h" is one compare.
+    /// The latest, not the last pushed: a burst's submit times run ahead
+    /// of the user's next submission.
+    last_use: Vec<Option<SimTime>>,
     weight: f64,
+}
+
+impl UserState {
+    /// The templates with a `recent` pair at or after `cutoff`, in index
+    /// order.
+    fn used_since(&self, cutoff: SimTime) -> impl Iterator<Item = usize> + Clone + '_ {
+        self.last_use
+            .iter()
+            .enumerate()
+            .filter(move |(_, at)| at.is_some_and(|at| at >= cutoff))
+            .map(|(i, _)| i)
+    }
+
+    /// Record a submission of template `tidx` at `at`.
+    fn note_use(&mut self, tidx: usize, at: SimTime) {
+        self.recent.push((tidx, at));
+        if self.recent.len() > 1024 {
+            self.recent.drain(0..512);
+            self.last_use.fill(None);
+            for &(i, t) in &self.recent {
+                self.last_use[i] = self.last_use[i].max(Some(t));
+            }
+        } else {
+            self.last_use[tidx] = self.last_use[tidx].max(Some(at));
+        }
+    }
 }
 
 struct Generator<'a> {
@@ -300,6 +332,7 @@ impl<'a> Generator<'a> {
                         .collect(),
                     templates,
                     recent: Vec::new(),
+                    last_use: vec![None; cfg.templates_per_user],
                     // Zipf-concentrated user activity: on production HPC
                     // systems a few groups account for most submissions.
                     weight: 1.0 / (1.0 + u as f64).powf(cfg.user_zipf),
@@ -433,18 +466,11 @@ impl<'a> Generator<'a> {
         let recent_cutoff = SimTime(submit.as_micros().saturating_sub(day.as_micros()));
         let (tidx, is_new) = {
             let user = &self.users[uid];
-            let recent: std::collections::BTreeSet<usize> = user
-                .recent
-                .iter()
-                .filter(|(_, at)| *at >= recent_cutoff)
-                .map(|(i, _)| *i)
-                .collect();
-            let recent_vec: Vec<usize> = recent.iter().copied().collect();
-            if !recent_vec.is_empty() && self.rng.random::<f64>() < self.effective_resubmit {
-                (
-                    recent_vec[self.rng.random_range(0..recent_vec.len())],
-                    false,
-                )
+            let mut recent = user.used_since(recent_cutoff);
+            let n_recent = recent.clone().count();
+            if n_recent > 0 && self.rng.random::<f64>() < self.effective_resubmit {
+                let k = self.rng.random_range(0..n_recent);
+                (recent.nth(k).expect("k < n_recent"), false)
             } else if self.rng.random::<f64>() < cfg.template_churn {
                 (usize::MAX, true)
             } else {
@@ -457,10 +483,12 @@ impl<'a> Generator<'a> {
         };
         let tidx = if is_new {
             let t = self.churned_template(uid);
-            self.users[uid].templates.push(t);
+            let user = &mut self.users[uid];
+            user.templates.push(t);
             // Churned-in applications start with modest weight.
-            self.users[uid].template_weights.push(0.2);
-            self.users[uid].templates.len() - 1
+            user.template_weights.push(0.2);
+            user.last_use.push(None);
+            user.templates.len() - 1
         } else {
             tidx
         };
@@ -471,10 +499,7 @@ impl<'a> Generator<'a> {
     fn emit(&mut self, uid: usize, tidx: usize, submit: SimTime, id: u64) -> Job {
         let cfg = self.cfg;
         let user = &mut self.users[uid];
-        user.recent.push((tidx, submit));
-        if user.recent.len() > 1024 {
-            user.recent.drain(0..512);
-        }
+        user.note_use(tidx, submit);
         let tpl = &user.templates[tidx];
 
         // Long jobs go to the evening: 71.4 % of >6 h jobs submitted
@@ -615,6 +640,90 @@ mod tests {
         }
         let single = TraceConfig::small(10, 1);
         assert_eq!(single.bank_of(42), 0);
+    }
+
+    /// FNV-1a over every field of every job.
+    fn trace_hash(jobs: &[Job]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for j in jobs {
+            eat(&j.id.0.to_le_bytes());
+            eat(j.name.as_bytes());
+            eat(&[0xff]);
+            eat(&j.user.0.to_le_bytes());
+            eat(&j.nodes.to_le_bytes());
+            eat(&j.cores_per_node.to_le_bytes());
+            eat(&j.submit.as_micros().to_le_bytes());
+            match j.user_estimate {
+                Some(e) => {
+                    eat(&[1]);
+                    eat(&e.as_micros().to_le_bytes());
+                }
+                None => eat(&[0]),
+            }
+            eat(&j.actual_runtime.as_micros().to_le_bytes());
+        }
+        h
+    }
+
+    /// `used_since` names exactly the templates of the `recent` pairs at or
+    /// after the cutoff, through drains and submit times that run ahead of
+    /// later pushes, as bursts' do.
+    #[test]
+    fn used_since_matches_the_recent_set() {
+        let mut user = UserState {
+            templates: Vec::new(),
+            template_weights: Vec::new(),
+            recent: Vec::new(),
+            last_use: vec![None; 12],
+            weight: 1.0,
+        };
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut t = 0u64;
+        for step in 0..5_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            t += x % 1_000;
+            // Template k with probability ~2^-(k+1): the rare ones drop out
+            // of `recent` entirely at a drain.
+            let tidx = ((x >> 40) | 1 << 11).trailing_zeros() as usize;
+            user.note_use(tidx, SimTime(t + (x >> 20) % 3_000));
+            let cutoff = SimTime(t.saturating_sub((x >> 44) % 1_000_000));
+            let want: std::collections::BTreeSet<usize> = user
+                .recent
+                .iter()
+                .filter(|(_, at)| *at >= cutoff)
+                .map(|(i, _)| *i)
+                .collect();
+            assert!(user.used_since(cutoff).eq(want), "step {step}");
+        }
+    }
+
+    /// Traces pinned before the 24 h template lookup moved from a set built
+    /// per submission to `UserState::last_use`. At 20k jobs the heaviest
+    /// `tianhe2a` user drains `recent` from 1,024 to 512 entries about
+    /// twenty times, so the rebuild after a drain is covered too.
+    #[test]
+    fn generated_traces_match_pinned_hashes() {
+        let pins = [
+            (
+                TraceConfig::tianhe2a().shrunk_to(20_000),
+                0xd1bb_a6e7_e973_c1bc,
+            ),
+            (TraceConfig::ng_tianhe(), 0xd17a_329a_66cc_7e5a),
+            (TraceConfig::multi_tenant(30_000, 7), 0x192b_840f_3b25_b9b0),
+            (TraceConfig::small(4_000, 11), 0xe6c4_0f5c_1275_78df),
+        ];
+        for (cfg, want) in pins {
+            let got = trace_hash(&cfg.generate());
+            let (jobs, users) = (cfg.jobs, cfg.users);
+            assert_eq!(got, want, "{jobs} jobs, {users} users: {got:016x}");
+        }
     }
 
     #[test]
