@@ -449,7 +449,7 @@ fn analyze(o: &Opts) -> Result<(), CliError> {
 fn replay(o: &Opts) -> Result<(), CliError> {
     let path = o.positional(0, "trace file")?;
     let jobs = load_trace(path)?;
-    let nodes = o.get_or("nodes", 1024u32)?;
+    let nodes = o.get_count("nodes", 1024u32)?;
     let algo = parse_algo(o)?;
     let mut policy = parse_policy(o, "user")?;
     let rec = recorder_for(o.get("obs"));
@@ -528,8 +528,8 @@ fn scenario(o: &Opts) -> Result<(Scenario, EslurmSystemBuilder), CliError> {
     let d = o.spec().scenario.as_ref();
     let d = d.expect("only commands with scenario defaults call scenario()");
     let sc = Scenario {
-        nodes: o.get_or("nodes", d.nodes)?,
-        satellites: o.get_or("satellites", d.satellites)?,
+        nodes: o.get_count("nodes", d.nodes)?,
+        satellites: o.get_count("satellites", d.satellites)?,
         minutes: o.get_or("minutes", d.minutes)?,
         jobs: o.get_or("jobs", d.jobs)?,
         seed: o.get_or("seed", d.seed)?,
@@ -537,7 +537,7 @@ fn scenario(o: &Opts) -> Result<(Scenario, EslurmSystemBuilder), CliError> {
     };
     let cfg = EslurmConfig {
         n_satellites: sc.satellites,
-        eq1_width: (sc.nodes / sc.satellites.max(1)).max(32),
+        eq1_width: (sc.nodes / sc.satellites).max(32),
         relay_width: 32,
         ..Default::default()
     };
@@ -664,10 +664,7 @@ fn trace_cmd(o: &Opts) -> Result<(), CliError> {
 /// run (faulted runs also auto-dump on the first `node_down`).
 fn metrics(o: &Opts) -> Result<(), CliError> {
     let (sc, builder) = scenario(o)?;
-    let interval_s = o.get_or("interval", 1u64)?;
-    if interval_s == 0 {
-        return Err(o.usage("--interval must be at least 1"));
-    }
+    let interval_s = o.get_count("interval", 1u64)?;
 
     let rec = match o.get("flight") {
         Some(path) => Recorder::with_flight(FlightConfig::dumping_to(path)),
@@ -853,6 +850,7 @@ fn parse_policies(o: &Opts, banks: usize) -> Result<SchedPolicies, CliError> {
 /// Slurm-flavored factor composition (per-factor contributions land in
 /// the audit log).
 fn audit_run(o: &Opts) -> Result<AuditRun, CliError> {
+    let nodes = o.get_count("nodes", 64u32)?;
     let users = o.get_or("users", 0usize)?;
     let banks = o.get_or("banks", 48usize)?;
     let jobs = match o.get("trace") {
@@ -870,7 +868,6 @@ fn audit_run(o: &Opts) -> Result<AuditRun, CliError> {
             }
         }
     };
-    let nodes = o.get_or("nodes", 64u32)?;
     let algo = parse_algo(o)?;
     let mut policy = parse_policy(o, "predictive")?;
     let rec = recorder_for(o.get("obs"));
@@ -1109,7 +1106,10 @@ fn diff(o: &Opts) -> Result<(), CliError> {
     let base_path = o.positional(0, "baseline csv")?;
     let new_path = o.positional(1, "candidate csv")?;
     let mut opts = DiffOptions {
-        default_threshold_pct: o.get_or("threshold-pct", 5.0f64)?,
+        default_threshold_pct: match o.get("threshold-pct") {
+            Some(text) => o.percent("--threshold-pct", text)?,
+            None => 5.0,
+        },
         gate_all: o.get_or("all", false)?,
         ..DiffOptions::default()
     };
@@ -1130,9 +1130,7 @@ fn diff(o: &Opts) -> Result<(), CliError> {
             let (metric, pct) = part
                 .rsplit_once('=')
                 .ok_or_else(|| o.usage(format!("--thresholds entry `{part}` is not metric=pct")))?;
-            let pct: f64 = pct
-                .parse()
-                .map_err(|e| o.usage(format!("--thresholds {metric}: {e}")))?;
+            let pct = o.percent(&format!("--thresholds {metric}"), pct)?;
             opts.per_metric.insert(metric.to_string(), pct);
         }
     }

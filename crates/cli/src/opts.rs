@@ -88,6 +88,34 @@ impl Opts {
             Some(v) => v.parse().map_err(|e| self.usage(format!("--{name}: {e}"))),
         }
     }
+
+    /// A count flag with a default that must be at least 1: `--nodes 0`
+    /// names no cluster, so it is a usage error, not a run.
+    pub fn get_count<T>(&self, name: &str, default: T) -> Result<T, CliError>
+    where
+        T: std::str::FromStr + Default + PartialEq,
+        T::Err: std::fmt::Display,
+    {
+        let v = self.get_or(name, default)?;
+        if v == T::default() {
+            return Err(self.usage(format!("--{name} must be at least 1")));
+        }
+        Ok(v)
+    }
+
+    /// A percentage flag value: a finite number ≥ 0. `what` names the flag
+    /// in the error. NaN, infinities and overflowing literals would turn
+    /// every comparison against the threshold false, silently passing a
+    /// regression gate.
+    pub fn percent(&self, what: &str, text: &str) -> Result<f64, CliError> {
+        match text.parse::<f64>() {
+            Ok(p) if p.is_finite() && p >= 0.0 => Ok(p),
+            Ok(_) => Err(self.usage(format!(
+                "{what} must be a finite percentage >= 0, got `{text}`"
+            ))),
+            Err(e) => Err(self.usage(format!("{what}: {e}"))),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -131,5 +159,16 @@ mod tests {
         let err = o.get_or("jobs", 0usize).unwrap_err().to_string();
         assert!(err.contains("--jobs"), "{err}");
         assert!(err.starts_with("test: "), "{err}");
+    }
+
+    #[test]
+    fn percent_accepts_only_finite_non_negative_values() {
+        let o = parse(&[]).unwrap();
+        assert_eq!(o.percent("--p", "5").unwrap(), 5.0);
+        assert_eq!(o.percent("--p", "0").unwrap(), 0.0);
+        for bad in ["nan", "NaN", "inf", "-inf", "1e309", "-1", "x"] {
+            let err = o.percent("--p", bad).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{bad}");
+        }
     }
 }

@@ -1,12 +1,10 @@
-//! The actor programming model shared by both transports.
+//! The actor programming model.
 //!
 //! Every daemon in the reproduction (master, satellite, slave — and the
 //! centralized baselines) is written once as an [`Actor`] against the
-//! [`Context`] trait, and can then run either on the deterministic
-//! discrete-event simulator ([`crate::sim::SimCluster`], used for the
-//! 4K–20K-node experiments) or on real threads with crossbeam channels
-//! ([`crate::thread::ThreadCluster`], used to validate the protocol logic
-//! end-to-end at small scale).
+//! [`Context`] trait and runs on the deterministic discrete-event engine
+//! ([`crate::sim::SimCluster`]), from unit-test clusters of a handful of
+//! nodes up to the 4K–1M-node experiments.
 
 use crate::node::NodeId;
 use obs::{FlowKind, TraceContext};

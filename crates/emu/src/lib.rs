@@ -7,16 +7,14 @@
 //! those machines with an emulated cluster:
 //!
 //! * [`actor`] — the actor/context programming model every daemon is
-//!   written against, independent of transport;
-//! * [`sim`] — a deterministic discrete-event transport that scales to
-//!   tens of thousands of nodes and 24-hour virtual horizons;
-//! * [`thread`] — a real-thread transport (crossbeam channels) used to
-//!   validate the same actors under genuine concurrency;
+//!   written against;
+//! * [`sim`] — the deterministic discrete-event engine that runs them,
+//!   scaling to tens of thousands of nodes and 24-hour virtual horizons;
 //! * [`network`] — the link model (latency, transmit gaps, connection
 //!   setup) representing the Tianhe proprietary interconnect;
 //! * [`fault`] — ground-truth outage schedules, including a generator for
 //!   the failure mix the paper observed in production;
-//! * [`meter`] — per-node CPU/memory/socket accounting matching the
+//! * [`meter`] — per-node CPU/memory/socket snapshots matching the
 //!   measurements in the paper's Figs. 7 and 9 and Tables V and VI.
 
 pub mod actor;
@@ -26,7 +24,6 @@ pub mod network;
 pub mod node;
 pub mod sim;
 mod state;
-pub mod thread;
 
 pub use actor::{Actor, Context, Payload};
 pub use fault::{FaultPlan, FaultPlanBuilder, Outage};
@@ -34,4 +31,3 @@ pub use meter::{Meter, Sample};
 pub use network::LatencyModel;
 pub use node::NodeId;
 pub use sim::{SimCluster, SimConfig};
-pub use thread::ThreadCluster;

@@ -19,7 +19,7 @@
 //! RNG streams are derived from the *global* node id, so the draws a node
 //! makes are identical no matter which shard hosts it.
 
-use crate::meter::{apply, Meter, Sample};
+use crate::meter::{Meter, Sample};
 use rand::rngs::StdRng;
 use simclock::rng::stream_rng;
 use simclock::{SimSpan, SimTime};
@@ -122,23 +122,22 @@ impl NodeStore {
     /// Materialize a [`Meter`] snapshot of node `i` (by value).
     pub fn meter(&self, i: usize) -> Meter {
         let hot = &self.hot[i];
-        Meter::from_raw(
-            hot.cpu_time,
-            self.cpu_at_sample[i],
-            self.last_sample[i],
-            self.virt[i],
-            self.real[i],
-            self.sockets[i],
-            self.peak_sockets[i],
-            self.peak_virt[i],
-            self.peak_real[i],
-            hot.sent,
-            hot.recv,
-        )
+        Meter {
+            cpu_time: hot.cpu_time,
+            virt_mem: self.virt[i],
+            real_mem: self.real[i],
+            sockets: self.sockets[i],
+            peak_sockets: self.peak_sockets[i],
+            peak_virt: self.peak_virt[i],
+            peak_real: self.peak_real[i],
+            msgs_sent: hot.sent,
+            msgs_received: hot.recv,
+        }
     }
 
-    /// Take a footprint sample of node `i`, with the same windowed-CPU
-    /// semantics as [`Meter::sample`].
+    /// Take a footprint sample of node `i`: CPU utilization is the CPU time
+    /// charged since the node's previous sample over the virtual time since
+    /// then (zero for an empty window).
     pub fn sample(&mut self, i: usize, now: SimTime) -> Sample {
         let cpu_time = self.hot[i].cpu_time;
         let window = now - self.last_sample[i];
@@ -161,14 +160,140 @@ impl NodeStore {
     }
 }
 
+/// `cur` adjusted by `delta` bytes, saturating at zero.
+fn apply(cur: u64, delta: i64) -> u64 {
+    if delta >= 0 {
+        cur + delta as u64
+    } else {
+        cur.saturating_sub(delta.unsigned_abs())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The write half `Meter` carried while a per-node meter was charged
+    /// call by call, kept verbatim as the oracle [`NodeStore`]'s split
+    /// layout must agree with.
+    #[derive(Default)]
+    struct OracleMeter {
+        cpu_time: SimSpan,
+        cpu_time_at_last_sample: SimSpan,
+        last_sample_at: SimTime,
+        virt_mem: u64,
+        real_mem: u64,
+        sockets: u32,
+        peak_sockets: u32,
+        peak_virt: u64,
+        peak_real: u64,
+        msgs_sent: u64,
+        msgs_received: u64,
+    }
+
+    impl OracleMeter {
+        fn charge_cpu(&mut self, span: SimSpan) {
+            self.cpu_time += span;
+        }
+
+        fn alloc_virt(&mut self, delta: i64) {
+            self.virt_mem = apply(self.virt_mem, delta);
+            self.peak_virt = self.peak_virt.max(self.virt_mem);
+        }
+
+        fn alloc_real(&mut self, delta: i64) {
+            self.real_mem = apply(self.real_mem, delta);
+            self.peak_real = self.peak_real.max(self.real_mem);
+        }
+
+        fn open_socket(&mut self) {
+            self.sockets += 1;
+            self.peak_sockets = self.peak_sockets.max(self.sockets);
+        }
+
+        fn close_socket(&mut self) {
+            debug_assert!(self.sockets > 0, "closing a socket that was never opened");
+            self.sockets = self.sockets.saturating_sub(1);
+        }
+
+        fn count_sent(&mut self) {
+            self.msgs_sent += 1;
+        }
+
+        fn count_received(&mut self) {
+            self.msgs_received += 1;
+        }
+
+        fn sample(&mut self, now: SimTime) -> Sample {
+            let window = now - self.last_sample_at;
+            let used = self.cpu_time - self.cpu_time_at_last_sample;
+            let cpu_util = if window.as_micros() == 0 {
+                0.0
+            } else {
+                used.as_secs_f64() / window.as_secs_f64()
+            };
+            self.last_sample_at = now;
+            self.cpu_time_at_last_sample = self.cpu_time;
+            Sample {
+                at: now,
+                cpu_util,
+                cpu_time: self.cpu_time,
+                virt_mem: self.virt_mem,
+                real_mem: self.real_mem,
+                sockets: self.sockets,
+            }
+        }
+    }
+
+    #[test]
+    fn cpu_accumulates_and_util_is_windowed() {
+        let mut store = NodeStore::new(1, &[0]);
+        store.hot(0).cpu_time += SimSpan::from_millis(500);
+        let s1 = store.sample(0, SimTime::from_secs(1));
+        assert!((s1.cpu_util - 0.5).abs() < 1e-9);
+        // No work in the second window.
+        let s2 = store.sample(0, SimTime::from_secs(2));
+        assert_eq!(s2.cpu_util, 0.0);
+        assert_eq!(s2.cpu_time, SimSpan::from_millis(500));
+    }
+
+    #[test]
+    fn memory_deltas_saturate() {
+        let mut store = NodeStore::new(1, &[0]);
+        store.alloc_virt(0, 1000);
+        store.alloc_virt(0, -400);
+        assert_eq!(store.meter(0).virt_mem(), 600);
+        store.alloc_virt(0, -10_000);
+        assert_eq!(store.meter(0).virt_mem(), 0);
+        store.alloc_real(0, 256);
+        assert_eq!(store.meter(0).real_mem(), 256);
+        assert_eq!(store.meter(0).peak_mem(), (1000, 256));
+    }
+
+    #[test]
+    fn socket_peak_tracks_high_water() {
+        let mut store = NodeStore::new(1, &[0]);
+        for _ in 0..5 {
+            store.open_socket(0);
+        }
+        store.close_socket(0);
+        store.close_socket(0);
+        assert_eq!(store.meter(0).sockets(), 3);
+        assert_eq!(store.meter(0).peak_sockets(), 5);
+    }
+
+    #[test]
+    fn zero_window_sample_has_zero_util() {
+        let mut store = NodeStore::new(1, &[0]);
+        store.hot(0).cpu_time += SimSpan::from_millis(1);
+        let s = store.sample(0, SimTime::ZERO);
+        assert_eq!(s.cpu_util, 0.0);
+    }
+
     #[test]
     fn store_matches_meter_semantics() {
         let mut store = NodeStore::new(1, &[5, 9]);
-        let mut m = Meter::new();
+        let mut m = OracleMeter::default();
         for target in [0usize, 1] {
             store.hot(target).cpu_time += SimSpan::from_millis(500);
             store.alloc_virt(target, 1000);
@@ -193,12 +318,13 @@ mod tests {
         let s_meter = m.sample(SimTime::from_secs(1));
         assert_eq!(s_store, s_meter);
         let snap = store.meter(1);
-        assert_eq!(snap.cpu_time(), m.cpu_time());
-        assert_eq!(snap.virt_mem(), m.virt_mem());
-        assert_eq!(snap.peak_mem(), m.peak_mem());
-        assert_eq!(snap.sockets(), m.sockets());
-        assert_eq!(snap.peak_sockets(), m.peak_sockets());
-        assert_eq!(snap.msg_counts(), m.msg_counts());
+        assert_eq!(snap.cpu_time(), m.cpu_time);
+        assert_eq!(snap.virt_mem(), m.virt_mem);
+        assert_eq!(snap.real_mem(), m.real_mem);
+        assert_eq!(snap.peak_mem(), (m.peak_virt, m.peak_real));
+        assert_eq!(snap.sockets(), m.sockets);
+        assert_eq!(snap.peak_sockets(), m.peak_sockets);
+        assert_eq!(snap.msg_counts(), (m.msgs_sent, m.msgs_received));
     }
 
     #[test]

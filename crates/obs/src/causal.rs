@@ -81,8 +81,7 @@ pub struct HopSend {
     pub parent: u64,
     /// When the sender called `send`, µs.
     pub send_us: u64,
-    /// Sender-side transmit backlog + serialization gap, µs (0 on the
-    /// real-thread transport, which cannot split it from link latency).
+    /// Sender-side transmit backlog + serialization gap, µs.
     pub queue_us: u64,
 }
 
@@ -132,8 +131,7 @@ pub enum CausalRecord {
         link_us: u64,
         /// When the receiver started processing, µs.
         recv_us: u64,
-        /// Receiver processing cost, µs (CPU charge in the DES, wall time
-        /// on the thread transport).
+        /// Receiver processing cost, µs (the handler's CPU charge).
         process_us: u64,
     },
     /// A timeout/retry wait inside a trace: the span `parent` sat idle on
@@ -471,10 +469,10 @@ impl TraceTree {
     }
 
     /// Canonical shape of the causal tree: `flow:node(child,child,...)`
-    /// with children ordered by their own shape strings. Span ids do not
-    /// appear, so two transports that route the same flow over the same
-    /// nodes produce identical shapes even though they allocate different
-    /// ids or observe different timings.
+    /// with children ordered by their own shape strings. Neither span ids
+    /// nor timings appear, so a test can compare a recorded flow with the
+    /// tree it was known to travel, whatever ids were allocated and
+    /// however long each hop took.
     pub fn shape(&self) -> String {
         fn render(tree: &TraceTree, span: u64, node: u32) -> String {
             let mut kids: Vec<String> = tree

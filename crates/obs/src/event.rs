@@ -135,8 +135,7 @@ impl EventKind {
 /// ("i"), anything else as a complete span ("X").
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Start timestamp, µs of virtual time (DES) or wall time since run
-    /// start (thread mode).
+    /// Start timestamp, µs of virtual time.
     pub ts_us: u64,
     /// Span duration in µs; zero for instants.
     pub dur_us: u64,

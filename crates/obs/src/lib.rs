@@ -4,8 +4,8 @@
 //! a lock-cheap metrics [`Recorder`] (counters / gauges / fixed-bucket
 //! histograms keyed by static ids, plus a labeled per-entity registry),
 //! span-style event tracing with a bounded flight ring, and a
-//! virtual-time [`Sampler`] whose series export as CSV — shared
-//! by the DES and real-thread transports.
+//! virtual-time [`Sampler`] whose series export as CSV — fed by the
+//! discrete-event engine, its actors and the backfill scheduler.
 //!
 //! ## Design
 //!
@@ -18,10 +18,8 @@
 //!   any thread, no lock on the recording path. Labeled metrics pay a
 //!   registry lock once per entity ([`Recorder::labeled_counter`]); the
 //!   returned handle records with one relaxed atomic thereafter.
-//! - **Events are virtual-time stamped.** Timestamps are `SimTime` µs in
-//!   DES mode; in real-thread mode the transport's clock already reports
-//!   wall time since run start, so the same call sites work unchanged. The
-//!   [`flight::FlightRecorder`] bounds retention per node and by bytes,
+//! - **Events are virtual-time stamped.** Timestamps are `SimTime` µs, so
+//!   a seed fixes every stamp. The [`flight::FlightRecorder`] bounds retention per node and by bytes,
 //!   dumping on `node_down` or an SLO breach for post-mortems.
 //! - **Exports are deterministic.** [`export::to_chrome_trace`] renders a
 //!   `chrome://tracing` / Perfetto-loadable document, [`export::to_jsonl`]

@@ -67,8 +67,9 @@ struct Shared {
     /// Cross-node causal log (see [`crate::causal`]); only populated in
     /// full-trace mode, like `events`.
     causal: Mutex<Vec<CausalRecord>>,
-    /// Trace/span id allocators shared by every transport recording here,
-    /// so DES and thread hops agree on one id space. Ids start at 1.
+    /// Trace/span id allocators shared by every producer recording here
+    /// (the engine and the backfill scheduler), so all hops share one id
+    /// space. Ids start at 1.
     next_trace: AtomicU64,
     next_span: AtomicU64,
 }

@@ -7,8 +7,8 @@
 //! never copies the list, while the modelled wire size still charges for
 //! the four bytes per node a real encoding would ship.
 //!
-//! No transport moves bytes: the DES and `emu::thread` both pass typed
-//! messages and charge latency from the analytic [`Payload::size_bytes`].
+//! No bytes move: the DES passes typed messages and charges latency from
+//! the analytic [`Payload::size_bytes`].
 
 use emu::Payload;
 use std::sync::Arc;

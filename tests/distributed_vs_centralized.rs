@@ -5,9 +5,9 @@
 //! is handed the same arrivals of the one shared `JobStream`.
 
 use eslurm_suite::emu::NodeId;
-use eslurm_suite::eslurm::{EslurmConfig, EslurmSystemBuilder};
+use eslurm_suite::eslurm::{EslurmConfig, EslurmNode, EslurmSystemBuilder};
 use eslurm_suite::obs::{build_traces, EventKind, FlowKind, Recorder};
-use eslurm_suite::rm::{JobRecord, JobStream, RmClusterBuilder, RmProfile};
+use eslurm_suite::rm::{JobRecord, JobStream, RmClusterBuilder, RmNode, RmProfile};
 use eslurm_suite::simclock::{SimSpan, SimTime};
 use std::collections::BTreeSet;
 
@@ -105,6 +105,47 @@ fn eslurm_master_sockets_independent_of_cluster_size() {
         "master sockets grew with the cluster: {small} -> {big}"
     );
     assert!(big <= 8);
+}
+
+#[test]
+fn slurm_job_launches_and_terminates_once_on_every_slave() {
+    let n = 32;
+    let mut h = RmClusterBuilder::new(RmProfile::slurm(), n + 1)
+        .seed(77)
+        .build();
+    h.submit(SimTime::from_secs(1), 7, 0..n, SimSpan::from_millis(50));
+    h.sim.run_until(SimTime::from_secs(60));
+    let records = &h.master_actor().records;
+    assert_eq!(records.len(), 1, "centralized job did not complete");
+    assert_eq!(records[0].nodes as usize, n);
+    for i in 1..=n as u32 {
+        let RmNode::Slave(s) = h.sim.actor(NodeId(i)) else {
+            panic!("node {i} is a slave")
+        };
+        assert_eq!(s.ctl_handled, 2, "slave {i}: launch + terminate");
+    }
+}
+
+#[test]
+fn satellite_relayed_job_launches_and_terminates_once_on_every_slave() {
+    // One satellite relays to all 60 slaves, four wide.
+    let n_slaves = 60;
+    let cfg = EslurmConfig {
+        n_satellites: 1,
+        eq1_width: 64,
+        relay_width: 4,
+        ..Default::default()
+    };
+    let mut sys = EslurmSystemBuilder::new(cfg, n_slaves, 3).build();
+    sys.submit(SimTime::from_secs(1), 4, 0..n_slaves, SimSpan::from_secs(1));
+    sys.sim.run_until(SimTime::from_secs(30));
+    assert_eq!(sys.master().records.len(), 1, "eslurm job did not complete");
+    for i in 0..n_slaves {
+        let EslurmNode::Slave(s) = sys.sim.actor(NodeId(sys.slave_id(i))) else {
+            panic!("compute index {i} is a slave")
+        };
+        assert_eq!(s.ctl_handled, 2, "compute index {i}: launch + terminate");
+    }
 }
 
 /// `(at µs, job, first compute index, count, runtime µs)`.
