@@ -112,10 +112,16 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     Ok(T::from_value(&value)?)
 }
 
-/// Parse a JSON string into a raw [`Value`] tree.
+/// Parse a JSON string into a raw [`Value`] tree. Arrays and objects
+/// nest at most 127 deep, as upstream `serde_json`'s recursion limit
+/// allows: deeper input is an error, not a stack overflow.
 pub fn parse_value_str(s: &str) -> Result<Value, Error> {
     let bytes = s.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -125,9 +131,15 @@ pub fn parse_value_str(s: &str) -> Result<Value, Error> {
     Ok(v)
 }
 
+/// The nesting depth at which a container is refused, counted as
+/// upstream `serde_json` counts its recursion limit.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -168,11 +180,26 @@ impl Parser<'_> {
             Some(b't') => self.eat_lit("true", Value::Bool(true)),
             Some(b'f') => self.eat_lit("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(Error(format!("unexpected input at offset {}", self.pos))),
         }
+    }
+
+    /// Parse one container with `parse`, one level deeper. The parser
+    /// recurses per level, so the depth is capped before the stack is.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        self.depth += 1;
+        if self.depth >= MAX_DEPTH {
+            return Err(Error(format!(
+                "recursion limit exceeded at offset {}",
+                self.pos
+            )));
+        }
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn string(&mut self) -> Result<String, Error> {
@@ -338,6 +365,7 @@ fn utf8_width(first: u8) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn primitives_round_trip() {
@@ -380,6 +408,85 @@ mod tests {
         assert!(from_str::<u64>("{not json}").is_err());
         assert!(from_str::<u64>("12 34").is_err());
         assert!(parse_value_str("[1, 2").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_the_upstream_depth() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_value_str(&nest(MAX_DEPTH - 1)).is_ok());
+        let err = parse_value_str(&nest(MAX_DEPTH)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        // Depth counts the containers around a value, not all of them.
+        let wide = format!("[{}]", vec![nest(MAX_DEPTH - 2); 3].join(","));
+        assert!(parse_value_str(&wide).is_ok());
+        // A hostile line is an error, not a stack overflow.
+        assert!(parse_value_str(&"[".repeat(200_000)).is_err());
+        assert!(parse_value_str(&"{\"a\":".repeat(200_000)).is_err());
+    }
+
+    /// A `Value` drawn from `words`, nested at most `depth` deep: every
+    /// variant, integers of both signs over their whole range, finite
+    /// floats from raw bit patterns, and strings with quotes, escapes,
+    /// control characters and multi-byte UTF-8.
+    fn value_from(words: &mut impl Iterator<Item = u64>, depth: u32) -> Value {
+        let w = words.next().unwrap_or(0);
+        let kinds = if depth == 0 { 6 } else { 8 };
+        let len = w / 8 % 4;
+        match w % kinds {
+            0 => Value::Null,
+            1 => Value::Bool(w & 8 != 0),
+            2 => Value::Number(Number::U64(words.next().unwrap_or(w))),
+            3 => Value::Number(Number::I64(words.next().unwrap_or(w) as i64)),
+            4 => {
+                let f = f64::from_bits(words.next().unwrap_or(w));
+                Value::Number(Number::F64(if f.is_finite() { f } else { w as f64 }))
+            }
+            5 => Value::String(string_from(words)),
+            6 => Value::Array((0..len).map(|_| value_from(words, depth - 1)).collect()),
+            _ => Value::Object(
+                (0..len)
+                    .map(|_| (string_from(words), value_from(words, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    fn string_from(words: &mut impl Iterator<Item = u64>) -> String {
+        const CHARS: [char; 12] = [
+            'a', 'Z', '0', ' ', '"', '\\', '/', '\n', '\t', '\u{1}', 'µ', '𝄞',
+        ];
+        let w = words.next().unwrap_or(0);
+        (0..w % 8)
+            .map(|i| CHARS[(w >> (4 + 4 * i)) as usize % CHARS.len()])
+            .collect()
+    }
+
+    /// `v` as the parser reads it back: a non-negative `I64` renders as
+    /// bare digits, which parse as `U64`.
+    fn normalized(v: &Value) -> Value {
+        match v {
+            Value::Number(Number::I64(n)) if *n >= 0 => Value::Number(Number::U64(*n as u64)),
+            Value::Array(items) => Value::Array(items.iter().map(normalized).collect()),
+            Value::Object(map) => Value::Object(
+                map.iter()
+                    .map(|(k, v)| (k.clone(), normalized(v)))
+                    .collect(),
+            ),
+            other => other.clone(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every `Value` survives `to_string` then `parse_value_str`, with
+        /// non-negative integers reading back as `U64`.
+        #[test]
+        fn every_value_round_trips(words in prop::collection::vec(any::<u64>(), 1..64)) {
+            let v = value_from(&mut words.into_iter(), 4);
+            let text = to_string(&v).unwrap();
+            prop_assert_eq!(parse_value_str(&text).unwrap(), normalized(&v));
+        }
     }
 
     #[test]

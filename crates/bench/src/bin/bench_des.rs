@@ -37,7 +37,7 @@ fn run_once(scale: &Fig9Scale, seed: u64, shards: usize, mem: bool) -> RunResult
     } else {
         MemProfiler::disabled()
     };
-    let run = scale.run(seed, |b| b.shards(shards).mem_profile(mem_profiler.clone()));
+    let run = scale.run(seed, |b| b.shards(shards));
     RunResult {
         shards,
         wall_s: run.wall_s,

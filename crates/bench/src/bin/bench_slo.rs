@@ -59,7 +59,6 @@ fn fig9_slo() -> SloEngine {
             "inbox_shift",
             MetricId::new("tasks_in_flight"),
         )],
-        false,
     )
 }
 
@@ -113,7 +112,6 @@ fn run_multi_tenant(scale: &Scale, seed: u64, slo_on: bool) -> RunResult {
                 "master_mem_shift",
                 MetricId::new("footprint_real_bytes").with("node", "master"),
             )],
-            false,
         )
     } else {
         SloEngine::disabled()

@@ -13,7 +13,7 @@ use obs::causal::{render_critical_path, render_flow_summaries, render_tree};
 use obs::export::ChromeTrace;
 use obs::{
     build_traces, compare_csv, flow_summaries, mem_profile_compiled, DecisionLog, DiffOptions,
-    FlightConfig, FlowKind, MemProfiler, Recorder, Sampler, SloEngine, TraceTree,
+    FlowKind, MemProfiler, Recorder, Sampler, SloEngine, TraceTree,
 };
 use sched::prelude::{
     simulate as run_schedule, BackfillConfig, FairShareLedger, LimitPolicy, MultifactorPriority,
@@ -139,7 +139,7 @@ pub const COMMANDS: &[CmdSpec] = &[
         name: "metrics",
         summary: "sample an emulated run's resource footprint",
         scenario: defaults(128, 2, 5, 10, 0),
-        flags: &["interval", "csv", "prom", "flight"],
+        flags: &["interval", "csv", "prom"],
         run: metrics,
     },
     CmdSpec {
@@ -204,7 +204,6 @@ pub const COMMANDS: &[CmdSpec] = &[
             "inbox-depth",
             "format",
             "out",
-            "flight",
             "check",
         ],
         run: slo_report,
@@ -213,14 +212,14 @@ pub const COMMANDS: &[CmdSpec] = &[
         name: "mem-report",
         summary: "per-subsystem host-heap attribution of an emulated run",
         scenario: defaults(128, 2, 5, 10, 0),
-        flags: &["shards", "format", "out", "csv"],
+        flags: &["shards", "format", "out"],
         run: mem_report,
     },
     CmdSpec {
         name: "diff",
         summary: "compare two metrics CSVs and gate footprint regressions",
         scenario: None,
-        flags: &["threshold-pct", "thresholds", "all", "include-domain"],
+        flags: &["threshold-pct", "thresholds", "all"],
         run: diff,
     },
     CmdSpec {
@@ -530,7 +529,7 @@ fn scenario(o: &Opts) -> Result<(Scenario, EslurmSystemBuilder), CliError> {
     let sc = Scenario {
         nodes: o.get_count("nodes", d.nodes)?,
         satellites: o.get_count("satellites", d.satellites)?,
-        minutes: o.get_or("minutes", d.minutes)?,
+        minutes: o.get_span("minutes", d.minutes, SimSpan::from_secs(60), 0)?,
         jobs: o.get_or("jobs", d.jobs)?,
         seed: o.get_or("seed", d.seed)?,
         faults: o.get_or("faults", d.faults)?,
@@ -653,23 +652,17 @@ fn trace_cmd(o: &Opts) -> Result<(), CliError> {
 }
 
 /// `eslurm metrics --nodes N --satellites M --minutes T --jobs J --seed S
-/// [--faults K] [--interval SECS] [--csv FILE] [--prom FILE]
-/// [--flight FILE]`
+/// [--faults K] [--interval SECS] [--csv FILE] [--prom FILE]`
 ///
 /// Runs the same emulation as `simulate` with the footprint sampler on,
 /// prints per-series summaries (mean and percentiles), and optionally
-/// exports the time series as CSV (the `diff` input format), the final
-/// metric values in Prometheus text format, and — when `--flight` names a
-/// file — arms the bounded flight ring, dumping it there at the end of the
-/// run (faulted runs also auto-dump on the first `node_down`).
+/// exports the time series as CSV (the `diff` input format) and the final
+/// metric values in Prometheus text format.
 fn metrics(o: &Opts) -> Result<(), CliError> {
     let (sc, builder) = scenario(o)?;
-    let interval_s = o.get_count("interval", 1u64)?;
+    let interval_s = o.get_span("interval", 1, SimSpan::from_secs(1), 1)?;
 
-    let rec = match o.get("flight") {
-        Some(path) => Recorder::with_flight(FlightConfig::dumping_to(path)),
-        None => Recorder::metrics_only(),
-    };
+    let rec = Recorder::metrics_only();
     let sampler = Sampler::every_until(SimSpan::from_secs(interval_s), sc.horizon());
     let sys = sc.run(builder.obs(rec.clone()).sampler(sampler.clone()));
 
@@ -705,15 +698,6 @@ fn metrics(o: &Opts) -> Result<(), CliError> {
     if let Some(path) = o.get("prom") {
         write_file(path, obs::export::to_prometheus(&rec))?;
         println!("prom:   final exposition -> {path}");
-    }
-    if let Some(path) = o.get("flight") {
-        match rec.flight_dump() {
-            Some(Ok(n)) => println!("flight: {n} events -> {path}"),
-            Some(Err(e)) => {
-                return Err(CliError::io(format!("writing {path}"), e));
-            }
-            None => {}
-        }
     }
     Ok(())
 }
@@ -1000,28 +984,22 @@ fn emit_report(
 /// `eslurm slo-report [--nodes N --satellites M --minutes T --jobs J
 /// --seed S --faults K] [--sweep-p99 US] [--queue-wait-p90 S]
 /// [--inbox-depth D] [--format table|csv|json] [--out FILE]
-/// [--flight FILE] [--check true]`
+/// [--check true]`
 ///
 /// Runs the reference emulation with the online SLO engine armed on a 1 s
 /// evaluation cadence: sweep-completion p99, queue-wait p90, and master
 /// inbox depth against the given targets (multi-window burn-rate
 /// detection, so transient spikes don't breach but sustained ones do).
-/// `--flight` arms the bounded flight ring with a 60 s dump cooldown —
-/// each breach dumps a reason-tagged forensic snapshot there. `--check`
-/// exits 4 when any spec recorded a breach, mirroring `diff`'s exit 3.
+/// Each target is a finite number >= 0. `--check` exits 4 when any spec
+/// recorded a breach, mirroring `diff`'s exit 3.
 fn slo_report(o: &Opts) -> Result<(), CliError> {
     let (sc, builder) = scenario(o)?;
-    let sweep_p99_us = o.get_or("sweep-p99", 10_000_000f64)?;
-    let queue_wait_p90_s = o.get_or("queue-wait-p90", 600f64)?;
-    let inbox_depth = o.get_or("inbox-depth", 10_000f64)?;
+    let sweep_p99_us = o.get_non_negative("sweep-p99", 10_000_000.0, "target")?;
+    let queue_wait_p90_s = o.get_non_negative("queue-wait-p90", 600.0, "target")?;
+    let inbox_depth = o.get_non_negative("inbox-depth", 10_000.0, "target")?;
     let check = o.get_or("check", false)?;
 
-    let rec = match o.get("flight") {
-        Some(path) => Recorder::with_flight(
-            FlightConfig::dumping_to(path).with_cooldown(SimSpan::from_secs(60)),
-        ),
-        None => Recorder::metrics_only(),
-    };
+    let rec = Recorder::metrics_only();
     let sampler = Sampler::every_until(SimSpan::from_secs(1), sc.horizon());
     let slo = SloEngine::paper_presets(sweep_p99_us, queue_wait_p90_s, inbox_depth);
     let sys = sc.run(builder.obs(rec).sampler(sampler).slo(slo));
@@ -1040,19 +1018,16 @@ fn slo_report(o: &Opts) -> Result<(), CliError> {
 }
 
 /// `eslurm mem-report [--nodes N --satellites M --minutes T --jobs J
-/// --seed S --faults K --shards P] [--format table|csv|json] [--out FILE]
-/// [--csv FILE]`
+/// --seed S --faults K --shards P] [--format table|csv|json] [--out FILE]`
 ///
 /// Runs the same emulation as `simulate` with the tagged tracking
 /// allocator armed and prints the per-subsystem host-heap attribution:
 /// live and peak bytes, allocation counts and rates, and the size-class
 /// histogram for each tag (`master`, `satellite`, `sched`, `ml`, `obs`,
-/// `des-shard{n}`, `untagged`). Host-memory measurements live in their
-/// own domain (DESIGN §15): outcomes and all virtual-time exports are
-/// bit-identical with the profiler on or off, and the `mem_host_*` series
-/// written by `--csv` never reach the default `diff` gates. Requires a
-/// binary built with `--features mem-profile`; without it the command
-/// explains and exits 0.
+/// `des-shard{n}`, `untagged`). The profiler is a report around the run
+/// (DESIGN §15): armed before it and read after it, never handed to the
+/// engine, so the run is the plain one. Requires a binary built with
+/// `--features mem-profile`; without it the command explains and exits 0.
 fn mem_report(o: &Opts) -> Result<(), CliError> {
     let (sc, builder) = scenario(o)?;
     let shards = o.get_or("shards", 1usize)?;
@@ -1066,63 +1041,30 @@ fn mem_report(o: &Opts) -> Result<(), CliError> {
         );
         return Ok(());
     }
-    // The sampler drives the sampling tick that feeds `mem_host_*` series;
-    // arm it on the 1 Hz cadence whether or not `--csv` exports them.
-    let sampler = Sampler::every_until(SimSpan::from_secs(1), sc.horizon());
     let profiler = MemProfiler::enabled();
-    let sys = sc.run(
-        builder
-            .sampler(sampler.clone())
-            .shards(shards)
-            .mem_profile(profiler.clone()),
-    );
+    let sys = sc.run(builder.shards(shards));
     let report = profiler
         .report()
         .expect("mem_profile_compiled() checked above, so the handle is armed");
-    // The CSV notice is part of the status, so it follows the status to
-    // stderr when the report itself is on stdout.
-    let mut status = sc.status(&sys);
-    if let Some(path) = o.get("csv") {
-        write_file(path, sampler.host_csv())?;
-        status += &format!("\ncsv:    mem_host_* series -> {path}");
-    }
     let (table, csv, json) = (|| report.render(), || report.to_csv(), || report.to_json());
-    emit_report(o, "mem", [&table, &csv, &json], &status)
+    emit_report(o, "mem", [&table, &csv, &json], &sc.status(&sys))
 }
 
 /// `eslurm diff BASE.csv NEW.csv [--threshold-pct P]
-/// [--thresholds metric=P,metric=P] [--all true]
-/// [--include-domain host-mem]`
+/// [--thresholds metric=P,metric=P] [--all true]`
 ///
 /// Compares two sampler CSVs and exits 3 when any gated metric's mean or
 /// max grew past its threshold. `footprint_*` metrics are gated by
 /// default; `--thresholds` gates the listed metrics with their own
-/// limits, and `--all true` gates every shared metric. Metrics from the
-/// non-virtual measurement domain — host-memory `mem_host_*` series —
-/// are never gated unless `--include-domain` (or an explicit
-/// `--thresholds` entry) opts the domain in: allocator jitter must not
-/// fail a virtual-time determinism gate.
+/// limits, and `--all true` gates every shared metric.
 fn diff(o: &Opts) -> Result<(), CliError> {
     let base_path = o.positional(0, "baseline csv")?;
     let new_path = o.positional(1, "candidate csv")?;
     let mut opts = DiffOptions {
-        default_threshold_pct: match o.get("threshold-pct") {
-            Some(text) => o.percent("--threshold-pct", text)?,
-            None => 5.0,
-        },
+        default_threshold_pct: o.get_non_negative("threshold-pct", 5.0, "percentage")?,
         gate_all: o.get_or("all", false)?,
         ..DiffOptions::default()
     };
-    if let Some(list) = o.get("include-domain") {
-        for domain in list.split(',').filter(|p| !p.is_empty()) {
-            match domain {
-                "host-mem" => opts.include_hostmem = true,
-                other => {
-                    return Err(o.usage(format!("unknown --include-domain {other} (host-mem)")))
-                }
-            }
-        }
-    }
     if let Some(list) = o.get("thresholds") {
         for part in list.split(',').filter(|p| !p.is_empty()) {
             // Split at the LAST `=`: rendered metric names may carry label
@@ -1130,7 +1072,7 @@ fn diff(o: &Opts) -> Result<(), CliError> {
             let (metric, pct) = part
                 .rsplit_once('=')
                 .ok_or_else(|| o.usage(format!("--thresholds entry `{part}` is not metric=pct")))?;
-            let pct = o.percent(&format!("--thresholds {metric}"), pct)?;
+            let pct = o.non_negative(&format!("--thresholds {metric}"), pct, "percentage")?;
             opts.per_metric.insert(metric.to_string(), pct);
         }
     }
@@ -1142,21 +1084,18 @@ fn diff(o: &Opts) -> Result<(), CliError> {
         .map_err(|e| CliError::parse(format!("{base_path} vs {new_path}"), e))?;
 
     println!(
-        "{:<44} {:>9} {:>5} {:>14} {:>14} {:>9}  gate",
-        "metric", "domain", "stat", "base", "new", "delta%"
+        "{:<44} {:>5} {:>14} {:>14} {:>9}  gate",
+        "metric", "stat", "base", "new", "delta%"
     );
     for d in &report.deltas {
-        // Gate verdicts name the metric's measurement domain so a failure
-        // line says which clock it was judged in (virtual determinism vs.
-        // opted-in host noise).
         let gate = match (d.regressed, d.threshold_pct) {
-            (true, Some(t)) => format!("FAIL >{t}% ({} domain)", d.domain),
+            (true, Some(t)) => format!("FAIL >{t}%"),
             (false, Some(t)) => format!("ok <={t}%"),
             (_, None) => "-".to_string(),
         };
         println!(
-            "{:<44} {:>9} {:>5} {:>14.4} {:>14.4} {:>9.2}  {gate}",
-            d.metric, d.domain, d.stat, d.base, d.new, d.pct
+            "{:<44} {:>5} {:>14.4} {:>14.4} {:>9.2}  {gate}",
+            d.metric, d.stat, d.base, d.new, d.pct
         );
     }
     for m in &report.only_in_base {

@@ -5,6 +5,7 @@
 
 use crate::cmds::CmdSpec;
 use crate::error::CliError;
+use simclock::SimSpan;
 use std::collections::BTreeMap;
 
 /// Parsed command-line options of one subcommand.
@@ -103,16 +104,48 @@ impl Opts {
         Ok(v)
     }
 
-    /// A percentage flag value: a finite number ≥ 0. `what` names the flag
-    /// in the error. NaN, infinities and overflowing literals would turn
-    /// every comparison against the threshold false, silently passing a
-    /// regression gate.
-    pub fn percent(&self, what: &str, text: &str) -> Result<f64, CliError> {
+    /// A duration flag in whole `unit`s (minutes, seconds) with a default,
+    /// at least `min`. The virtual clock counts µs in a `u64`, so a count
+    /// above `u64::MAX / unit` would wrap the horizon or the cadence into a
+    /// short run reported as the long one: that is a usage error too.
+    pub fn get_span(
+        &self,
+        name: &str,
+        default: u64,
+        unit: SimSpan,
+        min: u64,
+    ) -> Result<u64, CliError> {
+        let v = self.get_or(name, default)?;
+        let max = u64::MAX / unit.as_micros();
+        if v < min {
+            Err(self.usage(format!("--{name} must be at least {min}")))
+        } else if v > max {
+            Err(self.usage(format!(
+                "--{name} must be at most {max}, or the virtual clock wraps; got {v}"
+            )))
+        } else {
+            Ok(v)
+        }
+    }
+
+    /// A number flag with a default: a finite value >= 0, called a `noun`
+    /// (`percentage`, `target`) in the error (see [`Opts::non_negative`]).
+    pub fn get_non_negative(&self, name: &str, default: f64, noun: &str) -> Result<f64, CliError> {
+        match self.get(name) {
+            Some(text) => self.non_negative(&format!("--{name}"), text, noun),
+            None => Ok(default),
+        }
+    }
+
+    /// `text` as a finite number >= 0, a `noun` (`percentage`, `target`);
+    /// `what` names the flag in the error. NaN, infinities and overflowing
+    /// literals would turn every comparison against a threshold or an
+    /// objective false, silently passing a regression gate or breaching an
+    /// SLO nothing can meet.
+    pub fn non_negative(&self, what: &str, text: &str, noun: &str) -> Result<f64, CliError> {
         match text.parse::<f64>() {
             Ok(p) if p.is_finite() && p >= 0.0 => Ok(p),
-            Ok(_) => Err(self.usage(format!(
-                "{what} must be a finite percentage >= 0, got `{text}`"
-            ))),
+            Ok(_) => Err(self.usage(format!("{what} must be a finite {noun} >= 0, got `{text}`"))),
             Err(e) => Err(self.usage(format!("{what}: {e}"))),
         }
     }
@@ -162,13 +195,39 @@ mod tests {
     }
 
     #[test]
-    fn percent_accepts_only_finite_non_negative_values() {
+    fn non_negative_accepts_only_finite_non_negative_values() {
         let o = parse(&[]).unwrap();
-        assert_eq!(o.percent("--p", "5").unwrap(), 5.0);
-        assert_eq!(o.percent("--p", "0").unwrap(), 0.0);
+        assert_eq!(o.non_negative("--p", "5", "percentage").unwrap(), 5.0);
+        assert_eq!(o.non_negative("--p", "0", "target").unwrap(), 0.0);
         for bad in ["nan", "NaN", "inf", "-inf", "1e309", "-1", "x"] {
-            let err = o.percent("--p", bad).unwrap_err();
+            let err = o.non_negative("--p", bad, "target").unwrap_err();
             assert_eq!(err.exit_code(), 2, "{bad}");
         }
+    }
+
+    #[test]
+    fn spans_past_the_clock_are_usage_errors() {
+        let minute = SimSpan::from_secs(60);
+        let max = 307_445_734_561u64;
+        let ok = parse(&["--jobs", &max.to_string()]).unwrap();
+        assert_eq!(ok.get_span("jobs", 0, minute, 0).unwrap(), max);
+        let wraps = parse(&["--jobs", &(max + 1).to_string()]).unwrap();
+        assert_eq!(
+            wraps
+                .get_span("jobs", 0, minute, 0)
+                .unwrap_err()
+                .exit_code(),
+            2
+        );
+        let zero = parse(&["--jobs", "0"]).unwrap();
+        let second = SimSpan::from_secs(1);
+        assert_eq!(
+            zero.get_span("jobs", 1, second, 1).unwrap_err().exit_code(),
+            2
+        );
+        assert_eq!(
+            parse(&[]).unwrap().get_span("seed", 5, minute, 0).unwrap(),
+            5
+        );
     }
 }

@@ -7,7 +7,8 @@
 //!
 //! The test runs every row's command for real, in order, in one scratch
 //! directory (later rows read files earlier rows wrote: `t.jsonl`,
-//! `m.csv`), and rebuilds the row from the exit code and the FNV-1a hash
+//! `m.csv`; the test itself writes `m_regressed.csv` and the hostile
+//! one-line `deep.jsonl`), and rebuilds the row from the exit code and the FNV-1a hash
 //! and length of stdout, stderr and each file the command created (a
 //! file is a row's own if its name was not there before, so no two rows
 //! share an output name). Only wall-clock fields are masked
@@ -112,6 +113,10 @@ fn every_command_matches_its_golden_row() {
                 .collect();
             assert_ne!(worse, base, "no master memory series to regress");
             std::fs::write(dir.join("m_regressed.csv"), worse).expect("scratch write");
+        }
+        if cmd.contains("deep.jsonl") {
+            // A hostile trace: one line of 200,000 unclosed arrays.
+            std::fs::write(dir.join("deep.jsonl"), "[".repeat(200_000)).expect("scratch write");
         }
         stdout.insert(cmd, run(&dir, cmd, &mut rows));
     }

@@ -46,8 +46,8 @@ use crate::network::LatencyModel;
 use crate::node::NodeId;
 use crate::state::{HotNode, NodeStore};
 use obs::{
-    bucket_index, tag_scope, CausalRecord, Counter, EventKind, FlowKind, Hist, HopSend,
-    MemProfiler, MemTag, Recorder, Sampler, SloEngine, TraceContext,
+    bucket_index, tag_scope, CausalRecord, Counter, EventKind, FlowKind, Hist, HopSend, MemTag,
+    Recorder, Sampler, SloEngine, TraceContext,
 };
 use rand::rngs::StdRng;
 use simclock::{EventKey, KeyedQueue, SimSpan, SimTime};
@@ -91,13 +91,6 @@ pub struct SimConfig {
     /// the recorder and sampler and writes only its own state, so enabling
     /// it perturbs no outcome and no base export byte.
     pub slo: SloEngine,
-    /// Host-memory profiler handle ([`obs::MemProfiler`]). Disabled by
-    /// default, and inert unless the `mem-profile` feature compiled the
-    /// tracking allocator in. When armed, each sampling tick also records
-    /// per-tag `mem_host_*` series into the sampler's *host* store —
-    /// never the default virtual-time store, so base exports stay
-    /// byte-identical with profiling on or off.
-    pub mem: MemProfiler,
 }
 
 impl SimConfig {
@@ -112,7 +105,6 @@ impl SimConfig {
             shards: 1,
             partition: None,
             slo: SloEngine::disabled(),
-            mem: MemProfiler::disabled(),
         }
     }
 }
@@ -412,7 +404,7 @@ impl<M: Payload> Context<M> for DesCtx<'_, M> {
     }
 
     fn trace_adopt(&mut self, ctx: Option<TraceContext>) {
-        if self.shared.obs.causal_enabled() {
+        if self.shared.obs.events_enabled() {
             self.cur_ctx = ctx;
         }
     }
@@ -594,7 +586,6 @@ pub struct SimCluster<M: Payload, A: Actor<M>> {
     shared: SimShared,
     sampler: Sampler,
     slo: SloEngine,
-    mem: MemProfiler,
     /// The sampler's cadence; `None` when it is disabled or open-ended.
     ticks: Option<Ticks>,
     /// Next engine-level sampling tick; `None` once the cadence retired.
@@ -712,7 +703,6 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
             },
             sampler: config.sampler,
             slo: config.slo,
-            mem: config.mem,
             ticks,
             sample_next,
             started: false,
@@ -871,13 +861,6 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
         // SLO evaluation rides the sampling cadence, after the snapshot so
         // hist/gauge signals see this tick's state.
         self.slo.evaluate(t, &self.shared.obs, &self.sampler);
-        // Host-memory series ride the same cadence into the sampler's
-        // *host* store — the virtual-time store and its exports never see
-        // them, so base exports stay byte-identical under profiling.
-        {
-            let _mem_scope = tag_scope(MemTag::Obs);
-            self.mem.sample_into(&self.sampler, t);
-        }
         self.sample_next = Some(t + s.interval);
     }
 

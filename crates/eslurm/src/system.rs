@@ -10,7 +10,7 @@ use crate::master::EslurmMaster;
 use crate::satellite::SatelliteDaemon;
 use emu::{Actor, Context, FaultPlan, NodeId, SimCluster, SimConfig};
 use monitoring::FailurePredictor;
-use obs::{tag_scope, MemProfiler, MemTag, Recorder, Sampler, SloEngine};
+use obs::{tag_scope, MemTag, Recorder, Sampler, SloEngine};
 use rm::proto::{NodeSlice, RmMsg};
 use rm::slave::{SlaveConfig, SlaveDaemon, SlaveHeartbeat};
 use rm::JobStream;
@@ -138,18 +138,6 @@ impl EslurmSystemBuilder {
     /// via [`SimCluster::slo_engine`] after the run.
     pub fn slo(mut self, engine: SloEngine) -> Self {
         self.sim.slo = engine;
-        self
-    }
-
-    /// Profile the reproduction's *own heap* into `profiler` (host-memory
-    /// domain, DESIGN §15). Requires the `mem-profile` feature to measure
-    /// anything — without it the handle is inert. The
-    /// profiler never touches the virtual-time path: outcomes and base
-    /// exports are byte-identical with it armed or not; the per-tag
-    /// `mem_host_*` series land in the sampler's separate host store.
-    /// Keep a clone of the handle to read the report back after the run.
-    pub fn mem_profile(mut self, profiler: MemProfiler) -> Self {
-        self.sim.mem = profiler;
         self
     }
 

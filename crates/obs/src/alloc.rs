@@ -2,10 +2,12 @@
 //! attributes heap traffic to a thread-local **subsystem tag**.
 //!
 //! The paper's fig7 claim is about the resource footprint of the
-//! management stack itself. The `footprint_*` series (PR 3) model that
+//! management stack itself. The `footprint_*` series model that
 //! footprint in *virtual* time; this module measures the reproduction's
-//! *real* heap — the second measurement domain next to virtual time
-//! (DESIGN §15).
+//! *real* heap, as a report around a run rather than an instrument inside
+//! it (DESIGN §15): arm a [`MemProfiler`], run, read
+//! [`MemProfiler::report`]. The engine holds no handle to it and no series
+//! carries its numbers.
 //!
 //! ## Shape
 //!
@@ -29,8 +31,6 @@
 //!   (a small header per allocation) and *what is counted*, never what
 //!   the simulation computes: outcomes and all virtual-time exports are
 //!   bit-identical with the feature on or off (`tests/mem_profile.rs`).
-//!   Host-memory series ride a separate sampler store under
-//!   [`HOSTMEM_PREFIX`], excluded from diff gates by default.
 //!
 //! ## Reading the numbers
 //!
@@ -49,17 +49,6 @@ use std::cell::Cell;
 #[cfg(feature = "mem-profile")]
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
-
-use simclock::SimTime;
-
-use crate::label::MetricId;
-use crate::sampler::Sampler;
-
-/// Name prefix of every host-memory series — the second metric domain
-/// next to virtual-time series (DESIGN §15).
-/// Host values vary run-to-run by nature, so `compare_csv` keeps them
-/// out of the regression gate unless explicitly included.
-pub const HOSTMEM_PREFIX: &str = "mem_host_";
 
 /// Subsystem attribution tag for heap traffic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -466,39 +455,6 @@ impl MemProfiler {
             })
         }
     }
-
-    /// Record the current per-tag live/peak bytes as `mem_host_*` series
-    /// into `sampler`'s **host** store at virtual time `t` — the default
-    /// virtual-time CSV is untouched. A no-op when either handle is
-    /// disabled.
-    pub fn sample_into(&self, sampler: &Sampler, t: SimTime) {
-        if !self.active() || !sampler.enabled() {
-            return;
-        }
-        let Some(report) = self.report() else { return };
-        for tr in &report.tags {
-            sampler.record_host(
-                t,
-                MetricId::new("mem_host_live_bytes").with("tag", tr.tag.clone()),
-                tr.live_bytes as f64,
-            );
-            sampler.record_host(
-                t,
-                MetricId::new("mem_host_peak_bytes").with("tag", tr.tag.clone()),
-                tr.peak_bytes as f64,
-            );
-        }
-        sampler.record_host(
-            t,
-            MetricId::new("mem_host_live_bytes_total"),
-            report.total_live() as f64,
-        );
-        sampler.record_host(
-            t,
-            MetricId::new("mem_host_allocs_total"),
-            report.total_allocs() as f64,
-        );
-    }
 }
 
 /// Per-tag numbers inside a [`MemReport`].
@@ -707,31 +663,10 @@ mod tests {
     }
 
     #[test]
-    fn hostmem_prefix_names_every_emitted_series() {
-        // The diff gate excludes the host domain by prefix; every series
-        // `sample_into` emits must carry it.
-        for name in [
-            "mem_host_live_bytes",
-            "mem_host_peak_bytes",
-            "mem_host_live_bytes_total",
-            "mem_host_allocs_total",
-        ] {
-            assert!(
-                name.starts_with(HOSTMEM_PREFIX),
-                "{name} escapes the domain"
-            );
-        }
-    }
-
-    #[test]
     fn disabled_profiler_is_inert() {
         let p = MemProfiler::disabled();
         assert!(!p.active());
         assert!(p.report().is_none());
-        let sampler = Sampler::every(simclock::SimSpan::from_secs(1));
-        p.sample_into(&sampler, SimTime::from_secs(1));
-        assert!(sampler.host_store().is_empty());
-        assert!(sampler.store().is_empty());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! resubmits, or completes a job. A [`DecisionLog`] is a cheap-clone
 //! handle in the [`crate::Recorder`] style — disabled is a `None`, so
 //! un-audited runs pay one inlined branch per call site — with a
-//! ring-capped store like the flight recorder, evicting oldest-first.
+//! ring-capped store evicting oldest-first.
 //!
 //! From the log, [`AuditReport`] derives the aggregate story: backfill
 //! hit-rate, skip-reason counts, and per-source / per-cluster estimator
@@ -241,7 +241,7 @@ impl DecisionLog {
     }
 
     /// A log retaining the most recent `cap` records (oldest evicted
-    /// first, like the flight ring). A cap of zero retains nothing but
+    /// first). A cap of zero retains nothing but
     /// still counts drops.
     pub fn with_cap(cap: usize) -> Self {
         DecisionLog(Some(Arc::new(Mutex::new(Ring {

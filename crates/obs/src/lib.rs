@@ -1,11 +1,14 @@
 //! # eslurm-obs
 //!
-//! The virtual-time observability layer for the ESlurm reproduction:
-//! a lock-cheap metrics [`Recorder`] (counters / gauges / fixed-bucket
-//! histograms keyed by static ids, plus a labeled per-entity registry),
-//! span-style event tracing with a bounded flight ring, and a
-//! virtual-time [`Sampler`] whose series export as CSV — fed by the
-//! discrete-event engine, its actors and the backfill scheduler.
+//! The virtual-time observability layer for the ESlurm reproduction.
+//! Three instruments ride a run: a lock-cheap metrics [`Recorder`]
+//! (counters / gauges / fixed-bucket histograms keyed by static ids, a
+//! labeled per-entity registry, and in full-trace mode span-style events
+//! with causal records), a virtual-time [`Sampler`] whose one store
+//! exports as CSV, and the online [`SloEngine`] — fed by the
+//! discrete-event engine, its actors and the backfill scheduler. The
+//! host-heap profiler ([`MemProfiler`]) is not an instrument of the run
+//! but a report around it: arm, run, read.
 //!
 //! ## Design
 //!
@@ -19,8 +22,10 @@
 //!   registry lock once per entity ([`Recorder::labeled_counter`]); the
 //!   returned handle records with one relaxed atomic thereafter.
 //! - **Events are virtual-time stamped.** Timestamps are `SimTime` µs, so
-//!   a seed fixes every stamp. The [`flight::FlightRecorder`] bounds retention per node and by bytes,
-//!   dumping on `node_down` or an SLO breach for post-mortems.
+//!   a seed fixes every stamp, and a post-mortem re-runs the seed with the
+//!   full trace on (`eslurm explain`, `critical-path`, `why-job`) instead
+//!   of keeping a ring of recent events. No instrument writes a file
+//!   mid-run.
 //! - **Exports are deterministic.** [`export::to_chrome_trace`] renders a
 //!   `chrome://tracing` / Perfetto-loadable document, [`export::to_jsonl`]
 //!   one object per line, [`export::to_prometheus`] the text exposition
@@ -53,7 +58,6 @@ pub mod audit;
 pub mod causal;
 pub mod event;
 pub mod export;
-pub mod flight;
 pub mod label;
 pub mod metric;
 pub mod recorder;
@@ -63,7 +67,6 @@ pub mod slo;
 
 pub use alloc::{
     mem_profile_compiled, tag_scope, MemProfiler, MemReport, MemTag, MemTagReport, TagScope,
-    HOSTMEM_PREFIX,
 };
 pub use audit::{
     AccuracyStats, AuditReport, Decision, DecisionLog, DecisionRecord, EstSource, EstimateRef,
@@ -74,7 +77,6 @@ pub use causal::{
     PathStep, TraceContext, TraceTree,
 };
 pub use event::{EventKind, TraceEvent};
-pub use flight::{FlightConfig, FlightRecorder};
 pub use label::MetricId;
 pub use metric::{bucket_index, Counter, Gauge, Hist, HistSnapshot, Histogram};
 pub use recorder::{
@@ -82,8 +84,8 @@ pub use recorder::{
 };
 pub use sampler::Sampler;
 pub use series::{
-    compare_csv, metric_domain, parse_csv, DiffOptions, DiffReport, MetricDelta, SeriesPoint,
-    SeriesStore, SeriesSummary,
+    compare_csv, parse_csv, DiffOptions, DiffReport, MetricDelta, SeriesPoint, SeriesStore,
+    SeriesSummary,
 };
 pub use slo::{
     AnomalySpec, SloEngine, SloEvent, SloEventKind, SloOp, SloReport, SloSignal, SloSpec, SloStat,

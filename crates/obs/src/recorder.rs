@@ -8,10 +8,7 @@
 //! ids, a labeled registry maps [`MetricId`]s to per-entity cells:
 //! registering returns a handle whose recording path is a single relaxed
 //! atomic, so the registry lock is paid once per entity, not per sample.
-//! An optional flight ring (see [`crate::flight`]) retains the most recent
-//! events per node and dumps them when a node goes down.
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -20,7 +17,6 @@ use simclock::SimTime;
 
 use crate::causal::{CausalRecord, FlowKind, TraceContext};
 use crate::event::{EventKind, TraceEvent};
-use crate::flight::{FlightConfig, FlightRecorder};
 use crate::label::MetricId;
 use crate::metric::{Counter, Gauge, Hist, HistSnapshot, Histogram, N_COUNTERS, N_GAUGES};
 
@@ -40,30 +36,20 @@ impl LabeledCell {
     }
 }
 
-struct FlightState {
-    ring: Mutex<FlightRecorder>,
-    dump_path: Option<PathBuf>,
-    /// Triggered-dump dedupe window, µs of virtual time (0 = off).
-    cooldown_us: u64,
-    /// Virtual time of the last triggered dump; `u64::MAX` = never.
-    last_dump_t_us: AtomicU64,
-}
-
 /// Source of [`Shared::id`].
 static NEXT_SINK_ID: AtomicU64 = AtomicU64::new(0);
 
 struct Shared {
     /// Tells this sink apart from every other one in the process.
     id: u64,
-    /// Whether `event`/`span` keep an unbounded trace (the flight ring,
-    /// when configured, retains events regardless).
+    /// Whether `event`/`span` and the causal log keep what they are
+    /// handed (full-trace mode).
     record_events: bool,
     counters: [AtomicU64; N_COUNTERS],
     gauges: [AtomicI64; N_GAUGES],
     hists: Vec<Histogram>,
     labeled: Mutex<std::collections::BTreeMap<MetricId, LabeledCell>>,
     events: Mutex<Vec<TraceEvent>>,
-    flight: Option<FlightState>,
     /// Cross-node causal log (see [`crate::causal`]); only populated in
     /// full-trace mode, like `events`.
     causal: Mutex<Vec<CausalRecord>>,
@@ -75,7 +61,7 @@ struct Shared {
 }
 
 impl Shared {
-    fn new(record_events: bool, flight: Option<FlightConfig>) -> Self {
+    fn new(record_events: bool) -> Self {
         Shared {
             id: NEXT_SINK_ID.fetch_add(1, Ordering::Relaxed),
             record_events,
@@ -87,29 +73,9 @@ impl Shared {
                 .collect(),
             labeled: Mutex::new(std::collections::BTreeMap::new()),
             events: Mutex::new(Vec::new()),
-            flight: flight.map(|cfg| FlightState {
-                ring: Mutex::new(FlightRecorder::new(&cfg)),
-                dump_path: cfg.dump_path,
-                cooldown_us: cfg.cooldown_us,
-                last_dump_t_us: AtomicU64::new(u64::MAX),
-            }),
             causal: Mutex::new(Vec::new()),
             next_trace: AtomicU64::new(1),
             next_span: AtomicU64::new(1),
-        }
-    }
-
-    fn push_event(&self, e: TraceEvent) {
-        if self.record_events {
-            self.events.lock().push(e);
-        }
-        if let Some(fl) = &self.flight {
-            fl.ring.lock().record(e);
-            if e.kind == EventKind::NodeDown {
-                // Post-mortem context beats hot-path purity here: a node
-                // just died, write what we have (tagged, cooldown-deduped).
-                let _ = fl.dump_triggered("node_down", e.ts_us);
-            }
         }
     }
 }
@@ -119,29 +85,11 @@ impl Shared {
 #[derive(Clone, Default)]
 pub struct Recorder(Option<Arc<Shared>>);
 
-impl FlightState {
-    /// Shared triggered-dump path: tagged header, cooldown dedupe. The
-    /// cooldown compares virtual times, so it is deterministic for a
-    /// seed; `None` means skipped or unconfigured.
-    fn dump_triggered(&self, reason: &str, t_us: u64) -> Option<usize> {
-        let path = self.dump_path.as_ref()?;
-        if self.cooldown_us > 0 {
-            let last = self.last_dump_t_us.load(Ordering::Relaxed);
-            if last != u64::MAX && t_us.saturating_sub(last) < self.cooldown_us {
-                return None;
-            }
-        }
-        self.last_dump_t_us.store(t_us, Ordering::Relaxed);
-        self.ring.lock().dump_tagged(path, reason, t_us).ok()
-    }
-}
-
 impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.0 {
             None => f.write_str("Recorder(disabled)"),
             Some(s) if s.record_events => f.write_str("Recorder(full)"),
-            Some(s) if s.flight.is_some() => f.write_str("Recorder(metrics+flight)"),
             Some(_) => f.write_str("Recorder(metrics)"),
         }
     }
@@ -156,19 +104,12 @@ impl Recorder {
     /// Counters/gauges/histograms only — event calls are dropped. Use
     /// when only the summary numbers are wanted (e.g. bench bins).
     pub fn metrics_only() -> Self {
-        Recorder(Some(Arc::new(Shared::new(false, None))))
+        Recorder(Some(Arc::new(Shared::new(false))))
     }
 
     /// Metrics plus the full event trace.
     pub fn full() -> Self {
-        Recorder(Some(Arc::new(Shared::new(true, None))))
-    }
-
-    /// Metrics plus a bounded flight ring of recent events — the
-    /// production shape: counters stay cheap, the trace cannot grow
-    /// without bound, and a `node_down` auto-dumps the ring.
-    pub fn with_flight(cfg: FlightConfig) -> Self {
-        Recorder(Some(Arc::new(Shared::new(false, Some(cfg)))))
+        Recorder(Some(Arc::new(Shared::new(true))))
     }
 
     /// Whether any recording happens at all.
@@ -177,12 +118,13 @@ impl Recorder {
         self.0.is_some()
     }
 
-    /// Whether `event`/`span` calls are kept — by the unbounded trace, the
-    /// flight ring, or both. Check before doing non-trivial work
-    /// (formatting, extra clock reads) just to build an event.
+    /// Whether the trace is kept: `event`/`span` calls and causal records
+    /// (full-trace mode only). Producers check this before doing
+    /// non-trivial work just to build an event — formatting, extra clock
+    /// reads, allocating trace contexts — so metrics-only runs pay nothing.
     #[inline]
     pub fn events_enabled(&self) -> bool {
-        matches!(&self.0, Some(s) if s.record_events || s.flight.is_some())
+        matches!(&self.0, Some(s) if s.record_events)
     }
 
     /// Increment a counter by 1.
@@ -316,8 +258,10 @@ impl Recorder {
     #[inline]
     pub fn event(&self, ts_us: u64, node: u32, kind: EventKind, a: u64, b: u64) {
         if let Some(s) = &self.0 {
-            if s.record_events || s.flight.is_some() {
-                s.push_event(TraceEvent::instant(ts_us, node, kind, a, b));
+            if s.record_events {
+                s.events
+                    .lock()
+                    .push(TraceEvent::instant(ts_us, node, kind, a, b));
             }
         }
     }
@@ -326,8 +270,10 @@ impl Recorder {
     #[inline]
     pub fn span(&self, ts_us: u64, dur_us: u64, node: u32, kind: EventKind, a: u64, b: u64) {
         if let Some(s) = &self.0 {
-            if s.record_events || s.flight.is_some() {
-                s.push_event(TraceEvent::span(ts_us, dur_us, node, kind, a, b));
+            if s.record_events {
+                s.events
+                    .lock()
+                    .push(TraceEvent::span(ts_us, dur_us, node, kind, a, b));
             }
         }
     }
@@ -357,14 +303,6 @@ impl Recorder {
             a,
             b,
         );
-    }
-
-    /// Whether causal tracing is on (full-trace mode only). Transports
-    /// check this before allocating contexts or touching envelopes, so
-    /// metrics-only and flight-only runs pay nothing.
-    #[inline]
-    pub fn causal_enabled(&self) -> bool {
-        matches!(&self.0, Some(s) if s.record_events)
     }
 
     /// Start a new trace of `flow` rooted at `node`: allocates a trace and
@@ -460,41 +398,6 @@ impl Recorder {
             Some(s) => s.events.lock().clone(),
             None => Vec::new(),
         }
-    }
-
-    /// Snapshot the flight ring's retained events in recording order
-    /// (empty when no flight ring is configured).
-    pub fn flight_events(&self) -> Vec<TraceEvent> {
-        match &self.0 {
-            Some(s) => s
-                .flight
-                .as_ref()
-                .map(|fl| fl.ring.lock().events())
-                .unwrap_or_default(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Dump the flight ring to its configured path now. Returns the event
-    /// count written, or `None` when there is no ring or no dump path.
-    /// Manual dumps are headerless and ignore the cooldown (an explicit
-    /// request must always write).
-    pub fn flight_dump(&self) -> Option<std::io::Result<usize>> {
-        let s = self.0.as_ref()?;
-        let fl = s.flight.as_ref()?;
-        let path = fl.dump_path.as_ref()?;
-        Some(fl.ring.lock().dump_to(path))
-    }
-
-    /// Dump the flight ring with a `reason` header at virtual time `t_us`
-    /// (the externally-triggered shape: SLO breaches, operator requests).
-    /// Honors the [`FlightConfig::cooldown_us`] dedupe window — returns
-    /// `false` when skipped (disabled, no ring/path, or within cooldown
-    /// of the previous triggered dump).
-    pub fn flight_dump_tagged(&self, reason: &str, t_us: u64) -> bool {
-        let Some(s) = &self.0 else { return false };
-        let Some(fl) = &s.flight else { return false };
-        fl.dump_triggered(reason, t_us).is_some()
     }
 
     /// Current value of a counter.
@@ -794,118 +697,5 @@ mod tests {
         let r = Recorder::metrics_only();
         let _ = r.labeled_counter(MetricId::new("x"));
         let _ = r.labeled_gauge(MetricId::new("x"));
-    }
-
-    #[test]
-    fn flight_mode_keeps_ring_but_not_unbounded_trace() {
-        let r = Recorder::with_flight(FlightConfig {
-            per_node: 2,
-            max_bytes: usize::MAX,
-            ..FlightConfig::default()
-        });
-        assert!(r.events_enabled());
-        for i in 0..5 {
-            r.event(i, 0, EventKind::MsgRecv, 0, 0);
-        }
-        assert!(r.events().is_empty(), "no unbounded trace in flight mode");
-        let kept: Vec<u64> = r.flight_events().iter().map(|e| e.ts_us).collect();
-        assert_eq!(kept, vec![3, 4]);
-    }
-
-    #[test]
-    fn node_down_auto_dumps_the_ring() {
-        let dir = std::env::temp_dir().join("obs-recorder-flight");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("auto.jsonl");
-        let _ = std::fs::remove_file(&path);
-        let r = Recorder::with_flight(FlightConfig::dumping_to(&path));
-        r.event(5, 1, EventKind::MsgRecv, 0, 0);
-        r.event(9, 1, EventKind::NodeDown, 0, 0);
-        let text = std::fs::read_to_string(&path).expect("auto-dump written");
-        assert!(text.contains("node_down"));
-        assert!(text.contains("msg_recv"));
-        // Auto-dumps carry the triggered-dump header shape.
-        assert!(
-            text.starts_with("{\"flight_dump\":{\"reason\":\"node_down\""),
-            "missing reason header: {text}"
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn tagged_dumps_dedupe_within_the_cooldown() {
-        let dir = std::env::temp_dir().join("obs-recorder-flight");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("cooldown.jsonl");
-        let _ = std::fs::remove_file(&path);
-        let cfg = FlightConfig::dumping_to(&path).with_cooldown(simclock::SimSpan::from_secs(10));
-        let r = Recorder::with_flight(cfg);
-        r.event(5, 1, EventKind::MsgRecv, 0, 0);
-        assert!(r.flight_dump_tagged("slo_breach:a", 1_000_000));
-        // 2s later: inside the 10s window, skipped.
-        assert!(!r.flight_dump_tagged("slo_breach:b", 3_000_000));
-        let text = std::fs::read_to_string(&path).expect("first dump written");
-        assert!(text.contains("slo_breach:a"), "first dump survives: {text}");
-        // 11s after the first: outside the window, dumps again.
-        assert!(r.flight_dump_tagged("slo_breach:c", 12_000_000));
-        let text = std::fs::read_to_string(&path).expect("third dump written");
-        assert!(text.contains("slo_breach:c"));
-        // Manual dumps ignore the cooldown and stay headerless.
-        assert!(matches!(r.flight_dump(), Some(Ok(1))));
-        let text = std::fs::read_to_string(&path).expect("manual dump written");
-        assert!(!text.contains("flight_dump"), "manual dump grew a header");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn mixed_cause_dumps_in_one_window_share_one_snapshot() {
-        // An SLO breach and a `node_down` landing inside the same cooldown
-        // window must produce exactly one dump — the first cause wins and
-        // the second is deduped, never written as a duplicate — while the
-        // byte-capped ring behind both causes keeps evicting strictly
-        // oldest-first across nodes.
-        let dir = std::env::temp_dir().join("obs-recorder-flight");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("mixed.jsonl");
-        let _ = std::fs::remove_file(&path);
-        let cfg = FlightConfig {
-            per_node: 1_000,
-            max_bytes: 4 * crate::flight::EVENT_BYTES,
-            ..FlightConfig::dumping_to(&path).with_cooldown(simclock::SimSpan::from_secs(60))
-        };
-        let r = Recorder::with_flight(cfg);
-        // Interleave two nodes past the byte cap: only the 4 newest stay.
-        for i in 0..6u64 {
-            r.event(i + 1, (i % 2) as u32, EventKind::MsgRecv, 0, 0);
-        }
-        let kept: Vec<u64> = r.flight_events().iter().map(|e| e.ts_us).collect();
-        assert_eq!(kept, vec![3, 4, 5, 6], "eviction must be oldest-first");
-        // An SLO breach at t=30s dumps the ring...
-        assert!(r.flight_dump_tagged("slo_breach:sweep_p99_us", 30_000_000));
-        let first = std::fs::read_to_string(&path).expect("breach dump written");
-        assert!(first.starts_with("{\"flight_dump\":{\"reason\":\"slo_breach:sweep_p99_us\""));
-        // ...then a node goes down 10s later, inside the window: the
-        // auto-dump is deduped and the breach snapshot survives untouched.
-        r.event(40_000_000, 0, EventKind::NodeDown, 0, 0);
-        let after = std::fs::read_to_string(&path).expect("file still present");
-        assert_eq!(after, first, "node_down overwrote the in-window dump");
-        // Past the window the next cause dumps again, now with the
-        // node-down context in the (still byte-capped) ring.
-        assert!(r.flight_dump_tagged("slo_breach:queue_wait_p90_s", 95_000_000));
-        let third = std::fs::read_to_string(&path).expect("post-window dump");
-        assert!(third.contains("queue_wait_p90_s"));
-        assert!(third.contains("node_down"));
-        assert!(r.flight_events().len() <= 4, "byte cap held across causes");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn tagged_dump_without_a_ring_is_a_no_op() {
-        assert!(!Recorder::disabled().flight_dump_tagged("x", 0));
-        assert!(!Recorder::metrics_only().flight_dump_tagged("x", 0));
-        // A ring without a dump path records but never writes.
-        let r = Recorder::with_flight(FlightConfig::default());
-        r.event(1, 0, EventKind::MsgRecv, 0, 0);
-        assert!(!r.flight_dump_tagged("x", 0));
     }
 }

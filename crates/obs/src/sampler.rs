@@ -2,8 +2,8 @@
 //!
 //! A [`Sampler`] is a cheap-clone handle (same shape as [`Recorder`]:
 //! disabled is a `None`) that transports and schedulers call on a
-//! configurable `SimTime` cadence. Each tick appends labeled points to an
-//! in-memory [`SeriesStore`]: per-node resource footprints recorded by the
+//! configurable `SimTime` cadence. Each tick appends labeled points to its
+//! one in-memory [`SeriesStore`], all of them virtual time: per-node resource footprints recorded by the
 //! driver (`footprint_*{node=...}`) plus a snapshot of every static
 //! counter/gauge/histogram and every labeled metric the paired
 //! [`Recorder`] holds. The store then feeds the CSV/Prometheus expositions
@@ -43,10 +43,6 @@ struct SamplerShared {
 #[derive(Default)]
 struct SamplerInner {
     store: SeriesStore,
-    /// Host-domain (`mem_host_*`) series, kept apart from the
-    /// virtual-time store so the default CSV/summaries stay
-    /// byte-identical whether or not host-memory profiling ran.
-    host_store: SeriesStore,
     node_names: BTreeMap<u32, String>,
     /// Store slot of each `family{node=<name>}` footprint series.
     node_slots: BTreeMap<(u32, &'static str), usize>,
@@ -162,15 +158,6 @@ impl Sampler {
         }
     }
 
-    /// Append one point to a host-domain series. Host series live in
-    /// their own store (see [`Sampler::host_store`]); the default
-    /// virtual-time exports never include them.
-    pub fn record_host(&self, t: SimTime, id: MetricId, value: f64) {
-        if let Some(s) = &self.0 {
-            s.inner.lock().host_store.record(id, t, value);
-        }
-    }
-
     /// Append one point to `family{node=<name>}` for node `id`.
     pub fn record_node(&self, t: SimTime, id: u32, family: &'static str, value: f64) {
         if let Some(s) = &self.0 {
@@ -250,23 +237,6 @@ impl Sampler {
     pub fn to_csv(&self) -> String {
         match &self.0 {
             Some(s) => s.inner.lock().store.to_csv(),
-            None => SeriesStore::new().to_csv(),
-        }
-    }
-
-    /// A copy of the host-domain (`mem_host_*`) series.
-    pub fn host_store(&self) -> SeriesStore {
-        match &self.0 {
-            Some(s) => s.inner.lock().host_store.clone(),
-            None => SeriesStore::new(),
-        }
-    }
-
-    /// Render the host-domain series as CSV — a separate document,
-    /// so the virtual-time export stays pure.
-    pub fn host_csv(&self) -> String {
-        match &self.0 {
-            Some(s) => s.inner.lock().host_store.to_csv(),
             None => SeriesStore::new().to_csv(),
         }
     }
@@ -420,26 +390,6 @@ mod tests {
         let id = |name: &str| MetricId::new("footprint_sockets").with("node", name);
         assert_eq!(store.get(&id("node4")).map(<[_]>::len), Some(1));
         assert_eq!(store.get(&id("sat1")).map(<[_]>::len), Some(1));
-    }
-
-    #[test]
-    fn host_series_never_reach_the_default_exports() {
-        let s = Sampler::every(SimSpan::from_secs(1));
-        s.record(SimTime::from_secs(1), MetricId::new("footprint_rss"), 2.0);
-        let before = s.to_csv();
-        s.record_host(
-            SimTime::from_secs(1),
-            MetricId::new("mem_host_live_bytes_total"),
-            123.0,
-        );
-        assert_eq!(s.to_csv(), before, "host point leaked into the default CSV");
-        assert_eq!(s.store().len(), 1);
-        let host = s.host_store();
-        assert_eq!(host.len(), 1);
-        assert!(s.host_csv().contains("mem_host_live_bytes_total"));
-        assert!(Sampler::disabled()
-            .host_csv()
-            .starts_with("metric,t_us,value"));
     }
 
     #[test]

@@ -98,15 +98,6 @@ impl SeriesStore {
         self.points.iter().map(Vec::len).sum()
     }
 
-    /// Merge another store into this one (points append in time order as
-    /// long as both stores were recorded in time order).
-    pub fn merge(&mut self, other: &SeriesStore) {
-        for (id, pts) in other.iter() {
-            let slot = self.slot(id.clone(), 0);
-            self.points[slot].extend_from_slice(pts);
-        }
-    }
-
     /// Render the store as CSV: header `metric,t_us,value`, one row per
     /// point, series in id order. The metric column is the Prometheus-style
     /// rendering of the id, quoted when it contains a comma or quote.
@@ -336,11 +327,6 @@ pub struct DiffOptions {
     pub per_metric: BTreeMap<String, f64>,
     /// Gate every shared metric instead of only footprint metrics.
     pub gate_all: bool,
-    /// Also gate host-memory metrics ([`crate::alloc::HOSTMEM_PREFIX`]).
-    /// Off by default, even under `gate_all`: real heap sizes
-    /// vary run-to-run (allocator, OS, concurrency), so only an explicit
-    /// opt-in (or a per-metric override) puts them in the gate.
-    pub include_hostmem: bool,
 }
 
 impl Default for DiffOptions {
@@ -349,7 +335,6 @@ impl Default for DiffOptions {
             default_threshold_pct: 5.0,
             per_metric: BTreeMap::new(),
             gate_all: false,
-            include_hostmem: false,
         }
     }
 }
@@ -359,25 +344,10 @@ impl DiffOptions {
         if let Some(&t) = self.per_metric.get(metric) {
             return Some(t);
         }
-        if !self.include_hostmem && metric.starts_with(crate::alloc::HOSTMEM_PREFIX) {
-            return None;
-        }
         if self.gate_all || metric.starts_with("footprint_") {
             return Some(self.default_threshold_pct);
         }
         None
-    }
-}
-
-/// The measurement domain a metric name belongs to: `"host"` for
-/// [`crate::alloc::HOSTMEM_PREFIX`] series, `"virtual"` for everything
-/// else (DESIGN §15). Gate-failure messages carry this so a tripped gate
-/// says which clock it came from.
-pub fn metric_domain(name: &str) -> &'static str {
-    if name.starts_with(crate::alloc::HOSTMEM_PREFIX) {
-        "host"
-    } else {
-        "virtual"
     }
 }
 
@@ -386,8 +356,6 @@ pub fn metric_domain(name: &str) -> &'static str {
 pub struct MetricDelta {
     /// Rendered metric name.
     pub metric: String,
-    /// Measurement domain of the metric (see [`metric_domain`]).
-    pub domain: &'static str,
     /// Which statistic was compared (`mean` or `max`).
     pub stat: &'static str,
     /// Baseline value (run A).
@@ -454,7 +422,6 @@ pub fn compare_csv(a: &str, b: &str, opts: &DiffOptions) -> Result<DiffReport, S
             if let Some(t) = opts.gates(name) {
                 report.deltas.push(MetricDelta {
                     metric: name.clone(),
-                    domain: metric_domain(name),
                     stat: "presence",
                     base: bv,
                     new: cv,
@@ -483,7 +450,6 @@ pub fn compare_csv(a: &str, b: &str, opts: &DiffOptions) -> Result<DiffReport, S
             let regressed = threshold.is_some_and(|t| pct > t);
             report.deltas.push(MetricDelta {
                 metric: name.clone(),
-                domain: metric_domain(name),
                 stat,
                 base: bv,
                 new: cv,
@@ -640,9 +606,6 @@ mod tests {
         let zzz = store.get(&MetricId::new("zzz")).expect("series");
         assert_eq!(zzz.iter().map(|p| p.value).collect::<Vec<_>>(), [1.0, 3.0]);
         assert_eq!((store.len(), store.n_points()), (2, 3));
-        let mut merged = SeriesStore::new();
-        merged.merge(&store);
-        assert_eq!(merged.to_csv(), store.to_csv());
     }
 
     #[test]
@@ -763,68 +726,6 @@ mod tests {
         // The improvement direction never regresses.
         let improved = compare_csv(&b, &a, &DiffOptions::default()).expect("diff runs");
         assert!(improved.regressions().is_empty());
-    }
-
-    /// Host-memory metrics are the excluded-by-default domain: real
-    /// heap sizes vary run-to-run, so only `include_hostmem` (or a
-    /// per-metric override) gates them — and every delta names its
-    /// domain.
-    #[test]
-    fn hostmem_metrics_are_ungated_by_default() {
-        let mk = |v: f64| {
-            let mut store = SeriesStore::new();
-            store.record(
-                MetricId::new("mem_host_live_bytes").with("tag", "master"),
-                t(1),
-                v,
-            );
-            store.record(MetricId::new("footprint_sockets"), t(1), 3.0);
-            store.to_csv()
-        };
-        let a = mk(1e6);
-        let b = mk(9e6); // 9x host jitter: must not trip the gate
-        let strict = DiffOptions {
-            gate_all: true,
-            ..DiffOptions::default()
-        };
-        let report = compare_csv(&a, &b, &strict).expect("diff runs");
-        assert!(
-            report.regressions().is_empty(),
-            "host-memory metric tripped the gate"
-        );
-        let included = DiffOptions {
-            gate_all: true,
-            include_hostmem: true,
-            ..DiffOptions::default()
-        };
-        let report = compare_csv(&a, &b, &included).expect("diff runs");
-        let regs = report.regressions();
-        assert!(!regs.is_empty());
-        assert!(regs
-            .iter()
-            .all(|d| d.metric.starts_with(crate::alloc::HOSTMEM_PREFIX)));
-        assert!(regs.iter().all(|d| d.domain == "host"));
-    }
-
-    #[test]
-    fn deltas_carry_their_metric_domain() {
-        assert_eq!(metric_domain("footprint_sockets"), "virtual");
-        assert_eq!(metric_domain("mem_host_live_bytes"), "host");
-        let mk = |v: f64| {
-            let mut store = SeriesStore::new();
-            store.record(MetricId::new("footprint_sockets"), t(1), v);
-            store.record(MetricId::new("mem_host_live_bytes"), t(1), v);
-            store.to_csv()
-        };
-        let report = compare_csv(&mk(1.0), &mk(2.0), &DiffOptions::default()).expect("diff runs");
-        for d in &report.deltas {
-            assert_eq!(
-                d.domain,
-                metric_domain(&d.metric),
-                "{} mislabeled",
-                d.metric
-            );
-        }
     }
 
     /// A gated metric present in only one of the two runs is a named gate

@@ -19,10 +19,8 @@
 //! writes to its own state, and nothing it produces feeds back into
 //! simulation decisions. Outcomes stay bit-identical and virtual-time
 //! exports byte-identical with specs armed (pinned by
-//! `tests/slo_engine.rs` across 1/2/4/8 shards). The one deliberate side
-//! channel is forensics: a breach can trigger a tagged
-//! [flight-recorder dump](crate::Recorder::flight_dump_tagged) — file IO
-//! outside the simulation.
+//! `tests/slo_engine.rs` across 1/2/4/8 shards). It writes no file: a
+//! breach is an [`SloEvent`] in the report and on the export track.
 //!
 //! Breach/clear/anomaly transitions are kept as [`SloEvent`]s; the
 //! Chrome-trace export stamps them as instants on their own track
@@ -386,8 +384,6 @@ struct SloShared {
     /// accounting only — never fed back into the simulation).
     eval_wall_ns: AtomicU64,
     evals: AtomicU64,
-    /// Route breaches to the recorder's flight ring as tagged dumps.
-    flight_on_breach: bool,
 }
 
 /// Cheaply-cloneable handle to a (possibly disabled) online SLO engine.
@@ -418,19 +414,14 @@ impl SloEngine {
         SloEngine(None)
     }
 
-    /// An enabled engine evaluating `specs` on every sampling tick, with
-    /// breach-triggered flight dumps armed.
+    /// An enabled engine evaluating `specs` on every sampling tick.
     pub fn new(specs: Vec<SloSpec>) -> Self {
-        Self::with_config(specs, Vec::new(), true)
+        Self::with_config(specs, Vec::new())
     }
 
-    /// An enabled engine with anomaly detectors and explicit control over
-    /// breach-triggered flight dumps.
-    pub fn with_config(
-        specs: Vec<SloSpec>,
-        anomalies: Vec<AnomalySpec>,
-        flight_on_breach: bool,
-    ) -> Self {
+    /// An enabled engine evaluating `specs` and the `anomalies` detectors
+    /// on every sampling tick.
+    pub fn with_config(specs: Vec<SloSpec>, anomalies: Vec<AnomalySpec>) -> Self {
         SloEngine(Some(Arc::new(SloShared {
             inner: Mutex::new(SloInner {
                 specs: specs
@@ -465,7 +456,6 @@ impl SloEngine {
             }),
             eval_wall_ns: AtomicU64::new(0),
             evals: AtomicU64::new(0),
-            flight_on_breach,
         })))
     }
 
@@ -489,13 +479,12 @@ impl SloEngine {
     /// an enabled engine needs a sampling cadence — arm an end-bounded
     /// [`Sampler`] on the cluster. Reads the
     /// recorder/sampler, writes only its own state: non-perturbing by
-    /// construction. Returns breach reasons to route to forensics.
+    /// construction.
     pub fn evaluate(&self, t: SimTime, rec: &Recorder, sampler: &Sampler) {
         let Some(shared) = &self.0 else { return };
         let _mem = crate::alloc::tag_scope(crate::alloc::MemTag::Obs);
         let wall_start = Instant::now();
         let t_us = t.as_micros();
-        let mut breach_reasons: Vec<String> = Vec::new();
         {
             let mut inner = shared.inner.lock();
             let SloInner {
@@ -566,9 +555,6 @@ impl SloEngine {
                         value: v,
                         target: st.spec.target,
                     });
-                    if shared.flight_on_breach {
-                        breach_reasons.push(format!("slo_breach:{}", st.spec.name));
-                    }
                 } else if st.breached && fast_burn <= st.spec.clear_threshold {
                     st.breached = false;
                     st.episode_bad_t = None;
@@ -635,11 +621,6 @@ impl SloEngine {
                 }
             }
         }
-        // Forensics outside the state lock: a breach snapshots the flight
-        // ring with a tagged header (cooldown-deduped by the recorder).
-        for reason in breach_reasons {
-            rec.flight_dump_tagged(&reason, t_us);
-        }
         shared.evals.fetch_add(1, Ordering::Relaxed);
         shared
             .eval_wall_ns
@@ -650,21 +631,6 @@ impl SloEngine {
     pub fn events(&self) -> Vec<SloEvent> {
         match &self.0 {
             Some(s) => s.inner.lock().events.clone(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Specs currently in breach, by name.
-    pub fn active_breaches(&self) -> Vec<String> {
-        match &self.0 {
-            Some(s) => s
-                .inner
-                .lock()
-                .specs
-                .iter()
-                .filter(|st| st.breached)
-                .map(|st| st.spec.name.clone())
-                .collect(),
             None => Vec::new(),
         }
     }
@@ -1010,7 +976,6 @@ mod tests {
         tick(&e, &Recorder::disabled(), 1);
         assert!(e.events().is_empty());
         assert!(e.report().is_none());
-        assert!(e.active_breaches().is_empty());
     }
 
     #[test]
@@ -1018,7 +983,7 @@ mod tests {
         let mut spec = SloSpec::master_inbox(10.0);
         spec.fast_window = SimSpan::from_secs(3);
         spec.slow_window = SimSpan::from_secs(10);
-        let e = SloEngine::with_config(vec![spec], Vec::new(), false);
+        let e = SloEngine::new(vec![spec]);
         let rec = Recorder::metrics_only();
 
         // Healthy for a while: no events.
@@ -1036,7 +1001,7 @@ mod tests {
         let events = e.events();
         assert_eq!(events.len(), 1, "exactly one breach: {events:?}");
         assert_eq!(events[0].kind, SloEventKind::Breach);
-        assert_eq!(e.active_breaches(), vec!["master_inbox_depth".to_string()]);
+        assert!(e.report().unwrap().specs[0].breached_now);
 
         // Recovery: the fast window cools, the breach clears once.
         rec.gauge_set(Gauge::TasksInFlight, 1);
@@ -1046,7 +1011,6 @@ mod tests {
         let events = e.events();
         assert_eq!(events.len(), 2, "breach then clear: {events:?}");
         assert_eq!(events[1].kind, SloEventKind::Clear);
-        assert!(e.active_breaches().is_empty());
 
         let report = e.report().unwrap();
         assert_eq!(report.specs[0].breaches, 1);
@@ -1061,7 +1025,7 @@ mod tests {
         let mut spec = SloSpec::master_inbox(10.0);
         spec.fast_window = SimSpan::from_secs(2);
         spec.slow_window = SimSpan::from_secs(60);
-        let e = SloEngine::with_config(vec![spec], Vec::new(), false);
+        let e = SloEngine::new(vec![spec]);
         let rec = Recorder::metrics_only();
         // A long good history, then a 3-tick spike: the fast window burns
         // but the slow window does not — no breach.
@@ -1081,7 +1045,7 @@ mod tests {
         let mut spec = SloSpec::sweep_p99(100.0); // 100µs: absurdly tight
         spec.fast_window = SimSpan::from_secs(2);
         spec.slow_window = SimSpan::from_secs(4);
-        let e = SloEngine::with_config(vec![spec], Vec::new(), false);
+        let e = SloEngine::new(vec![spec]);
         let rec = Recorder::metrics_only();
         // Empty histogram: ticks produce no verdicts.
         for t in 1..=3 {
@@ -1111,7 +1075,7 @@ mod tests {
         let mut spec = SloSpec::utilization_floor(id.clone(), 0.5);
         spec.fast_window = SimSpan::from_secs(5);
         spec.slow_window = SimSpan::from_secs(20);
-        let e = SloEngine::with_config(vec![spec], Vec::new(), false);
+        let e = SloEngine::new(vec![spec]);
         let rec = Recorder::disabled();
         e.evaluate(SimTime::from_secs(10), &rec, &sampler);
         let r = e.report().unwrap();
@@ -1137,7 +1101,7 @@ mod tests {
             threshold: 4.0,
             warmup: 10,
         };
-        let e = SloEngine::with_config(Vec::new(), vec![an], false);
+        let e = SloEngine::with_config(Vec::new(), vec![an]);
         let rec = Recorder::disabled();
         // A stable baseline with a little structure, then a 100x step.
         for t in 1..=40 {

@@ -7,7 +7,7 @@ use crate::profile::{HeartbeatMode, RmProfile};
 use crate::proto::{NodeSlice, RmMsg};
 use crate::slave::{SlaveConfig, SlaveDaemon, SlaveHeartbeat};
 use emu::{Actor, Context, FaultPlan, NodeId, SimCluster, SimConfig};
-use obs::{tag_scope, MemProfiler, MemTag, Recorder, Sampler, SloEngine};
+use obs::{tag_scope, MemTag, Recorder, Sampler, SloEngine};
 use rand::rngs::StdRng;
 use rand::RngExt;
 use simclock::rng::{exponential, stream_rng};
@@ -235,15 +235,6 @@ impl RmClusterBuilder {
     /// are unchanged with it on or off.
     pub fn slo(mut self, engine: SloEngine) -> Self {
         self.sim.slo = engine;
-        self
-    }
-
-    /// Attribute the reproduction's own heap into `profiler`, exactly as
-    /// `EslurmSystemBuilder::mem_profile` does for the distributed stack
-    /// (host-memory domain, DESIGN §15; inert without the `mem-profile`
-    /// feature). Centralized-RM FSMs all run under the `rm` tag.
-    pub fn mem_profile(mut self, profiler: MemProfiler) -> Self {
-        self.sim.mem = profiler;
         self
     }
 

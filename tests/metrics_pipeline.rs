@@ -1,14 +1,14 @@
 //! Metrics-pipeline integration: the sampler → exposition → diff path must
 //! hold end-to-end on a real emulated run — strictly well-formed Prometheus
 //! text, CSV that round-trips through the regression gate with a zero
-//! self-diff, byte-identical CSV for identical seeds, and a flight ring
-//! that auto-dumps the moment a node dies — and the bytes of all three
-//! exports pinned, so a cheaper recording path cannot drift them.
+//! self-diff, and byte-identical CSV for identical seeds — and the bytes
+//! of all three exports pinned, so a cheaper recording path cannot drift
+//! them.
 
 mod common;
 
 use eslurm_suite::eslurm::prelude::*;
-use eslurm_suite::obs::{compare_csv, export, DiffOptions, FlightConfig, MetricId, Sampler};
+use eslurm_suite::obs::{compare_csv, export, DiffOptions, MetricId, Sampler};
 
 /// A 32-node two-satellite deployment with a mid-run satellite outage,
 /// sampled at 1 Hz for two virtual minutes.
@@ -246,38 +246,4 @@ fn sampled_exports_match_the_pinned_hashes() {
             "{shards} shard(s): got {got:x?}, pinned {PINNED:x?}"
         );
     }
-}
-
-#[test]
-fn node_fault_auto_dumps_the_flight_ring() {
-    let dir = std::env::temp_dir().join(format!("eslurm-flight-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("flight.jsonl");
-    let _ = std::fs::remove_file(&path);
-
-    let rec = Recorder::with_flight(FlightConfig::dumping_to(&path));
-    let (rec, _) = sampled_run(7, rec);
-
-    // The dump was written at the NodeDown instant, not at shutdown.
-    let dump = std::fs::read_to_string(&path).expect("flight dump missing after fault");
-    assert!(
-        dump.lines().any(|l| l.contains("\"kind\":\"node_down\"")),
-        "dump lacks the node_down marker"
-    );
-    for line in dump.lines() {
-        assert!(
-            line.starts_with('{') && line.ends_with('}'),
-            "not JSONL: {line:?}"
-        );
-    }
-
-    // A final explicit dump includes the post-fault tail as well.
-    let n = rec
-        .flight_dump()
-        .expect("flight configured")
-        .expect("dump ok");
-    assert!(n > 0);
-    let dump = std::fs::read_to_string(&path).unwrap();
-    assert!(dump.lines().any(|l| l.contains("\"kind\":\"node_up\"")));
-    std::fs::remove_dir_all(&dir).ok();
 }

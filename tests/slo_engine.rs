@@ -3,31 +3,27 @@
 //! and **byte-identical virtual-time exports** (Chrome trace, event JSONL,
 //! metrics CSV) with the SLO engine armed or not, on one shard and on four
 //! — plus the detection behaviour itself: a tight objective breaches with
-//! a sane detection latency, breaches land as instants on their own export
-//! track, and a breach snapshots the flight ring with a reason-tagged
-//! header.
+//! a sane detection latency, and breaches land as instants on their own
+//! export track.
 //!
 //! The armed-vs-plain comparison is `common::assert_non_perturbing`;
-//! breach detection, the SLO track and the flight dump are this suite's
-//! own.
+//! breach detection and the SLO track are this suite's own.
 
 mod common;
 
-use common::{assert_non_perturbing, cfg, sampled_run};
+use common::{assert_non_perturbing, sampled_run};
 use eslurm_suite::eslurm::EslurmSystemBuilder;
 use eslurm_suite::obs::export::{self, ChromeTrace};
-use eslurm_suite::obs::{FlightConfig, Recorder, Sampler, SloEngine, SloEventKind, SloSpec};
-use eslurm_suite::simclock::{SimSpan, SimTime};
+use eslurm_suite::obs::{Recorder, SloEngine, SloEventKind, SloSpec};
 
 /// A spec set with one objective tight enough to breach in this scenario
 /// (sweeps take milliseconds, the target is 1µs) and one that must stay
-/// green. Flight dumps off — the export tests arm no ring.
+/// green.
 fn tight_slo() -> SloEngine {
-    SloEngine::with_config(
-        vec![SloSpec::sweep_p99(1.0), SloSpec::master_inbox(100_000.0)],
-        Vec::new(),
-        false,
-    )
+    SloEngine::new(vec![
+        SloSpec::sweep_p99(1.0),
+        SloSpec::master_inbox(100_000.0),
+    ])
 }
 
 /// SLOs on vs. off changes nothing the simulation can observe: same
@@ -105,43 +101,4 @@ fn tight_objective_breaches_with_sane_latency() {
         .iter()
         .any(|e| e.kind == SloEventKind::Breach && e.name == "sweep_p99_us"));
     assert_eq!(report.unmet(), 1);
-}
-
-/// A breach snapshots the flight ring with a reason-tagged header — the
-/// forensics hook. Fault-free variant of the scenario so the one dump on
-/// disk is the breach dump, not a node-down dump.
-#[test]
-fn breach_dumps_the_flight_ring_with_a_reason_tag() {
-    let dir = std::env::temp_dir().join("slo-engine-test");
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let path = dir.join("breach_dump.jsonl");
-    let _ = std::fs::remove_file(&path);
-
-    let rec = Recorder::with_flight(
-        FlightConfig::dumping_to(&path).with_cooldown(SimSpan::from_secs(3600)),
-    );
-    let slo = SloEngine::new(vec![SloSpec::sweep_p99(1.0)]);
-    let m = 2;
-    let mut sys = EslurmSystemBuilder::new(cfg(m), 60, 7)
-        .obs(rec)
-        .sampler(Sampler::every_until(
-            SimSpan::from_secs(1),
-            SimTime::from_secs(300),
-        ))
-        .slo(slo.clone())
-        .build();
-    sys.submit(SimTime::from_secs(5), 1, 0..4, SimSpan::from_secs(30));
-    sys.sim.run_until(SimTime::from_secs(300));
-
-    assert!(
-        slo.report().unwrap().total_breaches() > 0,
-        "scenario must breach"
-    );
-    let text = std::fs::read_to_string(&path).expect("breach dump written");
-    assert!(
-        text.starts_with("{\"flight_dump\":{\"reason\":\"slo_breach:sweep_p99_us\""),
-        "dump header missing the breach reason: {}",
-        text.lines().next().unwrap_or("")
-    );
-    let _ = std::fs::remove_file(&path);
 }
