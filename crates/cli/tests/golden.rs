@@ -8,7 +8,8 @@
 //! The test runs every row's command for real, in order, in one scratch
 //! directory (later rows read files earlier rows wrote: `t.jsonl`,
 //! `m.csv`; the test itself writes `m_regressed.csv` and the hostile
-//! one-line `deep.jsonl`), and rebuilds the row from the exit code and the FNV-1a hash
+//! one-line traces `deep.jsonl`, `late.jsonl`, `late.swf` and
+//! `max.jsonl`), and rebuilds the row from the exit code and the FNV-1a hash
 //! and length of stdout, stderr and each file the command created (a
 //! file is a row's own if its name was not there before, so no two rows
 //! share an output name). Only wall-clock fields are masked
@@ -98,6 +99,27 @@ fn every_command_matches_its_golden_row() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
 
+    // Hostile one-line traces, each written before the row that reads it.
+    let job = |submit: u64, span: u64| {
+        format!(
+            "{{\"id\":0,\"name\":\"j\",\"user\":0,\"nodes\":1,\"cores_per_node\":1,\
+             \"submit\":{submit},\"user_estimate\":{span},\"actual_runtime\":{span}}}\n"
+        )
+    };
+    let hostile = [
+        // 200,000 unclosed arrays.
+        ("deep.jsonl", "[".repeat(200_000)),
+        // Times past the 2^53 µs trace horizon: submitted 584,542 years in
+        // (a minute's run overflows the µs clock), 3.2 million years in
+        // SWF seconds (overflows on the scaling to µs), and `u64::MAX`.
+        ("late.jsonl", job(18_446_744_073_709_000_000, 60_000_000)),
+        (
+            "late.swf",
+            "1 99999999999999 -1 60 1 -1 -1 1 60 -1 1 1 1 1 1 1 -1 -1\n".into(),
+        ),
+        ("max.jsonl", job(u64::MAX, u64::MAX)),
+    ];
+
     let expected = include_str!("golden.expected");
     let mut rows = String::new();
     let mut stdout = BTreeMap::new();
@@ -114,9 +136,10 @@ fn every_command_matches_its_golden_row() {
             assert_ne!(worse, base, "no master memory series to regress");
             std::fs::write(dir.join("m_regressed.csv"), worse).expect("scratch write");
         }
-        if cmd.contains("deep.jsonl") {
-            // A hostile trace: one line of 200,000 unclosed arrays.
-            std::fs::write(dir.join("deep.jsonl"), "[".repeat(200_000)).expect("scratch write");
+        for (name, text) in &hostile {
+            if cmd.split(' ').any(|arg| arg == *name) {
+                std::fs::write(dir.join(name), text).expect("scratch write");
+            }
         }
         stdout.insert(cmd, run(&dir, cmd, &mut rows));
     }

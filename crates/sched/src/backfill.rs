@@ -188,14 +188,70 @@ struct Queued {
     logged_prio: i64,
 }
 
+/// Keys per [`Block`].
+const BLOCK: usize = 64;
+
+/// Width classes: class ⌈log2 width⌉, with 0- and 1-node jobs in class 0,
+/// so every `u32` width falls in one of 33.
+const CLASSES: usize = 33;
+
+fn width_class(width: u32) -> usize {
+    (u32::BITS - width.saturating_sub(1).leading_zeros()) as usize
+}
+
+/// What a pass needs to step over 64 consecutive queue keys unread: the
+/// least live width, and per width class the least planned occupation of
+/// a live key. Classes are stored apart and folded at query time (a stored
+/// running minimum would cost every push 33 writes).
+#[derive(Clone, Copy, PartialEq)]
+struct Block {
+    narrowest: u32,
+    shortest: [SimSpan; CLASSES],
+}
+
+impl Block {
+    const EMPTY: Block = Block {
+        narrowest: u32::MAX,
+        shortest: [SimSpan(u64::MAX); CLASSES],
+    };
+
+    fn of(keys: &[ScanKey]) -> Block {
+        let mut b = Block::EMPTY;
+        keys.iter().filter(|k| k.is_live()).for_each(|k| b.add(k));
+        b
+    }
+
+    fn add(&mut self, key: &ScanKey) {
+        self.narrowest = self.narrowest.min(key.width);
+        let c = &mut self.shortest[width_class(key.width)];
+        *c = (*c).min(key.occupied);
+    }
+
+    /// Whether a live key of the block may pass EASY's start test: width
+    /// within `free`, and within `extra` or planned to end within `budget`
+    /// (the time left before the head's reservation). Every class that
+    /// holds a width within `free` is consulted, so a `false` is exact and
+    /// a `true` only says "read the keys".
+    fn admits(&self, free: u32, extra: u32, budget: SimSpan) -> bool {
+        self.narrowest <= free.min(extra)
+            || (self.narrowest <= free
+                && self.shortest[..=width_class(free)]
+                    .iter()
+                    .any(|&o| o <= budget))
+    }
+}
+
 /// The wait queue, in scheduling order: scan keys and records in parallel
-/// arrays. An entry that starts is overwritten by a tombstone instead of
-/// shifting everything behind it; [`Queue::tidy`] squeezes tombstones out
-/// between passes, so an index is stable for the length of a pass.
+/// arrays, and one [`Block`] summary per 64 keys. An entry that starts is
+/// overwritten by a tombstone instead of shifting everything behind it;
+/// [`Queue::tidy`] squeezes tombstones out between passes, so an index is
+/// stable for the length of a pass.
 #[derive(Default)]
 struct Queue {
     keys: Vec<ScanKey>,
     recs: Vec<Queued>,
+    /// `blocks[b]` summarises the live keys of `keys[64b..64(b + 1)]`.
+    blocks: Vec<Block>,
     /// Index of the first live entry (`keys.len()` when there is none):
     /// the head is never a tombstone.
     head: usize,
@@ -218,6 +274,13 @@ impl Queue {
         } else {
             self.narrowest.min(key.width)
         };
+        if self.keys.len().is_multiple_of(BLOCK) {
+            self.blocks.push(Block::EMPTY);
+        }
+        self.blocks
+            .last_mut()
+            .expect("a block per 64 keys")
+            .add(&key);
         self.keys.push(key);
         self.recs.push(rec);
         self.live += 1;
@@ -232,6 +295,11 @@ impl Queue {
     fn take(&mut self, i: usize) -> Queued {
         debug_assert!(self.keys[i].is_live());
         self.keys[i] = ScanKey::TOMBSTONE;
+        // Keys ahead of the head are dead: a shallow queue, whose starts
+        // are mostly head starts, re-reads only the block's live tail.
+        let b = i / BLOCK;
+        let end = self.keys.len().min((b + 1) * BLOCK);
+        self.blocks[b] = Block::of(&self.keys[(b * BLOCK).max(self.head)..end]);
         self.live -= 1;
         if i == self.head {
             self.head += 1;
@@ -268,6 +336,46 @@ impl Queue {
         self.keys.truncate(kept);
         self.recs.truncate(kept);
         self.head = 0;
+        self.summarize();
+    }
+
+    /// Rebuild every block summary from the keys.
+    fn summarize(&mut self) {
+        self.blocks.clear();
+        self.blocks.extend(self.keys.chunks(BLOCK).map(Block::of));
+    }
+
+    /// The first index from `i` on that an EASY pass with `free` nodes
+    /// free, `extra` spare at the reservation and `budget` left before it
+    /// must look at: a key that fits `free` or, audited, whose
+    /// `NoFreeNodes` verdict is news to the log. Unaudited, a block whose
+    /// summary admits no start is stepped over unread; every key in it is
+    /// one the pass would turn down with a verdict that writes nothing.
+    fn next_candidate(
+        &self,
+        mut i: usize,
+        free: u32,
+        extra: u32,
+        budget: SimSpan,
+        audit: bool,
+    ) -> Option<usize> {
+        if audit {
+            // The log wants every verdict that changed: read every key, in
+            // one scan (block by block, the audited run took ≈ 12 % longer).
+            let news =
+                |k: &ScanKey| k.width <= free || k.last_skip != Some(SkipReason::NoFreeNodes);
+            return self.keys[i..].iter().position(news).map(|ahead| i + ahead);
+        }
+        for b in i / BLOCK..self.blocks.len() {
+            let end = self.keys.len().min((b + 1) * BLOCK);
+            if self.blocks[b].admits(free, extra, budget) {
+                if let Some(ahead) = self.keys[i..end].iter().position(|k| k.width <= free) {
+                    return Some(i + ahead);
+                }
+            }
+            i = end;
+        }
+        None
     }
 
     /// Record a backfill skip of entry `i`, deduplicated per entry by
@@ -330,6 +438,7 @@ impl Queue {
             order.sort_by_key(|&i| by_prio(&self.recs[i]));
             self.keys = order.iter().map(|&i| self.keys[i]).collect();
             self.recs = order.iter().map(|&i| self.recs[i]).collect();
+            self.summarize();
         }
         if !cfg.audit.enabled() {
             return;
@@ -958,16 +1067,19 @@ impl SchedState {
         // start.
         let audit = cfg.audit.enabled();
         let capped = !cfg.policies.partitions.is_trivial();
+        // Saturating: a job run past its limit leaves a shadow behind
+        // `now`, and then nothing fits before it (a zero budget admits
+        // more than that, never less).
+        let budget = shadow - now;
         let mut i = self.queue.head + 1;
         while self.free >= self.queue.narrowest || audit {
             // On to the next entry that can use the free nodes, or whose
-            // `NoFreeNodes` is news to the log (a tombstone is neither).
+            // `NoFreeNodes` is news to the log (a tombstone is neither),
+            // stepping over every block in which nothing can start.
             let free = self.free;
-            let next = self.queue.keys[i..].iter().position(|k| {
-                k.width <= free || (audit && k.last_skip != Some(SkipReason::NoFreeNodes))
-            });
-            let Some(ahead) = next else { break };
-            i += ahead;
+            let next = self.queue.next_candidate(i, free, extra, budget, audit);
+            let Some(next) = next else { break };
+            i = next;
             let key = self.queue.keys[i];
             let skip = if key.width > free {
                 SkipReason::NoFreeNodes
@@ -1160,6 +1272,8 @@ impl SchedState {
 mod tests {
     use super::*;
     use crate::policy::{OracleLimit, UserLimit};
+    use crate::priority::MultifactorPriority;
+    use proptest::prelude::*;
     use workload::{JobId, TraceConfig, UserId};
 
     fn job(id: u64, nodes: u32, submit_s: u64, runtime_s: u64, est_s: u64) -> Job {
@@ -1636,6 +1750,137 @@ mod tests {
             assert_eq!(cfg.obs.gauge(Gauge::QueueDepth), 1, "{algo:?}");
             assert_eq!(cfg.obs.gauge(Gauge::Reservations), 1, "{algo:?}");
             assert_eq!(p.st.free, 0);
+        }
+    }
+
+    /// Whether EASY's start test could pass for `k` (a capped partition
+    /// may still turn it down): the keys a block walk must not step over.
+    fn may_start(k: &ScanKey, free: u32, extra: u32, budget: SimSpan) -> bool {
+        k.is_live() && k.width <= free && (k.width <= extra || k.occupied <= budget)
+    }
+
+    /// Every index a full walk from `i` stops at, as `easy_pass` takes
+    /// it; fails on a stepped-over key that could start.
+    fn walk(
+        q: &Queue,
+        mut i: usize,
+        free: u32,
+        extra: u32,
+        budget: SimSpan,
+        audit: bool,
+    ) -> Vec<usize> {
+        let mut stops = Vec::new();
+        loop {
+            let next = q.next_candidate(i, free, extra, budget, audit);
+            let upto = next.unwrap_or(q.keys.len());
+            if let Some(k) = q.keys[i..upto]
+                .iter()
+                .find(|k| may_start(k, free, extra, budget))
+            {
+                panic!(
+                    "stepped over a width-{} key occupying {:?} (free {free}, extra {extra}, budget {budget:?})",
+                    k.width, k.occupied
+                );
+            }
+            let Some(next) = next else { return stops };
+            stops.push(next);
+            i = next + 1;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// Random queues (0-node and cluster-wide jobs among them) through
+        /// pushes, takes, compactions, audit markers and multifactor
+        /// permutes. After every mutation each block summary equals one
+        /// rebuilt from its keys; at every step, for a random `(free,
+        /// extra, shadow − now)`, an unaudited walk steps over no key that
+        /// could start, and an audited walk stops exactly where a linear
+        /// scan of the keys does.
+        #[test]
+        fn block_walk_never_skips_a_startable_key(
+            nodes in 1u32..200,
+            ops in prop::collection::vec(
+                (0u8..10, any::<u32>(), 0u64..4_000, (any::<u32>(), any::<u32>(), 0u64..5_000)),
+                1..500,
+            ),
+        ) {
+            let mut cfg = zero_overhead(nodes);
+            cfg.policies =
+                SchedPolicies::default().with_priority(MultifactorPriority::slurm_default());
+            let mut jobs: Vec<Job> = Vec::new();
+            let mut q = Queue::default();
+            let mut now = 0u64;
+            for (op, pick, span, (free, extra, budget)) in ops {
+                match op {
+                    // Push: a cluster-wide, a 0-node or an arbitrary width.
+                    0..=3 => {
+                        let width = match pick % 8 {
+                            0 => nodes,
+                            1 => 0,
+                            _ => pick % (nodes + 1),
+                        };
+                        let id = jobs.len();
+                        jobs.push(job(id as u64, width, now, span, span));
+                        let key = ScanKey {
+                            occupied: SimSpan::from_secs(span),
+                            width,
+                            last_skip: None,
+                        };
+                        q.push(
+                            key,
+                            Queued {
+                                job: id,
+                                limit: SimSpan::from_secs(span),
+                                resubmits: 0,
+                                original_submit: SimTime::from_secs(now),
+                                est: EstimateRef::new(0, EstSource::User),
+                                part: 0,
+                                prio_milli: 0,
+                                logged_prio: i64::MIN,
+                            },
+                        );
+                    }
+                    // Take a live entry.
+                    4 | 5 if q.len() > 0 => {
+                        let live: Vec<usize> =
+                            (q.head..q.keys.len()).filter(|&i| q.keys[i].is_live()).collect();
+                        q.take(live[pick as usize % live.len()]);
+                    }
+                    6 => q.tidy(),
+                    7 if q.keys.len() > q.live => q.compact(),
+                    // A logged `NoFreeNodes` verdict: read by audited walks.
+                    8 if !q.keys.is_empty() => {
+                        let i = pick as usize % q.keys.len();
+                        if q.keys[i].is_live() {
+                            q.keys[i].last_skip = Some(SkipReason::NoFreeNodes);
+                        }
+                    }
+                    // Time passes and the queue is re-ranked.
+                    _ => {
+                        now += span;
+                        q.reorder_by_priority(SimTime::from_secs(now), &jobs, &cfg);
+                    }
+                }
+                let rebuilt: Vec<Block> = q.keys.chunks(BLOCK).map(Block::of).collect();
+                prop_assert!(q.blocks == rebuilt, "summaries drifted after op {op}");
+
+                let free = free % (nodes + 2);
+                let extra = extra % (nodes + 2);
+                let budget = match budget {
+                    0 => SimSpan(u64::MAX),
+                    s => SimSpan::from_secs(s),
+                };
+                let from = (pick as usize) % (q.keys.len() + 1);
+                walk(&q, from, free, extra, budget, false);
+                let linear: Vec<usize> = (from..q.keys.len())
+                    .filter(|&i| {
+                        let k = &q.keys[i];
+                        k.width <= free || k.last_skip != Some(SkipReason::NoFreeNodes)
+                    })
+                    .collect();
+                prop_assert_eq!(walk(&q, from, free, extra, budget, true), linear);
+            }
         }
     }
 

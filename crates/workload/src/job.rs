@@ -94,7 +94,36 @@ impl Deserialize for Job {
     }
 }
 
+/// The trace horizon, in µs: a loaded job's submit time plus the longer of
+/// its runtime and its estimate may not pass 2^53 µs (about 285 years),
+/// where every time is still exact in an `f64` and a simulation's sums
+/// over it stay far inside `u64`.
+pub(crate) const MAX_TRACE_US: u64 = 1 << 53;
+
 impl Job {
+    /// `Err` naming the field that takes the job past [`MAX_TRACE_US`]:
+    /// `submit` itself, or the longer of `actual_runtime` and
+    /// `user_estimate` added to it.
+    pub(crate) fn check_horizon(&self) -> Result<(), String> {
+        let submit = self.submit.as_micros();
+        if submit > MAX_TRACE_US {
+            return Err(format!(
+                "submit {submit} µs is past the 2^53 µs trace horizon"
+            ));
+        }
+        let (field, span) = match self.user_estimate {
+            Some(e) if e > self.actual_runtime => ("user_estimate", e),
+            _ => ("actual_runtime", self.actual_runtime),
+        };
+        if span.as_micros() > MAX_TRACE_US - submit {
+            return Err(format!(
+                "submit + {field} = {submit} + {} µs is past the 2^53 µs trace horizon",
+                span.as_micros()
+            ));
+        }
+        Ok(())
+    }
+
     /// Total cores requested.
     pub fn cores(&self) -> u64 {
         self.nodes as u64 * self.cores_per_node as u64

@@ -9,7 +9,7 @@
 //! Format: one job per line, 18 whitespace-separated fields, `;` comment
 //! lines. See <https://www.cs.huji.ac.il/labs/parallel/workload/swf.html>.
 
-use crate::job::{Job, JobId, UserId};
+use crate::job::{Job, JobId, UserId, MAX_TRACE_US};
 use simclock::{SimSpan, SimTime};
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
@@ -97,6 +97,24 @@ impl SwfRecord {
         })
     }
 
+    /// Reject a record whose times, in seconds, pass the 2^53 µs trace
+    /// horizon, before they are scaled to µs.
+    fn check_horizon(&self, lineno: usize) -> io::Result<()> {
+        const MAX_S: i64 = (MAX_TRACE_US / 1_000_000) as i64;
+        let times = [
+            ("submit", self.submit),
+            ("run_time", self.run_time),
+            ("requested_time", self.requested_time),
+        ];
+        match times.into_iter().find(|&(_, s)| s > MAX_S) {
+            Some((field, s)) => Err(bad(
+                lineno,
+                &format!("{field} {s} s is past the 2^53 µs trace horizon"),
+            )),
+            None => Ok(()),
+        }
+    }
+
     fn format(&self) -> String {
         format!(
             "{} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
@@ -150,7 +168,8 @@ impl Default for SwfImportOptions {
 }
 
 /// Convert one SWF record into a [`Job`]. Returns `None` for records the
-/// options exclude or that carry no usable runtime.
+/// options exclude or that carry no usable runtime. Times are taken as
+/// they stand; [`load_swf`] rejects a record past the trace horizon first.
 pub fn record_to_job(r: &SwfRecord, opts: &SwfImportOptions, id: u64) -> Option<Job> {
     if opts.completed_only && r.status != 1 {
         return None;
@@ -206,7 +225,9 @@ pub fn job_to_record(job: &Job) -> SwfRecord {
     }
 }
 
-/// Load an SWF file into jobs (IDs renumbered in file order).
+/// Load an SWF file into jobs (IDs renumbered in file order). A record
+/// that does not parse, or whose times pass the 2^53 µs trace horizon, is
+/// an `InvalidData` error naming its line.
 pub fn load_swf(path: &Path, opts: &SwfImportOptions) -> io::Result<Vec<Job>> {
     let r = BufReader::new(File::open(path)?);
     let mut jobs = Vec::new();
@@ -217,7 +238,9 @@ pub fn load_swf(path: &Path, opts: &SwfImportOptions) -> io::Result<Vec<Job>> {
             continue;
         }
         let record = SwfRecord::parse(trimmed, lineno + 1)?;
+        record.check_horizon(lineno + 1)?;
         if let Some(job) = record_to_job(&record, opts, jobs.len() as u64) {
+            job.check_horizon().map_err(|m| bad(lineno + 1, &m))?;
             jobs.push(job);
         }
     }
