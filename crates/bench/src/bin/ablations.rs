@@ -38,11 +38,11 @@ fn main() {
         sys.sim.run_until(horizon);
         let master = sys.master();
         let avg = master
-            .sweeps
+            .sweeps()
             .iter()
             .map(|s| s.completion.as_secs_f64())
             .sum::<f64>()
-            / master.sweeps.len().max(1) as f64;
+            / master.sweeps().len().max(1) as f64;
         let sat_sockets = (0..4)
             .map(|i| sys.sim.meter(NodeId(1 + i)).peak_sockets())
             .max()
@@ -101,8 +101,8 @@ fn main() {
         rows.push(vec![
             threshold.to_string(),
             master.records.len().to_string(),
-            master.reassignments.to_string(),
-            master.takeovers.to_string(),
+            master.reassignments().to_string(),
+            master.takeovers().to_string(),
             f(worst_occ, 1),
         ]);
     }

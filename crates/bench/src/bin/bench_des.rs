@@ -9,7 +9,8 @@
 //! The full run covers a million-node cluster and a million-plus jobs;
 //! `--quick` shrinks that to ~100k nodes for CI. Writes `BENCH_DES.json`
 //! at the repository root, gated by the `des-scale` CI job the same way
-//! the footprint diff is.
+//! the footprint diff is. The serial row also carries the process's peak
+//! resident set size, read before the sharded layout runs.
 
 use eslurm_bench::{f, obj, print_table, write_bench, ExpArgs, Fig9Scale};
 use obs::{mem_profile_compiled, MemProfiler, MemReport};
@@ -29,6 +30,18 @@ struct RunResult {
     /// Tagged heap profile, present under `--mem` when the binary was
     /// built with the `mem-profile` feature.
     mem: Option<MemReport>,
+    /// Peak resident set size of the process so far, in MB; read after
+    /// the serial run only, since a later run's peak includes it.
+    peak_rss_mb: Option<f64>,
+}
+
+/// This process's peak resident set size in MB (`VmHWM` in
+/// `/proc/self/status`); `None` without procfs.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = kb.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kb / 1024.0)
 }
 
 fn run_once(scale: &Fig9Scale, seed: u64, shards: usize, mem: bool) -> RunResult {
@@ -46,6 +59,7 @@ fn run_once(scale: &Fig9Scale, seed: u64, shards: usize, mem: bool) -> RunResult
         jobs_submitted: run.jobs_submitted,
         jobs_recorded: run.sys.master().records.len() as u64,
         mem: mem_profiler.report(),
+        peak_rss_mb: if shards == 1 { peak_rss_mb() } else { None },
     }
 }
 
@@ -91,6 +105,9 @@ fn main() {
             r.wall_s,
             r.events as f64 / r.wall_s.max(1e-9)
         );
+        if let Some(mb) = r.peak_rss_mb {
+            println!("    peak RSS {mb:.1} MB");
+        }
         if let Some(m) = &r.mem {
             println!(
                 "    mem: {} peak across {} tag(s), {:.2} allocs/event",
@@ -185,6 +202,9 @@ fn main() {
         if let Some(m) = &r.mem {
             o.push(("allocs_per_event", allocs_per_event(m, r.events)));
             o.push(("peak_bytes_total", m.total_peak().into()));
+        }
+        if let Some(mb) = r.peak_rss_mb {
+            o.push(("peak_rss_mb", mb.into()));
         }
         obj(o)
     });

@@ -111,7 +111,7 @@ fn main() {
                         );
                     }
                     sys.sim.run_until(horizon_t);
-                    ("ESlurm", sys.master().query_log.clone())
+                    ("ESlurm", sys.master().query_log().to_vec())
                 }
             };
             let (mean, p95, failed) = stats(&log);

@@ -78,9 +78,9 @@ fn main() {
         let mut socks = 0.0;
         for idx in 0..m {
             let sat = sys.satellite(idx);
-            tasks += sat.tasks_done as f64;
-            if sat.tasks_done > 0 {
-                nodes_per_task += sat.task_nodes_total as f64 / sat.tasks_done as f64;
+            tasks += sat.tasks_done() as f64;
+            if sat.tasks_done() > 0 {
+                nodes_per_task += sat.task_nodes_total() as f64 / sat.tasks_done() as f64;
             }
             let meter = sys.sim.meter(NodeId(1 + idx as u32));
             virt += meter.virt_mem() as f64;

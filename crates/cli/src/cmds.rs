@@ -605,10 +605,11 @@ fn simulate(o: &Opts) -> Result<(), CliError> {
     if let Some(r) = master.records.first() {
         println!("first occupation:  {:.3}s", r.occupation().as_secs_f64());
     }
-    println!("heartbeat sweeps:  {}", master.sweeps.len());
+    println!("heartbeat sweeps:  {}", master.sweeps().len());
     println!(
         "reassignments:     {}   takeovers: {}",
-        master.reassignments, master.takeovers
+        master.reassignments(),
+        master.takeovers()
     );
     let m = sys.sim.meter(emu::NodeId::MASTER);
     println!(

@@ -75,8 +75,8 @@ struct Task {
     sent_at: SimTime,
 }
 
-/// The master's working state: everything but the result fields callers
-/// read after a run.
+/// The master's working state and its reports, which callers read
+/// through accessors; only `records` stays an inline field.
 struct MasterState {
     cfg: EslurmConfig,
     slaves: NodeSlice,
@@ -99,23 +99,20 @@ struct MasterState {
     /// the tree-level footprint breakdown behind the aggregate
     /// [`Counter::TasksAssigned`]. Empty when `obs` is disabled.
     sat_tasks: Vec<LabeledCounter>,
+    sweeps: Vec<SweepRecord>,
+    reassignments: u64,
+    takeovers: u64,
+    query_log: Vec<(u64, SimSpan)>,
 }
 
 /// The ESlurm master actor.
 pub struct EslurmMaster {
-    /// Boxed: there is one master among up to a million compute daemons,
-    /// and `EslurmNode` is as large as its largest variant.
+    /// Boxed, reports included: there is one master among up to a million
+    /// compute daemons, and `EslurmNode` is as large as its largest
+    /// variant. Only `records` stays inline, as a public field.
     st: Box<MasterState>,
     /// Completed jobs, in completion order.
     pub records: Vec<JobRecord>,
-    /// Completed heartbeat sweeps.
-    pub sweeps: Vec<SweepRecord>,
-    /// Broadcast tasks handed to a different satellite after a failure.
-    pub reassignments: u64,
-    /// Broadcast tasks the master had to handle itself.
-    pub takeovers: u64,
-    /// `(request id, response latency)` for served user requests.
-    pub query_log: Vec<(u64, SimSpan)>,
 }
 
 impl EslurmMaster {
@@ -142,13 +139,33 @@ impl EslurmMaster {
                 query_arrival: BTreeMap::new(),
                 obs: Recorder::disabled(),
                 sat_tasks: Vec::new(),
+                sweeps: Vec::new(),
+                reassignments: 0,
+                takeovers: 0,
+                query_log: Vec::new(),
             }),
             records: Vec::new(),
-            sweeps: Vec::new(),
-            reassignments: 0,
-            takeovers: 0,
-            query_log: Vec::new(),
         }
+    }
+
+    /// Completed heartbeat sweeps.
+    pub fn sweeps(&self) -> &[SweepRecord] {
+        &self.st.sweeps
+    }
+
+    /// Broadcast tasks handed to a different satellite after a failure.
+    pub fn reassignments(&self) -> u64 {
+        self.st.reassignments
+    }
+
+    /// Broadcast tasks the master had to handle itself.
+    pub fn takeovers(&self) -> u64 {
+        self.st.takeovers
+    }
+
+    /// `(request id, response latency)` for served user requests.
+    pub fn query_log(&self) -> &[(u64, SimSpan)] {
+        &self.st.query_log
     }
 
     /// Record job/task/FSM telemetry into `obs` (builder-style).
@@ -284,7 +301,7 @@ impl EslurmMaster {
     /// The master handles a broadcast itself (reassignment threshold
     /// exceeded or no satellite available) — correctness over offload.
     fn take_over(&mut self, ctx: &mut dyn Context<RmMsg>, task_id: u64) {
-        self.takeovers += 1;
+        self.st.takeovers += 1;
         self.st.obs.inc(Counter::Takeovers);
         let task = self
             .st
@@ -376,7 +393,7 @@ impl EslurmMaster {
                 job & !SWEEP_BIT,
                 state.reached as u64,
             );
-            self.sweeps.push(SweepRecord {
+            self.st.sweeps.push(SweepRecord {
                 started: state.submitted,
                 completion,
                 reached: state.reached,
@@ -683,7 +700,7 @@ impl Actor<RmMsg> for EslurmMaster {
                             asker.0 as u64,
                             0,
                         );
-                        self.query_log.push((id, latency));
+                        self.st.query_log.push((id, latency));
                     }
                     ctx.send(asker, RmMsg::StatusReply { id });
                 }
@@ -719,7 +736,7 @@ impl Actor<RmMsg> for EslurmMaster {
                     self.apply_fsm(idx, SatEvent::BtFailure, ctx.now());
                 }
                 if attempts <= self.st.cfg.reassign_threshold {
-                    self.reassignments += 1;
+                    self.st.reassignments += 1;
                     self.st.obs.inc(Counter::TaskRetries);
                     self.st.obs.event_at(
                         ctx.now(),

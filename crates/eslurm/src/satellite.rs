@@ -88,8 +88,8 @@ const TOKEN_KIND_BITS: u64 = 2;
 const START_TIMER: u64 = 0;
 const DEADLINE_TIMER: u64 = 1;
 
-/// A satellite's working state: everything but the result fields callers
-/// read after a run.
+/// A satellite's working state and its reports, which callers read
+/// through accessors.
 struct SatelliteState {
     cfg: EslurmConfig,
     /// Shared failure predictor (the monitoring subsystem's suspect feed).
@@ -99,20 +99,17 @@ struct SatelliteState {
     /// Relay-buffer high-water mark, in nodes (drives resident memory).
     buf_nodes: usize,
     obs: Recorder,
+    tasks_done: u64,
+    task_nodes_total: u64,
+    fp_stats: FpPlacementStats,
 }
 
 /// The satellite daemon actor.
 pub struct SatelliteDaemon {
-    /// Boxed: satellites are a few dozen among up to a million compute
-    /// daemons, and `EslurmNode` is as large as its largest variant.
+    /// Boxed, reports included: satellites are a few dozen among up to a
+    /// million compute daemons, and `EslurmNode` is as large as its
+    /// largest variant.
     st: Box<SatelliteState>,
-    /// Tasks processed successfully.
-    pub tasks_done: u64,
-    /// Total nodes across received tasks (Table VI's "average nodes in
-    /// each task" numerator).
-    pub task_nodes_total: u64,
-    /// FP-Tree placement statistics.
-    pub fp_stats: FpPlacementStats,
 }
 
 impl SatelliteDaemon {
@@ -128,11 +125,27 @@ impl SatelliteDaemon {
                 next_token: 0,
                 buf_nodes: 0,
                 obs: Recorder::disabled(),
+                tasks_done: 0,
+                task_nodes_total: 0,
+                fp_stats: FpPlacementStats::default(),
             }),
-            tasks_done: 0,
-            task_nodes_total: 0,
-            fp_stats: FpPlacementStats::default(),
         }
+    }
+
+    /// Tasks processed successfully.
+    pub fn tasks_done(&self) -> u64 {
+        self.st.tasks_done
+    }
+
+    /// Total nodes across received tasks (Table VI's "average nodes in
+    /// each task" numerator).
+    pub fn task_nodes_total(&self) -> u64 {
+        self.st.task_nodes_total
+    }
+
+    /// FP-Tree placement statistics.
+    pub fn fp_stats(&self) -> FpPlacementStats {
+        self.st.fp_stats
     }
 
     /// Record task-service telemetry into `obs` (builder-style).
@@ -158,7 +171,7 @@ impl SatelliteDaemon {
         kind: CtlKind,
         list: NodeSlice,
     ) {
-        self.task_nodes_total += list.len() as u64;
+        self.st.task_nodes_total += list.len() as u64;
         // Relay buffers grow to the largest task seen (high-water).
         if list.len() > self.st.buf_nodes {
             let grow = (list.len() - self.st.buf_nodes) as u64 * self.st.cfg.sat_per_task_node_real;
@@ -213,7 +226,7 @@ impl SatelliteDaemon {
         ctx.trace_adopt(t.trace);
         if t.list.is_empty() {
             let done = self.st.tasks.remove(&token).expect("task vanished");
-            self.tasks_done += 1;
+            self.st.tasks_done += 1;
             ctx.send(
                 done.origin,
                 RmMsg::BcastDone {
@@ -233,7 +246,8 @@ impl SatelliteDaemon {
         // in a recycled buffer keeps the per-task allocation out of the
         // DES hot path.
         let mut arranged = NodeSlice::recycled_buf();
-        self.fp_stats
+        self.st
+            .fp_stats
             .arrange(t.list.nodes(), &suspects, w, &mut arranged);
         let arranged = NodeSlice::new(arranged);
         let k = if arranged.len() < w {
@@ -269,7 +283,7 @@ impl SatelliteDaemon {
         let Some(t) = self.st.tasks.remove(&token) else {
             return;
         };
-        self.tasks_done += 1;
+        self.st.tasks_done += 1;
         let service = ctx.now() - t.started;
         self.st
             .obs
@@ -462,8 +476,8 @@ mod tests {
         let Node::Sat(sat) = c.actor(NodeId(1)) else {
             panic!()
         };
-        assert_eq!(sat.tasks_done, 1);
-        assert_eq!(sat.fp_stats.trees, 1);
+        assert_eq!(sat.tasks_done(), 1);
+        assert_eq!(sat.fp_stats().trees, 1);
     }
 
     #[test]
@@ -631,9 +645,9 @@ mod tests {
         let Node::Sat(sat) = c.actor(NodeId(1)) else {
             panic!()
         };
-        assert_eq!(sat.fp_stats.suspects_seen, 1);
-        assert_eq!(sat.fp_stats.suspects_on_leaves, 1);
-        assert_eq!(sat.fp_stats.placement_ratio(), 1.0);
+        assert_eq!(sat.fp_stats().suspects_seen, 1);
+        assert_eq!(sat.fp_stats().suspects_on_leaves, 1);
+        assert_eq!(sat.fp_stats().placement_ratio(), 1.0);
     }
 
     /// The placement as first written: set lookups through

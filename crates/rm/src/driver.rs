@@ -13,11 +13,13 @@ use rand::RngExt;
 use simclock::rng::{exponential, stream_rng};
 use simclock::{SimSpan, SimTime};
 use std::ops::Range;
+use std::sync::Arc;
 
-/// A node of a centralized-RM cluster.
+/// A node of a centralized-RM cluster. One value per emulated node, nearly
+/// all of them `Slave`, so the one master is boxed.
 pub enum RmNode {
     /// The master daemon (node 0).
-    Master(CentralizedMaster),
+    Master(Box<CentralizedMaster>),
     /// A compute-node daemon.
     Slave(SlaveDaemon),
 }
@@ -253,19 +255,19 @@ impl RmClusterBuilder {
                 synchronized,
             },
         };
-        let slave_cfg = SlaveConfig {
+        let slave_cfg = Arc::new(SlaveConfig {
             master: NodeId::MASTER,
             heartbeat,
             conn_lifetime: self.profile.conn_lifetime,
             obs: self.sim.obs.clone(),
             ..SlaveConfig::default()
-        };
+        });
         let mut actors = Vec::with_capacity(n);
-        actors.push(RmNode::Master(
+        actors.push(RmNode::Master(Box::new(
             CentralizedMaster::new(self.profile, slaves).with_obs(self.sim.obs.clone()),
-        ));
+        )));
         for _ in 1..n {
-            actors.push(RmNode::Slave(SlaveDaemon::new(slave_cfg.clone())));
+            actors.push(RmNode::Slave(SlaveDaemon::new(Arc::clone(&slave_cfg))));
         }
         self.sim.sampler.name_node(NodeId::MASTER.0, "master");
         ClusterHarness {
@@ -277,6 +279,11 @@ impl RmClusterBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn node_enum_is_sized_by_the_compute_daemon() {
+        assert!(std::mem::size_of::<RmNode>() <= std::mem::size_of::<SlaveDaemon>() + 8);
+    }
 
     #[test]
     fn job_stream_runs_to_completion() {

@@ -9,6 +9,7 @@ use emu::{Actor, Context, NodeId};
 use obs::{Counter, Recorder, TraceContext};
 use rand::RngExt;
 use simclock::{SimSpan, SimTime};
+use std::sync::Arc;
 use topology::{balanced_chunks, relay_depth};
 
 /// Heartbeat behaviour of a slave.
@@ -35,11 +36,12 @@ struct Relay {
     received: u32,
     /// Nodes covered so far (self + acknowledged subtrees).
     count: u32,
-    /// When the relay fanned out (start of the ack-timeout window).
-    started: SimTime,
-    /// Causal context the incoming `JobCtl` carried, so a timeout-driven
-    /// partial ack still links into the broadcast's trace.
-    trace: Option<TraceContext>,
+    /// When the relay fanned out (start of the ack-timeout window) and the
+    /// causal context the incoming `JobCtl` carried, so a timeout-driven
+    /// partial ack still links into the broadcast's trace. Boxed and
+    /// `None` unless causal tracing is on: every relay of an untraced run
+    /// pays one pointer for it instead of 32 bytes.
+    traced: Option<Box<(SimTime, TraceContext)>>,
 }
 
 /// Configuration of a slave daemon.
@@ -85,11 +87,15 @@ const TOKEN_RELAY_BASE: u64 = 1;
 
 /// The slave daemon actor.
 pub struct SlaveDaemon {
-    cfg: SlaveConfig,
+    /// Shared by every slave of a cluster: one daemon per emulated node,
+    /// so a private copy would cost each of them the whole config.
+    cfg: Arc<SlaveConfig>,
     /// Live relays by timer token, oldest first. Tokens only grow, so push
     /// order is token order — the order an ack searches in — and a node
     /// holds a handful at most, so a scan beats a map and its per-relay
-    /// node allocation.
+    /// node allocation. Most relaying nodes only ever hold one, so the
+    /// first relay reserves exactly one entry; capacity is never shrunk,
+    /// so a node that once overlapped relays keeps its room.
     relays: Vec<(u64, Relay)>,
     next_token: u64,
     /// Launch/terminate messages this node has executed (for assertions).
@@ -97,10 +103,11 @@ pub struct SlaveDaemon {
 }
 
 impl SlaveDaemon {
-    /// A daemon with the given configuration.
-    pub fn new(cfg: SlaveConfig) -> Self {
+    /// A daemon with the given configuration. A cluster builder passes one
+    /// `Arc` clone per slave; a `SlaveConfig` value is wrapped here.
+    pub fn new(cfg: impl Into<Arc<SlaveConfig>>) -> Self {
         SlaveDaemon {
-            cfg,
+            cfg: cfg.into(),
             relays: Vec::new(),
             next_token: TOKEN_RELAY_BASE,
             ctl_handled: 0,
@@ -155,6 +162,9 @@ impl SlaveDaemon {
         }
         let token = self.next_token;
         self.next_token += 1;
+        if self.relays.capacity() == 0 {
+            self.relays.reserve_exact(1);
+        }
         self.relays.push((
             token,
             Relay {
@@ -164,8 +174,7 @@ impl SlaveDaemon {
                 expected,
                 received: 0,
                 count: 1,
-                started: ctx.now(),
-                trace: ctx.trace_current(),
+                traced: ctx.trace_current().map(|tc| Box::new((ctx.now(), tc))),
             },
         ));
         let depth = relay_depth(list.len(), w) as u64;
@@ -259,8 +268,9 @@ impl Actor<RmMsg> for SlaveDaemon {
             // Children that didn't answer in time are reported as missing
             // (partial count) — the parent layer handles re-routing. The
             // wait on the silent subtree is timeout backoff in the trace.
-            if let Some(tc) = relay.trace {
-                ctx.trace_backoff(&tc, relay.started);
+            if let Some(traced) = &relay.traced {
+                let (started, tc) = **traced;
+                ctx.trace_backoff(&tc, started);
                 ctx.trace_adopt(Some(tc));
             }
             Self::finish_relay(ctx, &relay);
@@ -460,6 +470,85 @@ mod tests {
         // tokens that already completed sends nothing.
         assert!(c.run_to_quiescence() >= 2);
         assert_eq!(acks(&c), want);
+    }
+
+    #[test]
+    fn daemon_and_relay_entry_stay_small() {
+        use std::mem::size_of;
+        // One daemon per emulated node: the config is shared, not copied.
+        assert!(size_of::<SlaveDaemon>() <= 48);
+        // Tracing-only fields sit behind one box.
+        assert!(size_of::<(u64, Relay)>() <= 48);
+    }
+
+    #[test]
+    fn one_relay_at_a_time_holds_one_entry_and_overlaps_still_ack() {
+        // Node 1 relays job 1 over [2], then job 2 over [3] once job 1 has
+        // closed: a table that only ever holds one relay reserves one.
+        let mut c = cluster(6);
+        let ctl = |job, nodes: Vec<u32>| RmMsg::JobCtl {
+            job,
+            kind: CtlKind::Launch,
+            list: NodeSlice::new(nodes),
+            width: 4,
+        };
+        let acks = |c: &SimCluster<RmMsg, Node>| {
+            let Node::Sink(sink) = c.actor(NodeId::MASTER) else {
+                panic!()
+            };
+            sink.acks.clone()
+        };
+        let relays = |c: &SimCluster<RmMsg, Node>| {
+            let Node::Slave(s) = c.actor(NodeId(1)) else {
+                panic!()
+            };
+            (s.relays.len(), s.relays.capacity())
+        };
+        assert_eq!(relays(&c), (0, 0));
+        c.inject(
+            simclock::SimTime::from_millis(1),
+            NodeId::MASTER,
+            NodeId(1),
+            ctl(1, vec![2]),
+        );
+        c.run_until(simclock::SimTime::from_millis(500));
+        assert_eq!(relays(&c), (0, 1));
+        c.inject(
+            simclock::SimTime::from_secs(1),
+            NodeId::MASTER,
+            NodeId(1),
+            ctl(2, vec![3]),
+        );
+        c.run_until(simclock::SimTime::from_secs(2));
+        assert_eq!(relays(&c), (0, 1));
+        assert_eq!(
+            acks(&c),
+            vec![(1, CtlKind::Launch, 2), (2, CtlKind::Launch, 2)]
+        );
+        // Three overlapping relays grow the table; each still closes on
+        // its own acks, and the grown capacity is kept.
+        for (job, nodes) in [(3, vec![2, 3]), (4, vec![4]), (5, vec![5, 2])] {
+            c.inject(
+                simclock::SimTime::from_secs(3),
+                NodeId::MASTER,
+                NodeId(1),
+                ctl(job, nodes),
+            );
+        }
+        c.run_until(simclock::SimTime::from_secs(4));
+        let (len, cap) = relays(&c);
+        assert_eq!(len, 0);
+        assert!(cap >= 3, "capacity {cap}");
+        let mut late = acks(&c).split_off(2);
+        late.sort_unstable_by_key(|&(job, _, _)| job);
+        assert_eq!(
+            late,
+            vec![
+                (3, CtlKind::Launch, 3),
+                (4, CtlKind::Launch, 2),
+                (5, CtlKind::Launch, 3)
+            ]
+        );
     }
 
     #[test]

@@ -88,7 +88,7 @@ fn main() {
     let master = sys.master();
     let mut stats = FpPlacementStats::default();
     for i in 0..4 {
-        let s = sys.satellite(i).fp_stats;
+        let s = sys.satellite(i).fp_stats();
         stats.trees += s.trees;
         stats.suspects_seen += s.suspects_seen;
         stats.suspects_on_leaves += s.suspects_on_leaves;
@@ -102,8 +102,8 @@ fn main() {
     );
     println!(
         "  heartbeat sweeps: {}, task reassignments: {}, master takeovers: {}",
-        master.sweeps.len(),
-        master.reassignments,
-        master.takeovers
+        master.sweeps().len(),
+        master.reassignments(),
+        master.takeovers()
     );
 }

@@ -39,12 +39,13 @@ fn main() {
     }
     println!(
         "heartbeat sweeps completed: {} (each confirming {} nodes)",
-        master.sweeps.len(),
-        master.sweeps.first().map(|s| s.reached).unwrap_or(0),
+        master.sweeps().len(),
+        master.sweeps().first().map(|s| s.reached).unwrap_or(0),
     );
     println!(
         "satellite reassignments: {}, master takeovers: {}",
-        master.reassignments, master.takeovers
+        master.reassignments(),
+        master.takeovers()
     );
 
     // The headline property: the master only ever talks to its satellites.

@@ -100,9 +100,9 @@ fn causal_tracing_does_not_perturb_the_simulation() {
         assert_eq!(a.launch_done, b.launch_done);
         assert_eq!(a.finished, b.finished);
     }
-    assert_eq!(p.reassignments, t.reassignments);
-    assert_eq!(p.takeovers, t.takeovers);
-    assert_eq!(p.sweeps.len(), t.sweeps.len());
+    assert_eq!(p.reassignments(), t.reassignments());
+    assert_eq!(p.takeovers(), t.takeovers());
+    assert_eq!(p.sweeps().len(), t.sweeps().len());
 }
 
 /// A minimal fixed-fan-out relay: node 0 roots a dispatch trace and sends

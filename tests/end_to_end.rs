@@ -62,8 +62,8 @@ fn workload_completes_with_failures_and_prediction() {
         assert!(occ < 120.0, "job {} occupation {occ}s", r.job);
     }
     // Sweeps ran and reported most nodes alive.
-    assert!(!master.sweeps.is_empty());
-    let last = master.sweeps.last().unwrap();
+    assert!(!master.sweeps().is_empty());
+    let last = master.sweeps().last().unwrap();
     assert!(
         last.reached >= (n_slaves - 12) as u32,
         "last sweep reached only {} of {}",
@@ -85,8 +85,8 @@ fn workload_completes_with_failures_and_prediction() {
     let mut seen = 0;
     let mut on_leaves = 0;
     for i in 0..m {
-        seen += sys.satellite(i).fp_stats.suspects_seen;
-        on_leaves += sys.satellite(i).fp_stats.suspects_on_leaves;
+        seen += sys.satellite(i).fp_stats().suspects_seen;
+        on_leaves += sys.satellite(i).fp_stats().suspects_on_leaves;
     }
     assert!(seen > 0, "predictor never fed the FP-Tree constructor");
     assert!(
@@ -125,7 +125,7 @@ fn satellite_crash_recovers_and_fsm_tracks_it() {
         let master = sys.master();
         assert_eq!(master.records.len(), 20, "jobs lost to the satellite crash");
         assert!(
-            master.reassignments + master.takeovers > 0,
+            master.reassignments() + master.takeovers() > 0,
             "satellite failure never handled"
         );
         // While down, the FSM shows FAULT (not yet 20 min → not DOWN).
@@ -158,7 +158,7 @@ fn identical_seeds_identical_outcomes() {
             .iter()
             .map(|r| r.occupation().as_micros())
             .collect();
-        (sys.sim.events_processed(), occs, m.sweeps.len())
+        (sys.sim.events_processed(), occs, m.sweeps().len())
     };
     assert_eq!(run(9), run(9));
     // A different seed shifts latency jitter, so occupations differ.
