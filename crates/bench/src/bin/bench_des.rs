@@ -1,39 +1,19 @@
-//! `bench_des` — scaling benchmark for the sharded discrete-event engine.
+//! `bench_des` — scaling benchmark for the discrete-event engine.
 //!
 //! Runs a fig9-style ESlurm workload (power-law job sizes, exponential
-//! inter-arrival and runtimes) on a large emulated cluster, once on one
-//! shard and once on four, and reports wall-clock and events/sec for each
-//! layout plus an outcome fingerprint — the sharded run must reproduce
-//! the 1-shard outcomes exactly, or the benchmark aborts.
+//! inter-arrival and runtimes) on a large emulated cluster and reports
+//! wall-clock, events/sec, the process's peak resident set size and an
+//! outcome fingerprint, which the `des-scale` CI job holds to its pinned
+//! value.
 //!
 //! The full run covers a million-node cluster and a million-plus jobs;
 //! `--quick` shrinks that to ~100k nodes for CI. Writes `BENCH_DES.json`
-//! at the repository root, gated by the `des-scale` CI job the same way
-//! the footprint diff is. The serial row also carries the process's peak
-//! resident set size, read before the sharded layout runs.
+//! at the repository root.
 
 use eslurm_bench::{f, obj, print_table, write_bench, ExpArgs, Fig9Scale};
-use obs::{mem_profile_compiled, MemProfiler, MemReport};
+use obs::{mem_profile_compiled, MemProfiler};
 use serde::Value;
 use simclock::SimSpan;
-
-/// The serial layout first (the reference), then one sharded layout.
-const SHARD_COUNTS: [usize; 2] = [1, 4];
-
-struct RunResult {
-    shards: usize,
-    wall_s: f64,
-    events: u64,
-    fingerprint: u64,
-    jobs_submitted: u64,
-    jobs_recorded: u64,
-    /// Tagged heap profile, present under `--mem` when the binary was
-    /// built with the `mem-profile` feature.
-    mem: Option<MemReport>,
-    /// Peak resident set size of the process so far, in MB; read after
-    /// the serial run only, since a later run's peak includes it.
-    peak_rss_mb: Option<f64>,
-}
 
 /// This process's peak resident set size in MB (`VmHWM` in
 /// `/proc/self/status`); `None` without procfs.
@@ -42,25 +22,6 @@ fn peak_rss_mb() -> Option<f64> {
     let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
     let kb: f64 = kb.trim().strip_suffix("kB")?.trim().parse().ok()?;
     Some(kb / 1024.0)
-}
-
-fn run_once(scale: &Fig9Scale, seed: u64, shards: usize, mem: bool) -> RunResult {
-    let mem_profiler = if mem {
-        MemProfiler::enabled()
-    } else {
-        MemProfiler::disabled()
-    };
-    let run = scale.run(seed, |b| b.shards(shards));
-    RunResult {
-        shards,
-        wall_s: run.wall_s,
-        events: run.sys.sim.events_processed(),
-        fingerprint: run.fingerprint,
-        jobs_submitted: run.jobs_submitted,
-        jobs_recorded: run.sys.master().records.len() as u64,
-        mem: mem_profiler.report(),
-        peak_rss_mb: if shards == 1 { peak_rss_mb() } else { None },
-    }
 }
 
 fn main() {
@@ -93,30 +54,36 @@ fn main() {
         scale.jobs_target
     );
 
-    let mut results: Vec<RunResult> = Vec::new();
-    for shards in SHARD_COUNTS {
-        print!("  shards={shards} ... ");
-        use std::io::Write as _;
-        std::io::stdout().flush().ok();
-        let r = run_once(&scale, args.seed, shards, args.mem);
+    print!("  running ... ");
+    use std::io::Write as _;
+    std::io::stdout().flush().ok();
+    let mem_profiler = if args.mem {
+        MemProfiler::enabled()
+    } else {
+        MemProfiler::disabled()
+    };
+    let run = scale.run(args.seed, |b| b);
+    // Present under `--mem` when the binary was built with the
+    // `mem-profile` feature.
+    let mem = mem_profiler.report();
+    let peak_rss = peak_rss_mb();
+    let events = run.sys.sim.events_processed();
+    let jobs_recorded = run.sys.master().records.len() as u64;
+    let events_per_sec = events as f64 / run.wall_s.max(1e-9);
+    println!(
+        "{} events in {:.2} s ({events_per_sec:.0} ev/s)",
+        events, run.wall_s
+    );
+    if let Some(mb) = peak_rss {
+        println!("    peak RSS {mb:.1} MB");
+    }
+    if let Some(m) = &mem {
         println!(
-            "{} events in {:.2} s ({:.0} ev/s)",
-            r.events,
-            r.wall_s,
-            r.events as f64 / r.wall_s.max(1e-9)
+            "    mem: {} peak across {} tag(s), {:.2} allocs/event",
+            eslurm_bench::fmt_bytes(m.total_peak()),
+            m.tags.len(),
+            m.total_allocs() as f64 / events.max(1) as f64
         );
-        if let Some(mb) = r.peak_rss_mb {
-            println!("    peak RSS {mb:.1} MB");
-        }
-        if let Some(m) = &r.mem {
-            println!(
-                "    mem: {} peak across {} tag(s), {:.2} allocs/event",
-                eslurm_bench::fmt_bytes(m.total_peak()),
-                m.tags.len(),
-                m.total_allocs() as f64 / r.events.max(1) as f64
-            );
-        }
-        results.push(r);
     }
     if args.mem && !mem_profile_compiled() {
         println!(
@@ -125,91 +92,56 @@ fn main() {
         );
     }
 
-    let serial = &results[0];
-    assert_eq!(serial.shards, 1, "first configuration must be serial");
-    let outcomes_match = results
-        .iter()
-        .all(|r| r.fingerprint == serial.fingerprint && r.jobs_recorded == serial.jobs_recorded);
-
-    let rows: Vec<Vec<String>> = results
-        .iter()
-        .map(|r| {
-            vec![
-                r.shards.to_string(),
-                f(r.wall_s, 2),
-                r.events.to_string(),
-                f(r.events as f64 / r.wall_s.max(1e-9), 0),
-                format!("{:016x}", r.fingerprint),
-            ]
-        })
-        .collect();
     print_table(
         &format!(
             "bench_des — {total_nodes} nodes, {} jobs submitted / {} completed in-horizon",
-            serial.jobs_submitted, serial.jobs_recorded
+            run.jobs_submitted, jobs_recorded
         ),
-        &["shards", "wall s", "events", "events/s", "fingerprint"],
-        &rows,
-    );
-    println!(
-        "\n  outcomes {}",
-        if outcomes_match {
-            "IDENTICAL across all shard counts"
-        } else {
-            "DIVERGED — event order depends on the shard layout"
-        }
+        &["wall s", "events", "events/s", "fingerprint"],
+        &[vec![
+            f(run.wall_s, 2),
+            events.to_string(),
+            f(events_per_sec, 0),
+            format!("{:016x}", run.fingerprint),
+        ]],
     );
 
-    let allocs_per_event = |m: &MemReport, events: u64| -> Value {
-        (m.total_allocs() as f64 / events.max(1) as f64).into()
-    };
     let mut root = vec![
         ("nodes", (total_nodes as u64).into()),
         ("satellites", (scale.satellites as u64).into()),
-        ("jobs_submitted", serial.jobs_submitted.into()),
-        ("jobs_completed", serial.jobs_recorded.into()),
+        ("jobs_submitted", run.jobs_submitted.into()),
+        ("jobs_completed", jobs_recorded.into()),
         ("horizon_s", scale.horizon.as_secs().into()),
         ("host_parallelism", (host_par as u64).into()),
-        ("outcomes_match", outcomes_match.into()),
         ("mem_profiled", (args.mem && mem_profile_compiled()).into()),
     ];
-    // The serial run's heap profile is the reference: per-tag peaks plus
-    // the allocations-per-event figure the mem-profile CI job gates on.
-    if let Some(m) = &serial.mem {
+    // Per-tag heap peaks plus the allocations-per-event figure the
+    // mem-profile CI job gates on.
+    if let Some(m) = &mem {
         let peaks = m.tags.iter().map(|t| (t.tag.as_str(), t.peak_bytes.into()));
         root.push((
             "mem",
             obj([
-                ("allocs_per_event", allocs_per_event(m, serial.events)),
+                (
+                    "allocs_per_event",
+                    (m.total_allocs() as f64 / events.max(1) as f64).into(),
+                ),
                 ("total_peak_bytes", m.total_peak().into()),
                 ("peak_bytes", obj(peaks)),
             ]),
         ));
     }
-    // Each layout's fingerprint is in the report: the `des-scale` gate
-    // compares them itself.
-    let runs = results.iter().map(|r| {
-        let mut o = vec![
-            ("shards", (r.shards as u64).into()),
-            ("wall_s", r.wall_s.into()),
-            ("events", r.events.into()),
-            (
-                "events_per_sec",
-                (r.events as f64 / r.wall_s.max(1e-9)).into(),
-            ),
-            ("fingerprint", format!("{:016x}", r.fingerprint).into()),
-        ];
-        if let Some(m) = &r.mem {
-            o.push(("allocs_per_event", allocs_per_event(m, r.events)));
-            o.push(("peak_bytes_total", m.total_peak().into()));
-        }
-        if let Some(mb) = r.peak_rss_mb {
-            o.push(("peak_rss_mb", mb.into()));
-        }
-        obj(o)
-    });
-    root.push(("runs", Value::Array(runs.collect())));
+    // The fingerprint is in the report: the `des-scale` gate holds it to
+    // its pin.
+    let mut row = vec![
+        ("wall_s", run.wall_s.into()),
+        ("events", events.into()),
+        ("events_per_sec", events_per_sec.into()),
+        ("fingerprint", format!("{:016x}", run.fingerprint).into()),
+    ];
+    if let Some(mb) = peak_rss {
+        row.push(("peak_rss_mb", mb.into()));
+    }
+    root.push(("runs", Value::Array(vec![obj(row)])));
     write_bench("DES", "bench_des", &args, root);
-
-    assert!(outcomes_match, "sharded run diverged from the 1-shard run");
 }

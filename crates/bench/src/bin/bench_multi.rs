@@ -8,8 +8,7 @@
 //! `BackfillConfig::new` (no policies mentioned at all) must
 //! fingerprint-identically match a run that spells out the default
 //! partition set, uniform priority, and disabled fair-share ledger — the
-//! benchmark aborts otherwise, the same way `bench_des` aborts on shard
-//! divergence.
+//! benchmark aborts otherwise.
 //!
 //! Writes `BENCH_MULTI.json` at the repository root (plus tables on
 //! stdout) so the `multi-tenant` CI job can archive and gate the numbers.

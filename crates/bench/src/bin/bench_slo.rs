@@ -2,7 +2,7 @@
 //! engine.
 //!
 //! Two faulted workloads, each run with the SLO engine off (baseline) and
-//! on, on one shard and on four:
+//! on:
 //!
 //! * **fig9**: an ESlurm cluster under the fig9-style job stream
 //!   (power-law sizes, exponential inter-arrival/runtimes) with injected
@@ -13,7 +13,7 @@
 //!   EWMA anomaly detector over the master's memory footprint.
 //!
 //! The benchmark asserts the engine is non-perturbing (identical outcome
-//! fingerprints with SLOs off/on at both shard counts) and writes breach
+//! fingerprints with SLOs off and on) and writes breach
 //! counts, time-to-detect, and evaluation overhead to `BENCH_SLO.json` at
 //! the repository root, gated by the `slo` CI job.
 
@@ -41,7 +41,6 @@ impl Scale {
 }
 
 struct RunResult {
-    shards: usize,
     slo_on: bool,
     wall_s: f64,
     events: u64,
@@ -62,7 +61,7 @@ fn fig9_slo() -> SloEngine {
     )
 }
 
-fn run_fig9(scale: &Scale, seed: u64, shards: usize, slo_on: bool) -> RunResult {
+fn run_fig9(scale: &Scale, seed: u64, slo_on: bool) -> RunResult {
     let fig9 = &scale.fig9;
     let slo = if slo_on {
         fig9_slo()
@@ -80,14 +79,12 @@ fn run_fig9(scale: &Scale, seed: u64, shards: usize, slo_on: bool) -> RunResult 
         .build()
         .placed(1 + fig9.satellites, total);
     let run = fig9.run(seed, |b| {
-        b.shards(shards)
-            .obs(obs::Recorder::metrics_only())
+        b.obs(obs::Recorder::metrics_only())
             .sampler(sampler)
             .faults(faults)
             .slo(slo)
     });
     RunResult {
-        shards,
         slo_on,
         wall_s: run.wall_s,
         events: run.sys.sim.events_processed(),
@@ -145,7 +142,6 @@ fn run_multi_tenant(scale: &Scale, seed: u64, slo_on: bool) -> RunResult {
     );
 
     RunResult {
-        shards: 1,
         slo_on,
         wall_s,
         events: harness.sim.events_processed(),
@@ -157,7 +153,6 @@ fn run_multi_tenant(scale: &Scale, seed: u64, slo_on: bool) -> RunResult {
 fn run_json(r: &RunResult, workload: &str) -> Value {
     let mut o = vec![
         ("workload", workload.into()),
-        ("shards", (r.shards as u64).into()),
         ("slo_enabled", r.slo_on.into()),
         ("wall_s", r.wall_s.into()),
         ("events", r.events.into()),
@@ -228,27 +223,22 @@ fn main() {
         scale.fault_events
     );
 
-    // fig9: SLOs off at 1 shard (the reference), then on at 1 and 4
-    // shards. All fingerprints must agree — the non-perturbation proof at
-    // benchmark scale.
-    let mut fig9: Vec<RunResult> = Vec::new();
-    print!("  fig9 baseline (slo off, 1 shard) ... ");
+    // fig9: SLOs off (the reference), then on. The fingerprints must
+    // agree — the non-perturbation proof at benchmark scale.
+    print!("  fig9 baseline (slo off) ... ");
     flush();
-    fig9.push(run_fig9(&scale, args.seed, 1, false));
-    println!("{} events", fig9[0].events);
-    for shards in [1usize, 4] {
-        print!("  fig9 slo on, {shards} shard(s) ... ");
-        flush();
-        let r = run_fig9(&scale, args.seed, shards, true);
-        println!(
-            "{} events in {:.2} s ({:.0} ev/s)",
-            r.events,
-            r.wall_s,
-            r.events as f64 / r.wall_s.max(1e-9)
-        );
-        fig9.push(r);
-    }
-    let fig9_match = fig9.iter().all(|r| r.fingerprint == fig9[0].fingerprint);
+    let fig9_base = run_fig9(&scale, args.seed, false);
+    println!("{} events", fig9_base.events);
+    print!("  fig9 slo on ... ");
+    flush();
+    let head = run_fig9(&scale, args.seed, true);
+    println!(
+        "{} events in {:.2} s ({:.0} ev/s)",
+        head.events,
+        head.wall_s,
+        head.events as f64 / head.wall_s.max(1e-9)
+    );
+    let fig9_match = head.fingerprint == fig9_base.fingerprint;
 
     print!("  multi_tenant baseline (slo off) ... ");
     flush();
@@ -266,11 +256,15 @@ fn main() {
     let mt_match = mt.fingerprint == mt_base.fingerprint;
     let outcomes_match = fig9_match && mt_match;
 
-    let rows: Vec<Vec<String>> = fig9
+    let all = [
+        ("fig9", &fig9_base),
+        ("fig9", &head),
+        ("multi_tenant", &mt_base),
+        ("multi_tenant", &mt),
+    ];
+    let rows: Vec<Vec<String>> = all
         .iter()
-        .map(|r| ("fig9", r))
-        .chain([("multi_tenant", &mt_base), ("multi_tenant", &mt)])
-        .map(|(w, r)| {
+        .map(|&(w, r)| {
             let (breaches, detect, ov) = match &r.report {
                 Some(rep) => (
                     rep.total_breaches().to_string(),
@@ -285,7 +279,6 @@ fn main() {
             };
             vec![
                 w.to_string(),
-                r.shards.to_string(),
                 if r.slo_on { "on" } else { "off" }.to_string(),
                 f(r.wall_s, 2),
                 f(r.events as f64 / r.wall_s.max(1e-9), 0),
@@ -300,7 +293,6 @@ fn main() {
         "bench_slo — online SLO evaluation overhead and detection",
         &[
             "workload",
-            "shards",
             "slo",
             "wall s",
             "events/s",
@@ -314,24 +306,16 @@ fn main() {
     println!(
         "\n  outcomes {}",
         if outcomes_match {
-            "IDENTICAL with SLOs off/on at both shard counts"
+            "IDENTICAL with SLOs off and on"
         } else {
             "DIVERGED — the SLO engine perturbed the run"
         }
     );
 
-    // Headline fields the CI gate reads, from the serial slo-on fig9 run.
-    let head = &fig9[1];
+    // Headline fields the CI gate reads, from the slo-on fig9 run.
     let head_rep = head.report.as_ref().expect("slo-on run has a report");
     let detect = head_rep.specs.iter().find_map(|s| s.detect_us);
-    let runs = fig9
-        .iter()
-        .map(|r| run_json(r, "fig9"))
-        .chain([
-            run_json(&mt_base, "multi_tenant"),
-            run_json(&mt, "multi_tenant"),
-        ])
-        .collect();
+    let runs = all.iter().map(|&(w, r)| run_json(r, w)).collect();
     write_bench(
         "SLO",
         "bench_slo",

@@ -244,8 +244,8 @@ pub struct Fig9Run {
 
 impl Fig9Scale {
     /// Build the scenario's cluster with whatever `arm` chains onto its
-    /// builder (instruments, shard count, fault plan), inject the job
-    /// stream — identical for every layout and instrument set — and run
+    /// builder (instruments, fault plan), inject the job stream —
+    /// identical for every instrument set — and run
     /// to the horizon.
     pub fn run(
         &self,

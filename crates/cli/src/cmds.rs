@@ -212,7 +212,7 @@ pub const COMMANDS: &[CmdSpec] = &[
         name: "mem-report",
         summary: "per-subsystem host-heap attribution of an emulated run",
         scenario: defaults(128, 2, 5, 10, 0),
-        flags: &["shards", "format", "out"],
+        flags: &["format", "out"],
         run: mem_report,
     },
     CmdSpec {
@@ -534,6 +534,14 @@ fn scenario(o: &Opts) -> Result<(Scenario, EslurmSystemBuilder), CliError> {
         seed: o.get_or("seed", d.seed)?,
         faults: o.get_or("faults", d.faults)?,
     };
+    // Node ids are `u32`, and the master needs one too.
+    let total = 1 + sc.satellites as u128 + sc.nodes as u128;
+    if total > u32::MAX as u128 {
+        return Err(o.usage(format!(
+            "1 + --satellites + --nodes must be at most {}, the node-id space; got {total}",
+            u32::MAX
+        )));
+    }
     let cfg = EslurmConfig {
         n_satellites: sc.satellites,
         eq1_width: (sc.nodes / sc.satellites).max(32),
@@ -1019,19 +1027,18 @@ fn slo_report(o: &Opts) -> Result<(), CliError> {
 }
 
 /// `eslurm mem-report [--nodes N --satellites M --minutes T --jobs J
-/// --seed S --faults K --shards P] [--format table|csv|json] [--out FILE]`
+/// --seed S --faults K] [--format table|csv|json] [--out FILE]`
 ///
 /// Runs the same emulation as `simulate` with the tagged tracking
 /// allocator armed and prints the per-subsystem host-heap attribution:
 /// live and peak bytes, allocation counts and rates, and the size-class
 /// histogram for each tag (`master`, `satellite`, `sched`, `ml`, `obs`,
-/// `des-shard{n}`, `untagged`). The profiler is a report around the run
+/// `des`, `untagged`). The profiler is a report around the run
 /// (DESIGN §15): armed before it and read after it, never handed to the
 /// engine, so the run is the plain one. Requires a binary built with
 /// `--features mem-profile`; without it the command explains and exits 0.
 fn mem_report(o: &Opts) -> Result<(), CliError> {
     let (sc, builder) = scenario(o)?;
-    let shards = o.get_or("shards", 1usize)?;
 
     if !mem_profile_compiled() {
         println!(
@@ -1043,7 +1050,7 @@ fn mem_report(o: &Opts) -> Result<(), CliError> {
         return Ok(());
     }
     let profiler = MemProfiler::enabled();
-    let sys = sc.run(builder.shards(shards));
+    let sys = sc.run(builder);
     let report = profiler
         .report()
         .expect("mem_profile_compiled() checked above, so the handle is armed");

@@ -1,20 +1,17 @@
 //! The discrete-event transport: deterministic, fast, and scalable to the
 //! million-node clusters the paper's FP-Tree argument targets.
 //!
-//! ## One loop over sharded data
+//! ## One queue, one node store
 //!
-//! The event population is partitioned into `shards` independent
-//! [`KeyedQueue`]s, each with its own node store (`emu::state`) covering
-//! the nodes assigned to it. Every
-//! event carries a canonical [`EventKey`] `(time, lane, seq)` stamped at
-//! creation (lane = creator node + 1, or 0 for external injections and
-//! fault markers; seq = the creator's own counter), which is identical no
-//! matter how many shards exist. The engine is one single-threaded loop
-//! that repeatedly pops the globally minimal key across the shard queues
-//! and dispatches it inline, so every shard count executes the *same*
-//! total order: `shards` is a data-layout knob (queue and node-store
-//! locality), never a behaviour switch, and outcomes and exports are
-//! bit-identical across shard counts by construction.
+//! Every pending event sits in one [`KeyedQueue`], and every node's engine
+//! state in one node store (`emu::state`), both indexed by [`NodeId`]
+//! directly. Each event carries a canonical [`EventKey`] `(time, lane,
+//! seq)` stamped at creation (lane = creator node + 1, or 0 for external
+//! injections and fault markers; seq = the creator's own counter), and the
+//! engine is one single-threaded loop that pops the least key and
+//! dispatches it inline. The key, not the order of pushes, fixes the total
+//! order: it is what every fingerprint and export hashes, and what any
+//! split of the event population would have to merge back into.
 //!
 //! ## One event ahead
 //!
@@ -22,7 +19,7 @@
 //! comes up, and the first touches of its `HotNode` and its actor were
 //! a quarter of the sweep's run. The next receiver is known one `pop`
 //! early, though: after popping event *k* and before dispatching it, the
-//! loop reads the payload now at the head of the same shard's queue
+//! loop reads the payload now at the head of the queue
 //! ([`KeyedQueue::peek_event`]) and, for a `Deliver` or a `Timer`,
 //! prefetches the first and last byte of that node's `HotNode` and actor,
 //! so both lines of a record that straddles a boundary load while event
@@ -51,7 +48,6 @@ use obs::{
 };
 use rand::rngs::StdRng;
 use simclock::{EventKey, KeyedQueue, SimSpan, SimTime};
-use std::cmp::Ordering;
 
 /// Configuration of a simulated cluster.
 #[derive(Clone, Debug)]
@@ -75,16 +71,6 @@ pub struct SimConfig {
     /// metrics into its store. Without an end time no ticks are scheduled:
     /// an open-ended tick would keep the run alive forever.
     pub sampler: Sampler,
-    /// Number of event-queue shards (clamped to `[1, nodes]`). Purely a
-    /// data layout: each shard owns a queue and the state of its nodes,
-    /// and one loop merges them in key order, so every shard count runs
-    /// the same events in the same order.
-    pub shards: usize,
-    /// Node → shard assignment (`partition[node] < shards`). `None`
-    /// partitions nodes into contiguous balanced blocks. Correctness never
-    /// depends on the partition — only locality does — because event
-    /// order comes from the shard-invariant keys.
-    pub partition: Option<Vec<u32>>,
     /// Online SLO engine. Disabled by default; when enabled it evaluates
     /// its specs on every sampling tick (it needs the sampling cadence to
     /// run — configure an end-bounded sampler). It reads
@@ -102,8 +88,6 @@ impl SimConfig {
             faults: FaultPlan::none(n),
             obs: Recorder::disabled(),
             sampler: Sampler::disabled(),
-            shards: 1,
-            partition: None,
             slo: SloEngine::disabled(),
         }
     }
@@ -148,19 +132,17 @@ enum Ev<M> {
     },
 }
 
-/// One shard: its event queue, the state of the nodes it owns, and its
-/// share of the run counters.
-struct Shard<M> {
+/// What a handler mutates through its context: the event queue, every
+/// node's engine state, and the send tally.
+struct Core<M> {
     queue: KeyedQueue<Ev<M>>,
     nodes: NodeStore,
-    events: u64,
-    drops: u64,
-    /// Send metrics of this shard's senders not yet in the recorder. The
-    /// contract: `Counter::MsgsSent`, `Counter::BytesSent` and
-    /// `Hist::HopLatencyUs` are read by nobody while events run, only by
-    /// a sampling tick and after `run_until` returns — and
-    /// `SimCluster::flush_sends` hands the tally over at exactly those
-    /// two points, so every read sees every send before it.
+    /// Send metrics not yet in the recorder. The contract:
+    /// `Counter::MsgsSent`, `Counter::BytesSent` and `Hist::HopLatencyUs`
+    /// are read by nobody while events run, only by a sampling tick and
+    /// after `run_until` returns — and `SimCluster::flush_sends` hands the
+    /// tally over at exactly those two points, so every read sees every
+    /// send before it.
     sends: SendTally,
 }
 
@@ -210,18 +192,16 @@ impl SendTally {
     }
 }
 
-/// State shared read-only by every shard during dispatch.
+/// What dispatch borrows shared: the link model, the fault plan and the
+/// recorder.
 struct SimShared {
     latency: LatencyModel,
     faults: FaultPlan,
     obs: Recorder,
-    /// `node → (shard, local index)`.
-    map: Vec<(u32, u32)>,
-    nshards: usize,
 }
 
 struct DesCtx<'a, M> {
-    shards: &'a mut [Shard<M>],
+    core: &'a mut Core<M>,
     shared: &'a SimShared,
     me: NodeId,
     now: SimTime,
@@ -232,40 +212,26 @@ struct DesCtx<'a, M> {
 }
 
 impl<M: Payload> DesCtx<'_, M> {
-    /// The store and local index of `node`.
-    fn store(&mut self, node: NodeId) -> (&mut NodeStore, usize) {
-        let (s, l) = self.shared.map[node.index()];
-        (&mut self.shards[s as usize].nodes, l as usize)
-    }
-
     /// The send/receive record of `node`.
     fn hot(&mut self, node: NodeId) -> &mut HotNode {
-        let (store, li) = self.store(node);
-        store.hot(li)
-    }
-
-    /// Route an event to the shard that owns its execution.
-    fn push_event(&mut self, key: EventKey, dst_shard: u32, ev: Ev<M>) {
-        self.shards[dst_shard as usize].queue.push(key, ev);
+        self.core.nodes.hot(node.index())
     }
 
     /// Apply one socket open/close to `node`'s meter.
     fn sock_op(&mut self, node: NodeId, open: bool) {
-        let (store, li) = self.store(node);
         if open {
-            store.open_socket(li);
+            self.core.nodes.open_socket(node.index());
         } else {
-            store.close_socket(li);
+            self.core.nodes.close_socket(node.index());
         }
     }
 
-    /// Schedule an event on `me`'s own shard at absolute time `at`,
-    /// stamped with `me`'s lane and next sequence number.
+    /// Schedule an event at absolute time `at`, stamped with `me`'s lane
+    /// and next sequence number.
     fn push_self(&mut self, at: SimTime, ev: Ev<M>) {
         let me = self.me;
         let seq = self.hot(me).take_seq();
-        let sid = self.shared.map[me.index()].0;
-        self.push_event(EventKey::for_node(at, me.0, seq), sid, ev);
+        self.core.queue.push(EventKey::for_node(at, me.0, seq), ev);
     }
 }
 
@@ -284,11 +250,8 @@ impl<M: Payload> Context<M> for DesCtx<'_, M> {
         let me = self.me;
         let size = msg.size_bytes();
         let cur_ctx = self.cur_ctx;
-        let (sender_shard, sender_li) = shared.map[me.index()];
         let (depart, arrive, seq) = {
-            let hot = self.shards[sender_shard as usize]
-                .nodes
-                .hot(sender_li as usize);
+            let hot = self.core.nodes.hot(me.index());
             let depart = hot.tx_free.max(now) + shared.latency.tx_gap(size);
             hot.tx_free = depart;
             let arrive = depart + shared.latency.latency(size, &mut hot.rng);
@@ -310,9 +273,7 @@ impl<M: Payload> Context<M> for DesCtx<'_, M> {
         });
         if shared.obs.enabled() {
             let flight = arrive.as_micros() - now.as_micros();
-            self.shards[sender_shard as usize]
-                .sends
-                .add(size as u64, flight);
+            self.core.sends.add(size as u64, flight);
             shared.obs.span(
                 now.as_micros(),
                 flight,
@@ -322,10 +283,8 @@ impl<M: Payload> Context<M> for DesCtx<'_, M> {
                 size as u64,
             );
         }
-        let dst = shared.map[to.index()].0;
-        self.push_event(
+        self.core.queue.push(
             EventKey::for_node(arrive, me.0, seq),
-            dst,
             Ev::Deliver {
                 from: me,
                 to,
@@ -347,15 +306,11 @@ impl<M: Payload> Context<M> for DesCtx<'_, M> {
     }
 
     fn alloc_virt(&mut self, delta: i64) {
-        let me = self.me;
-        let (store, li) = self.store(me);
-        store.alloc_virt(li, delta);
+        self.core.nodes.alloc_virt(self.me.index(), delta);
     }
 
     fn alloc_real(&mut self, delta: i64) {
-        let me = self.me;
-        let (store, li) = self.store(me);
-        store.alloc_real(li, delta);
+        self.core.nodes.alloc_real(self.me.index(), delta);
     }
 
     fn open_socket(&mut self, peer: NodeId) {
@@ -438,13 +393,11 @@ fn prefetch<T>(r: &T) {
     let _ = r;
 }
 
-/// Dispatch one event. `actors` is the actor group of the shard the event
-/// executes on (deliveries and timers always run on the shard that owns
-/// the target node). Returns whether a message was dropped.
+/// Dispatch one event. Returns whether a message was dropped.
 fn exec_event<M: Payload, A: Actor<M>>(
     now: SimTime,
     ev: Ev<M>,
-    shards: &mut [Shard<M>],
+    core: &mut Core<M>,
     actors: &mut [A],
     shared: &SimShared,
 ) -> bool {
@@ -457,11 +410,10 @@ fn exec_event<M: Payload, A: Actor<M>>(
                     .event_at(now, to.0, EventKind::MsgDrop, from.0 as u64, 0);
                 return true;
             }
-            let li = shared.map[to.index()].1 as usize;
             // The delivered context becomes current for the handler, so
             // any sends it makes chain as children of this hop.
             let mut ctx = DesCtx {
-                shards,
+                core,
                 shared,
                 me: to,
                 now,
@@ -479,7 +431,7 @@ fn exec_event<M: Payload, A: Actor<M>>(
             } else {
                 (0, 0)
             };
-            actors[li].on_message(&mut ctx, from, msg);
+            actors[to.index()].on_message(&mut ctx, from, msg);
             if tracing {
                 let cpu = ctx.hot(to).cpu_time.as_micros() - cpu_before;
                 shared.obs.observe(Hist::MsgProcessUs, cpu);
@@ -514,9 +466,8 @@ fn exec_event<M: Payload, A: Actor<M>>(
             false
         }
         Ev::Timer { node, token } => {
-            let li = shared.map[node.index()].1 as usize;
             let mut ctx = DesCtx {
-                shards,
+                core,
                 shared,
                 me: node,
                 now,
@@ -531,12 +482,12 @@ fn exec_event<M: Payload, A: Actor<M>>(
                 }
                 return false;
             }
-            actors[li].on_timer(&mut ctx, token);
+            actors[node.index()].on_timer(&mut ctx, token);
             false
         }
         Ev::SocketClose { a, b } => {
             let mut ctx = DesCtx {
-                shards,
+                core,
                 shared,
                 me: a,
                 now,
@@ -580,9 +531,9 @@ fn exec_event<M: Payload, A: Actor<M>>(
 /// assert_eq!(cluster.actor(NodeId(1)).0 + cluster.actor(NodeId(0)).0, 5);
 /// ```
 pub struct SimCluster<M: Payload, A: Actor<M>> {
-    /// Actor groups, `actors[shard][local]`.
-    actors: Vec<Vec<A>>,
-    shards: Vec<Shard<M>>,
+    /// `actors[node]`.
+    actors: Vec<A>,
+    core: Core<M>,
     shared: SimShared,
     sampler: Sampler,
     slo: SloEngine,
@@ -592,32 +543,29 @@ pub struct SimCluster<M: Payload, A: Actor<M>> {
     sample_next: Option<SimTime>,
     started: bool,
     events_processed: u64,
+    drops: u64,
     now: SimTime,
     /// Creation counter of the system lane (injections, fault markers).
     sys_seq: u64,
-    n: usize,
 }
 
 impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
     /// Build a cluster where node `i` runs `actors[i]`.
+    ///
+    /// # Panics
+    ///
+    /// If there are more than `u32::MAX` actors: node ids are `u32`, and
+    /// so are the event lanes (`id + 1`) that order their events.
     pub fn new(actors: Vec<A>, config: SimConfig) -> Self {
         let n = actors.len();
+        assert!(
+            n <= u32::MAX as usize,
+            "{n} nodes exceed the u32 node-id space"
+        );
         assert!(
             config.faults.cluster_size() == 0 || config.faults.cluster_size() >= n,
             "fault plan covers fewer nodes than the cluster"
         );
-        let nshards = config.shards.clamp(1, n.max(1));
-        let part: Vec<u32> = match config.partition {
-            Some(p) => {
-                assert_eq!(p.len(), n, "partition length != node count");
-                assert!(
-                    p.iter().all(|&s| (s as usize) < nshards),
-                    "partition references shard >= shards"
-                );
-                p
-            }
-            None => (0..n).map(|i| (i * nshards / n.max(1)) as u32).collect(),
-        };
         let ticks =
             config
                 .sampler
@@ -634,72 +582,38 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
                         .collect(),
                 });
         let sample_next = ticks.as_ref().map(|s| SimTime::ZERO + s.interval);
-
-        // Group actors by shard, recording each node's (shard, local).
-        // Groups are sized up front, so the build-time peak is the
-        // caller's `Vec` plus one copy, never a doubling `push` on top.
-        let mut count = vec![0usize; nshards];
-        for &s in &part {
-            count[s as usize] += 1;
-        }
-        let mut map = vec![(0u32, 0u32); n];
-        let mut ids: Vec<Vec<u32>> = count.iter().map(|&c| Vec::with_capacity(c)).collect();
-        let mut groups: Vec<Vec<A>> = count.iter().map(|&c| Vec::with_capacity(c)).collect();
-        for (i, a) in actors.into_iter().enumerate() {
-            let s = part[i] as usize;
-            map[i] = (part[i], groups[s].len() as u32);
-            ids[s].push(i as u32);
-            groups[s].push(a);
-        }
-        let mut shards: Vec<Shard<M>> = ids
-            .iter()
-            .map(|ids| Shard {
-                // Pending events peak well under one per node on the
-                // workloads measured (0.4 at 200k nodes); the slab grows
-                // if a run needs more.
-                queue: KeyedQueue::with_capacity(ids.len() + 16),
-                nodes: NodeStore::new(config.seed, ids),
-                events: 0,
-                drops: 0,
-                sends: SendTally::new(),
-            })
-            .collect();
+        let mut core = Core {
+            // Pending events peak well under one per node on the workloads
+            // measured (0.4 at 200k nodes); the slab grows if a run needs
+            // more.
+            queue: KeyedQueue::with_capacity(n + 16),
+            nodes: NodeStore::new(config.seed, n),
+            sends: SendTally::new(),
+        };
 
         let mut sys_seq = 0u64;
         if config.obs.enabled() {
-            // Fault-plan markers ride the queues so node_down/node_up land
+            // Fault-plan markers ride the queue so node_down/node_up land
             // in the trace at their exact virtual time. Skipped entirely
             // when un-observed, keeping the event stream identical.
             for o in config.faults.outages() {
-                let s = map[o.node.index()].0 as usize;
-                shards[s].queue.push(
-                    EventKey::system(o.down_at, sys_seq),
-                    Ev::Fault {
-                        node: o.node,
-                        up: false,
-                    },
-                );
-                sys_seq += 1;
-                shards[s].queue.push(
-                    EventKey::system(o.up_at, sys_seq),
-                    Ev::Fault {
-                        node: o.node,
-                        up: true,
-                    },
-                );
-                sys_seq += 1;
+                for (at, up) in [(o.down_at, false), (o.up_at, true)] {
+                    core.queue.push(
+                        EventKey::system(at, sys_seq),
+                        Ev::Fault { node: o.node, up },
+                    );
+                    sys_seq += 1;
+                }
             }
         }
 
         SimCluster {
-            actors: groups,
-            shards,
+            actors,
+            core,
             shared: SimShared {
                 latency: config.latency,
                 faults: config.faults,
                 obs: config.obs,
-                map,
-                nshards,
             },
             sampler: config.sampler,
             slo: config.slo,
@@ -707,25 +621,20 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
             sample_next,
             started: false,
             events_processed: 0,
+            drops: 0,
             now: SimTime::ZERO,
             sys_seq,
-            n,
         }
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.n
+        self.actors.len()
     }
 
     /// Whether the cluster has zero nodes.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Number of event-queue shards.
-    pub fn shard_count(&self) -> usize {
-        self.shared.nshards
+        self.actors.is_empty()
     }
 
     /// Current virtual time.
@@ -739,8 +648,7 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
         let at = at.max(self.now);
         let key = EventKey::system(at, self.sys_seq);
         self.sys_seq += 1;
-        let dst = self.shared.map[to.index()].0 as usize;
-        self.shards[dst].queue.push(
+        self.core.queue.push(
             key,
             Ev::Deliver {
                 from,
@@ -755,11 +663,8 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
     /// comes first. Returns the number of events processed by this call.
     pub fn run_until(&mut self, horizon: SimTime) -> u64 {
         self.ensure_started();
-        let before: u64 = self.shards.iter().map(|s| s.events).sum();
-        let ticks = self.run_merged(horizon);
+        let n = self.run_loop(horizon);
         self.flush_sends();
-        let after: u64 = self.shards.iter().map(|s| s.events).sum();
-        let n = after - before + ticks;
         self.events_processed += n;
         n
     }
@@ -772,25 +677,22 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
 
     /// A snapshot of the resource meter of `node`.
     pub fn meter(&self, node: NodeId) -> Meter {
-        let (s, l) = self.shared.map[node.index()];
-        self.shards[s as usize].nodes.meter(l as usize)
+        self.core.nodes.meter(node.index())
     }
 
     /// Immutable access to an actor (for extracting results after a run).
     pub fn actor(&self, node: NodeId) -> &A {
-        let (s, l) = self.shared.map[node.index()];
-        &self.actors[s as usize][l as usize]
+        &self.actors[node.index()]
     }
 
     /// Mutable access to an actor (for reconfiguring between phases).
     pub fn actor_mut(&mut self, node: NodeId) -> &mut A {
-        let (s, l) = self.shared.map[node.index()];
-        &mut self.actors[s as usize][l as usize]
+        &mut self.actors[node.index()]
     }
 
     /// Messages dropped because the destination was down at delivery time.
     pub fn dropped_messages(&self) -> u64 {
-        self.shards.iter().map(|s| s.drops).sum()
+        self.drops
     }
 
     /// The online SLO engine this cluster evaluates on each sampling tick
@@ -809,26 +711,22 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
             return;
         }
         self.started = true;
-        for i in 0..self.n {
-            let me = NodeId(i as u32);
+        for (i, actor) in self.actors.iter_mut().enumerate() {
             let mut ctx = DesCtx {
-                shards: &mut self.shards,
+                core: &mut self.core,
                 shared: &self.shared,
-                me,
+                me: NodeId(i as u32),
                 now: SimTime::ZERO,
                 cur_ctx: None,
             };
-            let (s, l) = self.shared.map[i];
-            self.actors[s as usize][l as usize].on_start(&mut ctx);
+            actor.on_start(&mut ctx);
         }
     }
 
-    /// Hand every shard's send tally to the recorder (see `Shard::sends`
-    /// for when this must run).
+    /// Hand the send tally to the recorder (see `Core::sends` for when
+    /// this must run).
     fn flush_sends(&mut self) {
-        for sh in &mut self.shards {
-            sh.sends.flush_into(&self.shared.obs);
-        }
+        self.core.sends.flush_into(&self.shared.obs);
     }
 
     /// Fire one engine-level sampling tick at `t`. A tick past `until`
@@ -843,8 +741,7 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
             return;
         };
         for &node in &s.tracked {
-            let (sh, li) = self.shared.map[node.index()];
-            let sample = self.shards[sh as usize].nodes.sample(li as usize, t);
+            let sample = self.core.nodes.sample(node.index(), t);
             let id = node.0;
             self.sampler
                 .record_node(t, id, "footprint_cpu_util", sample.cpu_util);
@@ -864,79 +761,53 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
         self.sample_next = Some(t + s.interval);
     }
 
-    /// Start loading what the head of shard `si`'s queue will touch first:
-    /// its receiver's hot record and actor (see the module docs).
+    /// Start loading what the head of the queue will touch first: its
+    /// receiver's hot record and actor (see the module docs).
     #[inline]
-    fn prefetch_next_receiver(&self, si: usize) {
-        let node = match self.shards[si].queue.peek_event() {
+    fn prefetch_next_receiver(&self) {
+        let node = match self.core.queue.peek_event() {
             Some(Ev::Deliver { to, .. }) => *to,
             Some(Ev::Timer { node, .. }) => *node,
             _ => return,
         };
-        let (s, l) = self.shared.map[node.index()];
-        prefetch(self.shards[s as usize].nodes.hot_ref(l as usize));
-        prefetch(&self.actors[s as usize][l as usize]);
+        prefetch(self.core.nodes.hot_ref(node.index()));
+        prefetch(&self.actors[node.index()]);
     }
 
-    /// The event loop: pop the globally minimal key across the shard
-    /// queues and dispatch it inline. Returns the sampling ticks fired.
-    fn run_merged(&mut self, horizon: SimTime) -> u64 {
-        let mut ticks = 0u64;
+    /// The event loop: pop the least key and dispatch it inline. Returns
+    /// the events it ran, sampling ticks included.
+    fn run_loop(&mut self, horizon: SimTime) -> u64 {
+        let mut events = 0u64;
         loop {
-            // The heap roots alone decide: `(time, lane)` of each shard's
-            // head, without touching the slab the payloads live in.
-            let mut best: Option<((SimTime, u32), usize)> = None;
-            for (si, sh) in self.shards.iter().enumerate() {
-                let Some(head) = sh.queue.peek_head() else {
-                    continue;
-                };
-                let first = best.is_none_or(|(bh, bi)| match head.cmp(&bh) {
-                    Ordering::Less => true,
-                    Ordering::Greater => false,
-                    // One creator stamped two events for one instant and
-                    // they landed on two shards: only `seq` orders them.
-                    Ordering::Equal => sh.queue.peek_key() < self.shards[bi].queue.peek_key(),
-                });
-                if first {
-                    best = Some((head, si));
-                }
-            }
+            let head = self.core.queue.peek_head().map(|(t, _)| t);
             // Sampling ticks fire before any event at the same instant.
             if let Some(st) = self.sample_next {
-                if st <= horizon && best.is_none_or(|((bt, _), _)| st <= bt) {
+                if st <= horizon && head.is_none_or(|t| st <= t) {
                     self.fire_sample(st);
-                    ticks += 1;
+                    events += 1;
                     continue;
                 }
             }
-            let Some(((bt, _), si)) = best else { break };
-            if bt > horizon {
+            if head.is_none_or(|t| t > horizon) {
                 break;
             }
-            let (key, ev) = self.shards[si].queue.pop().expect("peeked event vanished");
-            self.prefetch_next_receiver(si);
+            let (key, ev) = self.core.queue.pop().expect("peeked event vanished");
+            self.prefetch_next_receiver();
             debug_assert!(key.time >= self.now, "event time went backwards");
             self.now = key.time;
             let dropped = {
-                // Heap traffic inside event execution belongs to the
-                // owning shard's `des-shard{n}` tag (FSM dispatch narrows
-                // it further); a no-op without `mem-profile`.
-                let _mem_scope = tag_scope(MemTag::DesShard(si));
-                exec_event(
-                    key.time,
-                    ev,
-                    &mut self.shards,
-                    &mut self.actors[si],
-                    &self.shared,
-                )
+                // Heap traffic inside event execution belongs to the `des`
+                // tag (FSM dispatch narrows it further); a no-op without
+                // `mem-profile`.
+                let _mem_scope = tag_scope(MemTag::Des);
+                exec_event(key.time, ev, &mut self.core, &mut self.actors, &self.shared)
             };
-            let sh = &mut self.shards[si];
-            sh.events += 1;
+            events += 1;
             if dropped {
-                sh.drops += 1;
+                self.drops += 1;
             }
         }
-        ticks
+        events
     }
 }
 
@@ -991,7 +862,7 @@ mod tests {
         }
     }
 
-    fn pingpong_cluster_sharded(shards: usize) -> SimCluster<u64, PingPong> {
+    fn pingpong_cluster() -> SimCluster<u64, PingPong> {
         let actors = vec![
             PingPong {
                 peer: NodeId(1),
@@ -1004,15 +875,7 @@ mod tests {
                 received: vec![],
             },
         ];
-        let cfg = SimConfig {
-            shards,
-            ..SimConfig::new(2, 1)
-        };
-        SimCluster::new(actors, cfg)
-    }
-
-    fn pingpong_cluster() -> SimCluster<u64, PingPong> {
-        pingpong_cluster_sharded(1)
+        SimCluster::new(actors, SimConfig::new(2, 1))
     }
 
     #[test]
@@ -1034,31 +897,6 @@ mod tests {
         b.run_to_quiescence();
         assert_eq!(a.now(), b.now());
         assert_eq!(a.events_processed(), b.events_processed());
-    }
-
-    /// The key-invariance guarantee at its smallest: a 2-shard run (every
-    /// message crosses the shard boundary) matches the 1-shard run
-    /// bit-for-bit in outcomes.
-    #[test]
-    fn sharded_ping_pong_matches_serial() {
-        let mut serial = pingpong_cluster();
-        let mut sharded = pingpong_cluster_sharded(2);
-        assert_eq!(sharded.shard_count(), 2);
-        serial.run_to_quiescence();
-        sharded.run_to_quiescence();
-        assert_eq!(serial.now(), sharded.now());
-        assert_eq!(serial.events_processed(), sharded.events_processed());
-        for node in [NodeId(0), NodeId(1)] {
-            assert_eq!(serial.actor(node).received, sharded.actor(node).received);
-            assert_eq!(
-                serial.meter(node).cpu_time(),
-                sharded.meter(node).cpu_time()
-            );
-            assert_eq!(
-                serial.meter(node).msg_counts(),
-                sharded.meter(node).msg_counts()
-            );
-        }
     }
 
     #[test]
@@ -1241,7 +1079,7 @@ mod tests {
 
     /// A chatty mesh: every node runs a periodic timer, messages a few
     /// peers, charges CPU, opens ephemeral sockets, and some nodes fail —
-    /// exercising every event kind across shard boundaries.
+    /// exercising every event kind.
     struct Mesh {
         n: u32,
         received: u64,
@@ -1279,16 +1117,7 @@ mod tests {
         }
     }
 
-    fn mesh_cluster(n: usize, shards: usize, seed: u64) -> SimCluster<u64, Mesh> {
-        mesh_cluster_obs(n, shards, seed, Recorder::disabled())
-    }
-
-    fn mesh_cluster_obs(
-        n: usize,
-        shards: usize,
-        seed: u64,
-        obs: Recorder,
-    ) -> SimCluster<u64, Mesh> {
+    fn mesh_cluster(n: usize, seed: u64) -> SimCluster<u64, Mesh> {
         let faults = FaultPlan::from_outages(
             n,
             vec![
@@ -1305,9 +1134,7 @@ mod tests {
             ],
         );
         let cfg = SimConfig {
-            shards,
             faults,
-            obs,
             ..SimConfig::new(n, seed)
         };
         let actors = (0..n)
@@ -1320,51 +1147,12 @@ mod tests {
         SimCluster::new(actors, cfg)
     }
 
-    /// The full parity sweep: 2/4/8-shard runs reproduce the 1-shard
-    /// outcomes bit-for-bit — meters (including socket peaks, whose
-    /// order-sensitivity is the hardest case), drops, clock, event counts —
-    /// with the recorder off and under full tracing alike.
-    #[test]
-    fn sharded_mesh_matches_serial_across_shard_counts() {
-        let n = 16;
-        for obs in [Recorder::disabled, Recorder::full] {
-            let mut serial = mesh_cluster_obs(n, 1, 42, obs());
-            serial.run_until(SimTime::from_secs(4));
-            for shards in [2usize, 4, 8] {
-                let mut par = mesh_cluster_obs(n, shards, 42, obs());
-                par.run_until(SimTime::from_secs(4));
-                assert_eq!(par.now(), serial.now(), "{shards} shards: clock differs");
-                assert_eq!(
-                    par.events_processed(),
-                    serial.events_processed(),
-                    "{shards} shards: event count differs"
-                );
-                assert_eq!(par.dropped_messages(), serial.dropped_messages());
-                for i in 0..n {
-                    let node = NodeId(i as u32);
-                    let (a, b) = (serial.meter(node), par.meter(node));
-                    assert_eq!(a.cpu_time(), b.cpu_time(), "node {i} cpu");
-                    assert_eq!(a.msg_counts(), b.msg_counts(), "node {i} msgs");
-                    assert_eq!(a.peak_sockets(), b.peak_sockets(), "node {i} socket peak");
-                    assert_eq!(a.sockets(), b.sockets(), "node {i} sockets");
-                    assert_eq!(a.peak_mem(), b.peak_mem(), "node {i} mem peaks");
-                    assert_eq!(
-                        serial.actor(node).received,
-                        par.actor(node).received,
-                        "node {i} received count"
-                    );
-                    assert_eq!(serial.actor(node).sent, par.actor(node).sent);
-                }
-            }
-        }
-    }
-
-    /// Two heads that tie on `(time, lane)` across shards: system-lane
-    /// injections for one instant, the later one onto the lower-numbered
-    /// shard. Only `seq`, which the merge reads from the slab on a tie,
+    /// Events that tie on `(time, lane)`: system-lane injections for one
+    /// instant, to receivers in an order unrelated to their injection
+    /// order. Only `seq`, which the queue reads from the slab on a tie,
     /// puts them in injection order.
     #[test]
-    fn cross_shard_time_lane_ties_run_in_seq_order() {
+    fn time_lane_ties_run_in_seq_order() {
         use std::sync::{Arc, Mutex};
         struct Log(Arc<Mutex<Vec<u64>>>);
         impl Actor<u64> for Log {
@@ -1372,149 +1160,65 @@ mod tests {
                 self.0.lock().unwrap().push(msg);
             }
         }
-        for shards in [1usize, 2] {
-            let log = Arc::new(Mutex::new(Vec::new()));
-            let cfg = SimConfig {
-                shards,
-                partition: (shards == 2).then(|| vec![0, 1, 0, 1]),
-                ..SimConfig::new(4, 1)
-            };
-            let actors = (0..4).map(|_| Log(log.clone())).collect();
-            let mut c = SimCluster::new(actors, cfg);
-            let at = SimTime::from_millis(5);
-            for (msg, to) in [(0u64, 3u32), (1, 0), (2, 1), (3, 2)] {
-                c.inject(at, NodeId(0), NodeId(to), msg);
-            }
-            c.run_to_quiescence();
-            assert_eq!(*log.lock().unwrap(), vec![0, 1, 2, 3], "{shards} shard(s)");
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let actors = (0..4).map(|_| Log(log.clone())).collect();
+        let mut c = SimCluster::new(actors, SimConfig::new(4, 1));
+        let at = SimTime::from_millis(5);
+        for (msg, to) in [(0u64, 3u32), (1, 0), (2, 1), (3, 2)] {
+            c.inject(at, NodeId(0), NodeId(to), msg);
         }
+        c.run_to_quiescence();
+        assert_eq!(*log.lock().unwrap(), vec![0, 1, 2, 3]);
     }
 
-    /// Resuming a horizon-bounded sharded run in more horizons yields the
-    /// same final state as one long 1-shard run.
+    /// Ticks interleave with a chatty mesh's events, and the tracked
+    /// series see the CPU its handlers charge.
     #[test]
-    fn sharded_run_in_phases_matches_serial() {
-        let mut serial = mesh_cluster(12, 1, 7);
-        serial.run_until(SimTime::from_secs(4));
-        let mut par = mesh_cluster(12, 4, 7);
-        par.run_until(SimTime::from_millis(700));
-        par.run_until(SimTime::from_millis(1900));
-        par.run_until(SimTime::from_secs(4));
-        assert_eq!(par.now(), serial.now());
-        assert_eq!(par.events_processed(), serial.events_processed());
-        for i in 0..12 {
-            let node = NodeId(i as u32);
-            assert_eq!(serial.meter(node).cpu_time(), par.meter(node).cpu_time());
-            assert_eq!(serial.actor(node).received, par.actor(node).received);
+    fn sampled_series_see_charged_cpu() {
+        let sampler = Sampler::every_until(SimSpan::from_secs(1), SimTime::from_secs(3));
+        for node in [0, 5, 9] {
+            sampler.name_node(node, &format!("n{node}"));
         }
-    }
-
-    /// Ticks interleave identically with events at every shard count, and
-    /// the tracked series come out bit-identical.
-    #[test]
-    fn sharded_sampling_matches_serial() {
-        let make = |shards: usize| {
-            let sampler = Sampler::every_until(SimSpan::from_secs(1), SimTime::from_secs(3));
-            for node in [0, 5, 9] {
-                sampler.name_node(node, &format!("n{node}"));
-            }
-            let mut c = {
-                let cfg = SimConfig {
-                    shards,
-                    faults: FaultPlan::none(10),
-                    sampler: sampler.clone(),
-                    ..SimConfig::new(10, 9)
-                };
-                let actors = (0..10)
-                    .map(|_| Mesh {
-                        n: 10,
-                        received: 0,
-                        sent: 0,
-                    })
-                    .collect();
-                SimCluster::new(actors, cfg)
-            };
-            c.run_until(SimTime::from_secs(5));
-            (c, sampler)
-        };
-        let (serial, serial_samples) = make(1);
-        let (par, par_samples) = make(4);
-        assert_eq!(serial.now(), par.now());
-        assert_eq!(serial.events_processed(), par.events_processed());
-        for node in ["n0", "n5", "n9"] {
-            let cpu = footprint(&serial_samples, "footprint_cpu_time_s", node);
-            assert_eq!(cpu.len(), 3);
-            assert!(cpu[2].value > 0.0, "{node} charged no CPU");
-        }
-        assert_eq!(serial_samples.to_csv(), par_samples.to_csv());
-    }
-
-    /// An explicit partition overrides the contiguous default.
-    #[test]
-    fn custom_partition_is_honored_and_matches() {
-        let n = 9;
-        let mut serial = mesh_cluster(n, 1, 13);
-        serial.run_until(SimTime::from_secs(2));
         let cfg = SimConfig {
-            shards: 3,
-            partition: Some((0..n).map(|i| ((i * 5 + 2) % 3) as u32).collect()),
-            faults: FaultPlan::from_outages(
-                n,
-                vec![
-                    Outage {
-                        node: NodeId(2),
-                        down_at: SimTime::from_millis(400),
-                        up_at: SimTime::from_millis(1900),
-                    },
-                    Outage {
-                        node: NodeId((n - 1) as u32),
-                        down_at: SimTime::from_millis(1200),
-                        up_at: SimTime::from_millis(2500),
-                    },
-                ],
-            ),
-            ..SimConfig::new(n, 13)
+            sampler: sampler.clone(),
+            ..SimConfig::new(10, 9)
         };
-        let actors = (0..n)
+        let actors = (0..10)
             .map(|_| Mesh {
-                n: n as u32,
+                n: 10,
                 received: 0,
                 sent: 0,
             })
             .collect();
-        let mut scattered = SimCluster::new(actors, cfg);
-        scattered.run_until(SimTime::from_secs(2));
-        assert_eq!(serial.now(), scattered.now());
-        for i in 0..n {
-            let node = NodeId(i as u32);
-            assert_eq!(serial.actor(node).received, scattered.actor(node).received);
-            assert_eq!(
-                serial.meter(node).peak_sockets(),
-                scattered.meter(node).peak_sockets()
-            );
+        SimCluster::new(actors, cfg).run_until(SimTime::from_secs(5));
+        for node in ["n0", "n5", "n9"] {
+            let cpu = footprint(&sampler, "footprint_cpu_time_s", node);
+            assert_eq!(cpu.len(), 3);
+            assert!(cpu[2].value > 0.0, "{node} charged no CPU");
         }
     }
 
+    /// Resuming a horizon-bounded run in more horizons yields the same
+    /// final state as one long run.
     #[test]
-    #[should_panic(expected = "partition length")]
-    fn bad_partition_length_panics() {
-        let cfg = SimConfig {
-            shards: 2,
-            partition: Some(vec![0]),
-            ..SimConfig::new(2, 1)
-        };
-        let _ = SimCluster::new(
-            vec![
-                Ticker {
-                    period: SimSpan::from_secs(1),
-                    fires: 0,
-                },
-                Ticker {
-                    period: SimSpan::from_secs(1),
-                    fires: 0,
-                },
-            ],
-            cfg,
-        );
+    fn run_in_phases_matches_one_run() {
+        let mut whole = mesh_cluster(12, 7);
+        whole.run_until(SimTime::from_secs(4));
+        let mut phased = mesh_cluster(12, 7);
+        phased.run_until(SimTime::from_millis(700));
+        phased.run_until(SimTime::from_millis(1900));
+        phased.run_until(SimTime::from_secs(4));
+        assert_eq!(phased.now(), whole.now());
+        assert_eq!(phased.events_processed(), whole.events_processed());
+        assert_eq!(phased.dropped_messages(), whole.dropped_messages());
+        for i in 0..12 {
+            let node = NodeId(i as u32);
+            assert_eq!(whole.meter(node).cpu_time(), phased.meter(node).cpu_time());
+            assert_eq!(
+                whole.meter(node).peak_sockets(),
+                phased.meter(node).peak_sockets()
+            );
+            assert_eq!(whole.actor(node).received, phased.actor(node).received);
+        }
     }
 }

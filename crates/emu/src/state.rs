@@ -1,8 +1,7 @@
 //! Per-node engine state for the DES engine.
 //!
-//! Each shard of the engine owns one [`NodeStore`] covering exactly its
-//! nodes, indexed by *local* index; the engine maps `NodeId` →
-//! `(shard, local)` once per event.
+//! The engine owns one [`NodeStore`] covering every node, indexed by node
+//! id.
 //!
 //! The state is split by who touches it, not by type. Every delivered
 //! message counts a receive on its node, charges CPU from the handler, and
@@ -16,8 +15,7 @@
 //! the sampling window — stays in parallel arrays: the master and the
 //! satellites use those, the 200,000 compute nodes almost never do.
 //!
-//! RNG streams are derived from the *global* node id, so the draws a node
-//! makes are identical no matter which shard hosts it.
+//! Each node's RNG stream is derived from the master seed and its node id.
 
 use crate::meter::{Meter, Sample};
 use rand::rngs::StdRng;
@@ -45,7 +43,7 @@ impl HotNode {
     }
 }
 
-/// Per-node engine state for one shard.
+/// Per-node engine state of every node.
 pub(crate) struct NodeStore {
     hot: Vec<HotNode>,
     cpu_at_sample: Vec<SimSpan>,
@@ -59,14 +57,11 @@ pub(crate) struct NodeStore {
 }
 
 impl NodeStore {
-    /// A store hosting the nodes with the given *global* ids; local index
-    /// `i` corresponds to `ids[i]`.
-    pub fn new(seed: u64, ids: &[u32]) -> Self {
-        let n = ids.len();
+    /// A store for nodes `0..n`.
+    pub fn new(seed: u64, n: usize) -> Self {
         NodeStore {
-            hot: ids
-                .iter()
-                .map(|&id| HotNode {
+            hot: (0..n)
+                .map(|id| HotNode {
                     recv: 0,
                     cpu_time: SimSpan::ZERO,
                     sent: 0,
@@ -247,7 +242,7 @@ mod tests {
 
     #[test]
     fn cpu_accumulates_and_util_is_windowed() {
-        let mut store = NodeStore::new(1, &[0]);
+        let mut store = NodeStore::new(1, 1);
         store.hot(0).cpu_time += SimSpan::from_millis(500);
         let s1 = store.sample(0, SimTime::from_secs(1));
         assert!((s1.cpu_util - 0.5).abs() < 1e-9);
@@ -259,7 +254,7 @@ mod tests {
 
     #[test]
     fn memory_deltas_saturate() {
-        let mut store = NodeStore::new(1, &[0]);
+        let mut store = NodeStore::new(1, 1);
         store.alloc_virt(0, 1000);
         store.alloc_virt(0, -400);
         assert_eq!(store.meter(0).virt_mem(), 600);
@@ -272,7 +267,7 @@ mod tests {
 
     #[test]
     fn socket_peak_tracks_high_water() {
-        let mut store = NodeStore::new(1, &[0]);
+        let mut store = NodeStore::new(1, 1);
         for _ in 0..5 {
             store.open_socket(0);
         }
@@ -284,7 +279,7 @@ mod tests {
 
     #[test]
     fn zero_window_sample_has_zero_util() {
-        let mut store = NodeStore::new(1, &[0]);
+        let mut store = NodeStore::new(1, 1);
         store.hot(0).cpu_time += SimSpan::from_millis(1);
         let s = store.sample(0, SimTime::ZERO);
         assert_eq!(s.cpu_util, 0.0);
@@ -292,7 +287,7 @@ mod tests {
 
     #[test]
     fn store_matches_meter_semantics() {
-        let mut store = NodeStore::new(1, &[5, 9]);
+        let mut store = NodeStore::new(1, 2);
         let mut m = OracleMeter::default();
         for target in [0usize, 1] {
             store.hot(target).cpu_time += SimSpan::from_millis(500);
@@ -328,16 +323,16 @@ mod tests {
     }
 
     #[test]
-    fn rng_streams_follow_global_ids() {
-        let mut store = NodeStore::new(42, &[7]);
+    fn rng_streams_follow_node_ids() {
+        let mut store = NodeStore::new(42, 8);
         let mut reference = stream_rng(42, 7);
         use rand::RngExt;
-        assert_eq!(store.hot(0).rng.random::<u64>(), reference.random::<u64>());
+        assert_eq!(store.hot(7).rng.random::<u64>(), reference.random::<u64>());
     }
 
     #[test]
     fn seq_counter_is_per_node() {
-        let mut store = NodeStore::new(1, &[0, 1]);
+        let mut store = NodeStore::new(1, 2);
         assert_eq!(store.hot(0).take_seq(), 0);
         assert_eq!(store.hot(0).take_seq(), 1);
         assert_eq!(store.hot(1).take_seq(), 0);

@@ -33,7 +33,7 @@ pub enum EslurmNode {
 impl Actor<RmMsg> for EslurmNode {
     // Master and satellite FSMs are the management stack — their handlers
     // run under their own heap tag. Compute-node daemons keep the ambient
-    // tag (the engine's `des-shard{n}` scope), so engine-vs-stack cost
+    // tag (the engine's `des` scope), so engine-vs-stack cost
     // stays separable in `mem-report`.
     fn on_start(&mut self, ctx: &mut dyn Context<RmMsg>) {
         match self {
@@ -109,15 +109,11 @@ impl EslurmSystemBuilder {
         }
     }
 
-    /// Run the DES over `n` event-queue shards (see [`SimConfig::shards`]).
-    /// The partition follows the FP-Tree: the master keeps shard 0,
-    /// satellite `i` takes shard `i mod k` (where `k = min(n, satellites)`),
-    /// and the `i`-th balanced contiguous block of compute nodes — the block
-    /// satellite `i` serves in the master's dispatch split — rides on its
-    /// satellite's shard. Outcomes are bit-identical for every `n`; only
-    /// wall-clock changes.
-    pub fn shards(mut self, n: usize) -> Self {
-        self.sim.shards = n.max(1);
+    /// Accepted and ignored: the engine has one queue and one node store,
+    /// so there is no layout to choose. Kept only because the frozen
+    /// end-to-end benchmark calls it; it goes with the benchmark's
+    /// `emu.workers2_wall_ratio` metric when the benchmark is next revised.
+    pub fn shards(self, _n: usize) -> Self {
         self
     }
 
@@ -164,9 +160,18 @@ impl EslurmSystemBuilder {
     }
 
     /// Materialize the system.
+    ///
+    /// # Panics
+    ///
+    /// If the master, satellites and compute nodes together exceed
+    /// `u32::MAX` nodes, the size of the node-id space.
     pub fn build(self) -> EslurmSystem {
         let m = self.cfg.n_satellites;
         let total = 1 + m + self.n_slaves;
+        assert!(
+            total <= u32::MAX as usize,
+            "{total} nodes exceed the u32 node-id space"
+        );
         let sat_ids: Vec<u32> = (1..=m as u32).collect();
         let slave_ids: Vec<u32> = (m as u32 + 1..total as u32).collect();
 
@@ -193,23 +198,7 @@ impl EslurmSystemBuilder {
             actors.push(EslurmNode::Slave(SlaveDaemon::new(Arc::clone(&slave_cfg))));
         }
 
-        let mut config = self.sim;
-        if config.shards > 1 {
-            let k = config.shards.min(m.max(1));
-            let mut part = vec![0u32; total];
-            for i in 0..m {
-                part[1 + i] = (i % k) as u32;
-            }
-            for (i, &(start, len)) in crate::config::partition(self.n_slaves, m.max(1))
-                .iter()
-                .enumerate()
-            {
-                for j in start..start + len {
-                    part[1 + m + j] = (i % k) as u32;
-                }
-            }
-            config.partition = Some(part);
-        }
+        let config = self.sim;
         config.sampler.name_node(NodeId::MASTER.0, "master");
         for (i, &s) in sat_ids.iter().enumerate() {
             config.sampler.name_node(s, &format!("sat{}", i + 1));

@@ -23,8 +23,8 @@
 //!   the collector was off can never drive a live counter negative.
 //! - **Tags are thread-local and scoped.** [`tag_scope`] pushes a
 //!   [`MemTag`] for the current thread and restores the previous tag on
-//!   drop; scopes nest. The engine tags event execution by owning
-//!   shard (`des-shard{n}`), the ESlurm/RM FSMs tag their dispatch, backfill
+//!   drop; scopes nest. The engine tags event execution `des`, the
+//!   ESlurm/RM FSMs tag their dispatch, backfill
 //!   tags `sched`, retraining tags `ml`, and the sampler/SLO tick tags
 //!   `obs`; everything else is `untagged`.
 //! - **Non-perturbing.** The allocator changes *where* bytes live
@@ -67,18 +67,12 @@ pub enum MemTag {
     Ml,
     /// The observability stack's own work (sampler snapshots, SLO ticks).
     Obs,
-    /// DES engine work for shard `n` (event exec, mail, windows). Shard
-    /// indices at or above [`MAX_SHARD_SLOTS`]` - 1` share the last slot.
-    DesShard(usize),
+    /// DES engine work (event execution).
+    Des,
 }
 
-/// Number of scalar (non-shard) tag slots.
-const N_SCALAR_SLOTS: usize = 7;
-/// Distinct `des-shard{n}` slots; higher shard indices clamp into the
-/// last one.
-pub const MAX_SHARD_SLOTS: usize = 16;
 /// Total tag slots in the global table.
-pub const N_SLOTS: usize = N_SCALAR_SLOTS + MAX_SHARD_SLOTS;
+pub const N_SLOTS: usize = 8;
 
 /// Power-of-two allocation size classes: `<=16B`, `<=32B`, …, `<=1MiB`,
 /// `>1MiB`.
@@ -113,32 +107,25 @@ impl MemTag {
             MemTag::Sched => 4,
             MemTag::Ml => 5,
             MemTag::Obs => 6,
-            MemTag::DesShard(n) => N_SCALAR_SLOTS + n.min(MAX_SHARD_SLOTS - 1),
+            MemTag::Des => 7,
         }
     }
 }
 
-/// Stable label of a tag slot (`master`, `des-shard3`, …). The last
-/// shard slot is the clamp bucket, labeled `des-shard15+`.
+/// Stable label of a tag slot (`master`, `des`, …).
 pub fn slot_label(slot: usize) -> String {
     match slot {
-        0 => "untagged".into(),
-        1 => "master".into(),
-        2 => "satellite".into(),
-        3 => "rm".into(),
-        4 => "sched".into(),
-        5 => "ml".into(),
-        6 => "obs".into(),
-        n if n < N_SLOTS => {
-            let shard = n - N_SCALAR_SLOTS;
-            if shard == MAX_SHARD_SLOTS - 1 {
-                format!("des-shard{shard}+")
-            } else {
-                format!("des-shard{shard}")
-            }
-        }
-        _ => "invalid".into(),
+        0 => "untagged",
+        1 => "master",
+        2 => "satellite",
+        3 => "rm",
+        4 => "sched",
+        5 => "ml",
+        6 => "obs",
+        7 => "des",
+        _ => "invalid",
     }
+    .into()
 }
 
 /// Whether the tracking allocator was compiled in (`mem-profile`
@@ -460,7 +447,7 @@ impl MemProfiler {
 /// Per-tag numbers inside a [`MemReport`].
 #[derive(Clone, Debug)]
 pub struct MemTagReport {
-    /// Stable tag label (`master`, `des-shard0`, …).
+    /// Stable tag label (`master`, `des`, …).
     pub tag: String,
     /// Live heap bytes attributed to the tag right now.
     pub live_bytes: u64,
@@ -483,7 +470,7 @@ pub struct MemTagReport {
 /// body and the `bench_des --mem` source.
 #[derive(Clone, Debug)]
 pub struct MemReport {
-    /// Tags with any activity, slot order (untagged first, shards last).
+    /// Tags with any activity, slot order (untagged first, `des` last).
     pub tags: Vec<MemTagReport>,
     /// Wall seconds since the profiler armed (alloc-rate denominator).
     pub elapsed_wall_s: f64,
@@ -647,19 +634,12 @@ mod tests {
         assert_eq!(labels[0], "untagged");
         assert_eq!(labels[1], "master");
         assert_eq!(labels[6], "obs");
-        assert_eq!(labels[N_SCALAR_SLOTS], "des-shard0");
-        assert_eq!(labels[N_SLOTS - 1], "des-shard15+");
+        assert_eq!(labels[N_SLOTS - 1], "des");
+        assert_eq!(slot_label(N_SLOTS), "invalid");
         let mut sorted = labels.clone();
         sorted.sort();
         sorted.dedup();
         assert_eq!(sorted.len(), N_SLOTS, "duplicate slot label");
-    }
-
-    #[test]
-    fn shard_tags_clamp_into_the_last_slot() {
-        assert_eq!(MemTag::DesShard(0).slot(), N_SCALAR_SLOTS);
-        assert_eq!(MemTag::DesShard(15).slot(), N_SLOTS - 1);
-        assert_eq!(MemTag::DesShard(500).slot(), N_SLOTS - 1);
     }
 
     #[test]
@@ -674,7 +654,7 @@ mod tests {
         let _a = tag_scope(MemTag::Master);
         {
             let _b = tag_scope(MemTag::Sched);
-            let _c = tag_scope(MemTag::DesShard(2));
+            let _c = tag_scope(MemTag::Des);
         }
         // Nothing observable feature-off; feature-on correctness is pinned
         // by `scoped_allocations_are_attributed` below.

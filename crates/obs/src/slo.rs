@@ -19,7 +19,7 @@
 //! writes to its own state, and nothing it produces feeds back into
 //! simulation decisions. Outcomes stay bit-identical and virtual-time
 //! exports byte-identical with specs armed (pinned by
-//! `tests/slo_engine.rs` across 1/2/4/8 shards). It writes no file: a
+//! `tests/slo_engine.rs`). It writes no file: a
 //! breach is an [`SloEvent`] in the report and on the export track.
 //!
 //! Breach/clear/anomaly transitions are kept as [`SloEvent`]s; the

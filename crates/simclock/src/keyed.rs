@@ -1,12 +1,12 @@
-//! Shard-invariant event ordering and a slab-backed keyed queue.
+//! Canonical event ordering and a slab-backed keyed queue.
 //!
-//! The serial [`EventQueue`](crate::EventQueue) breaks ties on *global push
+//! The [`EventQueue`](crate::EventQueue) breaks ties on *global push
 //! order*, which is a total order but not a portable one: the interleaving
 //! of pushes depends on how the simulation loop is driven, so two engines
-//! that partition the event population differently (one queue vs. one queue
-//! per shard) would assign different sequence numbers to the same logical
-//! event. [`EventKey`] fixes that by making the tie-breaker a property of
-//! the *event itself*:
+//! that drive the same handlers differently (say, one queue vs. one queue
+//! per group of nodes) would assign different sequence numbers to the same
+//! logical event. [`EventKey`] fixes that by making the tie-breaker a
+//! property of the *event itself*:
 //!
 //! * `time` — the virtual instant the event fires;
 //! * `lane` — who created it (`0` for external/system events such as
@@ -16,11 +16,10 @@
 //!
 //! A node's handlers always run in the key order of the node's events, so
 //! each node emits events in a deterministic order no matter how the event
-//! population is sharded — which makes `(time, lane, seq)` identical across
-//! shard counts, and the global sort by key a shard-count-invariant total
-//! order. This is the merge rule the engine in `emu::sim` relies on:
-//! popping the minimum key across all shard queues replays exactly the
-//! 1-shard execution.
+//! population is stored — which makes `(time, lane, seq)` a property of the
+//! simulated program, and the sort by key its total order. The engine in
+//! `emu::sim` pops its one queue in that order; every fingerprint and
+//! export hashes it.
 //!
 //! ## Layout of [`KeyedQueue`]
 //!
@@ -76,10 +75,10 @@
 //!   the sift's — and the most recently freed slot, still in cache, is the
 //!   next one `push` fills.
 //!
-//! [`KeyedQueue::peek_head`] answers "which shard goes next" from the head
-//! entry alone; [`KeyedQueue::peek_key`] also reads the slot for `seq`, and
-//! [`KeyedQueue::peek_event`] for the payload, so a caller can learn what
-//! the next event touches one `pop` ahead.
+//! [`KeyedQueue::peek_head`] answers "when is the next event" from the
+//! head entry alone; [`KeyedQueue::peek_event`] also reads the slot for the
+//! payload, so a caller can learn what the next event touches one `pop`
+//! ahead.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -89,8 +88,8 @@ use std::cmp::Ordering;
 /// system events order before any node-created event.
 pub const SYSTEM_LANE: u32 = 0;
 
-/// Canonical, shard-count-invariant identity and ordering of one event:
-/// ordered by `(time, lane, seq)`.
+/// Canonical identity and ordering of one event: ordered by
+/// `(time, lane, seq)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EventKey {
     /// Virtual time the event fires.
@@ -508,19 +507,9 @@ impl<E> KeyedQueue<E> {
     }
 
     /// `(time, lane)` of the minimum pending key, read from the head entry
-    /// alone — enough to pick between queues unless two heads tie, and
-    /// then [`peek_key`](Self::peek_key) supplies `seq`.
+    /// alone.
     pub fn peek_head(&self) -> Option<(SimTime, u32)> {
         self.head().map(|e| (SimTime(e.time), e.lane))
-    }
-
-    /// The minimum pending key, if any.
-    pub fn peek_key(&self) -> Option<EventKey> {
-        self.head().map(|e| EventKey {
-            time: SimTime(e.time),
-            lane: e.lane,
-            seq: self.slab[e.slot as usize].seq,
-        })
     }
 
     /// The payload of the minimum pending key: the event the next
@@ -666,7 +655,8 @@ mod tests {
         }
         q.push(EventKey::for_node(t, 3, 100), 100);
         q.push(EventKey::for_node(t, 5, 0), 200);
-        assert_eq!(q.peek_key(), Some(EventKey::for_node(t, 3, 100)));
+        assert_eq!(q.peek_head(), Some((t, 4)));
+        assert_eq!(q.peek_event(), Some(&100));
         let got: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|(_, v)| v).collect();
         assert_eq!(got, vec![100, 0, 1, 3, 5, 9, 200]);
     }
@@ -757,7 +747,6 @@ mod tests {
         /// chunk-pool bounds.
         fn check(q: &KeyedQueue<u64>, oracle: &BTreeMap<EventKey, u64>, peak: usize) {
             let head = oracle.keys().next().copied();
-            assert_eq!(q.peek_key(), head);
             assert_eq!(q.peek_head(), head.map(|k| (k.time, k.lane)));
             assert_eq!(q.peek_event(), oracle.values().next());
             assert_eq!(q.len(), oracle.len());
@@ -887,7 +876,7 @@ mod tests {
         }
         q.pop();
         q.clear();
-        assert!(q.is_empty() && q.pop().is_none() && q.peek_key().is_none());
+        assert!(q.is_empty() && q.pop().is_none() && q.peek_head().is_none());
         assert_eq!((q.chunks, q.slab_slots()), (0, 0));
         q.push(EventKey::system(SimTime(3), 0), 3);
         assert_eq!(q.pop().map(|(_, v)| v), Some(3));

@@ -10,9 +10,9 @@
 //! (a) events tie-break on insertion sequence and (b) each stochastic
 //! component owns an independent derived RNG stream.
 //!
-//! For sharded (multi-queue) execution, [`keyed`] provides the
-//! shard-count-invariant ordering `(time, lane, seq)` and a slab-backed
-//! [`KeyedQueue`] whose global merge replays the serial order exactly.
+//! For the emulator's engine, [`keyed`] provides the canonical ordering
+//! `(time, lane, seq)`, which depends on who created an event and not on
+//! the order of pushes, and a slab-backed [`KeyedQueue`] that pops in it.
 
 pub mod keyed;
 pub mod queue;

@@ -6,8 +6,8 @@
 //!
 //! ## Ordering contract
 //!
-//! This is a guarantee, not an implementation accident, and the cross-shard
-//! merge rule in [`keyed`](crate::keyed) builds on it:
+//! This is a guarantee, not an implementation accident, and the canonical
+//! key order in [`keyed`](crate::keyed) builds on it:
 //!
 //! 1. `pop` returns events in non-decreasing `time` order (the
 //!    `debug_assert` in [`EventQueue::pop`] checks this invariant).

@@ -102,18 +102,14 @@ pub struct Sampled {
     pub sampler: Sampler,
 }
 
-/// The faulted scenario on `shards` shards with a fresh `recorder()`, the
-/// 1 Hz sampler, and whatever `arm` chains on.
+/// The faulted scenario with a fresh `recorder()`, the 1 Hz sampler, and
+/// whatever `arm` chains on.
 pub fn sampled_run(
-    shards: usize,
     recorder: fn() -> Recorder,
     arm: impl FnOnce(EslurmSystemBuilder) -> EslurmSystemBuilder,
 ) -> Sampled {
     let (rec, sampler) = (recorder(), sampler());
-    let builder = faulted()
-        .shards(shards)
-        .obs(rec.clone())
-        .sampler(sampler.clone());
+    let builder = faulted().obs(rec.clone()).sampler(sampler.clone());
     Sampled {
         sys: run(arm(builder)),
         rec,
@@ -123,18 +119,17 @@ pub fn sampled_run(
 
 /// The contract every instrument signs: arming it changes nothing the
 /// simulation or a virtual-time export can see. Runs the faulted scenario
-/// plain on one shard, then with a fresh `handle()` chained onto the
-/// builder by `arm` (a builder method: `EslurmSystemBuilder::slo`) on one
-/// shard and on four, and compares outcome fingerprint, sampler CSV,
-/// Chrome trace and event JSONL. `recorder` picks what the runs record:
-/// `Recorder::metrics_only` is the cheap shape, under `Recorder::full` the
-/// trace exports are dense. Returns the armed runs with their handles, in
-/// shard order, for the instrument's own checks.
+/// plain, then with a fresh `handle()` chained onto the builder by `arm` (a
+/// builder method: `EslurmSystemBuilder::slo`), and compares outcome
+/// fingerprint, sampler CSV, Chrome trace and event JSONL. `recorder` picks
+/// what the runs record: `Recorder::metrics_only` is the cheap shape, under
+/// `Recorder::full` the trace exports are dense. Returns the armed run with
+/// its handle, for the instrument's own checks.
 pub fn assert_non_perturbing<H: Clone>(
     recorder: fn() -> Recorder,
-    handle: impl Fn() -> H,
-    arm: impl Fn(EslurmSystemBuilder, H) -> EslurmSystemBuilder,
-) -> Vec<(Sampled, H)> {
+    handle: impl FnOnce() -> H,
+    arm: impl FnOnce(EslurmSystemBuilder, H) -> EslurmSystemBuilder,
+) -> (Sampled, H) {
     let exports = |r: &Sampled| {
         let events = r.rec.events();
         (
@@ -144,26 +139,21 @@ pub fn assert_non_perturbing<H: Clone>(
             export::to_jsonl(&events),
         )
     };
-    let plain = sampled_run(1, recorder, |b| b);
+    let plain = sampled_run(recorder, |b| b);
     let (fp, csv, chrome, jsonl) = exports(&plain);
     assert_eq!(fp.3.len(), 12, "jobs lost in the plain run");
     assert!(csv.lines().count() > 100, "expected a dense CSV");
     if plain.rec.events_enabled() {
         assert!(plain.rec.events().len() > 1000, "trace suspiciously small");
     }
-    [1usize, 4]
-        .into_iter()
-        .map(|shards| {
-            let h = handle();
-            let armed = sampled_run(shards, recorder, |b| arm(b, h.clone()));
-            let (a_fp, a_csv, a_chrome, a_jsonl) = exports(&armed);
-            assert_eq!(a_fp, fp, "{shards}-shard outcomes changed when armed");
-            assert_eq!(a_csv, csv, "{shards}-shard sampler CSV changed when armed");
-            assert_eq!(a_chrome, chrome, "{shards}-shard Chrome trace differs");
-            assert_eq!(a_jsonl, jsonl, "{shards}-shard event JSONL differs");
-            (armed, h)
-        })
-        .collect()
+    let h = handle();
+    let armed = sampled_run(recorder, |b| arm(b, h.clone()));
+    let (a_fp, a_csv, a_chrome, a_jsonl) = exports(&armed);
+    assert_eq!(a_fp, fp, "outcomes changed when armed");
+    assert_eq!(a_csv, csv, "sampler CSV changed when armed");
+    assert_eq!(a_chrome, chrome, "Chrome trace changed when armed");
+    assert_eq!(a_jsonl, jsonl, "event JSONL changed when armed");
+    (armed, h)
 }
 
 /// The reference fault scenario of the trace suites: a 32-node deployment

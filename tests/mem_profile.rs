@@ -2,7 +2,7 @@
 //! end: the shared fixed-seed ESlurm scenario of `tests/common`
 //! produces **bit-identical outcomes** and **byte-identical virtual-time
 //! exports** (Chrome trace, event JSONL, metrics CSV) with the heap
-//! profiler armed or not, on one shard and on four. The profiler is a
+//! profiler armed or not. The profiler is a
 //! report around a run (DESIGN §15): armed before it, read after it, and
 //! never handed to the engine.
 //!
@@ -37,21 +37,18 @@ fn armed_before(builder: EslurmSystemBuilder, _: MemProfiler) -> EslurmSystemBui
 }
 
 /// Heap profiling on vs. off changes nothing the simulation can observe:
-/// same outcomes and a byte-identical virtual-time sampler CSV, on one
-/// shard and on four. The armed handle reports exactly when the feature
-/// compiled the collector in.
+/// same outcomes and a byte-identical virtual-time sampler CSV. The armed
+/// handle reports exactly when the feature compiled the collector in.
 #[test]
 fn profiled_runs_are_bit_identical_to_unprofiled() {
     let _serial = one_at_a_time();
-    let armed = assert_non_perturbing(Recorder::metrics_only, MemProfiler::enabled, armed_before);
-    for (run, profiler) in armed {
-        let shards = run.sys.sim.shard_count();
-        assert_eq!(
-            profiler.report().is_some(),
-            mem_profile_compiled(),
-            "{shards}-shard profiler must report iff the collector is compiled in"
-        );
-    }
+    let (_, profiler) =
+        assert_non_perturbing(Recorder::metrics_only, MemProfiler::enabled, armed_before);
+    assert_eq!(
+        profiler.report().is_some(),
+        mem_profile_compiled(),
+        "the profiler must report iff the collector is compiled in"
+    );
 }
 
 /// The virtual-time trace exports (Chrome JSON, event JSONL) are
@@ -64,7 +61,7 @@ fn profiled_trace_exports_are_byte_identical() {
 }
 
 /// With the feature compiled, the armed run attributes activity to the
-/// subsystems this scenario actually exercises: the DES shard loop, the
+/// subsystems this scenario actually exercises: the DES engine loop, the
 /// master FSM, and the satellites all show allocations, and the totals
 /// obey live <= peak per tag.
 #[cfg(feature = "mem-profile")]
@@ -75,7 +72,7 @@ fn attribution_covers_the_exercised_subsystems() {
     let sys = common::run(common::faulted());
     assert!(sys.sim.events_processed() > 0);
     let report = profiler.report().expect("feature on, handle armed");
-    for expected in ["master", "satellite", "des-shard0"] {
+    for expected in ["master", "satellite", "des"] {
         let tag = report.tags.iter().find(|t| t.tag == expected);
         assert!(
             tag.is_some_and(|t| t.allocs > 0),

@@ -201,9 +201,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// hashes of the common faulted scenario, sampled at 1 Hz. The last hash
 /// covers the per-tick `msgs_sent`, `bytes_sent` and
 /// `hop_latency_us{stat=count|sum}` points, the metrics the engine tallies
-/// per shard and hands the recorder before each sampling tick.
-fn export_hashes(shards: usize) -> [u64; 4] {
-    let run = common::sampled_run(shards, Recorder::metrics_only, |b| b);
+/// and hands the recorder before each sampling tick.
+fn export_hashes() -> [u64; 4] {
+    let run = common::sampled_run(Recorder::metrics_only, |b| b);
     let store = run.sampler.store();
     let hop = || MetricId::new("hop_latency_us");
     let mut sends = Vec::new();
@@ -228,9 +228,9 @@ fn export_hashes(shards: usize) -> [u64; 4] {
     ]
 }
 
-/// The export bytes of a sampled run, pinned at 1 and 4 shards: series
-/// id order, every rendered value, and send metrics that reach the
-/// recorder before each tick reads it and before the run returns.
+/// The export bytes of a sampled run, pinned: series id order, every
+/// rendered value, and send metrics that reach the recorder before each
+/// tick reads it and before the run returns.
 #[test]
 fn sampled_exports_match_the_pinned_hashes() {
     const PINNED: [u64; 4] = [
@@ -239,11 +239,6 @@ fn sampled_exports_match_the_pinned_hashes() {
         0x32bc_db2b_8d27_3b1a,
         0x6446_1a5d_87fc_1042,
     ];
-    for shards in [1, 4] {
-        let got = export_hashes(shards);
-        assert_eq!(
-            got, PINNED,
-            "{shards} shard(s): got {got:x?}, pinned {PINNED:x?}"
-        );
-    }
+    let got = export_hashes();
+    assert_eq!(got, PINNED, "got {got:x?}, pinned {PINNED:x?}");
 }

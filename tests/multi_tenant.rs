@@ -182,8 +182,8 @@ proptest! {
     /// Fair-share decay is order-independent for same-virtual-time
     /// completions: charging the same set in any permutation leaves every
     /// per-user usage, per-user factor, and the cluster total bitwise
-    /// identical — the property that makes the sharded DES's
-    /// drain-order-agnostic completion delivery safe to account from.
+    /// identical, so completions delivered at one instant may be
+    /// accounted in any order.
     #[test]
     fn fairshare_same_time_charges_commute_bitwise(
         charges in prop::collection::vec(charge_strategy(), 1..40),

@@ -163,70 +163,4 @@ proptest! {
         sys.sim.run_until(SimTime::from_secs(1200));
         prop_assert_eq!(sys.master().records.len(), 8, "jobs lost");
     }
-
-    /// Sharding is unobservable: for any seed and shard count, an ESlurm
-    /// run produces the same job records and clock as the 1-shard run,
-    /// a byte-identical sampler CSV, and byte-identical Chrome-trace /
-    /// event-JSONL exports under full tracing.
-    #[test]
-    fn sharded_runs_are_byte_identical(seed in 0u64..100, shards in 2usize..9) {
-        use eslurm_suite::eslurm::{EslurmConfig, EslurmSystemBuilder};
-        use eslurm_suite::obs::{export, Recorder, Sampler};
-        use eslurm_suite::simclock::{SimSpan, SimTime};
-
-        let m = 2;
-        let n_slaves = 60;
-        let run = |shards: usize, rec: Recorder, sampler: Sampler| {
-            let cfg = EslurmConfig {
-                n_satellites: m,
-                eq1_width: 32,
-                relay_width: 8,
-                ..Default::default()
-            };
-            let mut sys = EslurmSystemBuilder::new(cfg, n_slaves, seed)
-                .obs(rec)
-                .sampler(sampler)
-                .shards(shards)
-                .build();
-            for j in 0..5u64 {
-                sys.submit(
-                    SimTime::from_secs(5 + j * 30),
-                    j,
-                    (j as usize * 9) % 30..(j as usize * 9) % 30 + 25,
-                    SimSpan::from_secs(20),
-                );
-            }
-            sys.sim.run_until(SimTime::from_secs(300));
-            sys
-        };
-
-        // Metrics-only: outcomes + sampler CSV.
-        let base_sampler = Sampler::every_until(SimSpan::from_secs(1), SimTime::from_secs(200));
-        let base = run(1, Recorder::metrics_only(), base_sampler.clone());
-        let shard_sampler = Sampler::every_until(SimSpan::from_secs(1), SimTime::from_secs(200));
-        let sharded = run(shards, Recorder::metrics_only(), shard_sampler.clone());
-        prop_assert_eq!(base.sim.now(), sharded.sim.now());
-        prop_assert_eq!(base.sim.events_processed(), sharded.sim.events_processed());
-        prop_assert_eq!(base.master().records.len(), sharded.master().records.len());
-        for (a, b) in base.master().records.iter().zip(&sharded.master().records) {
-            prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        }
-        prop_assert_eq!(base_sampler.to_csv(), shard_sampler.to_csv(), "sampler CSV differs");
-
-        // Full tracing: Chrome trace + event JSONL.
-        let rec_a = Recorder::full();
-        let rec_b = Recorder::full();
-        run(1, rec_a.clone(), Sampler::disabled());
-        run(shards, rec_b.clone(), Sampler::disabled());
-        prop_assert_eq!(
-            export::to_chrome_trace(&rec_a.events()),
-            export::to_chrome_trace(&rec_b.events()),
-            "chrome trace differs"
-        );
-        prop_assert_eq!(
-            export::to_jsonl(&rec_a.events()),
-            export::to_jsonl(&rec_b.events()),
-            "event JSONL differs"
-        );
-    }
 }
