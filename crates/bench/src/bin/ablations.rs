@@ -16,7 +16,7 @@ use estimate::{evaluate, EslurmPredictor, EstimatorConfig};
 use rand::RngExt;
 use simclock::rng::stream_rng;
 use simclock::{SimSpan, SimTime};
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use topology::{broadcast, BcastParams, Structure};
 use workload::TraceConfig;
 
@@ -181,18 +181,18 @@ fn main() {
         let mut sum = 0.0;
         for t in 0..trials {
             let mut rng = stream_rng(args.seed + t, 0xAB + recall_pct as u64);
-            let failed: HashSet<u32> = {
-                let mut s = HashSet::new();
-                while s.len() < list.len() / 20 {
-                    s.insert(rng.random_range(0..list.len() as u32));
-                }
-                s
-            };
+            // Drawn into an ordered set: the recall draw below walks it,
+            // and a hashed set's order differs from run to run.
+            let mut failed = BTreeSet::new();
+            while failed.len() < list.len() / 20 {
+                failed.insert(rng.random_range(0..list.len() as u32));
+            }
             let predicted: HashSet<u32> = failed
                 .iter()
                 .filter(|_| rng.random_range(0..100) < recall_pct)
                 .copied()
                 .collect();
+            let failed: HashSet<u32> = failed.into_iter().collect();
             let r = broadcast(Structure::FpTree, &list, &failed, &predicted, &params);
             sum += r.completion.as_secs_f64();
         }

@@ -8,7 +8,7 @@
 //!   (power-law sizes, exponential inter-arrival/runtimes) with injected
 //!   compute-node outages, SLO specs tight enough that the sweep-p99
 //!   objective breaches deterministically — measuring detection latency.
-//! * **multi_tenant**: the centralized-RM harness under `submit_stream`
+//! * **multi_tenant**: a centralized Slurm deployment under `submit_stream`
 //!   with outages, utilization-floor and inbox-depth objectives plus an
 //!   EWMA anomaly detector over the master's memory footprint.
 //!
@@ -18,9 +18,10 @@
 //! the repository root, gated by the `slo` CI job.
 
 use emu::{FaultPlanBuilder, NodeId};
+use eslurm::SystemBuilder;
 use eslurm_bench::{f, obj, outcome_fingerprint, print_table, write_bench, ExpArgs, Fig9Scale};
 use obs::{AnomalySpec, MetricId, Sampler, SloEngine, SloReport, SloSpec};
-use rm::{JobStream, RmClusterBuilder, RmProfile};
+use rm::{JobStream, RmProfile};
 use serde::Value;
 use simclock::{SimSpan, SimTime};
 use std::time::Instant;
@@ -94,7 +95,6 @@ fn run_fig9(scale: &Scale, seed: u64, slo_on: bool) -> RunResult {
 }
 
 fn run_multi_tenant(scale: &Scale, seed: u64, slo_on: bool) -> RunResult {
-    let n = 1 + scale.rm_slaves;
     let horizon = SimTime::ZERO + scale.fig9.horizon;
     let slo = if slo_on {
         SloEngine::with_config(
@@ -113,14 +113,13 @@ fn run_multi_tenant(scale: &Scale, seed: u64, slo_on: bool) -> RunResult {
     } else {
         SloEngine::disabled()
     };
-    let mut harness = RmClusterBuilder::new(RmProfile::slurm(), n)
-        .seed(seed)
+    let mut sys = SystemBuilder::new(RmProfile::slurm(), scale.rm_slaves, seed)
         .obs(obs::Recorder::metrics_only())
         .sampler(Sampler::every_until(SimSpan::from_secs(1), horizon))
-        .faults(scale.faults(n).build())
+        .faults(scale.faults(1 + scale.rm_slaves).build())
         .slo(slo)
         .build();
-    harness.submit_stream(JobStream::new(
+    sys.submit_stream(JobStream::new(
         scale.rm_slaves as u32,
         scale.fig9.horizon,
         240.0,
@@ -129,10 +128,10 @@ fn run_multi_tenant(scale: &Scale, seed: u64, slo_on: bool) -> RunResult {
         seed,
     ));
     let wall = Instant::now();
-    harness.sim.run_until(horizon);
+    sys.sim.run_until(horizon);
     let wall_s = wall.elapsed().as_secs_f64();
 
-    let m = harness.sim.meter(NodeId::MASTER);
+    let m = sys.sim.meter(NodeId::MASTER);
     let master = format!(
         "{:?}|{:?}|{}|{}",
         m.cpu_time(),
@@ -144,9 +143,9 @@ fn run_multi_tenant(scale: &Scale, seed: u64, slo_on: bool) -> RunResult {
     RunResult {
         slo_on,
         wall_s,
-        events: harness.sim.events_processed(),
-        fingerprint: outcome_fingerprint(&harness.sim, [master]),
-        report: harness.sim.slo_engine().report(),
+        events: sys.sim.events_processed(),
+        fingerprint: outcome_fingerprint(&sys.sim, [master]),
+        report: sys.sim.slo_engine().report(),
     }
 }
 

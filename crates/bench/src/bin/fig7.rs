@@ -12,10 +12,10 @@
 //!   and ESlurm stay flat, ESlurm < 15 s.
 
 use emu::NodeId;
-use eslurm::{EslurmConfig, EslurmSystemBuilder};
+use eslurm::{EslurmConfig, Stack, System, SystemBuilder};
 use eslurm_bench::{f, fmt_bytes, node_series, node_stat, print_table, write_csv, ExpArgs};
 use obs::{Sampler, SeriesStore};
-use rm::{JobStream, RmClusterBuilder, RmProfile};
+use rm::{JobStream, MasterLog, RmProfile};
 use simclock::{SimSpan, SimTime};
 
 struct Usage {
@@ -75,6 +75,38 @@ fn dump_series(name: &str, store: &SeriesStore, node: &str) {
     );
 }
 
+/// One RM under the shared load to the horizon, its master sampled at
+/// 1 Hz: the usage row, with the series written out.
+fn run<S: Stack>(
+    name: &str,
+    builder: SystemBuilder<S>,
+    stream: JobStream,
+    horizon_t: SimTime,
+) -> (Usage, System<S>) {
+    print!("running {name} ... ");
+    let sampler = Sampler::every_until(SimSpan::from_secs(1), horizon_t);
+    let mut sys = builder.sampler(sampler.clone()).build();
+    sys.submit_stream(stream);
+    sys.sim.run_until(horizon_t);
+    println!("{} events", sys.sim.events_processed());
+    let store = sampler.store();
+    let peak = sys.sim.meter(NodeId::MASTER).peak_sockets();
+    let usage = summarize(name, &store, "master", peak);
+    dump_series(name, &store, "master");
+    (usage, sys)
+}
+
+/// Occupation time (s) of one 10 s job over the first `size` compute
+/// nodes of an idle cluster.
+fn occupation<S: Stack>(builder: SystemBuilder<S>, size: u32) -> String {
+    let mut sys = builder.build();
+    let runtime = SimSpan::from_secs(10);
+    sys.submit(SimTime::from_secs(60), 1, 0..size as usize, runtime);
+    sys.sim.run_until(SimTime::from_secs(600));
+    let first = sys.master().records().first();
+    f(first.map_or(f64::NAN, |r| r.occupation().as_secs_f64()), 2)
+}
+
 fn main() {
     let args = ExpArgs::parse();
     let n: usize = args.scale(4096, 512);
@@ -95,52 +127,21 @@ fn main() {
         horizon.as_secs() / 3600
     );
 
+    // ESlurm with two satellites (as deployed on Tianhe-2A).
+    let eslurm = || EslurmConfig {
+        n_satellites: 2,
+        ..Default::default()
+    };
     let mut usages: Vec<Usage> = Vec::new();
-
-    // ---- the five centralized baselines.
     for profile in RmProfile::baselines() {
         let name = profile.name;
-        print!("running {name} ... ");
-        let sampler = Sampler::every_until(SimSpan::from_secs(1), horizon_t);
-        let mut h = RmClusterBuilder::new(profile, n + 1)
-            .seed(args.seed)
-            .sampler(sampler.clone())
-            .build();
-        h.submit_stream(stream.clone());
-        h.sim.run_until(horizon_t);
-        println!("{} events", h.sim.events_processed());
-        let store = sampler.store();
-        usages.push(summarize(
-            name,
-            &store,
-            "master",
-            h.sim.meter(NodeId::MASTER).peak_sockets(),
-        ));
-        dump_series(name, &store, "master");
+        let builder = SystemBuilder::new(profile, n, args.seed);
+        usages.push(run(name, builder, stream.clone(), horizon_t).0);
     }
-
-    // ---- ESlurm with two satellites (as deployed on Tianhe-2A).
     {
-        print!("running ESlurm ... ");
-        let cfg = EslurmConfig {
-            n_satellites: 2,
-            ..Default::default()
-        };
-        let sampler = Sampler::every_until(SimSpan::from_secs(1), horizon_t);
-        let mut sys = EslurmSystemBuilder::new(cfg, n, args.seed)
-            .sampler(sampler.clone())
-            .build();
-        sys.submit_stream(stream);
-        sys.sim.run_until(horizon_t);
-        println!("{} events", sys.sim.events_processed());
-        let store = sampler.store();
-        usages.push(summarize(
-            "ESlurm",
-            &store,
-            "master",
-            sys.sim.meter(NodeId::MASTER).peak_sockets(),
-        ));
-        dump_series("ESlurm", &store, "master");
+        let builder = SystemBuilder::new(eslurm(), n, args.seed);
+        let (usage, sys) = run("ESlurm", builder, stream, horizon_t);
+        usages.push(usage);
 
         // Satellite demands (paper §VII-A: ~6 min CPU, 1.2 GB virt,
         // ~42 MB real per satellite over 24 h).
@@ -215,45 +216,9 @@ fn main() {
     for &size in &sizes {
         let mut row = vec![size.to_string()];
         for profile in RmProfile::baselines() {
-            let mut h = RmClusterBuilder::new(profile, n + 1)
-                .seed(args.seed)
-                .build();
-            h.submit(
-                SimTime::from_secs(60),
-                1,
-                0..size as usize,
-                SimSpan::from_secs(10),
-            );
-            h.sim.run_until(SimTime::from_secs(600));
-            let occ = h
-                .master_actor()
-                .records
-                .first()
-                .map(|r| r.occupation().as_secs_f64())
-                .unwrap_or(f64::NAN);
-            row.push(f(occ, 2));
+            row.push(occupation(SystemBuilder::new(profile, n, args.seed), size));
         }
-        {
-            let cfg = EslurmConfig {
-                n_satellites: 2,
-                ..Default::default()
-            };
-            let mut sys = EslurmSystemBuilder::new(cfg, n, args.seed).build();
-            sys.submit(
-                SimTime::from_secs(60),
-                1,
-                0..size as usize,
-                SimSpan::from_secs(10),
-            );
-            sys.sim.run_until(SimTime::from_secs(600));
-            let occ = sys
-                .master()
-                .records
-                .first()
-                .map(|r| r.occupation().as_secs_f64())
-                .unwrap_or(f64::NAN);
-            row.push(f(occ, 2));
-        }
+        row.push(occupation(SystemBuilder::new(eslurm(), n, args.seed), size));
         rows.push(row);
     }
     print_table(

@@ -6,10 +6,10 @@
 //! with ≤ 80 concurrent sockets each, vs. Slurm's > 1000-socket bursts.
 
 use emu::NodeId;
-use eslurm::{EslurmConfig, EslurmSystemBuilder};
+use eslurm::{EslurmConfig, Stack, System, SystemBuilder};
 use eslurm_bench::{f, fmt_bytes, node_stat, print_table, write_csv, ExpArgs};
 use obs::{Sampler, SeriesStore};
-use rm::{JobStream, RmClusterBuilder, RmProfile};
+use rm::{JobStream, RmProfile};
 use simclock::{SimSpan, SimTime};
 
 /// One table row + one CSV row for a sampled node.
@@ -44,6 +44,29 @@ fn usage_rows(
     )
 }
 
+/// One RM under the shared stream to the horizon, sampled at 1 Hz; its
+/// master's row goes into `table`.
+fn run<S: Stack>(
+    name: &str,
+    builder: SystemBuilder<S>,
+    stream: JobStream,
+    horizon_t: SimTime,
+    table: &mut Vec<(Vec<String>, Vec<String>)>,
+) -> (System<S>, SeriesStore) {
+    print!("running {name} ... ");
+    let sampler = Sampler::every_until(SimSpan::from_secs(1), horizon_t);
+    let mut sys = builder.sampler(sampler.clone()).build();
+    sys.submit_stream(stream);
+    sys.sim.run_until(horizon_t);
+    println!("{} events", sys.sim.events_processed());
+    let store = sampler.store();
+    let peak = sys.sim.meter(NodeId::MASTER).peak_sockets();
+    let label = format!("{name} master");
+    let csv_label = format!("{}_master", name.to_lowercase());
+    table.push(usage_rows(&store, "master", &label, &csv_label, peak));
+    (sys, store)
+}
+
 fn main() {
     let args = ExpArgs::parse();
     let n: usize = args.scale(16_384, 1024);
@@ -61,61 +84,33 @@ fn main() {
 
     println!("Fig 9: {n} nodes, {} h horizon", horizon.as_secs() / 3600);
 
-    let mut rows = Vec::new();
-    let mut csv = Vec::new();
+    let mut table = Vec::new();
+    run(
+        "Slurm",
+        SystemBuilder::new(RmProfile::slurm(), n, args.seed),
+        stream.clone(),
+        horizon_t,
+        &mut table,
+    );
 
-    // ---- Slurm.
-    {
-        print!("running Slurm ... ");
-        let sampler = Sampler::every_until(SimSpan::from_secs(1), horizon_t);
-        let mut h = RmClusterBuilder::new(RmProfile::slurm(), n + 1)
-            .seed(args.seed)
-            .sampler(sampler.clone())
-            .build();
-        h.submit_stream(stream.clone());
-        h.sim.run_until(horizon_t);
-        println!("{} events", h.sim.events_processed());
-        let store = sampler.store();
-        let peak = h.sim.meter(NodeId::MASTER).peak_sockets();
-        let (row, line) = usage_rows(&store, "master", "Slurm master", "slurm_master", peak);
-        rows.push(row);
-        csv.push(line);
+    // ESlurm with two satellites.
+    let cfg = EslurmConfig {
+        n_satellites: 2,
+        ..Default::default()
+    };
+    let builder = SystemBuilder::new(cfg, n, args.seed);
+    let (sys, store) = run("ESlurm", builder, stream, horizon_t, &mut table);
+    for i in 0..2usize {
+        let peak = sys.sim.meter(NodeId(1 + i as u32)).peak_sockets();
+        table.push(usage_rows(
+            &store,
+            &format!("sat{}", i + 1),
+            &format!("ESlurm satellite {}", i + 1),
+            &format!("eslurm_satellite_{}", i + 1),
+            peak,
+        ));
     }
-
-    // ---- ESlurm with two satellites.
-    {
-        print!("running ESlurm ... ");
-        let cfg = EslurmConfig {
-            n_satellites: 2,
-            ..Default::default()
-        };
-        let sampler = Sampler::every_until(SimSpan::from_secs(1), horizon_t);
-        let mut sys = EslurmSystemBuilder::new(cfg, n, args.seed)
-            .sampler(sampler.clone())
-            .build();
-        sys.submit_stream(stream);
-        sys.sim.run_until(horizon_t);
-        println!("{} events", sys.sim.events_processed());
-
-        let store = sampler.store();
-        let peak = sys.sim.meter(NodeId::MASTER).peak_sockets();
-        let (row, line) = usage_rows(&store, "master", "ESlurm master", "eslurm_master", peak);
-        rows.push(row);
-        csv.push(line);
-
-        for i in 0..2usize {
-            let peak = sys.sim.meter(NodeId(1 + i as u32)).peak_sockets();
-            let (row, line) = usage_rows(
-                &store,
-                &format!("sat{}", i + 1),
-                &format!("ESlurm satellite {}", i + 1),
-                &format!("eslurm_satellite_{}", i + 1),
-                peak,
-            );
-            rows.push(row);
-            csv.push(line);
-        }
-    }
+    let (rows, csv): (Vec<_>, Vec<_>) = table.into_iter().unzip();
 
     print_table(
         &format!("Fig 9 — Slurm vs ESlurm on {n} nodes"),

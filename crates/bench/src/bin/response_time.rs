@@ -9,10 +9,10 @@
 //! slower than the 10 s client timeout count as connection failures.
 
 use emu::NodeId;
-use eslurm::{EslurmConfig, EslurmSystemBuilder};
+use eslurm::{EslurmConfig, Stack, SystemBuilder};
 use eslurm_bench::{f, print_table, write_csv, ExpArgs};
 use rand::RngExt;
-use rm::{JobStream, RmClusterBuilder, RmMsg, RmProfile};
+use rm::{JobStream, MasterLog, RmMsg, RmProfile};
 use simclock::rng::stream_rng;
 use simclock::{SimSpan, SimTime};
 
@@ -45,6 +45,26 @@ fn query_times(horizon: SimSpan, rate_per_s: f64, seed: u64) -> Vec<SimTime> {
     }
 }
 
+/// One RM carrying `stream` while a client sends a status query at each
+/// of `queries`: the master's `(request id, latency)` log at the horizon.
+fn serve_queries<S: Stack>(
+    builder: SystemBuilder<S>,
+    stream: JobStream,
+    queries: &[SimTime],
+    horizon_t: SimTime,
+) -> Vec<(u64, SimSpan)> {
+    let mut sys = builder.build();
+    sys.submit_stream(stream);
+    for (i, &at) in queries.iter().enumerate() {
+        let query = RmMsg::StatusQuery {
+            id: (1 << 40) + i as u64,
+        };
+        sys.sim.inject(at, NodeId(1), NodeId::MASTER, query);
+    }
+    sys.sim.run_until(horizon_t);
+    sys.master().query_log().to_vec()
+}
+
 fn main() {
     let args = ExpArgs::parse();
     let sizes: Vec<usize> = args.scale(vec![4_096, 10_240, 20_480], vec![512, 2_048]);
@@ -53,67 +73,18 @@ fn main() {
     let query_rate = 1.0; // one user request per second
     let job_rate = 80.0; // jobs per hour
 
+    let queries = query_times(horizon, query_rate, args.seed);
     let mut rows = Vec::new();
     for &n in &sizes {
-        for profile in [Some(RmProfile::sge()), Some(RmProfile::slurm()), None] {
-            let (name, log) = match profile {
-                Some(mut p) => {
-                    let name = p.name;
-                    // Centralized masters degrade superlinearly with the
-                    // managed state: every request scans O(n) node/job
-                    // records under the daemon's global lock while O(n)
-                    // peers contend for it (the §II-B pathology).
-                    let contention = (n as f64 / 1024.0).max(1.0);
-                    p.msg_cpu = p.msg_cpu.mul_f64(contention);
-                    p.sched_cpu = p.sched_cpu.mul_f64(contention);
-                    let mut h = RmClusterBuilder::new(p, n + 1).seed(args.seed).build();
-                    h.submit_stream(JobStream::new(
-                        n as u32,
-                        horizon,
-                        job_rate,
-                        n as u32,
-                        SimSpan::from_secs(900),
-                        args.seed + 1,
-                    ));
-                    for (i, at) in query_times(horizon, query_rate, args.seed)
-                        .iter()
-                        .enumerate()
-                    {
-                        h.sim.inject(
-                            *at,
-                            NodeId(1),
-                            NodeId::MASTER,
-                            RmMsg::StatusQuery {
-                                id: (1 << 40) + i as u64,
-                            },
-                        );
-                    }
-                    h.sim.run_until(horizon_t);
-                    (name, h.master_actor().query_log.clone())
-                }
-                None => {
-                    let cfg = EslurmConfig {
-                        n_satellites: (n / 2048).max(2),
-                        ..Default::default()
-                    };
-                    let mut sys = EslurmSystemBuilder::new(cfg, n, args.seed).build();
-                    for (i, at) in query_times(horizon, query_rate, args.seed)
-                        .iter()
-                        .enumerate()
-                    {
-                        sys.sim.inject(
-                            *at,
-                            NodeId(1),
-                            NodeId::MASTER,
-                            RmMsg::StatusQuery {
-                                id: (1 << 40) + i as u64,
-                            },
-                        );
-                    }
-                    sys.sim.run_until(horizon_t);
-                    ("ESlurm", sys.master().query_log().to_vec())
-                }
-            };
+        let stream = JobStream::new(
+            n as u32,
+            horizon,
+            job_rate,
+            n as u32,
+            SimSpan::from_secs(900),
+            args.seed + 1,
+        );
+        let mut report = |name: &str, log: Vec<(u64, SimSpan)>| {
             let (mean, p95, failed) = stats(&log);
             println!(
                 "{n:6} nodes  {name:8} mean {mean:.3}s  p95 {p95:.3}s  timeout {:.1}%",
@@ -126,7 +97,31 @@ fn main() {
                 f(p95, 4),
                 f(100.0 * failed, 2),
             ]);
+        };
+        for mut p in [RmProfile::sge(), RmProfile::slurm()] {
+            // Centralized masters degrade superlinearly with the managed
+            // state: every request scans O(n) node/job records under the
+            // daemon's global lock while O(n) peers contend for it (the
+            // §II-B pathology).
+            let contention = (n as f64 / 1024.0).max(1.0);
+            p.msg_cpu = p.msg_cpu.mul_f64(contention);
+            p.sched_cpu = p.sched_cpu.mul_f64(contention);
+            let name = p.name;
+            let builder = SystemBuilder::new(p, n, args.seed);
+            report(
+                name,
+                serve_queries(builder, stream.clone(), &queries, horizon_t),
+            );
         }
+        let cfg = EslurmConfig {
+            n_satellites: (n / 2048).max(2),
+            ..Default::default()
+        };
+        let builder = SystemBuilder::new(cfg, n, args.seed);
+        report(
+            "ESlurm",
+            serve_queries(builder, stream, &queries, horizon_t),
+        );
     }
     print_table(
         "User-request response time (companion to §II-B)",

@@ -10,8 +10,8 @@
 //!   written against;
 //! * [`sim`] — the deterministic discrete-event engine that runs them,
 //!   scaling to tens of thousands of nodes and 24-hour virtual horizons;
-//! * [`network`] — the link model (latency, transmit gaps, connection
-//!   setup) representing the Tianhe proprietary interconnect;
+//! * [`network`] — the link model (latency, transmit gaps, jitter)
+//!   representing the Tianhe proprietary interconnect;
 //! * [`fault`] — ground-truth outage schedules, including a generator for
 //!   the failure mix the paper observed in production;
 //! * [`meter`] — per-node CPU/memory/socket snapshots matching the

@@ -2,8 +2,8 @@
 //!
 //! Both Tianhe systems use a proprietary interconnect: 25 Gbps per lane,
 //! four lanes per port. At that speed the dominant cost of RM control
-//! traffic (small messages) is per-message latency and per-connection setup,
-//! not bandwidth; we model
+//! traffic (small messages) is per-message latency, not bandwidth; we
+//! model
 //!
 //! * a base one-way latency per hop,
 //! * a per-KiB serialization cost,
@@ -26,23 +26,19 @@ pub struct LatencyModel {
     pub per_kib: SimSpan,
     /// Sender-side serialization gap between consecutive messages.
     pub send_gap: SimSpan,
-    /// Connection-establishment cost charged when a message opens a new
-    /// connection (three-way handshake).
-    pub connect: SimSpan,
     /// Jitter as a fraction of the computed latency (`0.1` = ±10 %).
     pub jitter_frac: f64,
 }
 
 impl Default for LatencyModel {
     /// Defaults representative of the Tianhe interconnect for control
-    /// traffic: 30 µs base latency, ~3 µs/KiB, 8 µs transmit gap, 150 µs
-    /// TCP connection setup, ±10 % jitter.
+    /// traffic: 30 µs base latency, ~3 µs/KiB, 8 µs transmit gap, ±10 %
+    /// jitter.
     fn default() -> Self {
         LatencyModel {
             base: SimSpan::from_micros(30),
             per_kib: SimSpan::from_micros(3),
             send_gap: SimSpan::from_micros(8),
-            connect: SimSpan::from_micros(150),
             jitter_frac: 0.10,
         }
     }
@@ -56,7 +52,7 @@ impl LatencyModel {
     }
 
     /// One-way latency for a message of `size_bytes`, excluding the transmit
-    /// gap and connection setup.
+    /// gap.
     #[inline]
     pub fn latency(&self, size_bytes: u32, rng: &mut StdRng) -> SimSpan {
         let kib = size_bytes as f64 / 1024.0;
@@ -69,11 +65,6 @@ impl LatencyModel {
     pub fn tx_gap(&self, size_bytes: u32) -> SimSpan {
         // Gap grows mildly with message size (DMA + packetization).
         self.send_gap + self.per_kib.mul_f64(size_bytes as f64 / 1024.0 / 4.0)
-    }
-
-    /// Connection establishment latency.
-    pub fn connect_cost(&self, rng: &mut StdRng) -> SimSpan {
-        self.jitter(self.connect, rng)
     }
 
     #[inline]

@@ -685,11 +685,6 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
         &self.actors[node.index()]
     }
 
-    /// Mutable access to an actor (for reconfiguring between phases).
-    pub fn actor_mut(&mut self, node: NodeId) -> &mut A {
-        &mut self.actors[node.index()]
-    }
-
     /// Messages dropped because the destination was down at delivery time.
     pub fn dropped_messages(&self) -> u64 {
         self.drops

@@ -90,14 +90,6 @@ impl Default for EslurmConfig {
     }
 }
 
-impl EslurmConfig {
-    /// Scale the satellite pool.
-    pub fn with_satellites(mut self, m: usize) -> Self {
-        self.n_satellites = m.max(1);
-        self
-    }
-}
-
 /// Eq. 1: the number of satellites used to relay a broadcast to `s`
 /// participating nodes, given tree width `w` and pool size `m`.
 pub fn satellites_needed(s: usize, w: usize, m: usize) -> usize {

@@ -19,8 +19,9 @@
 //!   backfill scheduler as a walltime-limit policy ([`limits`], building
 //!   on `eslurm-estimate` and `eslurm-sched`).
 //!
-//! [`system`] assembles complete emulated deployments (master +
-//! satellites + compute nodes) for the paper's experiments.
+//! [`system`] assembles complete emulated deployments for the paper's
+//! experiments — ESlurm's master + satellites + compute nodes, or a
+//! centralized baseline's master + compute nodes — through one builder.
 //!
 //! ```
 //! use eslurm::{EslurmConfig, EslurmSystemBuilder};
@@ -45,7 +46,7 @@ pub use fsm::{SatEvent, SatFsm, SatState};
 pub use limits::PredictiveLimit;
 pub use master::{EslurmMaster, SweepRecord};
 pub use satellite::{FpPlacementStats, SatelliteDaemon};
-pub use system::{EslurmNode, EslurmSystem, EslurmSystemBuilder};
+pub use system::{EslurmNode, EslurmSystem, EslurmSystemBuilder, Stack, System, SystemBuilder};
 
 /// One-stop imports for examples, benches, and downstream experiments:
 /// everything needed to assemble a cluster, drive it, and observe it,
@@ -55,9 +56,11 @@ pub mod prelude {
     pub use crate::fsm::{SatEvent, SatState};
     pub use crate::master::{EslurmMaster, SweepRecord};
     pub use crate::satellite::{FpPlacementStats, SatelliteDaemon};
-    pub use crate::system::{EslurmNode, EslurmSystem, EslurmSystemBuilder};
+    pub use crate::system::{
+        EslurmNode, EslurmSystem, EslurmSystemBuilder, Stack, System, SystemBuilder,
+    };
     pub use emu::{Actor, Context, FaultPlan, FaultPlanBuilder, NodeId, Outage, SimConfig};
     pub use obs::{Counter, EventKind, Gauge, Hist, MetricsSummary, Recorder, TraceEvent};
-    pub use rm::{CtlKind, JobStream, NodeSlice, RmMsg};
+    pub use rm::{CtlKind, JobStream, MasterLog, NodeSlice, RmMsg, RmProfile};
     pub use simclock::{SimSpan, SimTime};
 }

@@ -10,7 +10,7 @@ use emu::{Actor, Context, NodeId};
 use obs::{
     Counter, EventKind, FlowKind, Gauge, Hist, LabeledCounter, MetricId, Recorder, TraceContext,
 };
-use rm::master::JobRecord;
+use rm::master::{JobRecord, MasterLog};
 use rm::proto::{CtlKind, NodeSlice, RmMsg};
 use simclock::{SimSpan, SimTime};
 use std::collections::{BTreeMap, VecDeque};
@@ -161,11 +161,6 @@ impl EslurmMaster {
     /// Broadcast tasks the master had to handle itself.
     pub fn takeovers(&self) -> u64 {
         self.st.takeovers
-    }
-
-    /// `(request id, response latency)` for served user requests.
-    pub fn query_log(&self) -> &[(u64, SimSpan)] {
-        &self.st.query_log
     }
 
     /// Record job/task/FSM telemetry into `obs` (builder-style).
@@ -453,6 +448,15 @@ impl EslurmMaster {
             },
         );
         self.start_ctl(ctx, job, CtlKind::Ping);
+    }
+}
+
+impl MasterLog for EslurmMaster {
+    fn records(&self) -> &[JobRecord] {
+        &self.records
+    }
+    fn query_log(&self) -> &[(u64, SimSpan)] {
+        &self.st.query_log
     }
 }
 

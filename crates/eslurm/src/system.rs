@@ -1,9 +1,11 @@
-//! Whole-system wiring: build an emulated ESlurm cluster (master +
-//! satellites + compute nodes) on the DES, inject job streams, and read
-//! back records and meters.
+//! Whole-system wiring: deploy any of the six RMs on the DES through one
+//! builder — ESlurm's master, satellites and compute nodes, or a
+//! centralized baseline's master and compute nodes — inject job streams,
+//! and read back records and meters.
 //!
 //! Node layout convention: node 0 is the master, nodes `1..=m` are the
-//! satellites, and nodes `m+1..` are compute (slave) nodes.
+//! satellites (none on a centralized RM), and nodes `m+1..` are compute
+//! (slave) nodes.
 
 use crate::config::EslurmConfig;
 use crate::master::EslurmMaster;
@@ -13,7 +15,7 @@ use monitoring::FailurePredictor;
 use obs::{tag_scope, MemTag, Recorder, Sampler, SloEngine};
 use rm::proto::{NodeSlice, RmMsg};
 use rm::slave::{SlaveConfig, SlaveDaemon, SlaveHeartbeat};
-use rm::JobStream;
+use rm::{CentralizedMaster, JobStream, MasterLog, RmNode, RmProfile};
 use simclock::{SimSpan, SimTime};
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
@@ -76,45 +78,131 @@ impl Actor<RmMsg> for EslurmNode {
     }
 }
 
-/// A built ESlurm cluster.
-pub struct EslurmSystem {
+/// One of the six RMs as the DES deploys it: the config that picks the
+/// stack — an [`EslurmConfig`], or an [`RmProfile`] for a centralized RM —
+/// builds the actors, and [`SystemBuilder`] does the rest the same way for
+/// both.
+pub trait Stack {
+    /// The actor of one emulated node.
+    type Node: Actor<RmMsg>;
+    /// The master daemon (node 0).
+    type Master: MasterLog;
+    /// What the stack takes besides its config: ESlurm's failure predictor.
+    type Extra: Default;
+    /// Satellites between the master and the compute nodes.
+    fn n_satellites(&self) -> usize;
+    /// The deployment's actors in node order, recording into `obs`.
+    fn actors(self, extra: Self::Extra, n_slaves: usize, obs: &Recorder) -> Vec<Self::Node>;
+    /// The master's state, read off node 0's actor.
+    fn master(node: &Self::Node) -> &Self::Master;
+}
+
+impl Stack for EslurmConfig {
+    type Node = EslurmNode;
+    type Master = EslurmMaster;
+    type Extra = Option<Arc<Mutex<dyn FailurePredictor>>>;
+
+    fn n_satellites(&self) -> usize {
+        self.n_satellites
+    }
+
+    fn actors(self, predictor: Self::Extra, n_slaves: usize, obs: &Recorder) -> Vec<EslurmNode> {
+        let m = self.n_satellites;
+        let total = 1 + m + n_slaves;
+        let sat_ids: Vec<u32> = (1..=m as u32).collect();
+        let slave_ids: Vec<u32> = (m as u32 + 1..total as u32).collect();
+        let mut actors: Vec<EslurmNode> = Vec::with_capacity(total);
+        actors.push(EslurmNode::Master(
+            EslurmMaster::new(self.clone(), slave_ids, sat_ids).with_obs(obs.clone()),
+        ));
+        for _ in 0..m {
+            actors.push(EslurmNode::Satellite(
+                SatelliteDaemon::new(self.clone(), predictor.clone()).with_obs(obs.clone()),
+            ));
+        }
+        // ESlurm compute nodes don't push heartbeats to the master;
+        // liveness is collected through satellite Ping sweeps.
+        let slave_cfg = Arc::new(SlaveConfig {
+            master: NodeId::MASTER,
+            heartbeat: SlaveHeartbeat::None,
+            conn_lifetime: self.conn_lifetime,
+            ..SlaveConfig::default()
+        });
+        for _ in 0..n_slaves {
+            actors.push(EslurmNode::Slave(SlaveDaemon::new(Arc::clone(&slave_cfg))));
+        }
+        actors
+    }
+
+    fn master(node: &EslurmNode) -> &EslurmMaster {
+        match node {
+            EslurmNode::Master(m) => m,
+            _ => unreachable!("node 0 is the master"),
+        }
+    }
+}
+
+impl Stack for RmProfile {
+    type Node = RmNode;
+    type Master = CentralizedMaster;
+    type Extra = ();
+
+    fn n_satellites(&self) -> usize {
+        0
+    }
+
+    fn actors(self, (): (), n_slaves: usize, obs: &Recorder) -> Vec<RmNode> {
+        rm::actors(self, n_slaves, obs)
+    }
+
+    fn master(node: &RmNode) -> &CentralizedMaster {
+        match node {
+            RmNode::Master(m) => m,
+            RmNode::Slave(_) => unreachable!("node 0 is the master"),
+        }
+    }
+}
+
+/// A built deployment of one of the six RMs.
+pub struct System<S: Stack> {
     /// The running simulation.
-    pub sim: SimCluster<RmMsg, EslurmNode>,
-    /// Number of satellites (nodes `1..=n_satellites`).
+    pub sim: SimCluster<RmMsg, S::Node>,
+    /// Number of satellites (nodes `1..=n_satellites`; none on a
+    /// centralized RM).
     pub n_satellites: usize,
     /// Number of compute nodes.
     pub n_slaves: usize,
 }
 
-/// Builder for [`EslurmSystem`].
-pub struct EslurmSystemBuilder {
-    cfg: EslurmConfig,
+/// A built ESlurm cluster.
+pub type EslurmSystem = System<EslurmConfig>;
+
+/// Builder for a [`System`]: sized in compute nodes, instrumented the same
+/// way on every stack.
+pub struct SystemBuilder<S: Stack> {
+    stack: S,
     n_slaves: usize,
-    predictor: Option<Arc<Mutex<dyn FailurePredictor>>>,
+    extra: S::Extra,
     /// The engine's configuration, instruments included: [`SimConfig`] is
     /// the one list of them, and every instrument setter below writes
     /// straight into it.
     sim: SimConfig,
 }
 
-impl EslurmSystemBuilder {
-    /// Start building a cluster of `n_slaves` compute nodes.
-    pub fn new(cfg: EslurmConfig, n_slaves: usize, seed: u64) -> Self {
-        let sim = SimConfig::new(1 + cfg.n_satellites + n_slaves, seed);
-        EslurmSystemBuilder {
-            cfg,
+/// Builder for an [`EslurmSystem`].
+pub type EslurmSystemBuilder = SystemBuilder<EslurmConfig>;
+
+impl<S: Stack> SystemBuilder<S> {
+    /// Start building a deployment of `stack` over `n_slaves` compute
+    /// nodes, its RNG streams drawn from `seed`.
+    pub fn new(stack: S, n_slaves: usize, seed: u64) -> Self {
+        let sim = SimConfig::new(1 + stack.n_satellites() + n_slaves, seed);
+        SystemBuilder {
+            stack,
             n_slaves,
-            predictor: None,
+            extra: S::Extra::default(),
             sim,
         }
-    }
-
-    /// Accepted and ignored: the engine has one queue and one node store,
-    /// so there is no layout to choose. Kept only because the frozen
-    /// end-to-end benchmark calls it; it goes with the benchmark's
-    /// `emu.workers2_wall_ratio` metric when the benchmark is next revised.
-    pub fn shards(self, _n: usize) -> Self {
-        self
     }
 
     /// Record transport and daemon telemetry into `recorder`: the DES
@@ -125,13 +213,13 @@ impl EslurmSystemBuilder {
         self
     }
 
-    /// Evaluate SLO specs online against this run's telemetry (mirrored on
-    /// `RmClusterBuilder`). The engine runs on the sampling cadence, so an
-    /// end-bounded [`Self::sampler`] must also be configured for it to
-    /// tick. It is strictly observational: it reads the
-    /// recorder/sampler and writes only its own state, so enabling it
-    /// changes no outcome and no base trace/CSV byte. Read results back
-    /// via [`SimCluster::slo_engine`] after the run.
+    /// Evaluate SLO specs online against this run's telemetry. The engine
+    /// runs on the sampling cadence, so an end-bounded [`Self::sampler`]
+    /// must also be configured for it to tick. It is strictly
+    /// observational: it reads the recorder/sampler and writes only its
+    /// own state, so enabling it changes no outcome and no base trace/CSV
+    /// byte. Read results back via [`SimCluster::slo_engine`] after the
+    /// run.
     pub fn slo(mut self, engine: SloEngine) -> Self {
         self.sim.slo = engine;
         self
@@ -141,12 +229,6 @@ impl EslurmSystemBuilder {
     /// layout: 0 = master, 1..=m satellites, then compute nodes).
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.sim.faults = plan;
-        self
-    }
-
-    /// Install a failure predictor shared by all satellites.
-    pub fn predictor(mut self, p: Arc<Mutex<dyn FailurePredictor>>) -> Self {
-        self.predictor = Some(p);
         self
     }
 
@@ -165,45 +247,20 @@ impl EslurmSystemBuilder {
     ///
     /// If the master, satellites and compute nodes together exceed
     /// `u32::MAX` nodes, the size of the node-id space.
-    pub fn build(self) -> EslurmSystem {
-        let m = self.cfg.n_satellites;
+    pub fn build(self) -> System<S> {
+        let m = self.stack.n_satellites();
         let total = 1 + m + self.n_slaves;
         assert!(
             total <= u32::MAX as usize,
             "{total} nodes exceed the u32 node-id space"
         );
-        let sat_ids: Vec<u32> = (1..=m as u32).collect();
-        let slave_ids: Vec<u32> = (m as u32 + 1..total as u32).collect();
-
-        let mut actors: Vec<EslurmNode> = Vec::with_capacity(total);
-        actors.push(EslurmNode::Master(
-            EslurmMaster::new(self.cfg.clone(), slave_ids, sat_ids.clone())
-                .with_obs(self.sim.obs.clone()),
-        ));
-        for _ in 0..m {
-            actors.push(EslurmNode::Satellite(
-                SatelliteDaemon::new(self.cfg.clone(), self.predictor.clone())
-                    .with_obs(self.sim.obs.clone()),
-            ));
-        }
-        // ESlurm compute nodes don't push heartbeats to the master;
-        // liveness is collected through satellite Ping sweeps.
-        let slave_cfg = Arc::new(SlaveConfig {
-            master: NodeId::MASTER,
-            heartbeat: SlaveHeartbeat::None,
-            conn_lifetime: self.cfg.conn_lifetime,
-            ..SlaveConfig::default()
-        });
-        for _ in 0..self.n_slaves {
-            actors.push(EslurmNode::Slave(SlaveDaemon::new(Arc::clone(&slave_cfg))));
-        }
-
+        let actors = self.stack.actors(self.extra, self.n_slaves, &self.sim.obs);
         let config = self.sim;
         config.sampler.name_node(NodeId::MASTER.0, "master");
-        for (i, &s) in sat_ids.iter().enumerate() {
-            config.sampler.name_node(s, &format!("sat{}", i + 1));
+        for i in 1..=m as u32 {
+            config.sampler.name_node(i, &format!("sat{i}"));
         }
-        EslurmSystem {
+        System {
             sim: SimCluster::new(actors, config),
             n_satellites: m,
             n_slaves: self.n_slaves,
@@ -211,21 +268,26 @@ impl EslurmSystemBuilder {
     }
 }
 
-impl EslurmSystem {
-    /// The master's actor state.
-    pub fn master(&self) -> &EslurmMaster {
-        match self.sim.actor(NodeId::MASTER) {
-            EslurmNode::Master(m) => m,
-            _ => unreachable!("node 0 is the master"),
-        }
+impl SystemBuilder<EslurmConfig> {
+    /// Accepted and ignored: the engine has one queue and one node store,
+    /// so there is no layout to choose. Kept only because the frozen
+    /// end-to-end benchmark calls it; it goes with the benchmark's
+    /// `emu.workers2_wall_ratio` metric when the benchmark is next revised.
+    pub fn shards(self, _n: usize) -> Self {
+        self
     }
 
-    /// Satellite `idx` (0-based) actor state.
-    pub fn satellite(&self, idx: usize) -> &SatelliteDaemon {
-        match self.sim.actor(NodeId(1 + idx as u32)) {
-            EslurmNode::Satellite(s) => s,
-            _ => unreachable!("nodes 1..=m are satellites"),
-        }
+    /// Install a failure predictor shared by all satellites.
+    pub fn predictor(mut self, p: Arc<Mutex<dyn FailurePredictor>>) -> Self {
+        self.extra = Some(p);
+        self
+    }
+}
+
+impl<S: Stack> System<S> {
+    /// The master's actor state.
+    pub fn master(&self) -> &S::Master {
+        S::master(self.sim.actor(NodeId::MASTER))
     }
 
     /// The node id of compute node `i` (0-based).
@@ -248,14 +310,23 @@ impl EslurmSystem {
         );
     }
 
-    /// Submit every arrival of `stream`, as
-    /// [`rm::ClusterHarness::submit_stream`] does on the centralized
-    /// stack. Returns the number of jobs injected.
+    /// Submit every arrival of `stream`. Returns the number of jobs
+    /// injected.
     pub fn submit_stream(&mut self, stream: JobStream) -> u64 {
         stream.fold(0, |n, a| {
             self.submit(a.at, a.job, a.nodes, a.runtime);
             n + 1
         })
+    }
+}
+
+impl System<EslurmConfig> {
+    /// Satellite `idx` (0-based) actor state.
+    pub fn satellite(&self, idx: usize) -> &SatelliteDaemon {
+        match self.sim.actor(NodeId(1 + idx as u32)) {
+            EslurmNode::Satellite(s) => s,
+            _ => unreachable!("nodes 1..=m are satellites"),
+        }
     }
 }
 
@@ -273,6 +344,38 @@ mod tests {
             sat_hb_interval: SimSpan::from_secs(5),
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn centralized_job_stream_runs_to_completion() {
+        let mut sys = SystemBuilder::new(RmProfile::slurm(), 64, 5).build();
+        let stream = JobStream::new(
+            64,
+            SimSpan::from_secs(600),
+            120.0,
+            32,
+            SimSpan::from_secs(60),
+            9,
+        );
+        let n = sys.submit_stream(stream);
+        assert!(n > 5, "stream produced only {n} jobs");
+        sys.sim.run_until(SimTime::from_secs(3600));
+        assert_eq!(sys.master().records.len() as u64, n);
+    }
+
+    #[test]
+    fn sampling_records_the_centralized_master_series() {
+        let sampler = Sampler::every_until(SimSpan::from_secs(1), SimTime::from_secs(60));
+        let mut sys = SystemBuilder::new(RmProfile::lsf(), 32, 5)
+            .sampler(sampler.clone())
+            .build();
+        sys.sim.run_until(SimTime::from_secs(120));
+        let id = obs::MetricId::new("footprint_virt_bytes").with("node", "master");
+        let store = sampler.store();
+        let virt = store.get(&id).expect("master tracked");
+        assert_eq!(virt.len(), 60);
+        // Memory allocated at start shows up in every sample.
+        assert!(virt[0].value > (1u64 << 30) as f64);
     }
 
     #[test]

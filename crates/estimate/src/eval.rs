@@ -9,7 +9,6 @@
 
 use crate::baselines::RuntimePredictor;
 use crate::framework::estimation_accuracy;
-use simclock::SimSpan;
 use std::collections::BinaryHeap;
 use workload::Job;
 
@@ -148,24 +147,12 @@ pub fn signed_error_percentiles(errs: &mut [f64]) -> (f64, f64, f64) {
     (pct(0.10), pct(0.50), pct(0.90))
 }
 
-/// Convenience: mean absolute multiplicative error expressed as a span,
-/// for quick diagnostics.
-pub fn mean_abs_error(pairs: &[(SimSpan, SimSpan)]) -> SimSpan {
-    if pairs.is_empty() {
-        return SimSpan::ZERO;
-    }
-    let total: f64 = pairs
-        .iter()
-        .map(|(p, a)| (p.as_secs_f64() - a.as_secs_f64()).abs())
-        .sum();
-    SimSpan::from_secs_f64(total / pairs.len() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::baselines::{svm_baseline, EslurmPredictor, Last2, UserEstimate};
     use crate::framework::EstimatorConfig;
+    use simclock::SimSpan;
     use workload::TraceConfig;
 
     #[test]

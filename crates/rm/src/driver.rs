@@ -1,13 +1,13 @@
-//! Harness glue: build an emulated cluster for a profile, inject job
-//! streams, and read out the master's meters — the machinery behind the
-//! Fig. 7 experiments.
+//! The centralized deployment's pieces: the node enum, the actors of one
+//! master plus its compute daemons, and the one synthetic job stream every
+//! stack is loaded with. `eslurm::system` deploys them on the DES.
 
 use crate::master::CentralizedMaster;
 use crate::profile::{HeartbeatMode, RmProfile};
-use crate::proto::{NodeSlice, RmMsg};
+use crate::proto::RmMsg;
 use crate::slave::{SlaveConfig, SlaveDaemon, SlaveHeartbeat};
-use emu::{Actor, Context, FaultPlan, NodeId, SimCluster, SimConfig};
-use obs::{tag_scope, MemTag, Recorder, Sampler, SloEngine};
+use emu::{Actor, Context, NodeId};
+use obs::{tag_scope, MemTag, Recorder};
 use rand::rngs::StdRng;
 use rand::RngExt;
 use simclock::rng::{exponential, stream_rng};
@@ -45,46 +45,6 @@ impl Actor<RmMsg> for RmNode {
             RmNode::Master(m) => m.on_timer(ctx, token),
             RmNode::Slave(s) => s.on_timer(ctx, token),
         }
-    }
-}
-
-/// A built cluster plus conventions (master = node 0).
-pub struct ClusterHarness {
-    /// The running simulation.
-    pub sim: SimCluster<RmMsg, RmNode>,
-}
-
-impl ClusterHarness {
-    /// The master's actor state.
-    pub fn master_actor(&self) -> &CentralizedMaster {
-        match self.sim.actor(NodeId::MASTER) {
-            RmNode::Master(m) => m,
-            RmNode::Slave(_) => unreachable!("node 0 is always the master"),
-        }
-    }
-
-    /// Submit a job over the given compute-node indices (0-based; compute
-    /// node `i` is node `1 + i`) to the master at `at`.
-    pub fn submit(&mut self, at: SimTime, job: u64, nodes: Range<usize>, runtime: SimSpan) {
-        self.sim.inject(
-            at,
-            NodeId::MASTER,
-            NodeId::MASTER,
-            RmMsg::SubmitJob {
-                job,
-                nodes: NodeSlice::from_nodes(nodes.map(|i| 1 + i as u32)),
-                runtime_us: runtime.as_micros(),
-            },
-        );
-    }
-
-    /// Submit every arrival of `stream`. Returns the number of jobs
-    /// injected.
-    pub fn submit_stream(&mut self, stream: JobStream) -> u64 {
-        stream.fold(0, |n, a| {
-            self.submit(a.at, a.job, a.nodes, a.runtime);
-            n + 1
-        })
     }
 }
 
@@ -182,98 +142,38 @@ impl Iterator for JobStream {
     }
 }
 
-/// Builder for centralized-RM clusters, mirroring `EslurmSystemBuilder`
-/// so both stacks are constructed — and instrumented — the same way.
-pub struct RmClusterBuilder {
-    profile: RmProfile,
-    n: usize,
-    /// The engine's configuration, instruments included: every instrument
-    /// setter below writes straight into it.
-    sim: SimConfig,
-}
-
-impl RmClusterBuilder {
-    /// Start building a cluster of `n` nodes (node 0 = master, 1..n =
-    /// slaves) running `profile`.
-    pub fn new(profile: RmProfile, n: usize) -> Self {
-        RmClusterBuilder {
-            profile,
-            n,
-            sim: SimConfig::new(n, 0),
-        }
+/// The actors of a centralized deployment of `profile` over `n_compute`
+/// compute nodes, in node order: the master (node 0), then one daemon per
+/// compute node (compute node `i` is node `1 + i`). The master and every
+/// slave record into `obs`.
+pub fn actors(profile: RmProfile, n_compute: usize, obs: &Recorder) -> Vec<RmNode> {
+    assert!(n_compute >= 1, "need a master and at least one slave");
+    let slaves: Vec<u32> = (1..=n_compute as u32).collect();
+    let heartbeat = match profile.heartbeat {
+        HeartbeatMode::MasterPolls { .. } => SlaveHeartbeat::None,
+        HeartbeatMode::SlavePush {
+            interval,
+            synchronized,
+        } => SlaveHeartbeat::Push {
+            interval,
+            synchronized,
+        },
+    };
+    let slave_cfg = Arc::new(SlaveConfig {
+        master: NodeId::MASTER,
+        heartbeat,
+        conn_lifetime: profile.conn_lifetime,
+        obs: obs.clone(),
+        ..SlaveConfig::default()
+    });
+    let mut actors = Vec::with_capacity(1 + n_compute);
+    actors.push(RmNode::Master(Box::new(
+        CentralizedMaster::new(profile, slaves).with_obs(obs.clone()),
+    )));
+    for _ in 0..n_compute {
+        actors.push(RmNode::Slave(SlaveDaemon::new(Arc::clone(&slave_cfg))));
     }
-
-    /// Master seed for the simulation's RNG streams.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.sim.seed = seed;
-        self
-    }
-
-    /// Inject the given outage schedule (node 0 = master, 1..n = slaves).
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.sim.faults = plan;
-        self
-    }
-
-    /// Record transport and daemon telemetry into `recorder`, exactly as
-    /// `EslurmSystemBuilder::obs` does for the distributed stack.
-    pub fn obs(mut self, recorder: Recorder) -> Self {
-        self.sim.obs = recorder;
-        self
-    }
-
-    /// Feed footprint time series into `sampler` on its own cadence (node
-    /// 0 is tracked as `master`), exactly as `EslurmSystemBuilder::sampler`
-    /// does for the distributed stack.
-    pub fn sampler(mut self, sampler: Sampler) -> Self {
-        self.sim.sampler = sampler;
-        self
-    }
-
-    /// Evaluate SLO specs online against this run's telemetry, exactly as
-    /// `EslurmSystemBuilder::slo` does for the distributed stack. The
-    /// engine ticks on the sampling cadence (configure an end-bounded
-    /// sampler) and is strictly observational — outcomes and base exports
-    /// are unchanged with it on or off.
-    pub fn slo(mut self, engine: SloEngine) -> Self {
-        self.sim.slo = engine;
-        self
-    }
-
-    /// Materialize the cluster.
-    pub fn build(self) -> ClusterHarness {
-        let n = self.n;
-        assert!(n >= 2, "need a master and at least one slave");
-        let slaves: Vec<u32> = (1..n as u32).collect();
-        let heartbeat = match self.profile.heartbeat {
-            HeartbeatMode::MasterPolls { .. } => SlaveHeartbeat::None,
-            HeartbeatMode::SlavePush {
-                interval,
-                synchronized,
-            } => SlaveHeartbeat::Push {
-                interval,
-                synchronized,
-            },
-        };
-        let slave_cfg = Arc::new(SlaveConfig {
-            master: NodeId::MASTER,
-            heartbeat,
-            conn_lifetime: self.profile.conn_lifetime,
-            obs: self.sim.obs.clone(),
-            ..SlaveConfig::default()
-        });
-        let mut actors = Vec::with_capacity(n);
-        actors.push(RmNode::Master(Box::new(
-            CentralizedMaster::new(self.profile, slaves).with_obs(self.sim.obs.clone()),
-        )));
-        for _ in 1..n {
-            actors.push(RmNode::Slave(SlaveDaemon::new(Arc::clone(&slave_cfg))));
-        }
-        self.sim.sampler.name_node(NodeId::MASTER.0, "master");
-        ClusterHarness {
-            sim: SimCluster::new(actors, self.sim),
-        }
-    }
+    actors
 }
 
 #[cfg(test)]
@@ -283,39 +183,5 @@ mod tests {
     #[test]
     fn node_enum_is_sized_by_the_compute_daemon() {
         assert!(std::mem::size_of::<RmNode>() <= std::mem::size_of::<SlaveDaemon>() + 8);
-    }
-
-    #[test]
-    fn job_stream_runs_to_completion() {
-        let mut h = RmClusterBuilder::new(RmProfile::slurm(), 65)
-            .seed(5)
-            .build();
-        let n = h.submit_stream(JobStream::new(
-            64,
-            SimSpan::from_secs(600),
-            120.0,
-            32,
-            SimSpan::from_secs(60),
-            9,
-        ));
-        assert!(n > 5, "stream produced only {n} jobs");
-        h.sim.run_until(SimTime::from_secs(3600));
-        assert_eq!(h.master_actor().records.len() as u64, n);
-    }
-
-    #[test]
-    fn sampling_records_master_series() {
-        let sampler = Sampler::every_until(SimSpan::from_secs(1), SimTime::from_secs(60));
-        let mut h = RmClusterBuilder::new(RmProfile::lsf(), 33)
-            .seed(5)
-            .sampler(sampler.clone())
-            .build();
-        h.sim.run_until(SimTime::from_secs(120));
-        let id = obs::MetricId::new("footprint_virt_bytes").with("node", "master");
-        let store = sampler.store();
-        let virt = store.get(&id).expect("master tracked");
-        assert_eq!(virt.len(), 60);
-        // Memory allocated at start shows up in every sample.
-        assert!(virt[0].value > (1u64 << 30) as f64);
     }
 }

@@ -12,8 +12,9 @@
 //!   grouping-tree relay with aggregated, timeout-guarded acks;
 //! * [`master`] — the centralized master daemon (the bottleneck the paper
 //!   measures in Fig. 7);
-//! * [`driver`] — harness glue to build clusters, and the one synthetic
-//!   job stream ([`JobStream`]) every stack is loaded with.
+//! * [`driver`] — the actors of a centralized deployment (deployed on the
+//!   DES by `eslurm::system`, as ESlurm is), and the one synthetic job
+//!   stream ([`JobStream`]) every stack is loaded with.
 
 pub mod driver;
 pub mod master;
@@ -21,8 +22,8 @@ pub mod profile;
 pub mod proto;
 pub mod slave;
 
-pub use driver::{Arrival, ClusterHarness, JobStream, RmClusterBuilder, RmNode};
-pub use master::{CentralizedMaster, JobRecord};
+pub use driver::{actors, Arrival, JobStream, RmNode};
+pub use master::{CentralizedMaster, JobRecord, MasterLog};
 pub use profile::{Fanout, HeartbeatMode, RmProfile};
 pub use proto::{CtlKind, NodeSlice, RmMsg};
 pub use slave::{SlaveConfig, SlaveDaemon, SlaveHeartbeat};

@@ -29,6 +29,15 @@ pub struct JobRecord {
     pub nodes: u32,
 }
 
+/// What the experiments read off any RM's master, centralized or
+/// distributed: completed jobs and served user requests.
+pub trait MasterLog {
+    /// Completed jobs, in completion order.
+    fn records(&self) -> &[JobRecord];
+    /// `(request id, response latency)` for served user requests.
+    fn query_log(&self) -> &[(u64, SimSpan)];
+}
+
 impl JobRecord {
     /// The paper's job occupation time: submission → full resource release.
     pub fn occupation(&self) -> SimSpan {
@@ -76,8 +85,7 @@ pub struct CentralizedMaster {
     /// so a user request lands behind whatever storm is in progress.
     busy_until: SimTime,
     pending_queries: BTreeMap<u64, NodeId>,
-    /// `(request id, response latency)` for served user requests.
-    pub query_log: Vec<(u64, SimSpan)>,
+    query_log: Vec<(u64, SimSpan)>,
     query_arrival: BTreeMap<u64, SimTime>,
     obs: Recorder,
     /// Bookkeeping bytes (`rm_bookkeeping_bytes{component=rm.master}`):
@@ -251,6 +259,15 @@ impl CentralizedMaster {
             }
             Phase::Running => {}
         }
+    }
+}
+
+impl MasterLog for CentralizedMaster {
+    fn records(&self) -> &[JobRecord] {
+        &self.records
+    }
+    fn query_log(&self) -> &[(u64, SimSpan)] {
+        &self.query_log
     }
 }
 
@@ -443,18 +460,41 @@ impl Actor<RmMsg> for CentralizedMaster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::RmClusterBuilder;
+    use crate::driver::{actors, RmNode};
+    use emu::{SimCluster, SimConfig};
 
-    fn run_one_job(profile: RmProfile, n: usize, job_nodes: u32) -> (SimSpan, SimSpan) {
-        let mut h = RmClusterBuilder::new(profile, n).seed(11).build();
-        h.submit(
-            SimTime::from_secs(1),
-            1,
-            0..job_nodes as usize,
-            SimSpan::from_secs(10),
-        );
-        h.sim.run_until(SimTime::from_secs(300));
-        let master = h.master_actor();
+    type Sim = SimCluster<RmMsg, RmNode>;
+
+    fn cluster(profile: RmProfile, n_compute: usize, seed: u64) -> Sim {
+        let nodes = actors(profile, n_compute, &Recorder::disabled());
+        SimCluster::new(nodes, SimConfig::new(1 + n_compute, seed))
+    }
+
+    /// Hand the master job 1 over the first `count` compute nodes at `at`.
+    fn submit_job(sim: &mut Sim, at: SimTime, count: u32, runtime: SimSpan) {
+        let nodes = NodeSlice::from_nodes(1..=count);
+        let runtime_us = runtime.as_micros();
+        let msg = RmMsg::SubmitJob {
+            job: 1,
+            nodes,
+            runtime_us,
+        };
+        sim.inject(at, NodeId::MASTER, NodeId::MASTER, msg);
+    }
+
+    fn master(sim: &Sim) -> &CentralizedMaster {
+        match sim.actor(NodeId::MASTER) {
+            RmNode::Master(m) => m,
+            RmNode::Slave(_) => unreachable!("node 0 is always the master"),
+        }
+    }
+
+    fn run_one_job(profile: RmProfile, n_compute: usize, job_nodes: u32) -> (SimSpan, SimSpan) {
+        let mut sim = cluster(profile, n_compute, 11);
+        let runtime = SimSpan::from_secs(10);
+        submit_job(&mut sim, SimTime::from_secs(1), job_nodes, runtime);
+        sim.run_until(SimTime::from_secs(300));
+        let master = master(&sim);
         assert_eq!(
             master.records.len(),
             1,
@@ -467,7 +507,7 @@ mod tests {
 
     #[test]
     fn tree_rm_occupation_close_to_runtime() {
-        let (occ, launch) = run_one_job(RmProfile::slurm(), 257, 256);
+        let (occ, launch) = run_one_job(RmProfile::slurm(), 256, 256);
         assert!(launch < SimSpan::from_secs(1), "launch took {launch}");
         assert!(occ >= SimSpan::from_secs(10));
         assert!(occ < SimSpan::from_secs(12), "occupation {occ}");
@@ -475,8 +515,8 @@ mod tests {
 
     #[test]
     fn sequential_rm_occupation_blows_up_with_size() {
-        let (small, _) = run_one_job(RmProfile::torque(), 257, 32);
-        let (big, _) = run_one_job(RmProfile::torque(), 257, 256);
+        let (small, _) = run_one_job(RmProfile::torque(), 256, 32);
+        let (big, _) = run_one_job(RmProfile::torque(), 256, 256);
         // 8 ms per node, twice (launch + terminate): 256 nodes ≈ +4 s.
         assert!(
             big > small + SimSpan::from_secs(2),
@@ -489,33 +529,31 @@ mod tests {
         let profile = RmProfile::slurm();
         let per_job = profile.per_job_virt;
         let leak = profile.job_record_leak;
-        let mut h = RmClusterBuilder::new(profile, 65).seed(3).build();
-        h.sim.run_until(SimTime::from_millis(10));
-        let before = h.sim.meter(NodeId::MASTER).virt_mem();
-        h.submit(SimTime::from_millis(20), 1, 0..64, SimSpan::from_secs(5));
-        h.sim.run_until(SimTime::from_secs(2));
-        let during = h.sim.meter(NodeId::MASTER).virt_mem();
+        let mut sim = cluster(profile, 64, 3);
+        sim.run_until(SimTime::from_millis(10));
+        let before = sim.meter(NodeId::MASTER).virt_mem();
+        let runtime = SimSpan::from_secs(5);
+        submit_job(&mut sim, SimTime::from_millis(20), 64, runtime);
+        sim.run_until(SimTime::from_secs(2));
+        let during = sim.meter(NodeId::MASTER).virt_mem();
         assert_eq!(during, before + per_job);
-        h.sim.run_until(SimTime::from_secs(100));
-        let after = h.sim.meter(NodeId::MASTER).virt_mem();
+        sim.run_until(SimTime::from_secs(100));
+        let after = sim.meter(NodeId::MASTER).virt_mem();
         assert_eq!(after, before + leak, "leak not retained correctly");
     }
 
     #[test]
     fn cancellation_reclaims_resources_early() {
-        let mut h = RmClusterBuilder::new(RmProfile::slurm(), 65)
-            .seed(3)
-            .build();
-        h.submit(SimTime::from_secs(1), 1, 0..64, SimSpan::from_secs(600));
-        h.sim.inject(
+        let mut sim = cluster(RmProfile::slurm(), 64, 3);
+        submit_job(&mut sim, SimTime::from_secs(1), 64, SimSpan::from_secs(600));
+        sim.inject(
             SimTime::from_secs(60),
             NodeId(1),
             NodeId::MASTER,
             RmMsg::CancelJob { job: 1 },
         );
-        h.sim.run_until(SimTime::from_secs(300));
-        let rec = h
-            .master_actor()
+        sim.run_until(SimTime::from_secs(300));
+        let rec = master(&sim)
             .records
             .first()
             .copied()
@@ -526,14 +564,12 @@ mod tests {
 
     #[test]
     fn polling_masters_accumulate_cpu() {
-        let mut h = RmClusterBuilder::new(RmProfile::sge(), 101).seed(5).build();
-        h.sim.run_until(SimTime::from_secs(120));
-        let cpu_sge = h.sim.meter(NodeId::MASTER).cpu_time();
-        let mut h2 = RmClusterBuilder::new(RmProfile::slurm(), 101)
-            .seed(5)
-            .build();
-        h2.sim.run_until(SimTime::from_secs(120));
-        let cpu_slurm = h2.sim.meter(NodeId::MASTER).cpu_time();
+        let mut sim = cluster(RmProfile::sge(), 100, 5);
+        sim.run_until(SimTime::from_secs(120));
+        let cpu_sge = sim.meter(NodeId::MASTER).cpu_time();
+        let mut sim2 = cluster(RmProfile::slurm(), 100, 5);
+        sim2.run_until(SimTime::from_secs(120));
+        let cpu_slurm = sim2.meter(NodeId::MASTER).cpu_time();
         assert!(
             cpu_sge > cpu_slurm * 3,
             "SGE {cpu_sge} should dwarf Slurm {cpu_slurm}"
@@ -542,15 +578,11 @@ mod tests {
 
     #[test]
     fn persistent_profiles_hold_sockets() {
-        let mut h = RmClusterBuilder::new(RmProfile::openpbs(), 101)
-            .seed(7)
-            .build();
-        h.sim.run_until(SimTime::from_secs(5));
-        assert_eq!(h.sim.meter(NodeId::MASTER).sockets(), 100);
-        let mut h2 = RmClusterBuilder::new(RmProfile::slurm(), 101)
-            .seed(7)
-            .build();
-        h2.sim.run_until(SimTime::from_secs(5));
-        assert!(h2.sim.meter(NodeId::MASTER).sockets() < 10);
+        let mut sim = cluster(RmProfile::openpbs(), 100, 7);
+        sim.run_until(SimTime::from_secs(5));
+        assert_eq!(sim.meter(NodeId::MASTER).sockets(), 100);
+        let mut sim2 = cluster(RmProfile::slurm(), 100, 7);
+        sim2.run_until(SimTime::from_secs(5));
+        assert!(sim2.meter(NodeId::MASTER).sockets() < 10);
     }
 }

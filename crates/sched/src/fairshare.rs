@@ -198,13 +198,6 @@ impl FairShareLedger {
         self.0.as_ref().map_or(0, |l| l.lock().unwrap().users.len())
     }
 
-    /// Banks that have ever been charged.
-    pub fn active_banks(&self) -> usize {
-        self.0
-            .as_ref()
-            .map_or(0, |l| l.lock().unwrap().banks_acct.len())
-    }
-
     /// The fair-share priority factor for `user` as of `now`, in `(0, 1]`.
     ///
     /// Slurm's classic formula `2^(-normalized usage / share)` with equal
@@ -235,19 +228,6 @@ impl FairShareLedger {
         // Usage relative to an equal share, mixed user:bank = 1:1.
         let norm = (u * users + b * banks) / 2.0;
         (-norm).exp2()
-    }
-
-    /// Per-user decayed usage snapshot as of `now`, core-seconds.
-    pub fn user_usages(&self, now: SimTime) -> BTreeMap<u32, f64> {
-        let Some(l) = &self.0 else {
-            return BTreeMap::new();
-        };
-        let l = l.lock().unwrap();
-        let epoch = l.epoch_at(now);
-        l.users
-            .iter()
-            .map(|(&u, a)| (u, a.read(epoch, l.per_epoch)))
-            .collect()
     }
 
     fn read_from(&self, get: impl Fn(&Ledger) -> Option<Account>, now: SimTime) -> f64 {

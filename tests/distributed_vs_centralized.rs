@@ -5,39 +5,19 @@
 //! is handed the same arrivals of the one shared `JobStream`.
 
 use eslurm_suite::emu::NodeId;
-use eslurm_suite::eslurm::{EslurmConfig, EslurmNode, EslurmSystemBuilder};
+use eslurm_suite::eslurm::{EslurmConfig, EslurmNode, EslurmSystemBuilder, Stack, SystemBuilder};
 use eslurm_suite::obs::{build_traces, EventKind, FlowKind, Recorder};
-use eslurm_suite::rm::{JobRecord, JobStream, RmClusterBuilder, RmNode, RmProfile};
+use eslurm_suite::rm::{JobRecord, JobStream, MasterLog, RmNode, RmProfile, SlaveDaemon};
 use eslurm_suite::simclock::{SimSpan, SimTime};
 use std::collections::BTreeSet;
 
 const N: usize = 512;
 const HORIZON_S: u64 = 1800;
 
-fn run_centralized(profile: RmProfile) -> (SimSpan, u64, u32, u64) {
-    let mut h = RmClusterBuilder::new(profile, N + 1).seed(7).build();
-    for j in 0..20u64 {
-        h.submit(
-            SimTime::from_secs(30 + j * 60),
-            j,
-            0..256,
-            SimSpan::from_secs(45),
-        );
-    }
-    h.sim.run_until(SimTime::from_secs(HORIZON_S));
-    assert_eq!(h.master_actor().records.len(), 20, "centralized jobs lost");
-    let m = h.sim.meter(NodeId::MASTER);
-    let (_, received) = m.msg_counts();
-    (m.cpu_time(), m.virt_mem(), m.peak_sockets(), received)
-}
-
-fn run_eslurm() -> (SimSpan, u64, u32, u64) {
-    let cfg = EslurmConfig {
-        n_satellites: 2,
-        eq1_width: 256,
-        ..Default::default()
-    };
-    let mut sys = EslurmSystemBuilder::new(cfg, N, 7).build();
+/// Twenty 256-node jobs, one a minute: the master's CPU, virtual memory,
+/// peak sockets and received messages at the horizon.
+fn master_load<S: Stack>(name: &str, builder: SystemBuilder<S>) -> (SimSpan, u64, u32, u64) {
+    let mut sys = builder.build();
     for j in 0..20u64 {
         sys.submit(
             SimTime::from_secs(30 + j * 60),
@@ -47,7 +27,7 @@ fn run_eslurm() -> (SimSpan, u64, u32, u64) {
         );
     }
     sys.sim.run_until(SimTime::from_secs(HORIZON_S));
-    assert_eq!(sys.master().records.len(), 20, "eslurm jobs lost");
+    assert_eq!(sys.master().records().len(), 20, "{name}: jobs lost");
     let m = sys.sim.meter(NodeId::MASTER);
     let (_, received) = m.msg_counts();
     (m.cpu_time(), m.virt_mem(), m.peak_sockets(), received)
@@ -55,10 +35,15 @@ fn run_eslurm() -> (SimSpan, u64, u32, u64) {
 
 #[test]
 fn eslurm_master_offloads_centralized_masters() {
-    let (es_cpu, es_virt, es_socks, es_msgs) = run_eslurm();
+    let cfg = EslurmConfig {
+        n_satellites: 2,
+        eq1_width: 256,
+        ..Default::default()
+    };
+    let (es_cpu, es_virt, es_socks, es_msgs) = master_load("ESlurm", SystemBuilder::new(cfg, N, 7));
     for profile in RmProfile::baselines() {
         let name = profile.name;
-        let (cpu, virt, socks, msgs) = run_centralized(profile);
+        let (cpu, virt, socks, msgs) = master_load(name, SystemBuilder::new(profile, N, 7));
         assert!(
             es_cpu.as_micros() < cpu.as_micros(),
             "{name}: ESlurm master CPU {es_cpu} not below {cpu}"
@@ -107,45 +92,67 @@ fn eslurm_master_sockets_independent_of_cluster_size() {
     assert!(big <= 8);
 }
 
-#[test]
-fn slurm_job_launches_and_terminates_once_on_every_slave() {
-    let n = 32;
-    let mut h = RmClusterBuilder::new(RmProfile::slurm(), n + 1)
-        .seed(77)
-        .build();
-    h.submit(SimTime::from_secs(1), 7, 0..n, SimSpan::from_millis(50));
-    h.sim.run_until(SimTime::from_secs(60));
-    let records = &h.master_actor().records;
-    assert_eq!(records.len(), 1, "centralized job did not complete");
-    assert_eq!(records[0].nodes as usize, n);
-    for i in 1..=n as u32 {
-        let RmNode::Slave(s) = h.sim.actor(NodeId(i)) else {
-            panic!("node {i} is a slave")
-        };
-        assert_eq!(s.ctl_handled, 2, "slave {i}: launch + terminate");
+/// The compute daemon of a node, on either kind of stack.
+trait Compute {
+    fn slave(&self) -> Option<&SlaveDaemon>;
+}
+
+impl Compute for RmNode {
+    fn slave(&self) -> Option<&SlaveDaemon> {
+        match self {
+            RmNode::Slave(s) => Some(s),
+            RmNode::Master(_) => None,
+        }
+    }
+}
+
+impl Compute for EslurmNode {
+    fn slave(&self) -> Option<&SlaveDaemon> {
+        match self {
+            EslurmNode::Slave(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
+/// One job over compute indices `0..k` of `builder`'s deployment
+/// completes once, on `k` nodes, and is launched and terminated on exactly
+/// the nodes `slave_id` names for those indices.
+fn one_job_on_its_nodes<S: Stack>(name: &str, builder: SystemBuilder<S>, k: usize)
+where
+    S::Node: Compute,
+{
+    let mut sys = builder.build();
+    sys.submit(SimTime::from_secs(1), 7, 0..k, SimSpan::from_secs(1));
+    sys.sim.run_until(SimTime::from_secs(30));
+    let records = sys.master().records();
+    assert_eq!(records.len(), 1, "{name}: job did not complete once");
+    assert_eq!(records[0].nodes as usize, k, "{name}: job size");
+    for i in 0..sys.n_slaves {
+        let node = sys.sim.actor(NodeId(sys.slave_id(i)));
+        let slave = node
+            .slave()
+            .expect("compute indices map to compute daemons");
+        let want = if i < k { 2 } else { 0 };
+        assert_eq!(slave.ctl_handled, want, "{name}: compute index {i}");
     }
 }
 
 #[test]
-fn satellite_relayed_job_launches_and_terminates_once_on_every_slave() {
-    // One satellite relays to all 60 slaves, four wide.
-    let n_slaves = 60;
+fn one_job_reaches_exactly_its_nodes_on_all_six_rms() {
+    let (n, k) = (64, 60);
+    for profile in RmProfile::baselines() {
+        let name = profile.name;
+        one_job_on_its_nodes(name, SystemBuilder::new(profile, n, 77), k);
+    }
+    // One satellite relays to all 60 of the job's nodes, four wide.
     let cfg = EslurmConfig {
         n_satellites: 1,
         eq1_width: 64,
         relay_width: 4,
         ..Default::default()
     };
-    let mut sys = EslurmSystemBuilder::new(cfg, n_slaves, 3).build();
-    sys.submit(SimTime::from_secs(1), 4, 0..n_slaves, SimSpan::from_secs(1));
-    sys.sim.run_until(SimTime::from_secs(30));
-    assert_eq!(sys.master().records.len(), 1, "eslurm job did not complete");
-    for i in 0..n_slaves {
-        let EslurmNode::Slave(s) = sys.sim.actor(NodeId(sys.slave_id(i))) else {
-            panic!("compute index {i} is a slave")
-        };
-        assert_eq!(s.ctl_handled, 2, "compute index {i}: launch + terminate");
-    }
+    one_job_on_its_nodes("ESlurm", SystemBuilder::new(cfg, n, 3), k);
 }
 
 /// `(at µs, job, first compute index, count, runtime µs)`.
@@ -185,6 +192,19 @@ fn handed(rec: &Recorder, first_compute: u32, records: &[JobRecord]) -> Vec<Hand
         .collect()
 }
 
+/// What `builder`'s master was handed of `stream` by `end`.
+fn handed_stream<S: Stack>(
+    builder: SystemBuilder<S>,
+    stream: JobStream,
+    end: SimTime,
+) -> Vec<Handed> {
+    let rec = Recorder::full();
+    let mut sys = builder.obs(rec.clone()).build();
+    assert_eq!(sys.submit_stream(stream), 59);
+    sys.sim.run_until(end);
+    handed(&rec, sys.slave_id(0), sys.master().records())
+}
+
 #[test]
 fn every_master_is_handed_the_same_job_stream() {
     let horizon = SimSpan::from_secs(1800);
@@ -195,8 +215,8 @@ fn every_master_is_handed_the_same_job_stream() {
             (at, a.job, a.nodes.start, a.nodes.len(), rt)
         })
         .collect();
-    // As the parent commit's `ClusterHarness::submit_stream` drew them
-    // from `stream_rng(43, 0x10B5)` (node ids there, indices here).
+    // As `submit_stream` drew them from `stream_rng(43, 0x10B5)` when the
+    // stream was first pinned (node ids there, indices here).
     let pinned: [Handed; 8] = [
         (115_937_848, 1, 0, 2, 28_875_969),
         (133_809_528, 2, 48, 1, 35_591_691),
@@ -213,14 +233,11 @@ fn every_master_is_handed_the_same_job_stream() {
     let end = SimTime::ZERO + horizon + SimSpan::from_secs(1800);
     let mut stacks: Vec<(&str, Vec<Handed>)> = Vec::new();
     for profile in RmProfile::baselines() {
-        let (name, rec) = (profile.name, Recorder::full());
-        let mut h = RmClusterBuilder::new(profile, 65)
-            .seed(7)
-            .obs(rec.clone())
-            .build();
-        assert_eq!(h.submit_stream(stream()), 59);
-        h.sim.run_until(end);
-        stacks.push((name, handed(&rec, 1, &h.master_actor().records)));
+        let name = profile.name;
+        stacks.push((
+            name,
+            handed_stream(SystemBuilder::new(profile, 64, 7), stream(), end),
+        ));
     }
     let cfg = EslurmConfig {
         n_satellites: 2,
@@ -228,14 +245,10 @@ fn every_master_is_handed_the_same_job_stream() {
         relay_width: 8,
         ..Default::default()
     };
-    let rec = Recorder::full();
-    let mut sys = EslurmSystemBuilder::new(cfg, 64, 7)
-        .obs(rec.clone())
-        .build();
-    assert_eq!(sys.submit_stream(stream()), 59);
-    sys.sim.run_until(end);
-    let first_compute = sys.slave_id(0);
-    stacks.push(("ESlurm", handed(&rec, first_compute, &sys.master().records)));
+    stacks.push((
+        "ESlurm",
+        handed_stream(SystemBuilder::new(cfg, 64, 7), stream(), end),
+    ));
 
     for (name, got) in &stacks {
         assert_eq!(got.len(), want.len(), "{name}: submissions");
