@@ -139,6 +139,25 @@ where
 }
 
 #[test]
+fn slurm_job_launches_and_terminates_once_on_every_slave() {
+    let n = 32;
+    one_job_on_its_nodes("Slurm", SystemBuilder::new(RmProfile::slurm(), n, 77), n);
+}
+
+#[test]
+fn satellite_relayed_job_launches_and_terminates_once_on_every_slave() {
+    // One satellite relays to all 60 slaves, four wide.
+    let n_slaves = 60;
+    let cfg = EslurmConfig {
+        n_satellites: 1,
+        eq1_width: 64,
+        relay_width: 4,
+        ..Default::default()
+    };
+    one_job_on_its_nodes("ESlurm", SystemBuilder::new(cfg, n_slaves, 3), n_slaves);
+}
+
+#[test]
 fn one_job_reaches_exactly_its_nodes_on_all_six_rms() {
     let (n, k) = (64, 60);
     for profile in RmProfile::baselines() {
