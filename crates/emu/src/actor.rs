@@ -99,9 +99,11 @@ pub trait Context<M: Payload> {
     }
 }
 
-/// A state machine running on one emulated node.
+/// A state machine running on one emulated node. The engine is
+/// single-threaded, so an actor need not be `Send`: the daemons of one
+/// deployment may share state through an `Rc`.
 #[allow(unused_variables)]
-pub trait Actor<M: Payload>: Send {
+pub trait Actor<M: Payload> {
     /// Called once at simulation start (time zero), before any messages.
     fn on_start(&mut self, ctx: &mut dyn Context<M>) {}
 

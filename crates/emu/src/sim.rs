@@ -255,7 +255,7 @@ impl<M: Payload> Context<M> for DesCtx<'_, M> {
             let depart = hot.tx_free.max(now) + shared.latency.tx_gap(size);
             hot.tx_free = depart;
             let arrive = depart + shared.latency.latency(size, &mut hot.rng);
-            hot.sent += 1;
+            hot.count_sent();
             (depart, arrive, hot.take_seq())
         };
         // Allocate the hop's child span while the sender's context is
@@ -419,7 +419,7 @@ fn exec_event<M: Payload, A: Actor<M>>(
                 now,
                 cur_ctx: hop.as_ref().map(|h| h.ctx),
             };
-            ctx.hot(to).recv += 1;
+            ctx.hot(to).count_recv();
             let tracing = shared.obs.events_enabled();
             let (size, cpu_before) = if tracing {
                 let s = msg.size_bytes() as u64;

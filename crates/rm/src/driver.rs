@@ -5,7 +5,7 @@
 use crate::master::CentralizedMaster;
 use crate::profile::{HeartbeatMode, RmProfile};
 use crate::proto::RmMsg;
-use crate::slave::{SlaveConfig, SlaveDaemon, SlaveHeartbeat};
+use crate::slave::{SlaveConfig, SlaveDaemon, SlaveGroup, SlaveHeartbeat};
 use emu::{Actor, Context, NodeId};
 use obs::{tag_scope, MemTag, Recorder};
 use rand::rngs::StdRng;
@@ -13,7 +13,6 @@ use rand::RngExt;
 use simclock::rng::{exponential, stream_rng};
 use simclock::{SimSpan, SimTime};
 use std::ops::Range;
-use std::sync::Arc;
 
 /// A node of a centralized-RM cluster. One value per emulated node, nearly
 /// all of them `Slave`, so the one master is boxed.
@@ -159,7 +158,7 @@ pub fn actors(profile: RmProfile, n_compute: usize, obs: &Recorder) -> Vec<RmNod
             synchronized,
         },
     };
-    let slave_cfg = Arc::new(SlaveConfig {
+    let group = SlaveGroup::from(SlaveConfig {
         master: NodeId::MASTER,
         heartbeat,
         conn_lifetime: profile.conn_lifetime,
@@ -171,7 +170,7 @@ pub fn actors(profile: RmProfile, n_compute: usize, obs: &Recorder) -> Vec<RmNod
         CentralizedMaster::new(profile, slaves).with_obs(obs.clone()),
     )));
     for _ in 0..n_compute {
-        actors.push(RmNode::Slave(SlaveDaemon::new(Arc::clone(&slave_cfg))));
+        actors.push(RmNode::Slave(SlaveDaemon::new(group.clone())));
     }
     actors
 }

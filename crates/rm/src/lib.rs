@@ -26,4 +26,4 @@ pub use driver::{actors, Arrival, JobStream, RmNode};
 pub use master::{CentralizedMaster, JobRecord, MasterLog};
 pub use profile::{Fanout, HeartbeatMode, RmProfile};
 pub use proto::{CtlKind, NodeSlice, RmMsg};
-pub use slave::{SlaveConfig, SlaveDaemon, SlaveHeartbeat};
+pub use slave::{SlaveConfig, SlaveDaemon, SlaveGroup, SlaveHeartbeat};

@@ -9,7 +9,8 @@ use emu::{Actor, Context, NodeId};
 use obs::{Counter, Recorder, TraceContext};
 use rand::RngExt;
 use simclock::{SimSpan, SimTime};
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 use topology::{balanced_chunks, relay_depth};
 
 /// Heartbeat behaviour of a slave.
@@ -83,35 +84,164 @@ impl Default for SlaveConfig {
 }
 
 const TOKEN_HEARTBEAT: u64 = 0;
-const TOKEN_RELAY_BASE: u64 = 1;
+const TOKEN_RELAY_BASE: u32 = 1;
+
+/// End of an arena list.
+const NIL: u32 = u32::MAX;
+
+/// One slot of a [`RelayArena`]: a live relay linked into its node's list,
+/// or a free slot linked into the free list.
+struct Slot {
+    /// The next slot of the same list (`NIL` ends it).
+    next: u32,
+    /// The relay's ack-timer token, unique among its node's relays.
+    token: u32,
+    /// `None` while the slot is free.
+    relay: Option<Relay>,
+}
+
+/// The relay bookkeeping of every slave of one deployment. Each daemon
+/// holds the head of its own list of live relays, oldest (lowest token)
+/// first — the order an ack searches in. A closed relay's slot goes on the
+/// free list and the next relay anywhere in the deployment reuses it, so
+/// the arena grows only to the peak number of relays open at once, and a
+/// node that is not relaying holds nothing.
+struct RelayArena {
+    slots: Vec<Slot>,
+    /// Head of the free list.
+    free: u32,
+}
+
+impl RelayArena {
+    fn new() -> Self {
+        RelayArena {
+            slots: Vec::new(),
+            free: NIL,
+        }
+    }
+
+    /// Append `relay` to the list at `head`.
+    fn push(&mut self, head: &mut u32, token: u32, relay: Relay) {
+        let slot = Slot {
+            next: NIL,
+            token,
+            relay: Some(relay),
+        };
+        let at = if self.free != NIL {
+            let at = self.free;
+            self.free = self.slots[at as usize].next;
+            self.slots[at as usize] = slot;
+            at
+        } else {
+            let at = u32::try_from(self.slots.len())
+                .ok()
+                .filter(|&at| at != NIL)
+                .expect("relay arena exhausted the u32 slot space");
+            self.slots.push(slot);
+            at
+        };
+        if *head == NIL {
+            *head = at;
+        } else {
+            let mut tail = *head;
+            while self.slots[tail as usize].next != NIL {
+                tail = self.slots[tail as usize].next;
+            }
+            self.slots[tail as usize].next = at;
+        }
+    }
+
+    /// The first slot of the list at `head` that `hit` accepts, with the
+    /// slot before it (`NIL` when it is the head).
+    fn find(&self, head: u32, hit: impl Fn(&Slot) -> bool) -> Option<(u32, u32)> {
+        let (mut prev, mut at) = (NIL, head);
+        while at != NIL {
+            let slot = &self.slots[at as usize];
+            if hit(slot) {
+                return Some((prev, at));
+            }
+            (prev, at) = (at, slot.next);
+        }
+        None
+    }
+
+    /// Unlink slot `at` (found after `prev`) from the list at `head`, free
+    /// it, and return its relay.
+    fn unlink(&mut self, head: &mut u32, prev: u32, at: u32) -> Relay {
+        let slot = &mut self.slots[at as usize];
+        let next = std::mem::replace(&mut slot.next, self.free);
+        let relay = slot.relay.take().expect("a linked slot holds a relay");
+        self.free = at;
+        if prev == NIL {
+            *head = next;
+        } else {
+            self.slots[prev as usize].next = next;
+        }
+        relay
+    }
+}
+
+/// What the slaves of one deployment share: their configuration and the
+/// arena their relay bookkeeping lives in. A builder makes one and hands
+/// each daemon a clone (a reference-count bump). The engine runs on one
+/// thread, so the arena sits in a `RefCell`; no borrow of it is held
+/// across a `Context` call.
+#[derive(Clone)]
+pub struct SlaveGroup(Rc<GroupState>);
+
+struct GroupState {
+    cfg: SlaveConfig,
+    relays: RefCell<RelayArena>,
+}
+
+/// A group of slaves configured by `cfg`, with an empty relay arena. A
+/// daemon built from a bare config gets a group, and an arena, of its own.
+impl From<SlaveConfig> for SlaveGroup {
+    fn from(cfg: SlaveConfig) -> Self {
+        SlaveGroup(Rc::new(GroupState {
+            cfg,
+            relays: RefCell::new(RelayArena::new()),
+        }))
+    }
+}
 
 /// The slave daemon actor.
 pub struct SlaveDaemon {
-    /// Shared by every slave of a cluster: one daemon per emulated node,
-    /// so a private copy would cost each of them the whole config.
-    cfg: Arc<SlaveConfig>,
-    /// Live relays by timer token, oldest first. Tokens only grow, so push
-    /// order is token order — the order an ack searches in — and a node
-    /// holds a handful at most, so a scan beats a map and its per-relay
-    /// node allocation. Most relaying nodes only ever hold one, so the
-    /// first relay reserves exactly one entry; capacity is never shrunk,
-    /// so a node that once overlapped relays keeps its room.
-    relays: Vec<(u64, Relay)>,
-    next_token: u64,
+    /// Shared by every slave of a deployment: one daemon per emulated
+    /// node, so a private copy of the config or of relay room would cost
+    /// each of them.
+    group: SlaveGroup,
     /// Launch/terminate messages this node has executed (for assertions).
     pub ctl_handled: u64,
+    /// Head of this node's list of live relays in the group's arena.
+    relays: u32,
+    /// The token of the next relay's ack timer. Tokens only grow, so list
+    /// order is token order; running out of them panics rather than wrap
+    /// onto a timer that may still be pending.
+    next_token: u32,
 }
 
 impl SlaveDaemon {
-    /// A daemon with the given configuration. A cluster builder passes one
-    /// `Arc` clone per slave; a `SlaveConfig` value is wrapped here.
-    pub fn new(cfg: impl Into<Arc<SlaveConfig>>) -> Self {
+    /// A daemon in `group`. A deployment builder passes one clone of its
+    /// [`SlaveGroup`] per slave; a bare [`SlaveConfig`] gets a group of
+    /// its own.
+    pub fn new(group: impl Into<SlaveGroup>) -> Self {
         SlaveDaemon {
-            cfg: cfg.into(),
-            relays: Vec::new(),
-            next_token: TOKEN_RELAY_BASE,
+            group: group.into(),
             ctl_handled: 0,
+            relays: NIL,
+            next_token: TOKEN_RELAY_BASE,
         }
+    }
+
+    /// Slots in the relay arena this daemon's deployment shares: the peak
+    /// number of relays its slaves have held open at once.
+    pub fn relay_slots(&self) -> usize {
+        self.group.0.relays.borrow().slots.len()
+    }
+
+    fn cfg(&self) -> &SlaveConfig {
+        &self.group.0.cfg
     }
 
     fn handle_ctl(
@@ -125,10 +255,10 @@ impl SlaveDaemon {
     ) {
         // Execute locally (spawn or kill the job step).
         self.ctl_handled += 1;
-        self.cfg.obs.inc(Counter::CtlExecuted);
+        self.cfg().obs.inc(Counter::CtlExecuted);
         ctx.charge_cpu(match kind {
-            CtlKind::Launch => self.cfg.launch_cpu,
-            CtlKind::Terminate => self.cfg.term_cpu,
+            CtlKind::Launch => self.cfg().launch_cpu,
+            CtlKind::Terminate => self.cfg().term_cpu,
             CtlKind::Ping => SimSpan::from_micros(30),
         });
         if list.is_empty() {
@@ -161,24 +291,51 @@ impl SlaveDaemon {
             );
         }
         let token = self.next_token;
-        self.next_token += 1;
-        if self.relays.capacity() == 0 {
-            self.relays.reserve_exact(1);
-        }
-        self.relays.push((
-            token,
-            Relay {
-                origin: from,
-                job,
-                kind,
-                expected,
-                received: 0,
-                count: 1,
-                traced: ctx.trace_current().map(|tc| Box::new((ctx.now(), tc))),
-            },
-        ));
+        self.next_token = token
+            .checked_add(1)
+            .expect("a slave exhausted its u32 relay tokens");
+        let relay = Relay {
+            origin: from,
+            job,
+            kind,
+            expected,
+            received: 0,
+            count: 1,
+            traced: ctx.trace_current().map(|tc| Box::new((ctx.now(), tc))),
+        };
+        self.group
+            .0
+            .relays
+            .borrow_mut()
+            .push(&mut self.relays, token, relay);
         let depth = relay_depth(list.len(), w) as u64;
-        ctx.set_timer(self.cfg.ack_timeout * depth.max(1), token);
+        ctx.set_timer(self.cfg().ack_timeout * depth.max(1), token.into());
+    }
+
+    /// Attribute an ack to the oldest live relay of `(job, kind)`, and
+    /// return that relay once every child has answered. A stale ack,
+    /// after its relay timed out, matches nothing.
+    fn take_ack(&mut self, job: u64, kind: CtlKind, count: u32) -> Option<Relay> {
+        let mut arena = self.group.0.relays.borrow_mut();
+        let hit = |s: &Slot| {
+            s.relay
+                .as_ref()
+                .is_some_and(|r| r.job == job && r.kind == kind)
+        };
+        let (prev, at) = arena.find(self.relays, hit)?;
+        let relay = arena.slots[at as usize].relay.as_mut()?;
+        relay.received += 1;
+        relay.count += count;
+        (relay.received >= relay.expected).then(|| arena.unlink(&mut self.relays, prev, at))
+    }
+
+    /// Unlink and return the live relay whose ack timer is `token`; `None`
+    /// for the timer of a relay that already closed.
+    fn take_timed_out(&mut self, token: u64) -> Option<Relay> {
+        let token = u32::try_from(token).ok()?;
+        let mut arena = self.group.0.relays.borrow_mut();
+        let (prev, at) = arena.find(self.relays, |s| s.token == token)?;
+        Some(arena.unlink(&mut self.relays, prev, at))
     }
 
     fn finish_relay(ctx: &mut dyn Context<RmMsg>, relay: &Relay) {
@@ -196,7 +353,7 @@ impl SlaveDaemon {
         if let SlaveHeartbeat::Push {
             interval,
             synchronized,
-        } = self.cfg.heartbeat
+        } = self.cfg().heartbeat
         {
             let delay = if synchronized {
                 // Fire at the next wall-clock multiple of the interval,
@@ -235,20 +392,8 @@ impl Actor<RmMsg> for SlaveDaemon {
                 self.handle_ctl(ctx, from, job, kind, list, width);
             }
             RmMsg::CtlAck { job, kind, count } => {
-                // Attribute to the matching live relay (job+kind identify
-                // it; a stale ack after timeout is dropped).
-                let found = self
-                    .relays
-                    .iter()
-                    .position(|(_, r)| r.job == job && r.kind == kind);
-                if let Some(at) = found {
-                    let relay = &mut self.relays[at].1;
-                    relay.received += 1;
-                    relay.count += count;
-                    if relay.received >= relay.expected {
-                        Self::finish_relay(ctx, relay);
-                        self.relays.remove(at);
-                    }
+                if let Some(relay) = self.take_ack(job, kind, count) {
+                    Self::finish_relay(ctx, &relay);
                 }
             }
             _ => {}
@@ -259,15 +404,16 @@ impl Actor<RmMsg> for SlaveDaemon {
         if token == TOKEN_HEARTBEAT {
             ctx.charge_cpu(SimSpan::from_micros(20));
             let me = ctx.me().0;
-            let master = self.cfg.master;
-            ctx.open_socket_for(master, self.cfg.conn_lifetime);
+            let master = self.cfg().master;
+            ctx.open_socket_for(master, self.cfg().conn_lifetime);
             ctx.send(master, RmMsg::Heartbeat { node: me });
             self.arm_heartbeat(ctx);
-        } else if let Some(at) = self.relays.iter().position(|&(t, _)| t == token) {
-            let (_, relay) = self.relays.remove(at);
-            // Children that didn't answer in time are reported as missing
-            // (partial count) — the parent layer handles re-routing. The
-            // wait on the silent subtree is timeout backoff in the trace.
+        } else if let Some(relay) = self.take_timed_out(token) {
+            // Children that didn't answer in time are reported as missing:
+            // the upward ack carries a partial count, and nothing re-routes
+            // around the silent child, so the healthy nodes stranded below
+            // it never get this broadcast. The wait on the silent subtree
+            // is timeout backoff in the trace.
             if let Some(traced) = &relay.traced {
                 let (started, tc) = **traced;
                 ctx.trace_backoff(&tc, started);
@@ -326,12 +472,38 @@ mod tests {
         })
     }
 
+    /// A sink and `n - 1` quiet slaves sharing one group, as a deployment
+    /// builds them.
     fn cluster(n: usize) -> SimCluster<RmMsg, Node> {
+        let group = SlaveGroup::from(SlaveConfig {
+            heartbeat: SlaveHeartbeat::None,
+            ..Default::default()
+        });
         let mut actors = vec![Node::Sink(Sink { acks: Vec::new() })];
         for _ in 1..n {
-            actors.push(Node::Slave(quiet_slave()));
+            actors.push(Node::Slave(SlaveDaemon::new(group.clone())));
         }
         SimCluster::new(actors, SimConfig::new(n, 42))
+    }
+
+    fn slave(c: &SimCluster<RmMsg, Node>, node: u32) -> &SlaveDaemon {
+        let Node::Slave(s) = c.actor(NodeId(node)) else {
+            panic!("node {node} is not a slave")
+        };
+        s
+    }
+
+    /// Relays live at `node`, counted along its arena list.
+    fn live_relays(c: &SimCluster<RmMsg, Node>, node: u32) -> usize {
+        let s = slave(c, node);
+        let arena = s.group.0.relays.borrow();
+        let mut at = s.relays;
+        let mut n = 0;
+        while at != NIL {
+            n += 1;
+            at = arena.slots[at as usize].next;
+        }
+        n
     }
 
     #[test]
@@ -475,16 +647,18 @@ mod tests {
     #[test]
     fn daemon_and_relay_entry_stay_small() {
         use std::mem::size_of;
-        // One daemon per emulated node: the config is shared, not copied.
-        assert!(size_of::<SlaveDaemon>() <= 48);
+        // One daemon per emulated node: the config and the relay room are
+        // shared, not copied; a daemon keeps a list head and a counter.
+        assert!(size_of::<SlaveDaemon>() <= 24);
         // Tracing-only fields sit behind one box.
-        assert!(size_of::<(u64, Relay)>() <= 48);
+        assert!(size_of::<Slot>() <= 48);
     }
 
     #[test]
     fn one_relay_at_a_time_holds_one_entry_and_overlaps_still_ack() {
         // Node 1 relays job 1 over [2], then job 2 over [3] once job 1 has
-        // closed: a table that only ever holds one relay reserves one.
+        // closed: one relay at a time takes one arena slot, and an idle
+        // node holds none.
         let mut c = cluster(6);
         let ctl = |job, nodes: Vec<u32>| RmMsg::JobCtl {
             job,
@@ -498,12 +672,8 @@ mod tests {
             };
             sink.acks.clone()
         };
-        let relays = |c: &SimCluster<RmMsg, Node>| {
-            let Node::Slave(s) = c.actor(NodeId(1)) else {
-                panic!()
-            };
-            (s.relays.len(), s.relays.capacity())
-        };
+        // (live relays at node 1, slots in the shared arena)
+        let relays = |c: &SimCluster<RmMsg, Node>| (live_relays(c, 1), slave(c, 1).relay_slots());
         assert_eq!(relays(&c), (0, 0));
         c.inject(
             simclock::SimTime::from_millis(1),
@@ -525,9 +695,10 @@ mod tests {
             acks(&c),
             vec![(1, CtlKind::Launch, 2), (2, CtlKind::Launch, 2)]
         );
-        // Three overlapping relays grow the table; each still closes on
-        // its own acks, and the grown capacity is kept.
-        for (job, nodes) in [(3, vec![2, 3]), (4, vec![4]), (5, vec![5, 2])] {
+        // Three overlapping relays take three slots; each still closes on
+        // its own acks, and the freed slots stay in the arena.
+        let overlap = [(3, vec![2, 3]), (4, vec![4]), (5, vec![5, 2])];
+        for (job, nodes) in overlap.clone() {
             c.inject(
                 simclock::SimTime::from_secs(3),
                 NodeId::MASTER,
@@ -535,10 +706,10 @@ mod tests {
                 ctl(job, nodes),
             );
         }
+        c.run_until(simclock::SimTime::from_secs(3));
+        assert_eq!(relays(&c), (3, 3));
         c.run_until(simclock::SimTime::from_secs(4));
-        let (len, cap) = relays(&c);
-        assert_eq!(len, 0);
-        assert!(cap >= 3, "capacity {cap}");
+        assert_eq!(relays(&c), (0, 3));
         let mut late = acks(&c).split_off(2);
         late.sort_unstable_by_key(|&(job, _, _)| job);
         assert_eq!(
@@ -549,6 +720,22 @@ mod tests {
                 (5, CtlKind::Launch, 3)
             ]
         );
+        // Later overlapping relays, at this node and at another, reuse the
+        // freed slots: the arena does not grow.
+        for (job, nodes) in overlap {
+            c.inject(
+                simclock::SimTime::from_secs(5),
+                NodeId::MASTER,
+                NodeId(1 + (job as u32 % 2)),
+                ctl(job + 3, nodes.into_iter().map(|n| 1 + n % 5).collect()),
+            );
+        }
+        c.run_until(simclock::SimTime::from_secs(5));
+        assert_eq!(live_relays(&c, 1) + live_relays(&c, 2), 3);
+        assert_eq!(slave(&c, 1).relay_slots(), 3);
+        c.run_until(simclock::SimTime::from_secs(6));
+        assert_eq!(relays(&c), (0, 3));
+        assert_eq!(acks(&c).len(), 8);
     }
 
     #[test]
