@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use simclock::{SimSpan, SimTime};
 
 /// A message payload that can travel between nodes.
-pub trait Payload: Clone + Send + std::fmt::Debug + 'static {
+pub trait Payload: Clone + std::fmt::Debug + 'static {
     /// Modelled wire size in bytes (drives latency and transmit gaps).
     fn size_bytes(&self) -> u32 {
         64

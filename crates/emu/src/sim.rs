@@ -43,8 +43,8 @@ use crate::network::LatencyModel;
 use crate::node::NodeId;
 use crate::state::{HotNode, NodeStore};
 use obs::{
-    bucket_index, tag_scope, CausalRecord, Counter, EventKind, FlowKind, Hist, HopSend, MemTag,
-    Recorder, Sampler, SloEngine, TraceContext,
+    tag_scope, CausalRecord, Counter, EventKind, FlowKind, Hist, HopSend, MemTag, Recorder,
+    Sampler, SloEngine, TraceContext,
 };
 use rand::rngs::StdRng;
 use simclock::{EventKey, KeyedQueue, SimSpan, SimTime};
@@ -132,64 +132,11 @@ enum Ev<M> {
     },
 }
 
-/// What a handler mutates through its context: the event queue, every
-/// node's engine state, and the send tally.
+/// What a handler mutates through its context: the event queue and
+/// every node's engine state.
 struct Core<M> {
     queue: KeyedQueue<Ev<M>>,
     nodes: NodeStore,
-    /// Send metrics not yet in the recorder. The contract:
-    /// `Counter::MsgsSent`, `Counter::BytesSent` and `Hist::HopLatencyUs`
-    /// are read by nobody while events run, only by a sampling tick and
-    /// after `run_until` returns — and `SimCluster::flush_sends` hands the
-    /// tally over at exactly those two points, so every read sees every
-    /// send before it.
-    sends: SendTally,
-}
-
-/// Send metrics added up in plain integers on the hot path, in place of
-/// five relaxed atomic read-modify-writes per message. Adds wrap, as the
-/// recorder's `fetch_add` does.
-struct SendTally {
-    msgs: u64,
-    bytes: u64,
-    /// `Hist::HopLatencyUs` bucket counts of the flight times.
-    hop_buckets: Vec<u64>,
-    /// Sum of the flight times, µs.
-    hop_sum: u64,
-}
-
-impl SendTally {
-    fn new() -> Self {
-        SendTally {
-            msgs: 0,
-            bytes: 0,
-            hop_buckets: vec![0; Hist::HopLatencyUs.bounds().len() + 1],
-            hop_sum: 0,
-        }
-    }
-
-    #[inline]
-    fn add(&mut self, size: u64, flight_us: u64) {
-        self.msgs = self.msgs.wrapping_add(1);
-        self.bytes = self.bytes.wrapping_add(size);
-        let b = bucket_index(Hist::HopLatencyUs.bounds(), flight_us);
-        self.hop_buckets[b] = self.hop_buckets[b].wrapping_add(1);
-        self.hop_sum = self.hop_sum.wrapping_add(flight_us);
-    }
-
-    /// Move the tally into `obs` and start again from zero.
-    fn flush_into(&mut self, obs: &Recorder) {
-        if self.msgs == 0 {
-            return;
-        }
-        obs.add(Counter::MsgsSent, self.msgs);
-        obs.add(Counter::BytesSent, self.bytes);
-        obs.merge_hist(Hist::HopLatencyUs, &self.hop_buckets, self.hop_sum);
-        self.msgs = 0;
-        self.bytes = 0;
-        self.hop_buckets.fill(0);
-        self.hop_sum = 0;
-    }
 }
 
 /// What dispatch borrows shared: the link model, the fault plan and the
@@ -273,7 +220,9 @@ impl<M: Payload> Context<M> for DesCtx<'_, M> {
         });
         if shared.obs.enabled() {
             let flight = arrive.as_micros() - now.as_micros();
-            self.core.sends.add(size as u64, flight);
+            shared.obs.inc(Counter::MsgsSent);
+            shared.obs.add(Counter::BytesSent, size as u64);
+            shared.obs.observe(Hist::HopLatencyUs, flight);
             shared.obs.span(
                 now.as_micros(),
                 flight,
@@ -588,7 +537,6 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
             // more.
             queue: KeyedQueue::with_capacity(n + 16),
             nodes: NodeStore::new(config.seed, n),
-            sends: SendTally::new(),
         };
 
         let mut sys_seq = 0u64;
@@ -664,7 +612,6 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
     pub fn run_until(&mut self, horizon: SimTime) -> u64 {
         self.ensure_started();
         let n = self.run_loop(horizon);
-        self.flush_sends();
         self.events_processed += n;
         n
     }
@@ -718,18 +665,11 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
         }
     }
 
-    /// Hand the send tally to the recorder (see `Core::sends` for when
-    /// this must run).
-    fn flush_sends(&mut self) {
-        self.core.sends.flush_into(&self.shared.obs);
-    }
-
     /// Fire one engine-level sampling tick at `t`. A tick past `until`
     /// retires the cadence without sampling (the "kill tick"), but still
     /// counts as an event and advances the clock — exactly what the
     /// retired event-based scheduling did.
     fn fire_sample(&mut self, t: SimTime) {
-        self.flush_sends();
         self.now = self.now.max(t);
         let Some(s) = self.ticks.as_ref().filter(|s| t <= s.until) else {
             self.sample_next = None;
@@ -1148,14 +1088,15 @@ mod tests {
     /// puts them in injection order.
     #[test]
     fn time_lane_ties_run_in_seq_order() {
-        use std::sync::{Arc, Mutex};
-        struct Log(Arc<Mutex<Vec<u64>>>);
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        struct Log(Rc<RefCell<Vec<u64>>>);
         impl Actor<u64> for Log {
             fn on_message(&mut self, _: &mut dyn Context<u64>, _: NodeId, msg: u64) {
-                self.0.lock().unwrap().push(msg);
+                self.0.borrow_mut().push(msg);
             }
         }
-        let log = Arc::new(Mutex::new(Vec::new()));
+        let log = Rc::new(RefCell::new(Vec::new()));
         let actors = (0..4).map(|_| Log(log.clone())).collect();
         let mut c = SimCluster::new(actors, SimConfig::new(4, 1));
         let at = SimTime::from_millis(5);
@@ -1163,7 +1104,50 @@ mod tests {
             c.inject(at, NodeId(0), NodeId(to), msg);
         }
         c.run_to_quiescence();
-        assert_eq!(*log.lock().unwrap(), vec![0, 1, 2, 3]);
+        assert_eq!(*log.borrow(), vec![0, 1, 2, 3]);
+    }
+
+    /// The send metrics reach the recorder at the send: a handler that
+    /// reads them right after sending sees its own sends.
+    #[test]
+    fn a_handler_sees_its_own_sends() {
+        const K: u64 = 5;
+        struct Sender {
+            rec: Recorder,
+            /// `(msgs, bytes, hop observations)` read right after sending.
+            seen: Option<(u64, u64, u64)>,
+        }
+        impl Actor<u64> for Sender {
+            fn on_start(&mut self, ctx: &mut dyn Context<u64>) {
+                if ctx.me() != NodeId(0) {
+                    return;
+                }
+                for i in 0..K {
+                    ctx.send(NodeId(1), i);
+                }
+                self.seen = Some((
+                    self.rec.counter(Counter::MsgsSent),
+                    self.rec.counter(Counter::BytesSent),
+                    self.rec.hist(Hist::HopLatencyUs).count,
+                ));
+            }
+            fn on_message(&mut self, _: &mut dyn Context<u64>, _: NodeId, _: u64) {}
+        }
+        let rec = Recorder::metrics_only();
+        let cfg = SimConfig {
+            obs: rec.clone(),
+            ..SimConfig::new(2, 3)
+        };
+        let actors = (0..2)
+            .map(|_| Sender {
+                rec: rec.clone(),
+                seen: None,
+            })
+            .collect();
+        let mut c = SimCluster::new(actors, cfg);
+        c.run_to_quiescence();
+        let bytes = K * u64::from(0u64.size_bytes());
+        assert_eq!(c.actor(NodeId(0)).seen, Some((K, bytes, K)));
     }
 
     /// Ticks interleave with a chatty mesh's events, and the tracked

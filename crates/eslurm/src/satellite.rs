@@ -16,6 +16,10 @@ use obs::{EventKind, Hist, Recorder, TraceContext};
 use rm::proto::{CtlKind, NodeSlice, RmMsg};
 use simclock::{SimSpan, SimTime};
 use std::collections::{BTreeMap, HashSet};
+#[allow(
+    clippy::disallowed_types,
+    reason = "the frozen end-to-end benchmark shares its predictor as an `Arc<Mutex<..>>`"
+)]
 use std::sync::{Arc, Mutex};
 use topology::balanced_chunks;
 use topology::fptree::{rearrange_sorted_into, sorted_suspects};
@@ -93,6 +97,10 @@ const DEADLINE_TIMER: u64 = 1;
 struct SatelliteState {
     cfg: EslurmConfig,
     /// Shared failure predictor (the monitoring subsystem's suspect feed).
+    #[allow(
+        clippy::disallowed_types,
+        reason = "the frozen end-to-end benchmark shares its predictor as an `Arc<Mutex<..>>`"
+    )]
     predictor: Option<Arc<Mutex<dyn FailurePredictor>>>,
     tasks: BTreeMap<u64, PendingTask>,
     next_token: u64,
@@ -116,6 +124,10 @@ impl SatelliteDaemon {
     /// A satellite with the deployment config and an optional failure
     /// predictor (no predictor = plain grouping trees, the FP-Tree-off
     /// ablation).
+    #[allow(
+        clippy::disallowed_types,
+        reason = "the frozen end-to-end benchmark shares its predictor as an `Arc<Mutex<..>>`"
+    )]
     pub fn new(cfg: EslurmConfig, predictor: Option<Arc<Mutex<dyn FailurePredictor>>>) -> Self {
         SatelliteDaemon {
             st: Box::new(SatelliteState {
@@ -600,6 +612,10 @@ mod tests {
     }
 
     #[test]
+    #[allow(
+        clippy::disallowed_types,
+        reason = "the frozen end-to-end benchmark shares its predictor as an `Arc<Mutex<..>>`"
+    )]
     fn predictor_suspects_counted_on_leaves() {
         let n = 50;
         let faults = emu::FaultPlan::from_outages(

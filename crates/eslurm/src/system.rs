@@ -18,6 +18,10 @@ use rm::slave::{SlaveConfig, SlaveDaemon, SlaveGroup, SlaveHeartbeat};
 use rm::{CentralizedMaster, JobStream, MasterLog, RmNode, RmProfile};
 use simclock::{SimSpan, SimTime};
 use std::ops::Range;
+#[allow(
+    clippy::disallowed_types,
+    reason = "the frozen end-to-end benchmark shares its predictor as an `Arc<Mutex<..>>`"
+)]
 use std::sync::{Arc, Mutex};
 
 /// A node of an ESlurm cluster. One value per emulated node, nearly all of
@@ -97,6 +101,10 @@ pub trait Stack {
     fn master(node: &Self::Node) -> &Self::Master;
 }
 
+#[allow(
+    clippy::disallowed_types,
+    reason = "the frozen end-to-end benchmark shares its predictor as an `Arc<Mutex<..>>`"
+)]
 impl Stack for EslurmConfig {
     type Node = EslurmNode;
     type Master = EslurmMaster;
@@ -278,6 +286,10 @@ impl SystemBuilder<EslurmConfig> {
     }
 
     /// Install a failure predictor shared by all satellites.
+    #[allow(
+        clippy::disallowed_types,
+        reason = "the frozen end-to-end benchmark shares its predictor as an `Arc<Mutex<..>>`"
+    )]
     pub fn predictor(mut self, p: Arc<Mutex<dyn FailurePredictor>>) -> Self {
         self.extra = Some(p);
         self

@@ -16,7 +16,7 @@ use std::collections::{HashMap, VecDeque};
 use workload::Job;
 
 /// A source of job-runtime predictions, evaluated by chronological replay.
-pub trait RuntimePredictor: Send {
+pub trait RuntimePredictor {
     /// Display name (used in reports).
     fn name(&self) -> String;
     /// A job completed; learn from it.

@@ -1,7 +1,7 @@
 //! Feature scaling and the common regressor interface.
 
 /// A trainable regression model over dense feature vectors.
-pub trait Regressor: Send {
+pub trait Regressor {
     /// Fit the model to `(x, y)` pairs. `x` rows must share a length.
     fn fit(&mut self, x: &[Vec<f64>], y: &[f64]);
     /// Predict the target for one feature vector.

@@ -16,7 +16,7 @@ use simclock::{SimSpan, SimTime};
 use std::collections::HashSet;
 
 /// A source of "these nodes are likely to fail soon" information.
-pub trait FailurePredictor: Send {
+pub trait FailurePredictor {
     /// The current suspect set at time `now`.
     fn suspects(&mut self, now: SimTime) -> HashSet<u32>;
 }

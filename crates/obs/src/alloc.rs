@@ -40,14 +40,12 @@
 //! baseline; `eslurm mem-report` renders the table and `bench_des --mem`
 //! pins `allocs_per_event` into `BENCH_DES.json`.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 #[cfg(feature = "mem-profile")]
 use std::alloc::{GlobalAlloc, Layout, System};
 #[cfg(feature = "mem-profile")]
 use std::cell::Cell;
-#[cfg(feature = "mem-profile")]
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Subsystem attribution tag for heap traffic.
@@ -140,8 +138,13 @@ pub fn mem_profile_compiled() -> bool {
 // ---------------------------------------------------------------------
 
 #[cfg(feature = "mem-profile")]
+#[allow(
+    clippy::disallowed_types,
+    reason = "a `GlobalAlloc` must be `Sync`: the collector behind it counts in atomics"
+)]
 mod collector {
     use super::*;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     pub(super) struct Slot {
         pub live: AtomicU64,
@@ -354,10 +357,10 @@ struct MemShared {
 /// is disabled and every call is an inlined branch. Unlike the other
 /// handles the underlying collector is a process-wide singleton (it
 /// lives inside the global allocator); the handle contributes the
-/// arm-time *baseline* so concurrent profilers each report their own
+/// arm-time *baseline* so overlapping profilers each report their own
 /// window.
 #[derive(Clone, Default)]
-pub struct MemProfiler(Option<Arc<MemShared>>);
+pub struct MemProfiler(Option<Rc<MemShared>>);
 
 impl std::fmt::Debug for MemProfiler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -383,7 +386,7 @@ impl MemProfiler {
         {
             use std::sync::atomic::Ordering;
             collector::ENABLED.store(true, Ordering::Relaxed);
-            MemProfiler(Some(Arc::new(MemShared {
+            MemProfiler(Some(Rc::new(MemShared {
                 baseline: collector::slot_snapshot(),
                 armed_at: Instant::now(),
             })))

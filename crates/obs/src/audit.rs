@@ -19,11 +19,10 @@
 //! numeric or a static string, so [`to_jsonl`] is byte-for-byte
 //! deterministic for a seed — the property the CI audit gate pins.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::rc::Rc;
 
 /// Where a walltime estimate came from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -223,13 +222,13 @@ struct Ring {
 /// Handle to a (possibly disabled) decision audit log. Clones share the
 /// same ring; the default is disabled, making every call a no-op.
 #[derive(Clone, Default)]
-pub struct DecisionLog(Option<Arc<Mutex<Ring>>>);
+pub struct DecisionLog(Option<Rc<RefCell<Ring>>>);
 
 impl std::fmt::Debug for DecisionLog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.0 {
             None => f.write_str("DecisionLog(disabled)"),
-            Some(r) => write!(f, "DecisionLog(cap {})", r.lock().cap),
+            Some(r) => write!(f, "DecisionLog(cap {})", r.borrow().cap),
         }
     }
 }
@@ -244,7 +243,7 @@ impl DecisionLog {
     /// first). A cap of zero retains nothing but
     /// still counts drops.
     pub fn with_cap(cap: usize) -> Self {
-        DecisionLog(Some(Arc::new(Mutex::new(Ring {
+        DecisionLog(Some(Rc::new(RefCell::new(Ring {
             cap,
             records: VecDeque::new(),
             dropped: 0,
@@ -265,7 +264,7 @@ impl DecisionLog {
     /// Append one record, evicting the oldest past the cap.
     pub fn record(&self, t_us: u64, job: u64, est: EstimateRef, decision: Decision) {
         if let Some(r) = &self.0 {
-            let mut ring = r.lock();
+            let mut ring = r.borrow_mut();
             ring.records.push_back(DecisionRecord {
                 t_us,
                 job,
@@ -282,7 +281,7 @@ impl DecisionLog {
     /// Snapshot the retained records in recording order.
     pub fn records(&self) -> Vec<DecisionRecord> {
         match &self.0 {
-            Some(r) => r.lock().records.iter().cloned().collect(),
+            Some(r) => r.borrow().records.iter().cloned().collect(),
             None => Vec::new(),
         }
     }
@@ -297,7 +296,7 @@ impl DecisionLog {
 
     /// Number of retained records.
     pub fn len(&self) -> usize {
-        self.0.as_ref().map_or(0, |r| r.lock().records.len())
+        self.0.as_ref().map_or(0, |r| r.borrow().records.len())
     }
 
     /// Whether nothing is retained.
@@ -307,7 +306,7 @@ impl DecisionLog {
 
     /// Records evicted past the cap so far.
     pub fn dropped(&self) -> u64 {
-        self.0.as_ref().map_or(0, |r| r.lock().dropped)
+        self.0.as_ref().map_or(0, |r| r.borrow().dropped)
     }
 
     /// Render the retained records as JSONL (see [`to_jsonl`]).

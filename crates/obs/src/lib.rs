@@ -1,7 +1,7 @@
 //! # eslurm-obs
 //!
 //! The virtual-time observability layer for the ESlurm reproduction.
-//! Three instruments ride a run: a lock-cheap metrics [`Recorder`]
+//! Three instruments ride a run: a metrics [`Recorder`]
 //! (counters / gauges / fixed-bucket histograms keyed by static ids, a
 //! labeled per-entity registry, and in full-trace mode span-style events
 //! with causal records), a virtual-time [`Sampler`] whose one store
@@ -12,15 +12,19 @@
 //!
 //! ## Design
 //!
-//! - **Handles are free to clone and free to disable.** [`Recorder`] and
-//!   [`Sampler`] are `Option<Arc<..>>`; the defaults ([`Recorder::disabled`],
-//!   [`Sampler::disabled`]) make every recording call an inlined branch, so
-//!   instrumented hot paths cost nothing in un-observed runs.
-//! - **Metrics are relaxed atomics.** Counters, gauges, and histogram
-//!   buckets are `fetch_add`/`store` with `Ordering::Relaxed` — safe from
-//!   any thread, no lock on the recording path. Labeled metrics pay a
-//!   registry lock once per entity ([`Recorder::labeled_counter`]); the
-//!   returned handle records with one relaxed atomic thereafter.
+//! - **Handles are free to clone and free to disable.** [`Recorder`],
+//!   [`Sampler`], [`SloEngine`] and [`DecisionLog`] are `Option<Rc<..>>`;
+//!   the defaults ([`Recorder::disabled`], [`Sampler::disabled`], …) make
+//!   every recording call an inlined branch, so instrumented hot paths cost
+//!   nothing in un-observed runs.
+//! - **Metrics are `Cell`s.** The simulation is single-threaded, so
+//!   counters, gauges and histogram buckets are plain wrapping adds and
+//!   stores on `Cell<u64>`/`Cell<i64>`, and the logs behind them sit in a
+//!   `RefCell`. Labeled metrics pay a registry lookup once per entity
+//!   ([`Recorder::labeled_counter`]); the returned handle records into its
+//!   own cell thereafter. No `RefCell` borrow is held across a call that
+//!   can reach the same handle, so a recording call never finds its own
+//!   state borrowed.
 //! - **Events are virtual-time stamped.** Timestamps are `SimTime` µs, so
 //!   a seed fixes every stamp, and a post-mortem re-runs the seed with the
 //!   full trace on (`eslurm explain`, `critical-path`, `why-job`) instead

@@ -2,11 +2,11 @@
 //!
 //! Every metric the reproduction records is named here, once, as an enum
 //! variant with a compile-time index — recording a counter is an array
-//! index plus a relaxed atomic add, never a hash lookup. Histograms use
+//! index plus a `Cell` add, never a hash lookup. Histograms use
 //! fixed bucket bounds chosen per metric so that two runs (or two nodes)
 //! can be merged and compared bucket-by-bucket.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Monotone event counters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -293,7 +293,7 @@ impl Hist {
     }
 }
 
-/// A fixed-bucket histogram with exact sum/count (lock-free recording).
+/// A fixed-bucket histogram with exact sum/count.
 ///
 /// # Bucketing convention
 ///
@@ -306,16 +306,22 @@ impl Hist {
 /// Prometheus `le` (less-or-equal) semantics and is deterministic: the
 /// same value always lands in the same bucket — see [`bucket_index`].
 ///
-/// `sum` uses wrapping `u64` arithmetic; with the microsecond/second
-/// scales recorded here, overflow would take >500 000 years of virtual
-/// time, so no saturation logic is spent on it.
+/// Counts and `sum` use wrapping `u64` arithmetic; with the
+/// microsecond/second scales recorded here, overflow would take >500 000
+/// years of virtual time, so no saturation logic is spent on it.
 #[derive(Debug)]
 pub struct Histogram {
     bounds: &'static [u64],
     /// One slot per bound plus the overflow bucket.
-    counts: Vec<AtomicU64>,
-    sum: AtomicU64,
-    count: AtomicU64,
+    counts: Vec<Cell<u64>>,
+    sum: Cell<u64>,
+    count: Cell<u64>,
+}
+
+/// Add `n` to a counter cell, wrapping (as every count and sum here does).
+#[inline]
+pub(crate) fn bump(c: &Cell<u64>, n: u64) {
+    c.set(c.get().wrapping_add(n));
 }
 
 /// The bucket index `value` lands in for upper-inclusive `bounds`:
@@ -332,46 +338,23 @@ impl Histogram {
         debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds must rise");
         Histogram {
             bounds,
-            counts: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-            sum: AtomicU64::new(0),
-            count: AtomicU64::new(0),
+            counts: vec![Cell::new(0); bounds.len() + 1],
+            sum: Cell::new(0),
+            count: Cell::new(0),
         }
     }
 
     /// Record one observation (see the type docs for the bucket
     /// convention).
     pub fn observe(&self, value: u64) {
-        let idx = bucket_index(self.bounds, value);
-        self.counts[idx].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Add observations tallied elsewhere: `counts[i]` more values in
-    /// bucket `i` (one slot per bound plus the overflow bucket), summing
-    /// to `sum`. The result equals observing each value one by one.
-    ///
-    /// # Panics
-    /// If `counts` is not `bounds().len() + 1` long.
-    pub(crate) fn merge(&self, counts: &[u64], sum: u64) {
-        assert_eq!(counts.len(), self.counts.len(), "bucket count mismatch");
-        let mut count = 0u64;
-        for (cell, &c) in self.counts.iter().zip(counts) {
-            if c != 0 {
-                cell.fetch_add(c, Ordering::Relaxed);
-                count = count.wrapping_add(c);
-            }
-        }
-        self.sum.fetch_add(sum, Ordering::Relaxed);
-        self.count.fetch_add(count, Ordering::Relaxed);
+        bump(&self.counts[bucket_index(self.bounds, value)], 1);
+        bump(&self.sum, value);
+        bump(&self.count, 1);
     }
 
     /// The observation count and sum, without copying the buckets.
     pub(crate) fn count_sum(&self) -> (u64, u64) {
-        (
-            self.count.load(Ordering::Relaxed),
-            self.sum.load(Ordering::Relaxed),
-        )
+        (self.count.get(), self.sum.get())
     }
 
     /// The bucket bounds this histogram was built with.
@@ -383,13 +366,9 @@ impl Histogram {
     pub fn snapshot(&self) -> HistSnapshot {
         HistSnapshot {
             bounds: self.bounds,
-            counts: self
-                .counts
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            sum: self.sum.load(Ordering::Relaxed),
-            count: self.count.load(Ordering::Relaxed),
+            counts: self.counts.iter().map(Cell::get).collect(),
+            sum: self.sum.get(),
+            count: self.count.get(),
         }
     }
 }
@@ -487,25 +466,6 @@ mod tests {
         // Overflow observations still count toward quantiles, reported at
         // the last finite bound.
         assert_eq!(s.quantile_bound(0.99), Some(100));
-    }
-
-    #[test]
-    fn merge_equals_observing_one_by_one() {
-        const BOUNDS: &[u64] = &[10, 100];
-        let (one, bulk) = (Histogram::new(BOUNDS), Histogram::new(BOUNDS));
-        one.observe(3);
-        bulk.observe(3);
-        let values = [0u64, 10, 11, 100, 101, u64::MAX];
-        let mut counts = [0u64; 3];
-        let mut sum = 0u64;
-        for v in values {
-            one.observe(v);
-            counts[bucket_index(BOUNDS, v)] += 1;
-            sum = sum.wrapping_add(v);
-        }
-        bulk.merge(&counts, sum);
-        assert_eq!(bulk.snapshot(), one.snapshot());
-        assert_eq!(bulk.count_sum(), (7, 3u64.wrapping_add(sum)));
     }
 
     #[test]

@@ -2,28 +2,32 @@
 //!
 //! A disabled recorder is a `None` — every recording call is an inlined
 //! branch on an `Option` discriminant, so the instrumented hot paths cost
-//! nothing when observability is off. An enabled recorder points at one
-//! shared arena of relaxed atomics (counters/gauges/histograms) plus, in
-//! full-trace mode, a mutex-guarded event vector. Beyond the static metric
-//! ids, a labeled registry maps [`MetricId`]s to per-entity cells:
-//! registering returns a handle whose recording path is a single relaxed
-//! atomic, so the registry lock is paid once per entity, not per sample.
+//! nothing when observability is off. An enabled recorder is an `Rc` of
+//! one arena of `Cell`s (counters/gauges/histograms) plus, in full-trace
+//! mode, a `RefCell`'d event vector: the program is single-threaded, so a
+//! record is a plain load and store. Beyond the static metric ids, a
+//! labeled registry maps [`MetricId`]s to per-entity cells: registering
+//! returns a handle that records into its cell directly, so the registry
+//! lookup is paid once per entity, not per sample.
+//!
+//! No `RefCell` borrow here is held across a call that can reach the same
+//! recorder, so no recording call can find its own state borrowed.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::{Cell, Ref, RefCell};
+use std::collections::BTreeMap;
+use std::rc::{Rc, Weak};
 
-use parking_lot::Mutex;
 use simclock::SimTime;
 
 use crate::causal::{CausalRecord, FlowKind, TraceContext};
 use crate::event::{EventKind, TraceEvent};
 use crate::label::MetricId;
-use crate::metric::{Counter, Gauge, Hist, HistSnapshot, Histogram, N_COUNTERS, N_GAUGES};
+use crate::metric::{bump, Counter, Gauge, Hist, HistSnapshot, Histogram, N_COUNTERS, N_GAUGES};
 
 enum LabeledCell {
-    Counter(Arc<AtomicU64>),
-    Gauge(Arc<AtomicI64>),
-    Hist(Arc<Histogram>),
+    Counter(Rc<Cell<u64>>),
+    Gauge(Rc<Cell<i64>>),
+    Hist(Rc<Histogram>),
 }
 
 impl LabeledCell {
@@ -36,54 +40,53 @@ impl LabeledCell {
     }
 }
 
-/// Source of [`Shared::id`].
-static NEXT_SINK_ID: AtomicU64 = AtomicU64::new(0);
-
 struct Shared {
-    /// Tells this sink apart from every other one in the process.
-    id: u64,
     /// Whether `event`/`span` and the causal log keep what they are
     /// handed (full-trace mode).
     record_events: bool,
-    counters: [AtomicU64; N_COUNTERS],
-    gauges: [AtomicI64; N_GAUGES],
+    counters: [Cell<u64>; N_COUNTERS],
+    gauges: [Cell<i64>; N_GAUGES],
     hists: Vec<Histogram>,
-    labeled: Mutex<std::collections::BTreeMap<MetricId, LabeledCell>>,
-    events: Mutex<Vec<TraceEvent>>,
+    labeled: RefCell<BTreeMap<MetricId, LabeledCell>>,
+    events: RefCell<Vec<TraceEvent>>,
     /// Cross-node causal log (see [`crate::causal`]); only populated in
     /// full-trace mode, like `events`.
-    causal: Mutex<Vec<CausalRecord>>,
+    causal: RefCell<Vec<CausalRecord>>,
     /// Trace/span id allocators shared by every producer recording here
     /// (the engine and the backfill scheduler), so all hops share one id
     /// space. Ids start at 1.
-    next_trace: AtomicU64,
-    next_span: AtomicU64,
+    next_trace: Cell<u64>,
+    next_span: Cell<u64>,
 }
 
 impl Shared {
     fn new(record_events: bool) -> Self {
         Shared {
-            id: NEXT_SINK_ID.fetch_add(1, Ordering::Relaxed),
             record_events,
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            gauges: std::array::from_fn(|_| AtomicI64::new(0)),
+            counters: Default::default(),
+            gauges: Default::default(),
             hists: Hist::all()
                 .iter()
                 .map(|h| Histogram::new(h.bounds()))
                 .collect(),
-            labeled: Mutex::new(std::collections::BTreeMap::new()),
-            events: Mutex::new(Vec::new()),
-            causal: Mutex::new(Vec::new()),
-            next_trace: AtomicU64::new(1),
-            next_span: AtomicU64::new(1),
+            labeled: RefCell::default(),
+            events: RefCell::default(),
+            causal: RefCell::default(),
+            next_trace: Cell::new(1),
+            next_span: Cell::new(1),
         }
     }
+}
+
+/// Hand out the next id of an id allocator (wrapping, like the counters).
+fn take_id(next: &Cell<u64>) -> u64 {
+    next.replace(next.get().wrapping_add(1))
 }
 
 /// Handle to a (possibly disabled) metrics + trace sink. Clones share the
 /// same sink; the default is disabled.
 #[derive(Clone, Default)]
-pub struct Recorder(Option<Arc<Shared>>);
+pub struct Recorder(Option<Rc<Shared>>);
 
 impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -104,12 +107,12 @@ impl Recorder {
     /// Counters/gauges/histograms only — event calls are dropped. Use
     /// when only the summary numbers are wanted (e.g. bench bins).
     pub fn metrics_only() -> Self {
-        Recorder(Some(Arc::new(Shared::new(false))))
+        Recorder(Some(Rc::new(Shared::new(false))))
     }
 
     /// Metrics plus the full event trace.
     pub fn full() -> Self {
-        Recorder(Some(Arc::new(Shared::new(true))))
+        Recorder(Some(Rc::new(Shared::new(true))))
     }
 
     /// Whether any recording happens at all.
@@ -137,7 +140,7 @@ impl Recorder {
     #[inline]
     pub fn add(&self, c: Counter, n: u64) {
         if let Some(s) = &self.0 {
-            s.counters[c as usize].fetch_add(n, Ordering::Relaxed);
+            bump(&s.counters[c as usize], n);
         }
     }
 
@@ -145,7 +148,7 @@ impl Recorder {
     #[inline]
     pub fn gauge_set(&self, g: Gauge, v: i64) {
         if let Some(s) = &self.0 {
-            s.gauges[g as usize].store(v, Ordering::Relaxed);
+            s.gauges[g as usize].set(v);
         }
     }
 
@@ -157,20 +160,6 @@ impl Recorder {
         }
     }
 
-    /// Add histogram observations tallied elsewhere: `counts[i]` more
-    /// values in bucket `i` of `h`'s bounds (plus the overflow bucket),
-    /// summing to `sum` — the same state as observing each one. How a
-    /// transport that counts on its own hot path hands the totals over
-    /// before anyone reads them.
-    ///
-    /// # Panics
-    /// If `counts` is not `h.bounds().len() + 1` long.
-    pub fn merge_hist(&self, h: Hist, counts: &[u64], sum: u64) {
-        if let Some(s) = &self.0 {
-            s.hists[h as usize].merge(counts, sum);
-        }
-    }
-
     /// Register (or fetch) the labeled counter `id` and return its handle.
     /// Handles from a disabled recorder are inert.
     ///
@@ -178,10 +167,10 @@ impl Recorder {
     /// If `id` is already registered as a different metric kind.
     pub fn labeled_counter(&self, id: MetricId) -> LabeledCounter {
         LabeledCounter(self.0.as_ref().map(|s| {
-            let mut reg = s.labeled.lock();
+            let mut reg = s.labeled.borrow_mut();
             let cell = reg
                 .entry(id.clone())
-                .or_insert_with(|| LabeledCell::Counter(Arc::new(AtomicU64::new(0))));
+                .or_insert_with(|| LabeledCell::Counter(Rc::default()));
             match cell {
                 LabeledCell::Counter(c) => c.clone(),
                 other => panic!("{id} already registered as a {}", other.kind()),
@@ -195,10 +184,10 @@ impl Recorder {
     /// If `id` is already registered as a different metric kind.
     pub fn labeled_gauge(&self, id: MetricId) -> LabeledGauge {
         LabeledGauge(self.0.as_ref().map(|s| {
-            let mut reg = s.labeled.lock();
+            let mut reg = s.labeled.borrow_mut();
             let cell = reg
                 .entry(id.clone())
-                .or_insert_with(|| LabeledCell::Gauge(Arc::new(AtomicI64::new(0))));
+                .or_insert_with(|| LabeledCell::Gauge(Rc::default()));
             match cell {
                 LabeledCell::Gauge(g) => g.clone(),
                 other => panic!("{id} already registered as a {}", other.kind()),
@@ -213,10 +202,10 @@ impl Recorder {
     /// If `id` is already registered as a different metric kind.
     pub fn labeled_hist(&self, id: MetricId, bounds: &'static [u64]) -> LabeledHist {
         LabeledHist(self.0.as_ref().map(|s| {
-            let mut reg = s.labeled.lock();
+            let mut reg = s.labeled.borrow_mut();
             let cell = reg
                 .entry(id.clone())
-                .or_insert_with(|| LabeledCell::Hist(Arc::new(Histogram::new(bounds))));
+                .or_insert_with(|| LabeledCell::Hist(Rc::new(Histogram::new(bounds))));
             match cell {
                 LabeledCell::Hist(h) => h.clone(),
                 other => panic!("{id} already registered as a {}", other.kind()),
@@ -229,12 +218,12 @@ impl Recorder {
         match &self.0 {
             Some(s) => s
                 .labeled
-                .lock()
+                .borrow()
                 .iter()
                 .map(|(id, cell)| {
                     let v = match cell {
-                        LabeledCell::Counter(c) => LabeledValue::Counter(c.load(Ordering::Relaxed)),
-                        LabeledCell::Gauge(g) => LabeledValue::Gauge(g.load(Ordering::Relaxed)),
+                        LabeledCell::Counter(c) => LabeledValue::Counter(c.get()),
+                        LabeledCell::Gauge(g) => LabeledValue::Gauge(g.get()),
                         LabeledCell::Hist(h) => LabeledValue::Hist(h.snapshot()),
                     };
                     (id.clone(), v)
@@ -244,13 +233,13 @@ impl Recorder {
         }
     }
 
-    /// The labeled registry held locked for one read pass, or `None` when
+    /// The labeled registry borrowed for one read pass, or `None` when
     /// disabled. The sampler's per-tick path: it reads every value in
     /// place, with no id cloned and no histogram bucket copied.
     pub(crate) fn labeled_registry(&self) -> Option<LabeledRegistry<'_>> {
         self.0.as_ref().map(|s| LabeledRegistry {
-            sink: s.id,
-            reg: s.labeled.lock(),
+            sink: s,
+            reg: s.labeled.borrow(),
         })
     }
 
@@ -260,7 +249,7 @@ impl Recorder {
         if let Some(s) = &self.0 {
             if s.record_events {
                 s.events
-                    .lock()
+                    .borrow_mut()
                     .push(TraceEvent::instant(ts_us, node, kind, a, b));
             }
         }
@@ -272,7 +261,7 @@ impl Recorder {
         if let Some(s) = &self.0 {
             if s.record_events {
                 s.events
-                    .lock()
+                    .borrow_mut()
                     .push(TraceEvent::span(ts_us, dur_us, node, kind, a, b));
             }
         }
@@ -327,9 +316,9 @@ impl Recorder {
         if !s.record_events {
             return None;
         }
-        let trace = s.next_trace.fetch_add(1, Ordering::Relaxed);
-        let span = s.next_span.fetch_add(1, Ordering::Relaxed);
-        s.causal.lock().push(CausalRecord::Root {
+        let trace = take_id(&s.next_trace);
+        let span = take_id(&s.next_span);
+        s.causal.borrow_mut().push(CausalRecord::Root {
             trace,
             span,
             flow,
@@ -353,7 +342,7 @@ impl Recorder {
         if !s.record_events {
             return None;
         }
-        let span = s.next_span.fetch_add(1, Ordering::Relaxed);
+        let span = take_id(&s.next_span);
         Some(TraceContext {
             trace: parent.trace,
             span,
@@ -367,7 +356,7 @@ impl Recorder {
     pub fn causal_record(&self, r: CausalRecord) {
         if let Some(s) = &self.0 {
             if s.record_events {
-                s.causal.lock().push(r);
+                s.causal.borrow_mut().push(r);
             }
         }
     }
@@ -387,7 +376,7 @@ impl Recorder {
     /// Snapshot the causal log in recording order.
     pub fn causal_records(&self) -> Vec<CausalRecord> {
         match &self.0 {
-            Some(s) => s.causal.lock().clone(),
+            Some(s) => s.causal.borrow().clone(),
             None => Vec::new(),
         }
     }
@@ -395,7 +384,7 @@ impl Recorder {
     /// Snapshot the recorded events in recording order.
     pub fn events(&self) -> Vec<TraceEvent> {
         match &self.0 {
-            Some(s) => s.events.lock().clone(),
+            Some(s) => s.events.borrow().clone(),
             None => Vec::new(),
         }
     }
@@ -403,7 +392,7 @@ impl Recorder {
     /// Current value of a counter.
     pub fn counter(&self, c: Counter) -> u64 {
         match &self.0 {
-            Some(s) => s.counters[c as usize].load(Ordering::Relaxed),
+            Some(s) => s.counters[c as usize].get(),
             None => 0,
         }
     }
@@ -411,7 +400,7 @@ impl Recorder {
     /// Current value of a gauge.
     pub fn gauge(&self, g: Gauge) -> i64 {
         match &self.0 {
-            Some(s) => s.gauges[g as usize].load(Ordering::Relaxed),
+            Some(s) => s.gauges[g as usize].get(),
             None => 0,
         }
     }
@@ -443,17 +432,17 @@ impl Recorder {
             gauges: Gauge::all().iter().map(|&g| (g, self.gauge(g))).collect(),
             hists: Hist::all().iter().map(|&h| (h, self.hist(h))).collect(),
             n_events: match &self.0 {
-                Some(s) => s.events.lock().len(),
+                Some(s) => s.events.borrow().len(),
                 None => 0,
             },
         }
     }
 }
 
-/// A registered per-entity counter; incrementing is one relaxed atomic.
+/// A registered per-entity counter; incrementing is one `Cell` add.
 /// Handles from a disabled recorder do nothing.
 #[derive(Clone, Debug, Default)]
-pub struct LabeledCounter(Option<Arc<AtomicU64>>);
+pub struct LabeledCounter(Option<Rc<Cell<u64>>>);
 
 impl LabeledCounter {
     /// Increment by 1.
@@ -466,26 +455,26 @@ impl LabeledCounter {
     #[inline]
     pub fn add(&self, n: u64) {
         if let Some(c) = &self.0 {
-            c.fetch_add(n, Ordering::Relaxed);
+            bump(c, n);
         }
     }
 
     /// Current value (0 when inert).
     pub fn get(&self) -> u64 {
-        self.0.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
+        self.0.as_ref().map_or(0, |c| c.get())
     }
 }
 
-/// A registered per-entity gauge; setting is one relaxed atomic store.
+/// A registered per-entity gauge; setting is one `Cell` store.
 #[derive(Clone, Debug, Default)]
-pub struct LabeledGauge(Option<Arc<AtomicI64>>);
+pub struct LabeledGauge(Option<Rc<Cell<i64>>>);
 
 impl LabeledGauge {
     /// Set to an absolute value (last write wins).
     #[inline]
     pub fn set(&self, v: i64) {
         if let Some(g) = &self.0 {
-            g.store(v, Ordering::Relaxed);
+            g.set(v);
         }
     }
 
@@ -493,19 +482,19 @@ impl LabeledGauge {
     #[inline]
     pub fn add(&self, delta: i64) {
         if let Some(g) = &self.0 {
-            g.fetch_add(delta, Ordering::Relaxed);
+            g.set(g.get().wrapping_add(delta));
         }
     }
 
     /// Current value (0 when inert).
     pub fn get(&self) -> i64 {
-        self.0.as_ref().map_or(0, |g| g.load(Ordering::Relaxed))
+        self.0.as_ref().map_or(0, |g| g.get())
     }
 }
 
-/// A registered per-entity histogram; observing is lock-free.
+/// A registered per-entity histogram; observing writes its cells directly.
 #[derive(Clone, Debug, Default)]
-pub struct LabeledHist(Option<Arc<Histogram>>);
+pub struct LabeledHist(Option<Rc<Histogram>>);
 
 impl LabeledHist {
     /// Record one observation.
@@ -522,27 +511,37 @@ impl LabeledHist {
     }
 }
 
-/// A locked view of a recorder's labeled registry (see
+/// A borrowed view of a recorder's labeled registry (see
 /// [`Recorder::labeled_registry`]).
 pub(crate) struct LabeledRegistry<'a> {
-    /// The recorder's [`Shared::id`].
-    sink: u64,
-    reg: parking_lot::MutexGuard<'a, std::collections::BTreeMap<MetricId, LabeledCell>>,
+    sink: &'a Rc<Shared>,
+    reg: Ref<'a, BTreeMap<MetricId, LabeledCell>>,
+}
+
+/// Which recorder's registry, at which size, a reader resolved against.
+/// Keys differ whenever the set of registered ids may have: a registry
+/// only ever grows, and the `Weak` keeps the recorder's allocation alive,
+/// so no recorder built after this one is dropped can take its address.
+pub(crate) struct RegistryKey(Weak<Shared>, usize);
+
+impl PartialEq for RegistryKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.ptr_eq(&other.0) && self.1 == other.1
+    }
 }
 
 impl LabeledRegistry<'_> {
-    /// Changes whenever the set of registered ids may have: the sink
-    /// tells recorders apart, and a registry only ever grows.
-    pub(crate) fn key(&self) -> (u64, usize) {
-        (self.sink, self.reg.len())
+    /// The key of this registry as it stands.
+    pub(crate) fn key(&self) -> RegistryKey {
+        RegistryKey(Rc::downgrade(self.sink), self.reg.len())
     }
 
     /// Every labeled metric in id order, histograms as `(count, sum)`.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (&MetricId, LabeledRead)> {
         self.reg.iter().map(|(id, cell)| {
             let v = match cell {
-                LabeledCell::Counter(c) => LabeledRead::Counter(c.load(Ordering::Relaxed)),
-                LabeledCell::Gauge(g) => LabeledRead::Gauge(g.load(Ordering::Relaxed)),
+                LabeledCell::Counter(c) => LabeledRead::Counter(c.get()),
+                LabeledCell::Gauge(g) => LabeledRead::Gauge(g.get()),
                 LabeledCell::Hist(h) => {
                     let (count, sum) = h.count_sum();
                     LabeledRead::Hist { count, sum }

@@ -1,9 +1,10 @@
 //! The virtual-time metrics sampler.
 //!
 //! A [`Sampler`] is a cheap-clone handle (same shape as [`Recorder`]:
-//! disabled is a `None`) that transports and schedulers call on a
-//! configurable `SimTime` cadence. Each tick appends labeled points to its
-//! one in-memory [`SeriesStore`], all of them virtual time: per-node resource footprints recorded by the
+//! disabled is a `None`, enabled an `Rc` of a `RefCell`'d store) that
+//! transports and schedulers call on a configurable `SimTime` cadence.
+//! Each tick appends labeled points to its one in-memory [`SeriesStore`],
+//! all of them virtual time: per-node resource footprints recorded by the
 //! driver (`footprint_*{node=...}`) plus a snapshot of every static
 //! counter/gauge/histogram and every labeled metric the paired
 //! [`Recorder`] holds. The store then feeds the CSV/Prometheus expositions
@@ -12,19 +13,20 @@
 //! A tick costs what it records. Each series is resolved to its store
 //! slot once — a footprint by `(node, family)`, the static metrics in
 //! `all()` order on the first snapshot, the labeled ones whenever the
-//! recorder's registry grows — and every later tick appends by index.
+//! recorder's registry grows or the recorder changes — and every later
+//! tick appends by index.
 //! Histograms are read as `(count, sum)` in place. A sampler with an end
 //! time knows its tick count and sizes each per-tick series for it once.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use simclock::{SimSpan, SimTime};
 
 use crate::label::MetricId;
 use crate::metric::{Counter, Gauge, Hist};
-use crate::recorder::{LabeledRead, Recorder};
+use crate::recorder::{LabeledRead, Recorder, RegistryKey};
 use crate::series::{SeriesStore, SeriesSummary};
 
 /// Most points a per-tick series reserves up front (1 MiB of points);
@@ -37,7 +39,7 @@ struct SamplerShared {
     /// Points each per-tick series reserves when created: the tick count
     /// of an end-bounded sampler, else none.
     ticks: usize,
-    inner: Mutex<SamplerInner>,
+    inner: RefCell<SamplerInner>,
 }
 
 #[derive(Default)]
@@ -53,13 +55,13 @@ struct SamplerInner {
     /// Store slots of the labeled series in registry order (two per
     /// histogram), and the registry key they were resolved against.
     labeled_slots: Vec<usize>,
-    labeled_key: Option<(u64, usize)>,
+    labeled_key: Option<RegistryKey>,
 }
 
 /// Handle to a (possibly disabled) time-series sampling sink. Clones share
 /// the same store; the default is disabled, making every call a no-op.
 #[derive(Clone, Default)]
-pub struct Sampler(Option<Arc<SamplerShared>>);
+pub struct Sampler(Option<Rc<SamplerShared>>);
 
 impl std::fmt::Debug for Sampler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -80,11 +82,11 @@ impl Sampler {
         let ticks = until.map_or(0, |u| {
             (u.as_micros() / interval.as_micros().max(1)).min(MAX_RESERVED_TICKS) as usize
         });
-        Sampler(Some(Arc::new(SamplerShared {
+        Sampler(Some(Rc::new(SamplerShared {
             interval,
             until,
             ticks,
-            inner: Mutex::new(SamplerInner::default()),
+            inner: RefCell::default(),
         })))
     }
 
@@ -128,7 +130,7 @@ impl Sampler {
     /// `node=node0`). Drivers call this once at cluster build time.
     pub fn name_node(&self, id: u32, name: &str) {
         if let Some(s) = &self.0 {
-            let mut inner = s.inner.lock();
+            let mut inner = s.inner.borrow_mut();
             inner.node_names.insert(id, name.to_string());
             // Later points go to the series under the new name.
             inner.node_slots.retain(|&(node, _), _| node != id);
@@ -138,7 +140,7 @@ impl Sampler {
     /// The node ids that were given names, in id order.
     pub fn named_nodes(&self) -> Vec<u32> {
         match &self.0 {
-            Some(s) => s.inner.lock().node_names.keys().copied().collect(),
+            Some(s) => s.inner.borrow().node_names.keys().copied().collect(),
             None => Vec::new(),
         }
     }
@@ -146,22 +148,23 @@ impl Sampler {
     /// Run `f` against the live series store without cloning it (the SLO
     /// engine's read path — a full [`Sampler::store`] clone per
     /// evaluation tick would dwarf the evaluation itself). `None` when
-    /// disabled. Do not call [`Sampler`] methods from inside `f`.
+    /// disabled. Do not record into this sampler from inside `f`: the
+    /// store is borrowed, so the write would panic.
     pub fn with_store<R>(&self, f: impl FnOnce(&SeriesStore) -> R) -> Option<R> {
-        self.0.as_ref().map(|s| f(&s.inner.lock().store))
+        self.0.as_ref().map(|s| f(&s.inner.borrow().store))
     }
 
     /// Append one point to an arbitrary series.
     pub fn record(&self, t: SimTime, id: MetricId, value: f64) {
         if let Some(s) = &self.0 {
-            s.inner.lock().store.record(id, t, value);
+            s.inner.borrow_mut().store.record(id, t, value);
         }
     }
 
     /// Append one point to `family{node=<name>}` for node `id`.
     pub fn record_node(&self, t: SimTime, id: u32, family: &'static str, value: f64) {
         if let Some(s) = &self.0 {
-            let mut inner = s.inner.lock();
+            let mut inner = s.inner.borrow_mut();
             let slot = inner.node_slot(id, family, s.ticks);
             inner.store.push(slot, t.as_micros(), value);
         }
@@ -178,7 +181,7 @@ impl Sampler {
         }
         let _mem = crate::alloc::tag_scope(crate::alloc::MemTag::Obs);
         let t_us = t.as_micros();
-        let mut guard = s.inner.lock();
+        let mut guard = s.inner.borrow_mut();
         let inner = &mut *guard;
         let store = &mut inner.store;
         if inner.static_slots.is_empty() {
@@ -197,7 +200,8 @@ impl Sampler {
         let Some(reg) = rec.labeled_registry() else {
             return;
         };
-        if inner.labeled_key != Some(reg.key()) {
+        let key = reg.key();
+        if inner.labeled_key.as_ref() != Some(&key) {
             inner.labeled_slots.clear();
             for (id, v) in reg.iter() {
                 if let LabeledRead::Hist { .. } = v {
@@ -209,7 +213,7 @@ impl Sampler {
                     inner.labeled_slots.push(store.slot(id.clone(), s.ticks));
                 }
             }
-            inner.labeled_key = Some(reg.key());
+            inner.labeled_key = Some(key);
         }
         let mut slots = inner.labeled_slots.iter().copied();
         let mut push = |v: f64| store.push(slots.next().expect("slot per series"), t_us, v);
@@ -228,7 +232,7 @@ impl Sampler {
     /// A copy of the collected series.
     pub fn store(&self) -> SeriesStore {
         match &self.0 {
-            Some(s) => s.inner.lock().store.clone(),
+            Some(s) => s.inner.borrow().store.clone(),
             None => SeriesStore::new(),
         }
     }
@@ -236,7 +240,7 @@ impl Sampler {
     /// Render the collected series as CSV (see [`SeriesStore::to_csv`]).
     pub fn to_csv(&self) -> String {
         match &self.0 {
-            Some(s) => s.inner.lock().store.to_csv(),
+            Some(s) => s.inner.borrow().store.to_csv(),
             None => SeriesStore::new().to_csv(),
         }
     }
@@ -244,7 +248,7 @@ impl Sampler {
     /// Per-series order statistics, in id order.
     pub fn summaries(&self) -> Vec<(MetricId, SeriesSummary)> {
         match &self.0 {
-            Some(s) => s.inner.lock().store.summaries(),
+            Some(s) => s.inner.borrow().store.summaries(),
             None => Vec::new(),
         }
     }
@@ -363,6 +367,14 @@ mod tests {
             other.labeled_counter(MetricId::new(name)).add(9);
         }
         s.snapshot(SimTime::from_secs(3), &other);
+        // Dropped, its successor may sit at the same address with as many
+        // ids, all different again: each still gets its own series.
+        drop(other);
+        let third = Recorder::metrics_only();
+        for (name, v) in [("f", 1), ("g", 2), ("h", 3)] {
+            third.labeled_counter(MetricId::new(name)).add(v);
+        }
+        s.snapshot(SimTime::from_secs(4), &third);
         let store = s.store();
         let values = |id: MetricId| -> Vec<(u64, f64)> {
             let pts = store.get(&id).unwrap_or_else(|| panic!("{id} missing"));
@@ -377,7 +389,10 @@ mod tests {
         assert_eq!(values(h().with("stat", "count")), [(2, 1.0)]);
         assert_eq!(values(h().with("stat", "sum")), [(2, 40.0)]);
         assert_eq!(values(MetricId::new("e")), [(3, 9.0)]);
-        assert_eq!(values(MetricId::new("msgs_sent")).len(), 3);
+        assert_eq!(values(MetricId::new("f")), [(4, 1.0)]);
+        assert_eq!(values(MetricId::new("g")), [(4, 2.0)]);
+        assert_eq!(values(MetricId::new("h")), [(4, 3.0)]);
+        assert_eq!(values(MetricId::new("msgs_sent")).len(), 4);
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! [`AnomalySpec`] watches any sampled series for distribution shifts.
 //!
 //! Like every obs layer before it, the engine follows the recorder
-//! discipline — `Option<Arc<..>>` handle, disabled by default, every call
+//! discipline — `Option<Rc<..>>` handle, disabled by default, every call
 //! an inlined branch — and is **non-perturbing** when enabled: it only
-//! *reads* the recorder and sampler on the main thread between events,
+//! *reads* the recorder and sampler between events,
 //! writes to its own state, and nothing it produces feeds back into
 //! simulation decisions. Outcomes stay bit-identical and virtual-time
 //! exports byte-identical with specs armed (pinned by
@@ -27,16 +27,15 @@
 //! ([`SLO_TRACK_PID`]) so Perfetto shows breaches next to the node lanes
 //! without interleaving.
 
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Instant;
 
-use parking_lot::Mutex;
 use simclock::{SimSpan, SimTime};
 
 use crate::label::MetricId;
-use crate::metric::{Gauge, Hist};
+use crate::metric::{bump, Gauge, Hist};
 use crate::recorder::Recorder;
 use crate::sampler::Sampler;
 use crate::series::SeriesPoint;
@@ -379,24 +378,24 @@ struct SloInner {
 }
 
 struct SloShared {
-    inner: Mutex<SloInner>,
+    inner: RefCell<SloInner>,
     /// Wall-clock nanoseconds spent inside `evaluate` (overhead
     /// accounting only — never fed back into the simulation).
-    eval_wall_ns: AtomicU64,
-    evals: AtomicU64,
+    eval_wall_ns: Cell<u64>,
+    evals: Cell<u64>,
 }
 
 /// Cheaply-cloneable handle to a (possibly disabled) online SLO engine.
 /// The default is disabled; clones share the same state.
 #[derive(Clone, Default)]
-pub struct SloEngine(Option<Arc<SloShared>>);
+pub struct SloEngine(Option<Rc<SloShared>>);
 
 impl std::fmt::Debug for SloEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.0 {
             None => f.write_str("SloEngine(disabled)"),
             Some(s) => {
-                let inner = s.inner.lock();
+                let inner = s.inner.borrow();
                 write!(
                     f,
                     "SloEngine(enabled, {} specs, {} detectors)",
@@ -422,8 +421,8 @@ impl SloEngine {
     /// An enabled engine evaluating `specs` and the `anomalies` detectors
     /// on every sampling tick.
     pub fn with_config(specs: Vec<SloSpec>, anomalies: Vec<AnomalySpec>) -> Self {
-        SloEngine(Some(Arc::new(SloShared {
-            inner: Mutex::new(SloInner {
+        SloEngine(Some(Rc::new(SloShared {
+            inner: RefCell::new(SloInner {
                 specs: specs
                     .into_iter()
                     .map(|spec| SpecState {
@@ -454,8 +453,8 @@ impl SloEngine {
                     .collect(),
                 events: Vec::new(),
             }),
-            eval_wall_ns: AtomicU64::new(0),
-            evals: AtomicU64::new(0),
+            eval_wall_ns: Cell::new(0),
+            evals: Cell::new(0),
         })))
     }
 
@@ -475,7 +474,7 @@ impl SloEngine {
     }
 
     /// Evaluate every spec and detector at virtual time `t`. Called by
-    /// the engine on each sampling tick (main thread, between events), so
+    /// the engine on each sampling tick (between events), so
     /// an enabled engine needs a sampling cadence — arm an end-bounded
     /// [`Sampler`] on the cluster. Reads the
     /// recorder/sampler, writes only its own state: non-perturbing by
@@ -486,7 +485,7 @@ impl SloEngine {
         let wall_start = Instant::now();
         let t_us = t.as_micros();
         {
-            let mut inner = shared.inner.lock();
+            let mut inner = shared.inner.borrow_mut();
             let SloInner {
                 specs,
                 anomalies,
@@ -621,16 +620,14 @@ impl SloEngine {
                 }
             }
         }
-        shared.evals.fetch_add(1, Ordering::Relaxed);
-        shared
-            .eval_wall_ns
-            .fetch_add(wall_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        bump(&shared.evals, 1);
+        bump(&shared.eval_wall_ns, wall_start.elapsed().as_nanos() as u64);
     }
 
     /// All breach/clear/anomaly transitions so far, in firing order.
     pub fn events(&self) -> Vec<SloEvent> {
         match &self.0 {
-            Some(s) => s.inner.lock().events.clone(),
+            Some(s) => s.inner.borrow().events.clone(),
             None => Vec::new(),
         }
     }
@@ -639,7 +636,7 @@ impl SloEngine {
     /// `None` when disabled.
     pub fn report(&self) -> Option<SloReport> {
         let s = self.0.as_ref()?;
-        let inner = s.inner.lock();
+        let inner = s.inner.borrow();
         Some(SloReport {
             specs: inner
                 .specs
@@ -670,8 +667,8 @@ impl SloEngine {
                 })
                 .collect(),
             events: inner.events.clone(),
-            evals_total: s.evals.load(Ordering::Relaxed),
-            eval_wall_ns: s.eval_wall_ns.load(Ordering::Relaxed),
+            evals_total: s.evals.get(),
+            eval_wall_ns: s.eval_wall_ns.get(),
         })
     }
 }

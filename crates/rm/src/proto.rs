@@ -11,7 +11,7 @@
 //! the analytic [`Payload::size_bytes`].
 
 use emu::Payload;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// What a job-control broadcast does.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -62,7 +62,7 @@ impl Drop for ListBuf {
 /// A shared node list with a sub-range view.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NodeSlice {
-    list: Arc<ListBuf>,
+    list: Rc<ListBuf>,
     lo: u32,
     hi: u32,
 }
@@ -73,7 +73,7 @@ impl NodeSlice {
     pub fn new(list: Vec<u32>) -> Self {
         let hi = list.len() as u32;
         NodeSlice {
-            list: Arc::new(ListBuf(list)),
+            list: Rc::new(ListBuf(list)),
             lo: 0,
             hi,
         }
@@ -82,7 +82,7 @@ impl NodeSlice {
     /// An empty slice.
     pub fn empty() -> Self {
         NodeSlice {
-            list: Arc::new(ListBuf(Vec::new())),
+            list: Rc::new(ListBuf(Vec::new())),
             lo: 0,
             hi: 0,
         }
@@ -109,7 +109,7 @@ impl NodeSlice {
         let abs_hi = self.lo as usize + hi;
         assert!(abs_lo <= abs_hi && abs_hi <= self.hi as usize);
         NodeSlice {
-            list: Arc::clone(&self.list),
+            list: Rc::clone(&self.list),
             lo: abs_lo as u32,
             hi: abs_hi as u32,
         }

@@ -19,8 +19,9 @@
 //! without widening the `Job` record.
 
 use simclock::{SimSpan, SimTime};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// Decay epochs per half-life: usage decays by `0.5^(1/16)` per epoch.
 const EPOCHS_PER_HALF_LIFE: u64 = 16;
@@ -99,14 +100,14 @@ impl Ledger {
 /// disabled and every call an inlined no-op, so fair-share-free runs are
 /// bit-identical to pre-ledger behavior.
 #[derive(Clone, Default)]
-pub struct FairShareLedger(Option<Arc<Mutex<Ledger>>>);
+pub struct FairShareLedger(Option<Rc<RefCell<Ledger>>>);
 
 impl std::fmt::Debug for FairShareLedger {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.0 {
             None => f.write_str("FairShareLedger(disabled)"),
             Some(l) => {
-                let l = l.lock().unwrap();
+                let l = l.borrow();
                 write!(
                     f,
                     "FairShareLedger(half-life {:?}, {} users, {} banks)",
@@ -129,7 +130,7 @@ impl FairShareLedger {
     /// banks (`u % banks`; 0 or 1 = a single bank).
     pub fn new(half_life: SimSpan, banks: u32) -> Self {
         let epoch_us = (half_life.as_micros() / EPOCHS_PER_HALF_LIFE).max(1);
-        FairShareLedger(Some(Arc::new(Mutex::new(Ledger {
+        FairShareLedger(Some(Rc::new(RefCell::new(Ledger {
             half_life,
             epoch_us,
             per_epoch: 0.5f64.powf(epoch_us as f64 / half_life.as_micros().max(1) as f64),
@@ -148,13 +149,13 @@ impl FairShareLedger {
 
     /// The configured decay half-life.
     pub fn half_life(&self) -> Option<SimSpan> {
-        self.0.as_ref().map(|l| l.lock().unwrap().half_life)
+        self.0.as_ref().map(|l| l.borrow().half_life)
     }
 
     /// The bank `user` belongs to under this ledger's convention.
     pub fn bank_of(&self, user: u32) -> u32 {
         match &self.0 {
-            Some(l) => bank_of(user, l.lock().unwrap().banks),
+            Some(l) => bank_of(user, l.borrow().banks),
             None => 0,
         }
     }
@@ -162,7 +163,7 @@ impl FairShareLedger {
     /// Charge `cores × busy` to `user` (and its bank) as of `now`.
     pub fn charge(&self, user: u32, cores: u64, busy: SimSpan, now: SimTime) {
         let Some(l) = &self.0 else { return };
-        let mut guard = l.lock().unwrap();
+        let mut guard = l.borrow_mut();
         let l = &mut *guard;
         let epoch = now.as_micros() / l.epoch_us;
         let per_epoch = l.per_epoch;
@@ -195,7 +196,7 @@ impl FairShareLedger {
 
     /// Users that have ever been charged.
     pub fn active_users(&self) -> usize {
-        self.0.as_ref().map_or(0, |l| l.lock().unwrap().users.len())
+        self.0.as_ref().map_or(0, |l| l.borrow().users.len())
     }
 
     /// The fair-share priority factor for `user` as of `now`, in `(0, 1]`.
@@ -207,7 +208,7 @@ impl FairShareLedger {
     /// their members down.
     pub fn factor(&self, user: u32, now: SimTime) -> f64 {
         let Some(l) = &self.0 else { return 1.0 };
-        let l = l.lock().unwrap();
+        let l = l.borrow();
         let epoch = l.epoch_at(now);
         let total = l.total.read(epoch, l.per_epoch);
         if total <= 0.0 {
@@ -232,7 +233,7 @@ impl FairShareLedger {
 
     fn read_from(&self, get: impl Fn(&Ledger) -> Option<Account>, now: SimTime) -> f64 {
         let Some(l) = &self.0 else { return 0.0 };
-        let l = l.lock().unwrap();
+        let l = l.borrow();
         let epoch = l.epoch_at(now);
         get(&l).map_or(0.0, |a| a.read(epoch, l.per_epoch))
     }

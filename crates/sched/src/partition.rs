@@ -22,7 +22,7 @@
 //! one — the layering invariant the parity tests pin.
 
 use simclock::SimSpan;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// One logical node group with its own limits and service class.
 #[derive(Clone, Debug, PartialEq)]
@@ -114,7 +114,7 @@ impl Partition {
 /// Cheap to clone (the partitions are shared).
 #[derive(Clone, Debug, PartialEq)]
 pub struct PartitionSet {
-    parts: Arc<Vec<Partition>>,
+    parts: Rc<Vec<Partition>>,
 }
 
 impl Default for PartitionSet {
@@ -128,7 +128,7 @@ impl PartitionSet {
     /// set the scheduler is bit-identical to a partition-unaware one.
     pub fn single_default() -> Self {
         PartitionSet {
-            parts: Arc::new(vec![Partition::named("all")]),
+            parts: Rc::new(vec![Partition::named("all")]),
         }
     }
 
@@ -150,7 +150,7 @@ impl PartitionSet {
             last.name
         );
         PartitionSet {
-            parts: Arc::new(parts),
+            parts: Rc::new(parts),
         }
     }
 

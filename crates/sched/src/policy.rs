@@ -22,7 +22,7 @@ pub struct LimitInfo {
 }
 
 /// Source of walltime limits for the scheduler.
-pub trait LimitPolicy: Send {
+pub trait LimitPolicy {
     /// The walltime limit for a newly submitted job.
     fn limit(&mut self, job: &Job) -> SimSpan;
 

@@ -18,7 +18,7 @@
 use crate::fairshare::FairShareLedger;
 use crate::partition::Partition;
 use simclock::{SimSpan, SimTime};
-use std::sync::Arc;
+use std::rc::Rc;
 use workload::Job;
 
 /// Everything a factor may consult about the world around a queued job.
@@ -39,7 +39,7 @@ pub struct FactorCtx<'a> {
 /// One dimension of a job's priority. Scores are nominally in `[0, 1]`
 /// (QOS may exceed 1 for privileged partitions); the composer applies the
 /// weights.
-pub trait PriorityFactor: Send + Sync {
+pub trait PriorityFactor {
     /// Stable factor name (audit fields, `why-job` rendering).
     fn name(&self) -> &'static str;
 
@@ -139,7 +139,7 @@ pub struct FactorShare {
 /// queue. Cheap to clone (factors are shared).
 #[derive(Clone, Default)]
 pub struct MultifactorPriority {
-    factors: Arc<Vec<(f64, Box<dyn PriorityFactor>)>>,
+    factors: Rc<Vec<(f64, Box<dyn PriorityFactor>)>>,
 }
 
 impl std::fmt::Debug for MultifactorPriority {
@@ -168,7 +168,7 @@ impl MultifactorPriority {
     /// Compose the given `(weight, factor)` pairs.
     pub fn new(factors: Vec<(f64, Box<dyn PriorityFactor>)>) -> Self {
         MultifactorPriority {
-            factors: Arc::new(factors),
+            factors: Rc::new(factors),
         }
     }
 

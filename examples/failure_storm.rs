@@ -67,6 +67,10 @@ fn main() {
     // The same storm through a full ESlurm deployment: satellites build
     // FP-Trees from the live predictor and the master reassigns tasks if
     // a satellite dies mid-broadcast.
+    #[allow(
+        clippy::disallowed_types,
+        reason = "the frozen end-to-end benchmark shares its predictor as an `Arc<Mutex<..>>`"
+    )]
     use std::sync::{Arc, Mutex};
 
     let cfg = EslurmConfig {
@@ -77,6 +81,10 @@ fn main() {
     // Ground truth placed in the full system layout (0 = master, 1..=4
     // satellites, compute nodes after).
     let sys_plan = plan.placed(5, n as usize + 5);
+    #[allow(
+        clippy::disallowed_types,
+        reason = "the frozen end-to-end benchmark shares its predictor as an `Arc<Mutex<..>>`"
+    )]
     let shared = Arc::new(Mutex::new(
         OraclePredictor::new(sys_plan.clone(), SimSpan::from_secs(300), 2).with_recall(0.9),
     ));

@@ -7,6 +7,10 @@ use eslurm_suite::emu::{FaultPlan, NodeId, Outage};
 use eslurm_suite::eslurm::{EslurmConfig, EslurmSystemBuilder, SatState};
 use eslurm_suite::monitoring::OraclePredictor;
 use eslurm_suite::simclock::{SimSpan, SimTime};
+#[allow(
+    clippy::disallowed_types,
+    reason = "the frozen end-to-end benchmark shares its predictor as an `Arc<Mutex<..>>`"
+)]
 use std::sync::{Arc, Mutex};
 
 fn cfg(m: usize) -> EslurmConfig {
@@ -35,6 +39,10 @@ fn workload_completes_with_failures_and_prediction() {
         .collect();
     let plan = FaultPlan::from_outages(total, outages);
     let predictor = OraclePredictor::new(plan.clone(), SimSpan::from_secs(120), 3);
+    #[allow(
+        clippy::disallowed_types,
+        reason = "the frozen end-to-end benchmark shares its predictor as an `Arc<Mutex<..>>`"
+    )]
     let mut sys = EslurmSystemBuilder::new(cfg(m), n_slaves, 21)
         .faults(plan)
         .predictor(Arc::new(Mutex::new(predictor)))

@@ -23,6 +23,10 @@ use eslurm_suite::obs::{mem_profile_compiled, MemProfiler, Recorder};
 /// The allocator counters are process-global: a report read while a
 /// sibling test thread allocates is not one consistent snapshot. Every
 /// test here holds this lock, so the file's tests run one at a time.
+#[allow(
+    clippy::disallowed_types,
+    reason = "the test harness runs these tests on several threads against one collector"
+)]
 static ALLOCATOR: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn one_at_a_time() -> std::sync::MutexGuard<'static, ()> {

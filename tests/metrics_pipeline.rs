@@ -200,8 +200,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// `(series CSV, Prometheus text, summary JSON, send-metric series)`
 /// hashes of the common faulted scenario, sampled at 1 Hz. The last hash
 /// covers the per-tick `msgs_sent`, `bytes_sent` and
-/// `hop_latency_us{stat=count|sum}` points, the metrics the engine tallies
-/// and hands the recorder before each sampling tick.
+/// `hop_latency_us{stat=count|sum}` points, the metrics the engine records
+/// at each send.
 fn export_hashes() -> [u64; 4] {
     let run = common::sampled_run(Recorder::metrics_only, |b| b);
     let store = run.sampler.store();
