@@ -10,10 +10,11 @@
 //! 4. **predictor quality** — FP-Tree benefit as monitoring recall falls.
 
 use emu::{FaultPlan, NodeId, Outage};
-use eslurm::{EslurmConfig, EslurmSystemBuilder};
-use eslurm_bench::{f, print_table, write_csv, ExpArgs};
+use eslurm::{EslurmConfig, Scenario};
+use eslurm_bench::{f, ExpArgs};
 use estimate::{evaluate, EslurmPredictor, EstimatorConfig};
 use rand::RngExt;
+use rm::Arrival;
 use simclock::rng::stream_rng;
 use simclock::{SimSpan, SimTime};
 use std::collections::{BTreeSet, HashSet};
@@ -34,8 +35,7 @@ fn main() {
             hb_sweep_interval: SimSpan::from_secs(60),
             ..Default::default()
         };
-        let mut sys = EslurmSystemBuilder::new(cfg, n, args.seed).build();
-        sys.sim.run_until(horizon);
+        let sys = Scenario::new(cfg, n, args.seed, horizon).run(|b| b);
         let master = sys.master();
         let avg = master
             .sweeps()
@@ -49,15 +49,16 @@ fn main() {
             .unwrap_or(0);
         rows.push(vec![width.to_string(), f(avg, 4), sat_sockets.to_string()]);
     }
-    print_table(
+    args.emit(
         &format!("Ablation 1 — relay width ({n} nodes, 4 satellites)"),
-        &["width", "avg sweep (s)", "satellite peak sockets"],
-        &rows,
-    );
-    write_csv(
         "ablation_relay_width.csv",
-        &["width", "avg_sweep_s", "sat_peak_sockets"],
+        &[
+            ("width", "width"),
+            ("avg sweep (s)", "avg_sweep_s"),
+            ("satellite peak sockets", "sat_peak_sockets"),
+        ],
         &rows,
+        "",
     );
 
     // ---- 2. reassignment threshold under a satellite crash.
@@ -80,18 +81,16 @@ fn main() {
             eq1_width: 256,
             ..Default::default()
         };
-        let mut sys = EslurmSystemBuilder::new(cfg, n_slaves, args.seed)
-            .faults(faults)
-            .build();
-        for j in 0..10u64 {
-            sys.submit(
-                SimTime::from_secs(2 + j * 30),
-                j,
-                0..n_slaves.min(1024),
-                SimSpan::from_secs(10),
-            );
-        }
-        sys.sim.run_until(SimTime::from_secs(600));
+        let jobs = (0..10u64).map(move |j| Arrival {
+            at: SimTime::from_secs(2 + j * 30),
+            job: j,
+            nodes: 0..n_slaves.min(1024),
+            runtime: SimSpan::from_secs(10),
+        });
+        // The outage is a satellite's, so it is a plan of the whole layout.
+        let sys = Scenario::new(cfg, n_slaves, args.seed, SimTime::from_secs(600))
+            .arrivals(jobs)
+            .run(|b| b.faults(faults));
         let master = sys.master();
         let worst_occ = master
             .records
@@ -106,27 +105,18 @@ fn main() {
             f(worst_occ, 1),
         ]);
     }
-    print_table(
+    args.emit(
         "Ablation 2 — reassignment threshold with a dead satellite",
-        &[
-            "threshold",
-            "jobs done",
-            "reassignments",
-            "takeovers",
-            "worst occupation (s)",
-        ],
-        &rows,
-    );
-    write_csv(
         "ablation_reassign.csv",
         &[
-            "threshold",
-            "jobs_done",
-            "reassignments",
-            "takeovers",
-            "worst_occupation_s",
+            ("threshold", "threshold"),
+            ("jobs done", "jobs_done"),
+            ("reassignments", "reassignments"),
+            ("takeovers", "takeovers"),
+            ("worst occupation (s)", "worst_occupation_s"),
         ],
         &rows,
+        "",
     );
 
     // ---- 3. AEA gate variants on the deployed estimate path.
@@ -159,12 +149,17 @@ fn main() {
             f(r.underestimate_rate, 3),
         ]);
     }
-    print_table(
+    args.emit(
         "Ablation 3 — AEA gate on the deployed estimate path",
-        &["variant", "accuracy", "underestimate rate"],
+        "ablation_gate.csv",
+        &[
+            ("variant", "variant"),
+            ("accuracy", "aea"),
+            ("underestimate rate", "ur"),
+        ],
         &rows,
+        "",
     );
-    write_csv("ablation_gate.csv", &["variant", "aea", "ur"], &rows);
 
     // ---- 4. FP-Tree benefit vs predictor recall.
     let list: Vec<u32> = (0..args.scale(4096u32, 1024)).collect();
@@ -198,13 +193,14 @@ fn main() {
         }
         rows.push(vec![recall_pct.to_string(), f(sum / trials as f64, 3)]);
     }
-    print_table(
+    args.emit(
         &format!(
             "Ablation 4 — FP-Tree broadcast time vs predictor recall ({} nodes, 5% failed)",
             list.len()
         ),
-        &["recall %", "broadcast (s)"],
+        "ablation_recall.csv",
+        &[("recall %", "recall_pct"), ("broadcast (s)", "broadcast_s")],
         &rows,
+        "",
     );
-    write_csv("ablation_recall.csv", &["recall_pct", "broadcast_s"], &rows);
 }

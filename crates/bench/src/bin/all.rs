@@ -1,5 +1,7 @@
 //! Run every experiment binary in sequence (pass `--quick` through for a
-//! smoke pass). Useful for regenerating `results/` from scratch.
+//! smoke pass). Useful for regenerating `results/` from scratch; CI runs
+//! it at `--quick` and holds the CSVs it writes to
+//! `crates/bench/quick-csv.sha256`.
 
 use std::process::Command;
 
@@ -13,6 +15,7 @@ const EXPERIMENTS: &[&str] = &[
     "table5_6",
     "table8",
     "response_time",
+    "ablations",
 ];
 
 fn main() {

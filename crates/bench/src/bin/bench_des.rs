@@ -10,7 +10,9 @@
 //! `--quick` shrinks that to ~100k nodes for CI. Writes `BENCH_DES.json`
 //! at the repository root.
 
-use eslurm_bench::{f, obj, print_table, write_bench, ExpArgs, Fig9Scale};
+use eslurm_bench::{
+    f, fig9_scale, figure_fingerprint, obj, print_table, timed_run, write_bench, ExpArgs,
+};
 use obs::{mem_profile_compiled, MemProfiler};
 use serde::Value;
 use simclock::SimSpan;
@@ -26,32 +28,26 @@ fn peak_rss_mb() -> Option<f64> {
 
 fn main() {
     let args = ExpArgs::parse();
-    let scale = if args.quick {
-        Fig9Scale {
-            n_slaves: 100_000,
-            satellites: 8,
-            horizon: SimSpan::from_secs(900),
-            jobs_target: 2_000,
-            max_job: 128,
-        }
-    } else {
-        Fig9Scale {
-            n_slaves: 1_000_000,
-            satellites: 16,
-            horizon: SimSpan::from_secs(3600),
-            jobs_target: 1_050_000,
-            max_job: 256,
-        }
-    };
-    let total_nodes = 1 + scale.satellites + scale.n_slaves;
+    // (compute nodes, satellites, horizon, jobs expected, largest job)
+    let (n_compute, satellites, horizon, jobs_target, max_job) = args.scale(
+        (1_000_000, 16, SimSpan::from_secs(3600), 1_050_000, 256),
+        (100_000, 8, SimSpan::from_secs(900), 2_000, 128),
+    );
+    let scenario = fig9_scale(
+        n_compute,
+        satellites,
+        horizon,
+        jobs_target,
+        max_job,
+        args.seed,
+    );
+    let total_nodes = 1 + satellites + n_compute;
     let host_par = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
     println!(
-        "bench_des: {total_nodes} nodes, {} satellites, {} s horizon, ~{} jobs, host parallelism {host_par}",
-        scale.satellites,
-        scale.horizon.as_secs(),
-        scale.jobs_target
+        "bench_des: {total_nodes} nodes, {satellites} satellites, {} s horizon, ~{jobs_target} jobs, host parallelism {host_par}",
+        horizon.as_secs(),
     );
 
     print!("  running ... ");
@@ -62,18 +58,17 @@ fn main() {
     } else {
         MemProfiler::disabled()
     };
-    let run = scale.run(args.seed, |b| b);
+    let (sys, wall_s) = timed_run(scenario, |b| b);
     // Present under `--mem` when the binary was built with the
     // `mem-profile` feature.
     let mem = mem_profiler.report();
     let peak_rss = peak_rss_mb();
-    let events = run.sys.sim.events_processed();
-    let jobs_recorded = run.sys.master().records.len() as u64;
-    let events_per_sec = events as f64 / run.wall_s.max(1e-9);
-    println!(
-        "{} events in {:.2} s ({events_per_sec:.0} ev/s)",
-        events, run.wall_s
-    );
+    let events = sys.sim.events_processed();
+    let jobs_submitted = sys.submitted;
+    let jobs_recorded = sys.master().records.len() as u64;
+    let fingerprint = figure_fingerprint(&sys);
+    let events_per_sec = events as f64 / wall_s.max(1e-9);
+    println!("{events} events in {wall_s:.2} s ({events_per_sec:.0} ev/s)");
     if let Some(mb) = peak_rss {
         println!("    peak RSS {mb:.1} MB");
     }
@@ -95,23 +90,23 @@ fn main() {
     print_table(
         &format!(
             "bench_des — {total_nodes} nodes, {} jobs submitted / {} completed in-horizon",
-            run.jobs_submitted, jobs_recorded
+            jobs_submitted, jobs_recorded
         ),
         &["wall s", "events", "events/s", "fingerprint"],
         &[vec![
-            f(run.wall_s, 2),
+            f(wall_s, 2),
             events.to_string(),
             f(events_per_sec, 0),
-            format!("{:016x}", run.fingerprint),
+            format!("{fingerprint:016x}"),
         ]],
     );
 
     let mut root = vec![
         ("nodes", (total_nodes as u64).into()),
-        ("satellites", (scale.satellites as u64).into()),
-        ("jobs_submitted", run.jobs_submitted.into()),
+        ("satellites", (satellites as u64).into()),
+        ("jobs_submitted", jobs_submitted.into()),
         ("jobs_completed", jobs_recorded.into()),
-        ("horizon_s", scale.horizon.as_secs().into()),
+        ("horizon_s", horizon.as_secs().into()),
         ("host_parallelism", (host_par as u64).into()),
         ("mem_profiled", (args.mem && mem_profile_compiled()).into()),
     ];
@@ -134,10 +129,10 @@ fn main() {
     // The fingerprint is in the report: the `des-scale` gate holds it to
     // its pin.
     let mut row = vec![
-        ("wall_s", run.wall_s.into()),
+        ("wall_s", wall_s.into()),
         ("events", events.into()),
         ("events_per_sec", events_per_sec.into()),
-        ("fingerprint", format!("{:016x}", run.fingerprint).into()),
+        ("fingerprint", format!("{fingerprint:016x}").into()),
     ];
     if let Some(mb) = peak_rss {
         row.push(("peak_rss_mb", mb.into()));

@@ -8,7 +8,7 @@
 //!   (power-law sizes, exponential inter-arrival/runtimes) with injected
 //!   compute-node outages, SLO specs tight enough that the sweep-p99
 //!   objective breaches deterministically — measuring detection latency.
-//! * **multi_tenant**: a centralized Slurm deployment under `submit_stream`
+//! * **multi_tenant**: a centralized Slurm deployment under an `rm::JobStream`
 //!   with outages, utilization-floor and inbox-depth objectives plus an
 //!   EWMA anomaly detector over the master's memory footprint.
 //!
@@ -17,35 +17,39 @@
 //! counts, time-to-detect, and evaluation overhead to `BENCH_SLO.json` at
 //! the repository root, gated by the `slo` CI job.
 
-use emu::{FaultPlanBuilder, NodeId};
-use eslurm::SystemBuilder;
-use eslurm_bench::{f, obj, outcome_fingerprint, print_table, write_bench, ExpArgs, Fig9Scale};
-use obs::{AnomalySpec, MetricId, Sampler, SloEngine, SloReport, SloSpec};
+use emu::NodeId;
+use eslurm::scenario::small_outages;
+use eslurm::{Scenario, Stack, System, SystemBuilder};
+use eslurm_bench::{
+    f, fig9_scale, figure_fingerprint, obj, outcome_fingerprint, print_table, timed_run,
+    write_bench, ExpArgs,
+};
+use obs::{AnomalySpec, MetricId, Recorder, Sampler, SloEngine, SloReport, SloSpec};
 use rm::{JobStream, RmProfile};
 use serde::Value;
 use simclock::{SimSpan, SimTime};
-use std::time::Instant;
 
+/// The sizes of both workloads: fig9's compute nodes, satellites, jobs
+/// expected within the horizon and largest job, and multi_tenant's
+/// compute nodes.
 struct Scale {
-    fig9: Fig9Scale,
-    fault_events: usize,
+    n_slaves: usize,
+    satellites: usize,
+    jobs_target: u64,
+    max_job: u32,
     rm_slaves: usize,
+    horizon: SimSpan,
+    fault_events: usize,
 }
 
-impl Scale {
-    /// `fault_events` small outages over `n` nodes within the horizon.
-    fn faults(&self, n: usize) -> FaultPlanBuilder {
-        FaultPlanBuilder::new(n, self.fig9.horizon, 0xFA17)
-            .small_events(self.fault_events, 4)
-            .mean_outage(SimSpan::from_secs(120))
-    }
-}
+/// Seed of both workloads' outage draws.
+const FAULT_SEED: u64 = 0xFA17;
 
 struct RunResult {
-    slo_on: bool,
     wall_s: f64,
     events: u64,
     fingerprint: u64,
+    /// `None` when the SLO engine was off.
     report: Option<SloReport>,
 }
 
@@ -62,97 +66,97 @@ fn fig9_slo() -> SloEngine {
     )
 }
 
-fn run_fig9(scale: &Scale, seed: u64, slo_on: bool) -> RunResult {
-    let fig9 = &scale.fig9;
-    let slo = if slo_on {
-        fig9_slo()
-    } else {
-        SloEngine::disabled()
-    };
-    // The baseline keeps the same sampling cadence (ticks count as
-    // events), so off/on runs see an identical event stream by design.
-    let sampler = Sampler::every_until(SimSpan::from_secs(1), SimTime::ZERO + fig9.horizon);
-    // Outages on the compute nodes only, placed past master + satellites
-    // (same recipe as `eslurm slo-report`).
-    let total = 1 + fig9.satellites + fig9.n_slaves;
-    let faults = scale
-        .faults(fig9.n_slaves)
-        .build()
-        .placed(1 + fig9.satellites, total);
-    let run = fig9.run(seed, |b| {
-        b.obs(obs::Recorder::metrics_only())
-            .sampler(sampler)
-            .faults(faults)
-            .slo(slo)
+/// The multi_tenant spec set: utilization-floor and inbox-depth
+/// objectives plus an EWMA detector over the master's memory.
+fn multi_tenant_slo() -> SloEngine {
+    let master = |family| MetricId::new(family).with("node", "master");
+    SloEngine::with_config(
+        vec![
+            SloSpec::master_inbox(100_000.0),
+            SloSpec::utilization_floor(master("footprint_cpu_util"), 0.0),
+        ],
+        vec![AnomalySpec::new(
+            "master_mem_shift",
+            master("footprint_real_bytes"),
+        )],
+    )
+}
+
+/// Run `scenario` with a metrics recorder, a 1 Hz sampler, `slo` and
+/// whatever `arm` adds, fingerprinted by `fingerprint`. The baseline keeps
+/// the same sampling cadence (ticks count as events), so off/on runs see
+/// an identical event stream by design.
+fn measure<S: Stack>(
+    scenario: Scenario<S>,
+    slo: SloEngine,
+    arm: impl FnOnce(SystemBuilder<S>) -> SystemBuilder<S>,
+    fingerprint: fn(&System<S>) -> u64,
+) -> RunResult {
+    let sampler = Sampler::every_until(SimSpan::from_secs(1), scenario.horizon);
+    let (sys, wall_s) = timed_run(scenario, |b| {
+        arm(b.obs(Recorder::metrics_only()).sampler(sampler).slo(slo))
     });
     RunResult {
-        slo_on,
-        wall_s: run.wall_s,
-        events: run.sys.sim.events_processed(),
-        fingerprint: run.fingerprint,
-        report: run.sys.sim.slo_engine().report(),
+        wall_s,
+        events: sys.sim.events_processed(),
+        fingerprint: fingerprint(&sys),
+        report: sys.sim.slo_engine().report(),
     }
 }
 
-fn run_multi_tenant(scale: &Scale, seed: u64, slo_on: bool) -> RunResult {
-    let horizon = SimTime::ZERO + scale.fig9.horizon;
-    let slo = if slo_on {
-        SloEngine::with_config(
-            vec![
-                SloSpec::master_inbox(100_000.0),
-                SloSpec::utilization_floor(
-                    MetricId::new("footprint_cpu_util").with("node", "master"),
-                    0.0,
-                ),
-            ],
-            vec![AnomalySpec::new(
-                "master_mem_shift",
-                MetricId::new("footprint_real_bytes").with("node", "master"),
-            )],
-        )
-    } else {
-        SloEngine::disabled()
-    };
-    let mut sys = SystemBuilder::new(RmProfile::slurm(), scale.rm_slaves, seed)
-        .obs(obs::Recorder::metrics_only())
-        .sampler(Sampler::every_until(SimSpan::from_secs(1), horizon))
-        .faults(scale.faults(1 + scale.rm_slaves).build())
-        .slo(slo)
-        .build();
-    sys.submit_stream(JobStream::new(
-        scale.rm_slaves as u32,
-        scale.fig9.horizon,
+fn run_fig9(scale: &Scale, seed: u64, slo: SloEngine) -> RunResult {
+    // Small outages on the compute nodes only (the recipe of
+    // `eslurm slo-report --faults`).
+    let scenario = fig9_scale(
+        scale.n_slaves,
+        scale.satellites,
+        scale.horizon,
+        scale.jobs_target,
+        scale.max_job,
+        seed,
+    )
+    .small_outages(scale.fault_events, FAULT_SEED);
+    measure(scenario, slo, |b| b, figure_fingerprint)
+}
+
+fn run_multi_tenant(scale: &Scale, seed: u64, slo: SloEngine) -> RunResult {
+    let n = scale.rm_slaves;
+    let stream = JobStream::new(
+        n as u32,
+        scale.horizon,
         240.0,
         64,
         SimSpan::from_secs(600),
         seed,
-    ));
-    let wall = Instant::now();
-    sys.sim.run_until(horizon);
-    let wall_s = wall.elapsed().as_secs_f64();
-
-    let m = sys.sim.meter(NodeId::MASTER);
-    let master = format!(
-        "{:?}|{:?}|{}|{}",
-        m.cpu_time(),
-        m.msg_counts(),
-        m.sockets(),
-        m.peak_sockets()
     );
-
-    RunResult {
-        slo_on,
-        wall_s,
-        events: sys.sim.events_processed(),
-        fingerprint: outcome_fingerprint(&sys.sim, [master]),
-        report: sys.sim.slo_engine().report(),
-    }
+    let scenario =
+        Scenario::new(RmProfile::slurm(), n, seed, SimTime::ZERO + scale.horizon).arrivals(stream);
+    // This plan is drawn over the whole layout, master included, so it is
+    // armed as is rather than placed past the master: its pinned bytes
+    // predate the scenario's compute-node placement.
+    let faults = small_outages(1 + n, scale.horizon, scale.fault_events, FAULT_SEED);
+    measure(
+        scenario,
+        slo,
+        |b| b.faults(faults),
+        |sys| {
+            let m = sys.sim.meter(NodeId::MASTER);
+            let master = format!(
+                "{:?}|{:?}|{}|{}",
+                m.cpu_time(),
+                m.msg_counts(),
+                m.sockets(),
+                m.peak_sockets()
+            );
+            outcome_fingerprint(&sys.sim, [master])
+        },
+    )
 }
 
 fn run_json(r: &RunResult, workload: &str) -> Value {
     let mut o = vec![
         ("workload", workload.into()),
-        ("slo_enabled", r.slo_on.into()),
+        ("slo_enabled", r.report.is_some().into()),
         ("wall_s", r.wall_s.into()),
         ("events", r.events.into()),
         (
@@ -190,35 +194,31 @@ fn main() {
     let args = ExpArgs::parse();
     let scale = if args.quick {
         Scale {
-            fig9: Fig9Scale {
-                n_slaves: 2_000,
-                satellites: 4,
-                horizon: SimSpan::from_secs(900),
-                jobs_target: 300,
-                max_job: 64,
-            },
-            fault_events: 4,
+            n_slaves: 2_000,
+            satellites: 4,
+            jobs_target: 300,
+            max_job: 64,
             rm_slaves: 400,
+            horizon: SimSpan::from_secs(900),
+            fault_events: 4,
         }
     } else {
         Scale {
-            fig9: Fig9Scale {
-                n_slaves: 20_000,
-                satellites: 8,
-                horizon: SimSpan::from_secs(3600),
-                jobs_target: 3_000,
-                max_job: 128,
-            },
-            fault_events: 8,
+            n_slaves: 20_000,
+            satellites: 8,
+            jobs_target: 3_000,
+            max_job: 128,
             rm_slaves: 2_000,
+            horizon: SimSpan::from_secs(3600),
+            fault_events: 8,
         }
     };
     println!(
         "bench_slo: {} + {} nodes (fig9), {} nodes (multi_tenant), {} s horizon, {} outage events",
-        scale.fig9.n_slaves,
-        scale.fig9.satellites,
+        scale.n_slaves,
+        scale.satellites,
         scale.rm_slaves,
-        scale.fig9.horizon.as_secs(),
+        scale.horizon.as_secs(),
         scale.fault_events
     );
 
@@ -226,11 +226,11 @@ fn main() {
     // agree — the non-perturbation proof at benchmark scale.
     print!("  fig9 baseline (slo off) ... ");
     flush();
-    let fig9_base = run_fig9(&scale, args.seed, false);
+    let fig9_base = run_fig9(&scale, args.seed, SloEngine::disabled());
     println!("{} events", fig9_base.events);
     print!("  fig9 slo on ... ");
     flush();
-    let head = run_fig9(&scale, args.seed, true);
+    let head = run_fig9(&scale, args.seed, fig9_slo());
     println!(
         "{} events in {:.2} s ({:.0} ev/s)",
         head.events,
@@ -241,11 +241,11 @@ fn main() {
 
     print!("  multi_tenant baseline (slo off) ... ");
     flush();
-    let mt_base = run_multi_tenant(&scale, args.seed, false);
+    let mt_base = run_multi_tenant(&scale, args.seed, SloEngine::disabled());
     println!("{} events", mt_base.events);
     print!("  multi_tenant slo on ... ");
     flush();
-    let mt = run_multi_tenant(&scale, args.seed, true);
+    let mt = run_multi_tenant(&scale, args.seed, multi_tenant_slo());
     println!(
         "{} events in {:.2} s ({:.0} ev/s)",
         mt.events,
@@ -278,7 +278,7 @@ fn main() {
             };
             vec![
                 w.to_string(),
-                if r.slo_on { "on" } else { "off" }.to_string(),
+                if r.report.is_some() { "on" } else { "off" }.to_string(),
                 f(r.wall_s, 2),
                 f(r.events as f64 / r.wall_s.max(1e-9), 0),
                 breaches,

@@ -13,7 +13,7 @@
 //! 75.8 %.
 
 use eslurm::PredictiveLimit;
-use eslurm_bench::{f, print_table, results_dir, write_csv, ExpArgs};
+use eslurm_bench::{f, print_table, ExpArgs};
 use estimate::EstimatorConfig;
 use obs::Sampler;
 use sched::prelude::{simulate, BackfillConfig, DispatchModel, LimitPolicy, UserLimit};
@@ -226,11 +226,11 @@ fn main() {
         }
         // Hourly busy-node series per RM, in the sampler CSV format that
         // `eslurm diff` consumes.
-        let path = results_dir().join(format!("fig10_series_{nodes}.csv"));
+        let path = args.results_dir().join(format!("fig10_series_{nodes}.csv"));
         std::fs::write(&path, sampler.to_csv()).expect("write series csv");
         println!("  [csv] {}", path.display());
     }
-    write_csv(
+    args.write_csv(
         "fig10.csv",
         &[
             "nodes",

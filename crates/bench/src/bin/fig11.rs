@@ -8,13 +8,13 @@
 //! > 25 % underestimation; user estimates are the least accurate.
 
 use emu::NodeId;
-use eslurm::{EslurmConfig, EslurmSystemBuilder};
-use eslurm_bench::{f, print_table, write_csv, ExpArgs};
+use eslurm::{EslurmConfig, Scenario};
+use eslurm_bench::{f, footprint, ExpArgs};
 use estimate::{
     evaluate, forest_baseline, svm_baseline, EslurmPredictor, EstimatorConfig, Irpa, Last2, Prep,
     RuntimePredictor, Trip, UserEstimate,
 };
-use obs::{Hist, MetricId, Recorder, Sampler, SeriesSummary};
+use obs::{Hist, Recorder, Sampler};
 use simclock::{SimSpan, SimTime};
 use workload::TraceConfig;
 
@@ -34,11 +34,8 @@ fn main() {
         };
         let rec = Recorder::metrics_only();
         let sampler = Sampler::every_until(SimSpan::from_secs(60), horizon);
-        let mut sys = EslurmSystemBuilder::new(cfg, n, args.seed)
-            .obs(rec.clone())
-            .sampler(sampler.clone())
-            .build();
-        sys.sim.run_until(horizon);
+        let sys = Scenario::new(cfg, n, args.seed, horizon)
+            .run(|b| b.obs(rec.clone()).sampler(sampler.clone()));
         // The recorder bins sweep-completion times as they happen; the
         // exact mean comes from the histogram's running sum.
         let sweeps = rec.hist(Hist::SweepCompletionUs);
@@ -49,13 +46,7 @@ fn main() {
         };
         let master_sockets = sys.sim.meter(NodeId::MASTER).peak_sockets();
         // The sampled view of the same run, from the footprint series.
-        let sockets_mean = {
-            let store = sampler.store();
-            let pts = store
-                .get(&MetricId::new("footprint_sockets").with("node", "master"))
-                .unwrap_or(&[]);
-            SeriesSummary::of(pts.iter().map(|p| p.value)).mean
-        };
+        let sockets_mean = footprint(&sampler.store(), "master").sockets;
         rows.push(vec![
             m.to_string(),
             f(avg, 3),
@@ -65,28 +56,18 @@ fn main() {
         ]);
         println!("m={m:2}: avg sweep {avg:.3}s over {} sweeps", sweeps.count);
     }
-    print_table(
+    args.emit(
         &format!("Fig 11a — heartbeat broadcast time vs satellites ({n} nodes)"),
-        &[
-            "satellites",
-            "avg sweep (s)",
-            "sweeps",
-            "master sockets (mean)",
-            "master peak sockets",
-        ],
-        &rows,
-    );
-    println!("  [paper: minimum around 20 satellites on 20K+ nodes]");
-    write_csv(
         "fig11a.csv",
         &[
-            "satellites",
-            "avg_sweep_s",
-            "sweeps",
-            "master_sockets_mean",
-            "master_peak_sockets",
+            ("satellites", "satellites"),
+            ("avg sweep (s)", "avg_sweep_s"),
+            ("sweeps", "sweeps"),
+            ("master sockets (mean)", "master_sockets_mean"),
+            ("master peak sockets", "master_peak_sockets"),
         ],
         &rows,
+        "  [paper: minimum around 20 satellites on 20K+ nodes]",
     );
 
     // ---- (b) runtime prediction model comparison on the NG-like trace.
@@ -137,15 +118,16 @@ fn main() {
             f(report.coverage, 3),
         ]);
     }
-    print_table(
+    args.emit(
         "Fig 11b — runtime prediction models (NG-Tianhe-like trace)",
-        &["model", "avg accuracy", "underestimate rate", "coverage"],
-        &rows,
-    );
-    println!("  [paper: ESlurm 84% accuracy / ~10% UR; SVM, RF, Last-2 < 70% with UR > 25%]");
-    write_csv(
         "fig11b.csv",
-        &["model", "aea", "underestimate_rate", "coverage"],
+        &[
+            ("model", "model"),
+            ("avg accuracy", "aea"),
+            ("underestimate rate", "underestimate_rate"),
+            ("coverage", "coverage"),
+        ],
         &rows,
+        "  [paper: ESlurm 84% accuracy / ~10% UR; SVM, RF, Last-2 < 70% with UR > 25%]",
     );
 }

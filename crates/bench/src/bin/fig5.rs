@@ -8,7 +8,7 @@
 //! * (c) job-correlation ratio vs. job-ID gap (stabilizes past ~700,
 //!   which motivates the 700-job interest window).
 
-use eslurm_bench::{f, print_table, write_csv, ExpArgs};
+use eslurm_bench::{f, ExpArgs};
 use workload::stats;
 use workload::TraceConfig;
 
@@ -45,8 +45,13 @@ fn main() {
         let grid: Vec<f64> = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0].to_vec();
         let cdf = stats::cdf(&ps, &grid);
         let rows: Vec<Vec<String>> = cdf.iter().map(|(x, y)| vec![f(*x, 2), f(*y, 3)]).collect();
-        print_table(&format!("Fig 5a — CDF of P ({name})"), &["P", "CDF"], &rows);
-        write_csv(&format!("fig5a_{name}.csv"), &["p", "cdf"], &rows);
+        args.emit(
+            &format!("Fig 5a — CDF of P ({name})"),
+            &format!("fig5a_{name}.csv"),
+            &[("P", "p"), ("CDF", "cdf")],
+            &rows,
+            "",
+        );
         println!(
             "overestimated (P>1): {:.1}%  [paper: 80-90%]",
             100.0 * stats::frac_overestimated(&jobs)
@@ -60,12 +65,13 @@ fn main() {
             .iter()
             .map(|(h, r)| vec![f(*h, 2), f(*r, 3)])
             .collect();
-        print_table(
+        args.emit(
             &format!("Fig 5b — correlation vs interval ({name})"),
-            &["hours", "ratio"],
+            &format!("fig5b_{name}.csv"),
+            &[("hours", "hours"), ("ratio", "ratio")],
             &rows,
+            "",
         );
-        write_csv(&format!("fig5b_{name}.csv"), &["hours", "ratio"], &rows);
 
         // (c) correlation vs ID gap.
         let gaps = [1usize, 5, 20, 50, 100, 300, 700, 1500, 3000];
@@ -74,12 +80,13 @@ fn main() {
             .iter()
             .map(|(g, r)| vec![g.to_string(), f(*r, 3)])
             .collect();
-        print_table(
+        args.emit(
             &format!("Fig 5c — correlation vs job-ID gap ({name})"),
-            &["gap", "ratio"],
+            &format!("fig5c_{name}.csv"),
+            &[("gap", "gap"), ("ratio", "ratio")],
             &rows,
+            "",
         );
-        write_csv(&format!("fig5c_{name}.csv"), &["gap", "ratio"], &rows);
 
         // §V-A observations the generator is calibrated to.
         println!(

@@ -12,36 +12,13 @@
 //!   and ESlurm stay flat, ESlurm < 15 s.
 
 use emu::NodeId;
-use eslurm::{EslurmConfig, Stack, System, SystemBuilder};
-use eslurm_bench::{f, fmt_bytes, node_series, node_stat, print_table, write_csv, ExpArgs};
+use eslurm::{EslurmConfig, Scenario, Stack, System};
+use eslurm_bench::{f, fmt_bytes, footprint, node_series, print_table, ExpArgs};
 use obs::{Sampler, SeriesStore};
-use rm::{JobStream, MasterLog, RmProfile};
+use rm::{Arrival, JobStream, MasterLog, RmProfile};
 use simclock::{SimSpan, SimTime};
 
-struct Usage {
-    name: String,
-    cpu_util_mean: f64,
-    cpu_time: SimSpan,
-    virt_mean: u64,
-    real_mean: u64,
-    sockets_mean: f64,
-    sockets_peak: u32,
-}
-
-fn summarize(name: &str, store: &SeriesStore, node: &str, peak_sockets: u32) -> Usage {
-    let stat = |family| node_stat(store, family, node);
-    Usage {
-        name: name.to_string(),
-        cpu_util_mean: stat("footprint_cpu_util").mean,
-        cpu_time: SimSpan::from_secs_f64(stat("footprint_cpu_time_s").last),
-        virt_mean: stat("footprint_virt_bytes").mean as u64,
-        real_mean: stat("footprint_real_bytes").mean as u64,
-        sockets_mean: stat("footprint_sockets").mean,
-        sockets_peak: peak_sockets,
-    }
-}
-
-fn dump_series(name: &str, store: &SeriesStore, node: &str) {
+fn dump_series(args: &ExpArgs, name: &str, store: &SeriesStore, node: &str) {
     let util = node_series(store, "footprint_cpu_util", node);
     let cpu = node_series(store, "footprint_cpu_time_s", node);
     let virt = node_series(store, "footprint_virt_bytes", node);
@@ -61,7 +38,7 @@ fn dump_series(name: &str, store: &SeriesStore, node: &str) {
             ]
         })
         .collect();
-    write_csv(
+    args.write_csv(
         &format!("fig7_series_{name}.csv"),
         &[
             "t_s",
@@ -76,33 +53,39 @@ fn dump_series(name: &str, store: &SeriesStore, node: &str) {
 }
 
 /// One RM under the shared load to the horizon, its master sampled at
-/// 1 Hz: the usage row, with the series written out.
-fn run<S: Stack>(
-    name: &str,
-    builder: SystemBuilder<S>,
-    stream: JobStream,
-    horizon_t: SimTime,
-) -> (Usage, System<S>) {
+/// 1 Hz: the master's usage row, with the series written out.
+fn run<S: Stack>(args: &ExpArgs, name: &str, scenario: Scenario<S>) -> (Vec<String>, System<S>) {
     print!("running {name} ... ");
-    let sampler = Sampler::every_until(SimSpan::from_secs(1), horizon_t);
-    let mut sys = builder.sampler(sampler.clone()).build();
-    sys.submit_stream(stream);
-    sys.sim.run_until(horizon_t);
+    let sampler = Sampler::every_until(SimSpan::from_secs(1), scenario.horizon);
+    let sys = scenario.run(|b| b.sampler(sampler.clone()));
     println!("{} events", sys.sim.events_processed());
     let store = sampler.store();
-    let peak = sys.sim.meter(NodeId::MASTER).peak_sockets();
-    let usage = summarize(name, &store, "master", peak);
-    dump_series(name, &store, "master");
-    (usage, sys)
+    let u = footprint(&store, "master");
+    dump_series(args, name, &store, "master");
+    let row = vec![
+        name.to_string(),
+        f(100.0 * u.cpu_util, 2),
+        format!("{:.1}", u.cpu_s / 60.0),
+        fmt_bytes(u.virt),
+        fmt_bytes(u.real),
+        f(u.sockets, 1),
+        sys.sim.meter(NodeId::MASTER).peak_sockets().to_string(),
+    ];
+    (row, sys)
 }
 
 /// Occupation time (s) of one 10 s job over the first `size` compute
 /// nodes of an idle cluster.
-fn occupation<S: Stack>(builder: SystemBuilder<S>, size: u32) -> String {
-    let mut sys = builder.build();
-    let runtime = SimSpan::from_secs(10);
-    sys.submit(SimTime::from_secs(60), 1, 0..size as usize, runtime);
-    sys.sim.run_until(SimTime::from_secs(600));
+fn occupation<S: Stack>(stack: S, n: usize, seed: u64, size: u32) -> String {
+    let job = Arrival {
+        at: SimTime::from_secs(60),
+        job: 1,
+        nodes: 0..size as usize,
+        runtime: SimSpan::from_secs(10),
+    };
+    let sys = Scenario::new(stack, n, seed, SimTime::from_secs(600))
+        .arrivals(std::iter::once(job))
+        .run(|b| b);
     let first = sys.master().records().first();
     f(first.map_or(f64::NAN, |r| r.occupation().as_secs_f64()), 2)
 }
@@ -111,7 +94,6 @@ fn main() {
     let args = ExpArgs::parse();
     let n: usize = args.scale(4096, 512);
     let horizon = SimSpan::from_hours(args.scale(24, 2));
-    let horizon_t = SimTime::ZERO + horizon;
     // The one load all six RMs run under: ≈ 1K jobs/day, 20 min mean.
     let stream = JobStream::new(
         n as u32,
@@ -121,6 +103,7 @@ fn main() {
         SimSpan::from_secs(1200),
         args.seed + 1,
     );
+    let end = SimTime::ZERO + horizon;
 
     println!(
         "Fig 7: {n} nodes, {} h horizon, ~1K jobs/day",
@@ -132,16 +115,16 @@ fn main() {
         n_satellites: 2,
         ..Default::default()
     };
-    let mut usages: Vec<Usage> = Vec::new();
+    let mut rows: Vec<Vec<String>> = Vec::new();
     for profile in RmProfile::baselines() {
         let name = profile.name;
-        let builder = SystemBuilder::new(profile, n, args.seed);
-        usages.push(run(name, builder, stream.clone(), horizon_t).0);
+        let scenario = Scenario::new(profile, n, args.seed, end).arrivals(stream.clone());
+        rows.push(run(&args, name, scenario).0);
     }
     {
-        let builder = SystemBuilder::new(eslurm(), n, args.seed);
-        let (usage, sys) = run("ESlurm", builder, stream, horizon_t);
-        usages.push(usage);
+        let scenario = Scenario::new(eslurm(), n, args.seed, end).arrivals(stream);
+        let (row, sys) = run(&args, "ESlurm", scenario);
+        rows.push(row);
 
         // Satellite demands (paper §VII-A: ~6 min CPU, 1.2 GB virt,
         // ~42 MB real per satellite over 24 h).
@@ -164,45 +147,20 @@ fn main() {
     }
 
     // ---- summary table (a–e).
-    let rows: Vec<Vec<String>> = usages
-        .iter()
-        .map(|u| {
-            vec![
-                u.name.clone(),
-                f(100.0 * u.cpu_util_mean, 2),
-                format!("{:.1}", u.cpu_time.as_secs_f64() / 60.0),
-                fmt_bytes(u.virt_mean),
-                fmt_bytes(u.real_mean),
-                f(u.sockets_mean, 1),
-                u.sockets_peak.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
+    args.emit(
         "Fig 7a–e — master resource usage (means over the run)",
-        &[
-            "RM",
-            "CPU %",
-            "CPU min",
-            "virt",
-            "real",
-            "sockets",
-            "peak sockets",
-        ],
-        &rows,
-    );
-    write_csv(
         "fig7_summary.csv",
         &[
-            "rm",
-            "cpu_util",
-            "cpu_time_min",
-            "virt_bytes",
-            "real_bytes",
-            "sockets_mean",
-            "sockets_peak",
+            ("RM", "rm"),
+            ("CPU %", "cpu_util"),
+            ("CPU min", "cpu_time_min"),
+            ("virt", "virt_bytes"),
+            ("real", "real_bytes"),
+            ("sockets", "sockets_mean"),
+            ("peak sockets", "sockets_peak"),
         ],
         &rows,
+        "",
     );
 
     // ---- (f) job occupation time vs size (10 s fixed runtime, idle
@@ -216,29 +174,24 @@ fn main() {
     for &size in &sizes {
         let mut row = vec![size.to_string()];
         for profile in RmProfile::baselines() {
-            row.push(occupation(SystemBuilder::new(profile, n, args.seed), size));
+            row.push(occupation(profile, n, args.seed, size));
         }
-        row.push(occupation(SystemBuilder::new(eslurm(), n, args.seed), size));
+        row.push(occupation(eslurm(), n, args.seed, size));
         rows.push(row);
     }
-    print_table(
+    args.emit(
         "Fig 7f — job occupation time vs job size (s; 10 s runtime)",
-        &[
-            "nodes", "SGE", "Torque", "OpenPBS", "LSF", "Slurm", "ESlurm",
-        ],
-        &rows,
-    );
-    write_csv(
         "fig7f.csv",
         &[
-            "nodes",
-            "sge_s",
-            "torque_s",
-            "openpbs_s",
-            "lsf_s",
-            "slurm_s",
-            "eslurm_s",
+            ("nodes", "nodes"),
+            ("SGE", "sge_s"),
+            ("Torque", "torque_s"),
+            ("OpenPBS", "openpbs_s"),
+            ("LSF", "lsf_s"),
+            ("Slurm", "slurm_s"),
+            ("ESlurm", "eslurm_s"),
         ],
         &rows,
+        "",
     );
 }

@@ -11,7 +11,7 @@
 //!   10 s at 30 % while the others run into minutes.
 
 use eslurm::satellites_needed;
-use eslurm_bench::{f, print_table, write_csv, ExpArgs};
+use eslurm_bench::{f, ExpArgs};
 use rand::RngExt;
 use simclock::rng::stream_rng;
 use simclock::SimSpan;
@@ -87,7 +87,6 @@ fn main() {
     // ---- (a) job loading / termination messages under the production
     //      failure mix (~1-2 % failed nodes on average, occasionally more).
     let mut rows = Vec::new();
-    let mut saved = Vec::new();
     for (label, kind) in [
         ("message 1 (job load)", "load"),
         ("message 2 (job term)", "term"),
@@ -132,38 +131,37 @@ fn main() {
         let avg: Vec<f64> = sums.iter().map(|s| s / trials as f64).collect();
         let vs_slurm = 100.0 * (1.0 - avg[2] / avg[0]);
         let fp_gain = 100.0 * (1.0 - avg[2] / avg[1]);
+        // Shown to 3 decimals, written to 4.
         rows.push(vec![
             label.to_string(),
+            kind.to_string(),
             f(avg[0], 3),
+            f(avg[0], 4),
             f(avg[1], 3),
+            f(avg[1], 4),
             f(avg[2], 3),
+            f(avg[2], 4),
             f(vs_slurm, 1),
             f(fp_gain, 1),
         ]);
-        saved.push(vec![
-            kind.to_string(),
-            f(avg[0], 4),
-            f(avg[1], 4),
-            f(avg[2], 4),
-        ]);
     }
-    print_table(
+    args.emit(
         &format!("Fig 8a — average broadcast time on {n} nodes (s)"),
+        "fig8a.csv",
         &[
-            "message",
-            "Slurm",
-            "ESlurm w/o FP",
-            "ESlurm",
-            "vs Slurm %",
-            "FP share %",
+            ("message", ""),
+            ("", "message"),
+            ("Slurm", ""),
+            ("", "slurm_s"),
+            ("ESlurm w/o FP", ""),
+            ("", "eslurm_nofp_s"),
+            ("ESlurm", ""),
+            ("", "eslurm_s"),
+            ("vs Slurm %", ""),
+            ("FP share %", ""),
         ],
         &rows,
-    );
-    println!("  [paper: ESlurm -63.7% / -73.6% vs Slurm; FP-Tree alone -36.3% / -54.9%]");
-    write_csv(
-        "fig8a.csv",
-        &["message", "slurm_s", "eslurm_nofp_s", "eslurm_s"],
-        &saved,
+        "  [paper: ESlurm -63.7% / -73.6% vs Slurm; FP-Tree alone -36.3% / -54.9%]",
     );
 
     // ---- (b) structures vs failure ratio.
@@ -179,22 +177,18 @@ fn main() {
         }
         rows.push(row);
     }
-    print_table(
+    args.emit(
         &format!("Fig 8b — broadcast time vs failure ratio on {n} nodes (s)"),
-        &["fail %", "ring", "star", "shared-mem", "tree", "FP-Tree"],
-        &rows,
-    );
-    println!("  [paper: FP-Tree < 10 s at 30 %, others reach minutes]");
-    write_csv(
         "fig8b.csv",
         &[
-            "fail_pct",
-            "ring_s",
-            "star_s",
-            "sharedmem_s",
-            "tree_s",
-            "fptree_s",
+            ("fail %", "fail_pct"),
+            ("ring", "ring_s"),
+            ("star", "star_s"),
+            ("shared-mem", "sharedmem_s"),
+            ("tree", "tree_s"),
+            ("FP-Tree", "fptree_s"),
         ],
         &rows,
+        "  [paper: FP-Tree < 10 s at 30 %, others reach minutes]",
     );
 }

@@ -6,64 +6,45 @@
 //! with ≤ 80 concurrent sockets each, vs. Slurm's > 1000-socket bursts.
 
 use emu::NodeId;
-use eslurm::{EslurmConfig, Stack, System, SystemBuilder};
-use eslurm_bench::{f, fmt_bytes, node_stat, print_table, write_csv, ExpArgs};
+use eslurm::{EslurmConfig, Scenario, Stack, System};
+use eslurm_bench::{f, fmt_bytes, footprint, ExpArgs};
 use obs::{Sampler, SeriesStore};
 use rm::{JobStream, RmProfile};
 use simclock::{SimSpan, SimTime};
 
-/// One table row + one CSV row for a sampled node.
-fn usage_rows(
-    store: &SeriesStore,
-    node: &str,
-    label: &str,
-    csv_label: &str,
-    peak: u32,
-) -> (Vec<String>, Vec<String>) {
-    let cpu_s = node_stat(store, "footprint_cpu_time_s", node).last;
-    let virt = node_stat(store, "footprint_virt_bytes", node).mean as u64;
-    let real = node_stat(store, "footprint_real_bytes", node).mean as u64;
-    let socks = node_stat(store, "footprint_sockets", node).mean;
-    (
-        vec![
-            label.to_string(),
-            format!("{:.1}", cpu_s / 60.0),
-            fmt_bytes(virt),
-            fmt_bytes(real),
-            f(socks, 1),
-            peak.to_string(),
-        ],
-        vec![
-            csv_label.to_string(),
-            f(cpu_s, 1),
-            virt.to_string(),
-            real.to_string(),
-            f(socks, 2),
-            peak.to_string(),
-        ],
-    )
+/// A sampled node's row under `label` (written in snake case): each
+/// value shown rounded and written raw, in the columns of `main`'s table.
+fn usage_row(store: &SeriesStore, node: &str, label: &str, peak: u32) -> Vec<String> {
+    let u = footprint(store, node);
+    vec![
+        label.to_string(),
+        label.to_lowercase().replace(' ', "_"),
+        format!("{:.1}", u.cpu_s / 60.0),
+        f(u.cpu_s, 1),
+        fmt_bytes(u.virt),
+        u.virt.to_string(),
+        fmt_bytes(u.real),
+        u.real.to_string(),
+        f(u.sockets, 1),
+        f(u.sockets, 2),
+        peak.to_string(),
+    ]
 }
 
 /// One RM under the shared stream to the horizon, sampled at 1 Hz; its
-/// master's row goes into `table`.
+/// master's row goes into `rows`.
 fn run<S: Stack>(
     name: &str,
-    builder: SystemBuilder<S>,
-    stream: JobStream,
-    horizon_t: SimTime,
-    table: &mut Vec<(Vec<String>, Vec<String>)>,
+    scenario: Scenario<S>,
+    rows: &mut Vec<Vec<String>>,
 ) -> (System<S>, SeriesStore) {
     print!("running {name} ... ");
-    let sampler = Sampler::every_until(SimSpan::from_secs(1), horizon_t);
-    let mut sys = builder.sampler(sampler.clone()).build();
-    sys.submit_stream(stream);
-    sys.sim.run_until(horizon_t);
+    let sampler = Sampler::every_until(SimSpan::from_secs(1), scenario.horizon);
+    let sys = scenario.run(|b| b.sampler(sampler.clone()));
     println!("{} events", sys.sim.events_processed());
     let store = sampler.store();
     let peak = sys.sim.meter(NodeId::MASTER).peak_sockets();
-    let label = format!("{name} master");
-    let csv_label = format!("{}_master", name.to_lowercase());
-    table.push(usage_rows(&store, "master", &label, &csv_label, peak));
+    rows.push(usage_row(&store, "master", &format!("{name} master"), peak));
     (sys, store)
 }
 
@@ -71,7 +52,7 @@ fn main() {
     let args = ExpArgs::parse();
     let n: usize = args.scale(16_384, 1024);
     let horizon = SimSpan::from_hours(args.scale(24, 2));
-    let horizon_t = SimTime::ZERO + horizon;
+    let end = SimTime::ZERO + horizon;
     // The same stream for both RMs.
     let stream = JobStream::new(
         n as u32,
@@ -84,57 +65,48 @@ fn main() {
 
     println!("Fig 9: {n} nodes, {} h horizon", horizon.as_secs() / 3600);
 
-    let mut table = Vec::new();
-    run(
-        "Slurm",
-        SystemBuilder::new(RmProfile::slurm(), n, args.seed),
-        stream.clone(),
-        horizon_t,
-        &mut table,
-    );
+    let mut rows = Vec::new();
+    let slurm = Scenario::new(RmProfile::slurm(), n, args.seed, end).arrivals(stream.clone());
+    run("Slurm", slurm, &mut rows);
 
     // ESlurm with two satellites.
     let cfg = EslurmConfig {
         n_satellites: 2,
         ..Default::default()
     };
-    let builder = SystemBuilder::new(cfg, n, args.seed);
-    let (sys, store) = run("ESlurm", builder, stream, horizon_t, &mut table);
+    let eslurm = Scenario::new(cfg, n, args.seed, end).arrivals(stream);
+    let (sys, store) = run("ESlurm", eslurm, &mut rows);
     for i in 0..2usize {
         let peak = sys.sim.meter(NodeId(1 + i as u32)).peak_sockets();
-        table.push(usage_rows(
-            &store,
-            &format!("sat{}", i + 1),
-            &format!("ESlurm satellite {}", i + 1),
-            &format!("eslurm_satellite_{}", i + 1),
-            peak,
-        ));
+        let label = format!("ESlurm satellite {}", i + 1);
+        rows.push(usage_row(&store, &format!("sat{}", i + 1), &label, peak));
     }
-    let (rows, csv): (Vec<_>, Vec<_>) = table.into_iter().unzip();
 
-    print_table(
+    args.emit(
         &format!("Fig 9 — Slurm vs ESlurm on {n} nodes"),
-        &["node", "CPU min", "virt", "real", "sockets", "peak sockets"],
-        &rows,
-    );
-    write_csv(
         "fig9_summary.csv",
         &[
-            "node",
-            "cpu_time_s",
-            "virt_bytes",
-            "real_bytes",
-            "sockets_mean",
-            "sockets_peak",
+            ("node", ""),
+            ("", "node"),
+            ("CPU min", ""),
+            ("", "cpu_time_s"),
+            ("virt", ""),
+            ("", "virt_bytes"),
+            ("real", ""),
+            ("", "real_bytes"),
+            ("sockets", ""),
+            ("", "sockets_mean"),
+            ("peak sockets", "sockets_peak"),
         ],
-        &csv,
+        &rows,
+        "",
     );
 
-    // Headline ratios the paper calls out.
-    let cpu_slurm: f64 = csv[0][1].parse().unwrap();
-    let cpu_eslurm: f64 = csv[1][1].parse().unwrap();
-    let mem_slurm: f64 = csv[0][2].parse().unwrap();
-    let mem_eslurm: f64 = csv[1][2].parse().unwrap();
+    // Headline ratios the paper calls out, from the written values.
+    let cpu_slurm: f64 = rows[0][3].parse().unwrap();
+    let cpu_eslurm: f64 = rows[1][3].parse().unwrap();
+    let mem_slurm: f64 = rows[0][5].parse().unwrap();
+    let mem_eslurm: f64 = rows[1][5].parse().unwrap();
     println!(
         "\nESlurm master CPU = {:.0}% of Slurm's  [paper: < 40%]",
         100.0 * cpu_eslurm / cpu_slurm.max(1e-9)

@@ -9,8 +9,8 @@
 //! slower than the 10 s client timeout count as connection failures.
 
 use emu::NodeId;
-use eslurm::{EslurmConfig, Stack, SystemBuilder};
-use eslurm_bench::{f, print_table, write_csv, ExpArgs};
+use eslurm::{EslurmConfig, Scenario, Stack};
+use eslurm_bench::{f, ExpArgs};
 use rand::RngExt;
 use rm::{JobStream, MasterLog, RmMsg, RmProfile};
 use simclock::rng::stream_rng;
@@ -45,23 +45,19 @@ fn query_times(horizon: SimSpan, rate_per_s: f64, seed: u64) -> Vec<SimTime> {
     }
 }
 
-/// One RM carrying `stream` while a client sends a status query at each
-/// of `queries`: the master's `(request id, latency)` log at the horizon.
-fn serve_queries<S: Stack>(
-    builder: SystemBuilder<S>,
-    stream: JobStream,
-    queries: &[SimTime],
-    horizon_t: SimTime,
-) -> Vec<(u64, SimSpan)> {
-    let mut sys = builder.build();
-    sys.submit_stream(stream);
+/// One RM carrying its scenario's jobs while a client sends a status
+/// query at each of `queries`: the master's `(request id, latency)` log at
+/// the horizon.
+fn serve_queries<S: Stack>(scenario: Scenario<S>, queries: &[SimTime]) -> Vec<(u64, SimSpan)> {
+    let horizon = scenario.horizon;
+    let mut sys = scenario.build(|b| b);
     for (i, &at) in queries.iter().enumerate() {
         let query = RmMsg::StatusQuery {
             id: (1 << 40) + i as u64,
         };
         sys.sim.inject(at, NodeId(1), NodeId::MASTER, query);
     }
-    sys.sim.run_until(horizon_t);
+    sys.sim.run_until(horizon);
     sys.master().query_log().to_vec()
 }
 
@@ -69,7 +65,7 @@ fn main() {
     let args = ExpArgs::parse();
     let sizes: Vec<usize> = args.scale(vec![4_096, 10_240, 20_480], vec![512, 2_048]);
     let horizon = SimSpan::from_hours(args.scale(2, 1));
-    let horizon_t = SimTime::ZERO + horizon;
+    let end = SimTime::ZERO + horizon;
     let query_rate = 1.0; // one user request per second
     let job_rate = 80.0; // jobs per hour
 
@@ -107,34 +103,28 @@ fn main() {
             p.msg_cpu = p.msg_cpu.mul_f64(contention);
             p.sched_cpu = p.sched_cpu.mul_f64(contention);
             let name = p.name;
-            let builder = SystemBuilder::new(p, n, args.seed);
-            report(
-                name,
-                serve_queries(builder, stream.clone(), &queries, horizon_t),
-            );
+            let scenario = Scenario::new(p, n, args.seed, end).arrivals(stream.clone());
+            report(name, serve_queries(scenario, &queries));
         }
         let cfg = EslurmConfig {
             n_satellites: (n / 2048).max(2),
             ..Default::default()
         };
-        let builder = SystemBuilder::new(cfg, n, args.seed);
-        report(
-            "ESlurm",
-            serve_queries(builder, stream, &queries, horizon_t),
-        );
+        let scenario = Scenario::new(cfg, n, args.seed, end).arrivals(stream);
+        report("ESlurm", serve_queries(scenario, &queries));
     }
-    print_table(
+    args.emit(
         "User-request response time (companion to §II-B)",
-        &["nodes", "RM", "mean (s)", "p95 (s)", "timeout %"],
-        &rows,
-    );
-    println!(
-        "  [paper: centralized Slurm on 20K+ nodes averaged >27 s with ~38% failures;\n   \
-         deployed ESlurm answers in <1 s]"
-    );
-    write_csv(
         "response_time.csv",
-        &["nodes", "rm", "mean_s", "p95_s", "timeout_pct"],
+        &[
+            ("nodes", "nodes"),
+            ("RM", "rm"),
+            ("mean (s)", "mean_s"),
+            ("p95 (s)", "p95_s"),
+            ("timeout %", "timeout_pct"),
+        ],
         &rows,
+        "  [paper: centralized Slurm on 20K+ nodes averaged >27 s with ~38% failures;\n   \
+         deployed ESlurm answers in <1 s]",
     );
 }

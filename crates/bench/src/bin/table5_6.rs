@@ -7,8 +7,8 @@
 //! fewer nodes, so per-satellite memory and connections shrink.
 
 use emu::NodeId;
-use eslurm::{EslurmConfig, EslurmSystemBuilder};
-use eslurm_bench::{f, fmt_bytes, node_stat, print_table, write_csv, ExpArgs};
+use eslurm::{EslurmConfig, Scenario};
+use eslurm_bench::{f, fmt_bytes, footprint, ExpArgs};
 use obs::Sampler;
 use rm::JobStream;
 use simclock::{SimSpan, SimTime};
@@ -31,45 +31,39 @@ fn main() {
             n_satellites: m,
             ..Default::default()
         };
-        // 1 Hz footprint sampling of the master and every satellite.
-        let sampler = Sampler::every_until(SimSpan::from_secs(1), horizon);
-        let mut sys = EslurmSystemBuilder::new(cfg, n, args.seed)
-            .sampler(sampler.clone())
-            .build();
         // A production-like job stream (~2K jobs/day, sizes to 1/4 scale),
         // on the RNG stream and runtime floor the committed tables were
         // generated with.
-        sys.submit_stream(
-            JobStream::new(
-                n as u32,
-                SimSpan::from_hours(horizon_h),
-                2000.0 / 24.0,
-                n as u32 / 4,
-                SimSpan::from_secs(1800),
-                args.seed,
-            )
-            .rng_stream(0x105)
-            .min_runtime(SimSpan::from_secs(10)),
-        );
-        sys.sim.run_until(horizon);
+        let stream = JobStream::new(
+            n as u32,
+            SimSpan::from_hours(horizon_h),
+            2000.0 / 24.0,
+            n as u32 / 4,
+            SimSpan::from_secs(1800),
+            args.seed,
+        )
+        .rng_stream(0x105)
+        .min_runtime(SimSpan::from_secs(10));
+        // 1 Hz footprint sampling of the master and every satellite.
+        let sampler = Sampler::every_until(SimSpan::from_secs(1), horizon);
+        let sys = Scenario::new(cfg, n, args.seed, horizon)
+            .arrivals(stream)
+            .run(|b| b.sampler(sampler.clone()));
         println!("{} events", sys.sim.events_processed());
 
         // Table V: master usage, read from the sampler's store in place (a
         // full-scale day is 22M points; `Sampler::store` would copy them).
-        let peak = sys.sim.meter(NodeId::MASTER).peak_sockets();
-        let row = sampler.with_store(|store| {
-            let stat = |family| node_stat(store, family, "master");
-            vec![
-                label.clone(),
-                format!("{:.1}", stat("footprint_cpu_time_s").last / 60.0),
-                fmt_bytes(stat("footprint_virt_bytes").mean as u64),
-                fmt_bytes(stat("footprint_real_bytes").mean as u64),
-                f(stat("footprint_sockets").mean, 1),
-                peak.to_string(),
-            ]
-        });
-        t5.push(row.expect("sampler armed above"));
-
+        let u = sampler
+            .with_store(|store| footprint(store, "master"))
+            .expect("sampler armed above");
+        t5.push(vec![
+            label.clone(),
+            format!("{:.1}", u.cpu_s / 60.0),
+            fmt_bytes(u.virt),
+            fmt_bytes(u.real),
+            f(u.sockets, 1),
+            sys.sim.meter(NodeId::MASTER).peak_sockets().to_string(),
+        ]);
         // Table VI: satellite averages.
         let mut tasks = 0.0;
         let mut nodes_per_task = 0.0;
@@ -98,55 +92,32 @@ fn main() {
         ]);
     }
 
-    print_table(
+    args.emit(
         &format!("Table V — master resource usage ({n} nodes, {horizon_h} h)"),
-        &[
-            "setup",
-            "CPU min",
-            "virt (mean)",
-            "real (mean)",
-            "sockets (mean)",
-            "peak sockets",
-        ],
-        &t5,
-    );
-    println!("  [paper trends: CPU/real-memory/sockets grow mildly with the pool]");
-    write_csv(
         "table5.csv",
         &[
-            "setup",
-            "cpu_min",
-            "virt",
-            "real",
-            "sockets_mean",
-            "sockets_peak",
+            ("setup", "setup"),
+            ("CPU min", "cpu_min"),
+            ("virt (mean)", "virt"),
+            ("real (mean)", "real"),
+            ("sockets (mean)", "sockets_mean"),
+            ("peak sockets", "sockets_peak"),
         ],
         &t5,
+        "  [paper trends: CPU/real-memory/sockets grow mildly with the pool]",
     );
-
-    print_table(
+    args.emit(
         &format!("Table VI — satellite averages ({n} nodes, {horizon_h} h)"),
-        &[
-            "setup",
-            "tasks/sat",
-            "nodes/task",
-            "virt",
-            "real",
-            "peak sockets",
-        ],
-        &t6,
-    );
-    println!("  [paper trends: tasks/sat ~flat; nodes/task, memory, sockets shrink with the pool]");
-    write_csv(
         "table6.csv",
         &[
-            "setup",
-            "tasks_per_sat",
-            "nodes_per_task",
-            "virt",
-            "real",
-            "sockets_peak",
+            ("setup", "setup"),
+            ("tasks/sat", "tasks_per_sat"),
+            ("nodes/task", "nodes_per_task"),
+            ("virt", "virt"),
+            ("real", "real"),
+            ("peak sockets", "sockets_peak"),
         ],
         &t6,
+        "  [paper trends: tasks/sat ~flat; nodes/task, memory, sockets shrink with the pool]",
     );
 }

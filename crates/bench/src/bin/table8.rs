@@ -5,7 +5,7 @@
 //! Paper: α 1.00 → 1.08 moves AEA 0.87 → 0.80 and UR 0.54 → 0.11, with
 //! α = 1.05 the chosen balance (AEA 0.84, UR 0.12).
 
-use eslurm_bench::{f, print_table, write_csv, ExpArgs};
+use eslurm_bench::{f, print_table, ExpArgs};
 use estimate::{evaluate, EslurmPredictor, EstimatorConfig};
 use workload::TraceConfig;
 
@@ -53,5 +53,5 @@ fn main() {
         &[aea_row, ur_row],
     );
     println!("  [paper: AEA 0.87→0.80, UR 0.54→0.11 across α 1.00→1.08]");
-    write_csv("table8.csv", &["alpha", "aea", "underestimate_rate"], &csv);
+    args.write_csv("table8.csv", &["alpha", "aea", "underestimate_rate"], &csv);
 }

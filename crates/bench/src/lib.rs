@@ -6,16 +6,20 @@
 //! prints aligned text tables, and drops CSV series under `results/`
 //! (`target/results-quick/` under `--quick`).
 //!
-//! What more than one binary needs lives here once: the fig9-scale ESlurm
-//! scenario `bench_des` and `bench_slo` time ([`Fig9Scale`]), the outcome
-//! fingerprint ([`outcome_fingerprint`] over [`fnv64`]), the best-of-N
-//! timer ([`time_ns`]) and the `BENCH_*.json` writer ([`write_bench`]). The
-//! job stream itself is [`rm::JobStream`].
+//! A DES experiment is an [`eslurm::Scenario`] in and rows out. What more
+//! than one binary needs lives here once: the table emitter
+//! ([`ExpArgs::emit`]: each column's display and CSV header declared
+//! together, printed and written in one call), the master's and
+//! satellites' [`footprint`] statistics, the fig9-scale scenario
+//! `bench_des` and `bench_slo` time ([`fig9_scale`], [`timed_run`],
+//! [`figure_fingerprint`]), the outcome fingerprint
+//! ([`outcome_fingerprint`] over [`fnv64`]), the best-of-N timer
+//! ([`time_ns`]) and the `BENCH_*.json` writer ([`write_bench`]).
 
 use emu::{Actor, NodeId, Payload, SimCluster};
-use eslurm::{EslurmConfig, EslurmSystem, EslurmSystemBuilder};
+use eslurm::{EslurmConfig, Scenario, Stack, System, SystemBuilder};
 use obs::{MetricId, SeriesPoint, SeriesStore, SeriesSummary};
-use rm::JobStream;
+use rm::{Arrival, JobStream, MasterLog};
 use serde::Value;
 use simclock::{SimSpan, SimTime};
 use std::fmt::Write as _;
@@ -81,33 +85,61 @@ impl ExpArgs {
             full
         }
     }
-}
 
-/// The output directory for CSV series (created on demand): the committed
-/// full-scale `results/`, or the untracked `target/results-quick/` when the
-/// process was started with `--quick`, so a smoke run never overwrites the
-/// series EXPERIMENTS.md quotes.
-pub fn results_dir() -> PathBuf {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join(if quick {
-        "../../target/results-quick"
-    } else {
-        "../../results"
-    });
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    dir
-}
-
-/// Write a CSV file under [`results_dir`].
-pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) {
-    let mut out = String::new();
-    let _ = writeln!(out, "{}", header.join(","));
-    for row in rows {
-        let _ = writeln!(out, "{}", row.join(","));
+    /// The output directory for CSV series (created on demand): the
+    /// committed full-scale `results/`, or the untracked
+    /// `target/results-quick/` under `--quick`, so a smoke run never
+    /// overwrites the series EXPERIMENTS.md quotes.
+    pub fn results_dir(&self) -> PathBuf {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join(self.scale("../../results", "../../target/results-quick"));
+        std::fs::create_dir_all(&dir).expect("create results dir");
+        dir
     }
-    let path = results_dir().join(name);
-    std::fs::write(&path, out).expect("write csv");
-    println!("  [csv] {}", path.display());
+
+    /// Write a CSV file under [`Self::results_dir`].
+    pub fn write_csv(&self, name: &str, header: &[&str], rows: &[Vec<String>]) {
+        let mut out = String::new();
+        let _ = writeln!(out, "{}", header.join(","));
+        for row in rows {
+            let _ = writeln!(out, "{}", row.join(","));
+        }
+        let path = self.results_dir().join(name);
+        std::fs::write(&path, out).expect("write csv");
+        println!("  [csv] {}", path.display());
+    }
+
+    /// One table, declared once and emitted once: printed under `title`,
+    /// followed by `note` unless it is empty, and written to `csv`. `cols`
+    /// holds each column's `(display, csv)` header; an empty header keeps
+    /// the column out of that output, so a value can be shown rounded and
+    /// written raw.
+    pub fn emit(
+        &self,
+        title: &str,
+        csv: &str,
+        cols: &[(&str, &str)],
+        rows: &[Vec<String>],
+        note: &str,
+    ) {
+        // Side 0 is the display, side 1 the CSV: the header and the
+        // cells of the columns that have one on that side.
+        let pick = |side: usize| {
+            let kept: Vec<(usize, &str)> = (cols.iter().map(|&(d, c)| [d, c][side]).enumerate())
+                .filter(|(_, h)| !h.is_empty())
+                .collect();
+            let cells = |r: &Vec<String>| kept.iter().map(|&(i, _)| r[i].clone()).collect();
+            let header: Vec<&str> = kept.iter().map(|&(_, h)| h).collect();
+            (header, rows.iter().map(cells).collect::<Vec<_>>())
+        };
+        let (header, shown) = pick(0);
+        print_table(title, &header, &shown);
+        if !note.is_empty() {
+            println!("{note}");
+        }
+        let (header, written) = pick(1);
+        self.write_csv(csv, &header, &written);
+    }
 }
 
 /// Print an aligned text table.
@@ -147,9 +179,32 @@ pub fn node_series<'a>(
         .unwrap_or(&[])
 }
 
-/// Order statistics of `family{node=<node>}` in a sampler's store.
-pub fn node_stat(store: &SeriesStore, family: &'static str, node: &str) -> SeriesSummary {
-    SeriesSummary::of(node_series(store, family, node).iter().map(|p| p.value))
+/// What the resource-usage figures read off one sampled node's footprint
+/// series: mean CPU utilization, CPU time at the last sample, and the
+/// means of virtual memory, real memory and open sockets.
+pub struct Footprint {
+    /// Mean CPU utilization (0–1).
+    pub cpu_util: f64,
+    /// CPU seconds at the last sample.
+    pub cpu_s: f64,
+    /// Mean virtual memory, bytes.
+    pub virt: u64,
+    /// Mean real memory, bytes.
+    pub real: u64,
+    /// Mean open sockets.
+    pub sockets: f64,
+}
+
+/// The [`Footprint`] of `node` (`master`, `sat<i>`) in a sampler's store.
+pub fn footprint(store: &SeriesStore, node: &str) -> Footprint {
+    let stat = |family| SeriesSummary::of(node_series(store, family, node).iter().map(|p| p.value));
+    Footprint {
+        cpu_util: stat("footprint_cpu_util").mean,
+        cpu_s: stat("footprint_cpu_time_s").last,
+        virt: stat("footprint_virt_bytes").mean as u64,
+        real: stat("footprint_real_bytes").mean as u64,
+        sockets: stat("footprint_sockets").mean,
+    }
 }
 
 /// Format a float with the given precision.
@@ -212,95 +267,71 @@ pub fn time_ns<F: FnMut()>(mut f: F, reps: usize) -> u64 {
     best
 }
 
-/// The fig9-style ESlurm scenario at benchmark scale: a large cluster
+/// The fig9-style ESlurm scenario at benchmark scale, which `bench_des`
+/// and `bench_slo` time: `n_compute` nodes and `satellites` satellites
 /// under the shared job stream (power-law sizes capped at `max_job`,
-/// exponential inter-arrival tuned to `jobs_target`, 600 s mean runtimes).
-#[derive(Clone, Copy, Debug)]
-pub struct Fig9Scale {
-    /// Compute nodes.
-    pub n_slaves: usize,
-    /// Satellite pool size.
-    pub satellites: usize,
-    /// Virtual time covered.
-    pub horizon: SimSpan,
-    /// Jobs expected to arrive within the horizon.
-    pub jobs_target: u64,
-    /// Largest job size (power-law cap).
-    pub max_job: u32,
+/// exponential inter-arrival tuned to `jobs_target` jobs within the
+/// horizon, 600 s mean runtimes). Job ids count from 0 here: they are
+/// hashed into the pinned fingerprints.
+pub fn fig9_scale(
+    n_compute: usize,
+    satellites: usize,
+    horizon: SimSpan,
+    jobs_target: u64,
+    max_job: u32,
+    seed: u64,
+) -> Scenario<EslurmConfig> {
+    let cfg = EslurmConfig {
+        n_satellites: satellites,
+        eq1_width: 64,
+        relay_width: 8,
+        hb_sweep_interval: SimSpan::from_secs(120),
+        sat_hb_interval: SimSpan::from_secs(30),
+        ..Default::default()
+    };
+    let stream = JobStream::new(
+        n_compute as u32,
+        horizon,
+        jobs_target as f64 * 3600.0 / horizon.as_secs_f64(),
+        max_job,
+        SimSpan::from_secs(600),
+        seed + 1,
+    );
+    Scenario::new(cfg, n_compute, seed, SimTime::ZERO + horizon).arrivals(stream.map(|a| Arrival {
+        job: a.job - 1,
+        ..a
+    }))
 }
 
-/// One finished [`Fig9Scale::run`].
-pub struct Fig9Run {
-    /// The cluster at the horizon.
-    pub sys: EslurmSystem,
-    /// Wall-clock of the event loop alone (build and injection excluded).
-    pub wall_s: f64,
-    /// Jobs the stream injected.
-    pub jobs_submitted: u64,
-    /// Clock, event count, drops, every job record, and the master and
-    /// satellite meters — what the paper's figures read.
-    pub fingerprint: u64,
+/// Build `scenario` with `arm` and run it to its horizon: the system and
+/// the wall-clock of the event loop alone (build and injection excluded).
+pub fn timed_run<S: Stack>(
+    scenario: Scenario<S>,
+    arm: impl FnOnce(SystemBuilder<S>) -> SystemBuilder<S>,
+) -> (System<S>, f64) {
+    let horizon = scenario.horizon;
+    let mut sys = scenario.build(arm);
+    let wall = Instant::now();
+    sys.sim.run_until(horizon);
+    (sys, wall.elapsed().as_secs_f64())
 }
 
-impl Fig9Scale {
-    /// Build the scenario's cluster with whatever `arm` chains onto its
-    /// builder (instruments, fault plan), inject the job stream —
-    /// identical for every instrument set — and run
-    /// to the horizon.
-    pub fn run(
-        &self,
-        seed: u64,
-        arm: impl FnOnce(EslurmSystemBuilder) -> EslurmSystemBuilder,
-    ) -> Fig9Run {
-        let cfg = EslurmConfig {
-            n_satellites: self.satellites,
-            eq1_width: 64,
-            relay_width: 8,
-            hb_sweep_interval: SimSpan::from_secs(120),
-            sat_hb_interval: SimSpan::from_secs(30),
-            ..Default::default()
-        };
-        let mut sys = arm(EslurmSystemBuilder::new(cfg, self.n_slaves, seed)).build();
-        let horizon_s = self.horizon.as_secs_f64();
-        let stream = JobStream::new(
-            self.n_slaves as u32,
-            self.horizon,
-            self.jobs_target as f64 * 3600.0 / horizon_s,
-            self.max_job,
-            SimSpan::from_secs(600),
-            seed + 1,
-        );
-        // Job ids count from 0 here: they are hashed into the pinned
-        // fingerprints.
-        let jobs_submitted = stream.fold(0, |n, a| {
-            sys.submit(a.at, a.job - 1, a.nodes, a.runtime);
-            n + 1
-        });
-
-        let wall = Instant::now();
-        sys.sim.run_until(SimTime::ZERO + self.horizon);
-        let wall_s = wall.elapsed().as_secs_f64();
-
-        let records = sys.master().records.iter().map(|r| format!("{r:?}"));
-        let meters = (0..=self.satellites).map(|i| {
-            let m = sys.sim.meter(NodeId(i as u32));
-            format!(
-                "{:?}|{:?}|{}|{}|{:?}",
-                m.cpu_time(),
-                m.msg_counts(),
-                m.sockets(),
-                m.peak_sockets(),
-                m.peak_mem()
-            )
-        });
-        let fingerprint = outcome_fingerprint(&sys.sim, records.chain(meters));
-        Fig9Run {
-            sys,
-            wall_s,
-            jobs_submitted,
-            fingerprint,
-        }
-    }
+/// [`outcome_fingerprint`] over what the paper's figures read: every job
+/// record, then the master's and each satellite's meter.
+pub fn figure_fingerprint<S: Stack>(sys: &System<S>) -> u64 {
+    let records = sys.master().records().iter().map(|r| format!("{r:?}"));
+    let meters = (0..=sys.n_satellites).map(|i| {
+        let m = sys.sim.meter(NodeId(i as u32));
+        format!(
+            "{:?}|{:?}|{}|{}|{:?}",
+            m.cpu_time(),
+            m.msg_counts(),
+            m.sockets(),
+            m.peak_sockets(),
+            m.peak_mem()
+        )
+    });
+    outcome_fingerprint(&sys.sim, records.chain(meters))
 }
 
 /// A JSON object from `(key, value)` pairs.

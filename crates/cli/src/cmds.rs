@@ -2,8 +2,8 @@
 
 use crate::error::CliError;
 use crate::opts::Opts;
-use emu::FaultPlanBuilder;
-use eslurm::{EslurmConfig, EslurmSystem, EslurmSystemBuilder, PredictiveLimit};
+use eslurm::prelude::Arrival;
+use eslurm::{EslurmConfig, EslurmSystem, PredictiveLimit, Scenario};
 use estimate::{
     evaluate, forest_baseline, svm_baseline, EslurmPredictor, EstimatorConfig, Irpa, Last2, Prep,
     RuntimePredictor, Trip, UserEstimate,
@@ -34,7 +34,7 @@ pub struct CmdSpec {
     /// For the commands that emulate a cluster: their defaults of the six
     /// [`SCENARIO_FLAGS`], which they accept ahead of their own `flags`
     /// and [`scenario`] parses.
-    pub scenario: Option<Scenario>,
+    pub scenario: Option<Defaults>,
     /// Accepted `--flags` of the command's own.
     pub flags: &'static [&'static str],
     /// The implementation, handed the parsed options.
@@ -56,40 +56,13 @@ impl CmdSpec {
 /// ([`scenario`]).
 pub const SCENARIO_FLAGS: [&str; 6] = ["nodes", "satellites", "minutes", "jobs", "seed", "faults"];
 
-/// The emulated scenario eight commands share: `nodes` compute nodes +
-/// `satellites` satellites running a synthetic job stream for `minutes`
-/// of virtual time, optionally with `faults` small outage events hitting
-/// the compute nodes. A command's table entry holds its defaults; what
-/// [`scenario`] parses holds the values of the run.
-pub struct Scenario {
-    nodes: usize,
-    satellites: usize,
-    minutes: u64,
-    jobs: u64,
-    seed: u64,
-    faults: usize,
-}
-
-/// A command's scenario defaults (`--seed` is 42 everywhere).
-const fn defaults(
-    nodes: usize,
-    satellites: usize,
-    minutes: u64,
-    jobs: u64,
-    faults: usize,
-) -> Option<Scenario> {
-    Some(Scenario {
-        nodes,
-        satellites,
-        minutes,
-        jobs,
-        seed: 42,
-        faults,
-    })
-}
+/// A cluster command's defaults of the [`SCENARIO_FLAGS`] but `--seed`
+/// (42 everywhere), in flag order: compute nodes, satellites, minutes,
+/// jobs and small compute-node outages.
+pub struct Defaults(usize, usize, u64, u64, usize);
 
 /// The reference fault scenario `trace`, `explain` and `critical-path` share.
-const FAULTED: Option<Scenario> = defaults(64, 2, 5, 10, 2);
+const FAULTED: Option<Defaults> = Some(Defaults(64, 2, 5, 10, 2));
 
 /// Every subcommand the CLI knows, in help order.
 pub const COMMANDS: &[CmdSpec] = &[
@@ -124,7 +97,7 @@ pub const COMMANDS: &[CmdSpec] = &[
     CmdSpec {
         name: "simulate",
         summary: "run an emulated ESlurm cluster",
-        scenario: defaults(256, 2, 10, 20, 0),
+        scenario: Some(Defaults(256, 2, 10, 20, 0)),
         flags: &["obs"],
         run: simulate,
     },
@@ -138,7 +111,7 @@ pub const COMMANDS: &[CmdSpec] = &[
     CmdSpec {
         name: "metrics",
         summary: "sample an emulated run's resource footprint",
-        scenario: defaults(128, 2, 5, 10, 0),
+        scenario: Some(Defaults(128, 2, 5, 10, 0)),
         flags: &["interval", "csv", "prom"],
         run: metrics,
     },
@@ -197,7 +170,7 @@ pub const COMMANDS: &[CmdSpec] = &[
     CmdSpec {
         name: "slo-report",
         summary: "evaluate SLOs online over an emulated run and gate breaches",
-        scenario: defaults(128, 2, 10, 20, 0),
+        scenario: Some(Defaults(128, 2, 10, 20, 0)),
         flags: &[
             "sweep-p99",
             "queue-wait-p90",
@@ -211,7 +184,7 @@ pub const COMMANDS: &[CmdSpec] = &[
     CmdSpec {
         name: "mem-report",
         summary: "per-subsystem host-heap attribution of an emulated run",
-        scenario: defaults(128, 2, 5, 10, 0),
+        scenario: Some(Defaults(128, 2, 5, 10, 0)),
         flags: &["format", "out"],
         run: mem_report,
     },
@@ -519,23 +492,22 @@ fn predict(o: &Opts) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Parse the six [`SCENARIO_FLAGS`] over the command's own defaults and
-/// hand back the scenario with a builder already configured for it
-/// (cluster shape, seed, fault plan). The command chains the instruments
-/// it arms onto the builder and passes it to [`Scenario::run`].
-fn scenario(o: &Opts) -> Result<(Scenario, EslurmSystemBuilder), CliError> {
+/// Parse the six [`SCENARIO_FLAGS`] over the command's own defaults into
+/// the run's [`Scenario`] — `--nodes` compute nodes and `--satellites`
+/// satellites under [`jobs`] for `--minutes`, with `--faults` small
+/// compute-node outages — and `--jobs`, the denominator of the status
+/// lines. The command arms its instruments in the scenario's `run`.
+fn scenario(o: &Opts) -> Result<(Scenario<EslurmConfig>, u64), CliError> {
     let d = o.spec().scenario.as_ref();
     let d = d.expect("only commands with scenario defaults call scenario()");
-    let sc = Scenario {
-        nodes: o.get_count("nodes", d.nodes)?,
-        satellites: o.get_count("satellites", d.satellites)?,
-        minutes: o.get_span("minutes", d.minutes, SimSpan::from_secs(60), 0)?,
-        jobs: o.get_or("jobs", d.jobs)?,
-        seed: o.get_or("seed", d.seed)?,
-        faults: o.get_or("faults", d.faults)?,
-    };
+    let nodes = o.get_count("nodes", d.0)?;
+    let satellites = o.get_count("satellites", d.1)?;
+    let minutes = o.get_span("minutes", d.2, SimSpan::from_secs(60), 0)?;
+    let n_jobs = o.get_or("jobs", d.3)?;
+    let seed = o.get_or("seed", 42)?;
+    let faults = o.get_or("faults", d.4)?;
     // Node ids are `u32`, and the master needs one too.
-    let total = 1 + sc.satellites as u128 + sc.nodes as u128;
+    let total = 1 + satellites as u128 + nodes as u128;
     if total > u32::MAX as u128 {
         return Err(o.usage(format!(
             "1 + --satellites + --nodes must be at most {}, the node-id space; got {total}",
@@ -543,73 +515,67 @@ fn scenario(o: &Opts) -> Result<(Scenario, EslurmSystemBuilder), CliError> {
         )));
     }
     let cfg = EslurmConfig {
-        n_satellites: sc.satellites,
-        eq1_width: (sc.nodes / sc.satellites).max(32),
+        n_satellites: satellites,
+        eq1_width: (nodes / satellites).max(32),
         relay_width: 32,
         ..Default::default()
     };
-    let mut builder = EslurmSystemBuilder::new(cfg, sc.nodes, sc.seed);
-    if sc.faults > 0 {
-        // Small outages on the *compute* nodes only, placed past the master
-        // and satellites in the deployment's global id space.
-        let first_compute = 1 + sc.satellites;
-        let plan = FaultPlanBuilder::new(sc.nodes, sc.horizon() - SimTime::ZERO, sc.seed ^ 0xFA17)
-            .small_events(sc.faults, 4)
-            .mean_outage(SimSpan::from_secs(120))
-            .build();
-        builder = builder.faults(plan.placed(first_compute, first_compute + sc.nodes));
-    }
-    Ok((sc, builder))
+    let horizon = SimTime::ZERO + SimSpan::from_secs(minutes * 60);
+    let sc = Scenario::new(cfg, nodes, seed, horizon)
+        .arrivals(jobs(nodes, n_jobs, horizon))
+        .small_outages(faults, seed ^ 0xFA17);
+    Ok((sc, n_jobs))
 }
 
-impl Scenario {
-    /// The end of the run.
-    fn horizon(&self) -> SimTime {
-        SimTime::ZERO + SimSpan::from_secs(self.minutes * 60)
-    }
-
-    /// Build the cluster, submit the job stream, run to the horizon.
-    fn run(&self, builder: EslurmSystemBuilder) -> EslurmSystem {
-        let nodes = self.nodes;
-        let mut sys = builder.build();
-        for j in 0..self.jobs {
-            let size = ((j % 5 + 1) as usize * nodes / 8).max(1).min(nodes);
-            let start = (j as usize * 13) % (nodes - size + 1);
-            sys.submit(
-                SimTime::from_secs(5 + j * 7),
-                j,
-                start..start + size,
-                SimSpan::from_secs(60),
-            );
+/// The cluster commands' load: job `j` arrives at 5 + 7j s on a
+/// contiguous eighth to five eighths of the `nodes` compute nodes and runs
+/// 60 s. None arrives past `horizon` (`run_until` still processes the
+/// events at it), so a huge `--jobs` costs no more than the horizon holds.
+fn jobs(nodes: usize, n_jobs: u64, horizon: SimTime) -> impl Iterator<Item = Arrival> {
+    let fit = (horizon - SimTime::ZERO)
+        .as_secs()
+        .checked_sub(5)
+        .map_or(0, |s| s / 7 + 1);
+    (0..n_jobs.min(fit)).map(move |j| {
+        let size = ((j % 5 + 1) as usize * nodes / 8).max(1).min(nodes);
+        let start = (j as usize * 13) % (nodes - size + 1);
+        Arrival {
+            at: SimTime::from_secs(5 + j * 7),
+            job: j,
+            nodes: start..start + size,
+            runtime: SimSpan::from_secs(60),
         }
-        sys.sim.run_until(self.horizon());
-        sys
-    }
+    })
+}
 
-    /// The status line the report commands end on.
-    fn status(&self, sys: &EslurmSystem) -> String {
-        format!(
-            "jobs completed: {}/{}; engine events: {}",
-            sys.master().records.len(),
-            self.jobs,
-            sys.sim.events_processed()
-        )
-    }
+/// The scenario's length in whole virtual minutes.
+fn minutes(sc: &Scenario<EslurmConfig>) -> u64 {
+    (sc.horizon - SimTime::ZERO).as_secs() / 60
+}
+
+/// The status line the report commands end on.
+fn status(sys: &EslurmSystem, n_jobs: u64) -> String {
+    format!(
+        "jobs completed: {}/{n_jobs}; engine events: {}",
+        sys.master().records.len(),
+        sys.sim.events_processed()
+    )
 }
 
 /// `eslurm simulate --nodes N --satellites M --minutes T --jobs J
 /// [--faults K] [--obs trace.json]`
 fn simulate(o: &Opts) -> Result<(), CliError> {
-    let (sc, builder) = scenario(o)?;
+    let (sc, n_jobs) = scenario(o)?;
+    let minutes = minutes(&sc);
     let rec = recorder_for(o.get("obs"));
-    let sys = sc.run(builder.obs(rec.clone()));
+    let sys = sc.run(|b| b.obs(rec.clone()));
 
     let master = sys.master();
     println!(
-        "emulated {} compute nodes + {} satellites for {} virtual minutes",
-        sc.nodes, sc.satellites, sc.minutes
+        "emulated {} compute nodes + {} satellites for {minutes} virtual minutes",
+        sys.n_slaves, sys.n_satellites
     );
-    println!("jobs completed:    {}/{}", master.records.len(), sc.jobs);
+    println!("jobs completed:    {}/{n_jobs}", master.records.len());
     if let Some(r) = master.records.first() {
         println!("first occupation:  {:.3}s", r.occupation().as_secs_f64());
     }
@@ -639,23 +605,20 @@ fn simulate(o: &Opts) -> Result<(), CliError> {
 /// `eslurm trace --nodes N --satellites M --minutes T --jobs J --seed S
 /// --faults K --out FILE --format chrome|jsonl`
 fn trace_cmd(o: &Opts) -> Result<(), CliError> {
-    let (sc, builder) = scenario(o)?;
+    let (sc, n_jobs) = scenario(o)?;
+    let minutes = minutes(&sc);
     let out = o.get("out").unwrap_or("trace.json");
     let format = o.get("format").unwrap_or_else(|| format_for(out));
 
     let rec = Recorder::full();
-    let sys = sc.run(builder.obs(rec.clone()));
+    let sys = sc.run(|b| b.obs(rec.clone()));
     let n = write_obs(&rec, out, format)?;
     println!(
-        "traced {}+{} nodes for {} virtual minutes: \
+        "traced {}+{} nodes for {minutes} virtual minutes: \
          {n} events -> {out} ({format})",
-        sc.nodes, sc.satellites, sc.minutes
+        sys.n_slaves, sys.n_satellites
     );
-    println!(
-        "jobs completed:    {}/{}",
-        sys.master().records.len(),
-        sc.jobs
-    );
+    println!("jobs completed:    {}/{n_jobs}", sys.master().records.len());
     print!("{}", rec.summary());
     Ok(())
 }
@@ -668,22 +631,21 @@ fn trace_cmd(o: &Opts) -> Result<(), CliError> {
 /// exports the time series as CSV (the `diff` input format) and the final
 /// metric values in Prometheus text format.
 fn metrics(o: &Opts) -> Result<(), CliError> {
-    let (sc, builder) = scenario(o)?;
+    let (sc, n_jobs) = scenario(o)?;
+    let minutes = minutes(&sc);
     let interval_s = o.get_span("interval", 1, SimSpan::from_secs(1), 1)?;
 
     let rec = Recorder::metrics_only();
-    let sampler = Sampler::every_until(SimSpan::from_secs(interval_s), sc.horizon());
-    let sys = sc.run(builder.obs(rec.clone()).sampler(sampler.clone()));
+    let sampler = Sampler::every_until(SimSpan::from_secs(interval_s), sc.horizon);
+    let sys = sc.run(|b| b.obs(rec.clone()).sampler(sampler.clone()));
 
     let store = sampler.store();
     println!(
-        "sampled {} series ({} points) every {interval_s}s over {} \
-         virtual minutes; {}/{} jobs completed",
+        "sampled {} series ({} points) every {interval_s}s over {minutes} \
+         virtual minutes; {}/{n_jobs} jobs completed",
         store.len(),
         store.n_points(),
-        sc.minutes,
         sys.master().records.len(),
-        sc.jobs
     );
     println!(
         "{:<44} {:>6} {:>12} {:>12} {:>12} {:>12}",
@@ -714,9 +676,9 @@ fn metrics(o: &Opts) -> Result<(), CliError> {
 /// Run the scenario with full causal tracing on and rebuild the per-trace
 /// causal trees.
 fn causal_run(o: &Opts) -> Result<Vec<TraceTree>, CliError> {
-    let (sc, builder) = scenario(o)?;
+    let (sc, _) = scenario(o)?;
     let rec = Recorder::full();
-    sc.run(builder.obs(rec.clone()));
+    sc.run(|b| b.obs(rec.clone()));
     Ok(build_traces(&rec.causal_records()))
 }
 
@@ -1002,23 +964,23 @@ fn emit_report(
 /// Each target is a finite number >= 0. `--check` exits 4 when any spec
 /// recorded a breach, mirroring `diff`'s exit 3.
 fn slo_report(o: &Opts) -> Result<(), CliError> {
-    let (sc, builder) = scenario(o)?;
+    let (sc, n_jobs) = scenario(o)?;
     let sweep_p99_us = o.get_non_negative("sweep-p99", 10_000_000.0, "target")?;
     let queue_wait_p90_s = o.get_non_negative("queue-wait-p90", 600.0, "target")?;
     let inbox_depth = o.get_non_negative("inbox-depth", 10_000.0, "target")?;
     let check = o.get_or("check", false)?;
 
     let rec = Recorder::metrics_only();
-    let sampler = Sampler::every_until(SimSpan::from_secs(1), sc.horizon());
+    let sampler = Sampler::every_until(SimSpan::from_secs(1), sc.horizon);
     let slo = SloEngine::paper_presets(sweep_p99_us, queue_wait_p90_s, inbox_depth);
-    let sys = sc.run(builder.obs(rec).sampler(sampler).slo(slo));
+    let sys = sc.run(|b| b.obs(rec).sampler(sampler).slo(slo));
     let report = sys
         .sim
         .slo_engine()
         .report()
         .expect("engine armed above is enabled");
     let (table, csv, json) = (|| report.render(), || report.to_csv(), || report.to_json());
-    emit_report(o, "slo", [&table, &csv, &json], &sc.status(&sys))?;
+    emit_report(o, "slo", [&table, &csv, &json], &status(&sys, n_jobs))?;
     let unmet = report.unmet();
     if check && unmet > 0 {
         return Err(CliError::SloUnmet { count: unmet });
@@ -1038,7 +1000,7 @@ fn slo_report(o: &Opts) -> Result<(), CliError> {
 /// engine, so the run is the plain one. Requires a binary built with
 /// `--features mem-profile`; without it the command explains and exits 0.
 fn mem_report(o: &Opts) -> Result<(), CliError> {
-    let (sc, builder) = scenario(o)?;
+    let (sc, n_jobs) = scenario(o)?;
 
     if !mem_profile_compiled() {
         println!(
@@ -1050,12 +1012,12 @@ fn mem_report(o: &Opts) -> Result<(), CliError> {
         return Ok(());
     }
     let profiler = MemProfiler::enabled();
-    let sys = sc.run(builder);
+    let sys = sc.run(|b| b);
     let report = profiler
         .report()
         .expect("mem_profile_compiled() checked above, so the handle is armed");
     let (table, csv, json) = (|| report.render(), || report.to_csv(), || report.to_json());
-    emit_report(o, "mem", [&table, &csv, &json], &sc.status(&sys))
+    emit_report(o, "mem", [&table, &csv, &json], &status(&sys, n_jobs))
 }
 
 /// `eslurm diff BASE.csv NEW.csv [--threshold-pct P]
@@ -1192,6 +1154,19 @@ mod tests {
 
     /// Spec names are unique — duplicate registration would shadow one
     /// command's flags with another's.
+    /// No job is injected past the horizon: at the default 5 minutes, jobs
+    /// 0..=42 arrive by 299 s and job 43 would arrive at 306 s, so even
+    /// `--jobs 18446744073709551615` injects 43.
+    #[test]
+    fn no_arrival_past_the_horizon() {
+        let horizon = SimTime::from_secs(300);
+        let arrivals: Vec<Arrival> = jobs(64, u64::MAX, horizon).collect();
+        assert_eq!(arrivals.len(), 43);
+        assert_eq!(arrivals[42].at, SimTime::from_secs(299));
+        assert_eq!(jobs(64, 10, horizon).count(), 10);
+        assert_eq!(jobs(64, u64::MAX, SimTime::from_secs(4)).count(), 0);
+    }
+
     #[test]
     fn command_names_are_unique() {
         let mut names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();

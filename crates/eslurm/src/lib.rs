@@ -21,7 +21,9 @@
 //!
 //! [`system`] assembles complete emulated deployments for the paper's
 //! experiments — ESlurm's master + satellites + compute nodes, or a
-//! centralized baseline's master + compute nodes — through one builder.
+//! centralized baseline's master + compute nodes — through one builder,
+//! and [`scenario`] states one experiment on it: stack, size, seed, job
+//! arrivals, compute-node outages and horizon.
 //!
 //! ```
 //! use eslurm::{EslurmConfig, EslurmSystemBuilder};
@@ -39,6 +41,7 @@ pub mod fsm;
 pub mod limits;
 pub mod master;
 pub mod satellite;
+pub mod scenario;
 pub mod system;
 
 pub use config::{satellites_needed, EslurmConfig};
@@ -46,6 +49,7 @@ pub use fsm::{SatEvent, SatFsm, SatState};
 pub use limits::PredictiveLimit;
 pub use master::{EslurmMaster, SweepRecord};
 pub use satellite::{FpPlacementStats, SatelliteDaemon};
+pub use scenario::Scenario;
 pub use system::{EslurmNode, EslurmSystem, EslurmSystemBuilder, Stack, System, SystemBuilder};
 
 /// One-stop imports for examples, benches, and downstream experiments:
@@ -56,11 +60,12 @@ pub mod prelude {
     pub use crate::fsm::{SatEvent, SatState};
     pub use crate::master::{EslurmMaster, SweepRecord};
     pub use crate::satellite::{FpPlacementStats, SatelliteDaemon};
+    pub use crate::scenario::Scenario;
     pub use crate::system::{
         EslurmNode, EslurmSystem, EslurmSystemBuilder, Stack, System, SystemBuilder,
     };
     pub use emu::{Actor, Context, FaultPlan, FaultPlanBuilder, NodeId, Outage, SimConfig};
     pub use obs::{Counter, EventKind, Gauge, Hist, MetricsSummary, Recorder, TraceEvent};
-    pub use rm::{CtlKind, JobStream, MasterLog, NodeSlice, RmMsg, RmProfile};
+    pub use rm::{Arrival, CtlKind, JobStream, MasterLog, NodeSlice, RmMsg, RmProfile};
     pub use simclock::{SimSpan, SimTime};
 }

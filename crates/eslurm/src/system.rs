@@ -1,7 +1,7 @@
 //! Whole-system wiring: deploy any of the six RMs on the DES through one
 //! builder — ESlurm's master, satellites and compute nodes, or a
-//! centralized baseline's master and compute nodes — inject job streams,
-//! and read back records and meters.
+//! centralized baseline's master and compute nodes — submit jobs, and
+//! read back records and meters.
 //!
 //! Node layout convention: node 0 is the master, nodes `1..=m` are the
 //! satellites (none on a centralized RM), and nodes `m+1..` are compute
@@ -15,7 +15,7 @@ use monitoring::FailurePredictor;
 use obs::{tag_scope, MemTag, Recorder, Sampler, SloEngine};
 use rm::proto::{NodeSlice, RmMsg};
 use rm::slave::{SlaveConfig, SlaveDaemon, SlaveGroup, SlaveHeartbeat};
-use rm::{CentralizedMaster, JobStream, MasterLog, RmNode, RmProfile};
+use rm::{CentralizedMaster, MasterLog, RmNode, RmProfile};
 use simclock::{SimSpan, SimTime};
 use std::ops::Range;
 #[allow(
@@ -180,6 +180,8 @@ pub struct System<S: Stack> {
     pub n_satellites: usize,
     /// Number of compute nodes.
     pub n_slaves: usize,
+    /// Jobs submitted so far.
+    pub submitted: u64,
 }
 
 /// A built ESlurm cluster.
@@ -272,6 +274,7 @@ impl<S: Stack> SystemBuilder<S> {
             sim: SimCluster::new(actors, config),
             n_satellites: m,
             n_slaves: self.n_slaves,
+            submitted: 0,
         }
     }
 }
@@ -309,6 +312,7 @@ impl<S: Stack> System<S> {
 
     /// Submit a job over the given compute-node indices (0-based) at `at`.
     pub fn submit(&mut self, at: SimTime, job: u64, slave_idxs: Range<usize>, runtime: SimSpan) {
+        self.submitted += 1;
         let nodes = NodeSlice::from_nodes(slave_idxs.map(|i| self.slave_id(i)));
         self.sim.inject(
             at,
@@ -320,15 +324,6 @@ impl<S: Stack> System<S> {
                 runtime_us: runtime.as_micros(),
             },
         );
-    }
-
-    /// Submit every arrival of `stream`. Returns the number of jobs
-    /// injected.
-    pub fn submit_stream(&mut self, stream: JobStream) -> u64 {
-        stream.fold(0, |n, a| {
-            self.submit(a.at, a.job, a.nodes, a.runtime);
-            n + 1
-        })
     }
 }
 
@@ -346,6 +341,8 @@ impl System<EslurmConfig> {
 mod tests {
     use super::*;
     use crate::fsm::SatState;
+    use crate::Scenario;
+    use rm::JobStream;
 
     fn small_cfg(m: usize) -> EslurmConfig {
         EslurmConfig {
@@ -360,7 +357,6 @@ mod tests {
 
     #[test]
     fn centralized_job_stream_runs_to_completion() {
-        let mut sys = SystemBuilder::new(RmProfile::slurm(), 64, 5).build();
         let stream = JobStream::new(
             64,
             SimSpan::from_secs(600),
@@ -369,9 +365,11 @@ mod tests {
             SimSpan::from_secs(60),
             9,
         );
-        let n = sys.submit_stream(stream);
+        let sys = Scenario::new(RmProfile::slurm(), 64, 5, SimTime::from_secs(3600))
+            .arrivals(stream)
+            .run(|b| b);
+        let n = sys.submitted;
         assert!(n > 5, "stream produced only {n} jobs");
-        sys.sim.run_until(SimTime::from_secs(3600));
         assert_eq!(sys.master().records.len() as u64, n);
     }
 

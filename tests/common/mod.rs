@@ -1,7 +1,8 @@
 //! What the DES integration suites share: the fixed-seed reference
-//! scenario, the outcome fingerprint, and the one non-perturbation check
-//! every instrument is held to. A suite keeps only what is specific to its
-//! instrument and names in its header what it delegates here.
+//! scenario (an `eslurm::Scenario`), the outcome fingerprint, and the one
+//! non-perturbation check every instrument is held to. A suite keeps only
+//! what is specific to its instrument and names in its header what it
+//! delegates here.
 #![allow(dead_code)] // each suite uses its own subset
 
 use eslurm_suite::eslurm::prelude::*;
@@ -11,51 +12,40 @@ use eslurm_suite::obs::{export, Sampler};
 pub const SATELLITES: usize = 3;
 pub const SLAVES: usize = 180;
 
-pub fn cfg(m: usize) -> EslurmConfig {
-    EslurmConfig {
-        n_satellites: m,
+/// The reference scenario, fault-free: 3 satellites, 180 compute nodes,
+/// seed 33, 12 jobs, to t=600s. Arm instruments in its `run`.
+pub fn scenario() -> Scenario<EslurmConfig> {
+    let jobs = (0..12u64).map(|j| {
+        let start = (j as usize * 13) % (SLAVES - 48);
+        Arrival {
+            at: SimTime::from_secs(10 + j * 25),
+            job: j,
+            nodes: start..start + 40,
+            runtime: SimSpan::from_secs(20 + (j % 4) * 15),
+        }
+    });
+    let cfg = EslurmConfig {
+        n_satellites: SATELLITES,
         eq1_width: 48,
         relay_width: 8,
         hb_sweep_interval: SimSpan::from_secs(60),
         sat_hb_interval: SimSpan::from_secs(5),
         ..Default::default()
-    }
-}
-
-/// The reference scenario, fault-free: 3 satellites, 180 compute nodes,
-/// seed 33. Chain instruments onto it, then [`run`] it.
-pub fn scenario() -> EslurmSystemBuilder {
-    EslurmSystemBuilder::new(cfg(SATELLITES), SLAVES, 33)
+    };
+    Scenario::new(cfg, SLAVES, 33, SimTime::from_secs(600)).arrivals(jobs)
 }
 
 /// [`scenario`] with its two mid-run compute-node outages.
-pub fn faulted() -> EslurmSystemBuilder {
-    let first_slave = 1 + SATELLITES;
-    let outage = |slave: usize, down_s, up_s| Outage {
-        node: NodeId((first_slave + slave) as u32),
+pub fn faulted() -> Scenario<EslurmConfig> {
+    let outage = |slave: u32, down_s, up_s| Outage {
+        node: NodeId(slave),
         down_at: SimTime::from_secs(down_s),
         up_at: SimTime::from_secs(up_s),
     };
-    scenario().faults(FaultPlan::from_outages(
-        first_slave + SLAVES,
+    scenario().outages(FaultPlan::from_outages(
+        SLAVES,
         vec![outage(17, 90, 400), outage(101, 150, 2000)],
     ))
-}
-
-/// Build, submit the scenario's 12 jobs, run to t=600s.
-pub fn run(builder: EslurmSystemBuilder) -> EslurmSystem {
-    let mut sys = builder.build();
-    for j in 0..12u64 {
-        let start = (j as usize * 13) % (SLAVES - 48);
-        sys.submit(
-            SimTime::from_secs(10 + j * 25),
-            j,
-            start..start + 40,
-            SimSpan::from_secs(20 + (j % 4) * 15),
-        );
-    }
-    sys.sim.run_until(SimTime::from_secs(600));
-    sys
 }
 
 /// The scenario's 1 Hz footprint sampler (first 300 s).
@@ -109,12 +99,8 @@ pub fn sampled_run(
     arm: impl FnOnce(EslurmSystemBuilder) -> EslurmSystemBuilder,
 ) -> Sampled {
     let (rec, sampler) = (recorder(), sampler());
-    let builder = faulted().obs(rec.clone()).sampler(sampler.clone());
-    Sampled {
-        sys: run(arm(builder)),
-        rec,
-        sampler,
-    }
+    let sys = faulted().run(|b| arm(b.obs(rec.clone()).sampler(sampler.clone())));
+    Sampled { sys, rec, sampler }
 }
 
 /// The contract every instrument signs: arming it changes nothing the
@@ -167,6 +153,7 @@ pub fn satellite_outage_run(seed: u64, rec: Recorder) -> EslurmSystem {
         relay_width: 8,
         ..Default::default()
     };
+    // The outage is the satellite's, so it is a plan of the whole layout.
     let plan = FaultPlan::from_outages(
         1 + 1 + 32,
         vec![Outage {
@@ -175,13 +162,13 @@ pub fn satellite_outage_run(seed: u64, rec: Recorder) -> EslurmSystem {
             up_at: SimTime::from_secs(60),
         }],
     );
-    let mut sys = EslurmSystemBuilder::new(cfg, 32, seed)
-        .obs(rec)
-        .faults(plan)
-        .build();
-    for (job, at, nodes) in [(1, 5, 0..16), (2, 70, 16..32)] {
-        sys.submit(SimTime::from_secs(at), job, nodes, SimSpan::from_secs(10));
-    }
-    sys.sim.run_until(SimTime::from_secs(180));
-    sys
+    let jobs = [(1, 5, 0..16), (2, 70, 16..32)].map(|(job, at, nodes)| Arrival {
+        at: SimTime::from_secs(at),
+        job,
+        nodes,
+        runtime: SimSpan::from_secs(10),
+    });
+    Scenario::new(cfg, 32, seed, SimTime::from_secs(180))
+        .arrivals(jobs.into_iter())
+        .run(|b| b.obs(rec).faults(plan))
 }

@@ -5,7 +5,9 @@
 //! is handed the same arrivals of the one shared `JobStream`.
 
 use eslurm_suite::emu::NodeId;
-use eslurm_suite::eslurm::{EslurmConfig, EslurmNode, EslurmSystemBuilder, Stack, SystemBuilder};
+use eslurm_suite::eslurm::{
+    EslurmConfig, EslurmNode, EslurmSystemBuilder, Scenario, Stack, SystemBuilder,
+};
 use eslurm_suite::obs::{build_traces, EventKind, FlowKind, Recorder};
 use eslurm_suite::rm::{JobRecord, JobStream, MasterLog, RmNode, RmProfile, SlaveDaemon};
 use eslurm_suite::simclock::{SimSpan, SimTime};
@@ -211,16 +213,14 @@ fn handed(rec: &Recorder, first_compute: u32, records: &[JobRecord]) -> Vec<Hand
         .collect()
 }
 
-/// What `builder`'s master was handed of `stream` by `end`.
-fn handed_stream<S: Stack>(
-    builder: SystemBuilder<S>,
-    stream: JobStream,
-    end: SimTime,
-) -> Vec<Handed> {
+/// What `stack`'s master on 64 compute nodes was handed of `stream` by
+/// `end`.
+fn handed_stream<S: Stack>(stack: S, stream: JobStream, end: SimTime) -> Vec<Handed> {
     let rec = Recorder::full();
-    let mut sys = builder.obs(rec.clone()).build();
-    assert_eq!(sys.submit_stream(stream), 59);
-    sys.sim.run_until(end);
+    let sys = Scenario::new(stack, 64, 7, end)
+        .arrivals(stream)
+        .run(|b| b.obs(rec.clone()));
+    assert_eq!(sys.submitted, 59);
     handed(&rec, sys.slave_id(0), sys.master().records())
 }
 
@@ -234,8 +234,8 @@ fn every_master_is_handed_the_same_job_stream() {
             (at, a.job, a.nodes.start, a.nodes.len(), rt)
         })
         .collect();
-    // As `submit_stream` drew them from `stream_rng(43, 0x10B5)` when the
-    // stream was first pinned (node ids there, indices here).
+    // As drawn from `stream_rng(43, 0x10B5)` when the stream was first
+    // pinned (node ids there, indices here).
     let pinned: [Handed; 8] = [
         (115_937_848, 1, 0, 2, 28_875_969),
         (133_809_528, 2, 48, 1, 35_591_691),
@@ -253,10 +253,7 @@ fn every_master_is_handed_the_same_job_stream() {
     let mut stacks: Vec<(&str, Vec<Handed>)> = Vec::new();
     for profile in RmProfile::baselines() {
         let name = profile.name;
-        stacks.push((
-            name,
-            handed_stream(SystemBuilder::new(profile, 64, 7), stream(), end),
-        ));
+        stacks.push((name, handed_stream(profile, stream(), end)));
     }
     let cfg = EslurmConfig {
         n_satellites: 2,
@@ -264,10 +261,7 @@ fn every_master_is_handed_the_same_job_stream() {
         relay_width: 8,
         ..Default::default()
     };
-    stacks.push((
-        "ESlurm",
-        handed_stream(SystemBuilder::new(cfg, 64, 7), stream(), end),
-    ));
+    stacks.push(("ESlurm", handed_stream(cfg, stream(), end)));
 
     for (name, got) in &stacks {
         assert_eq!(got.len(), want.len(), "{name}: submissions");

@@ -73,7 +73,7 @@ fn profiled_trace_exports_are_byte_identical() {
 fn attribution_covers_the_exercised_subsystems() {
     let _serial = one_at_a_time();
     let profiler = MemProfiler::enabled();
-    let sys = common::run(common::faulted());
+    let sys = common::faulted().run(|b| b);
     assert!(sys.sim.events_processed() > 0);
     let report = profiler.report().expect("feature on, handle armed");
     for expected in ["master", "satellite", "des"] {

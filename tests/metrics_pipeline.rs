@@ -15,6 +15,7 @@ use eslurm_suite::obs::{compare_csv, export, DiffOptions, MetricId, Sampler};
 fn sampled_run(seed: u64, rec: Recorder) -> (Recorder, Sampler) {
     let horizon = SimTime::from_secs(120);
     let sampler = Sampler::every_until(SimSpan::from_secs(1), horizon);
+    // The outage is the satellite's, so it is a plan of the whole layout.
     let plan = FaultPlan::from_outages(
         1 + 2 + 32,
         vec![Outage {
@@ -27,20 +28,18 @@ fn sampled_run(seed: u64, rec: Recorder) -> (Recorder, Sampler) {
         n_satellites: 2,
         ..Default::default()
     };
-    let mut sys = EslurmSystemBuilder::new(cfg, 32, seed)
-        .obs(rec.clone())
-        .sampler(sampler.clone())
-        .faults(plan)
-        .build();
-    for (i, start) in [5u64, 20, 45, 90].iter().enumerate() {
-        sys.submit(
-            SimTime::from_secs(*start),
-            i as u64 + 1,
-            0..16,
-            SimSpan::from_secs(15),
-        );
-    }
-    sys.sim.run_until(horizon);
+    let jobs = [5u64, 20, 45, 90]
+        .into_iter()
+        .enumerate()
+        .map(|(i, start)| Arrival {
+            at: SimTime::from_secs(start),
+            job: i as u64 + 1,
+            nodes: 0..16,
+            runtime: SimSpan::from_secs(15),
+        });
+    Scenario::new(cfg, 32, seed, horizon)
+        .arrivals(jobs)
+        .run(|b| b.obs(rec.clone()).sampler(sampler.clone()).faults(plan));
     (rec, sampler)
 }
 

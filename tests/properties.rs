@@ -131,36 +131,32 @@ proptest! {
         seed in 0u64..200,
         n_outages in 0usize..12,
     ) {
-        use eslurm_suite::emu::FaultPlanBuilder;
-        use eslurm_suite::eslurm::{EslurmConfig, EslurmSystemBuilder};
-        use eslurm_suite::simclock::{SimSpan, SimTime};
+        use eslurm_suite::eslurm::prelude::{Arrival, EslurmConfig, Scenario, SimSpan, SimTime};
+        use eslurm_suite::eslurm::scenario::small_outages;
 
-        let m = 2;
         let n_slaves = 120;
-        let total = 1 + m + n_slaves;
-        // Random compute-node outages (never the master or satellites, which
-        // have their own dedicated tests).
-        let plan = FaultPlanBuilder::new(n_slaves, SimSpan::from_secs(400), seed)
-            .small_events(n_outages, 4)
-            .mean_outage(SimSpan::from_secs(120))
-            .build()
-            .placed(1 + m, total);
         let cfg = EslurmConfig {
-            n_satellites: m,
+            n_satellites: 2,
             eq1_width: 48,
             relay_width: 8,
             ..Default::default()
         };
-        let mut sys = EslurmSystemBuilder::new(cfg, n_slaves, seed).faults(plan).build();
-        for j in 0..8u64 {
-            sys.submit(
-                SimTime::from_secs(5 + j * 20),
-                j,
-                (j as usize * 11) % 40..(j as usize * 11) % 40 + 60,
-                SimSpan::from_secs(15),
-            );
-        }
-        sys.sim.run_until(SimTime::from_secs(1200));
+        let jobs = (0..8u64).map(|j| {
+            let start = (j as usize * 11) % 40;
+            Arrival {
+                at: SimTime::from_secs(5 + j * 20),
+                job: j,
+                nodes: start..start + 60,
+                runtime: SimSpan::from_secs(15),
+            }
+        });
+        // Random compute-node outages over the first 400 s (never the
+        // master or satellites, which have their own dedicated tests).
+        let outages = small_outages(n_slaves, SimSpan::from_secs(400), n_outages, seed);
+        let sys = Scenario::new(cfg, n_slaves, seed, SimTime::from_secs(1200))
+            .arrivals(jobs)
+            .outages(outages)
+            .run(|b| b);
         prop_assert_eq!(sys.master().records.len(), 8, "jobs lost");
     }
 }
