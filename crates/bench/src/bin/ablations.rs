@@ -9,6 +9,8 @@
 //!    always-model;
 //! 4. **predictor quality** — FP-Tree benefit as monitoring recall falls.
 
+#![forbid(unsafe_code)]
+
 use emu::{FaultPlan, NodeId, Outage};
 use eslurm::{EslurmConfig, Scenario};
 use eslurm_bench::{f, ExpArgs};

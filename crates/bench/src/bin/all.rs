@@ -3,6 +3,8 @@
 //! it at `--quick` and holds the CSVs it writes to
 //! `crates/bench/quick-csv.sha256`.
 
+#![forbid(unsafe_code)]
+
 use std::process::Command;
 
 const EXPERIMENTS: &[&str] = &[

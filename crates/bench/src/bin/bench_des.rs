@@ -10,6 +10,8 @@
 //! `--quick` shrinks that to ~100k nodes for CI. Writes `BENCH_DES.json`
 //! at the repository root.
 
+#![forbid(unsafe_code)]
+
 use eslurm_bench::{
     f, fig9_scale, figure_fingerprint, obj, print_table, timed_run, write_bench, ExpArgs,
 };

@@ -14,6 +14,8 @@
 //! stdout) so the `multi-tenant` CI job can archive and gate the numbers.
 //! `--quick` shrinks the trace, `--seed` varies it.
 
+#![forbid(unsafe_code)]
+
 use eslurm::PredictiveLimit;
 use eslurm_bench::{f, fnv64, obj, print_table, write_bench, ExpArgs, FNV_OFFSET};
 use estimate::EstimatorConfig;

@@ -7,6 +7,8 @@
 //! stdout) so CI can archive the numbers per commit. `--quick` shrinks
 //! the trace, `--seed` varies it.
 
+#![forbid(unsafe_code)]
+
 use eslurm::PredictiveLimit;
 use eslurm_bench::{f, print_table, time_ns, write_bench, ExpArgs};
 use estimate::EstimatorConfig;

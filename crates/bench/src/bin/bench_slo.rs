@@ -17,6 +17,8 @@
 //! counts, time-to-detect, and evaluation overhead to `BENCH_SLO.json` at
 //! the repository root, gated by the `slo` CI job.
 
+#![forbid(unsafe_code)]
+
 use emu::NodeId;
 use eslurm::scenario::small_outages;
 use eslurm::{Scenario, Stack, System, SystemBuilder};

@@ -12,6 +12,8 @@
 //! FP-Tree), cuts average wait by 60.5 % and average bounded slowdown by
 //! 75.8 %.
 
+#![forbid(unsafe_code)]
+
 use eslurm::PredictiveLimit;
 use eslurm_bench::{f, print_table, ExpArgs};
 use estimate::EstimatorConfig;

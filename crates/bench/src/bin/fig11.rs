@@ -7,6 +7,8 @@
 //! underestimation; SVM/RandomForest/Last-2 sit below 70 % accuracy with
 //! > 25 % underestimation; user estimates are the least accurate.
 
+#![forbid(unsafe_code)]
+
 use emu::NodeId;
 use eslurm::{EslurmConfig, Scenario};
 use eslurm_bench::{f, footprint, ExpArgs};

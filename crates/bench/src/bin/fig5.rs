@@ -8,6 +8,8 @@
 //! * (c) job-correlation ratio vs. job-ID gap (stabilizes past ~700,
 //!   which motivates the 700-job interest window).
 
+#![forbid(unsafe_code)]
+
 use eslurm_bench::{f, ExpArgs};
 use workload::stats;
 use workload::TraceConfig;

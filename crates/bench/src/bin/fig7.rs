@@ -11,6 +11,8 @@
 //! * occupation (f): SGE/Torque/OpenPBS blow up with job size; LSF, Slurm,
 //!   and ESlurm stay flat, ESlurm < 15 s.
 
+#![forbid(unsafe_code)]
+
 use emu::NodeId;
 use eslurm::{EslurmConfig, Scenario, Stack, System};
 use eslurm_bench::{f, fmt_bytes, footprint, node_series, print_table, ExpArgs};
@@ -62,12 +64,17 @@ fn run<S: Stack>(args: &ExpArgs, name: &str, scenario: Scenario<S>) -> (Vec<Stri
     let store = sampler.store();
     let u = footprint(&store, "master");
     dump_series(args, name, &store, "master");
+    // Display cells beside the raw values the CSV holds (see `main`'s
+    // column list).
     let row = vec![
         name.to_string(),
         f(100.0 * u.cpu_util, 2),
+        u.cpu_util.to_string(),
         format!("{:.1}", u.cpu_s / 60.0),
         fmt_bytes(u.virt),
+        u.virt.to_string(),
         fmt_bytes(u.real),
+        u.real.to_string(),
         f(u.sockets, 1),
         sys.sim.meter(NodeId::MASTER).peak_sockets().to_string(),
     ];
@@ -152,10 +159,13 @@ fn main() {
         "fig7_summary.csv",
         &[
             ("RM", "rm"),
-            ("CPU %", "cpu_util"),
+            ("CPU %", ""),
+            ("", "cpu_util"),
             ("CPU min", "cpu_time_min"),
-            ("virt", "virt_bytes"),
-            ("real", "real_bytes"),
+            ("virt", ""),
+            ("", "virt_bytes"),
+            ("real", ""),
+            ("", "real_bytes"),
             ("sockets", "sockets_mean"),
             ("peak sockets", "sockets_peak"),
         ],

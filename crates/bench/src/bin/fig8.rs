@@ -10,6 +10,8 @@
 //!   shared-memory, plain tree, and FP-Tree. Paper: FP-Tree stays below
 //!   10 s at 30 % while the others run into minutes.
 
+#![forbid(unsafe_code)]
+
 use eslurm::satellites_needed;
 use eslurm_bench::{f, ExpArgs};
 use rand::RngExt;

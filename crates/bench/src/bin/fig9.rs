@@ -5,6 +5,8 @@
 //! memory, and its two satellites carry the (balanced) communication load
 //! with ≤ 80 concurrent sockets each, vs. Slurm's > 1000-socket bursts.
 
+#![forbid(unsafe_code)]
+
 use emu::NodeId;
 use eslurm::{EslurmConfig, Scenario, Stack, System};
 use eslurm_bench::{f, fmt_bytes, footprint, ExpArgs};

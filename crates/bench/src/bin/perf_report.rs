@@ -12,6 +12,8 @@
 //! synthetic workload. Exits non-zero when an SVR-fit or retrain row falls
 //! below [`FLOOR`], so CI's smoke run gates the speedups it reports.
 
+#![forbid(unsafe_code)]
+
 use eslurm_bench::{f, obj, print_table, time_ns, write_bench, ExpArgs};
 use estimate::{features, EstimatorConfig, RuntimeEstimator};
 use ml::features::Regressor;

@@ -8,6 +8,8 @@
 //! each reply waits behind the master's serial work backlog. Requests
 //! slower than the 10 s client timeout count as connection failures.
 
+#![forbid(unsafe_code)]
+
 use emu::NodeId;
 use eslurm::{EslurmConfig, Scenario, Stack};
 use eslurm_bench::{f, ExpArgs};
@@ -39,7 +41,10 @@ fn query_times(horizon: SimSpan, rate_per_s: f64, seed: u64) -> Vec<SimTime> {
         if t >= horizon.as_secs_f64() {
             return out;
         }
-        // Jitter avoids phase-locking with heartbeat epochs.
+        // A jitter draw that is never applied: the exponential gaps
+        // already keep queries off the heartbeat epochs. It stays drawn
+        // because the committed query times come from this stream;
+        // applying it would move the §II-B figure.
         let _ = rng.random::<f64>();
         out.push(SimTime::from_secs_f64(t));
     }

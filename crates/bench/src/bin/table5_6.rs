@@ -6,6 +6,8 @@
 //! similar number of tasks regardless of pool size, but each task covers
 //! fewer nodes, so per-satellite memory and connections shrink.
 
+#![forbid(unsafe_code)]
+
 use emu::NodeId;
 use eslurm::{EslurmConfig, Scenario};
 use eslurm_bench::{f, fmt_bytes, footprint, ExpArgs};
@@ -60,7 +62,9 @@ fn main() {
             label.clone(),
             format!("{:.1}", u.cpu_s / 60.0),
             fmt_bytes(u.virt),
+            u.virt.to_string(),
             fmt_bytes(u.real),
+            u.real.to_string(),
             f(u.sockets, 1),
             sys.sim.meter(NodeId::MASTER).peak_sockets().to_string(),
         ]);
@@ -82,12 +86,15 @@ fn main() {
             socks += meter.peak_sockets() as f64;
         }
         let mf = m as f64;
+        let (virt, real) = ((virt / mf) as u64, (real / mf) as u64);
         t6.push(vec![
             label,
             f(tasks / mf, 0),
             f(nodes_per_task / mf, 1),
-            fmt_bytes((virt / mf) as u64),
-            fmt_bytes((real / mf) as u64),
+            fmt_bytes(virt),
+            virt.to_string(),
+            fmt_bytes(real),
+            real.to_string(),
             f(socks / mf, 1),
         ]);
     }
@@ -98,8 +105,10 @@ fn main() {
         &[
             ("setup", "setup"),
             ("CPU min", "cpu_min"),
-            ("virt (mean)", "virt"),
-            ("real (mean)", "real"),
+            ("virt (mean)", ""),
+            ("", "virt_bytes"),
+            ("real (mean)", ""),
+            ("", "real_bytes"),
             ("sockets (mean)", "sockets_mean"),
             ("peak sockets", "sockets_peak"),
         ],
@@ -113,8 +122,10 @@ fn main() {
             ("setup", "setup"),
             ("tasks/sat", "tasks_per_sat"),
             ("nodes/task", "nodes_per_task"),
-            ("virt", "virt"),
-            ("real", "real"),
+            ("virt", ""),
+            ("", "virt_bytes"),
+            ("real", ""),
+            ("", "real_bytes"),
             ("peak sockets", "sockets_peak"),
         ],
         &t6,

@@ -5,6 +5,8 @@
 //! Paper: α 1.00 → 1.08 moves AEA 0.87 → 0.80 and UR 0.54 → 0.11, with
 //! α = 1.05 the chosen balance (AEA 0.84, UR 0.12).
 
+#![forbid(unsafe_code)]
+
 use eslurm_bench::{f, print_table, ExpArgs};
 use estimate::{evaluate, EslurmPredictor, EstimatorConfig};
 use workload::TraceConfig;

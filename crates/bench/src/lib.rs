@@ -16,6 +16,8 @@
 //! ([`outcome_fingerprint`] over [`fnv64`]), the best-of-N timer
 //! ([`time_ns`]) and the `BENCH_*.json` writer ([`write_bench`]).
 
+#![forbid(unsafe_code)]
+
 use emu::{Actor, NodeId, Payload, SimCluster};
 use eslurm::{EslurmConfig, Scenario, Stack, System, SystemBuilder};
 use obs::{MetricId, SeriesPoint, SeriesStore, SeriesSummary};

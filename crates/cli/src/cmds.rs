@@ -495,7 +495,8 @@ fn predict(o: &Opts) -> Result<(), CliError> {
 /// Parse the six [`SCENARIO_FLAGS`] over the command's own defaults into
 /// the run's [`Scenario`] — `--nodes` compute nodes and `--satellites`
 /// satellites under [`jobs`] for `--minutes`, with `--faults` small
-/// compute-node outages — and `--jobs`, the denominator of the status
+/// compute-node outages, at most `--nodes × --minutes` of them (more is a
+/// usage error) — and `--jobs`, the denominator of the status
 /// lines. The command arms its instruments in the scenario's `run`.
 fn scenario(o: &Opts) -> Result<(Scenario<EslurmConfig>, u64), CliError> {
     let d = o.spec().scenario.as_ref();
@@ -512,6 +513,14 @@ fn scenario(o: &Opts) -> Result<(Scenario<EslurmConfig>, u64), CliError> {
         return Err(o.usage(format!(
             "1 + --satellites + --nodes must be at most {}, the node-id space; got {total}",
             u32::MAX
+        )));
+    }
+    // The outage plan is drawn in full before the run: one outage per
+    // compute node and virtual minute is more than any run can use.
+    let most = nodes as u128 * minutes as u128;
+    if faults as u128 > most {
+        return Err(o.usage(format!(
+            "--faults must be at most --nodes × --minutes = {most}; got {faults}"
         )));
     }
     let cfg = EslurmConfig {

@@ -26,6 +26,8 @@
 //! table rendered into `eslurm --help` — and asserted against
 //! [`error::CliError::exit_code`] by a unit test.
 
+#![forbid(unsafe_code)]
+
 mod cmds;
 mod error;
 mod opts;

@@ -13,7 +13,7 @@
 //! order: it is what every fingerprint and export hashes, and what any
 //! split of the event population would have to merge back into.
 //!
-//! ## One event ahead
+//! ## One event ahead, and its slot two ahead
 //!
 //! At 200,000 nodes a receiver's state is not in cache when its event
 //! comes up, and the first touches of its `HotNode` and its actor were
@@ -23,11 +23,17 @@
 //! ([`KeyedQueue::peek_event`]) and, for a `Deliver` or a `Timer`,
 //! prefetches the first and last byte of that node's `HotNode` and actor,
 //! so both lines of a record that straddles a boundary load while event
-//! *k*'s handler runs. This cannot change the order, or anything else: the
-//! peek reads without writing, the prefetch is a cache hint that changes
-//! no value, and whatever event *k* pushes before its successor — even
-//! one that becomes the new head — is popped by the same key comparison
-//! as before; a stale hint only costs a wasted line.
+//! *k*'s handler runs. That peek is itself a miss on the queue's slab —
+//! about a sixth of the sweep's samples — so right after the `pop` the
+//! loop also prefetches the slot of event *k + 2*
+//! ([`KeyedQueue::after_head_slot`]): one line, since the slots are
+//! line-aligned, loading while event *k*'s handler runs, for the peek
+//! that follows the next `pop`. This cannot change the order, or
+//! anything else: the peek reads without writing, a prefetch is
+//! a cache hint that changes no value, and whatever event *k* pushes
+//! before its successor — even one that becomes the new head — is popped
+//! by the same key comparison as before; a stale hint only costs a
+//! wasted line.
 //!
 //! Meter sampling is an engine-level tick (not a queued event), driven by
 //! the end-bounded [`Sampler`] of the [`SimConfig`] alone: ticks fire at
@@ -727,6 +733,9 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
                 break;
             }
             let (key, ev) = self.core.queue.pop().expect("peeked event vanished");
+            if let Some(slot) = self.core.queue.after_head_slot() {
+                prefetch(slot);
+            }
             self.prefetch_next_receiver();
             debug_assert!(key.time >= self.now, "event time went backwards");
             self.now = key.time;
@@ -753,10 +762,11 @@ mod tests {
 
     #[test]
     fn queued_event_and_its_seq_fit_one_cache_line() {
-        // `KeyedQueue` keeps `seq` beside the event in its slab slot. A
-        // payload shaped like `rm::proto::RmMsg` — a 40-byte enum, so its
-        // tag has spare values for `Ev`'s and `Option`'s — must leave the
-        // slot within 64 bytes; an inline hop envelope would not.
+        // `KeyedQueue` keeps `seq` beside the event in its slab slot, and
+        // aligns the slot to a line. A payload shaped like
+        // `rm::proto::RmMsg` — a 40-byte enum, so its tag has spare values
+        // for `Ev`'s and `Option`'s — must leave the slot one line, not
+        // two; an inline hop envelope would not.
         #[allow(dead_code)]
         enum Wire {
             List {
@@ -772,7 +782,9 @@ mod tests {
             Probe,
         }
         assert_eq!(std::mem::size_of::<Wire>(), 40);
-        assert!(std::mem::size_of::<(u64, Option<Ev<Wire>>)>() <= 64);
+        type Slot = simclock::keyed::Slot<Ev<Wire>>;
+        assert_eq!(std::mem::size_of::<Slot>(), 64);
+        assert_eq!(std::mem::align_of::<Slot>(), 64);
     }
 
     /// Ping-pong: node 0 sends `k`, receiver replies `k-1`, until zero.

@@ -36,6 +36,8 @@
 //! assert_eq!(sys.master().records.len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod fsm;
 pub mod limits;

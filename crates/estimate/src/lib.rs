@@ -13,6 +13,8 @@
 //! * [`eval`] — chronological replay scoring (accuracy and
 //!   underestimation rate, Fig. 11(b) / Table VIII).
 
+#![forbid(unsafe_code)]
+
 pub mod baselines;
 pub mod eval;
 pub mod features;

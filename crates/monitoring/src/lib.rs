@@ -11,6 +11,8 @@
 //! behaviour of that set — detection lead time, recall, and false
 //! positives per query — as controlled experiment parameters.
 
+#![forbid(unsafe_code)]
+
 pub mod predictor;
 
 pub use predictor::{score, FailurePredictor, OraclePredictor, PredictionQuality};

@@ -16,6 +16,8 @@
 //!   DES by `eslurm::system`, as ESlurm is), and the one synthetic job
 //!   stream ([`JobStream`]) every stack is loaded with.
 
+#![forbid(unsafe_code)]
+
 pub mod driver;
 pub mod master;
 pub mod profile;

@@ -34,6 +34,8 @@
 //! assert_eq!(report.completed + report.abandoned, 100);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod backfill;
 pub mod fairshare;
 pub mod metrics;

@@ -32,10 +32,11 @@
 //!   or of the last rebase; no pending event is earlier. Entries *at* it
 //!   sit in an implicit **4-ary** min-heap of **16-byte** entries
 //!   `(time: u64, lane: u32, slot: u32)`, which orders them by
-//!   `(lane, seq)`. Four children share one 64-byte line, the least of a
-//!   full group is picked by a two-round tournament on index arithmetic,
-//!   and `pop` walks the hole to the bottom before it looks at the
-//!   displaced last entry.
+//!   `(lane, seq)`: their times are all equal, so a heap comparison
+//!   skips the time. Four children share one 64-byte line, the least of
+//!   a full group is picked by a two-round tournament on index
+//!   arithmetic, and `pop` walks the hole to the bottom before it looks
+//!   at the displaced last entry.
 //! * Entries *later* than it go to one of 256 **buckets**, named by the
 //!   highest 4-bit digit in which their time differs from the settled
 //!   instant and by their own value in that digit. Bucket `(d, v)` holds
@@ -71,14 +72,36 @@
 //!   bytes without narrowing `seq`.
 //! * Payloads never move: a slab (`Vec` arena plus a LIFO free list) holds
 //!   `seq` and the event, so `pop` reads one slot — the one whose index the
-//!   root entry names, read *before* the sift so that its miss overlaps
-//!   the sift's — and the most recently freed slot, still in cache, is the
-//!   next one `push` fills.
+//!   root entry names, read *before* the sift so that, when it is not in
+//!   cache yet, its miss overlaps the sift's — and the most recently freed
+//!   slot, still in cache, is the next one `push` fills.
+//! * Every [`Slot`] is aligned to a 64-byte line, so a slot of at most 64
+//!   bytes (the engine's: `seq` plus a 56-byte event) is exactly one line,
+//!   and reading it costs one miss, not two. Without the alignment the
+//!   slab's buffer starts wherever the allocator puts it (16 or 48 bytes
+//!   past a line boundary in the engine), and then every 64-byte slot
+//!   straddles two lines. Smaller payloads pay for it in bytes: a `u64`
+//!   payload's slot takes 64 bytes, not 16.
 //!
 //! [`KeyedQueue::peek_head`] answers "when is the next event" from the
 //! head entry alone; [`KeyedQueue::peek_event`] also reads the slot for the
 //! payload, so a caller can learn what the next event touches one `pop`
-//! ahead.
+//! ahead. [`KeyedQueue::after_head_slot`] goes one event further without
+//! reading anything of it: it names the slot of the *second* least entry —
+//! the least child of the heap root, or, when the root is alone, the least
+//! entry of the lowest occupied bucket — so a caller can prefetch the slot
+//! that the `peek_event` after the next `pop` reads. It names nothing when
+//! the heap is empty (the second entry would need a bucket scan). A push
+//! before that `pop` may make the hint stale; it only ever names a live
+//! slot, so a stale hint costs a wasted line, never a wrong answer.
+//!
+//! Left as they are: `push` reads the free slot it fills (to drop its
+//! `None`) before writing it, about a tenth of the samples of the
+//! 200,000-node sweep once the slots were aligned, but a trial that
+//! wrote the slot without the read (`mem::forget(mem::replace(..))`)
+//! measured no gain: the line has to be fetched either way; the chunk
+//! append in `bucket_push`, the next-largest line after it; and a
+//! smaller event, which needs a smaller message vocabulary first.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -145,7 +168,11 @@ struct Entry {
 }
 
 /// Slab slot: `seq` beside the payload, `None` while on the free list.
-struct Slot<E> {
+/// Line-aligned, so a slot of at most 64 bytes is one cache line (see the
+/// module docs); [`KeyedQueue::after_head_slot`] hands one out as a
+/// prefetch target, and its fields stay private.
+#[repr(align(64))]
+pub struct Slot<E> {
     seq: u64,
     event: Option<E>,
 }
@@ -156,6 +183,17 @@ struct Slot<E> {
 fn before<E>(slab: &[Slot<E>], a: Entry, b: Entry) -> bool {
     if (a.time, a.lane) != (b.time, b.lane) {
         return (a.time, a.lane) < (b.time, b.lane);
+    }
+    slab[a.slot as usize].seq < slab[b.slot as usize].seq
+}
+
+/// [`before`] for two heap entries: they share the settled instant's
+/// time, so `lane` decides, and `seq` on a `lane` tie.
+#[inline]
+fn heap_before<E>(slab: &[Slot<E>], a: Entry, b: Entry) -> bool {
+    debug_assert_eq!(a.time, b.time, "heap entries share one instant");
+    if a.lane != b.lane {
+        return a.lane < b.lane;
     }
     slab[a.slot as usize].seq < slab[b.slot as usize].seq
 }
@@ -260,13 +298,41 @@ impl<E> KeyedQueue<E> {
     fn sift_up(&mut self, mut hole: usize, entry: Entry) {
         while hole > 0 {
             let parent = (hole - 1) / ARITY;
-            if !before(&self.slab, entry, self.heap[parent]) {
+            if !heap_before(&self.slab, entry, self.heap[parent]) {
                 break;
             }
             self.heap[hole] = self.heap[parent];
             hole = parent;
         }
         self.heap[hole] = entry;
+    }
+
+    /// The index of the least of the heap children that start at `first`
+    /// (`first < self.heap.len()`).
+    #[inline(always)]
+    fn least_child(&self, first: usize) -> usize {
+        let (heap, slab) = (&self.heap, &self.slab);
+        let len = heap.len();
+        if first + ARITY <= len {
+            // A full group: a two-round tournament whose picks are index
+            // arithmetic, not branches.
+            let c = &heap[first..first + ARITY];
+            let lo = first + usize::from(heap_before(slab, c[1], c[0]));
+            let hi = first + 2 + usize::from(heap_before(slab, c[3], c[2]));
+            if heap_before(slab, heap[hi], heap[lo]) {
+                hi
+            } else {
+                lo
+            }
+        } else {
+            let mut least = first;
+            for child in first + 1..len {
+                if heap_before(slab, heap[child], heap[least]) {
+                    least = child;
+                }
+            }
+            least
+        }
     }
 
     /// Add an entry at the settled instant to the heap.
@@ -440,8 +506,10 @@ impl<E> KeyedQueue<E> {
             self.settle(b);
         }
         let root = self.heap[0];
-        // Read the slot before the sift, not after: it is the one certain
-        // cache miss of a pop, and this way it overlaps the sift's own.
+        // Read the slot before the sift, not after: unless the caller has
+        // already loaded it (a `peek_event`, or a prefetch of the
+        // `after_head_slot` two pops back), it is the one certain cache
+        // miss of a pop, and this way it overlaps the sift's own.
         let slot = &mut self.slab[root.slot as usize];
         let event = slot.event.take().expect("keyed queue slot empty");
         let key = EventKey {
@@ -461,28 +529,7 @@ impl<E> KeyedQueue<E> {
                 if first >= len {
                     break;
                 }
-                let heap = &self.heap;
-                let slab = &self.slab;
-                let least = if first + ARITY <= len {
-                    // A full group: a two-round tournament whose picks
-                    // are index arithmetic, not branches.
-                    let c = &heap[first..first + ARITY];
-                    let lo = first + usize::from(before(slab, c[1], c[0]));
-                    let hi = first + 2 + usize::from(before(slab, c[3], c[2]));
-                    if before(slab, heap[hi], heap[lo]) {
-                        hi
-                    } else {
-                        lo
-                    }
-                } else {
-                    let mut least = first;
-                    for child in first + 1..len {
-                        if before(slab, heap[child], heap[least]) {
-                            least = child;
-                        }
-                    }
-                    least
-                };
+                let least = self.least_child(first);
                 self.heap[hole] = self.heap[least];
                 hole = least;
             }
@@ -518,6 +565,21 @@ impl<E> KeyedQueue<E> {
     pub fn peek_event(&self) -> Option<&E> {
         let head = self.head()?;
         self.slab[head.slot as usize].event.as_ref()
+    }
+
+    /// The slot of the entry after the head: the one the `pop` after next
+    /// returns if nothing is pushed before it. A prefetch target only —
+    /// the slot is named, not read — and `None` when the heap is empty or
+    /// fewer than two events are pending (see the module docs).
+    #[inline]
+    pub fn after_head_slot(&self) -> Option<&Slot<E>> {
+        let next = match self.heap.len() {
+            0 => return None,
+            1 => self.buckets[self.lowest()?].min,
+            // The second least entry is the least child of the root.
+            _ => self.heap[self.least_child(1)],
+        };
+        Some(&self.slab[next.slot as usize])
     }
 
     /// Number of pending events.
@@ -640,6 +702,25 @@ mod tests {
     fn heap_entry_is_sixteen_bytes() {
         // Four children per 64-byte line; `seq` lives in the slab slot.
         assert_eq!(std::mem::size_of::<Entry>(), 16);
+    }
+
+    #[test]
+    fn slots_are_one_line_and_line_aligned() {
+        // A 56-byte payload with a niche, like the engine's event: `seq`
+        // plus the payload fill one line exactly.
+        type Payload = (std::num::NonZeroU64, [u64; 6]);
+        assert_eq!(std::mem::size_of::<Payload>(), 56);
+        assert_eq!(std::mem::size_of::<Slot<Payload>>(), 64);
+        assert_eq!(std::mem::align_of::<Slot<Payload>>(), 64);
+        let mut q: KeyedQueue<Payload> = KeyedQueue::with_capacity(3);
+        let cap = q.slab.capacity();
+        assert_eq!(q.slab.as_ptr() as usize % 64, 0);
+        let one = std::num::NonZeroU64::MIN;
+        for i in 0..100u64 {
+            q.push(EventKey::for_node(SimTime(i), 0, i), (one, [i; 6]));
+        }
+        assert!(q.slab.capacity() > cap, "the slab grew");
+        assert_eq!(q.slab.as_ptr() as usize % 64, 0);
     }
 
     #[test]
@@ -796,6 +877,43 @@ mod tests {
                 }
                 prop_assert_eq!(q.peek_event(), None);
                 prop_assert_eq!(q.pop(), None);
+            }
+
+            /// `after_head_slot` against the same oracle, on mixed traffic
+            /// like the first test's: the pops keep the oracle's order, a hint is
+            /// given exactly when the heap is not empty and two events are
+            /// pending, and after the next `pop` with no push between, the
+            /// hinted slot is the head's — the one the pop after next
+            /// returns — whether the hint was a root child (`seq` ties
+            /// included) or a bucket's least entry behind a lone root.
+            #[test]
+            fn after_head_slot_names_the_pop_after_next(
+                ops in prop::collection::vec((0u8..3, 0u64..3, 0u32..3, 0u64..1000), 1..400)
+            ) {
+                let mut q: KeyedQueue<u64> = KeyedQueue::new();
+                let mut oracle: BTreeMap<EventKey, u64> = BTreeMap::new();
+                let mut hint: Option<*const Slot<u64>> = None;
+                let mut peak = 0;
+                for (op, time, lane, seq) in ops {
+                    if op == 0 {
+                        let want = oracle.pop_first();
+                        prop_assert_eq!(q.pop(), want);
+                        if let Some(h) = hint {
+                            let head = q.head().expect("a hint means two were pending");
+                            prop_assert!(std::ptr::eq(h, &q.slab[head.slot as usize]));
+                        }
+                    } else {
+                        let key = EventKey { time: SimTime(time), lane, seq };
+                        if let std::collections::btree_map::Entry::Vacant(v) = oracle.entry(key) {
+                            v.insert(seq);
+                            q.push(key, seq);
+                        }
+                    }
+                    peak = peak.max(q.len());
+                    check(&q, &oracle, peak);
+                    hint = q.after_head_slot().map(|s| s as *const Slot<u64>);
+                    prop_assert_eq!(hint.is_some(), !q.heap.is_empty() && q.len() >= 2);
+                }
             }
 
             /// The same oracle on traffic shaped like the engine's: every

@@ -14,6 +14,8 @@
 //! `(time, lane, seq)`, which depends on who created an event and not on
 //! the order of pushes, and a slab-backed [`KeyedQueue`] that pops in it.
 
+#![forbid(unsafe_code)]
+
 pub mod keyed;
 pub mod queue;
 pub mod rng;

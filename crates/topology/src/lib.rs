@@ -13,6 +13,8 @@
 //! * [`mod@broadcast`] — a fault-aware broadcast-time simulator comparing
 //!   ring, star, shared-memory, plain tree, and FP-Tree (paper Fig. 8b).
 
+#![forbid(unsafe_code)]
+
 pub mod broadcast;
 pub mod fptree;
 pub mod topo_aware;

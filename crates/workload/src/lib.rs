@@ -14,6 +14,8 @@
 //! * [`swf`] — Standard Workload Format import/export, so the pipeline
 //!   can also replay real traces from the Parallel Workloads Archive.
 
+#![forbid(unsafe_code)]
+
 pub mod generator;
 pub mod job;
 pub mod stats;
