@@ -1,7 +1,7 @@
 //! The CLI subcommands.
 
 use crate::error::CliError;
-use crate::opts::Opts;
+use crate::opts::{words, Choices, Flag, Kind, Opts};
 use eslurm::prelude::Arrival;
 use eslurm::{EslurmConfig, EslurmSystem, PredictiveLimit, Scenario};
 use estimate::{
@@ -13,7 +13,7 @@ use obs::causal::{render_critical_path, render_flow_summaries, render_tree};
 use obs::export::ChromeTrace;
 use obs::{
     build_traces, compare_csv, flow_summaries, mem_profile_compiled, DecisionLog, DiffOptions,
-    FlowKind, MemProfiler, Recorder, Sampler, SloEngine, TraceTree,
+    FlowKind, MemProfiler, Recorder, Sampler, SloEngine, TraceEvent, TraceTree,
 };
 use sched::prelude::{
     simulate as run_schedule, BackfillConfig, FairShareLedger, LimitPolicy, MultifactorPriority,
@@ -31,175 +31,294 @@ pub struct CmdSpec {
     pub name: &'static str,
     /// One-line summary shown in help.
     pub summary: &'static str,
-    /// For the commands that emulate a cluster: their defaults of the six
-    /// [`SCENARIO_FLAGS`], which they accept ahead of their own `flags`
-    /// and [`scenario`] parses.
-    pub scenario: Option<Defaults>,
+    /// Flags the command shares with others, ahead of its own in help:
+    /// the six [`scenario_flags`] of the commands that emulate a cluster
+    /// (parsed by [`scenario`]), or the audited run's [`AUDIT_FLAGS`].
+    pub shared: &'static [Flag],
     /// Accepted `--flags` of the command's own.
-    pub flags: &'static [&'static str],
+    pub flags: &'static [Flag],
     /// The implementation, handed the parsed options.
     pub run: fn(&Opts) -> Result<(), CliError>,
 }
 
 impl CmdSpec {
     /// Every flag the command accepts, in help order.
-    pub fn all_flags(&self) -> impl Iterator<Item = &'static str> {
-        let shared: &[&str] = match self.scenario {
-            Some(_) => &SCENARIO_FLAGS,
-            None => &[],
-        };
-        shared.iter().chain(self.flags).copied()
+    pub fn all_flags(&self) -> impl Iterator<Item = Flag> {
+        self.shared.iter().chain(self.flags).copied()
     }
 }
 
 /// The flags every emulated-scenario command shares, parsed in one place
-/// ([`scenario`]).
-pub const SCENARIO_FLAGS: [&str; 6] = ["nodes", "satellites", "minutes", "jobs", "seed", "faults"];
-
-/// A cluster command's defaults of the [`SCENARIO_FLAGS`] but `--seed`
-/// (42 everywhere), in flag order: compute nodes, satellites, minutes,
-/// jobs and small compute-node outages.
-pub struct Defaults(usize, usize, u64, u64, usize);
+/// ([`scenario`]), over a command's defaults: compute nodes, satellites,
+/// minutes, jobs and small compute-node outages (`--seed` is 42
+/// everywhere).
+const fn scenario_flags(
+    nodes: &'static str,
+    satellites: &'static str,
+    minutes: &'static str,
+    jobs: &'static str,
+    faults: &'static str,
+) -> [Flag; 6] {
+    [
+        Flag::new("nodes", Kind::Count("nodes")).or(nodes),
+        Flag::new("satellites", Kind::Count("satellites")).or(satellites),
+        Flag::new(
+            "minutes",
+            Kind::Span {
+                unit: "minutes",
+                secs: 60,
+                min: 0,
+            },
+        )
+        .or(minutes),
+        Flag::new("jobs", Kind::Int("jobs")).or(jobs),
+        SEED.or("42"),
+        Flag::new("faults", Kind::Outages).or(faults),
+    ]
+}
 
 /// The reference fault scenario `trace`, `explain` and `critical-path` share.
-const FAULTED: Option<Defaults> = Some(Defaults(64, 2, 5, 10, 2));
+const FAULTED: [Flag; 6] = scenario_flags("64", "2", "5", "10", "2");
+
+const SEED: Flag = Flag::new("seed", Kind::Int("integer"));
+const FILE: Kind = Kind::Text("file");
+const OBS: Flag = Flag::new("obs", FILE);
+
+/// `--algo`'s scheduling disciplines (shared by replay and the audit
+/// commands).
+const ALGOS: Choices<SchedAlgo, 3> = [
+    ("easy", SchedAlgo::Easy),
+    ("fcfs", SchedAlgo::Fcfs),
+    ("conservative", SchedAlgo::Conservative),
+];
+const ALGO_WORDS: [&str; 3] = words(&ALGOS);
+const ALGO: Flag = Flag::new("algo", Kind::OneOf(&ALGO_WORDS)).or("easy");
+
+/// `--policy`'s runtime-limit policies; the default is the command's.
+const POLICIES: Choices<fn() -> Box<dyn LimitPolicy>, 3> = [
+    ("user", || Box::new(UserLimit::default())),
+    ("predictive", || {
+        Box::new(PredictiveLimit::new(EstimatorConfig::default()))
+    }),
+    ("oracle", || Box::new(OracleLimit)),
+];
+const POLICY_WORDS: [&str; 3] = words(&POLICIES);
+const POLICY: Flag = Flag::new("policy", Kind::OneOf(&POLICY_WORDS));
+const RESUBMITS: Flag = Flag::new("resubmits", Kind::Int("resubmits")).or("3");
+
+/// The `--format` renderings of the report commands, in [`emit_report`]'s
+/// order.
+const REPORT_FORMATS: [&str; 3] = ["table", "csv", "json"];
+const REPORT_FORMAT: Flag = Flag::new("format", Kind::OneOf(&REPORT_FORMATS)).or("table");
+
+/// `--priority`'s policy-layer bundles of an audited run, over `--banks`
+/// fair-share banks. `fifo` (the default) is the trivial bundle —
+/// bit-identical to the pre-policy scheduler; `multifactor` turns on the
+/// Slurm-flavored composition with a 24 h-half-life fair-share ledger.
+const PRIORITIES: Choices<fn(usize) -> SchedPolicies, 2> = [
+    ("fifo", |_| SchedPolicies::default()),
+    ("multifactor", |banks| {
+        SchedPolicies::default()
+            .with_priority(MultifactorPriority::slurm_default())
+            .with_fairshare(FairShareLedger::new(SimSpan::from_hours(24), banks as u32))
+    }),
+];
+const PRIORITY_WORDS: [&str; 2] = words(&PRIORITIES);
+
+/// `gen-trace --system`'s workload generators.
+const SYSTEMS: Choices<fn() -> TraceConfig, 3> = [
+    ("tianhe2a", TraceConfig::tianhe2a),
+    ("ng", TraceConfig::ng_tianhe),
+    ("ng-tianhe", TraceConfig::ng_tianhe),
+];
+const SYSTEM_WORDS: [&str; 3] = words(&SYSTEMS);
+
+/// Renders a recorded run's events as one trace format.
+type RenderTrace = fn(&Recorder, &[TraceEvent]) -> String;
+
+/// How a recorded run's events are written, by `--format`: the Chrome
+/// trace JSON Perfetto loads — with flow events, so Perfetto draws the
+/// cross-node causal arrows between the span slices — or one JSON event
+/// per line.
+const TRACE_FORMATS: Choices<RenderTrace, 2> = [
+    ("chrome", |rec, events| {
+        ChromeTrace {
+            events,
+            flows: &rec.causal_records(),
+            ..Default::default()
+        }
+        .render()
+    }),
+    ("jsonl", |_, events| obs::export::to_jsonl(events)),
+];
+const TRACE_FORMAT_WORDS: [&str; 2] = words(&TRACE_FORMATS);
+
+/// The audited backfill run's flags ([`audit_run`]).
+const AUDIT_FLAGS: [Flag; 10] = [
+    Flag::new("trace", FILE),
+    Flag::new("nodes", Kind::Count("nodes")).or("64"),
+    ALGO,
+    POLICY.or("predictive"),
+    RESUBMITS,
+    Flag::new("jobs", Kind::Int("jobs")).or("400"),
+    SEED.or("42"),
+    Flag::new("users", Kind::Int("users")).or("0"),
+    Flag::new("banks", Kind::Int("banks")).or("48"),
+    Flag::new("priority", Kind::OneOf(&PRIORITY_WORDS)).or("fifo"),
+];
 
 /// Every subcommand the CLI knows, in help order.
 pub const COMMANDS: &[CmdSpec] = &[
     CmdSpec {
         name: "gen-trace",
         summary: "generate a synthetic workload trace",
-        scenario: None,
-        flags: &["jobs", "system", "seed", "out"],
+        shared: &[],
+        flags: &[
+            Flag::new("jobs", Kind::Int("jobs")),
+            Flag::new("system", Kind::OneOf(&SYSTEM_WORDS)).or("tianhe2a"),
+            SEED.or("42"),
+            Flag::new("out", FILE).or("trace.jsonl"),
+        ],
         run: gen_trace,
     },
     CmdSpec {
         name: "analyze",
         summary: "workload statistics for a trace",
-        scenario: None,
-        flags: &["samples", "seed"],
+        shared: &[],
+        flags: &[
+            Flag::new("samples", Kind::Int("samples")).or("20000"),
+            SEED.or("1"),
+        ],
         run: analyze,
     },
     CmdSpec {
         name: "replay",
         summary: "replay a trace through the backfill scheduler",
-        scenario: None,
-        flags: &["nodes", "policy", "algo", "resubmits", "obs"],
+        shared: &[],
+        flags: &[
+            Flag::new("nodes", Kind::Count("nodes")).or("1024"),
+            POLICY.or("user"),
+            ALGO,
+            RESUBMITS,
+            OBS,
+        ],
         run: replay,
     },
     CmdSpec {
         name: "predict",
         summary: "compare runtime-prediction models",
-        scenario: None,
-        flags: &["warmup", "window", "seed"],
+        shared: &[],
+        flags: &[
+            Flag::new("warmup", Kind::Int("jobs")),
+            Flag::new("window", Kind::Int("jobs")).or("2000"),
+            SEED.or("7"),
+        ],
         run: predict,
     },
     CmdSpec {
         name: "simulate",
         summary: "run an emulated ESlurm cluster",
-        scenario: Some(Defaults(256, 2, 10, 20, 0)),
-        flags: &["obs"],
+        shared: &scenario_flags("256", "2", "10", "20", "0"),
+        flags: &[OBS],
         run: simulate,
     },
     CmdSpec {
         name: "trace",
         summary: "record an execution trace of an emulated faulted run",
-        scenario: FAULTED,
-        flags: &["out", "format"],
+        shared: &FAULTED,
+        flags: &[
+            Flag::new("out", FILE).or("trace.json"),
+            Flag::new("format", Kind::OneOf(&TRACE_FORMAT_WORDS)),
+        ],
         run: trace_cmd,
     },
     CmdSpec {
         name: "metrics",
         summary: "sample an emulated run's resource footprint",
-        scenario: Some(Defaults(128, 2, 5, 10, 0)),
-        flags: &["interval", "csv", "prom"],
+        shared: &scenario_flags("128", "2", "5", "10", "0"),
+        flags: &[
+            Flag::new(
+                "interval",
+                Kind::Span {
+                    unit: "seconds",
+                    secs: 1,
+                    min: 1,
+                },
+            )
+            .or("1"),
+            Flag::new("csv", FILE),
+            Flag::new("prom", FILE),
+        ],
         run: metrics,
     },
     CmdSpec {
         name: "explain",
         summary: "reconstruct one trace's causal tree and critical path",
-        scenario: FAULTED,
+        shared: &FAULTED,
         flags: &[],
         run: explain,
     },
     CmdSpec {
         name: "critical-path",
         summary: "slowest causal chain with per-hop latency breakdown",
-        scenario: FAULTED,
-        flags: &["flow"],
+        shared: &FAULTED,
+        flags: &[Flag::new(
+            "flow",
+            Kind::OneOf(&["dispatch", "sweep", "recovery"]),
+        )],
         run: critical_path,
     },
     CmdSpec {
         name: "why-job",
         summary: "decision timeline of one job in an audited backfill run",
-        scenario: None,
-        flags: &[
-            "trace",
-            "nodes",
-            "algo",
-            "policy",
-            "resubmits",
-            "jobs",
-            "seed",
-            "users",
-            "banks",
-            "priority",
-        ],
+        shared: &AUDIT_FLAGS,
+        flags: &[],
         run: why_job,
     },
     CmdSpec {
         name: "sched-report",
         summary: "backfill hit-rate, skip reasons, and estimator accuracy",
-        scenario: None,
-        flags: &[
-            "trace",
-            "nodes",
-            "algo",
-            "policy",
-            "resubmits",
-            "jobs",
-            "seed",
-            "users",
-            "banks",
-            "priority",
-            "audit",
-            "obs",
-        ],
+        shared: &AUDIT_FLAGS,
+        flags: &[Flag::new("audit", FILE), OBS],
         run: sched_report,
     },
     CmdSpec {
         name: "slo-report",
         summary: "evaluate SLOs online over an emulated run and gate breaches",
-        scenario: Some(Defaults(128, 2, 10, 20, 0)),
+        shared: &scenario_flags("128", "2", "10", "20", "0"),
         flags: &[
-            "sweep-p99",
-            "queue-wait-p90",
-            "inbox-depth",
-            "format",
-            "out",
-            "check",
+            Flag::new("sweep-p99", Kind::NonNegative("target")).or("10000000"),
+            Flag::new("queue-wait-p90", Kind::NonNegative("target")).or("600"),
+            Flag::new("inbox-depth", Kind::NonNegative("target")).or("10000"),
+            REPORT_FORMAT,
+            Flag::new("out", FILE),
+            Flag::new("check", Kind::Bool).or("false"),
         ],
         run: slo_report,
     },
     CmdSpec {
         name: "mem-report",
         summary: "per-subsystem host-heap attribution of an emulated run",
-        scenario: Some(Defaults(128, 2, 5, 10, 0)),
-        flags: &["format", "out"],
+        shared: &scenario_flags("128", "2", "5", "10", "0"),
+        flags: &[REPORT_FORMAT, Flag::new("out", FILE)],
         run: mem_report,
     },
     CmdSpec {
         name: "diff",
         summary: "compare two metrics CSVs and gate footprint regressions",
-        scenario: None,
-        flags: &["threshold-pct", "thresholds", "all"],
+        shared: &[],
+        flags: &[
+            Flag::new("threshold-pct", Kind::NonNegative("percentage")).or("5"),
+            Flag::new("thresholds", Kind::Text("metric=pct,...")),
+            Flag::new("all", Kind::Bool).or("false"),
+        ],
         run: diff,
     },
     CmdSpec {
         name: "convert",
         summary: "convert between .jsonl and .swf traces",
-        scenario: None,
-        flags: &["cores-per-node"],
+        shared: &[],
+        flags: &[Flag::new("cores-per-node", Kind::Count("cores")).or("1")],
         run: convert,
     },
 ];
@@ -262,16 +381,24 @@ fn spec(name: &str) -> Option<&'static CmdSpec> {
 pub fn print_help(name: &str) {
     if let Some(s) = spec(name) {
         println!("eslurm {} — {}\noptions:", s.name, s.summary);
-        for k in s.all_flags() {
-            println!("    --{k} <value>");
+        let width = s.all_flags().map(|f| f.head().len()).max().unwrap_or(0);
+        for f in s.all_flags() {
+            let line = format!("    {:<width$}  {}", f.head(), f.terms());
+            println!("{}", line.trim_end());
         }
     }
 }
 
 fn load_trace(path: &str) -> Result<Vec<Job>, CliError> {
+    load_trace_with(path, &swf::SwfImportOptions::default())
+}
+
+/// [`load_trace`] with the SWF import options an `.swf` input is read
+/// with.
+fn load_trace_with(path: &str, swf_opts: &swf::SwfImportOptions) -> Result<Vec<Job>, CliError> {
     let p = Path::new(path);
     let jobs = if path.ends_with(".swf") {
-        swf::load_swf(p, &swf::SwfImportOptions::default())
+        swf::load_swf(p, swf_opts)
     } else {
         trace::load_jsonl(p)
     }
@@ -312,57 +439,36 @@ fn positional_id(o: &Opts, what: &str) -> Result<u64, CliError> {
         .map_err(|_| o.usage(format!("{what} `{id}` is not an integer")))
 }
 
-/// Serialize the recorded events in the requested format and write them.
-fn write_obs(rec: &Recorder, path: &str, format: &str) -> Result<usize, CliError> {
+/// Serialize the recorded events with `render` (a [`TRACE_FORMATS`]
+/// entry) and write them.
+fn write_obs(rec: &Recorder, path: &str, render: RenderTrace) -> Result<usize, CliError> {
     let events = rec.events();
-    let body = match format {
-        // Chrome traces get flow events too, so Perfetto draws the
-        // cross-node causal arrows between the span slices.
-        "chrome" => ChromeTrace {
-            events: &events,
-            flows: &rec.causal_records(),
-            ..Default::default()
-        }
-        .render(),
-        "jsonl" => obs::export::to_jsonl(&events),
-        other => {
-            return Err(CliError::usage(
-                "trace",
-                format!("unknown --format {other} (chrome | jsonl)"),
-            ))
-        }
-    };
-    write_file(path, body)?;
+    write_file(path, render(rec, &events))?;
     Ok(events.len())
 }
 
-/// Trace format implied by a file name: `.jsonl` means line-delimited
-/// events, anything else the Chrome trace JSON Perfetto loads.
-fn format_for(path: &str) -> &'static str {
+/// The [`TRACE_FORMATS`] entry a file name implies: `.jsonl` means
+/// line-delimited events, anything else the Chrome trace.
+fn format_for(path: &str) -> (&'static str, RenderTrace) {
+    let [chrome, jsonl] = TRACE_FORMATS;
     if path.ends_with(".jsonl") {
-        "jsonl"
+        jsonl
     } else {
-        "chrome"
+        chrome
     }
 }
 
 /// `eslurm gen-trace --jobs N --system tianhe2a|ng --seed S --out FILE`
 fn gen_trace(o: &Opts) -> Result<(), CliError> {
-    let system = o.get("system").unwrap_or("tianhe2a");
-    let seed = o.get_or("seed", 42u64)?;
-    let mut cfg = match system {
-        "tianhe2a" => TraceConfig::tianhe2a(),
-        "ng" | "ng-tianhe" => TraceConfig::ng_tianhe(),
-        other => return Err(o.usage(format!("unknown --system {other} (tianhe2a | ng)"))),
-    }
-    .with_seed(seed);
-    let jobs = o.get_or("jobs", 0usize)?;
-    if jobs > 0 {
+    let (_, system) = o.choice("system", &SYSTEMS)?;
+    let seed = o.value("seed")?;
+    let mut cfg = system().with_seed(seed);
+    if let Some(jobs) = o.value_opt::<usize>("jobs")?.filter(|&n| n > 0) {
         cfg = cfg.shrunk_to(jobs);
     }
-    let out = o.get("out").unwrap_or("trace.jsonl");
+    let out: String = o.value("out")?;
     let generated = cfg.generate();
-    save_trace(&generated, out)?;
+    save_trace(&generated, &out)?;
     let s = stats::summarize(&generated);
     println!(
         "wrote {} jobs ({} users, {} job names) to {out}",
@@ -375,8 +481,8 @@ fn gen_trace(o: &Opts) -> Result<(), CliError> {
 fn analyze(o: &Opts) -> Result<(), CliError> {
     let path = o.positional(0, "trace file")?;
     let jobs = load_trace(path)?;
-    let samples = o.get_or("samples", 20_000usize)?;
-    let seed = o.get_or("seed", 1u64)?;
+    let samples = o.value("samples")?;
+    let seed = o.value("seed")?;
 
     let s = stats::summarize(&jobs);
     println!("jobs: {}   users: {}   names: {}", s.jobs, s.users, s.names);
@@ -421,13 +527,12 @@ fn analyze(o: &Opts) -> Result<(), CliError> {
 fn replay(o: &Opts) -> Result<(), CliError> {
     let path = o.positional(0, "trace file")?;
     let jobs = load_trace(path)?;
-    let nodes = o.get_count("nodes", 1024u32)?;
-    let algo = parse_algo(o)?;
-    let mut policy = parse_policy(o, "user")?;
+    let nodes = o.value("nodes")?;
+    let (algo, mut policy) = parse_algo_policy(o)?;
     let rec = recorder_for(o.get("obs"));
     let cfg = BackfillConfig {
         algo,
-        max_resubmits: o.get_or("resubmits", 3u32)?,
+        max_resubmits: o.value("resubmits")?,
         obs: rec.clone(),
         ..BackfillConfig::new(nodes)
     };
@@ -452,7 +557,7 @@ fn replay(o: &Opts) -> Result<(), CliError> {
         r.makespan.as_secs_f64() / 3600.0
     );
     if let Some(out) = o.get("obs") {
-        let n = write_obs(&rec, out, format_for(out))?;
+        let n = write_obs(&rec, out, format_for(out).1)?;
         println!("trace:            {n} events -> {out}");
     }
     Ok(())
@@ -462,9 +567,9 @@ fn replay(o: &Opts) -> Result<(), CliError> {
 fn predict(o: &Opts) -> Result<(), CliError> {
     let path = o.positional(0, "trace file")?;
     let jobs = load_trace(path)?;
-    let warmup = o.get_or("warmup", jobs.len() / 10)?;
-    let window = o.get_or("window", 2000usize)?;
-    let seed = o.get_or("seed", 7u64)?;
+    let warmup = o.value_opt("warmup")?.unwrap_or(jobs.len() / 10);
+    let window: usize = o.value("window")?;
+    let seed: u64 = o.value("seed")?;
     let mut models: Vec<Box<dyn RuntimePredictor>> = vec![
         Box::new(UserEstimate),
         Box::new(Last2::default()),
@@ -492,21 +597,19 @@ fn predict(o: &Opts) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Parse the six [`SCENARIO_FLAGS`] over the command's own defaults into
+/// Parse the six [`scenario_flags`] over the command's own defaults into
 /// the run's [`Scenario`] — `--nodes` compute nodes and `--satellites`
 /// satellites under [`jobs`] for `--minutes`, with `--faults` small
 /// compute-node outages, at most `--nodes × --minutes` of them (more is a
 /// usage error) — and `--jobs`, the denominator of the status
 /// lines. The command arms its instruments in the scenario's `run`.
 fn scenario(o: &Opts) -> Result<(Scenario<EslurmConfig>, u64), CliError> {
-    let d = o.spec().scenario.as_ref();
-    let d = d.expect("only commands with scenario defaults call scenario()");
-    let nodes = o.get_count("nodes", d.0)?;
-    let satellites = o.get_count("satellites", d.1)?;
-    let minutes = o.get_span("minutes", d.2, SimSpan::from_secs(60), 0)?;
-    let n_jobs = o.get_or("jobs", d.3)?;
-    let seed = o.get_or("seed", 42)?;
-    let faults = o.get_or("faults", d.4)?;
+    let nodes: usize = o.value("nodes")?;
+    let satellites: usize = o.value("satellites")?;
+    let minutes: u64 = o.value("minutes")?;
+    let n_jobs = o.value("jobs")?;
+    let seed = o.value("seed")?;
+    let faults: usize = o.value("faults")?;
     // Node ids are `u32`, and the master needs one too.
     let total = 1 + satellites as u128 + nodes as u128;
     if total > u32::MAX as u128 {
@@ -604,7 +707,7 @@ fn simulate(o: &Opts) -> Result<(), CliError> {
     );
     println!("events processed:  {}", sys.sim.events_processed());
     if let Some(out) = o.get("obs") {
-        let n = write_obs(&rec, out, format_for(out))?;
+        let n = write_obs(&rec, out, format_for(out).1)?;
         println!("trace:             {n} events -> {out}");
         print!("{}", rec.summary());
     }
@@ -616,12 +719,15 @@ fn simulate(o: &Opts) -> Result<(), CliError> {
 fn trace_cmd(o: &Opts) -> Result<(), CliError> {
     let (sc, n_jobs) = scenario(o)?;
     let minutes = minutes(&sc);
-    let out = o.get("out").unwrap_or("trace.json");
-    let format = o.get("format").unwrap_or_else(|| format_for(out));
+    let out: String = o.value("out")?;
+    let (format, render) = match o.choice_opt("format", &TRACE_FORMATS)? {
+        Some(entry) => entry,
+        None => format_for(&out),
+    };
 
     let rec = Recorder::full();
     let sys = sc.run(|b| b.obs(rec.clone()));
-    let n = write_obs(&rec, out, format)?;
+    let n = write_obs(&rec, &out, render)?;
     println!(
         "traced {}+{} nodes for {minutes} virtual minutes: \
          {n} events -> {out} ({format})",
@@ -642,7 +748,7 @@ fn trace_cmd(o: &Opts) -> Result<(), CliError> {
 fn metrics(o: &Opts) -> Result<(), CliError> {
     let (sc, n_jobs) = scenario(o)?;
     let minutes = minutes(&sc);
-    let interval_s = o.get_span("interval", 1, SimSpan::from_secs(1), 1)?;
+    let interval_s = o.value("interval")?;
 
     let rec = Recorder::metrics_only();
     let sampler = Sampler::every_until(SimSpan::from_secs(interval_s), sc.horizon);
@@ -722,13 +828,10 @@ fn explain(o: &Opts) -> Result<(), CliError> {
 /// slowest chain across all traces (optionally restricted to one flow
 /// kind) with its per-hop breakdown, then latency percentiles per flow.
 fn critical_path(o: &Opts) -> Result<(), CliError> {
-    let flow =
-        match o.get("flow") {
-            Some(s) => Some(FlowKind::parse(s).ok_or_else(|| {
-                o.usage(format!("unknown --flow {s} (dispatch | sweep | recovery)"))
-            })?),
-            None => None,
-        };
+    let flow = match o.value_opt::<String>("flow")? {
+        Some(s) => Some(FlowKind::parse(&s).ok_or_else(|| o.usage(format!("unknown --flow {s}")))?),
+        None => None,
+    };
     let trees = causal_run(o)?;
     let selected: Vec<TraceTree> = trees
         .into_iter()
@@ -754,29 +857,11 @@ fn critical_path(o: &Opts) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `--algo easy|fcfs|conservative` (shared by replay and the audit
-/// commands).
-fn parse_algo(o: &Opts) -> Result<SchedAlgo, CliError> {
-    match o.get("algo").unwrap_or("easy") {
-        "easy" => Ok(SchedAlgo::Easy),
-        "fcfs" => Ok(SchedAlgo::Fcfs),
-        "conservative" => Ok(SchedAlgo::Conservative),
-        other => Err(o.usage(format!(
-            "unknown --algo {other} (easy | fcfs | conservative)"
-        ))),
-    }
-}
-
-/// `--policy user|predictive|oracle` with a per-command default.
-fn parse_policy(o: &Opts, default: &'static str) -> Result<Box<dyn LimitPolicy>, CliError> {
-    match o.get("policy").unwrap_or(default) {
-        "user" => Ok(Box::new(UserLimit::default())),
-        "predictive" => Ok(Box::new(PredictiveLimit::new(EstimatorConfig::default()))),
-        "oracle" => Ok(Box::new(OracleLimit)),
-        other => Err(o.usage(format!(
-            "unknown --policy {other} (user | predictive | oracle)"
-        ))),
-    }
+/// `--algo` and `--policy`, read by replay and the audit commands.
+fn parse_algo_policy(o: &Opts) -> Result<(SchedAlgo, Box<dyn LimitPolicy>), CliError> {
+    let (_, algo) = o.choice("algo", &ALGOS)?;
+    let (_, policy) = o.choice("policy", &POLICIES)?;
+    Ok((algo, policy()))
 }
 
 /// One audited backfill run shared by `why-job` and `sched-report`.
@@ -790,20 +875,6 @@ struct AuditRun {
     rec: Recorder,
 }
 
-/// `--priority fifo|multifactor [--users N --banks B]` → the policy-layer
-/// bundle of an audited run. `fifo` (the default) is the trivial bundle —
-/// bit-identical to the pre-policy scheduler; `multifactor` turns on the
-/// Slurm-flavored composition with a 24 h-half-life fair-share ledger.
-fn parse_policies(o: &Opts, banks: usize) -> Result<SchedPolicies, CliError> {
-    match o.get("priority").unwrap_or("fifo") {
-        "fifo" => Ok(SchedPolicies::default()),
-        "multifactor" => Ok(SchedPolicies::default()
-            .with_priority(MultifactorPriority::slurm_default())
-            .with_fairshare(FairShareLedger::new(SimSpan::from_hours(24), banks as u32))),
-        other => Err(o.usage(format!("unknown --priority {other} (fifo | multifactor)"))),
-    }
-}
-
 /// Run the backfill simulation with the decision audit log on: either a
 /// `--trace FILE` replay or the deterministic synthetic default scenario
 /// (whose seed/jobs/nodes are tuned so backfills, skips, and kills all
@@ -814,14 +885,14 @@ fn parse_policies(o: &Opts, banks: usize) -> Result<SchedPolicies, CliError> {
 /// Slurm-flavored factor composition (per-factor contributions land in
 /// the audit log).
 fn audit_run(o: &Opts) -> Result<AuditRun, CliError> {
-    let nodes = o.get_count("nodes", 64u32)?;
-    let users = o.get_or("users", 0usize)?;
-    let banks = o.get_or("banks", 48usize)?;
+    let nodes = o.value("nodes")?;
+    let users: usize = o.value("users")?;
+    let banks = o.value("banks")?;
     let jobs = match o.get("trace") {
         Some(path) => load_trace(path)?,
         None => {
-            let n = o.get_or("jobs", 400usize)?;
-            let seed = o.get_or("seed", 42u64)?;
+            let n = o.value("jobs")?;
+            let seed = o.value("seed")?;
             if users > 0 {
                 TraceConfig::multi_tenant(n, seed)
                     .with_users(users)
@@ -832,16 +903,15 @@ fn audit_run(o: &Opts) -> Result<AuditRun, CliError> {
             }
         }
     };
-    let algo = parse_algo(o)?;
-    let mut policy = parse_policy(o, "predictive")?;
+    let (algo, mut policy) = parse_algo_policy(o)?;
     let rec = recorder_for(o.get("obs"));
     let log = DecisionLog::unbounded();
     let cfg = BackfillConfig {
         algo,
-        max_resubmits: o.get_or("resubmits", 3u32)?,
+        max_resubmits: o.value("resubmits")?,
         obs: rec.clone(),
         audit: log.clone(),
-        policies: parse_policies(o, banks)?,
+        policies: o.choice("priority", &PRIORITIES)?.1(banks),
         ..BackfillConfig::new(nodes)
     };
     let policy_name = policy.name();
@@ -941,12 +1011,9 @@ fn emit_report(
     render: [&dyn Fn() -> String; 3],
     status: &str,
 ) -> Result<(), CliError> {
-    const FORMATS: [&str; 3] = ["table", "csv", "json"];
-    let format = o.get("format").unwrap_or(FORMATS[0]);
-    let Some(i) = FORMATS.iter().position(|f| *f == format) else {
-        return Err(o.usage(format!("unknown --format {format} (table | csv | json)")));
-    };
-    let body = render[i]();
+    let format: String = o.value("format")?;
+    let i = REPORT_FORMATS.iter().position(|f| *f == format);
+    let body = render[i.expect("--format is checked against REPORT_FORMATS")]();
     match o.get("out") {
         Some(path) => {
             write_file(path, &body)?;
@@ -974,10 +1041,10 @@ fn emit_report(
 /// recorded a breach, mirroring `diff`'s exit 3.
 fn slo_report(o: &Opts) -> Result<(), CliError> {
     let (sc, n_jobs) = scenario(o)?;
-    let sweep_p99_us = o.get_non_negative("sweep-p99", 10_000_000.0, "target")?;
-    let queue_wait_p90_s = o.get_non_negative("queue-wait-p90", 600.0, "target")?;
-    let inbox_depth = o.get_non_negative("inbox-depth", 10_000.0, "target")?;
-    let check = o.get_or("check", false)?;
+    let sweep_p99_us = o.value("sweep-p99")?;
+    let queue_wait_p90_s = o.value("queue-wait-p90")?;
+    let inbox_depth = o.value("inbox-depth")?;
+    let check = o.value("check")?;
 
     let rec = Recorder::metrics_only();
     let sampler = Sampler::every_until(SimSpan::from_secs(1), sc.horizon);
@@ -1040,8 +1107,8 @@ fn diff(o: &Opts) -> Result<(), CliError> {
     let base_path = o.positional(0, "baseline csv")?;
     let new_path = o.positional(1, "candidate csv")?;
     let mut opts = DiffOptions {
-        default_threshold_pct: o.get_non_negative("threshold-pct", 5.0, "percentage")?,
-        gate_all: o.get_or("all", false)?,
+        default_threshold_pct: o.value("threshold-pct")?,
+        gate_all: o.value("all")?,
         ..DiffOptions::default()
     };
     if let Some(list) = o.get("thresholds") {
@@ -1091,11 +1158,16 @@ fn diff(o: &Opts) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `eslurm convert IN OUT`
+/// `eslurm convert IN OUT [--cores-per-node C]`: an `.swf` input's
+/// processor counts become nodes of `C` cores.
 fn convert(o: &Opts) -> Result<(), CliError> {
     let input = o.positional(0, "input file")?;
     let output = o.positional(1, "output file")?;
-    let jobs = load_trace(input)?;
+    let swf_opts = swf::SwfImportOptions {
+        cores_per_node: o.value("cores-per-node")?,
+        ..Default::default()
+    };
+    let jobs = load_trace_with(input, &swf_opts)?;
     save_trace(&jobs, output)?;
     println!("converted {} jobs: {input} -> {output}", jobs.len());
     Ok(())
@@ -1109,8 +1181,8 @@ mod tests {
     /// COMMANDS appears in the usage text with its summary. (That it also
     /// dispatches is true by construction: `dispatch` runs the `run` of
     /// the spec it found, so there is no second table to fall out of step.)
-    /// And the one place scenario flags are declared stays the one place:
-    /// a scenario command lists only the flags of its own.
+    /// And no command declares a flag twice, so a shared flag list stays
+    /// the one place its flags are declared.
     #[test]
     fn every_registered_command_dispatches_and_is_listed() {
         let usage_text = usage();
@@ -1125,15 +1197,11 @@ mod tests {
                 "`{}` summary missing from usage text",
                 c.name
             );
-            if c.scenario.is_some() {
-                for f in SCENARIO_FLAGS {
-                    assert!(
-                        !c.flags.contains(&f),
-                        "`{}` redeclares scenario flag --{f}",
-                        c.name
-                    );
-                }
-            }
+            let mut names: Vec<&str> = c.all_flags().map(|f| f.name).collect();
+            names.sort_unstable();
+            let before = names.len();
+            names.dedup();
+            assert_eq!(before, names.len(), "`{}` declares a flag twice", c.name);
         }
         assert!(dispatch("no-such-command", &[]).is_none());
         assert!(usage_text.contains("help"));
@@ -1161,8 +1229,26 @@ mod tests {
         assert_eq!(CliError::parse("f", "bad").exit_code(), 1);
     }
 
-    /// Spec names are unique — duplicate registration would shadow one
-    /// command's flags with another's.
+    /// Every default in the flag tables passes its own flag's parser, and
+    /// the help line of each flag states its default.
+    #[test]
+    fn every_default_holds_its_own_bound() {
+        for c in COMMANDS {
+            let o = Opts::parse(c, &[]).expect("no arguments parse");
+            for f in c.all_flags() {
+                let Some(d) = f.default else { continue };
+                let text: String = o.value(f.name).unwrap_or_else(|e| {
+                    panic!("`{}` --{}: default `{d}` rejected: {e}", c.name, f.name)
+                });
+                assert_eq!(text, d);
+                if let Kind::Int(_) | Kind::Count(_) | Kind::Span { .. } | Kind::Outages = f.kind {
+                    assert!(d.parse::<u64>().is_ok(), "`{}` --{}", c.name, f.name);
+                }
+                assert!(f.terms().contains(&format!("default {d}")));
+            }
+        }
+    }
+
     /// No job is injected past the horizon: at the default 5 minutes, jobs
     /// 0..=42 arrive by 299 s and job 43 would arrive at 306 s, so even
     /// `--jobs 18446744073709551615` injects 43.
@@ -1176,6 +1262,8 @@ mod tests {
         assert_eq!(jobs(64, u64::MAX, SimTime::from_secs(4)).count(), 0);
     }
 
+    /// Spec names are unique — duplicate registration would shadow one
+    /// command's flags with another's.
     #[test]
     fn command_names_are_unique() {
         let mut names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();

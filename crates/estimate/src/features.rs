@@ -87,7 +87,13 @@ pub fn hash01_salted(s: &str, salt: u8) -> f64 {
 
 /// Extract the Table IV feature vector from a job.
 pub fn features(job: &Job) -> Vec<f64> {
-    vec![
+    feature_row(job).to_vec()
+}
+
+/// [`features`] on the stack: the framework keys its per-model memo by
+/// this row's bits, so a repeated job shape allocates nothing.
+pub(crate) fn feature_row(job: &Job) -> [f64; N_FEATURES] {
+    [
         hash01_salted(&job.name, 0),
         hash01_salted(&job.name, 1),
         hash01_salted(&job.name, 2),

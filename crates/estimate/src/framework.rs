@@ -4,12 +4,25 @@
 //! module** (cluster match → SVR → slack; fall back to the user estimate
 //! unless the cluster's accuracy clears the gate), and a **record module**
 //! (EA / AEA bookkeeping, Eqs. 4–5).
+//!
+//! The real-time module and the record module ask one question of the
+//! fitted model, `ClusterModel::predict`: scale and weight the raw
+//! feature row, assign it to a cluster, and run that cluster's SVR. HPC
+//! jobs recur (the paper finds 89.2 % resubmitted within 24 h), so most
+//! rows have been asked before: on the `sched_predict` benchmark trace
+//! 77 % of submit-time estimates and ≈ 98 % of completion-time
+//! predictions repeat a row the same model already answered. Each model
+//! therefore remembers its answer per raw row, keyed by the row's bits.
+//! A prediction is a pure function of the row and the model, so the memo
+//! changes no answer; it lives and dies with its model (a retrain starts
+//! an empty one) and holds at most one entry per distinct row seen
+//! between two retrains, so it needs no size bound of its own.
 
-use crate::features::{apply_weights, features, target, untarget};
+use crate::features::{feature_row, target, untarget, FEATURE_WEIGHTS, N_FEATURES};
 use ml::linalg::Matrix;
 use ml::{KMeans, Regressor, StandardScaler, Svr};
 use simclock::{SimSpan, SimTime};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use workload::Job;
 
 /// Configuration of the framework (paper defaults in parentheses).
@@ -81,11 +94,40 @@ impl ClusterRecord {
     }
 }
 
+/// One fitted generation of the model: everything a retrain replaces.
 struct ClusterModel {
     scaler: StandardScaler,
     kmeans: KMeans,
     models: Vec<Svr>,
     records: Vec<ClusterRecord>,
+    /// [`ClusterModel::predict`]'s answers by raw feature-row bits. The
+    /// rows come from job fields in the input, so the map keeps the
+    /// default (keyed) hasher.
+    memo: HashMap<[u64; N_FEATURES], (usize, f64)>,
+}
+
+impl ClusterModel {
+    /// The matched cluster and that cluster's SVR estimate in seconds,
+    /// before slack, of one raw feature row: computed on the first ask,
+    /// read from the memo after.
+    fn predict(&mut self, raw: &[f64; N_FEATURES]) -> (usize, f64) {
+        *self.memo.entry(raw.map(f64::to_bits)).or_insert_with(|| {
+            let x = weighted(&self.scaler, raw);
+            let c = self.kmeans.assign(&x);
+            (c, untarget(self.models[c].predict(&x)))
+        })
+    }
+}
+
+/// `raw` standardized by `scaler`, then weighted by [`FEATURE_WEIGHTS`] in
+/// place: the same two roundings per element as `apply_weights` after
+/// `transform`, in one `Vec`.
+fn weighted(scaler: &StandardScaler, raw: &[f64]) -> Vec<f64> {
+    let mut x = scaler.transform(raw);
+    for (v, w) in x.iter_mut().zip(FEATURE_WEIGHTS) {
+        *v *= w;
+    }
+    x
 }
 
 /// The complete framework.
@@ -145,17 +187,16 @@ impl RuntimeEstimator {
     /// Record module: a job completed; append it to the historical queue
     /// and update the AEA of the cluster that predicted it.
     pub fn record_completion(&mut self, job: &Job) {
-        let raw = features(job);
+        let raw = feature_row(job);
         if let Some(m) = &mut self.model {
-            let f = apply_weights(&m.scaler.transform(&raw));
-            let c = m.kmeans.assign(&f);
-            let predicted = untarget(m.models[c].predict(&f)) * self.config.slack;
-            let ea = estimation_accuracy(predicted, job.actual_runtime.as_secs_f64());
+            let (c, secs) = m.predict(&raw);
+            let ea =
+                estimation_accuracy(secs * self.config.slack, job.actual_runtime.as_secs_f64());
             m.records[c].ea_sum += ea;
             m.records[c].count += 1;
         }
         // `retrain` is the only reader and takes the newest `window`.
-        self.rows.push_front(raw);
+        self.rows.push_front(raw.to_vec());
         self.targets.push_front(target(job));
         self.rows.truncate(self.config.window);
         self.targets.truncate(self.config.window);
@@ -185,11 +226,7 @@ impl RuntimeEstimator {
         let raw = &self.rows.make_contiguous()[..w];
         let y = &self.targets.make_contiguous()[..w];
         let scaler = StandardScaler::fit(raw);
-        let x: Vec<Vec<f64>> = scaler
-            .transform_all(raw)
-            .iter()
-            .map(|r| apply_weights(r))
-            .collect();
+        let x: Vec<Vec<f64>> = raw.iter().map(|r| weighted(&scaler, r)).collect();
 
         let k = match self.config.k {
             Some(k) => k.min(x.len()),
@@ -237,6 +274,7 @@ impl RuntimeEstimator {
             kmeans,
             models,
             records,
+            memo: HashMap::new(),
         });
         self.last_train = Some(now);
         self.retrain_count += 1;
@@ -249,7 +287,7 @@ impl RuntimeEstimator {
     /// * user gave no estimate → the model's (slack-adjusted) estimate;
     /// * user gave one → the model only if the matched cluster's AEA
     ///   clears the gate.
-    pub fn estimate(&self, job: &Job) -> Option<Estimate> {
+    pub fn estimate(&mut self, job: &Job) -> Option<Estimate> {
         let model_est = self.model_estimate(job);
         match (model_est, job.user_estimate) {
             (None, None) => None,
@@ -283,12 +321,11 @@ impl RuntimeEstimator {
 
     /// The raw model path: slack-adjusted SVR estimate, matched cluster,
     /// and the cluster's live AEA. `None` before the first training.
-    pub fn model_estimate(&self, job: &Job) -> Option<(SimSpan, usize, f64)> {
-        self.model.as_ref().map(|m| {
-            let f = apply_weights(&m.scaler.transform(&features(job)));
-            let c = m.kmeans.assign(&f);
-            let secs = untarget(m.models[c].predict(&f)) * self.config.slack;
-            (SimSpan::from_secs_f64(secs), c, m.records[c].aea())
+    pub fn model_estimate(&mut self, job: &Job) -> Option<(SimSpan, usize, f64)> {
+        let slack = self.config.slack;
+        self.model.as_mut().map(|m| {
+            let (c, secs) = m.predict(&feature_row(job));
+            (SimSpan::from_secs_f64(secs * slack), c, m.records[c].aea())
         })
     }
 
@@ -358,7 +395,159 @@ pub struct ClusterDiag {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::features::{apply_weights, features};
+    use std::collections::HashSet;
     use workload::TraceConfig;
+
+    /// The model's answer without the memo: scaler, then weights, then
+    /// K-means assignment, then the cluster's SVR, each as its own step
+    /// on the model's own fields.
+    fn uncached(m: &ClusterModel, raw: &[f64]) -> (usize, f64) {
+        let x = apply_weights(&m.scaler.transform(raw));
+        let c = m.kmeans.assign(&x);
+        (c, untarget(m.models[c].predict(&x)))
+    }
+
+    fn record_bits(r: &[ClusterRecord]) -> Vec<(u64, u64)> {
+        r.iter().map(|c| (c.ea_sum.to_bits(), c.count)).collect()
+    }
+
+    fn row_bits(job: &Job) -> [u64; N_FEATURES] {
+        feature_row(job).map(f64::to_bits)
+    }
+
+    /// The scheduler's call pattern: each submission may retrain and is
+    /// then estimated, and jobs complete `LAG` submissions later. Every
+    /// answer and every booked record must equal the uncached path's to
+    /// the bit, across several retrains, and the memo must hold exactly
+    /// one entry per distinct row the live model was asked about.
+    #[test]
+    fn memo_answers_like_an_uncached_model() {
+        const LAG: usize = 40;
+        let jobs = TraceConfig::small(1600, 12).generate();
+        let span = jobs.last().unwrap().submit.since(jobs[0].submit);
+        let cfg = EstimatorConfig {
+            window: 300,
+            retrain_every: SimSpan::from_micros(span.as_micros() / 6),
+            ..Default::default()
+        };
+        let mut est = RuntimeEstimator::new(cfg.clone());
+        let mut want_records = Vec::new();
+        let mut asked: HashSet<[u64; N_FEATURES]> = HashSet::new();
+        let (mut hits, mut queries) = (0usize, 0usize);
+        for (i, job) in jobs.iter().enumerate() {
+            if est.maybe_retrain(job.submit) {
+                want_records = est.model.as_ref().unwrap().records.clone();
+                asked.clear();
+            }
+            if let Some(m) = &est.model {
+                let (c, secs) = uncached(m, &features(job));
+                let runtime = SimSpan::from_secs_f64(secs * cfg.slack);
+                let aea = want_records[c].aea();
+                let want = match job.user_estimate {
+                    Some(u) if aea <= cfg.aea_gate => Estimate {
+                        runtime: u,
+                        source: EstimateSource::User,
+                        cluster: Some(c),
+                    },
+                    _ => Estimate {
+                        runtime,
+                        source: EstimateSource::Model,
+                        cluster: Some(c),
+                    },
+                };
+                hits += usize::from(!asked.insert(row_bits(job)));
+                queries += 1;
+                assert_eq!(est.estimate(job), Some(want), "estimate of job {i}");
+                let got = est.model_estimate(job).unwrap();
+                assert_eq!(got.0, runtime, "model_estimate of job {i}");
+                assert_eq!((got.1, got.2.to_bits()), (c, aea.to_bits()));
+            }
+            let Some(done) = i.checked_sub(LAG).map(|d| &jobs[d]) else {
+                continue;
+            };
+            if let Some(m) = &est.model {
+                let (c, secs) = uncached(m, &features(done));
+                let actual = done.actual_runtime.as_secs_f64();
+                want_records[c].ea_sum += estimation_accuracy(secs * cfg.slack, actual);
+                want_records[c].count += 1;
+                hits += usize::from(!asked.insert(row_bits(done)));
+                queries += 1;
+            }
+            est.record_completion(done);
+            if let Some(m) = &est.model {
+                assert_eq!(
+                    record_bits(&m.records),
+                    record_bits(&want_records),
+                    "job {i}"
+                );
+                assert_eq!(m.memo.len(), asked.len(), "memo size after job {i}");
+            }
+        }
+        assert!(est.retrain_count() >= 3, "{} retrains", est.retrain_count());
+        assert!(
+            hits * 2 > queries,
+            "{hits} repeated rows of {queries} queries"
+        );
+    }
+
+    /// A retrain starts the memo afresh: before and after one, the answer
+    /// for a job the old model had memoized is what a fresh estimator
+    /// trained on the same window (and K-means seed) answers.
+    #[test]
+    fn retrain_drops_the_memo() {
+        let cfg = EstimatorConfig {
+            window: 300,
+            ..Default::default()
+        };
+        let jobs = TraceConfig::small(900, 13).generate();
+        let probe = &jobs[450];
+        let mut est = RuntimeEstimator::new(cfg.clone());
+        for j in &jobs[..600] {
+            est.record_completion(j);
+        }
+        est.retrain(jobs[599].submit);
+        let before = est.estimate(probe);
+        let mut fresh = train_on(&jobs[..600], cfg.clone());
+        assert_eq!(before, fresh.estimate(probe));
+
+        // The old model's memo now holds the probe and every completion.
+        for j in &jobs[600..] {
+            est.record_completion(j);
+        }
+        est.retrain(jobs[899].submit);
+        let after = est.estimate(probe);
+        let mut fresh = train_on(
+            &jobs[600..],
+            EstimatorConfig {
+                seed: cfg.seed + 1,
+                ..cfg
+            },
+        );
+        assert_eq!(after, fresh.estimate(probe));
+        assert_ne!(
+            before.map(|e| e.runtime),
+            after.map(|e| e.runtime),
+            "the probe must tell the two models apart"
+        );
+    }
+
+    /// Repeated rows share one entry: after a stream of estimates, the
+    /// memo holds exactly one entry per distinct feature row queried.
+    #[test]
+    fn memo_holds_one_entry_per_distinct_row() {
+        let jobs = TraceConfig::small(1200, 14).generate();
+        let mut est = train_on(&jobs[..800], EstimatorConfig::default());
+        assert!(est.model.as_ref().unwrap().memo.is_empty());
+        let mut distinct = HashSet::new();
+        for job in &jobs[800..] {
+            est.estimate(job);
+            distinct.insert(row_bits(job));
+        }
+        let memo = &est.model.as_ref().unwrap().memo;
+        assert_eq!(memo.len(), distinct.len());
+        assert!(memo.len() < 400, "{} distinct rows in 400 jobs", memo.len());
+    }
 
     fn train_on(jobs: &[Job], cfg: EstimatorConfig) -> RuntimeEstimator {
         let mut est = RuntimeEstimator::new(cfg);
@@ -379,7 +568,7 @@ mod tests {
     #[test]
     fn no_model_passes_user_estimate_through() {
         let jobs = TraceConfig::small(50, 1).generate();
-        let est = RuntimeEstimator::new(EstimatorConfig::default());
+        let mut est = RuntimeEstimator::new(EstimatorConfig::default());
         let j = &jobs[0];
         let e = est.estimate(j);
         match j.user_estimate {
@@ -396,7 +585,7 @@ mod tests {
     fn model_beats_user_estimates_on_recurrent_workload() {
         let jobs = TraceConfig::small(1500, 5).generate();
         let (train, test) = jobs.split_at(1200);
-        let est = train_on(train, EstimatorConfig::default());
+        let mut est = train_on(train, EstimatorConfig::default());
         let mut model_ea = 0.0;
         let mut user_ea = 0.0;
         let mut n = 0.0;
@@ -470,14 +659,14 @@ mod tests {
     #[test]
     fn slack_scales_the_estimate() {
         let jobs = TraceConfig::small(800, 4).generate();
-        let base = train_on(
+        let mut base = train_on(
             &jobs,
             EstimatorConfig {
                 slack: 1.0,
                 ..Default::default()
             },
         );
-        let slacked = train_on(
+        let mut slacked = train_on(
             &jobs,
             EstimatorConfig {
                 slack: 1.5,
@@ -499,8 +688,8 @@ mod tests {
             ..Default::default()
         };
         let jobs = TraceConfig::small(900, 9).generate();
-        let all = train_on(&jobs, cfg.clone());
-        let tail = train_on(&jobs[600..], cfg);
+        let mut all = train_on(&jobs, cfg.clone());
+        let mut tail = train_on(&jobs[600..], cfg);
         for j in &jobs {
             assert_eq!(all.model_estimate(j), tail.model_estimate(j));
         }
@@ -544,17 +733,14 @@ mod tests {
             want[l].ea_sum += estimation_accuracy(predicted, untarget(target(job)));
             want[l].count += 1;
         }
-        let bits = |r: &[ClusterRecord]| -> Vec<(u64, u64)> {
-            r.iter().map(|c| (c.ea_sum.to_bits(), c.count)).collect()
-        };
-        assert_eq!(bits(&m.records), bits(&want));
+        assert_eq!(record_bits(&m.records), record_bits(&want));
     }
 
     #[test]
     fn aea_gate_falls_back_to_user() {
         let jobs = TraceConfig::small(800, 6).generate();
         // Impossible gate: model is never trusted when the user estimated.
-        let est = train_on(
+        let mut est = train_on(
             &jobs,
             EstimatorConfig {
                 aea_gate: 2.0,
@@ -564,7 +750,7 @@ mod tests {
         let j = jobs.iter().find(|j| j.user_estimate.is_some()).unwrap();
         assert_eq!(est.estimate(j).unwrap().source, EstimateSource::User);
         // Gate of zero: model always trusted.
-        let est = train_on(
+        let mut est = train_on(
             &jobs,
             EstimatorConfig {
                 aea_gate: 0.0,

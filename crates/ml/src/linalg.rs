@@ -12,6 +12,7 @@
 //! product.
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 /// Solve `A x = b` for symmetric positive-definite `A` via Cholesky
 /// decomposition. Returns `None` when `A` is not positive definite.
@@ -99,6 +100,32 @@ pub struct Matrix {
     cols: usize,
 }
 
+/// A borrowed row as a map key that is equal to another exactly when
+/// their bit patterns are (so `-0.0` and `0.0` differ and a NaN equals
+/// itself), hashed over those bits: a key costs no allocation.
+struct RowBits<'a>(&'a [f64]);
+
+impl PartialEq for RowBits<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.len() == other.0.len()
+            && self
+                .0
+                .iter()
+                .zip(other.0)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+}
+
+impl Eq for RowBits<'_> {}
+
+impl Hash for RowBits<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for v in self.0 {
+            v.to_bits().hash(state);
+        }
+    }
+}
+
 impl Matrix {
     /// A `rows × cols` matrix of zeros.
     pub fn zeros(rows: usize, cols: usize) -> Matrix {
@@ -130,13 +157,12 @@ impl Matrix {
     /// distinct row it equals. Panics on ragged input.
     pub fn from_distinct_rows(rows: &[Vec<f64>]) -> (Matrix, Vec<usize>) {
         let cols = rows.first().map(|r| r.len()).unwrap_or(0);
-        let mut seen: HashMap<Vec<u64>, usize> = HashMap::with_capacity(rows.len());
+        let mut seen: HashMap<RowBits, usize> = HashMap::with_capacity(rows.len());
         let mut data = Vec::new();
         let group = rows.iter().map(|r| {
             assert_eq!(r.len(), cols, "ragged row in Matrix::from_distinct_rows");
             let next = seen.len();
-            let bits = r.iter().map(|v| v.to_bits()).collect();
-            *seen.entry(bits).or_insert_with(|| {
+            *seen.entry(RowBits(r)).or_insert_with(|| {
                 data.extend_from_slice(r);
                 next
             })

@@ -33,8 +33,13 @@
 //!   sit in an implicit **4-ary** min-heap of **16-byte** entries
 //!   `(time: u64, lane: u32, slot: u32)`, which orders them by
 //!   `(lane, seq)`: their times are all equal, so a heap comparison
-//!   skips the time. Four children share one 64-byte line, the least of
-//!   a full group is picked by a two-round tournament on index
+//!   skips the time. Four children fill 64 bytes, but the heap's
+//!   `Vec<Entry>` is aligned only as the allocator happens to place it:
+//!   a probe read its start 48 bytes past a line boundary on the
+//!   `des_sweep` benchmark (each sibling group `heap[4k+1..4k+5]` on one
+//!   line) and 16 bytes past one on `des_launch` and `pipeline` (every
+//!   group across two lines). Aligning it is open work. The least of a
+//!   full group is picked by a two-round tournament on index
 //!   arithmetic, and `pop` walks the hole to the bottom before it looks
 //!   at the displaced last entry.
 //! * Entries *later* than it go to one of 256 **buckets**, named by the
@@ -143,7 +148,9 @@ impl EventKey {
     }
 }
 
-/// Heap arity: four 16-byte children share one 64-byte line.
+/// Heap arity: four 16-byte children fill 64 bytes, one line only when
+/// the heap's buffer sits 48 bytes past a line boundary, which the
+/// allocator does not promise (see the module docs).
 const ARITY: usize = 4;
 
 /// Bits per radix digit.
@@ -700,7 +707,9 @@ mod tests {
 
     #[test]
     fn heap_entry_is_sixteen_bytes() {
-        // Four children per 64-byte line; `seq` lives in the slab slot.
+        // Four children per 64 bytes (on one line only if the buffer
+        // starts 48 bytes past a boundary, as it did on `des_sweep` but
+        // not on `des_launch` or `pipeline`); `seq` lives in the slab slot.
         assert_eq!(std::mem::size_of::<Entry>(), 16);
     }
 
