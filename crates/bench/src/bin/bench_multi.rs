@@ -17,7 +17,9 @@
 #![forbid(unsafe_code)]
 
 use eslurm::PredictiveLimit;
-use eslurm_bench::{f, fnv64, obj, print_table, write_bench, ExpArgs, FNV_OFFSET};
+use eslurm_bench::{
+    f, fnv64, obj, pct, print_table, submit_to_start, write_bench, ExpArgs, FNV_OFFSET,
+};
 use estimate::EstimatorConfig;
 use obs::audit::{Decision, DecisionLog};
 use sched::prelude::{
@@ -64,40 +66,21 @@ struct JobOutcome {
 }
 
 fn outcomes_from_log(log: &DecisionLog) -> Vec<JobOutcome> {
-    let mut submit: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut start: BTreeMap<u64, u64> = BTreeMap::new();
+    let records = log.records();
     let mut prio: BTreeMap<u64, i64> = BTreeMap::new();
-    for r in log.records() {
-        match r.decision {
-            Decision::Submitted => {
-                submit.entry(r.job).or_insert(r.t_us);
-            }
-            Decision::Started { .. } => {
-                start.insert(r.job, r.t_us); // last start wins
-            }
-            Decision::PriorityRanked { priority_milli, .. } => {
-                prio.insert(r.job, priority_milli);
-            }
-            _ => {}
+    for r in &records {
+        if let Decision::PriorityRanked { priority_milli, .. } = r.decision {
+            prio.insert(r.job, priority_milli);
         }
     }
-    start
-        .iter()
-        .filter_map(|(job, &s)| {
-            submit.get(job).map(|&sub| JobOutcome {
-                submit_us: sub,
-                start_us: s,
-                prio_milli: prio.get(job).copied().unwrap_or(i64::MIN),
-            })
+    submit_to_start(&records)
+        .into_iter()
+        .map(|(job, submit_us, start_us)| JobOutcome {
+            submit_us,
+            start_us,
+            prio_milli: prio.get(&job).copied().unwrap_or(i64::MIN),
         })
         .collect()
-}
-
-fn pct(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    sorted[(((sorted.len() - 1) as f64) * q).round() as usize]
 }
 
 /// Priority inversions: ordered pairs where `a` outranked `b` and was

@@ -10,11 +10,10 @@
 #![forbid(unsafe_code)]
 
 use eslurm::PredictiveLimit;
-use eslurm_bench::{f, print_table, time_ns, write_bench, ExpArgs};
+use eslurm_bench::{f, pct, print_table, submit_to_start, time_ns, write_bench, ExpArgs};
 use estimate::EstimatorConfig;
-use obs::audit::{AuditReport, Decision, DecisionLog};
+use obs::audit::{AuditReport, DecisionLog};
 use sched::prelude::{simulate, BackfillConfig, SchedAlgo, ScheduleReport};
-use std::collections::BTreeMap;
 use workload::{Job, TraceConfig};
 
 fn run(jobs: &[Job], nodes: u32, audit: DecisionLog) -> ScheduleReport {
@@ -27,35 +26,15 @@ fn run(jobs: &[Job], nodes: u32, audit: DecisionLog) -> ScheduleReport {
     simulate(jobs, &mut policy, &cfg)
 }
 
-/// Per-job wait (submission → final start) in seconds, reconstructed from
-/// the decision log itself — the same joins `eslurm why-job` renders.
+/// Per-job wait (submission → final start) in seconds, ascending,
+/// reconstructed from the decision log itself.
 fn waits_from_log(log: &DecisionLog) -> Vec<f64> {
-    let mut submit: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut start: BTreeMap<u64, u64> = BTreeMap::new();
-    for r in log.records() {
-        match r.decision {
-            Decision::Submitted => {
-                submit.entry(r.job).or_insert(r.t_us);
-            }
-            Decision::Started { .. } => {
-                start.insert(r.job, r.t_us); // last start wins
-            }
-            _ => {}
-        }
-    }
-    let mut waits: Vec<f64> = start
-        .iter()
-        .filter_map(|(job, &s)| submit.get(job).map(|&sub| (s - sub) as f64 / 1e6))
+    let mut waits: Vec<f64> = submit_to_start(&log.records())
+        .into_iter()
+        .map(|(_, sub, s)| (s - sub) as f64 / 1e6)
         .collect();
     waits.sort_by(f64::total_cmp);
     waits
-}
-
-fn pct(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    sorted[(((sorted.len() - 1) as f64) * q).round() as usize]
 }
 
 fn main() {

@@ -18,7 +18,7 @@ use rand::RngExt;
 use simclock::rng::stream_rng;
 use simclock::SimSpan;
 use std::collections::HashSet;
-use topology::{broadcast, split_balanced, BcastParams, Structure};
+use topology::{balanced_chunks, broadcast, BcastParams, Structure};
 
 /// Broadcast through the ESlurm overlay: the list is split across
 /// satellites (Eq. 1), each satellite builds a (FP-)tree over its share,
@@ -35,7 +35,7 @@ fn eslurm_overlay(
 ) -> SimSpan {
     let n = satellites_needed(list.len(), eq1_width, m);
     let mut worst = SimSpan::ZERO;
-    for (i, (lo, len)) in split_balanced(list.len(), n).into_iter().enumerate() {
+    for (i, (lo, len)) in balanced_chunks(list.len(), n).enumerate() {
         let share = &list[lo..lo + len];
         let r = broadcast(Structure::FpTree, share, failed, predicted, params);
         let t = dispatch_gap * (i as u64 + 1) + r.completion;

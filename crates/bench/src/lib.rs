@@ -20,10 +20,12 @@
 
 use emu::{Actor, NodeId, Payload, SimCluster};
 use eslurm::{EslurmConfig, Scenario, Stack, System, SystemBuilder};
+use obs::audit::{Decision, DecisionRecord};
 use obs::{MetricId, SeriesPoint, SeriesStore, SeriesSummary};
 use rm::{Arrival, JobStream, MasterLog};
 use serde::Value;
 use simclock::{SimSpan, SimTime};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -254,6 +256,37 @@ pub fn outcome_fingerprint<M: Payload, A: Actor<M>>(
         .iter()
         .fold(FNV_OFFSET, |h, v| fnv64(&v.to_le_bytes(), h));
     parts.into_iter().fold(h, |h, p| fnv64(p.as_bytes(), h))
+}
+
+/// Every started job's `(job, submit µs, final start µs)`, in job order,
+/// joined from a decision log's records: its first `Submitted` record and
+/// its last `Started` one — the same joins `eslurm why-job` renders.
+pub fn submit_to_start(records: &[DecisionRecord]) -> Vec<(u64, u64, u64)> {
+    let mut submit: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut start: BTreeMap<u64, u64> = BTreeMap::new();
+    for r in records {
+        match r.decision {
+            Decision::Submitted => {
+                submit.entry(r.job).or_insert(r.t_us);
+            }
+            Decision::Started { .. } => {
+                start.insert(r.job, r.t_us); // last start wins
+            }
+            _ => {}
+        }
+    }
+    start
+        .into_iter()
+        .filter_map(|(job, s)| submit.get(&job).map(|&sub| (job, sub, s)))
+        .collect()
+}
+
+/// The `q`-quantile of ascending `sorted`, by nearest rank; 0 when empty.
+pub fn pct(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    sorted[(((sorted.len() - 1) as f64) * q).round() as usize]
 }
 
 /// Best-of-`reps` wall time of `f`, in nanoseconds (after one warmup

@@ -103,12 +103,6 @@ pub fn satellites_needed(s: usize, w: usize, m: usize) -> usize {
     }
 }
 
-/// Split `0..len` into `n` balanced contiguous ranges (the per-satellite
-/// sub-lists).
-pub fn partition(len: usize, n: usize) -> Vec<(usize, usize)> {
-    topology::split_balanced(len, n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,17 +128,5 @@ mod tests {
                 assert!(n >= 1 && n <= m, "s={s} m={m} n={n}");
             }
         }
-    }
-
-    #[test]
-    fn partition_is_balanced_cover() {
-        let parts = partition(20_480, 7);
-        assert_eq!(parts.len(), 7);
-        let total: usize = parts.iter().map(|(_, l)| l).sum();
-        assert_eq!(total, 20_480);
-        let (min, max) = parts
-            .iter()
-            .fold((usize::MAX, 0), |(mn, mx), (_, l)| (mn.min(*l), mx.max(*l)));
-        assert!(max - min <= 1);
     }
 }

@@ -4,17 +4,16 @@
 //! mapping, BT/HB failure detection with the Table II state machine,
 //! task reassignment, and master takeover after the reassignment threshold.
 
-use crate::config::{partition, satellites_needed, EslurmConfig};
+use crate::config::{satellites_needed, EslurmConfig};
 use crate::fsm::{SatEvent, SatFsm, SatState};
 use emu::{Actor, Context, NodeId};
 use obs::{
     Counter, EventKind, FlowKind, Gauge, Hist, LabeledCounter, MetricId, Recorder, TraceContext,
 };
-use rm::master::{JobRecord, MasterLog};
-use rm::proto::{CtlKind, NodeSlice, RmMsg};
+use rm::master::{FrontDesk, JobRecord, MasterLog};
+use rm::proto::{send_tree, AckTally, CtlKind, NodeSlice, RmMsg};
 use simclock::{SimSpan, SimTime};
 use std::collections::{BTreeMap, VecDeque};
-use topology::split_balanced;
 
 const TOKEN_SWEEP: u64 = 0;
 const TOKEN_SAT_HB: u64 = 1;
@@ -48,9 +47,8 @@ struct JobState {
     submitted: SimTime,
     launch_done: Option<SimTime>,
     phase: CtlKind,
-    tasks_total: u32,
-    tasks_done: u32,
-    reached: u32,
+    /// The phase's satellite tasks: one "ack" per finished task.
+    tasks: AckTally,
     /// Causal-trace root for this job's flow (dispatch or sweep); `None`
     /// unless the recorder has causal tracing on.
     trace: Option<TraceContext>,
@@ -63,10 +61,9 @@ struct Task {
     sat: Option<usize>,
     attempts: u32,
     done: bool,
-    /// Takeover aggregation (when the master relays directly).
-    takeover_expected: u32,
-    takeover_received: u32,
-    takeover_reached: u32,
+    /// Acks of the master's own relay after a takeover; none expected
+    /// before one.
+    takeover: AckTally,
     /// Causal context the task's broadcast sends attach to (copied from
     /// the job at creation, replaced by a recovery root on takeover).
     trace: Option<TraceContext>,
@@ -90,10 +87,7 @@ struct MasterState {
     dispatching: bool,
     next_task: u64,
     sweep_seq: u64,
-    /// Serial work backlog (delays user-request replies).
-    busy_until: SimTime,
-    pending_queries: BTreeMap<u64, NodeId>,
-    query_arrival: BTreeMap<u64, SimTime>,
+    desk: FrontDesk,
     obs: Recorder,
     /// Per-satellite task-assignment counters (`tasks_assigned{sat=..}`),
     /// the tree-level footprint breakdown behind the aggregate
@@ -102,7 +96,6 @@ struct MasterState {
     sweeps: Vec<SweepRecord>,
     reassignments: u64,
     takeovers: u64,
-    query_log: Vec<(u64, SimSpan)>,
 }
 
 /// The ESlurm master actor.
@@ -134,15 +127,12 @@ impl EslurmMaster {
                 dispatching: false,
                 next_task: 0,
                 sweep_seq: 0,
-                busy_until: SimTime::ZERO,
-                pending_queries: BTreeMap::new(),
-                query_arrival: BTreeMap::new(),
+                desk: FrontDesk::default(),
                 obs: Recorder::disabled(),
                 sat_tasks: Vec::new(),
                 sweeps: Vec::new(),
                 reassignments: 0,
                 takeovers: 0,
-                query_log: Vec::new(),
             }),
             records: Vec::new(),
         }
@@ -195,12 +185,6 @@ impl EslurmMaster {
         }
     }
 
-    /// Track serial daemon work (CPU + reply backlog).
-    fn track_work(busy_until: &mut SimTime, ctx: &mut dyn Context<RmMsg>, cost: SimSpan) {
-        ctx.charge_cpu(cost);
-        *busy_until = (*busy_until).max(ctx.now()) + cost;
-    }
-
     /// Current FSM state of satellite `idx`.
     pub fn satellite_state(&self, idx: usize, now: SimTime) -> SatState {
         self.st.fsm[idx].state(now)
@@ -209,16 +193,17 @@ impl EslurmMaster {
     fn start_ctl(&mut self, ctx: &mut dyn Context<RmMsg>, job: u64, kind: CtlKind) {
         let state = self.st.jobs.get_mut(&job).expect("ctl for unknown job");
         state.phase = kind;
-        state.tasks_done = 0;
-        state.reached = 0;
         let trace = state.trace;
         let list = state.nodes.clone();
         let n = satellites_needed(list.len(), self.st.cfg.eq1_width, self.st.satellites.len());
-        let parts = partition(list.len(), n);
-        state.tasks_total = parts.len() as u32;
+        // The per-satellite sub-lists.
+        let parts = topology::balanced_chunks(list.len(), n);
+        state.tasks = AckTally {
+            expected: parts.len() as u32,
+            ..AckTally::default()
+        };
         let task_ids: Vec<u64> = parts
-            .iter()
-            .map(|&(lo, len)| {
+            .map(|(lo, len)| {
                 let id = self.st.next_task;
                 self.st.next_task += 1;
                 self.st.tasks.insert(
@@ -230,9 +215,7 @@ impl EslurmMaster {
                         sat: None,
                         attempts: 0,
                         done: false,
-                        takeover_expected: 0,
-                        takeover_received: 0,
-                        takeover_reached: 0,
+                        takeover: AckTally::default(),
                         trace,
                         sent_at: SimTime::ZERO,
                     },
@@ -319,31 +302,17 @@ impl EslurmMaster {
             self.task_completed(ctx, job, kind, 0);
             return;
         }
-        let w = self.st.cfg.relay_width.max(2);
-        let task_len = task.list.len();
-        let k = if task_len < w { task_len } else { w };
-        let chunks = split_balanced(task_len, k);
-        task.takeover_expected = chunks.len() as u32;
         task.sent_at = ctx.now();
-        let (job, kind) = (task.job, task.kind);
-        let list = task.list.clone();
-        for (lo, len) in chunks {
-            let head = list.nodes()[lo];
-            Self::track_work(&mut self.st.busy_until, ctx, self.st.cfg.msg_cpu);
-            ctx.open_socket_for(NodeId(head), self.st.cfg.conn_lifetime);
-            ctx.send(
-                NodeId(head),
-                RmMsg::JobCtl {
-                    job,
-                    kind,
-                    list: list.slice(lo + 1, lo + len),
-                    width: w as u16,
-                },
-            );
-        }
-        let depth = topology::relay_depth(task_len, w) as u64;
+        let (desk, cfg) = (&mut self.st.desk, &self.st.cfg);
+        let charge = |ctx: &mut dyn Context<RmMsg>, head| {
+            desk.track_work(ctx, cfg.msg_cpu);
+            ctx.open_socket_for(head, cfg.conn_lifetime);
+        };
+        let (job, kind, width) = (task.job, task.kind, cfg.relay_width);
+        let depth;
+        (task.takeover.expected, depth) = send_tree(ctx, job, kind, &task.list, width, charge);
         ctx.set_timer(
-            self.st.cfg.task_timeout * (depth + 1),
+            cfg.task_timeout * (depth + 1),
             task_id * TOKEN_BASE + TASK_TIMEOUT,
         );
     }
@@ -359,13 +328,8 @@ impl EslurmMaster {
             let Some(state) = self.st.jobs.get_mut(&job) else {
                 return;
             };
-            if state.phase != kind {
-                return; // stale completion from a previous phase
-            }
-            state.tasks_done += 1;
-            state.reached += reached;
-            if state.tasks_done < state.tasks_total {
-                return;
+            if state.phase != kind || !state.tasks.ack(reached) {
+                return; // a stale completion from a previous phase, or not the last
             }
             match state.kind {
                 JobKind::Sweep => (true, SimSpan::ZERO),
@@ -386,12 +350,12 @@ impl EslurmMaster {
                 ctx.me().0,
                 EventKind::SweepDone,
                 job & !SWEEP_BIT,
-                state.reached as u64,
+                state.tasks.reached as u64,
             );
             self.st.sweeps.push(SweepRecord {
                 started: state.submitted,
                 completion,
-                reached: state.reached,
+                reached: state.tasks.reached,
             });
             return;
         }
@@ -412,7 +376,7 @@ impl EslurmMaster {
                     job,
                     0,
                 );
-                Self::track_work(&mut self.st.busy_until, ctx, self.st.cfg.sched_cpu);
+                self.st.desk.track_work(ctx, self.st.cfg.sched_cpu);
                 let keep = self.st.cfg.job_record_leak as i64;
                 ctx.alloc_virt(-(self.st.cfg.per_job_virt as i64) + keep);
                 ctx.alloc_real(-(self.st.cfg.per_job_real as i64) + keep / 4);
@@ -431,7 +395,7 @@ impl EslurmMaster {
     fn start_sweep(&mut self, ctx: &mut dyn Context<RmMsg>) {
         let job = SWEEP_BIT | self.st.sweep_seq;
         self.st.sweep_seq += 1;
-        Self::track_work(&mut self.st.busy_until, ctx, self.st.cfg.sched_cpu);
+        self.st.desk.track_work(ctx, self.st.cfg.sched_cpu);
         let trace = ctx.trace_begin(FlowKind::Sweep);
         self.st.jobs.insert(
             job,
@@ -441,9 +405,7 @@ impl EslurmMaster {
                 submitted: ctx.now(),
                 launch_done: None,
                 phase: CtlKind::Ping,
-                tasks_total: 0,
-                tasks_done: 0,
-                reached: 0,
+                tasks: AckTally::default(),
                 trace,
             },
         );
@@ -456,7 +418,7 @@ impl MasterLog for EslurmMaster {
         &self.records
     }
     fn query_log(&self) -> &[(u64, SimSpan)] {
-        &self.st.query_log
+        self.st.desk.query_log()
     }
 }
 
@@ -483,7 +445,7 @@ impl Actor<RmMsg> for EslurmMaster {
                 nodes,
                 runtime_us,
             } => {
-                Self::track_work(&mut self.st.busy_until, ctx, self.st.cfg.sched_cpu);
+                self.st.desk.track_work(ctx, self.st.cfg.sched_cpu);
                 ctx.alloc_virt(self.st.cfg.per_job_virt as i64);
                 ctx.alloc_real(self.st.cfg.per_job_real as i64);
                 self.st.obs.inc(Counter::JobsSubmitted);
@@ -505,9 +467,7 @@ impl Actor<RmMsg> for EslurmMaster {
                         submitted: ctx.now(),
                         launch_done: None,
                         phase: CtlKind::Launch,
-                        tasks_total: 0,
-                        tasks_done: 0,
-                        reached: 0,
+                        tasks: AckTally::default(),
                         trace,
                     },
                 );
@@ -520,7 +480,7 @@ impl Actor<RmMsg> for EslurmMaster {
                 reached,
                 ok: _,
             } => {
-                Self::track_work(&mut self.st.busy_until, ctx, self.st.cfg.msg_cpu);
+                self.st.desk.track_work(ctx, self.st.cfg.msg_cpu);
                 let Some(t) = self.st.tasks.get_mut(&task) else {
                     return;
                 };
@@ -539,23 +499,21 @@ impl Actor<RmMsg> for EslurmMaster {
             }
             RmMsg::CtlAck { job, kind, count } => {
                 // Ack for a master-takeover relay.
-                Self::track_work(&mut self.st.busy_until, ctx, self.st.cfg.msg_cpu);
+                self.st.desk.track_work(ctx, self.st.cfg.msg_cpu);
                 let found = self.st.tasks.iter_mut().find(|(_, t)| {
-                    t.job == job && t.kind == kind && !t.done && t.takeover_expected > 0
+                    t.job == job && t.kind == kind && !t.done && t.takeover.expected > 0
                 });
                 if let Some((&id, t)) = found {
-                    t.takeover_received += 1;
-                    t.takeover_reached += count;
-                    if t.takeover_received >= t.takeover_expected {
+                    if t.takeover.ack(count) {
                         t.done = true;
-                        let reached = t.takeover_reached;
+                        let reached = t.takeover.reached;
                         self.st.tasks.remove(&id);
                         self.task_completed(ctx, job, kind, reached);
                     }
                 }
             }
             RmMsg::CancelJob { job } => {
-                Self::track_work(&mut self.st.busy_until, ctx, self.st.cfg.sched_cpu);
+                self.st.desk.track_work(ctx, self.st.cfg.sched_cpu);
                 let cancellable = self
                     .st
                     .jobs
@@ -563,7 +521,7 @@ impl Actor<RmMsg> for EslurmMaster {
                     .map(|s| {
                         matches!(s.kind, JobKind::Real { .. })
                             && s.phase == CtlKind::Launch
-                            && s.tasks_done >= s.tasks_total
+                            && s.tasks.is_complete()
                     })
                     .unwrap_or(false);
                 // Note: a launch-phase job whose broadcast completed is in
@@ -576,14 +534,13 @@ impl Actor<RmMsg> for EslurmMaster {
                 }
             }
             RmMsg::StatusQuery { id } => {
-                self.st.query_arrival.insert(id, ctx.now());
-                Self::track_work(&mut self.st.busy_until, ctx, self.st.cfg.sched_cpu);
-                self.st.pending_queries.insert(id, from);
-                let delay = self.st.busy_until - ctx.now();
-                ctx.set_timer(delay, id * TOKEN_BASE + QUERY_REPLY);
+                let token = id * TOKEN_BASE + QUERY_REPLY;
+                self.st
+                    .desk
+                    .take_query(ctx, from, id, self.st.cfg.sched_cpu, token);
             }
             RmMsg::SatHeartbeatAck { state } => {
-                Self::track_work(&mut self.st.busy_until, ctx, self.st.cfg.msg_cpu);
+                self.st.desk.track_work(ctx, self.st.cfg.msg_cpu);
                 if let Some(idx) = self.st.satellites.iter().position(|&s| s == from.0) {
                     self.st.hb_pending[idx] = false;
                     let _ = SatState::from_wire(state);
@@ -613,7 +570,7 @@ impl Actor<RmMsg> for EslurmMaster {
                     if self.st.fsm[idx].state(ctx.now()) == SatState::Down {
                         continue; // needs administrator intervention
                     }
-                    Self::track_work(&mut self.st.busy_until, ctx, self.st.cfg.msg_cpu);
+                    self.st.desk.track_work(ctx, self.st.cfg.msg_cpu);
                     ctx.open_socket_for(NodeId(self.st.satellites[idx]), self.st.cfg.conn_lifetime);
                     ctx.send(NodeId(self.st.satellites[idx]), RmMsg::SatHeartbeat);
                     self.st.hb_pending[idx] = true;
@@ -626,11 +583,7 @@ impl Actor<RmMsg> for EslurmMaster {
                     if let Some(t) = self.st.tasks.get_mut(&task_id) {
                         if !t.done {
                             if let Some(idx) = t.sat {
-                                Self::track_work(
-                                    &mut self.st.busy_until,
-                                    ctx,
-                                    self.st.cfg.task_prep_cpu,
-                                );
+                                self.st.desk.track_work(ctx, self.st.cfg.task_prep_cpu);
                                 ctx.trace_adopt(t.trace);
                                 t.sent_at = ctx.now();
                                 let sat_node = NodeId(self.st.satellites[idx]);
@@ -682,33 +635,14 @@ impl Actor<RmMsg> for EslurmMaster {
                     .map(|s| s.phase == CtlKind::Launch)
                     .unwrap_or(false);
                 if still_running {
-                    Self::track_work(&mut self.st.busy_until, ctx, self.st.cfg.sched_cpu);
+                    self.st.desk.track_work(ctx, self.st.cfg.sched_cpu);
                     if let Some(s) = self.st.jobs.get(&id) {
                         ctx.trace_adopt(s.trace);
                     }
                     self.start_ctl(ctx, id, CtlKind::Terminate);
                 }
             }
-            QUERY_REPLY => {
-                if let Some(asker) = self.st.pending_queries.remove(&id) {
-                    if let Some(arrived) = self.st.query_arrival.remove(&id) {
-                        let latency = ctx.now() - arrived;
-                        self.st.obs.inc(Counter::QueriesServed);
-                        self.st
-                            .obs
-                            .observe(Hist::QueryLatencyUs, latency.as_micros());
-                        self.st.obs.event_at(
-                            ctx.now(),
-                            ctx.me().0,
-                            EventKind::QueryServed,
-                            asker.0 as u64,
-                            0,
-                        );
-                        self.st.query_log.push((id, latency));
-                    }
-                    ctx.send(asker, RmMsg::StatusReply { id });
-                }
-            }
+            QUERY_REPLY => self.st.desk.reply(ctx, id, &self.st.obs),
             TASK_TIMEOUT => {
                 let Some(t) = self.st.tasks.get_mut(&id) else {
                     return;
@@ -723,10 +657,10 @@ impl Actor<RmMsg> for EslurmMaster {
                     ctx.trace_backoff(&tc, t.sent_at);
                     ctx.trace_adopt(Some(tc));
                 }
-                if t.takeover_expected > 0 {
+                if t.takeover.expected > 0 {
                     // Master's own relay: close it out with partial coverage.
                     t.done = true;
-                    let (job, kind, reached) = (t.job, t.kind, t.takeover_reached);
+                    let (job, kind, reached) = (t.job, t.kind, t.takeover.reached);
                     self.st.tasks.remove(&id);
                     self.task_completed(ctx, job, kind, reached);
                     return;

@@ -13,7 +13,7 @@ use crate::fsm::SatState;
 use emu::{Actor, Context, NodeId};
 use monitoring::FailurePredictor;
 use obs::{EventKind, Hist, Recorder, TraceContext};
-use rm::proto::{CtlKind, NodeSlice, RmMsg};
+use rm::proto::{send_tree, AckTally, CtlKind, NodeSlice, RmMsg};
 use simclock::{SimSpan, SimTime};
 use std::collections::{BTreeMap, HashSet};
 #[allow(
@@ -21,7 +21,6 @@ use std::collections::{BTreeMap, HashSet};
     reason = "the frozen end-to-end benchmark shares its predictor as an `Arc<Mutex<..>>`"
 )]
 use std::sync::{Arc, Mutex};
-use topology::balanced_chunks;
 use topology::fptree::{rearrange_sorted_into, sorted_suspects};
 
 /// Aggregate FP-Tree construction statistics (the paper's "FP-tree node
@@ -77,10 +76,8 @@ struct PendingTask {
     origin: NodeId,
     list: NodeSlice,
     started: SimTime,
-    expected: u32,
-    received: u32,
-    reached: u32,
-    relayed: bool,
+    /// Acks of the FP-Tree fan-out; none expected until it goes out.
+    acks: AckTally,
     /// When the FP-Tree fan-out went out (start of the ack deadline window).
     relayed_at: SimTime,
     /// Causal context the incoming `BcastTask` carried; the relay fan-out
@@ -208,10 +205,7 @@ impl SatelliteDaemon {
                 origin,
                 list,
                 started: ctx.now(),
-                expected: 0,
-                received: 0,
-                reached: 0,
-                relayed: false,
+                acks: AckTally::default(),
                 relayed_at: ctx.now(),
                 trace: ctx.trace_current(),
             },
@@ -229,10 +223,6 @@ impl SatelliteDaemon {
         let Some(t) = self.st.tasks.get_mut(&token) else {
             return;
         };
-        if t.relayed {
-            return;
-        }
-        t.relayed = true;
         // Resume the task's trace (relay runs from a timer, so the
         // message-borne context is long cleared).
         ctx.trace_adopt(t.trace);
@@ -262,31 +252,14 @@ impl SatelliteDaemon {
             .fp_stats
             .arrange(t.list.nodes(), &suspects, w, &mut arranged);
         let arranged = NodeSlice::new(arranged);
-        let k = if arranged.len() < w {
-            arranged.len()
-        } else {
-            w
-        };
-        let chunks = balanced_chunks(arranged.len(), k);
-        t.expected = chunks.len() as u32;
         t.relayed_at = ctx.now();
-        let (job, kind) = (t.job, t.kind);
-        for (lo, len) in chunks {
-            let head = arranged.nodes()[lo];
-            ctx.open_socket_for(NodeId(head), self.st.cfg.conn_lifetime);
-            ctx.send(
-                NodeId(head),
-                RmMsg::JobCtl {
-                    job,
-                    kind,
-                    list: arranged.slice(lo + 1, lo + len),
-                    width: w as u16,
-                },
-            );
-        }
-        let depth = topology::relay_depth(arranged.len(), w) as u64;
+        let cfg = &self.st.cfg;
+        let charge =
+            |ctx: &mut dyn Context<RmMsg>, head| ctx.open_socket_for(head, cfg.conn_lifetime);
+        let depth;
+        (t.acks.expected, depth) = send_tree(ctx, t.job, t.kind, &arranged, w, charge);
         ctx.set_timer(
-            self.st.cfg.task_timeout * (depth + 1),
+            cfg.task_timeout * (depth + 1),
             token << TOKEN_KIND_BITS | DEADLINE_TIMER,
         );
     }
@@ -315,7 +288,7 @@ impl SatelliteDaemon {
                 task: t.task,
                 job: t.job,
                 kind: t.kind,
-                reached: t.reached,
+                reached: t.acks.reached,
                 ok: complete,
             },
         );
@@ -341,15 +314,14 @@ impl Actor<RmMsg> for SatelliteDaemon {
             }
             RmMsg::CtlAck { job, kind, count } => {
                 ctx.charge_cpu(self.st.cfg.msg_cpu);
+                // A task whose fan-out has not gone out expects no acks.
                 let found = self
                     .st
                     .tasks
                     .iter_mut()
-                    .find(|(_, t)| t.job == job && t.kind == kind && t.relayed);
+                    .find(|(_, t)| t.job == job && t.kind == kind && t.acks.expected > 0);
                 if let Some((&token, t)) = found {
-                    t.received += 1;
-                    t.reached += count;
-                    if t.received >= t.expected {
+                    if t.acks.ack(count) {
                         self.finish_task(ctx, token, true);
                     }
                 }

@@ -3,15 +3,15 @@
 //! Centralized resource-manager baselines running on the cluster emulator:
 //!
 //! * [`proto`] — the control-plane message set (shared with the ESlurm
-//!   overlay in the `eslurm` crate), with modelled wire sizes and
-//!   zero-copy node-list slices;
+//!   overlay in the `eslurm` crate), with modelled wire sizes, zero-copy
+//!   node-list slices, and the one grouping-tree send and ack tally;
 //! * [`profile`] — behavioural profiles of SGE, Torque, OpenPBS, LSF, and
 //!   Slurm (heartbeat style, connection policy, fan-out, per-node/job
 //!   memory);
 //! * [`slave`] — the per-node daemon: heartbeats, poll replies, and
 //!   grouping-tree relay with aggregated, timeout-guarded acks;
 //! * [`master`] — the centralized master daemon (the bottleneck the paper
-//!   measures in Fig. 7);
+//!   measures in Fig. 7), and the front desk both masters embed;
 //! * [`driver`] — the actors of a centralized deployment (deployed on the
 //!   DES by `eslurm::system`, as ESlurm is), and the one synthetic job
 //!   stream ([`JobStream`]) every stack is loaded with.

@@ -7,12 +7,11 @@
 //! master node the hot spot the paper's Fig. 7 measures.
 
 use crate::profile::{Fanout, HeartbeatMode, RmProfile};
-use crate::proto::{CtlKind, NodeSlice, RmMsg};
+use crate::proto::{send_tree, AckTally, CtlKind, NodeSlice, RmMsg};
 use emu::{Actor, Context, NodeId};
 use obs::{Counter, EventKind, FlowKind, Hist, LabeledGauge, MetricId, Recorder, TraceContext};
 use simclock::{SimSpan, SimTime};
 use std::collections::BTreeMap;
-use topology::split_balanced;
 
 /// Completed-job record kept by the master (drives Fig. 7(f)).
 #[derive(Clone, Copy, Debug)]
@@ -38,6 +37,64 @@ pub trait MasterLog {
     fn query_log(&self) -> &[(u64, SimSpan)];
 }
 
+/// A master's serial front desk, the same on every RM: messages are
+/// served in arrival order, so a user request lands behind whatever storm
+/// is in progress, and is answered when the backlog ahead of it clears.
+#[derive(Default)]
+pub struct FrontDesk {
+    /// When the work accepted so far is done.
+    busy_until: SimTime,
+    /// Requests waiting on the backlog: id → (asker, arrival).
+    queries: BTreeMap<u64, (NodeId, SimTime)>,
+    /// `(request id, response latency)` of answered requests.
+    log: Vec<(u64, SimSpan)>,
+}
+
+impl FrontDesk {
+    /// Charge `cost` of daemon work: CPU accounting plus the serial work
+    /// backlog that delays user-request replies.
+    pub fn track_work(&mut self, ctx: &mut dyn Context<RmMsg>, cost: SimSpan) {
+        ctx.charge_cpu(cost);
+        self.busy_until = self.busy_until.max(ctx.now()) + cost;
+    }
+
+    /// Accept user request `id` from `asker`. Answering needs a consistent
+    /// snapshot of the global job/node state — `cost` of work that waits
+    /// behind the backlog — so the reply timer `token` is armed for when
+    /// the backlog clears; the master hands it to [`FrontDesk::reply`].
+    pub fn take_query(
+        &mut self,
+        ctx: &mut dyn Context<RmMsg>,
+        asker: NodeId,
+        id: u64,
+        cost: SimSpan,
+        token: u64,
+    ) {
+        self.queries.insert(id, (asker, ctx.now()));
+        self.track_work(ctx, cost);
+        ctx.set_timer(self.busy_until - ctx.now(), token);
+    }
+
+    /// Answer request `id`, recording its latency into `obs` and the log.
+    pub fn reply(&mut self, ctx: &mut dyn Context<RmMsg>, id: u64, obs: &Recorder) {
+        let Some((asker, arrived)) = self.queries.remove(&id) else {
+            return;
+        };
+        let latency = ctx.now() - arrived;
+        obs.inc(Counter::QueriesServed);
+        obs.observe(Hist::QueryLatencyUs, latency.as_micros());
+        let me = ctx.me().0;
+        obs.event_at(ctx.now(), me, EventKind::QueryServed, asker.0 as u64, 0);
+        self.log.push((id, latency));
+        ctx.send(asker, RmMsg::StatusReply { id });
+    }
+
+    /// `(request id, response latency)` for answered requests.
+    pub fn query_log(&self) -> &[(u64, SimSpan)] {
+        &self.log
+    }
+}
+
 impl JobRecord {
     /// The paper's job occupation time: submission → full resource release.
     pub fn occupation(&self) -> SimSpan {
@@ -58,8 +115,7 @@ struct JobState {
     submitted: SimTime,
     launch_done: Option<SimTime>,
     phase: Phase,
-    acked: u32,
-    expected_acks: u32,
+    acks: AckTally,
     /// Next node index to contact (sequential fan-out only).
     seq_next: usize,
     /// Causal-trace root for this job's dispatch flow (the centralized
@@ -81,12 +137,7 @@ pub struct CentralizedMaster {
     jobs: BTreeMap<u64, JobState>,
     /// Completed jobs, in completion order.
     pub records: Vec<JobRecord>,
-    /// The daemon's work backlog: messages are served in arrival order,
-    /// so a user request lands behind whatever storm is in progress.
-    busy_until: SimTime,
-    pending_queries: BTreeMap<u64, NodeId>,
-    query_log: Vec<(u64, SimSpan)>,
-    query_arrival: BTreeMap<u64, SimTime>,
+    desk: FrontDesk,
     obs: Recorder,
     /// Bookkeeping bytes (`rm_bookkeeping_bytes{component=rm.master}`):
     /// the virtual memory the daemon's job/node records account for,
@@ -103,10 +154,7 @@ impl CentralizedMaster {
             slaves,
             jobs: BTreeMap::new(),
             records: Vec::new(),
-            busy_until: SimTime::ZERO,
-            pending_queries: BTreeMap::new(),
-            query_log: Vec::new(),
-            query_arrival: BTreeMap::new(),
+            desk: FrontDesk::default(),
             obs: Recorder::disabled(),
             book_mem: LabeledGauge::default(),
         }
@@ -128,64 +176,20 @@ impl CentralizedMaster {
         &self.profile
     }
 
-    /// Charge `cost` of daemon work: CPU accounting plus the serial work
-    /// backlog that delays user-request replies. Free-standing over the
-    /// backlog field so callers holding other field borrows can use it.
-    fn track_work(busy_until: &mut SimTime, ctx: &mut dyn Context<RmMsg>, cost: SimSpan) {
-        ctx.charge_cpu(cost);
-        *busy_until = (*busy_until).max(ctx.now()) + cost;
-    }
-
     fn begin_ctl(&mut self, ctx: &mut dyn Context<RmMsg>, job: u64, kind: CtlKind) {
         let state = self.jobs.get_mut(&job).expect("ctl for unknown job");
-        state.acked = 0;
+        state.acks = AckTally::default();
         state.seq_next = 0;
         ctx.trace_adopt(state.trace);
         match self.profile.fanout {
-            Fanout::Direct => {
-                state.expected_acks = state.nodes.len() as u32;
-                for i in 0..state.nodes.len() {
-                    let head = state.nodes.nodes()[i];
-                    Self::track_work(&mut self.busy_until, ctx, self.profile.msg_cpu);
-                    if !self.profile.persistent_connections {
-                        ctx.open_socket_for(NodeId(head), self.profile.conn_lifetime);
-                    }
-                    ctx.send(
-                        NodeId(head),
-                        RmMsg::JobCtl {
-                            job,
-                            kind,
-                            list: state.nodes.slice(i, i),
-                            width: 2,
-                        },
-                    );
-                }
-            }
             Fanout::Tree { width } => {
-                let w = (width as usize).max(2);
-                let n = state.nodes.len();
-                let k = if n < w { n } else { w };
-                let chunks = split_balanced(n, k);
-                state.expected_acks = chunks.len() as u32;
-                for (lo, len) in chunks {
-                    let head = state.nodes.nodes()[lo];
-                    Self::track_work(&mut self.busy_until, ctx, self.profile.msg_cpu);
-                    if !self.profile.persistent_connections {
-                        ctx.open_socket_for(NodeId(head), self.profile.conn_lifetime);
-                    }
-                    ctx.send(
-                        NodeId(head),
-                        RmMsg::JobCtl {
-                            job,
-                            kind,
-                            list: state.nodes.slice(lo + 1, lo + len),
-                            width,
-                        },
-                    );
-                }
+                let (desk, profile) = (&mut self.desk, &self.profile);
+                let charge = |ctx: &mut dyn Context<RmMsg>, head| contact(desk, profile, ctx, head);
+                (state.acks.expected, _) =
+                    send_tree(ctx, job, kind, &state.nodes, width.into(), charge);
             }
             Fanout::Sequential => {
-                state.expected_acks = state.nodes.len() as u32;
+                state.acks.expected = state.nodes.len() as u32;
                 // Contact the first node now; the rest are paced by timer.
                 self.seq_step(ctx, job, kind);
             }
@@ -202,10 +206,7 @@ impl CentralizedMaster {
         ctx.trace_adopt(state.trace);
         let head = state.nodes.nodes()[state.seq_next];
         state.seq_next += 1;
-        Self::track_work(&mut self.busy_until, ctx, self.profile.msg_cpu);
-        if !self.profile.persistent_connections {
-            ctx.open_socket_for(NodeId(head), self.profile.conn_lifetime);
-        }
+        contact(&mut self.desk, &self.profile, ctx, NodeId(head));
         let i = state.seq_next - 1;
         ctx.send(
             NodeId(head),
@@ -233,7 +234,7 @@ impl CentralizedMaster {
             }
             Phase::Terminating => {
                 let state = self.jobs.remove(&job).expect("job vanished");
-                Self::track_work(&mut self.busy_until, ctx, self.profile.sched_cpu);
+                self.desk.track_work(ctx, self.profile.sched_cpu);
                 self.obs.inc(Counter::JobsCompleted);
                 self.obs.span_from(
                     state.submitted,
@@ -262,12 +263,21 @@ impl CentralizedMaster {
     }
 }
 
+/// Charge one control message to `node`: daemon work, plus an ephemeral
+/// connection unless the profile keeps persistent ones.
+fn contact(desk: &mut FrontDesk, profile: &RmProfile, ctx: &mut dyn Context<RmMsg>, node: NodeId) {
+    desk.track_work(ctx, profile.msg_cpu);
+    if !profile.persistent_connections {
+        ctx.open_socket_for(node, profile.conn_lifetime);
+    }
+}
+
 impl MasterLog for CentralizedMaster {
     fn records(&self) -> &[JobRecord] {
         &self.records
     }
     fn query_log(&self) -> &[(u64, SimSpan)] {
-        &self.query_log
+        self.desk.query_log()
     }
 }
 
@@ -292,14 +302,14 @@ impl Actor<RmMsg> for CentralizedMaster {
         }
     }
 
-    fn on_message(&mut self, ctx: &mut dyn Context<RmMsg>, _from: NodeId, msg: RmMsg) {
+    fn on_message(&mut self, ctx: &mut dyn Context<RmMsg>, from: NodeId, msg: RmMsg) {
         match msg {
             RmMsg::SubmitJob {
                 job,
                 nodes,
                 runtime_us,
             } => {
-                Self::track_work(&mut self.busy_until, ctx, self.profile.sched_cpu);
+                self.desk.track_work(ctx, self.profile.sched_cpu);
                 ctx.alloc_virt(self.profile.per_job_virt as i64);
                 ctx.alloc_real(self.profile.per_job_real as i64);
                 self.book_mem.add(self.profile.per_job_virt as i64);
@@ -320,20 +330,15 @@ impl Actor<RmMsg> for CentralizedMaster {
                         submitted: ctx.now(),
                         launch_done: None,
                         phase: Phase::Launching,
-                        acked: 0,
-                        expected_acks: 0,
+                        acks: AckTally::default(),
                         seq_next: 0,
                         trace,
                     },
                 );
                 self.begin_ctl(ctx, job, CtlKind::Launch);
             }
-            RmMsg::CtlAck {
-                job,
-                kind,
-                count: _,
-            } => {
-                Self::track_work(&mut self.busy_until, ctx, self.profile.msg_cpu);
+            RmMsg::CtlAck { job, kind, count } => {
+                self.desk.track_work(ctx, self.profile.msg_cpu);
                 let Some(state) = self.jobs.get_mut(&job) else {
                     return;
                 };
@@ -345,25 +350,19 @@ impl Actor<RmMsg> for CentralizedMaster {
                 if kind != expected_kind {
                     return;
                 }
-                state.acked += 1;
-                if state.acked >= state.expected_acks {
+                if state.acks.ack(count) {
                     self.ctl_complete(ctx, job);
                 }
             }
-            RmMsg::Heartbeat { .. } => {
-                Self::track_work(&mut self.busy_until, ctx, self.profile.msg_cpu);
-                if let RmMsg::Heartbeat { node } = msg {
-                    ctx.send(NodeId(node), RmMsg::HeartbeatAck);
-                }
+            RmMsg::Heartbeat { node } => {
+                self.desk.track_work(ctx, self.profile.msg_cpu);
+                ctx.send(NodeId(node), RmMsg::HeartbeatAck);
             }
-            RmMsg::PollReply { .. } => {
-                Self::track_work(&mut self.busy_until, ctx, self.profile.msg_cpu);
-            }
-            RmMsg::Register { .. } => {
-                Self::track_work(&mut self.busy_until, ctx, self.profile.msg_cpu);
+            RmMsg::PollReply { .. } | RmMsg::Register { .. } => {
+                self.desk.track_work(ctx, self.profile.msg_cpu);
             }
             RmMsg::CancelJob { job } => {
-                Self::track_work(&mut self.busy_until, ctx, self.profile.sched_cpu);
+                self.desk.track_work(ctx, self.profile.sched_cpu);
                 // Cancelling a running job is an early termination: reuse
                 // the terminate broadcast so resources are reclaimed
                 // everywhere. Launching jobs finish their launch first
@@ -383,14 +382,9 @@ impl Actor<RmMsg> for CentralizedMaster {
                 }
             }
             RmMsg::StatusQuery { id } => {
-                // Answering needs a consistent snapshot of the global
-                // job/node state — a scheduler-weight operation that waits
-                // behind the backlog.
-                self.query_arrival.insert(id, ctx.now());
-                Self::track_work(&mut self.busy_until, ctx, self.profile.sched_cpu);
-                self.pending_queries.insert(id, _from);
-                let delay = self.busy_until - ctx.now();
-                ctx.set_timer(delay, id * 4 + QUERY_REPLY);
+                let token = id * 4 + QUERY_REPLY;
+                self.desk
+                    .take_query(ctx, from, id, self.profile.sched_cpu, token);
             }
             _ => {}
         }
@@ -399,12 +393,8 @@ impl Actor<RmMsg> for CentralizedMaster {
     fn on_timer(&mut self, ctx: &mut dyn Context<RmMsg>, token: u64) {
         if token == TOKEN_POLL {
             if let HeartbeatMode::MasterPolls { interval } = self.profile.heartbeat {
-                for i in 0..self.slaves.len() {
-                    let s = self.slaves[i];
-                    Self::track_work(&mut self.busy_until, ctx, self.profile.msg_cpu);
-                    if !self.profile.persistent_connections {
-                        ctx.open_socket_for(NodeId(s), self.profile.conn_lifetime);
-                    }
+                for &s in &self.slaves {
+                    contact(&mut self.desk, &self.profile, ctx, NodeId(s));
                     ctx.send(NodeId(s), RmMsg::Poll);
                 }
                 ctx.set_timer(interval, TOKEN_POLL);
@@ -421,7 +411,7 @@ impl Actor<RmMsg> for CentralizedMaster {
                         return; // cancelled while running: cleanup underway
                     }
                     state.phase = Phase::Terminating;
-                    Self::track_work(&mut self.busy_until, ctx, self.profile.sched_cpu);
+                    self.desk.track_work(ctx, self.profile.sched_cpu);
                     self.begin_ctl(ctx, job, CtlKind::Terminate);
                 }
             }
@@ -433,25 +423,7 @@ impl Actor<RmMsg> for CentralizedMaster {
                 };
                 self.seq_step(ctx, job, kind);
             }
-            QUERY_REPLY => {
-                let id = job; // token layout shares the id slot
-                if let Some(asker) = self.pending_queries.remove(&id) {
-                    if let Some(arrived) = self.query_arrival.remove(&id) {
-                        let latency = ctx.now() - arrived;
-                        self.obs.inc(Counter::QueriesServed);
-                        self.obs.observe(Hist::QueryLatencyUs, latency.as_micros());
-                        self.obs.event_at(
-                            ctx.now(),
-                            ctx.me().0,
-                            EventKind::QueryServed,
-                            asker.0 as u64,
-                            0,
-                        );
-                        self.query_log.push((id, latency));
-                    }
-                    ctx.send(asker, RmMsg::StatusReply { id });
-                }
-            }
+            QUERY_REPLY => self.desk.reply(ctx, job, &self.obs), // the id sits in the job slot
             _ => {}
         }
     }

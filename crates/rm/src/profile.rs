@@ -36,8 +36,6 @@ pub enum HeartbeatMode {
 /// How a job-control message reaches its nodes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Fanout {
-    /// Master contacts every node of the job itself.
-    Direct,
     /// Grouping-tree relay of the given width through the slaves.
     Tree {
         /// Tree width.

@@ -10,8 +10,9 @@
 //! No bytes move: the DES passes typed messages and charges latency from
 //! the analytic [`Payload::size_bytes`].
 
-use emu::Payload;
+use emu::{Context, NodeId, Payload};
 use std::rc::Rc;
+use topology::{balanced_chunks, relay_depth};
 
 /// What a job-control broadcast does.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -197,6 +198,66 @@ pub enum RmMsg {
         /// Echoed request id.
         id: u64,
     },
+}
+
+/// Send job-control `kind` of `job` to `list` down a width-`width`
+/// grouping tree (paper §IV-B): `min(n, w)` balanced chunks, each sent to
+/// its first node with the rest of the chunk as that node's sub-list, in
+/// chunk order. `charge` runs before each send with the chunk's head, for
+/// the sender's own socket and CPU costs. Returns the chunks sent (the
+/// acks to expect) and the relay depth below the sender.
+pub fn send_tree(
+    ctx: &mut dyn Context<RmMsg>,
+    job: u64,
+    kind: CtlKind,
+    list: &NodeSlice,
+    width: usize,
+    mut charge: impl FnMut(&mut dyn Context<RmMsg>, NodeId),
+) -> (u32, u64) {
+    let w = width.max(2);
+    let chunks = balanced_chunks(list.len(), w);
+    let sent = chunks.len() as u32;
+    for (lo, len) in chunks {
+        let head = NodeId(list.nodes()[lo]);
+        charge(ctx, head);
+        ctx.send(
+            head,
+            RmMsg::JobCtl {
+                job,
+                kind,
+                list: list.slice(lo + 1, lo + len),
+                width: w as u16,
+            },
+        );
+    }
+    (sent, relay_depth(list.len(), w) as u64)
+}
+
+/// The acknowledgements of one fan-out: children sent to and heard from,
+/// and the nodes their acks cover.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct AckTally {
+    /// Children the fan-out sent to.
+    pub expected: u32,
+    /// Children that have acknowledged.
+    pub received: u32,
+    /// Nodes covered so far.
+    pub reached: u32,
+}
+
+impl AckTally {
+    /// Count one child's ack covering `count` nodes; `true` once every
+    /// expected child has answered.
+    pub fn ack(&mut self, count: u32) -> bool {
+        self.received += 1;
+        self.reached += count;
+        self.is_complete()
+    }
+
+    /// Whether every expected child has answered.
+    pub fn is_complete(&self) -> bool {
+        self.received >= self.expected
+    }
 }
 
 impl Payload for RmMsg {

@@ -4,14 +4,13 @@
 //! with aggregated acknowledgements and a partial-ack timeout for failed
 //! children.
 
-use crate::proto::{CtlKind, NodeSlice, RmMsg};
+use crate::proto::{send_tree, AckTally, CtlKind, NodeSlice, RmMsg};
 use emu::{Actor, Context, NodeId};
 use obs::{Counter, Recorder, TraceContext};
 use rand::RngExt;
 use simclock::{SimSpan, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
-use topology::{balanced_chunks, relay_depth};
 
 /// Heartbeat behaviour of a slave.
 #[derive(Clone, Copy, Debug)]
@@ -33,10 +32,9 @@ struct Relay {
     origin: NodeId,
     job: u64,
     kind: CtlKind,
-    expected: u32,
-    received: u32,
-    /// Nodes covered so far (self + acknowledged subtrees).
-    count: u32,
+    /// The children's acks; `reached` counts this node plus the
+    /// acknowledged subtrees.
+    acks: AckTally,
     /// When the relay fanned out (start of the ack-timeout window) and the
     /// causal context the incoming `JobCtl` carried, so a timeout-driven
     /// partial ack still links into the broadcast's trace. Boxed and
@@ -272,24 +270,8 @@ impl SlaveDaemon {
             );
             return;
         }
-        // Relay: chunk the remaining list, hand each chunk to its head.
-        let w = (width as usize).max(2);
-        let k = if list.len() < w { list.len() } else { w };
-        let chunks = balanced_chunks(list.len(), k);
-        let expected = chunks.len() as u32;
-        for (lo, len) in chunks {
-            let head = list.nodes()[lo];
-            let rest = list.slice(lo + 1, lo + len);
-            ctx.send(
-                NodeId(head),
-                RmMsg::JobCtl {
-                    job,
-                    kind,
-                    list: rest,
-                    width,
-                },
-            );
-        }
+        // Relay: hand each chunk of the remaining list to its head.
+        let (expected, depth) = send_tree(ctx, job, kind, &list, width.into(), |_, _| {});
         let token = self.next_token;
         self.next_token = token
             .checked_add(1)
@@ -298,9 +280,11 @@ impl SlaveDaemon {
             origin: from,
             job,
             kind,
-            expected,
-            received: 0,
-            count: 1,
+            acks: AckTally {
+                expected,
+                received: 0,
+                reached: 1,
+            },
             traced: ctx.trace_current().map(|tc| Box::new((ctx.now(), tc))),
         };
         self.group
@@ -308,7 +292,6 @@ impl SlaveDaemon {
             .relays
             .borrow_mut()
             .push(&mut self.relays, token, relay);
-        let depth = relay_depth(list.len(), w) as u64;
         ctx.set_timer(self.cfg().ack_timeout * depth.max(1), token.into());
     }
 
@@ -324,9 +307,10 @@ impl SlaveDaemon {
         };
         let (prev, at) = arena.find(self.relays, hit)?;
         let relay = arena.slots[at as usize].relay.as_mut()?;
-        relay.received += 1;
-        relay.count += count;
-        (relay.received >= relay.expected).then(|| arena.unlink(&mut self.relays, prev, at))
+        relay
+            .acks
+            .ack(count)
+            .then(|| arena.unlink(&mut self.relays, prev, at))
     }
 
     /// Unlink and return the live relay whose ack timer is `token`; `None`
@@ -344,7 +328,7 @@ impl SlaveDaemon {
             RmMsg::CtlAck {
                 job: relay.job,
                 kind: relay.kind,
-                count: relay.count,
+                count: relay.acks.reached,
             },
         );
     }

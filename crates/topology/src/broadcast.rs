@@ -16,7 +16,7 @@
 //!   and the shared-memory board is insensitive to client failures.
 
 use crate::fptree::rearrange;
-use crate::tree::split_balanced_into;
+use crate::tree::balanced_chunks;
 use simclock::SimSpan;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet, VecDeque};
@@ -215,10 +215,9 @@ fn tree_sim(list: &[u32], failed: &HashSet<u32>, p: &BcastParams) -> BcastResult
     let mut stack: Vec<(SimSpan, usize, usize)> = vec![(SimSpan::ZERO, 0, list.len())];
     // Per-sender working state, hoisted out of the loop and reused: a
     // 20K-node broadcast visits hundreds of senders and previously paid a
-    // task queue, a slot heap, and a chunk list allocation for each.
+    // task queue and a slot heap allocation for each.
     let mut tasks: VecDeque<Task> = VecDeque::with_capacity(p.width.max(1));
     let mut slots: BinaryHeap<Reverse<SimSpan>> = BinaryHeap::with_capacity(p.parallel.max(1));
-    let mut chunks: Vec<(usize, usize)> = Vec::with_capacity(p.width.max(1));
 
     while let Some((ready, lo, hi)) = stack.pop() {
         let len = hi - lo;
@@ -226,17 +225,12 @@ fn tree_sim(list: &[u32], failed: &HashSet<u32>, p: &BcastParams) -> BcastResult
             continue;
         }
         // Chunk the sender's list.
-        let k = if len < p.width { len } else { p.width };
-        chunks.clear();
-        split_balanced_into(len, k, &mut chunks);
         tasks.clear();
-        for &(cs, cl) in &chunks {
-            tasks.push_back(Task {
-                avail: ready,
-                lo: lo + cs,
-                hi: lo + cs + cl,
-            });
-        }
+        tasks.extend(balanced_chunks(len, p.width).map(|(cs, cl)| Task {
+            avail: ready,
+            lo: lo + cs,
+            hi: lo + cs + cl,
+        }));
         // Worker slots (outbound connection threads), min-heap of free times.
         slots.clear();
         for _ in 0..p.parallel.max(1) {
@@ -258,20 +252,11 @@ fn tree_sim(list: &[u32], failed: &HashSet<u32>, p: &BcastParams) -> BcastResult
                 let rest_len = rest_hi - rest_lo;
                 if rest_len > 0 {
                     res.adoptions += 1;
-                    let k2 = if rest_len < p.width {
-                        rest_len
-                    } else {
-                        p.width
-                    };
-                    chunks.clear();
-                    split_balanced_into(rest_len, k2, &mut chunks);
-                    for &(cs, cl) in &chunks {
-                        tasks.push_back(Task {
-                            avail: end,
-                            lo: rest_lo + cs,
-                            hi: rest_lo + cs + cl,
-                        });
-                    }
+                    tasks.extend(balanced_chunks(rest_len, p.width).map(|(cs, cl)| Task {
+                        avail: end,
+                        lo: rest_lo + cs,
+                        hi: rest_lo + cs + cl,
+                    }));
                 }
             } else {
                 let covered = (rest_hi - rest_lo + 1) as u64;

@@ -29,8 +29,7 @@ pub fn rearrange(nodelist: &[u32], suspects: &HashSet<u32>, w: usize) -> Vec<u32
 }
 
 /// [`rearrange`] into a caller-provided buffer (appended, not cleared),
-/// so hot relay loops can reuse one allocation across many trees — the
-/// same contract as [`crate::tree::split_balanced_into`].
+/// so hot relay loops can reuse one allocation across many trees.
 pub fn rearrange_into(nodelist: &[u32], suspects: &HashSet<u32>, w: usize, out: &mut Vec<u32>) {
     rearrange_sorted_into(nodelist, &sorted_suspects(suspects), w, out);
 }

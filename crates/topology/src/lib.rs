@@ -23,4 +23,4 @@ pub mod tree;
 pub use broadcast::{broadcast, BcastParams, BcastResult, Structure};
 pub use fptree::{rearrange, FpTreeConstructor, FpTreeStats};
 pub use topo_aware::{chassis_locality, fine_tune, topology_order};
-pub use tree::{balanced_chunks, leaf_positions, relay_depth, split_balanced, CommTree};
+pub use tree::{balanced_chunks, leaf_positions, relay_depth, CommTree};

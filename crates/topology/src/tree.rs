@@ -21,19 +21,6 @@ pub fn balanced_chunks(len: usize, k: usize) -> impl ExactSizeIterator<Item = (u
     (0..k).map(move |i| (i * base + i.min(extra), base + usize::from(i < extra)))
 }
 
-/// Split `len` items into `k` contiguous, balanced chunks.
-///
-/// Returns the `(start, len)` pairs of [`balanced_chunks`].
-pub fn split_balanced(len: usize, k: usize) -> Vec<(usize, usize)> {
-    balanced_chunks(len, k).collect()
-}
-
-/// [`split_balanced`] into a caller-provided buffer (appended, not
-/// cleared), so hot loops can reuse one allocation across many splits.
-pub fn split_balanced_into(len: usize, k: usize, out: &mut Vec<(usize, usize)>) {
-    out.extend(balanced_chunks(len, k));
-}
-
 /// Mark which positions of an `n`-element node list become **leaves** of a
 /// width-`w` grouping tree.
 ///
@@ -174,11 +161,12 @@ mod tests {
 
     #[test]
     fn split_balances_sizes() {
-        assert_eq!(split_balanced(10, 3), vec![(0, 4), (4, 3), (7, 3)]);
-        assert_eq!(split_balanced(4, 4), vec![(0, 1), (1, 1), (2, 1), (3, 1)]);
-        assert_eq!(split_balanced(0, 3), vec![]);
+        let split = |len, k| balanced_chunks(len, k).collect::<Vec<_>>();
+        assert_eq!(split(10, 3), vec![(0, 4), (4, 3), (7, 3)]);
+        assert_eq!(split(4, 4), vec![(0, 1), (1, 1), (2, 1), (3, 1)]);
+        assert_eq!(split(0, 3), vec![]);
         // k > len collapses to singletons
-        assert_eq!(split_balanced(2, 5), vec![(0, 1), (1, 1)]);
+        assert_eq!(split(2, 5), vec![(0, 1), (1, 1)]);
     }
 
     #[test]

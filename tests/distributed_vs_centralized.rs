@@ -9,7 +9,7 @@ use eslurm_suite::eslurm::{
     EslurmConfig, EslurmNode, EslurmSystemBuilder, Scenario, Stack, SystemBuilder,
 };
 use eslurm_suite::obs::{build_traces, EventKind, FlowKind, Recorder};
-use eslurm_suite::rm::{JobRecord, JobStream, MasterLog, RmNode, RmProfile, SlaveDaemon};
+use eslurm_suite::rm::{JobRecord, JobStream, MasterLog, RmMsg, RmNode, RmProfile, SlaveDaemon};
 use eslurm_suite::simclock::{SimSpan, SimTime};
 use std::collections::BTreeSet;
 
@@ -174,6 +174,40 @@ fn one_job_reaches_exactly_its_nodes_on_all_six_rms() {
         ..Default::default()
     };
     one_job_on_its_nodes("ESlurm", SystemBuilder::new(cfg, n, 3), k);
+}
+
+/// A user request that reaches `builder`'s master at the instant a
+/// 32-node job is submitted waits behind that job's `backlog` of master
+/// work plus its own `cost`: it is unanswered one microsecond before that
+/// backlog clears, answered when it does, and `query_log` holds the wait.
+fn query_waits_out_the_backlog<S: Stack>(
+    builder: SystemBuilder<S>,
+    backlog: SimSpan,
+    cost: SimSpan,
+) {
+    let mut sys = builder.build();
+    let at = SimTime::from_secs(1);
+    sys.submit(at, 7, 0..32, SimSpan::from_secs(5));
+    let asker = NodeId(sys.slave_id(40));
+    sys.sim
+        .inject(at, asker, NodeId::MASTER, RmMsg::StatusQuery { id: 3 });
+    let answered = at + backlog + cost;
+    sys.sim.run_until(SimTime(answered.0 - 1));
+    assert!(sys.master().query_log().is_empty(), "answered early");
+    sys.sim.run_until(answered);
+    assert_eq!(sys.master().query_log(), [(3, backlog + cost)]);
+}
+
+#[test]
+fn status_query_is_answered_when_the_master_backlog_clears() {
+    // Slurm's master schedules the job, then sends its 32 tree chunks.
+    let p = RmProfile::slurm();
+    let backlog = p.sched_cpu + p.msg_cpu * 32;
+    query_waits_out_the_backlog(SystemBuilder::new(p.clone(), 64, 5), backlog, p.sched_cpu);
+    // ESlurm's master only schedules it; the satellites fan it out.
+    let cfg = EslurmConfig::default();
+    let (backlog, cost) = (cfg.sched_cpu, cfg.sched_cpu);
+    query_waits_out_the_backlog(SystemBuilder::new(cfg, 64, 5), backlog, cost);
 }
 
 /// `(at µs, job, first compute index, count, runtime µs)`.

@@ -3,7 +3,7 @@
 use eslurm_suite::eslurm::satellites_needed;
 use eslurm_suite::sched::prelude::{simulate, BackfillConfig, UserLimit};
 use eslurm_suite::topology::{
-    broadcast, leaf_positions, rearrange, relay_depth, split_balanced, BcastParams, Structure,
+    balanced_chunks, broadcast, leaf_positions, rearrange, relay_depth, BcastParams, Structure,
 };
 use eslurm_suite::workload::TraceConfig;
 use proptest::prelude::*;
@@ -44,10 +44,10 @@ proptest! {
         prop_assert!(leaves.iter().any(|&l| l), "no leaves at all");
     }
 
-    /// split_balanced covers the range exactly with near-equal parts.
+    /// balanced_chunks covers the range exactly with near-equal parts.
     #[test]
     fn split_covers(len in 0usize..10_000, k in 1usize..64) {
-        let parts = split_balanced(len, k);
+        let parts: Vec<_> = balanced_chunks(len, k).collect();
         let total: usize = parts.iter().map(|(_, l)| l).sum();
         prop_assert_eq!(total, len);
         let mut expect = 0;
