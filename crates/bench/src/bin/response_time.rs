@@ -105,8 +105,8 @@ fn main() {
             // daemon's global lock while O(n) peers contend for it (the
             // §II-B pathology).
             let contention = (n as f64 / 1024.0).max(1.0);
-            p.msg_cpu = p.msg_cpu.mul_f64(contention);
-            p.sched_cpu = p.sched_cpu.mul_f64(contention);
+            p.cost.msg_cpu = p.cost.msg_cpu.mul_f64(contention);
+            p.cost.sched_cpu = p.cost.sched_cpu.mul_f64(contention);
             let name = p.name;
             let scenario = Scenario::new(p, n, args.seed, end).arrivals(stream.clone());
             report(name, serve_queries(scenario, &queries));

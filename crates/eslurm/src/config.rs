@@ -1,8 +1,11 @@
 //! ESlurm deployment configuration and Eq. 1 satellite allocation.
 
+use rm::master::MasterCost;
 use simclock::SimSpan;
 
-/// Configuration of an ESlurm deployment.
+/// Configuration of an ESlurm deployment. Its defaults are calibrated the
+/// way [`MasterCost`] says, so the 4K-node emulation lands in the ballpark
+/// of Fig. 7.
 #[derive(Clone, Debug)]
 pub struct EslurmConfig {
     /// Number of satellite nodes configured (`m` in Eq. 1).
@@ -23,30 +26,15 @@ pub struct EslurmConfig {
     /// Reassignments of the same task before the master takes over
     /// (paper default: 2).
     pub reassign_threshold: u32,
-    /// Master CPU per protocol message.
-    pub msg_cpu: SimSpan,
-    /// Master CPU per scheduling decision.
-    pub sched_cpu: SimSpan,
+    /// What the master pays for its work and its state (satellites pay
+    /// its `msg_cpu` per message too).
+    pub cost: MasterCost,
     /// Master CPU to prepare/dispatch one broadcast task (serializing the
     /// sub-list, credentials, payload).
     pub task_prep_cpu: SimSpan,
     /// Satellite processing per node in a task (FP-Tree construction +
     /// payload marshalling); this is the cost that favours more satellites.
     pub sat_per_node_cpu: SimSpan,
-    /// Master baseline virtual / resident memory.
-    pub base_virt: u64,
-    /// Master baseline resident memory.
-    pub base_real: u64,
-    /// Master memory pinned per compute node (virtual, resident).
-    pub per_node_virt: u64,
-    /// Master resident memory per compute node.
-    pub per_node_real: u64,
-    /// Master memory pinned per active job (virtual, resident).
-    pub per_job_virt: u64,
-    /// Master resident memory per active job.
-    pub per_job_real: u64,
-    /// Job-history bytes retained after completion.
-    pub job_record_leak: u64,
     /// Satellite baseline virtual memory (Table VI shows ~10 GB).
     pub sat_base_virt: u64,
     /// Satellite baseline resident memory.
@@ -71,17 +59,19 @@ impl Default for EslurmConfig {
             sat_hb_interval: SimSpan::from_secs(10),
             task_timeout: SimSpan::from_secs(8),
             reassign_threshold: 2,
-            msg_cpu: SimSpan::from_micros(50),
-            sched_cpu: SimSpan::from_millis(2),
+            cost: MasterCost {
+                msg_cpu: SimSpan::from_micros(50),
+                sched_cpu: SimSpan::from_millis(2),
+                base_virt: GIB + 200 * MIB,
+                base_real: 40 * MIB,
+                per_node_virt: 64 * 1024,
+                per_node_real: 4 * 1024,
+                per_job_virt: MIB,
+                per_job_real: 64 * 1024,
+                job_record_leak: 8 * 1024,
+            },
             task_prep_cpu: SimSpan::from_millis(5),
             sat_per_node_cpu: SimSpan::from_micros(100),
-            base_virt: GIB + 200 * MIB,
-            base_real: 40 * MIB,
-            per_node_virt: 64 * 1024,
-            per_node_real: 4 * 1024,
-            per_job_virt: MIB,
-            per_job_real: 64 * 1024,
-            job_record_leak: 8 * 1024,
             sat_base_virt: 10 * GIB,
             sat_base_real: 40 * MIB,
             sat_per_task_node_real: 5 * 1024,

@@ -11,7 +11,10 @@
 //!   to satellite nodes — dynamic satellite allocation (Eq. 1, [`config`]),
 //!   round-robin mapping, the satellite state machine of Fig. 2/Table II
 //!   ([`fsm`]), BT/HB failure detection, task reassignment, and master
-//!   takeover ([`master`]);
+//!   takeover ([`master`]); the master's job life — admission, run
+//!   window, cancel, retirement — is the `rm::master::JobBook` every RM's
+//!   master keeps, priced by the `rm::master::MasterCost` in
+//!   [`EslurmConfig`]'s `cost`;
 //! * the **FP-Tree** (§IV): satellites construct failure-prediction-based
 //!   communication trees from the failure predictor's suspect sets
 //!   before every relay ([`satellite`], building on `eslurm-topology`);

@@ -3,14 +3,16 @@
 //! satellite layer — dynamic satellite allocation (Eq. 1), round-robin
 //! mapping, BT/HB failure detection with the Table II state machine,
 //! task reassignment, and master takeover after the reassignment threshold.
+//! Its job life is the `rm::master::JobBook` every RM's master keeps.
 
 use crate::config::{satellites_needed, EslurmConfig};
 use crate::fsm::{SatEvent, SatFsm, SatState};
 use emu::{Actor, Context, NodeId};
 use obs::{
-    Counter, EventKind, FlowKind, Gauge, Hist, LabeledCounter, MetricId, Recorder, TraceContext,
+    Counter, EventKind, FlowKind, Gauge, Hist, LabeledCounter, LabeledGauge, MetricId, Recorder,
+    TraceContext,
 };
-use rm::master::{FrontDesk, JobRecord, MasterLog};
+use rm::master::{JobBook, JobRecord, MasterLog};
 use rm::proto::{send_tree, AckTally, CtlKind, NodeSlice, RmMsg};
 use simclock::{SimSpan, SimTime};
 use std::collections::{BTreeMap, VecDeque};
@@ -36,21 +38,15 @@ pub struct SweepRecord {
     pub reached: u32,
 }
 
-enum JobKind {
-    Real { runtime: SimSpan },
-    Sweep,
-}
-
-struct JobState {
-    kind: JobKind,
-    nodes: NodeSlice,
-    submitted: SimTime,
-    launch_done: Option<SimTime>,
-    phase: CtlKind,
-    /// The phase's satellite tasks: one "ack" per finished task.
+/// A heartbeat sweep in flight: a `Ping` over every compute node, fanned
+/// out like a job's broadcast but holding no memory and leaving a
+/// [`SweepRecord`], not a `JobRecord`.
+struct Sweep {
+    started: SimTime,
+    /// The sweep's satellite tasks: one "ack" per finished task.
     tasks: AckTally,
-    /// Causal-trace root for this job's flow (dispatch or sweep); `None`
-    /// unless the recorder has causal tracing on.
+    /// Causal-trace root of the sweep flow; `None` unless the recorder has
+    /// causal tracing on.
     trace: Option<TraceContext>,
 }
 
@@ -81,13 +77,16 @@ struct MasterState {
     fsm: Vec<SatFsm>,
     hb_pending: Vec<bool>,
     rr: usize,
-    jobs: BTreeMap<u64, JobState>,
+    /// The job table; a job's "acks" are its phase's finished satellite
+    /// tasks.
+    book: JobBook,
+    /// Sweeps in flight, keyed by `SWEEP_BIT | sequence number`.
+    sweeping: BTreeMap<u64, Sweep>,
     tasks: BTreeMap<u64, Task>,
     dispatch_q: VecDeque<u64>,
     dispatching: bool,
     next_task: u64,
     sweep_seq: u64,
-    desk: FrontDesk,
     obs: Recorder,
     /// Per-satellite task-assignment counters (`tasks_assigned{sat=..}`),
     /// the tree-level footprint breakdown behind the aggregate
@@ -115,19 +114,19 @@ impl EslurmMaster {
         assert!(m >= 1, "ESlurm needs at least one satellite");
         EslurmMaster {
             st: Box::new(MasterState {
+                book: JobBook::new(cfg.cost),
                 cfg,
                 slaves: NodeSlice::new(slaves),
                 satellites,
                 fsm: vec![SatFsm::new(); m],
                 hb_pending: vec![false; m],
                 rr: 0,
-                jobs: BTreeMap::new(),
+                sweeping: BTreeMap::new(),
                 tasks: BTreeMap::new(),
                 dispatch_q: VecDeque::new(),
                 dispatching: false,
                 next_task: 0,
                 sweep_seq: 0,
-                desk: FrontDesk::default(),
                 obs: Recorder::disabled(),
                 sat_tasks: Vec::new(),
                 sweeps: Vec::new(),
@@ -153,8 +152,10 @@ impl EslurmMaster {
         self.st.takeovers
     }
 
-    /// Record job/task/FSM telemetry into `obs` (builder-style).
+    /// Record job/task/FSM telemetry into `obs` (builder-style). No
+    /// bookkeeping-bytes series: its gauge stays inert.
     pub fn with_obs(mut self, obs: Recorder) -> Self {
+        self.st.book.observe(&obs, LabeledGauge::default());
         if obs.enabled() {
             self.st.sat_tasks = (1..=self.st.satellites.len())
                 .map(|i| {
@@ -190,15 +191,21 @@ impl EslurmMaster {
         self.st.fsm[idx].state(now)
     }
 
+    /// Fan phase `kind` of `job` (a sweep's `Ping`, or a booked job's
+    /// launch or terminate) out as Eq. 1's satellite tasks.
     fn start_ctl(&mut self, ctx: &mut dyn Context<RmMsg>, job: u64, kind: CtlKind) {
-        let state = self.st.jobs.get_mut(&job).expect("ctl for unknown job");
-        state.phase = kind;
-        let trace = state.trace;
-        let list = state.nodes.clone();
-        let n = satellites_needed(list.len(), self.st.cfg.eq1_width, self.st.satellites.len());
+        let st = &mut *self.st;
+        let (list, trace, tasks) = match st.sweeping.get_mut(&job) {
+            Some(sweep) => (st.slaves.clone(), sweep.trace, &mut sweep.tasks),
+            None => {
+                let (booked, _) = st.book.job(job).expect("ctl for unknown job");
+                (booked.nodes.clone(), booked.trace, &mut booked.acks)
+            }
+        };
+        let n = satellites_needed(list.len(), st.cfg.eq1_width, st.satellites.len());
         // The per-satellite sub-lists.
         let parts = topology::balanced_chunks(list.len(), n);
-        state.tasks = AckTally {
+        *tasks = AckTally {
             expected: parts.len() as u32,
             ..AckTally::default()
         };
@@ -303,11 +310,9 @@ impl EslurmMaster {
             return;
         }
         task.sent_at = ctx.now();
-        let (desk, cfg) = (&mut self.st.desk, &self.st.cfg);
-        let charge = |ctx: &mut dyn Context<RmMsg>, head| {
-            desk.track_work(ctx, cfg.msg_cpu);
-            ctx.open_socket_for(head, cfg.conn_lifetime);
-        };
+        let (desk, cfg) = (&mut self.st.book.desk, &self.st.cfg);
+        let socket = Some(cfg.conn_lifetime);
+        let charge = |ctx: &mut dyn Context<RmMsg>, head| desk.contact(ctx, head, socket);
         let (job, kind, width) = (task.job, task.kind, cfg.relay_width);
         let depth;
         (task.takeover.expected, depth) = send_tree(ctx, job, kind, &task.list, width, charge);
@@ -324,91 +329,49 @@ impl EslurmMaster {
         kind: CtlKind,
         reached: u32,
     ) {
-        let (is_sweep, runtime) = {
-            let Some(state) = self.st.jobs.get_mut(&job) else {
-                return;
-            };
-            if state.phase != kind || !state.tasks.ack(reached) {
-                return; // a stale completion from a previous phase, or not the last
-            }
-            match state.kind {
-                JobKind::Sweep => (true, SimSpan::ZERO),
-                JobKind::Real { runtime } => (false, runtime),
-            }
-        };
-        // Whole broadcast finished.
-        if is_sweep {
-            let state = self.st.jobs.remove(&job).expect("sweep vanished");
-            let completion = ctx.now() - state.submitted;
-            self.st.obs.inc(Counter::SweepsDone);
-            self.st
-                .obs
-                .observe(Hist::SweepCompletionUs, completion.as_micros());
-            self.st.obs.span_from(
-                state.submitted,
-                ctx.now(),
-                ctx.me().0,
-                EventKind::SweepDone,
-                job & !SWEEP_BIT,
-                state.tasks.reached as u64,
-            );
-            self.st.sweeps.push(SweepRecord {
-                started: state.submitted,
-                completion,
-                reached: state.tasks.reached,
-            });
+        let st = &mut *self.st;
+        let Some(sweep) = st.sweeping.get_mut(&job) else {
+            let token = job * TOKEN_BASE + JOB_RUN_DONE;
+            st.book
+                .ack(ctx, job, kind, reached, token, &mut self.records);
             return;
+        };
+        if !sweep.tasks.ack(reached) {
+            return; // not the last task
         }
-        match kind {
-            CtlKind::Launch => {
-                let state = self.st.jobs.get_mut(&job).expect("job vanished");
-                state.launch_done = Some(ctx.now());
-                ctx.set_timer(runtime, job * TOKEN_BASE + JOB_RUN_DONE);
-            }
-            CtlKind::Terminate => {
-                let state = self.st.jobs.remove(&job).expect("job vanished");
-                self.st.obs.inc(Counter::JobsCompleted);
-                self.st.obs.span_from(
-                    state.submitted,
-                    ctx.now(),
-                    ctx.me().0,
-                    EventKind::JobComplete,
-                    job,
-                    0,
-                );
-                self.st.desk.track_work(ctx, self.st.cfg.sched_cpu);
-                let keep = self.st.cfg.job_record_leak as i64;
-                ctx.alloc_virt(-(self.st.cfg.per_job_virt as i64) + keep);
-                ctx.alloc_real(-(self.st.cfg.per_job_real as i64) + keep / 4);
-                self.records.push(JobRecord {
-                    job,
-                    submitted: state.submitted,
-                    launch_done: state.launch_done.unwrap_or(ctx.now()),
-                    finished: ctx.now(),
-                    nodes: state.nodes.len() as u32,
-                });
-            }
-            CtlKind::Ping => {}
-        }
+        // Whole sweep finished.
+        let sweep = st.sweeping.remove(&job).expect("sweep vanished");
+        let completion = ctx.now() - sweep.started;
+        st.obs.inc(Counter::SweepsDone);
+        st.obs
+            .observe(Hist::SweepCompletionUs, completion.as_micros());
+        st.obs.span_from(
+            sweep.started,
+            ctx.now(),
+            ctx.me().0,
+            EventKind::SweepDone,
+            job & !SWEEP_BIT,
+            sweep.tasks.reached as u64,
+        );
+        st.sweeps.push(SweepRecord {
+            started: sweep.started,
+            completion,
+            reached: sweep.tasks.reached,
+        });
     }
 
     fn start_sweep(&mut self, ctx: &mut dyn Context<RmMsg>) {
         let job = SWEEP_BIT | self.st.sweep_seq;
         self.st.sweep_seq += 1;
-        self.st.desk.track_work(ctx, self.st.cfg.sched_cpu);
+        let desk = &mut self.st.book.desk;
+        desk.track_work(ctx, desk.cost.sched_cpu);
         let trace = ctx.trace_begin(FlowKind::Sweep);
-        self.st.jobs.insert(
-            job,
-            JobState {
-                kind: JobKind::Sweep,
-                nodes: self.st.slaves.clone(),
-                submitted: ctx.now(),
-                launch_done: None,
-                phase: CtlKind::Ping,
-                tasks: AckTally::default(),
-                trace,
-            },
-        );
+        let sweep = Sweep {
+            started: ctx.now(),
+            tasks: AckTally::default(),
+            trace,
+        };
+        self.st.sweeping.insert(job, sweep);
         self.start_ctl(ctx, job, CtlKind::Ping);
     }
 }
@@ -418,20 +381,13 @@ impl MasterLog for EslurmMaster {
         &self.records
     }
     fn query_log(&self) -> &[(u64, SimSpan)] {
-        self.st.desk.query_log()
+        self.st.book.desk.query_log()
     }
 }
 
 impl Actor<RmMsg> for EslurmMaster {
     fn on_start(&mut self, ctx: &mut dyn Context<RmMsg>) {
-        ctx.alloc_virt(
-            (self.st.cfg.base_virt + self.st.slaves.len() as u64 * self.st.cfg.per_node_virt)
-                as i64,
-        );
-        ctx.alloc_real(
-            (self.st.cfg.base_real + self.st.slaves.len() as u64 * self.st.cfg.per_node_real)
-                as i64,
-        );
+        self.st.book.start(ctx, self.st.slaves.len());
         // Probe the satellite pool right away so it is RUNNING before the
         // first jobs arrive; subsequent rounds follow the configured period.
         ctx.set_timer(SimSpan::from_millis(10), TOKEN_SAT_HB);
@@ -445,32 +401,7 @@ impl Actor<RmMsg> for EslurmMaster {
                 nodes,
                 runtime_us,
             } => {
-                self.st.desk.track_work(ctx, self.st.cfg.sched_cpu);
-                ctx.alloc_virt(self.st.cfg.per_job_virt as i64);
-                ctx.alloc_real(self.st.cfg.per_job_real as i64);
-                self.st.obs.inc(Counter::JobsSubmitted);
-                self.st.obs.event_at(
-                    ctx.now(),
-                    ctx.me().0,
-                    EventKind::JobSubmit,
-                    job,
-                    nodes.len() as u64,
-                );
-                let trace = ctx.trace_begin(FlowKind::Dispatch);
-                self.st.jobs.insert(
-                    job,
-                    JobState {
-                        kind: JobKind::Real {
-                            runtime: SimSpan::from_micros(runtime_us),
-                        },
-                        nodes,
-                        submitted: ctx.now(),
-                        launch_done: None,
-                        phase: CtlKind::Launch,
-                        tasks: AckTally::default(),
-                        trace,
-                    },
-                );
+                self.st.book.admit(ctx, job, nodes, runtime_us);
                 self.start_ctl(ctx, job, CtlKind::Launch);
             }
             RmMsg::BcastDone {
@@ -480,7 +411,7 @@ impl Actor<RmMsg> for EslurmMaster {
                 reached,
                 ok: _,
             } => {
-                self.st.desk.track_work(ctx, self.st.cfg.msg_cpu);
+                self.st.book.desk.handle(ctx);
                 let Some(t) = self.st.tasks.get_mut(&task) else {
                     return;
                 };
@@ -499,7 +430,7 @@ impl Actor<RmMsg> for EslurmMaster {
             }
             RmMsg::CtlAck { job, kind, count } => {
                 // Ack for a master-takeover relay.
-                self.st.desk.track_work(ctx, self.st.cfg.msg_cpu);
+                self.st.book.desk.handle(ctx);
                 let found = self.st.tasks.iter_mut().find(|(_, t)| {
                     t.job == job && t.kind == kind && !t.done && t.takeover.expected > 0
                 });
@@ -512,35 +443,15 @@ impl Actor<RmMsg> for EslurmMaster {
                     }
                 }
             }
-            RmMsg::CancelJob { job } => {
-                self.st.desk.track_work(ctx, self.st.cfg.sched_cpu);
-                let cancellable = self
-                    .st
-                    .jobs
-                    .get(&job)
-                    .map(|s| {
-                        matches!(s.kind, JobKind::Real { .. })
-                            && s.phase == CtlKind::Launch
-                            && s.tasks.is_complete()
-                    })
-                    .unwrap_or(false);
-                // Note: a launch-phase job whose broadcast completed is in
-                // its run window (phase stays Launch until the run timer
-                // flips it). Cancel = start the terminate broadcast early;
-                // the stale run timer is ignored by the phase check in
-                // task bookkeeping.
-                if cancellable {
-                    self.start_ctl(ctx, job, CtlKind::Terminate);
-                }
+            RmMsg::CancelJob { job } if self.st.book.cancel(ctx, job) => {
+                self.start_ctl(ctx, job, CtlKind::Terminate);
             }
             RmMsg::StatusQuery { id } => {
                 let token = id * TOKEN_BASE + QUERY_REPLY;
-                self.st
-                    .desk
-                    .take_query(ctx, from, id, self.st.cfg.sched_cpu, token);
+                self.st.book.desk.take_query(ctx, from, id, token);
             }
             RmMsg::SatHeartbeatAck { state } => {
-                self.st.desk.track_work(ctx, self.st.cfg.msg_cpu);
+                self.st.book.desk.handle(ctx);
                 if let Some(idx) = self.st.satellites.iter().position(|&s| s == from.0) {
                     self.st.hb_pending[idx] = false;
                     let _ = SatState::from_wire(state);
@@ -570,9 +481,10 @@ impl Actor<RmMsg> for EslurmMaster {
                     if self.st.fsm[idx].state(ctx.now()) == SatState::Down {
                         continue; // needs administrator intervention
                     }
-                    self.st.desk.track_work(ctx, self.st.cfg.msg_cpu);
-                    ctx.open_socket_for(NodeId(self.st.satellites[idx]), self.st.cfg.conn_lifetime);
-                    ctx.send(NodeId(self.st.satellites[idx]), RmMsg::SatHeartbeat);
+                    let sat = NodeId(self.st.satellites[idx]);
+                    let socket = Some(self.st.cfg.conn_lifetime);
+                    self.st.book.desk.contact(ctx, sat, socket);
+                    ctx.send(sat, RmMsg::SatHeartbeat);
                     self.st.hb_pending[idx] = true;
                 }
                 ctx.set_timer(self.st.cfg.sat_hb_interval, TOKEN_SAT_HB);
@@ -583,7 +495,7 @@ impl Actor<RmMsg> for EslurmMaster {
                     if let Some(t) = self.st.tasks.get_mut(&task_id) {
                         if !t.done {
                             if let Some(idx) = t.sat {
-                                self.st.desk.track_work(ctx, self.st.cfg.task_prep_cpu);
+                                self.st.book.desk.track_work(ctx, self.st.cfg.task_prep_cpu);
                                 ctx.trace_adopt(t.trace);
                                 t.sent_at = ctx.now();
                                 let sat_node = NodeId(self.st.satellites[idx]);
@@ -626,23 +538,12 @@ impl Actor<RmMsg> for EslurmMaster {
         }
         let id = token / TOKEN_BASE;
         match token % TOKEN_BASE {
-            JOB_RUN_DONE => {
-                // Skip jobs already heading out (e.g. cancelled mid-run).
-                let still_running = self
-                    .st
-                    .jobs
-                    .get(&id)
-                    .map(|s| s.phase == CtlKind::Launch)
-                    .unwrap_or(false);
-                if still_running {
-                    self.st.desk.track_work(ctx, self.st.cfg.sched_cpu);
-                    if let Some(s) = self.st.jobs.get(&id) {
-                        ctx.trace_adopt(s.trace);
-                    }
-                    self.start_ctl(ctx, id, CtlKind::Terminate);
-                }
+            JOB_RUN_DONE if self.st.book.run_out(ctx, id) => {
+                let (booked, _) = self.st.book.job(id).expect("just ended");
+                ctx.trace_adopt(booked.trace);
+                self.start_ctl(ctx, id, CtlKind::Terminate);
             }
-            QUERY_REPLY => self.st.desk.reply(ctx, id, &self.st.obs),
+            QUERY_REPLY => self.st.book.desk.reply(ctx, id, &self.st.obs),
             TASK_TIMEOUT => {
                 let Some(t) = self.st.tasks.get_mut(&id) else {
                     return;

@@ -281,7 +281,7 @@ impl SatelliteDaemon {
             t.job,
             0,
         );
-        ctx.charge_cpu(self.st.cfg.msg_cpu);
+        ctx.charge_cpu(self.st.cfg.cost.msg_cpu);
         ctx.send(
             t.origin,
             RmMsg::BcastDone {
@@ -313,7 +313,7 @@ impl Actor<RmMsg> for SatelliteDaemon {
                 self.begin_task(ctx, from, task, job, kind, list);
             }
             RmMsg::CtlAck { job, kind, count } => {
-                ctx.charge_cpu(self.st.cfg.msg_cpu);
+                ctx.charge_cpu(self.st.cfg.cost.msg_cpu);
                 // A task whose fan-out has not gone out expects no acks.
                 let found = self
                     .st
@@ -327,7 +327,7 @@ impl Actor<RmMsg> for SatelliteDaemon {
                 }
             }
             RmMsg::SatHeartbeat => {
-                ctx.charge_cpu(self.st.cfg.msg_cpu);
+                ctx.charge_cpu(self.st.cfg.cost.msg_cpu);
                 ctx.send(
                     from,
                     RmMsg::SatHeartbeatAck {

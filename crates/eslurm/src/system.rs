@@ -529,40 +529,6 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_cuts_a_running_job_short() {
-        let mut sys = EslurmSystemBuilder::new(small_cfg(2), 64, 15).build();
-        // A ten-minute job, cancelled two minutes in.
-        sys.submit(SimTime::from_secs(1), 9, 0..32, SimSpan::from_secs(600));
-        sys.sim.inject(
-            SimTime::from_secs(120),
-            NodeId(1),
-            NodeId::MASTER,
-            rm::proto::RmMsg::CancelJob { job: 9 },
-        );
-        sys.sim.run_until(SimTime::from_secs(400));
-        let master = sys.master();
-        assert_eq!(master.records.len(), 1, "cancelled job never cleaned up");
-        let occ = master.records[0].occupation().as_secs_f64();
-        assert!(
-            (119.0..140.0).contains(&occ),
-            "occupation {occ}s should reflect the cancellation, not the 600s runtime"
-        );
-    }
-
-    #[test]
-    fn cancelling_unknown_job_is_harmless() {
-        let mut sys = EslurmSystemBuilder::new(small_cfg(2), 16, 15).build();
-        sys.sim.inject(
-            SimTime::from_secs(5),
-            NodeId(1),
-            NodeId::MASTER,
-            rm::proto::RmMsg::CancelJob { job: 12345 },
-        );
-        sys.sim.run_until(SimTime::from_secs(60));
-        assert!(sys.master().records.is_empty());
-    }
-
-    #[test]
     fn deterministic_run() {
         let build = || {
             let mut sys = EslurmSystemBuilder::new(small_cfg(2), 64, 13).build();

@@ -1,10 +1,12 @@
-//! The centralized master daemon (`slurmctld` / `pbs_server` / `sge_qmaster`
-//! analogue), parameterized by an [`RmProfile`].
+//! What every master shares — its [`MasterCost`], [`FrontDesk`] and
+//! [`JobBook`] — and the centralized master daemon (`slurmctld` /
+//! `pbs_server` / `sge_qmaster` analogue), parameterized by an [`RmProfile`].
 //!
-//! It carries the full per-node and per-job state of the cluster, performs
-//! liveness tracking in the profile's style, and launches/terminates jobs
-//! through the profile's fan-out — everything that makes a centralized RM's
-//! master node the hot spot the paper's Fig. 7 measures.
+//! The centralized master carries the full per-node and per-job state of
+//! the cluster, performs liveness tracking in the profile's style, and
+//! launches/terminates jobs through the profile's fan-out — everything
+//! that makes a centralized RM's master node the hot spot the paper's
+//! Fig. 7 measures.
 
 use crate::profile::{Fanout, HeartbeatMode, RmProfile};
 use crate::proto::{send_tree, AckTally, CtlKind, NodeSlice, RmMsg};
@@ -37,11 +39,42 @@ pub trait MasterLog {
     fn query_log(&self) -> &[(u64, SimSpan)];
 }
 
+/// What a master daemon pays for its work and its state, the same nine
+/// constants on every RM. They are calibrated so the 4K-node emulation
+/// lands in the ballpark of Fig. 7 (e.g. Slurm ≈ 10 GB virtual memory,
+/// ESlurm's master < 100 sockets); the *orderings* are what the
+/// architecture dictates. The five baseline profiles and `EslurmConfig`'s
+/// defaults are calibrated this way.
+#[derive(Clone, Copy, Debug)]
+pub struct MasterCost {
+    /// Master daemon CPU charged per message handled.
+    pub msg_cpu: SimSpan,
+    /// Master daemon CPU charged per job scheduled (allocation logic).
+    pub sched_cpu: SimSpan,
+    /// Baseline master virtual memory (code + arenas + mapped files).
+    pub base_virt: u64,
+    /// Baseline master resident memory.
+    pub base_real: u64,
+    /// Virtual memory pinned per managed node.
+    pub per_node_virt: u64,
+    /// Resident memory pinned per managed node.
+    pub per_node_real: u64,
+    /// Virtual memory pinned per active job.
+    pub per_job_virt: u64,
+    /// Resident memory pinned per active job.
+    pub per_job_real: u64,
+    /// Bytes of job history the master retains after a job completes (a
+    /// quarter of them resident) — the unbounded growth observed on Slurm
+    /// in §II-B.
+    pub job_record_leak: u64,
+}
+
 /// A master's serial front desk, the same on every RM: messages are
 /// served in arrival order, so a user request lands behind whatever storm
 /// is in progress, and is answered when the backlog ahead of it clears.
-#[derive(Default)]
 pub struct FrontDesk {
+    /// What the master pays for its work and its state.
+    pub cost: MasterCost,
     /// When the work accepted so far is done.
     busy_until: SimTime,
     /// Requests waiting on the backlog: id → (asker, arrival).
@@ -58,20 +91,28 @@ impl FrontDesk {
         self.busy_until = self.busy_until.max(ctx.now()) + cost;
     }
 
+    /// Charge one message's daemon work.
+    pub fn handle(&mut self, ctx: &mut dyn Context<RmMsg>) {
+        self.track_work(ctx, self.cost.msg_cpu);
+    }
+
+    /// Charge one control message to `node`: a message's daemon work, plus
+    /// an ephemeral connection open for `socket` (`None` where the master
+    /// keeps a persistent connection to `node`).
+    pub fn contact(&mut self, ctx: &mut dyn Context<RmMsg>, node: NodeId, socket: Option<SimSpan>) {
+        self.handle(ctx);
+        if let Some(lifetime) = socket {
+            ctx.open_socket_for(node, lifetime);
+        }
+    }
+
     /// Accept user request `id` from `asker`. Answering needs a consistent
-    /// snapshot of the global job/node state — `cost` of work that waits
-    /// behind the backlog — so the reply timer `token` is armed for when
-    /// the backlog clears; the master hands it to [`FrontDesk::reply`].
-    pub fn take_query(
-        &mut self,
-        ctx: &mut dyn Context<RmMsg>,
-        asker: NodeId,
-        id: u64,
-        cost: SimSpan,
-        token: u64,
-    ) {
+    /// snapshot of the global job/node state — a scheduling decision that
+    /// waits behind the backlog — so the reply timer `token` is armed for
+    /// when the backlog clears; the master hands it to [`FrontDesk::reply`].
+    pub fn take_query(&mut self, ctx: &mut dyn Context<RmMsg>, asker: NodeId, id: u64, token: u64) {
         self.queries.insert(id, (asker, ctx.now()));
-        self.track_work(ctx, cost);
+        self.track_work(ctx, self.cost.sched_cpu);
         ctx.set_timer(self.busy_until - ctx.now(), token);
     }
 
@@ -102,6 +143,7 @@ impl JobRecord {
     }
 }
 
+/// Where a job is in its life at the master.
 #[derive(Debug, PartialEq, Eq)]
 enum Phase {
     Launching,
@@ -109,19 +151,183 @@ enum Phase {
     Terminating,
 }
 
-struct JobState {
-    nodes: NodeSlice,
+/// One job of a [`JobBook`], plus `X`, what the master's fan-out keeps.
+pub struct BookedJob<X> {
+    /// The job's nodes.
+    pub nodes: NodeSlice,
     runtime: SimSpan,
     submitted: SimTime,
     launch_done: Option<SimTime>,
     phase: Phase,
-    acks: AckTally,
-    /// Next node index to contact (sequential fan-out only).
-    seq_next: usize,
-    /// Causal-trace root for this job's dispatch flow (the centralized
-    /// baselines trace the same flow kinds as the ESlurm tree, so
-    /// `eslurm critical-path` comparisons line up).
-    trace: Option<TraceContext>,
+    /// The acks of the phase's fan-out (the master sets `expected`).
+    pub acks: AckTally,
+    /// Causal-trace root of the job's dispatch flow.
+    pub trace: Option<TraceContext>,
+    /// The master's own per-job fan-out state.
+    pub fanout: X,
+}
+
+/// A master's front desk and job table, and all it does with a job that
+/// does not depend on how the job's control messages reach its nodes: the
+/// base memory charge, admission, the run window, the cancel rule and
+/// retirement. The master fans each phase out and feeds the acks to
+/// [`JobBook::ack`].
+pub struct JobBook<X = ()> {
+    /// The master's backlog, costs and user requests.
+    pub desk: FrontDesk,
+    jobs: BTreeMap<u64, BookedJob<X>>,
+    /// Where job telemetry goes.
+    pub obs: Recorder,
+    /// The virtual memory the job and node records account for, so
+    /// footprint exports can break it out from transport buffers.
+    bytes: LabeledGauge,
+}
+
+impl<X: Default> JobBook<X> {
+    /// An empty book of a master that pays `cost`.
+    pub fn new(cost: MasterCost) -> Self {
+        let desk = FrontDesk {
+            cost,
+            busy_until: SimTime::ZERO,
+            queries: BTreeMap::new(),
+            log: Vec::new(),
+        };
+        JobBook {
+            desk,
+            jobs: BTreeMap::new(),
+            obs: Recorder::disabled(),
+            bytes: LabeledGauge::default(),
+        }
+    }
+
+    /// Record job telemetry into `obs`, and the bookkeeping bytes into
+    /// `bytes`.
+    pub fn observe(&mut self, obs: &Recorder, bytes: LabeledGauge) {
+        self.obs = obs.clone();
+        self.bytes = bytes;
+    }
+
+    /// Charge the memory of the master and its `nodes` compute nodes.
+    pub fn start(&self, ctx: &mut dyn Context<RmMsg>, nodes: usize) {
+        let c = &self.desk.cost;
+        let virt = (c.base_virt + nodes as u64 * c.per_node_virt) as i64;
+        ctx.alloc_virt(virt);
+        self.bytes.add(virt);
+        ctx.alloc_real((c.base_real + nodes as u64 * c.per_node_real) as i64);
+    }
+
+    /// Schedule `job`, which runs `run_us` µs on `nodes` once launched, pin
+    /// its memory and root its dispatch trace; the master then fans its
+    /// launch out.
+    pub fn admit(&mut self, ctx: &mut dyn Context<RmMsg>, job: u64, nodes: NodeSlice, run_us: u64) {
+        let c = self.desk.cost;
+        self.desk.track_work(ctx, c.sched_cpu);
+        ctx.alloc_virt(c.per_job_virt as i64);
+        ctx.alloc_real(c.per_job_real as i64);
+        self.bytes.add(c.per_job_virt as i64);
+        self.obs.inc(Counter::JobsSubmitted);
+        let (now, me) = (ctx.now(), ctx.me().0);
+        let width = nodes.len() as u64;
+        self.obs.event_at(now, me, EventKind::JobSubmit, job, width);
+        let trace = ctx.trace_begin(FlowKind::Dispatch);
+        let booked = BookedJob {
+            nodes,
+            runtime: SimSpan::from_micros(run_us),
+            submitted: now,
+            launch_done: None,
+            phase: Phase::Launching,
+            acks: AckTally::default(),
+            trace,
+            fanout: X::default(),
+        };
+        self.jobs.insert(job, booked);
+    }
+
+    /// `job` while the master holds it, with the desk its fan-out charges.
+    pub fn job(&mut self, job: u64) -> Option<(&mut BookedJob<X>, &mut FrontDesk)> {
+        Some((self.jobs.get_mut(&job)?, &mut self.desk))
+    }
+
+    /// Count a `kind` ack covering `count` nodes toward `job`'s phase; the
+    /// last one completes it. A launch then arms the master's timer
+    /// `run_token` for the runtime ([`JobBook::run_out`]); a termination
+    /// frees the job's memory but for the history it leaks, and pushes its
+    /// record onto `records`. Acks of another phase, a running job or an
+    /// unknown one count for nothing.
+    pub fn ack(
+        &mut self,
+        ctx: &mut dyn Context<RmMsg>,
+        job: u64,
+        kind: CtlKind,
+        count: u32,
+        run_token: u64,
+        records: &mut Vec<JobRecord>,
+    ) {
+        let Some(booked) = self.jobs.get_mut(&job) else {
+            return;
+        };
+        let expected = match booked.phase {
+            Phase::Launching => CtlKind::Launch,
+            Phase::Terminating => CtlKind::Terminate,
+            Phase::Running => return,
+        };
+        if kind != expected || !booked.acks.ack(count) {
+            return;
+        }
+        if booked.phase == Phase::Launching {
+            booked.phase = Phase::Running;
+            booked.launch_done = Some(ctx.now());
+            ctx.set_timer(booked.runtime, run_token);
+            return;
+        }
+        let booked = self.jobs.remove(&job).expect("job vanished");
+        let c = self.desk.cost;
+        self.desk.track_work(ctx, c.sched_cpu);
+        self.obs.inc(Counter::JobsCompleted);
+        let (now, me) = (ctx.now(), ctx.me().0);
+        let kind = EventKind::JobComplete;
+        self.obs.span_from(booked.submitted, now, me, kind, job, 0);
+        let keep = c.job_record_leak as i64;
+        ctx.alloc_virt(-(c.per_job_virt as i64) + keep);
+        ctx.alloc_real(-(c.per_job_real as i64) + keep / 4);
+        self.bytes.add(-(c.per_job_virt as i64) + keep);
+        records.push(JobRecord {
+            job,
+            submitted: booked.submitted,
+            launch_done: booked.launch_done.unwrap_or(now),
+            finished: now,
+            nodes: booked.nodes.len() as u32,
+        });
+    }
+
+    /// `job`'s run timer fired: `true` when it was still running and now
+    /// terminates, after a scheduling decision; the master fans that out.
+    pub fn run_out(&mut self, ctx: &mut dyn Context<RmMsg>, job: u64) -> bool {
+        let ended = self.end(job);
+        if ended {
+            self.desk.track_work(ctx, self.desk.cost.sched_cpu);
+        }
+        ended
+    }
+
+    /// A user cancels `job` (a scheduling decision): `true` when it was
+    /// running and now terminates early, which the master fans out. A job
+    /// launching, terminating or unknown is left alone.
+    pub fn cancel(&mut self, ctx: &mut dyn Context<RmMsg>, job: u64) -> bool {
+        self.desk.track_work(ctx, self.desk.cost.sched_cpu);
+        self.end(job)
+    }
+
+    /// Move a running `job` to terminating; `false` if it is not running.
+    fn end(&mut self, job: u64) -> bool {
+        match self.jobs.get_mut(&job) {
+            Some(booked) if booked.phase == Phase::Running => {
+                booked.phase = Phase::Terminating;
+                true
+            }
+            _ => false,
+        }
+    }
 }
 
 const TOKEN_POLL: u64 = 0;
@@ -134,40 +340,29 @@ const QUERY_REPLY: u64 = 3;
 pub struct CentralizedMaster {
     profile: RmProfile,
     slaves: Vec<u32>,
-    jobs: BTreeMap<u64, JobState>,
+    /// Desk and job table; each job's `usize` is the next of its nodes the
+    /// sequential fan-out contacts.
+    book: JobBook<usize>,
     /// Completed jobs, in completion order.
     pub records: Vec<JobRecord>,
-    desk: FrontDesk,
-    obs: Recorder,
-    /// Bookkeeping bytes (`rm_bookkeeping_bytes{component=rm.master}`):
-    /// the virtual memory the daemon's job/node records account for,
-    /// mirrored into the labeled registry so footprint exports can break
-    /// it out from transport buffers. No-op when `obs` is disabled.
-    book_mem: LabeledGauge,
 }
 
 impl CentralizedMaster {
     /// A master managing `slaves` (their node ids) under `profile`.
     pub fn new(profile: RmProfile, slaves: Vec<u32>) -> Self {
         CentralizedMaster {
+            book: JobBook::new(profile.cost),
             profile,
             slaves,
-            jobs: BTreeMap::new(),
             records: Vec::new(),
-            desk: FrontDesk::default(),
-            obs: Recorder::disabled(),
-            book_mem: LabeledGauge::default(),
         }
     }
 
-    /// Record job and query telemetry into `recorder`.
+    /// Record job and query telemetry into `recorder`, and the job book's
+    /// bytes into `rm_bookkeeping_bytes{component=rm.master}`.
     pub fn with_obs(mut self, recorder: Recorder) -> Self {
-        if recorder.enabled() {
-            self.book_mem = recorder.labeled_gauge(
-                MetricId::new("rm_bookkeeping_bytes").with("component", "rm.master"),
-            );
-        }
-        self.obs = recorder;
+        let bytes = MetricId::new("rm_bookkeeping_bytes").with("component", "rm.master");
+        self.book.observe(&recorder, recorder.labeled_gauge(bytes));
         self
     }
 
@@ -177,14 +372,14 @@ impl CentralizedMaster {
     }
 
     fn begin_ctl(&mut self, ctx: &mut dyn Context<RmMsg>, job: u64, kind: CtlKind) {
-        let state = self.jobs.get_mut(&job).expect("ctl for unknown job");
+        let socket = self.profile.socket();
+        let (state, desk) = self.book.job(job).expect("ctl for unknown job");
         state.acks = AckTally::default();
-        state.seq_next = 0;
+        state.fanout = 0;
         ctx.trace_adopt(state.trace);
         match self.profile.fanout {
             Fanout::Tree { width } => {
-                let (desk, profile) = (&mut self.desk, &self.profile);
-                let charge = |ctx: &mut dyn Context<RmMsg>, head| contact(desk, profile, ctx, head);
+                let charge = |ctx: &mut dyn Context<RmMsg>, head| desk.contact(ctx, head, socket);
                 (state.acks.expected, _) =
                     send_tree(ctx, job, kind, &state.nodes, width.into(), charge);
             }
@@ -197,17 +392,18 @@ impl CentralizedMaster {
     }
 
     fn seq_step(&mut self, ctx: &mut dyn Context<RmMsg>, job: u64, kind: CtlKind) {
-        let Some(state) = self.jobs.get_mut(&job) else {
+        let socket = self.profile.socket();
+        let Some((state, desk)) = self.book.job(job) else {
             return;
         };
-        if state.seq_next >= state.nodes.len() {
+        if state.fanout >= state.nodes.len() {
             return;
         }
         ctx.trace_adopt(state.trace);
-        let head = state.nodes.nodes()[state.seq_next];
-        state.seq_next += 1;
-        contact(&mut self.desk, &self.profile, ctx, NodeId(head));
-        let i = state.seq_next - 1;
+        let head = state.nodes.nodes()[state.fanout];
+        state.fanout += 1;
+        desk.contact(ctx, NodeId(head), socket);
+        let i = state.fanout - 1;
         ctx.send(
             NodeId(head),
             RmMsg::JobCtl {
@@ -217,58 +413,10 @@ impl CentralizedMaster {
                 width: 2,
             },
         );
-        if state.seq_next < state.nodes.len() {
+        if state.fanout < state.nodes.len() {
             let term_bit = (matches!(kind, CtlKind::Terminate) as u64) << 63;
             ctx.set_timer(self.profile.seq_gap, (job * 4 + JOB_SEQ_STEP) | term_bit);
         }
-    }
-
-    fn ctl_complete(&mut self, ctx: &mut dyn Context<RmMsg>, job: u64) {
-        let state = self.jobs.get_mut(&job).expect("complete for unknown job");
-        match state.phase {
-            Phase::Launching => {
-                state.phase = Phase::Running;
-                state.launch_done = Some(ctx.now());
-                let runtime = state.runtime;
-                ctx.set_timer(runtime, job * 4 + JOB_RUN_DONE);
-            }
-            Phase::Terminating => {
-                let state = self.jobs.remove(&job).expect("job vanished");
-                self.desk.track_work(ctx, self.profile.sched_cpu);
-                self.obs.inc(Counter::JobsCompleted);
-                self.obs.span_from(
-                    state.submitted,
-                    ctx.now(),
-                    ctx.me().0,
-                    EventKind::JobComplete,
-                    job,
-                    0,
-                );
-                // Release per-job memory, keep the leaked history bytes.
-                let keep = self.profile.job_record_leak as i64;
-                ctx.alloc_virt(-(self.profile.per_job_virt as i64) + keep);
-                ctx.alloc_real(-(self.profile.per_job_real as i64) + keep / 4);
-                self.book_mem
-                    .add(-(self.profile.per_job_virt as i64) + keep);
-                self.records.push(JobRecord {
-                    job,
-                    submitted: state.submitted,
-                    launch_done: state.launch_done.unwrap_or(ctx.now()),
-                    finished: ctx.now(),
-                    nodes: state.nodes.len() as u32,
-                });
-            }
-            Phase::Running => {}
-        }
-    }
-}
-
-/// Charge one control message to `node`: daemon work, plus an ephemeral
-/// connection unless the profile keeps persistent ones.
-fn contact(desk: &mut FrontDesk, profile: &RmProfile, ctx: &mut dyn Context<RmMsg>, node: NodeId) {
-    desk.track_work(ctx, profile.msg_cpu);
-    if !profile.persistent_connections {
-        ctx.open_socket_for(node, profile.conn_lifetime);
     }
 }
 
@@ -277,21 +425,13 @@ impl MasterLog for CentralizedMaster {
         &self.records
     }
     fn query_log(&self) -> &[(u64, SimSpan)] {
-        self.desk.query_log()
+        self.book.desk.query_log()
     }
 }
 
 impl Actor<RmMsg> for CentralizedMaster {
     fn on_start(&mut self, ctx: &mut dyn Context<RmMsg>) {
-        ctx.alloc_virt(
-            (self.profile.base_virt + self.slaves.len() as u64 * self.profile.per_node_virt) as i64,
-        );
-        self.book_mem.add(
-            (self.profile.base_virt + self.slaves.len() as u64 * self.profile.per_node_virt) as i64,
-        );
-        ctx.alloc_real(
-            (self.profile.base_real + self.slaves.len() as u64 * self.profile.per_node_real) as i64,
-        );
+        self.book.start(ctx, self.slaves.len());
         if self.profile.persistent_connections {
             for &s in &self.slaves {
                 ctx.open_socket(NodeId(s));
@@ -309,82 +449,26 @@ impl Actor<RmMsg> for CentralizedMaster {
                 nodes,
                 runtime_us,
             } => {
-                self.desk.track_work(ctx, self.profile.sched_cpu);
-                ctx.alloc_virt(self.profile.per_job_virt as i64);
-                ctx.alloc_real(self.profile.per_job_real as i64);
-                self.book_mem.add(self.profile.per_job_virt as i64);
-                self.obs.inc(Counter::JobsSubmitted);
-                self.obs.event_at(
-                    ctx.now(),
-                    ctx.me().0,
-                    EventKind::JobSubmit,
-                    job,
-                    nodes.len() as u64,
-                );
-                let trace = ctx.trace_begin(FlowKind::Dispatch);
-                self.jobs.insert(
-                    job,
-                    JobState {
-                        nodes,
-                        runtime: SimSpan::from_micros(runtime_us),
-                        submitted: ctx.now(),
-                        launch_done: None,
-                        phase: Phase::Launching,
-                        acks: AckTally::default(),
-                        seq_next: 0,
-                        trace,
-                    },
-                );
+                self.book.admit(ctx, job, nodes, runtime_us);
                 self.begin_ctl(ctx, job, CtlKind::Launch);
             }
             RmMsg::CtlAck { job, kind, count } => {
-                self.desk.track_work(ctx, self.profile.msg_cpu);
-                let Some(state) = self.jobs.get_mut(&job) else {
-                    return;
-                };
-                let expected_kind = match state.phase {
-                    Phase::Launching => CtlKind::Launch,
-                    Phase::Terminating => CtlKind::Terminate,
-                    Phase::Running => return,
-                };
-                if kind != expected_kind {
-                    return;
-                }
-                if state.acks.ack(count) {
-                    self.ctl_complete(ctx, job);
-                }
+                self.book.desk.handle(ctx);
+                let token = job * 4 + JOB_RUN_DONE;
+                self.book
+                    .ack(ctx, job, kind, count, token, &mut self.records);
             }
             RmMsg::Heartbeat { node } => {
-                self.desk.track_work(ctx, self.profile.msg_cpu);
+                self.book.desk.handle(ctx);
                 ctx.send(NodeId(node), RmMsg::HeartbeatAck);
             }
-            RmMsg::PollReply { .. } | RmMsg::Register { .. } => {
-                self.desk.track_work(ctx, self.profile.msg_cpu);
-            }
-            RmMsg::CancelJob { job } => {
-                self.desk.track_work(ctx, self.profile.sched_cpu);
-                // Cancelling a running job is an early termination: reuse
-                // the terminate broadcast so resources are reclaimed
-                // everywhere. Launching jobs finish their launch first
-                // (the run timer then never fires for cancelled state).
-                if let Some(state) = self.jobs.get(&job) {
-                    match state.phase {
-                        Phase::Running => {
-                            let state = self.jobs.get_mut(&job).expect("just looked up");
-                            state.phase = Phase::Terminating;
-                            self.begin_ctl(ctx, job, CtlKind::Terminate);
-                        }
-                        Phase::Launching | Phase::Terminating => {
-                            // Already on its way in or out; the pending
-                            // lifecycle events complete the cleanup.
-                        }
-                    }
-                }
+            RmMsg::PollReply { .. } | RmMsg::Register { .. } => self.book.desk.handle(ctx),
+            RmMsg::CancelJob { job } if self.book.cancel(ctx, job) => {
+                self.begin_ctl(ctx, job, CtlKind::Terminate);
             }
             RmMsg::StatusQuery { id } => {
                 let token = id * 4 + QUERY_REPLY;
-                self.desk
-                    .take_query(ctx, from, id, self.profile.sched_cpu, token);
+                self.book.desk.take_query(ctx, from, id, token);
             }
             _ => {}
         }
@@ -393,8 +477,9 @@ impl Actor<RmMsg> for CentralizedMaster {
     fn on_timer(&mut self, ctx: &mut dyn Context<RmMsg>, token: u64) {
         if token == TOKEN_POLL {
             if let HeartbeatMode::MasterPolls { interval } = self.profile.heartbeat {
+                let socket = self.profile.socket();
                 for &s in &self.slaves {
-                    contact(&mut self.desk, &self.profile, ctx, NodeId(s));
+                    self.book.desk.contact(ctx, NodeId(s), socket);
                     ctx.send(NodeId(s), RmMsg::Poll);
                 }
                 ctx.set_timer(interval, TOKEN_POLL);
@@ -405,15 +490,8 @@ impl Actor<RmMsg> for CentralizedMaster {
         let base = token & !(1 << 63);
         let job = base / 4;
         match base % 4 {
-            JOB_RUN_DONE => {
-                if let Some(state) = self.jobs.get_mut(&job) {
-                    if state.phase != Phase::Running {
-                        return; // cancelled while running: cleanup underway
-                    }
-                    state.phase = Phase::Terminating;
-                    self.desk.track_work(ctx, self.profile.sched_cpu);
-                    self.begin_ctl(ctx, job, CtlKind::Terminate);
-                }
+            JOB_RUN_DONE if self.book.run_out(ctx, job) => {
+                self.begin_ctl(ctx, job, CtlKind::Terminate);
             }
             JOB_SEQ_STEP => {
                 let kind = if seq_term {
@@ -423,7 +501,7 @@ impl Actor<RmMsg> for CentralizedMaster {
                 };
                 self.seq_step(ctx, job, kind);
             }
-            QUERY_REPLY => self.desk.reply(ctx, job, &self.obs), // the id sits in the job slot
+            QUERY_REPLY => self.book.desk.reply(ctx, job, &self.book.obs), // the id sits in the job slot
             _ => {}
         }
     }
@@ -494,44 +572,6 @@ mod tests {
             big > small + SimSpan::from_secs(2),
             "small {small} big {big}"
         );
-    }
-
-    #[test]
-    fn job_memory_is_released_with_leak() {
-        let profile = RmProfile::slurm();
-        let per_job = profile.per_job_virt;
-        let leak = profile.job_record_leak;
-        let mut sim = cluster(profile, 64, 3);
-        sim.run_until(SimTime::from_millis(10));
-        let before = sim.meter(NodeId::MASTER).virt_mem();
-        let runtime = SimSpan::from_secs(5);
-        submit_job(&mut sim, SimTime::from_millis(20), 64, runtime);
-        sim.run_until(SimTime::from_secs(2));
-        let during = sim.meter(NodeId::MASTER).virt_mem();
-        assert_eq!(during, before + per_job);
-        sim.run_until(SimTime::from_secs(100));
-        let after = sim.meter(NodeId::MASTER).virt_mem();
-        assert_eq!(after, before + leak, "leak not retained correctly");
-    }
-
-    #[test]
-    fn cancellation_reclaims_resources_early() {
-        let mut sim = cluster(RmProfile::slurm(), 64, 3);
-        submit_job(&mut sim, SimTime::from_secs(1), 64, SimSpan::from_secs(600));
-        sim.inject(
-            SimTime::from_secs(60),
-            NodeId(1),
-            NodeId::MASTER,
-            RmMsg::CancelJob { job: 1 },
-        );
-        sim.run_until(SimTime::from_secs(300));
-        let rec = master(&sim)
-            .records
-            .first()
-            .copied()
-            .expect("job cleaned up");
-        let occ = rec.occupation().as_secs_f64();
-        assert!((59.0..80.0).contains(&occ), "occupation {occ}s");
     }
 
     #[test]

@@ -5,12 +5,11 @@
 //! Each profile captures the *architectural* properties the paper's Fig. 7
 //! measurements reflect: how liveness is tracked (master polls vs. slaves
 //! push), whether connections are persistent, how job launches fan out,
-//! per-message daemon cost, and the memory the master pins per node and
-//! per job. The absolute constants are calibrated so the 4K-node emulation
-//! lands in the ballpark of Fig. 7 (e.g. Slurm ≈ 10 GB virtual memory,
-//! ESlurm's master < 100 sockets); the *orderings* are what the
-//! architecture dictates.
+//! and the master's [`MasterCost`] — per-message daemon cost and the
+//! memory the master pins per node and per job, calibrated as that type
+//! says.
 
+use crate::master::MasterCost;
 use simclock::SimSpan;
 
 /// How the RM tracks node liveness.
@@ -58,25 +57,8 @@ pub struct RmProfile {
     pub persistent_connections: bool,
     /// Job-control fan-out.
     pub fanout: Fanout,
-    /// Master daemon CPU charged per message handled.
-    pub msg_cpu: SimSpan,
-    /// Master daemon CPU charged per job scheduled (allocation logic).
-    pub sched_cpu: SimSpan,
-    /// Baseline master virtual memory (code + arenas + mapped files).
-    pub base_virt: u64,
-    /// Baseline master resident memory.
-    pub base_real: u64,
-    /// Virtual memory pinned per managed node.
-    pub per_node_virt: u64,
-    /// Resident memory pinned per managed node.
-    pub per_node_real: u64,
-    /// Memory pinned per active job (virtual, resident).
-    pub per_job_virt: u64,
-    /// Resident memory per active job.
-    pub per_job_real: u64,
-    /// Bytes of job history the master retains after a job completes —
-    /// the unbounded growth observed on Slurm in §II-B.
-    pub job_record_leak: u64,
+    /// What the master pays for its work and its state.
+    pub cost: MasterCost,
     /// Lifetime of an ephemeral connection (poll/heartbeat exchange).
     pub conn_lifetime: SimSpan,
     /// Pacing of the serial launcher (only used with
@@ -100,15 +82,17 @@ impl RmProfile {
             },
             persistent_connections: false,
             fanout: Fanout::Tree { width: 50 },
-            msg_cpu: SimSpan::from_micros(60),
-            sched_cpu: SimSpan::from_millis(3),
-            base_virt: 6 * GIB,
-            base_real: 120 * MIB,
-            per_node_virt: MIB,
-            per_node_real: 56 * 1024,
-            per_job_virt: 2 * MIB,
-            per_job_real: 96 * 1024,
-            job_record_leak: 24 * 1024,
+            cost: MasterCost {
+                msg_cpu: SimSpan::from_micros(60),
+                sched_cpu: SimSpan::from_millis(3),
+                base_virt: 6 * GIB,
+                base_real: 120 * MIB,
+                per_node_virt: MIB,
+                per_node_real: 56 * 1024,
+                per_job_virt: 2 * MIB,
+                per_job_real: 96 * 1024,
+                job_record_leak: 24 * 1024,
+            },
             conn_lifetime: SimSpan::from_millis(500),
             seq_gap: SimSpan::from_millis(8),
         }
@@ -125,15 +109,17 @@ impl RmProfile {
             },
             persistent_connections: false,
             fanout: Fanout::Tree { width: 32 },
-            msg_cpu: SimSpan::from_micros(120),
-            sched_cpu: SimSpan::from_millis(5),
-            base_virt: 3 * GIB,
-            base_real: 200 * MIB,
-            per_node_virt: 512 * 1024,
-            per_node_real: 48 * 1024,
-            per_job_virt: MIB,
-            per_job_real: 64 * 1024,
-            job_record_leak: 8 * 1024,
+            cost: MasterCost {
+                msg_cpu: SimSpan::from_micros(120),
+                sched_cpu: SimSpan::from_millis(5),
+                base_virt: 3 * GIB,
+                base_real: 200 * MIB,
+                per_node_virt: 512 * 1024,
+                per_node_real: 48 * 1024,
+                per_job_virt: MIB,
+                per_job_real: 64 * 1024,
+                job_record_leak: 8 * 1024,
+            },
             conn_lifetime: SimSpan::from_millis(800),
             seq_gap: SimSpan::from_millis(8),
         }
@@ -149,15 +135,17 @@ impl RmProfile {
             },
             persistent_connections: true,
             fanout: Fanout::Sequential,
-            msg_cpu: SimSpan::from_micros(900),
-            sched_cpu: SimSpan::from_millis(8),
-            base_virt: 2 * GIB,
-            base_real: 300 * MIB,
-            per_node_virt: 384 * 1024,
-            per_node_real: 96 * 1024,
-            per_job_virt: MIB,
-            per_job_real: 128 * 1024,
-            job_record_leak: 4 * 1024,
+            cost: MasterCost {
+                msg_cpu: SimSpan::from_micros(900),
+                sched_cpu: SimSpan::from_millis(8),
+                base_virt: 2 * GIB,
+                base_real: 300 * MIB,
+                per_node_virt: 384 * 1024,
+                per_node_real: 96 * 1024,
+                per_job_virt: MIB,
+                per_job_real: 128 * 1024,
+                job_record_leak: 4 * 1024,
+            },
             conn_lifetime: SimSpan::from_secs(2),
             seq_gap: SimSpan::from_millis(10),
         }
@@ -173,15 +161,17 @@ impl RmProfile {
             },
             persistent_connections: false,
             fanout: Fanout::Sequential,
-            msg_cpu: SimSpan::from_micros(1100),
-            sched_cpu: SimSpan::from_millis(10),
-            base_virt: GIB,
-            base_real: 250 * MIB,
-            per_node_virt: 256 * 1024,
-            per_node_real: 80 * 1024,
-            per_job_virt: 768 * 1024,
-            per_job_real: 96 * 1024,
-            job_record_leak: 6 * 1024,
+            cost: MasterCost {
+                msg_cpu: SimSpan::from_micros(1100),
+                sched_cpu: SimSpan::from_millis(10),
+                base_virt: GIB,
+                base_real: 250 * MIB,
+                per_node_virt: 256 * 1024,
+                per_node_real: 80 * 1024,
+                per_job_virt: 768 * 1024,
+                per_job_real: 96 * 1024,
+                job_record_leak: 6 * 1024,
+            },
             conn_lifetime: SimSpan::from_secs(1),
             seq_gap: SimSpan::from_millis(10),
         }
@@ -198,18 +188,26 @@ impl RmProfile {
             },
             persistent_connections: true,
             fanout: Fanout::Sequential,
-            msg_cpu: SimSpan::from_micros(700),
-            sched_cpu: SimSpan::from_millis(8),
-            base_virt: GIB + 512 * MIB,
-            base_real: 280 * MIB,
-            per_node_virt: 320 * 1024,
-            per_node_real: 88 * 1024,
-            per_job_virt: MIB,
-            per_job_real: 112 * 1024,
-            job_record_leak: 5 * 1024,
+            cost: MasterCost {
+                msg_cpu: SimSpan::from_micros(700),
+                sched_cpu: SimSpan::from_millis(8),
+                base_virt: GIB + 512 * MIB,
+                base_real: 280 * MIB,
+                per_node_virt: 320 * 1024,
+                per_node_real: 88 * 1024,
+                per_job_virt: MIB,
+                per_job_real: 112 * 1024,
+                job_record_leak: 5 * 1024,
+            },
             conn_lifetime: SimSpan::from_secs(2),
             seq_gap: SimSpan::from_millis(5),
         }
+    }
+
+    /// How long the connection one control message opens stays up: `None`
+    /// where the master keeps a persistent one per slave.
+    pub fn socket(&self) -> Option<SimSpan> {
+        (!self.persistent_connections).then_some(self.conn_lifetime)
     }
 
     /// All five baseline profiles in the paper's order.
@@ -237,9 +235,10 @@ mod tests {
     #[test]
     fn slurm_has_largest_virtual_memory() {
         // Fig. 7(c): Slurm's ~10 GB virtual footprint tops the field.
-        let slurm_virt = RmProfile::slurm().base_virt + 4096 * RmProfile::slurm().per_node_virt;
+        let slurm_virt =
+            RmProfile::slurm().cost.base_virt + 4096 * RmProfile::slurm().cost.per_node_virt;
         for p in RmProfile::baselines() {
-            let v = p.base_virt + 4096 * p.per_node_virt;
+            let v = p.cost.base_virt + 4096 * p.cost.per_node_virt;
             assert!(v <= slurm_virt, "{} virt exceeds Slurm", p.name);
         }
         assert!(slurm_virt > 9 * GIB && slurm_virt < 12 * GIB);

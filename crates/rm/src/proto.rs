@@ -251,11 +251,6 @@ impl AckTally {
     pub fn ack(&mut self, count: u32) -> bool {
         self.received += 1;
         self.reached += count;
-        self.is_complete()
-    }
-
-    /// Whether every expected child has answered.
-    pub fn is_complete(&self) -> bool {
         self.received >= self.expected
     }
 }

@@ -9,6 +9,7 @@ use eslurm_suite::eslurm::{
     EslurmConfig, EslurmNode, EslurmSystemBuilder, Scenario, Stack, SystemBuilder,
 };
 use eslurm_suite::obs::{build_traces, EventKind, FlowKind, Recorder};
+use eslurm_suite::rm::master::MasterCost;
 use eslurm_suite::rm::{JobRecord, JobStream, MasterLog, RmMsg, RmNode, RmProfile, SlaveDaemon};
 use eslurm_suite::simclock::{SimSpan, SimTime};
 use std::collections::BTreeSet;
@@ -202,11 +203,15 @@ fn query_waits_out_the_backlog<S: Stack>(
 fn status_query_is_answered_when_the_master_backlog_clears() {
     // Slurm's master schedules the job, then sends its 32 tree chunks.
     let p = RmProfile::slurm();
-    let backlog = p.sched_cpu + p.msg_cpu * 32;
-    query_waits_out_the_backlog(SystemBuilder::new(p.clone(), 64, 5), backlog, p.sched_cpu);
+    let backlog = p.cost.sched_cpu + p.cost.msg_cpu * 32;
+    query_waits_out_the_backlog(
+        SystemBuilder::new(p.clone(), 64, 5),
+        backlog,
+        p.cost.sched_cpu,
+    );
     // ESlurm's master only schedules it; the satellites fan it out.
     let cfg = EslurmConfig::default();
-    let (backlog, cost) = (cfg.sched_cpu, cfg.sched_cpu);
+    let (backlog, cost) = (cfg.cost.sched_cpu, cfg.cost.sched_cpu);
     query_waits_out_the_backlog(SystemBuilder::new(cfg, 64, 5), backlog, cost);
 }
 
@@ -305,4 +310,131 @@ fn every_master_is_handed_the_same_job_stream() {
             assert!((w.4..w.4 + 10_000).contains(&g.4), "{name}: {g:?} vs {w:?}");
         }
     }
+}
+
+/// The ESlurm deployment the six-stack job-book tests run beside the five
+/// baselines.
+fn eslurm_cfg() -> EslurmConfig {
+    EslurmConfig {
+        n_satellites: 2,
+        eq1_width: 16,
+        relay_width: 8,
+        ..Default::default()
+    }
+}
+
+/// The three cancel cases on `stack`, a 64-node deployment whose master
+/// pays `cost`, with job 7 on compute nodes `0..32` submitted at 1 s.
+fn cancels<S: Stack + Clone>(name: &str, stack: S, cost: MasterCost) {
+    let submit = SimTime::from_secs(1);
+    // The job's record and the master's virtual and resident memory and
+    // CPU once everything drained, with `cancel = (at, id)` sent on top.
+    let run = |runtime: SimSpan, cancel: Option<(SimTime, u64)>| {
+        let mut sys = SystemBuilder::new(stack.clone(), 64, 5).build();
+        sys.submit(submit, 7, 0..32, runtime);
+        if let Some((at, job)) = cancel {
+            let user = NodeId(sys.slave_id(40));
+            sys.sim
+                .inject(at, user, NodeId::MASTER, RmMsg::CancelJob { job });
+        }
+        sys.sim.run_until(SimTime::from_secs(900));
+        let records = sys.master().records();
+        assert_eq!(records.len(), 1, "{name}: the job did not complete once");
+        let m = sys.sim.meter(NodeId::MASTER);
+        (records[0], m.virt_mem(), m.real_mem(), m.cpu_time())
+    };
+    let c = &cost;
+    let leaked = (
+        c.base_virt + 64 * c.per_node_virt + c.job_record_leak,
+        c.base_real + 64 * c.per_node_real + c.job_record_leak / 4,
+    );
+    let runtime = SimSpan::from_secs(600);
+
+    // A cancel while the job runs ends it early and frees its memory.
+    let at = SimTime::from_secs(60);
+    let (r, virt, real, _) = run(runtime, Some((at, 7)));
+    assert!(r.launch_done < at, "{name}: still launching at {at}: {r:?}");
+    assert!(r.finished > at, "{name}: finished before the cancel: {r:?}");
+    let ended = r.finished - at;
+    assert!(
+        ended < SimSpan::from_secs(20),
+        "{name}: ended {ended} after the cancel"
+    );
+    assert_eq!((virt, real), leaked, "{name}: per-job memory kept");
+
+    // A cancel during the launch is dropped: the job runs its runtime.
+    let at = submit + SimSpan::from_micros(1);
+    let short = SimSpan::from_secs(30);
+    let (r, ..) = run(short, Some((at, 7)));
+    assert!(
+        r.launch_done > at,
+        "{name}: launched before the cancel: {r:?}"
+    );
+    let ran = r.finished - r.launch_done;
+    assert!(ran >= short, "{name}: ran {ran}, not its runtime");
+
+    // A cancel of an unknown id costs one scheduling decision, no more.
+    let (r0, virt0, real0, cpu0) = run(runtime, None);
+    let (r, virt, real, cpu) = run(runtime, Some((SimTime::from_secs(60), 99)));
+    assert_eq!(format!("{r:?}"), format!("{r0:?}"), "{name}: record moved");
+    assert_eq!((virt, real), (virt0, real0), "{name}: memory moved");
+    assert_eq!(cpu, cpu0 + cost.sched_cpu, "{name}: CPU");
+}
+
+#[test]
+fn a_cancel_ends_only_a_running_job_on_all_six_rms() {
+    for profile in RmProfile::baselines() {
+        let cost = profile.cost;
+        cancels(profile.name, profile, cost);
+    }
+    let cfg = eslurm_cfg();
+    cancels("ESlurm", cfg.clone(), cfg.cost);
+}
+
+/// The job book's memory on `stack`, a 64-node deployment whose master
+/// pays `cost`: the master's `alloc_*` calls are the only writers of its
+/// memory meter, so each reading is exact.
+fn books_memory<S: Stack + Clone>(name: &str, stack: S, cost: MasterCost) {
+    let c = &cost;
+    let virt0 = c.base_virt + 64 * c.per_node_virt;
+    let real0 = c.base_real + 64 * c.per_node_real;
+    // While one job runs, it holds its per-job memory.
+    let mut sys = SystemBuilder::new(stack.clone(), 64, 3).build();
+    sys.submit(SimTime::from_secs(1), 1, 0..64, SimSpan::from_secs(60));
+    sys.sim.run_until(SimTime::from_secs(30));
+    let m = sys.sim.meter(NodeId::MASTER);
+    let running = (m.virt_mem(), m.real_mem());
+    assert_eq!(
+        running,
+        (virt0 + c.per_job_virt, real0 + c.per_job_real),
+        "{name}"
+    );
+    // Once a stream of k jobs drained, k leaked histories stay.
+    let horizon = SimSpan::from_secs(1800);
+    let stream = JobStream::new(64, horizon, 120.0, 32, SimSpan::from_secs(60), 43);
+    let end = SimTime::ZERO + horizon + SimSpan::from_secs(1800);
+    let sys = Scenario::new(stack, 64, 7, end).arrivals(stream).run(|b| b);
+    let k = sys.submitted;
+    assert_eq!(
+        sys.master().records().len() as u64,
+        k,
+        "{name}: not drained"
+    );
+    let m = sys.sim.meter(NodeId::MASTER);
+    let drained = (m.virt_mem(), m.real_mem());
+    let leaked = (
+        virt0 + k * c.job_record_leak,
+        real0 + k * (c.job_record_leak / 4),
+    );
+    assert_eq!(drained, leaked, "{name}: {k} jobs");
+}
+
+#[test]
+fn job_memory_is_released_with_leak_on_all_six_rms() {
+    for profile in RmProfile::baselines() {
+        let cost = profile.cost;
+        books_memory(profile.name, profile, cost);
+    }
+    let cfg = eslurm_cfg();
+    books_memory("ESlurm", cfg.clone(), cfg.cost);
 }
