@@ -11,14 +11,13 @@
 //! ([`ExpArgs::emit`]: each column's display and CSV header declared
 //! together, printed and written in one call), the master's and
 //! satellites' [`footprint`] statistics, the fig9-scale scenario
-//! `bench_des` and `bench_slo` time ([`fig9_scale`], [`timed_run`],
-//! [`figure_fingerprint`]), the outcome fingerprint
-//! ([`outcome_fingerprint`] over [`fnv64`]), the best-of-N timer
-//! ([`time_ns`]) and the `BENCH_*.json` writer ([`write_bench`]).
+//! `bench_des` times ([`fig9_scale`], [`timed_run`]), its outcome
+//! fingerprint ([`figure_fingerprint`] over [`fnv64`]) and the
+//! `BENCH_*.json` writer ([`write_bench`]).
 
 #![forbid(unsafe_code)]
 
-use emu::{Actor, NodeId, Payload, SimCluster};
+use emu::NodeId;
 use eslurm::{EslurmConfig, Scenario, Stack, System, SystemBuilder};
 use obs::audit::{Decision, DecisionRecord};
 use obs::{MetricId, SeriesPoint, SeriesStore, SeriesSummary};
@@ -240,24 +239,6 @@ pub fn fnv64(bytes: &[u8], mut h: u64) -> u64 {
 /// The FNV-1a offset basis every fingerprint starts from.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// Outcome fingerprint of a DES run: clock, event count, drops, then
-/// whatever `parts` the figures read from it (job records, meters), in
-/// order.
-pub fn outcome_fingerprint<M: Payload, A: Actor<M>>(
-    sim: &SimCluster<M, A>,
-    parts: impl IntoIterator<Item = String>,
-) -> u64 {
-    let counts = [
-        sim.now().as_micros(),
-        sim.events_processed(),
-        sim.dropped_messages(),
-    ];
-    let h = counts
-        .iter()
-        .fold(FNV_OFFSET, |h, v| fnv64(&v.to_le_bytes(), h));
-    parts.into_iter().fold(h, |h, p| fnv64(p.as_bytes(), h))
-}
-
 /// Every started job's `(job, submit µs, final start µs)`, in job order,
 /// joined from a decision log's records: its first `Submitted` record and
 /// its last `Started` one — the same joins `eslurm why-job` renders.
@@ -289,21 +270,8 @@ pub fn pct(sorted: &[f64], q: f64) -> f64 {
     sorted[(((sorted.len() - 1) as f64) * q).round() as usize]
 }
 
-/// Best-of-`reps` wall time of `f`, in nanoseconds (after one warmup
-/// call). Best-of is robust to scheduler noise for CPU-bound closures.
-pub fn time_ns<F: FnMut()>(mut f: F, reps: usize) -> u64 {
-    f();
-    let mut best = u64::MAX;
-    for _ in 0..reps.max(1) {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_nanos() as u64);
-    }
-    best
-}
-
 /// The fig9-style ESlurm scenario at benchmark scale, which `bench_des`
-/// and `bench_slo` time: `n_compute` nodes and `satellites` satellites
+/// times: `n_compute` nodes and `satellites` satellites
 /// under the shared job stream (power-law sizes capped at `max_job`,
 /// exponential inter-arrival tuned to `jobs_target` jobs within the
 /// horizon, 600 s mean runtimes). Job ids count from 0 here: they are
@@ -351,12 +319,19 @@ pub fn timed_run<S: Stack>(
     (sys, wall.elapsed().as_secs_f64())
 }
 
-/// [`outcome_fingerprint`] over what the paper's figures read: every job
-/// record, then the master's and each satellite's meter.
+/// Outcome fingerprint of a DES run over what the paper's figures read:
+/// clock, event count and drops, then every job record, then the master's
+/// and each satellite's meter.
 pub fn figure_fingerprint<S: Stack>(sys: &System<S>) -> u64 {
+    let sim = &sys.sim;
+    let counts = [
+        sim.now().as_micros(),
+        sim.events_processed(),
+        sim.dropped_messages(),
+    ];
     let records = sys.master().records().iter().map(|r| format!("{r:?}"));
     let meters = (0..=sys.n_satellites).map(|i| {
-        let m = sys.sim.meter(NodeId(i as u32));
+        let m = sim.meter(NodeId(i as u32));
         format!(
             "{:?}|{:?}|{}|{}|{:?}",
             m.cpu_time(),
@@ -366,7 +341,10 @@ pub fn figure_fingerprint<S: Stack>(sys: &System<S>) -> u64 {
             m.peak_mem()
         )
     });
-    outcome_fingerprint(&sys.sim, records.chain(meters))
+    let h = counts
+        .iter()
+        .fold(FNV_OFFSET, |h, v| fnv64(&v.to_le_bytes(), h));
+    records.chain(meters).fold(h, |h, p| fnv64(p.as_bytes(), h))
 }
 
 /// A JSON object from `(key, value)` pairs.

@@ -79,9 +79,9 @@ pub struct SimConfig {
     pub sampler: Sampler,
     /// Online SLO engine. Disabled by default; when enabled it evaluates
     /// its specs on every sampling tick (it needs the sampling cadence to
-    /// run — configure an end-bounded sampler). It reads
-    /// the recorder and sampler and writes only its own state, so enabling
-    /// it perturbs no outcome and no base export byte.
+    /// run — configure an end-bounded sampler). It reads the recorder
+    /// only and writes only its own state, so enabling it perturbs no
+    /// outcome and no base export byte.
     pub slo: SloEngine,
 }
 
@@ -698,7 +698,7 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
         self.sampler.snapshot(t, &self.shared.obs);
         // SLO evaluation rides the sampling cadence, after the snapshot so
         // hist/gauge signals see this tick's state.
-        self.slo.evaluate(t, &self.shared.obs, &self.sampler);
+        self.slo.evaluate(t, &self.shared.obs);
         self.sample_next = Some(t + s.interval);
     }
 

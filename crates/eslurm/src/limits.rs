@@ -8,6 +8,20 @@ use sched::prelude::{LimitInfo, LimitPolicy};
 use simclock::{SimSpan, SimTime};
 use workload::Job;
 
+/// Minimum limit handed to the scheduler.
+const FLOOR: SimSpan = SimSpan::from_secs(120);
+/// Kill-safety margin applied on top of model estimates: the job is killed
+/// only beyond `MARGIN × estimate`, while backfill still plans with the
+/// much tighter estimate than user requests provide.
+const MARGIN: f64 = 2.0;
+/// Floor for limits on jobs with no user estimate: a kill there is pure
+/// waste, so the limit never drops below this even when the model predicts
+/// a short run (still 4x tighter for planning than the 24 h partition
+/// default it replaces).
+const NO_USER_FLOOR: SimSpan = SimSpan::from_hours(6);
+/// Limit used when neither a model nor a user estimate exists.
+const DEFAULT_LIMIT: SimSpan = SimSpan::from_hours(24);
+
 /// Walltime limits from the ESlurm estimation framework.
 ///
 /// The deployed decision logic applies: the model estimate (slack-adjusted)
@@ -16,19 +30,6 @@ use workload::Job;
 /// floor prevents degenerate one-second limits.
 pub struct PredictiveLimit {
     estimator: RuntimeEstimator,
-    /// Minimum limit handed to the scheduler.
-    pub floor: SimSpan,
-    /// Kill-safety margin applied on top of model estimates: the job is
-    /// killed only beyond `margin × estimate`, while backfill still plans
-    /// with the much tighter estimate than user requests provide.
-    pub margin: f64,
-    /// Floor for limits on jobs with no user estimate: a kill there is
-    /// pure waste, so the limit never drops below this even when the model
-    /// predicts a short run (still 4x tighter for planning than the 24 h
-    /// partition default it replaces).
-    pub no_user_floor: SimSpan,
-    /// Limit used when neither a model nor a user estimate exists.
-    pub default: SimSpan,
     /// Jobs whose limit came from the model.
     pub model_limits: u64,
     /// Jobs whose limit came from the user request.
@@ -40,10 +41,6 @@ impl PredictiveLimit {
     pub fn new(config: EstimatorConfig) -> Self {
         PredictiveLimit {
             estimator: RuntimeEstimator::new(config),
-            floor: SimSpan::from_secs(120),
-            margin: 2.0,
-            no_user_floor: SimSpan::from_hours(6),
-            default: SimSpan::from_hours(24),
             model_limits: 0,
             user_limits: 0,
         }
@@ -77,11 +74,11 @@ impl LimitPolicy for PredictiveLimit {
                         // back on, and a kill there is pure waste (the
                         // alternative was a 24 h partition default anyway).
                         let (user, margin) = match job.user_estimate {
-                            Some(u) => (u, self.margin),
-                            None => (self.no_user_floor, self.margin * 2.0),
+                            Some(u) => (u, MARGIN),
+                            None => (NO_USER_FLOOR, MARGIN * 2.0),
                         };
                         LimitInfo {
-                            limit: e.runtime.mul_f64(margin).max(user).max(self.floor),
+                            limit: e.runtime.mul_f64(margin).max(user).max(FLOOR),
                             est: EstimateRef::new(e.runtime.as_micros(), EstSource::Model)
                                 .with_cluster(e.cluster.map(|c| c as u32)),
                         }
@@ -89,15 +86,15 @@ impl LimitPolicy for PredictiveLimit {
                     estimate::EstimateSource::User => {
                         self.user_limits += 1;
                         LimitInfo {
-                            limit: e.runtime.max(self.floor),
+                            limit: e.runtime.max(FLOOR),
                             est: EstimateRef::new(e.runtime.as_micros(), EstSource::User),
                         }
                     }
                 }
             }
             None => LimitInfo {
-                limit: self.default,
-                est: EstimateRef::new(self.default.as_micros(), EstSource::Default),
+                limit: DEFAULT_LIMIT,
+                est: EstimateRef::new(DEFAULT_LIMIT.as_micros(), EstSource::Default),
             },
         }
     }
@@ -110,7 +107,7 @@ impl LimitPolicy for PredictiveLimit {
             // ladder still terminates.
             let (fallback, source) = match job.user_estimate {
                 Some(u) => (u, EstSource::User),
-                None => (self.default, EstSource::Default),
+                None => (DEFAULT_LIMIT, EstSource::Default),
             };
             LimitInfo {
                 limit: fallback.max(prev.limit * 2),
@@ -166,7 +163,7 @@ mod tests {
         // Without one: fall back to the partition default.
         let next = policy.resubmit_info(&job(None, 1000), prev, 1);
         assert_eq!(next.est.source, EstSource::Default);
-        assert_eq!(next.limit, policy.default);
+        assert_eq!(next.limit, DEFAULT_LIMIT);
         // The ladder never shrinks below double the killed limit.
         let prev_high = LimitInfo {
             limit: SimSpan::from_secs(600),

@@ -87,9 +87,10 @@ impl<S: Stack> Scenario<S> {
     }
 }
 
-/// The small-outage mix of the CLI's `--faults` and `bench_slo`: `events`
-/// outages of 1–4 adjacent nodes each among `n` nodes, starting uniformly
-/// within `horizon` and lasting 120 s on average, drawn from `seed`.
+/// The small-outage mix of the CLI's `--faults` and `tests/properties.rs`:
+/// `events` outages of 1–4 adjacent nodes each among `n` nodes, starting
+/// uniformly within `horizon` and lasting 120 s on average, drawn from
+/// `seed`.
 pub fn small_outages(n: usize, horizon: SimSpan, events: usize, seed: u64) -> FaultPlan {
     FaultPlanBuilder::new(n, horizon, seed)
         .small_events(events, 4)

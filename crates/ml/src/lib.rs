@@ -19,7 +19,6 @@ pub mod forest;
 pub mod kmeans;
 pub mod linalg;
 pub mod linear;
-pub mod reference;
 pub mod svr;
 pub mod tobit;
 
@@ -29,3 +28,6 @@ pub use kmeans::{elbow_k, KMeans};
 pub use linear::BayesianRidge;
 pub use svr::{Kernel, Svr};
 pub use tobit::{CensoredSample, Tobit};
+
+#[cfg(test)]
+mod reference;

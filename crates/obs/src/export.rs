@@ -75,7 +75,7 @@ pub struct ChromeTrace<'a> {
     /// (pid 1, one thread per job id) whose queued→run spans sit next to
     /// the node lanes, with the backfill skips in between.
     pub jobs: &'a [DecisionRecord],
-    /// SLO breach / clear / anomaly transitions as virtual-time instants
+    /// SLO breach / clear transitions as virtual-time instants
     /// on their own track ([`crate::slo::SLO_TRACK_PID`], one thread per
     /// spec), grouped as one "slo" strip in Perfetto.
     pub slo: &'a [SloEvent],

@@ -92,6 +92,5 @@ pub use series::{
     SeriesSummary,
 };
 pub use slo::{
-    AnomalySpec, SloEngine, SloEvent, SloEventKind, SloOp, SloReport, SloSignal, SloSpec, SloStat,
-    SLO_TRACK_PID,
+    SloEngine, SloEvent, SloEventKind, SloOp, SloReport, SloSignal, SloSpec, SLO_TRACK_PID,
 };

@@ -86,8 +86,6 @@ pub struct BackfillConfig {
     pub algo: SchedAlgo,
     /// RM overhead model.
     pub dispatch: DispatchModel,
-    /// Kill jobs at their walltime limit (all production RMs do).
-    pub kill_at_limit: bool,
     /// Resubmissions allowed after a kill before the job is abandoned.
     /// Each resubmission doubles the previous limit.
     pub max_resubmits: u32,
@@ -120,7 +118,6 @@ impl BackfillConfig {
             nodes,
             algo: SchedAlgo::Easy,
             dispatch: DispatchModel::ideal(),
-            kill_at_limit: true,
             max_resubmits: 3,
             rm_outages: Vec::new(),
             obs: Recorder::disabled(),
@@ -1230,7 +1227,8 @@ impl SchedState {
             );
         }
 
-        let killed = cfg.kill_at_limit && job.actual_runtime > q.limit;
+        // Jobs die at their walltime limit, as on every production RM.
+        let killed = job.actual_runtime > q.limit;
         let run = if killed { q.limit } else { job.actual_runtime };
         let occupied = cfg.dispatch.occupation(nodes, run);
         let planned = cfg.dispatch.occupation(nodes, q.limit);

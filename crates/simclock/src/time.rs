@@ -90,7 +90,7 @@ impl SimSpan {
     pub const ZERO: SimSpan = SimSpan(0);
 
     /// Construct from whole seconds.
-    pub fn from_secs(s: u64) -> Self {
+    pub const fn from_secs(s: u64) -> Self {
         SimSpan(s * 1_000_000)
     }
 
@@ -110,7 +110,7 @@ impl SimSpan {
     }
 
     /// Construct from whole hours.
-    pub fn from_hours(h: u64) -> Self {
+    pub const fn from_hours(h: u64) -> Self {
         SimSpan(h * 3_600_000_000)
     }
 

@@ -15,6 +15,20 @@ pub const SLAVES: usize = 180;
 /// The reference scenario, fault-free: 3 satellites, 180 compute nodes,
 /// seed 33, 12 jobs, to t=600s. Arm instruments in its `run`.
 pub fn scenario() -> Scenario<EslurmConfig> {
+    let cfg = EslurmConfig {
+        n_satellites: SATELLITES,
+        eq1_width: 48,
+        relay_width: 8,
+        hb_sweep_interval: SimSpan::from_secs(60),
+        sat_hb_interval: SimSpan::from_secs(5),
+        ..Default::default()
+    };
+    scenario_on(cfg)
+}
+
+/// The reference scenario's 180 compute nodes, seed, 12 jobs and horizon
+/// on any stack.
+pub fn scenario_on<S: Stack>(stack: S) -> Scenario<S> {
     let jobs = (0..12u64).map(|j| {
         let start = (j as usize * 13) % (SLAVES - 48);
         Arrival {
@@ -24,15 +38,7 @@ pub fn scenario() -> Scenario<EslurmConfig> {
             runtime: SimSpan::from_secs(20 + (j % 4) * 15),
         }
     });
-    let cfg = EslurmConfig {
-        n_satellites: SATELLITES,
-        eq1_width: 48,
-        relay_width: 8,
-        hb_sweep_interval: SimSpan::from_secs(60),
-        sat_hb_interval: SimSpan::from_secs(5),
-        ..Default::default()
-    };
-    Scenario::new(cfg, SLAVES, 33, SimTime::from_secs(600)).arrivals(jobs)
+    Scenario::new(stack, SLAVES, 33, SimTime::from_secs(600)).arrivals(jobs)
 }
 
 /// [`scenario`] with its two mid-run compute-node outages.
@@ -55,10 +61,12 @@ pub fn sampler() -> Sampler {
 
 /// Everything a run decided: clock, event and drop counts, every job
 /// record, every node's meter.
-pub fn outcome_fingerprint(sys: &EslurmSystem) -> (SimTime, u64, u64, Vec<String>, Vec<String>) {
+pub fn outcome_fingerprint<S: Stack>(
+    sys: &System<S>,
+) -> (SimTime, u64, u64, Vec<String>, Vec<String>) {
     let records: Vec<String> = sys
         .master()
-        .records
+        .records()
         .iter()
         .map(|r| format!("{:?}", r))
         .collect();
@@ -84,10 +92,10 @@ pub fn outcome_fingerprint(sys: &EslurmSystem) -> (SimTime, u64, u64, Vec<String
     )
 }
 
-/// One finished run of the faulted scenario with the handles it recorded
+/// One finished run of a scenario with the handles it recorded
 /// into.
-pub struct Sampled {
-    pub sys: EslurmSystem,
+pub struct Sampled<S: Stack = EslurmConfig> {
+    pub sys: System<S>,
     pub rec: Recorder,
     pub sampler: Sampler,
 }
@@ -98,8 +106,18 @@ pub fn sampled_run(
     recorder: fn() -> Recorder,
     arm: impl FnOnce(EslurmSystemBuilder) -> EslurmSystemBuilder,
 ) -> Sampled {
+    sampled_run_of(faulted(), recorder, arm)
+}
+
+/// `scenario` with a fresh `recorder()`, the 1 Hz sampler, and whatever
+/// `arm` chains on.
+pub fn sampled_run_of<S: Stack>(
+    scenario: Scenario<S>,
+    recorder: fn() -> Recorder,
+    arm: impl FnOnce(SystemBuilder<S>) -> SystemBuilder<S>,
+) -> Sampled<S> {
     let (rec, sampler) = (recorder(), sampler());
-    let sys = faulted().run(|b| arm(b.obs(rec.clone()).sampler(sampler.clone())));
+    let sys = scenario.run(|b| arm(b.obs(rec.clone()).sampler(sampler.clone())));
     Sampled { sys, rec, sampler }
 }
 
@@ -116,7 +134,17 @@ pub fn assert_non_perturbing<H: Clone>(
     handle: impl FnOnce() -> H,
     arm: impl FnOnce(EslurmSystemBuilder, H) -> EslurmSystemBuilder,
 ) -> (Sampled, H) {
-    let exports = |r: &Sampled| {
+    assert_non_perturbing_on(faulted, recorder, handle, arm)
+}
+
+/// [`assert_non_perturbing`] on the `scenario()` of any stack.
+pub fn assert_non_perturbing_on<S: Stack, H: Clone>(
+    scenario: impl Fn() -> Scenario<S>,
+    recorder: fn() -> Recorder,
+    handle: impl FnOnce() -> H,
+    arm: impl FnOnce(SystemBuilder<S>, H) -> SystemBuilder<S>,
+) -> (Sampled<S>, H) {
+    let exports = |r: &Sampled<S>| {
         let events = r.rec.events();
         (
             outcome_fingerprint(&r.sys),
@@ -125,7 +153,7 @@ pub fn assert_non_perturbing<H: Clone>(
             export::to_jsonl(&events),
         )
     };
-    let plain = sampled_run(recorder, |b| b);
+    let plain = sampled_run_of(scenario(), recorder, |b| b);
     let (fp, csv, chrome, jsonl) = exports(&plain);
     assert_eq!(fp.3.len(), 12, "jobs lost in the plain run");
     assert!(csv.lines().count() > 100, "expected a dense CSV");
@@ -133,7 +161,7 @@ pub fn assert_non_perturbing<H: Clone>(
         assert!(plain.rec.events().len() > 1000, "trace suspiciously small");
     }
     let h = handle();
-    let armed = sampled_run(recorder, |b| arm(b, h.clone()));
+    let armed = sampled_run_of(scenario(), recorder, |b| arm(b, h.clone()));
     let (a_fp, a_csv, a_chrome, a_jsonl) = exports(&armed);
     assert_eq!(a_fp, fp, "outcomes changed when armed");
     assert_eq!(a_csv, csv, "sampler CSV changed when armed");

@@ -7,8 +7,7 @@
 //! built from the public API only, and checks on small clusters that both
 //! produce the same `ScheduleReport` (every field, floats by bits) **and**
 //! the same decision-log JSONL, for every algorithm × trivial/capped
-//! partitions × uniform/multifactor priority × `kill_at_limit` on/off ×
-//! an RM outage window.
+//! partitions × uniform/multifactor priority × an RM outage window.
 //!
 //! Slow in debug builds, where it shrinks itself to a smoke run; CI runs
 //! the full suite with `--release`.
@@ -152,7 +151,7 @@ impl Reference<'_> {
         self.part_busy[q.part] += nodes;
         self.forget(job.id.0);
         self.log(now, job, q.est, Decision::Started { nodes });
-        let killed = self.cfg.kill_at_limit && job.actual_runtime > q.limit;
+        let killed = job.actual_runtime > q.limit;
         let run = if killed { q.limit } else { job.actual_runtime };
         let occupied = self.cfg.dispatch.occupation(nodes, run);
         self.report.occupied_node_secs += nodes as f64 * occupied.as_secs_f64();
@@ -498,7 +497,6 @@ struct Scenario {
     algo: SchedAlgo,
     capped: bool,
     multifactor: bool,
-    kill_at_limit: bool,
     outage: bool,
     /// Launch and teardown cost the same at every width, so jobs of
     /// different widths can plan to end at the same instant (the order of
@@ -509,16 +507,15 @@ struct Scenario {
 const ALGOS: [SchedAlgo; 3] = [SchedAlgo::Fcfs, SchedAlgo::Easy, SchedAlgo::Conservative];
 
 impl Scenario {
-    const COUNT: usize = 96;
+    const COUNT: usize = 48;
 
     fn all() -> impl Iterator<Item = Scenario> {
         (0..Self::COUNT).map(|i| Scenario {
             algo: ALGOS[i % 3],
             capped: i / 3 % 2 == 1,
             multifactor: i / 6 % 2 == 1,
-            kill_at_limit: i / 12 % 2 == 1,
-            outage: i / 24 % 2 == 1,
-            flat_dispatch: i / 48 % 2 == 1,
+            outage: i / 12 % 2 == 1,
+            flat_dispatch: i / 24 % 2 == 1,
         })
     }
 
@@ -557,7 +554,6 @@ impl Scenario {
         BackfillConfig {
             algo: self.algo,
             dispatch,
-            kill_at_limit: self.kill_at_limit,
             max_resubmits: 2,
             rm_outages,
             audit,

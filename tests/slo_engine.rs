@@ -1,20 +1,23 @@
 //! The online SLO engine's non-perturbation guarantee, end to end: the
-//! shared fixed-seed faulted scenario produces **bit-identical outcomes**
-//! and **byte-identical virtual-time exports** (Chrome trace, event JSONL,
-//! metrics CSV) with the SLO engine armed or not — plus the detection
-//! behaviour itself: a tight objective breaches with
-//! a sane detection latency, and breaches land as instants on their own
-//! export track.
+//! shared fixed-seed scenario (faulted on ESlurm, fault-free on a
+//! centralized Slurm deployment of the same jobs) produces **bit-identical
+//! outcomes** and **byte-identical virtual-time exports** (Chrome trace,
+//! event JSONL, metrics CSV) with the SLO engine armed or not — plus the
+//! detection behaviour itself: a tight objective breaches with a sane
+//! detection latency, and breaches land as instants on their own export
+//! track.
 //!
-//! The armed-vs-plain comparison is `common::assert_non_perturbing`;
+//! The armed-vs-plain comparison is `common::assert_non_perturbing` (and
+//! `assert_non_perturbing_on` for Slurm);
 //! breach detection and the SLO track are this suite's own.
 
 mod common;
 
-use common::{assert_non_perturbing, sampled_run};
-use eslurm_suite::eslurm::EslurmSystemBuilder;
+use common::{assert_non_perturbing, assert_non_perturbing_on, sampled_run, scenario_on};
+use eslurm_suite::eslurm::{EslurmSystemBuilder, SystemBuilder};
 use eslurm_suite::obs::export::{self, ChromeTrace};
 use eslurm_suite::obs::{Recorder, SloEngine, SloEventKind, SloSpec};
+use eslurm_suite::rm::RmProfile;
 
 /// A spec set with one objective tight enough to breach in this scenario
 /// (sweeps take milliseconds, the target is 1µs) and one that must stay
@@ -38,6 +41,19 @@ fn slo_runs_are_bit_identical_to_plain() {
         report.total_breaches() > 0,
         "tight objective never breached"
     );
+}
+
+/// The same contract on a centralized stack: the reference scenario on
+/// Slurm keeps its outcome fingerprint, sampler CSV, Chrome trace and
+/// event JSONL with the SLO engine armed. It runs fault-free: under the
+/// two outages Slurm never records the four jobs that hold a down node
+/// at their launch or end, and the check wants all twelve jobs done.
+#[test]
+fn slo_runs_on_slurm_are_bit_identical_to_plain() {
+    let slurm = || scenario_on(RmProfile::slurm());
+    let (_, slo) = assert_non_perturbing_on(slurm, Recorder::full, tight_slo, SystemBuilder::slo);
+    let report = slo.report().expect("armed engine reports");
+    assert!(report.evals_total > 0, "engine never ticked");
 }
 
 /// The virtual-time trace exports (base Chrome JSON, event JSONL) are
