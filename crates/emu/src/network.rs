@@ -55,8 +55,7 @@ impl LatencyModel {
     /// gap.
     #[inline]
     pub fn latency(&self, size_bytes: u32, rng: &mut StdRng) -> SimSpan {
-        let kib = size_bytes as f64 / 1024.0;
-        let raw = self.base + self.per_kib.mul_f64(kib);
+        let raw = self.base + self.per_size(size_bytes, 1024);
         self.jitter(raw, rng)
     }
 
@@ -64,7 +63,19 @@ impl LatencyModel {
     #[inline]
     pub fn tx_gap(&self, size_bytes: u32) -> SimSpan {
         // Gap grows mildly with message size (DMA + packetization).
-        self.send_gap + self.per_kib.mul_f64(size_bytes as f64 / 1024.0 / 4.0)
+        self.send_gap + self.per_size(size_bytes, 4096)
+    }
+
+    /// `per_kib × size / div` rounded half up, `div` a power of two: what
+    /// `per_kib.mul_f64(size / div)` computes, in integers while
+    /// `per_kib × size < 2^53`, where the float product is exact too, and
+    /// through that float path past it.
+    #[inline]
+    fn per_size(&self, size_bytes: u32, div: u64) -> SimSpan {
+        match self.per_kib.as_micros().checked_mul(size_bytes.into()) {
+            Some(n) if n < 1 << 53 => SimSpan::from_micros((n + div / 2) / div),
+            _ => self.per_kib.mul_f64(size_bytes as f64 / div as f64),
+        }
     }
 
     #[inline]
@@ -101,6 +112,36 @@ mod tests {
             let nominal = 33.0;
             assert!(l >= nominal * 0.89 && l <= nominal * 1.11, "latency {l}");
         }
+    }
+
+    #[test]
+    fn integer_size_terms_match_the_float_path() {
+        // The size terms of `latency` and `tx_gap` as the float path
+        // computed them, bit for bit: every size up to 1 MiB and
+        // `u32::MAX`, for link costs that keep `per_kib × size` under 2^53
+        // and for one that takes the float fallback.
+        let float = |m: &LatencyModel, size: u32| {
+            let kib = size as f64 / 1024.0;
+            (m.per_kib.mul_f64(kib), m.per_kib.mul_f64(kib / 4.0))
+        };
+        let int = |m: &LatencyModel, size: u32| (m.per_size(size, 1024), m.per_size(size, 4096));
+        for per_kib in [0, 1, 3, 7, 1_000, (1 << 33) - 1, 1 << 40] {
+            let m = LatencyModel {
+                per_kib: SimSpan::from_micros(per_kib),
+                ..LatencyModel::default()
+            };
+            for size in (0..=1 << 20).chain([u32::MAX]) {
+                assert_eq!(
+                    int(&m, size),
+                    float(&m, size),
+                    "per_kib {per_kib}, size {size}"
+                );
+            }
+        }
+        // The last cost takes the fallback for every size past 8 KiB.
+        assert!((1u64 << 40)
+            .checked_mul(1 << 14)
+            .is_some_and(|n| n >= 1 << 53));
     }
 
     #[test]

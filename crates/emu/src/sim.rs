@@ -13,7 +13,7 @@
 //! order: it is what every fingerprint and export hashes, and what any
 //! split of the event population would have to merge back into.
 //!
-//! ## One event ahead, and its slot two ahead
+//! ## One event ahead
 //!
 //! At 200,000 nodes a receiver's state is not in cache when its event
 //! comes up, and the first touches of its `HotNode` and its actor were
@@ -23,17 +23,13 @@
 //! ([`KeyedQueue::peek_event`]) and, for a `Deliver` or a `Timer`,
 //! prefetches the first and last byte of that node's `HotNode` and actor,
 //! so both lines of a record that straddles a boundary load while event
-//! *k*'s handler runs. That peek is itself a miss on the queue's slab —
-//! about a sixth of the sweep's samples — so right after the `pop` the
-//! loop also prefetches the slot of event *k + 2*
-//! ([`KeyedQueue::after_head_slot`]): one line, since the slots are
-//! line-aligned, loading while event *k*'s handler runs, for the peek
-//! that follows the next `pop`. This cannot change the order, or
-//! anything else: the peek reads without writing, a prefetch is
-//! a cache hint that changes no value, and whatever event *k* pushes
-//! before its successor — even one that becomes the new head — is popped
-//! by the same key comparison as before; a stale hint only costs a
-//! wasted line.
+//! *k*'s handler runs. The peek reads the payload where the queue wrote
+//! it, beside its instant's other events (most are due within the queue's
+//! near window, written there once when they were sent). This cannot
+//! change the order, or anything else: the peek reads without writing, a
+//! prefetch is a cache hint that changes no value, and whatever event *k*
+//! pushes before its successor — even one that becomes the new head — is
+//! popped by the same key comparison as before.
 //!
 //! Meter sampling is an engine-level tick (not a queued event), driven by
 //! the end-bounded [`Sampler`] of the [`SimConfig`] alone: ticks fire at
@@ -537,11 +533,11 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
                         .collect(),
                 });
         let sample_next = ticks.as_ref().map(|s| SimTime::ZERO + s.interval);
+        // The queue and the node store are the engine's bytes, like what
+        // it allocates while running (a no-op without `mem-profile`).
+        let _mem_scope = tag_scope(MemTag::Des);
         let mut core = Core {
-            // Pending events peak well under one per node on the workloads
-            // measured (0.4 at 200k nodes); the slab grows if a run needs
-            // more.
-            queue: KeyedQueue::with_capacity(n + 16),
+            queue: KeyedQueue::new(),
             nodes: NodeStore::new(config.seed, n),
         };
 
@@ -720,7 +716,7 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
     fn run_loop(&mut self, horizon: SimTime) -> u64 {
         let mut events = 0u64;
         loop {
-            let head = self.core.queue.peek_head().map(|(t, _)| t);
+            let head = self.core.queue.peek_head();
             // Sampling ticks fire before any event at the same instant.
             if let Some(st) = self.sample_next {
                 if st <= horizon && head.is_none_or(|t| st <= t) {
@@ -733,9 +729,6 @@ impl<M: Payload, A: Actor<M>> SimCluster<M, A> {
                 break;
             }
             let (key, ev) = self.core.queue.pop().expect("peeked event vanished");
-            if let Some(slot) = self.core.queue.after_head_slot() {
-                prefetch(slot);
-            }
             self.prefetch_next_receiver();
             debug_assert!(key.time >= self.now, "event time went backwards");
             self.now = key.time;
@@ -761,12 +754,12 @@ mod tests {
     use crate::fault::{FaultPlan, Outage};
 
     #[test]
-    fn queued_event_and_its_seq_fit_one_cache_line() {
-        // `KeyedQueue` keeps `seq` beside the event in its slab slot, and
-        // aligns the slot to a line. A payload shaped like
-        // `rm::proto::RmMsg` — a 40-byte enum, so its tag has spare values
-        // for `Ev`'s and `Option`'s — must leave the slot one line, not
-        // two; an inline hop envelope would not.
+    fn queued_entry_is_its_key_beside_the_event() {
+        // `KeyedQueue` writes each event's key beside it, 24 bytes with
+        // padding. A payload shaped like `rm::proto::RmMsg` — a 40-byte
+        // enum, so its tag has spare values for `Ev`'s and `Option`'s —
+        // must keep the entry at 80 bytes; an inline hop envelope would
+        // not.
         #[allow(dead_code)]
         enum Wire {
             List {
@@ -782,9 +775,8 @@ mod tests {
             Probe,
         }
         assert_eq!(std::mem::size_of::<Wire>(), 40);
-        type Slot = simclock::keyed::Slot<Ev<Wire>>;
-        assert_eq!(std::mem::size_of::<Slot>(), 64);
-        assert_eq!(std::mem::align_of::<Slot>(), 64);
+        assert_eq!(std::mem::size_of::<Option<Ev<Wire>>>(), 56);
+        assert_eq!(KeyedQueue::<Ev<Wire>>::ENTRY_BYTES, 80);
     }
 
     /// Ping-pong: node 0 sends `k`, receiver replies `k-1`, until zero.
@@ -1096,7 +1088,7 @@ mod tests {
 
     /// Events that tie on `(time, lane)`: system-lane injections for one
     /// instant, to receivers in an order unrelated to their injection
-    /// order. Only `seq`, which the queue reads from the slab on a tie,
+    /// order. Only `seq`, which the queue reads from the entry on a tie,
     /// puts them in injection order.
     #[test]
     fn time_lane_ties_run_in_seq_order() {

@@ -1,4 +1,4 @@
-//! Canonical event ordering and a slab-backed keyed queue.
+//! Canonical event ordering and a keyed queue that writes each event once.
 //!
 //! The [`EventQueue`](crate::EventQueue) breaks ties on *global push
 //! order*, which is a total order but not a portable one: the interleaving
@@ -23,93 +23,52 @@
 //!
 //! ## Layout of [`KeyedQueue`]
 //!
-//! A DES queue is *monotone*: every event a handler schedules fires no
-//! earlier than the event being handled, so no push is earlier than the
-//! last pop. The queue is a radix heap built on that rule, with a small
-//! heap for the one instant that is due:
+//! A DES queue is *monotone*: a handler schedules nothing earlier than the
+//! event it handles. And most pushes are message deliveries a few tens of
+//! microseconds out (on the 16,384-node launch workload nine in ten land
+//! 32–255 µs after the instant being drained). The queue writes each
+//! event once — key and payload together, an **entry** — next to its
+//! instant:
 //!
-//! * The **settled instant** is the time of the last bucket settled (below)
-//!   or of the last rebase; no pending event is earlier. Entries *at* it
-//!   sit in an implicit **4-ary** min-heap of **16-byte** entries
-//!   `(time: u64, lane: u32, slot: u32)`, which orders them by
-//!   `(lane, seq)`: their times are all equal, so a heap comparison
-//!   skips the time. Four children fill 64 bytes, but the heap's
-//!   `Vec<Entry>` is aligned only as the allocator happens to place it:
-//!   a probe read its start 48 bytes past a line boundary on the
-//!   `des_sweep` benchmark (each sibling group `heap[4k+1..4k+5]` on one
-//!   line) and 16 bytes past one on `des_launch` and `pipeline` (every
-//!   group across two lines). Aligning it is open work. The least of a
-//!   full group is picked by a two-round tournament on index
-//!   arithmetic, and `pop` walks the hole to the bottom before it looks
-//!   at the displaced last entry.
-//! * Entries *later* than it go to one of 256 **buckets**, named by the
-//!   highest 4-bit digit in which their time differs from the settled
-//!   instant and by their own value in that digit. Bucket `(d, v)` holds
-//!   exactly the times that share the settled instant's digits above `d`
-//!   and have value `v` in digit `d`, so buckets in `(d, v)` order hold
-//!   ever later times, and a bucket of digit 0 holds a single instant. A
-//!   push is an append plus a compare against the bucket's least entry,
-//!   kept up to date so that [`KeyedQueue::peek_head`] reads the head
-//!   without settling anything.
-//! * When `pop` finds the heap empty, it **settles**: the lowest occupied
-//!   bucket's least time becomes the settled instant, its entries at that
-//!   time move into the heap, and the rest drop into buckets of lower
-//!   digits (they now differ from the settled instant only below `d`; no
-//!   other bucket moves). An entry drops at most 15 times in its life. On
-//!   the 16,384-node launch workload that is 2.3 bucket appends per event;
-//!   with one-bit digits (64 buckets) it was 4.1, because messages 32–255
-//!   µs out fell through five buckets each.
-//! * A push earlier than the settled instant breaks the bucket ranges. It
-//!   takes a cold **rebase**: the pushed time becomes the settled instant
-//!   and every pending entry is re-bucketed against it. The engine never
-//!   takes it; the order stays exactly `(time, lane, seq)` for any caller.
-//! * Buckets are stacks of 16-entry **chunks** from one pool, and only a
-//!   bucket's top chunk can be partly filled. Chunks freed by a settle or
-//!   a rebase are kept for reuse only while the pool holds no more than
-//!   the pending entries plus one chunk per bucket; past that they go back
-//!   to the allocator, and `pop` returns one more whenever the bound
-//!   tightens. One growable `Vec` per bucket instead would keep each
-//!   bucket's own high-water mark: capacity would follow the sum of the
-//!   buckets' peaks, not the pending count.
-//! * `seq`, the third key component, is stored beside the payload in the
-//!   slab slot and is read only to break a `(time, lane)` tie — two events
-//!   one creator stamped for the same instant. This keeps the entry at 16
-//!   bytes without narrowing `seq`.
-//! * Payloads never move: a slab (`Vec` arena plus a LIFO free list) holds
-//!   `seq` and the event, so `pop` reads one slot — the one whose index the
-//!   root entry names, read *before* the sift so that, when it is not in
-//!   cache yet, its miss overlaps the sift's — and the most recently freed
-//!   slot, still in cache, is the next one `push` fills.
-//! * Every [`Slot`] is aligned to a 64-byte line, so a slot of at most 64
-//!   bytes (the engine's: `seq` plus a 56-byte event) is exactly one line,
-//!   and reading it costs one miss, not two. Without the alignment the
-//!   slab's buffer starts wherever the allocator puts it (16 or 48 bytes
-//!   past a line boundary in the engine), and then every 64-byte slot
-//!   straddles two lines. Smaller payloads pay for it in bytes: a `u64`
-//!   payload's slot takes 64 bytes, not 16.
-//!
-//! [`KeyedQueue::peek_head`] answers "when is the next event" from the
-//! head entry alone; [`KeyedQueue::peek_event`] also reads the slot for the
-//! payload, so a caller can learn what the next event touches one `pop`
-//! ahead. [`KeyedQueue::after_head_slot`] goes one event further without
-//! reading anything of it: it names the slot of the *second* least entry —
-//! the least child of the heap root, or, when the root is alone, the least
-//! entry of the lowest occupied bucket — so a caller can prefetch the slot
-//! that the `peek_event` after the next `pop` reads. It names nothing when
-//! the heap is empty (the second entry would need a bucket scan). A push
-//! before that `pop` may make the hint stale; it only ever names a live
-//! slot, so a stale hint costs a wasted line, never a wrong answer.
-//!
-//! Left as they are: `push` reads the free slot it fills (to drop its
-//! `None`) before writing it, about a tenth of the samples of the
-//! 200,000-node sweep once the slots were aligned, but a trial that
-//! wrote the slot without the read (`mem::forget(mem::replace(..))`)
-//! measured no gain: the line has to be fetched either way; the chunk
-//! append in `bucket_push`, the next-largest line after it; and a
-//! smaller event, which needs a smaller message vocabulary first.
+//! * The **settled instant** is the one being drained; nothing pending is
+//!   earlier. Its entries (the **due instant**) stay in the chunks they
+//!   were written to, which a small table indexes, and a 4-ary heap of
+//!   8-byte picks `(lane, index)` orders them by `(lane, seq)`: a
+//!   comparison reads the entry's `seq` only on a lane tie. `pop` reads
+//!   the root's entry, and hands the chunks back once the instant drains.
+//!   A push at the settled instant itself joins the table and the heap.
+//! * An entry due less than `WINDOW` (256 µs) after the settled instant
+//!   goes straight into the **list of its instant**, one of 256, indexed by
+//!   its time modulo 256. A 256-bit mask marks the occupied lists; the
+//!   earliest one is kept, and rescanned only when it comes due, when its
+//!   chunks become the due table as they are.
+//! * Later entries go to 224 radix **buckets**, named by the highest 4-bit
+//!   digit in which their time differs from the **far base** (the time of
+//!   the last bucket settle; digit 2 or above, as the window spans two)
+//!   and by their own value in that digit, so buckets in `(digit, value)`
+//!   order hold ever later times. The least time in them is kept.
+//! * When the due instant drains, the next is the earlier of the next
+//!   occupied list and the least bucket time; a tie goes to the bucket,
+//!   which **settles**: its least time becomes the settled instant and the
+//!   far base, its entries within the window join their lists (the second
+//!   and last move of those payloads) and the rest drop to lower digits.
+//!   Buckets may hold times inside the window meanwhile; the head is the
+//!   lesser of the two tiers' least entries, so the order does not care.
+//! * Lists and buckets are stacks of 16-entry **chunks** from one pool;
+//!   only the top chunk can be partly filled, and it holds the stack's
+//!   least entry (a push that starts a new top chunk swaps that entry up
+//!   when the pushed one is not less). So [`KeyedQueue::peek_head`] reads
+//!   the queue's own fields, and [`KeyedQueue::peek_event`] one entry.
+//! * Freed chunks stay spare while the pool holds no more than the pending
+//!   entries, the due instant's popped ones and one chunk per list or
+//!   bucket; past that they go back to the allocator. (One `Vec` per
+//!   instant would keep each instant's own high-water mark.)
+//! * A push earlier than the settled instant takes a cold **rebase**: the
+//!   queue is drained, the pushed time becomes the settled instant and the
+//!   far base, and everything is pushed again. The engine never takes it;
+//!   the order stays exactly `(time, lane, seq)` for any caller.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
 
 /// Lane reserved for events created outside any node: external injections
 /// and build-time markers (e.g. fault-plan annotations). At equal times,
@@ -148,10 +107,10 @@ impl EventKey {
     }
 }
 
-/// Heap arity: four 16-byte children fill 64 bytes, one line only when
-/// the heap's buffer sits 48 bytes past a line boundary, which the
-/// allocator does not promise (see the module docs).
-const ARITY: usize = 4;
+/// Width of the near window in microseconds: an event due less than this
+/// long after the settled instant is written straight into the list of its
+/// instant. Two radix digits.
+const WINDOW: u64 = 256;
 
 /// Bits per radix digit.
 const DIGIT: u32 = 4;
@@ -159,67 +118,68 @@ const DIGIT: u32 = 4;
 /// Values of one digit.
 const RADIX: usize = 1 << DIGIT;
 
-/// Radix buckets: one per (digit position, digit value) pair.
-const BUCKETS: usize = 64 / DIGIT as usize * RADIX;
+/// The lowest digit in which a far time differs from the far base: the
+/// window spans the digits below it.
+const FAR_DIGIT: u32 = WINDOW.trailing_zeros() / DIGIT;
 
-/// Entries per bucket chunk.
+/// Radix buckets: one per (digit position, digit value) pair from
+/// [`FAR_DIGIT`] up.
+const BUCKETS: usize = (u64::BITS / DIGIT - FAR_DIGIT) as usize * RADIX;
+
+/// Chunk stacks: one per window instant and one per bucket.
+const LISTS: usize = WINDOW as usize + BUCKETS;
+
+/// Entries per chunk.
 const CHUNK: usize = 16;
 
-/// Heap and bucket entry: the first two key components and the slab slot
-/// holding the third (`seq`) and the payload.
-#[derive(Clone, Copy, Default)]
-struct Entry {
+/// Heap arity.
+const ARITY: usize = 4;
+
+/// One queued event: its key and payload together. `event` is `None` once
+/// the payload is taken.
+struct Entry<E> {
     time: u64,
     lane: u32,
-    slot: u32,
-}
-
-/// Slab slot: `seq` beside the payload, `None` while on the free list.
-/// Line-aligned, so a slot of at most 64 bytes is one cache line (see the
-/// module docs); [`KeyedQueue::after_head_slot`] hands one out as a
-/// prefetch target, and its fields stay private.
-#[repr(align(64))]
-pub struct Slot<E> {
     seq: u64,
     event: Option<E>,
 }
 
-/// Whether entry `a` orders strictly before entry `b`: by `(time, lane)`,
-/// and by the slots' `seq` only when those tie.
-#[inline]
-fn before<E>(slab: &[Slot<E>], a: Entry, b: Entry) -> bool {
-    if (a.time, a.lane) != (b.time, b.lane) {
-        return (a.time, a.lane) < (b.time, b.lane);
+impl<E> Entry<E> {
+    /// Whether this entry orders strictly before `other`.
+    #[inline(always)]
+    fn before(&self, other: &Self) -> bool {
+        (self.time, self.lane, self.seq) < (other.time, other.lane, other.seq)
     }
-    slab[a.slot as usize].seq < slab[b.slot as usize].seq
-}
 
-/// [`before`] for two heap entries: they share the settled instant's
-/// time, so `lane` decides, and `seq` on a `lane` tie.
-#[inline]
-fn heap_before<E>(slab: &[Slot<E>], a: Entry, b: Entry) -> bool {
-    debug_assert_eq!(a.time, b.time, "heap entries share one instant");
-    if a.lane != b.lane {
-        return a.lane < b.lane;
+    /// Write the entry field by field: a whole `Entry` built first and
+    /// copied in was read back from the stack before its stores had
+    /// landed, which stalled the push.
+    #[inline(always)]
+    fn set(&mut self, key: EventKey, event: Option<E>) {
+        (self.time, self.lane, self.seq) = (key.time.0, key.lane, key.seq);
+        self.event = event;
     }
-    slab[a.slot as usize].seq < slab[b.slot as usize].seq
+
+    #[inline(always)]
+    fn key(&self) -> EventKey {
+        EventKey {
+            time: SimTime(self.time),
+            lane: self.lane,
+            seq: self.seq,
+        }
+    }
 }
 
-/// A fixed-size run of one bucket's entries, linked to the bucket's (full)
-/// chunks below it, or to the next spare chunk.
-struct Chunk {
-    entries: [Entry; CHUNK],
-    next: Option<Box<Chunk>>,
+/// A fixed-size run of one list's entries, linked to the list's (full)
+/// chunks below it, or to the next spare chunk. The link comes first, so
+/// taking a spare chunk reads the line its first entry is written to.
+#[repr(C)]
+struct Chunk<E> {
+    next: Option<Box<Chunk<E>>>,
+    entries: [Entry<E>; CHUNK],
 }
 
-/// Unlink the first chunk of a spare list.
-fn pop_spare(spare: &mut Option<Box<Chunk>>) -> Option<Box<Chunk>> {
-    let mut c = spare.take()?;
-    *spare = c.next.take();
-    Some(c)
-}
-
-impl Drop for Chunk {
+impl<E> Drop for Chunk<E> {
     fn drop(&mut self) {
         // Unlink iteratively: the default drop recurses once per chunk.
         let mut next = self.next.take();
@@ -229,47 +189,190 @@ impl Drop for Chunk {
     }
 }
 
-/// One radix bucket: its chunk stack, its entry count, and its least
-/// entry, which is meaningful only while the bucket's bit is set in
-/// `occupied`. The count lives here, not in the chunk, so an append writes
-/// the chunk's line without reading it first; the top chunk holds the
-/// entries past the last multiple of [`CHUNK`].
-#[derive(Default)]
-struct Bucket {
-    top: Option<Box<Chunk>>,
-    count: usize,
-    min: Entry,
+/// Entries in the top chunk of a stack of `count > 0` entries.
+#[inline]
+fn top_fill(count: usize) -> usize {
+    (count + CHUNK - 1) % CHUNK + 1
 }
 
-impl Bucket {
-    /// Take the bucket's chunks, top first, and how many entries the top
-    /// one holds (every chunk below it is full).
-    fn take(&mut self) -> (Option<Box<Chunk>>, usize) {
-        let top_len = (std::mem::take(&mut self.count) + CHUNK - 1) % CHUNK + 1;
-        (self.top.take(), top_len)
+/// The pool's spare chunks, linked through `next`, and the count of all
+/// chunks allocated: in lists, in the due table and spare.
+struct Pool<E> {
+    spare: Option<Box<Chunk<E>>>,
+    chunks: usize,
+}
+
+impl<E> Pool<E> {
+    /// A spare chunk if any, else a new allocation.
+    #[inline(always)]
+    fn take(&mut self) -> Box<Chunk<E>> {
+        match self.spare.take() {
+            Some(mut c) => {
+                self.spare = c.next.take();
+                c
+            }
+            None => self.alloc(),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn alloc(&mut self) -> Box<Chunk<E>> {
+        self.chunks += 1;
+        Box::new(Chunk {
+            next: None,
+            entries: std::array::from_fn(|_| Entry {
+                time: 0,
+                lane: 0,
+                seq: 0,
+                event: None,
+            }),
+        })
+    }
+
+    /// Put an emptied chunk on the spare list.
+    #[inline]
+    fn keep(&mut self, mut c: Box<Chunk<E>>) {
+        c.next = self.spare.take();
+        self.spare = Some(c);
+    }
+
+    /// Return one spare chunk to the allocator, if there is one.
+    fn free_one(&mut self) -> bool {
+        let Some(mut c) = self.spare.take() else {
+            return false;
+        };
+        self.spare = c.next.take();
+        self.chunks -= 1;
+        true
     }
 }
 
-/// A priority queue of events ordered by [`EventKey`], with payloads kept
-/// in a slab arena so the queue never moves them (see the module docs for
+/// One window instant's or one bucket's entries: a chunk stack, its entry
+/// count, and the position of its least entry, which is kept in the top
+/// chunk and is meaningful while `count > 0`.
+struct List<E> {
+    top: Option<Box<Chunk<E>>>,
+    count: usize,
+    min: usize,
+}
+
+impl<E> List<E> {
+    fn new() -> Self {
+        List {
+            top: None,
+            count: 0,
+            min: 0,
+        }
+    }
+
+    /// Append an entry, keeping the least one in the top chunk.
+    #[inline(always)]
+    fn push(&mut self, pool: &mut Pool<E>, key: EventKey, event: Option<E>) {
+        let i = self.count % CHUNK;
+        self.count += 1;
+        if let Some(top) = self.top.as_deref_mut().filter(|_| i != 0) {
+            top.entries[i].set(key, event);
+            if top.entries[i].before(&top.entries[self.min]) {
+                self.min = i;
+            }
+            return;
+        }
+        let mut c = pool.take();
+        c.entries[0].set(key, event);
+        if let Some(below) = self.top.as_deref_mut() {
+            let least = &mut below.entries[self.min];
+            if !c.entries[0].before(least) {
+                // The full chunk's least entry moves up; the pushed one
+                // takes its place.
+                std::mem::swap(&mut c.entries[0], least);
+            }
+        }
+        c.next = self.top.take();
+        self.min = 0;
+        self.top = Some(c);
+    }
+
+    /// The least entry.
+    #[inline]
+    fn head(&self) -> &Entry<E> {
+        let top = self
+            .top
+            .as_deref()
+            .expect("an occupied list has a top chunk");
+        &top.entries[self.min]
+    }
+
+    /// Take the chunks, top first, and the entry count.
+    fn take(&mut self) -> (Option<Box<Chunk<E>>>, usize) {
+        (self.top.take(), std::mem::take(&mut self.count))
+    }
+}
+
+/// A due-instant heap entry: its lane and its index in the due table.
+#[derive(Clone, Copy)]
+struct Pick {
+    lane: u32,
+    idx: u32,
+}
+
+/// The due-table entry a pick names.
+#[inline(always)]
+fn picked<E>(due: &[Box<Chunk<E>>], p: Pick) -> &Entry<E> {
+    &due[p.idx as usize / CHUNK].entries[p.idx as usize % CHUNK]
+}
+
+/// Whether pick `a` orders strictly before pick `b`: by lane, and by the
+/// entries' `seq` on a lane tie.
+#[inline(always)]
+fn pick_before<E>(due: &[Box<Chunk<E>>], a: Pick, b: Pick) -> bool {
+    if a.lane != b.lane {
+        return a.lane < b.lane;
+    }
+    picked(due, a).seq < picked(due, b).seq
+}
+
+/// Bit `i % 64` of word `i / 64`.
+#[inline(always)]
+fn set_bit(bits: &mut [u64], i: usize, on: bool) {
+    if on {
+        bits[i / 64] |= 1 << (i % 64);
+    } else {
+        bits[i / 64] &= !(1 << (i % 64));
+    }
+}
+
+/// A priority queue of events ordered by [`EventKey`], which writes each
+/// near-future event once, next to its instant (see the module docs for
 /// the layout).
 pub struct KeyedQueue<E> {
-    /// No pending event is earlier than this instant.
+    /// The instant being drained; no pending event is earlier.
     settled: u64,
-    /// The pending entries at `settled`, as a 4-ary heap.
-    heap: Vec<Entry>,
-    /// The pending entries later than `settled`.
-    buckets: [Bucket; BUCKETS],
-    /// Bit `b % 64` of word `b / 64` set iff `buckets[b]` holds an entry.
-    occupied: [u64; BUCKETS / 64],
-    /// Spare chunks, linked through `next`.
-    spare: Option<Box<Chunk>>,
-    /// Chunks allocated: in buckets plus spare.
-    chunks: usize,
+    /// The instant the buckets are ranged against; never later than
+    /// `settled`.
+    far_base: u64,
+    /// The due instant's picks, as a 4-ary heap.
+    heap: Vec<Pick>,
+    /// The due instant's chunks, entry `i` in `due[i / CHUNK]`.
+    due: Vec<Box<Chunk<E>>>,
+    /// Entries placed in the due table, popped ones included.
+    due_count: usize,
+    /// The window: the pending entries at each instant in `(settled,
+    /// settled + WINDOW)`, at index `time % WINDOW`.
+    near: [List<E>; WINDOW as usize],
+    /// Bit `i` set iff `near[i]` holds an entry.
+    near_occupied: [u64; WINDOW as usize / 64],
+    /// The earliest occupied window instant.
+    near_next: Option<u64>,
+    /// The pending entries from `settled + WINDOW` on (and maybe earlier).
+    buckets: [List<E>; BUCKETS],
+    /// Bit `b` set iff `buckets[b]` holds an entry.
+    far_occupied: [u64; BUCKETS.div_ceil(64)],
+    /// The least time in the buckets.
+    far_next: Option<u64>,
+    pool: Pool<E>,
     /// Pending events.
     len: usize,
-    slab: Vec<Slot<E>>,
-    free: Vec<u32>,
 }
 
 impl<E> Default for KeyedQueue<E> {
@@ -279,54 +382,66 @@ impl<E> Default for KeyedQueue<E> {
 }
 
 impl<E> KeyedQueue<E> {
+    /// Bytes of one queued event: its key and payload together.
+    pub const ENTRY_BYTES: usize = std::mem::size_of::<Entry<E>>();
+
     /// An empty queue.
     pub fn new() -> Self {
         Self::with_capacity(0)
     }
 
-    /// An empty queue with pre-reserved capacity for `cap` events.
+    /// An empty queue with room for `cap` events at one instant before its
+    /// due-instant heap grows. Entries are stored in chunks that follow the
+    /// pending count (see the module docs).
     pub fn with_capacity(cap: usize) -> Self {
         KeyedQueue {
             settled: 0,
-            heap: Vec::new(),
-            buckets: std::array::from_fn(|_| Bucket::default()),
-            occupied: [0; BUCKETS / 64],
-            spare: None,
-            chunks: 0,
+            far_base: 0,
+            heap: Vec::with_capacity(cap),
+            due: Vec::new(),
+            due_count: 0,
+            near: std::array::from_fn(|_| List::new()),
+            near_occupied: [0; WINDOW as usize / 64],
+            near_next: None,
+            buckets: std::array::from_fn(|_| List::new()),
+            far_occupied: [0; BUCKETS.div_ceil(64)],
+            far_next: None,
+            pool: Pool {
+                spare: None,
+                chunks: 0,
+            },
             len: 0,
-            slab: Vec::with_capacity(cap),
-            free: Vec::new(),
         }
     }
 
-    /// Place `entry` at `hole` or above: move parents down into the hole
-    /// until `entry` no longer orders before the next one.
-    #[inline]
-    fn sift_up(&mut self, mut hole: usize, entry: Entry) {
+    /// Place `pick` at `hole` or above: move parents down into the hole
+    /// until `pick` no longer orders before the next one.
+    #[inline(always)]
+    fn sift_up(&mut self, mut hole: usize, pick: Pick) {
         while hole > 0 {
             let parent = (hole - 1) / ARITY;
-            if !heap_before(&self.slab, entry, self.heap[parent]) {
+            if !pick_before(&self.due, pick, self.heap[parent]) {
                 break;
             }
             self.heap[hole] = self.heap[parent];
             hole = parent;
         }
-        self.heap[hole] = entry;
+        self.heap[hole] = pick;
     }
 
     /// The index of the least of the heap children that start at `first`
     /// (`first < self.heap.len()`).
     #[inline(always)]
     fn least_child(&self, first: usize) -> usize {
-        let (heap, slab) = (&self.heap, &self.slab);
+        let (heap, due) = (&self.heap, &self.due[..]);
         let len = heap.len();
         if first + ARITY <= len {
             // A full group: a two-round tournament whose picks are index
             // arithmetic, not branches.
             let c = &heap[first..first + ARITY];
-            let lo = first + usize::from(heap_before(slab, c[1], c[0]));
-            let hi = first + 2 + usize::from(heap_before(slab, c[3], c[2]));
-            if heap_before(slab, heap[hi], heap[lo]) {
+            let lo = first + usize::from(pick_before(due, c[1], c[0]));
+            let hi = first + 2 + usize::from(pick_before(due, c[3], c[2]));
+            if pick_before(due, heap[hi], heap[lo]) {
                 hi
             } else {
                 lo
@@ -334,7 +449,7 @@ impl<E> KeyedQueue<E> {
         } else {
             let mut least = first;
             for child in first + 1..len {
-                if heap_before(slab, heap[child], heap[least]) {
+                if pick_before(due, heap[child], heap[least]) {
                     least = child;
                 }
             }
@@ -342,188 +457,213 @@ impl<E> KeyedQueue<E> {
         }
     }
 
-    /// Add an entry at the settled instant to the heap.
     #[inline]
-    fn heap_push(&mut self, entry: Entry) {
+    fn heap_push(&mut self, pick: Pick) {
         let hole = self.heap.len();
-        self.heap.push(entry);
-        self.sift_up(hole, entry);
+        self.heap.push(pick);
+        self.sift_up(hole, pick);
+    }
+
+    /// Add an entry at the settled instant to the due table and heap.
+    fn due_push(&mut self, key: EventKey, event: Option<E>) {
+        let idx = self.due_count;
+        if idx.is_multiple_of(CHUNK) {
+            let c = self.pool.take();
+            self.due.push(c);
+        }
+        self.due[idx / CHUNK].entries[idx % CHUNK].set(key, event);
+        self.due_count += 1;
+        self.heap_push(Pick {
+            lane: key.lane,
+            idx: idx as u32,
+        });
+    }
+
+    /// Add an entry no earlier than the settled instant to its window
+    /// instant's list (the settled one's too, while it is being opened) or
+    /// to its bucket.
+    #[inline(always)]
+    fn place(&mut self, key: EventKey, event: Option<E>) {
+        let time = key.time.0;
+        debug_assert!(time >= self.settled);
+        if time - self.settled < WINDOW {
+            let r = (time % WINDOW) as usize;
+            self.near[r].push(&mut self.pool, key, event);
+            set_bit(&mut self.near_occupied, r, true);
+            self.near_next = Some(self.near_next.map_or(time, |t| t.min(time)));
+        } else {
+            let digit = (63 - (time ^ self.far_base).leading_zeros()) / DIGIT;
+            debug_assert!(digit >= FAR_DIGIT, "a far time within the window");
+            let value = (time >> (digit * DIGIT)) as usize % RADIX;
+            let b = (digit - FAR_DIGIT) as usize * RADIX + value;
+            self.buckets[b].push(&mut self.pool, key, event);
+            set_bit(&mut self.far_occupied, b, true);
+            self.far_next = Some(self.far_next.map_or(time, |t| t.min(time)));
+        }
+    }
+
+    /// The earliest occupied window instant: the first set bit of
+    /// `near_occupied` from the settled instant's index on, wrapping around.
+    fn scan_near(&self) -> Option<u64> {
+        const WORDS: usize = WINDOW as usize / 64;
+        let s = (self.settled % WINDOW) as usize;
+        let r = (0..=WORDS).find_map(|k| {
+            let w = (s / 64 + k) % WORDS;
+            let mask = if k == 0 {
+                u64::MAX << (s % 64)
+            } else {
+                u64::MAX
+            };
+            let bits = self.near_occupied[w] & mask;
+            (bits != 0).then(|| w * 64 + bits.trailing_zeros() as usize)
+        })?;
+        Some(self.settled + (r + WINDOW as usize - s) as u64 % WINDOW)
     }
 
     /// The lowest occupied bucket, if any.
-    #[inline]
     fn lowest(&self) -> Option<usize> {
         let (w, bits) = self
-            .occupied
+            .far_occupied
             .iter()
             .enumerate()
             .find(|(_, &bits)| bits != 0)?;
         Some(w * 64 + bits.trailing_zeros() as usize)
     }
 
-    /// Append an entry later than the settled instant to its bucket: the
-    /// highest digit in which its time differs from the settled instant,
-    /// and its time's value in that digit.
-    #[inline(always)]
-    fn bucket_push(&mut self, entry: Entry) {
-        debug_assert!(entry.time > self.settled);
-        let digit = (63 - (entry.time ^ self.settled).leading_zeros()) / DIGIT;
-        let value = (entry.time >> (digit * DIGIT)) as usize % RADIX;
-        let b = digit as usize * RADIX + value;
-        let bucket = &mut self.buckets[b];
-        let i = bucket.count % CHUNK;
-        match &mut bucket.top {
-            Some(c) if i != 0 => c.entries[i] = entry,
-            top => {
-                let below = top.take();
-                *top = Some(Self::new_top(
-                    &mut self.spare,
-                    &mut self.chunks,
-                    below,
-                    entry,
-                ));
-            }
-        }
-        bucket.count += 1;
-        let (word, bit) = (&mut self.occupied[b / 64], 1u64 << (b % 64));
-        if *word & bit == 0 || before(&self.slab, entry, bucket.min) {
-            bucket.min = entry;
-        }
-        *word |= bit;
-    }
-
-    /// A chunk holding `first`, stacked on `below`: a spare one if any,
-    /// else a new allocation.
-    #[cold]
-    #[inline(never)]
-    fn new_top(
-        spare: &mut Option<Box<Chunk>>,
-        chunks: &mut usize,
-        below: Option<Box<Chunk>>,
-        first: Entry,
-    ) -> Box<Chunk> {
-        let mut c = pop_spare(spare).unwrap_or_else(|| {
-            *chunks += 1;
-            Box::new(Chunk {
-                entries: [Entry::default(); CHUNK],
-                next: None,
-            })
-        });
-        c.entries[0] = first;
-        c.next = below;
-        c
-    }
-
-    /// Whether the chunk pool holds more than the pending entries plus
-    /// one chunk per bucket.
+    /// Whether the pool holds more than the pending entries, the entries
+    /// popped from the due instant and one chunk per list.
     #[inline]
     fn pool_over_bound(&self) -> bool {
-        self.chunks * CHUNK > self.len + BUCKETS * CHUNK
+        let popped = self.due_count - self.heap.len();
+        self.pool.chunks * CHUNK > self.len + popped + LISTS * CHUNK
     }
 
-    /// Return an emptied, unlinked chunk: to the spare list while the pool
-    /// is within its bound, to the allocator otherwise.
-    fn release(&mut self, mut c: Box<Chunk>) {
-        if self.pool_over_bound() {
-            self.chunks -= 1;
-        } else {
-            c.next = self.spare.take();
-            self.spare = Some(c);
+    /// Give spare chunks back to the allocator until the pool is within
+    /// its bound.
+    #[inline]
+    fn trim(&mut self) {
+        while self.pool_over_bound() && self.pool.free_one() {}
+    }
+
+    /// Hand the drained due instant's chunks back to the pool.
+    #[inline]
+    fn close_due(&mut self) {
+        self.due_count = 0;
+        while let Some(c) = self.due.pop() {
+            self.pool.keep(c);
         }
+        self.trim();
     }
 
-    /// Refill the empty heap from the lowest occupied bucket (see the
-    /// module docs).
-    fn settle(&mut self, b: usize) {
-        self.occupied[b / 64] &= !(1u64 << (b % 64));
-        let bucket = &mut self.buckets[b];
-        self.settled = bucket.min.time;
-        let (mut list, mut n) = bucket.take();
+    /// Make the window instant `time`, the settled one, the due instant:
+    /// its list's chunks become the due table, and the heap picks their
+    /// entries.
+    #[inline]
+    fn open(&mut self, time: u64) {
+        let r = (time % WINDOW) as usize;
+        set_bit(&mut self.near_occupied, r, false);
+        let (mut list, count) = self.near[r].take();
         while let Some(mut c) = list {
             list = c.next.take();
-            for &e in &c.entries[..n] {
-                if e.time == self.settled {
-                    self.heap_push(e);
-                } else {
-                    self.bucket_push(e);
-                }
-            }
-            n = CHUNK;
-            self.release(c);
+            self.due.push(c);
         }
+        // Full chunks first, the partly filled top last.
+        self.due.reverse();
+        self.due_count = count;
+        if count == 1 {
+            // Most instants hold one or two events: no sift for a lone one.
+            let lane = self.due[0].entries[0].lane;
+            self.heap.push(Pick { lane, idx: 0 });
+        } else {
+            for idx in 0..count {
+                let lane = self.due[idx / CHUNK].entries[idx % CHUNK].lane;
+                self.heap_push(Pick {
+                    lane,
+                    idx: idx as u32,
+                });
+            }
+        }
+        self.near_next = self.scan_near();
     }
 
-    /// A push earlier than the settled instant: make its time the settled
-    /// instant and re-bucket everything pending against it.
+    /// Empty the lowest occupied bucket: its least time becomes the settled
+    /// instant and the far base, and every entry is placed again against
+    /// it. Returns that time.
+    fn settle(&mut self) -> u64 {
+        let b = self.lowest().expect("a far time has a bucket");
+        set_bit(&mut self.far_occupied, b, false);
+        let time = self.buckets[b].head().time;
+        (self.settled, self.far_base) = (time, time);
+        let (mut list, count) = self.buckets[b].take();
+        let mut n = top_fill(count);
+        while let Some(mut c) = list {
+            list = c.next.take();
+            for e in &mut c.entries[..n] {
+                self.place(e.key(), e.event.take());
+            }
+            n = CHUNK;
+            self.pool.keep(c);
+        }
+        self.far_next = self.lowest().map(|b| self.buckets[b].head().time);
+        self.trim();
+        time
+    }
+
+    /// Open the next instant once the due one is drained: the next window
+    /// instant, or the least bucket time if that is no later (its entries
+    /// join the window first). Returns whether anything is pending.
+    #[inline]
+    fn advance(&mut self) -> bool {
+        let time = match (self.near_next, self.far_next) {
+            (near, Some(far)) if near.is_none_or(|t| far <= t) => self.settle(),
+            (Some(near), _) => {
+                self.settled = near;
+                near
+            }
+            (None, _) => return false,
+        };
+        self.open(time);
+        true
+    }
+
+    /// A push earlier than the settled instant: drain the queue, make the
+    /// pushed time the settled instant and the far base, and push
+    /// everything again.
     #[cold]
     #[inline(never)]
-    fn rebase(&mut self, entry: Entry) {
-        let mut pending: Vec<Entry> = self.heap.drain(..).collect();
-        for b in 0..BUCKETS {
-            let (mut list, mut n) = self.buckets[b].take();
-            while let Some(mut c) = list {
-                list = c.next.take();
-                pending.extend_from_slice(&c.entries[..n]);
-                n = CHUNK;
-                self.release(c);
-            }
+    fn rebase(&mut self, key: EventKey, event: E) {
+        let pending: Vec<_> = std::iter::from_fn(|| self.pop()).collect();
+        (self.settled, self.far_base) = (key.time.0, key.time.0);
+        for (key, event) in std::iter::once((key, event)).chain(pending) {
+            self.push(key, event);
         }
-        self.occupied = [0; BUCKETS / 64];
-        self.settled = entry.time;
-        for e in pending {
-            self.bucket_push(e);
-        }
-        self.heap_push(entry);
     }
 
     /// Insert `event` under `key`. Keys must be unique (guaranteed by
     /// construction: every creator stamps a fresh `seq`).
     pub fn push(&mut self, key: EventKey, event: E) {
-        let filled = Slot {
-            seq: key.seq,
-            event: Some(event),
-        };
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slab[s as usize] = filled;
-                s
-            }
-            None => {
-                self.slab.push(filled);
-                (self.slab.len() - 1) as u32
-            }
-        };
-        let entry = Entry {
-            time: key.time.0,
-            lane: key.lane,
-            slot,
-        };
+        if key.time.0 < self.settled {
+            return self.rebase(key, event);
+        }
         self.len += 1;
-        match entry.time.cmp(&self.settled) {
-            Ordering::Greater => self.bucket_push(entry),
-            Ordering::Equal => self.heap_push(entry),
-            Ordering::Less => self.rebase(entry),
+        if key.time.0 == self.settled {
+            self.due_push(key, Some(event));
+        } else {
+            self.place(key, Some(event));
         }
     }
 
     /// Remove and return the minimum-key event.
     pub fn pop(&mut self) -> Option<(EventKey, E)> {
-        if self.heap.is_empty() {
-            let b = self.lowest()?;
-            self.settle(b);
+        if self.heap.is_empty() && !self.advance() {
+            return None;
         }
         let root = self.heap[0];
-        // Read the slot before the sift, not after: unless the caller has
-        // already loaded it (a `peek_event`, or a prefetch of the
-        // `after_head_slot` two pops back), it is the one certain cache
-        // miss of a pop, and this way it overlaps the sift's own.
-        let slot = &mut self.slab[root.slot as usize];
-        let event = slot.event.take().expect("keyed queue slot empty");
-        let key = EventKey {
-            time: SimTime(root.time),
-            lane: root.lane,
-            seq: slot.seq,
-        };
+        let i = root.idx as usize;
+        let entry = &mut self.due[i / CHUNK].entries[i % CHUNK];
+        let event = entry.event.take().expect("keyed queue entry empty");
+        let key = entry.key();
+        self.len -= 1;
         let last = self.heap.pop().expect("heap has a root");
         let len = self.heap.len();
         if len > 0 {
@@ -541,52 +681,52 @@ impl<E> KeyedQueue<E> {
                 hole = least;
             }
             self.sift_up(hole, last);
-        }
-        self.free.push(root.slot);
-        self.len -= 1;
-        if self.pool_over_bound() && pop_spare(&mut self.spare).is_some() {
-            self.chunks -= 1;
+        } else {
+            self.close_due();
         }
         Some((key, event))
     }
 
-    /// The minimum pending entry: the heap root, or else the least entry
-    /// of the lowest occupied bucket.
+    /// The minimum pending entry: the heap root, or else the lesser of the
+    /// next window instant's and the buckets' least entries.
     #[inline]
-    fn head(&self) -> Option<Entry> {
-        match self.heap.first() {
-            Some(&e) => Some(e),
-            None => self.lowest().map(|b| self.buckets[b].min),
+    fn head(&self) -> Option<&Entry<E>> {
+        if let Some(&p) = self.heap.first() {
+            return Some(picked(&self.due, p));
+        }
+        let near = self
+            .near_next
+            .map(|t| self.near[(t % WINDOW) as usize].head());
+        let far = match self.far_next {
+            Some(f) if near.is_none_or(|n| f <= n.time) => {
+                self.lowest().map(|b| self.buckets[b].head())
+            }
+            _ => None,
+        };
+        match (near, far) {
+            (Some(n), Some(f)) => Some(if f.before(n) { f } else { n }),
+            (near, far) => near.or(far),
         }
     }
 
-    /// `(time, lane)` of the minimum pending key, read from the head entry
-    /// alone.
-    pub fn peek_head(&self) -> Option<(SimTime, u32)> {
-        self.head().map(|e| (SimTime(e.time), e.lane))
+    /// The time of the minimum pending key, read from the queue's own
+    /// fields: no entry is touched.
+    pub fn peek_head(&self) -> Option<SimTime> {
+        if !self.heap.is_empty() {
+            return Some(SimTime(self.settled));
+        }
+        let next = match (self.near_next, self.far_next) {
+            (Some(near), Some(far)) => Some(near.min(far)),
+            (near, far) => near.or(far),
+        };
+        next.map(SimTime)
     }
 
     /// The payload of the minimum pending key: the event the next
     /// [`pop`](Self::pop) returns, left in place.
     #[inline]
     pub fn peek_event(&self) -> Option<&E> {
-        let head = self.head()?;
-        self.slab[head.slot as usize].event.as_ref()
-    }
-
-    /// The slot of the entry after the head: the one the `pop` after next
-    /// returns if nothing is pushed before it. A prefetch target only —
-    /// the slot is named, not read — and `None` when the heap is empty or
-    /// fewer than two events are pending (see the module docs).
-    #[inline]
-    pub fn after_head_slot(&self) -> Option<&Slot<E>> {
-        let next = match self.heap.len() {
-            0 => return None,
-            1 => self.buckets[self.lowest()?].min,
-            // The second least entry is the least child of the root.
-            _ => self.heap[self.least_child(1)],
-        };
-        Some(&self.slab[next.slot as usize])
+        self.head()?.event.as_ref()
     }
 
     /// Number of pending events.
@@ -598,45 +738,21 @@ impl<E> KeyedQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    /// Total payload slots the slab arena has ever allocated (its memory
-    /// footprint in events; slots are recycled, never returned).
-    pub fn slab_slots(&self) -> usize {
-        self.slab.len()
-    }
-
-    /// Slab slots currently on the free list (allocated but unoccupied).
-    pub fn free_slots(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Reserve space for at least `additional` more events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.slab.reserve(additional);
-    }
-
-    /// Drop all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        for bucket in &mut self.buckets {
-            bucket.take();
-        }
-        self.spare = None;
-        (self.settled, self.occupied) = (0, [0; BUCKETS / 64]);
-        (self.chunks, self.len) = (0, 0);
-        self.slab.clear();
-        self.free.clear();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The chunk pool's bound: the pending entries plus one chunk per
-    /// bucket.
+    /// The pool's bound: the pending entries, the entries popped from the
+    /// due instant, and one chunk per list.
     fn pool_within_bound<E>(q: &KeyedQueue<E>) -> bool {
-        q.chunks * CHUNK <= q.len() + BUCKETS * CHUNK
+        !q.pool_over_bound()
+    }
+
+    /// Chunks on the spare list.
+    fn spare_chunks<E>(q: &KeyedQueue<E>) -> usize {
+        std::iter::successors(q.pool.spare.as_deref(), |c| c.next.as_deref()).count()
     }
 
     #[test]
@@ -675,80 +791,100 @@ mod tests {
     }
 
     #[test]
-    fn slab_slots_are_recycled() {
+    fn chunks_are_recycled() {
+        // Ten rounds of 100 events spread over the window and beyond: at
+        // most 100 chunks are in use at once, and each round takes the
+        // last one's back from the spare list instead of allocating.
         let mut q = KeyedQueue::new();
+        let mut base = 1;
         for round in 0..10u64 {
             for i in 0..100u64 {
-                q.push(EventKey::for_node(SimTime(i), 0, round * 100 + i), i);
+                q.push(
+                    EventKey::for_node(SimTime(base + i * 7), 0, round * 100 + i),
+                    i,
+                );
             }
-            while q.pop().is_some() {}
-            // After the first round the slab never grows again.
-            assert!(q.slab.len() <= 100);
+            while let Some((k, _)) = q.pop() {
+                base = k.time.0 + 1;
+            }
+            assert!(
+                q.pool.chunks <= 100,
+                "round {round}: {} chunks",
+                q.pool.chunks
+            );
+            assert_eq!(
+                spare_chunks(&q),
+                q.pool.chunks,
+                "a drained queue holds only spares"
+            );
         }
     }
 
     #[test]
-    fn gauges_track_depth_and_slab_occupancy() {
+    fn gauges_track_depth_and_pool_occupancy() {
         let mut q = KeyedQueue::new();
-        assert_eq!((q.slab_slots(), q.free_slots()), (0, 0));
+        assert_eq!((q.len(), q.pool.chunks), (0, 0));
+        // Eight events at one near instant: one chunk.
         for i in 0..8u64 {
-            q.push(EventKey::for_node(SimTime(i), 0, i), i);
+            q.push(EventKey::for_node(SimTime(100), i as u32, i), i);
         }
+        assert_eq!((q.len(), q.pool.chunks, spare_chunks(&q)), (8, 1, 0));
         for _ in 0..5 {
             q.pop();
         }
-        // Draining keeps the slab; freed slots are listed.
-        assert_eq!(q.slab_slots(), 8);
-        assert_eq!(q.free_slots(), 5);
-        q.push(EventKey::for_node(SimTime(99), 0, 99), 99);
-        assert_eq!(q.free_slots(), 4, "push reuses a recycled slot");
-        assert_eq!(q.slab_slots(), 8);
+        // Mid-drain the due instant keeps its chunk, popped slots included.
+        assert_eq!((q.len(), q.due_count, q.heap.len()), (3, 8, 3));
+        assert_eq!((q.pool.chunks, spare_chunks(&q)), (1, 0));
+        while q.pop().is_some() {}
+        // Drained, the chunk is spare; the next push takes it back.
+        assert_eq!((q.pool.chunks, spare_chunks(&q)), (1, 1));
+        q.push(EventKey::for_node(SimTime(150), 0, 99), 99);
+        assert_eq!((q.len(), q.pool.chunks, spare_chunks(&q)), (1, 1, 0));
     }
 
     #[test]
-    fn heap_entry_is_sixteen_bytes() {
-        // Four children per 64 bytes (on one line only if the buffer
-        // starts 48 bytes past a boundary, as it did on `des_sweep` but
-        // not on `des_launch` or `pipeline`); `seq` lives in the slab slot.
-        assert_eq!(std::mem::size_of::<Entry>(), 16);
+    fn heap_pick_is_eight_bytes() {
+        // Eight picks per 64 bytes; `seq` stays beside the payload.
+        assert_eq!(std::mem::size_of::<Pick>(), 8);
     }
 
     #[test]
-    fn slots_are_one_line_and_line_aligned() {
-        // A 56-byte payload with a niche, like the engine's event: `seq`
-        // plus the payload fill one line exactly.
+    fn entries_pack_key_and_payload() {
+        // A 56-byte payload with a niche, like the engine's event: its key
+        // takes 24 bytes beside it, and a chunk adds only its link.
         type Payload = (std::num::NonZeroU64, [u64; 6]);
         assert_eq!(std::mem::size_of::<Payload>(), 56);
-        assert_eq!(std::mem::size_of::<Slot<Payload>>(), 64);
-        assert_eq!(std::mem::align_of::<Slot<Payload>>(), 64);
-        let mut q: KeyedQueue<Payload> = KeyedQueue::with_capacity(3);
-        let cap = q.slab.capacity();
-        assert_eq!(q.slab.as_ptr() as usize % 64, 0);
+        assert_eq!(KeyedQueue::<Payload>::ENTRY_BYTES, 80);
+        assert_eq!(std::mem::size_of::<Chunk<Payload>>(), 8 + CHUNK * 80);
+        // A `u64` payload without a niche: a tag word more.
+        assert_eq!(KeyedQueue::<u64>::ENTRY_BYTES, 40);
+        let mut q: KeyedQueue<Payload> = KeyedQueue::new();
         let one = std::num::NonZeroU64::MIN;
         for i in 0..100u64 {
-            q.push(EventKey::for_node(SimTime(i), 0, i), (one, [i; 6]));
+            q.push(EventKey::for_node(SimTime(1 + i % 3), 0, i), (one, [i; 6]));
         }
-        assert!(q.slab.capacity() > cap, "the slab grew");
-        assert_eq!(q.slab.as_ptr() as usize % 64, 0);
+        // 34 entries at instant 1 in three chunks, written where they stay.
+        let chunks = std::iter::successors(q.near[1].top.as_deref(), |c| c.next.as_deref());
+        assert_eq!(chunks.count(), 3);
+        assert_eq!(q.pool.chunks, 9);
     }
 
     #[test]
     fn time_lane_ties_pop_in_seq_order() {
         // Same (time, lane) pushed out of seq order, around events that
-        // differ in lane only: the slab-side `seq` alone must sort them —
-        // in a bucket's least entry (pushed while later than the settled
-        // instant) and in the heap.
+        // differ in lane only: `seq` alone must sort them — in a window
+        // list's least entry, across a new top chunk, and in the heap.
         let mut q = KeyedQueue::new();
         let t = SimTime(7);
-        for seq in [5u64, 1, 9, 0, 3] {
+        for seq in [5u64, 1, 9, 0, 3, 8, 7, 6, 4, 2] {
             q.push(EventKey::for_node(t, 4, seq), seq);
         }
         q.push(EventKey::for_node(t, 3, 100), 100);
         q.push(EventKey::for_node(t, 5, 0), 200);
-        assert_eq!(q.peek_head(), Some((t, 4)));
+        assert_eq!(q.peek_head(), Some(t));
         assert_eq!(q.peek_event(), Some(&100));
         let got: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|(_, v)| v).collect();
-        assert_eq!(got, vec![100, 0, 1, 3, 5, 9, 200]);
+        assert_eq!(got, vec![100, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 200]);
     }
 
     /// Also checks that `peek_event` names the head on an empty queue, on
@@ -762,18 +898,18 @@ mod tests {
             q.push(EventKey::for_node(SimTime(t), 1, seq), t);
             seq += 1;
         };
-        for t in [200, 200, 300, 1 << 40, 250] {
+        for t in [2000, 2000, 3000, 1 << 40, 2500] {
             push(&mut q, t);
         }
-        assert!(q.heap.is_empty());
-        assert_eq!(q.peek_event(), Some(&200));
-        assert_eq!(q.pop().map(|(_, t)| t), Some(200));
-        assert_eq!(q.settled, 200);
-        // One entry still at the settled instant, three later: a push
-        // before all of them rebases around a non-empty heap.
+        assert!(q.heap.is_empty() && q.lowest().is_some());
+        assert_eq!(q.peek_event(), Some(&2000));
+        assert_eq!(q.pop().map(|(_, t)| t), Some(2000));
+        assert_eq!(q.settled, 2000);
+        // One entry still due, three later: a push before all of them
+        // rebases around a non-empty heap.
         push(&mut q, 50);
         assert_eq!(q.settled, 50);
-        assert_eq!(q.peek_head(), Some((SimTime(50), 2)));
+        assert_eq!(q.peek_head(), Some(SimTime(50)));
         assert_eq!(q.peek_event(), Some(&50));
         // And again from an empty heap, between pending times.
         assert_eq!(q.pop().map(|(_, t)| t), Some(50));
@@ -781,50 +917,49 @@ mod tests {
         assert_eq!(q.peek_event(), Some(&20));
         push(&mut q, 260);
         let got: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|(_, t)| t).collect();
-        assert_eq!(got, vec![20, 200, 250, 260, 300, 1 << 40]);
+        assert_eq!(got, vec![20, 260, 2000, 2500, 3000, 1 << 40]);
         assert!(q.is_empty() && pool_within_bound(&q));
         assert_eq!(q.peek_event(), None);
     }
 
     #[test]
-    fn chunk_pool_is_bounded_by_pending_entries() {
-        // 100k entries over 2^30 µs, then 100k more at one future instant
-        // (one bucket, settled into the heap at once): the pool never holds
-        // more than the pending entries plus one chunk per bucket, and
-        // shrinks back as they drain.
+    fn near_burst_and_far_events_drain_inside_the_pool_bound() {
+        // 100k far entries over 2^30 µs and a 100k burst at one near
+        // instant (one window list, opened at once): the pool holds no more
+        // than the pending entries, the due instant's popped ones and one
+        // chunk per list at every step, and after each instant drains it is
+        // back within the pending entries plus one chunk per list.
         let mut q = KeyedQueue::new();
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
         for seq in 0..100_000u64 {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            q.push(EventKey::for_node(SimTime(1 + (x >> 34)), 0, seq), ());
+            q.push(EventKey::for_node(SimTime(WINDOW + (x >> 34)), 0, seq), ());
         }
-        assert!(q.chunks * CHUNK >= 100_000, "entries sit in chunks");
+        let burst = 100;
+        for seq in 0..100_000u64 {
+            q.push(EventKey::for_node(SimTime(burst), 1, seq), ());
+        }
+        assert!(q.pool.chunks * CHUNK >= 200_000, "entries sit in chunks");
         assert!(pool_within_bound(&q));
-        let mut last = SimTime::ZERO;
+        q.pop();
+        assert_eq!(q.heap.len(), 99_999);
+        let mut last = SimTime(burst);
         while let Some((k, ())) = q.pop() {
             assert!(k.time >= last);
             last = k.time;
             assert!(
                 pool_within_bound(&q),
                 "{} chunks, {} pending",
-                q.chunks,
+                q.pool.chunks,
                 q.len()
             );
+            if q.heap.is_empty() {
+                assert!(q.pool.chunks * CHUNK <= q.len() + LISTS * CHUNK);
+            }
         }
-        assert!(q.chunks <= BUCKETS);
-        let burst = last.0 + 1_000;
-        for seq in 0..100_000u64 {
-            q.push(EventKey::for_node(SimTime(burst), 1, seq), ());
-        }
-        q.pop();
-        assert_eq!(q.heap.len(), 99_999);
-        assert!(pool_within_bound(&q));
-        while q.pop().is_some() {
-            assert!(pool_within_bound(&q));
-        }
-        assert!(q.chunks <= BUCKETS);
+        assert!(q.pool.chunks <= LISTS);
     }
 
     mod props {
@@ -833,102 +968,104 @@ mod tests {
         use std::collections::BTreeMap;
 
         /// One step of a differential run: the queue and the oracle agree
-        /// on the head and its payload, the depth, and the slab and
-        /// chunk-pool bounds.
-        fn check(q: &KeyedQueue<u64>, oracle: &BTreeMap<EventKey, u64>, peak: usize) {
+        /// on the head and its payload and the depth, every occupied list
+        /// keeps its least entry in its top chunk, and the pool is within
+        /// its bound.
+        fn check(q: &KeyedQueue<u64>, oracle: &BTreeMap<EventKey, u64>) {
             let head = oracle.keys().next().copied();
-            assert_eq!(q.peek_head(), head.map(|k| (k.time, k.lane)));
+            assert_eq!(q.peek_head(), head.map(|k| k.time));
             assert_eq!(q.peek_event(), oracle.values().next());
             assert_eq!(q.len(), oracle.len());
-            // Slots are recycled: the slab never outgrows the peak.
-            assert_eq!(q.slab_slots(), peak);
-            assert_eq!(q.free_slots(), q.slab_slots() - q.len());
             assert!(pool_within_bound(q));
+            for list in q.near.iter().chain(&q.buckets).filter(|l| l.count > 0) {
+                let head = list.head();
+                let chunks = std::iter::successors(list.top.as_deref(), |c| c.next.as_deref());
+                let mut left = list.count;
+                for c in chunks {
+                    let n = top_fill(left);
+                    for e in &c.entries[..n] {
+                        assert!(!e.before(head), "a list's least entry left its top chunk");
+                    }
+                    left -= n;
+                }
+                assert_eq!(left, 0, "a list's count matches its chunks");
+            }
+        }
+
+        /// Run `steps` against a `BTreeMap<EventKey, u64>`: `None` pops
+        /// (and the oracle's least key must come out), `Some(key)` pushes a
+        /// fresh key (a repeat is skipped: keys are unique by contract).
+        /// After every step [`check`] holds; at the end both drain alike.
+        fn run_oracle(steps: impl IntoIterator<Item = Option<EventKey>>) {
+            let mut q: KeyedQueue<u64> = KeyedQueue::new();
+            let mut oracle: BTreeMap<EventKey, u64> = BTreeMap::new();
+            for (payload, step) in (0u64..).zip(steps) {
+                match step {
+                    None => assert_eq!(q.pop(), oracle.pop_first()),
+                    Some(key) => {
+                        if let std::collections::btree_map::Entry::Vacant(v) = oracle.entry(key) {
+                            v.insert(payload);
+                            q.push(key, payload);
+                        }
+                    }
+                }
+                check(&q, &oracle);
+            }
+            while let Some(want) = oracle.pop_first() {
+                assert_eq!(q.peek_event(), Some(&want.1));
+                assert_eq!(q.pop(), Some(want));
+            }
+            assert_eq!(q.peek_event(), None);
+            assert_eq!(q.pop(), None);
+            assert!(q.pool.chunks <= LISTS);
+        }
+
+        /// Traffic relative to the last popped time: `(op, offset, lane,
+        /// seq)` pops on `op == 0` and otherwise pushes at `now + offset`,
+        /// so every push is monotone.
+        fn after_now(ops: Vec<(u8, u64, u32, u64)>) -> impl Iterator<Item = Option<EventKey>> {
+            let mut now = 0u64;
+            let mut oracle_min: BTreeMap<EventKey, ()> = BTreeMap::new();
+            ops.into_iter().map(move |(op, offset, lane, seq)| {
+                if op == 0 {
+                    if let Some((k, ())) = oracle_min.pop_first() {
+                        now = k.time.0;
+                    }
+                    None
+                } else {
+                    let key = EventKey {
+                        time: SimTime(now + offset),
+                        lane,
+                        seq,
+                    };
+                    oracle_min.insert(key, ());
+                    Some(key)
+                }
+            })
         }
 
         proptest! {
-            /// Differential test against a `BTreeMap<EventKey, u64>`:
-            /// interleaved pushes and pops over two instants and three
+            /// Interleaved pushes and pops over two instants and three
             /// lanes, so most comparisons are `(time, lane)` ties decided
-            /// by `seq` alone or same-time ties decided by lane, freed
-            /// slots are refilled with new `seq`s all the time, and a push
+            /// by `seq` alone or same-time ties decided by lane, and a push
             /// at time 0 after a pop at time 1 rebases. After every step,
-            /// `peek_event` names the payload the next `pop` returns —
-            /// on an empty queue, on a bucket head behind an empty heap
+            /// `peek_event` names the payload the next `pop` returns — on
+            /// an empty queue, on a window list's head behind an empty heap
             /// and after a rebase alike.
             #[test]
             fn matches_btreemap_oracle(
                 ops in prop::collection::vec((0u8..4, 0u64..2, 0u32..3, 0u64..1000), 1..400)
             ) {
-                let mut q: KeyedQueue<u64> = KeyedQueue::new();
-                let mut oracle: BTreeMap<EventKey, u64> = BTreeMap::new();
-                let mut payload = 0u64;
-                let mut peak = 0;
-                for (op, time, lane, seq) in ops {
-                    if op == 0 {
-                        let want = oracle.pop_first();
-                        prop_assert_eq!(q.pop(), want);
-                    } else {
-                        let key = EventKey { time: SimTime(time), lane, seq };
-                        // Keys are unique by contract: skip a repeat.
-                        if let std::collections::btree_map::Entry::Vacant(v) = oracle.entry(key) {
-                            v.insert(payload);
-                            q.push(key, payload);
-                            payload += 1;
-                        }
-                    }
-                    peak = peak.max(q.len());
-                    check(&q, &oracle, peak);
-                }
-                while let Some(want) = oracle.pop_first() {
-                    prop_assert_eq!(q.peek_event(), Some(&want.1));
-                    prop_assert_eq!(q.pop(), Some(want));
-                }
-                prop_assert_eq!(q.peek_event(), None);
-                prop_assert_eq!(q.pop(), None);
-            }
-
-            /// `after_head_slot` against the same oracle, on mixed traffic
-            /// like the first test's: the pops keep the oracle's order, a hint is
-            /// given exactly when the heap is not empty and two events are
-            /// pending, and after the next `pop` with no push between, the
-            /// hinted slot is the head's — the one the pop after next
-            /// returns — whether the hint was a root child (`seq` ties
-            /// included) or a bucket's least entry behind a lone root.
-            #[test]
-            fn after_head_slot_names_the_pop_after_next(
-                ops in prop::collection::vec((0u8..3, 0u64..3, 0u32..3, 0u64..1000), 1..400)
-            ) {
-                let mut q: KeyedQueue<u64> = KeyedQueue::new();
-                let mut oracle: BTreeMap<EventKey, u64> = BTreeMap::new();
-                let mut hint: Option<*const Slot<u64>> = None;
-                let mut peak = 0;
-                for (op, time, lane, seq) in ops {
-                    if op == 0 {
-                        let want = oracle.pop_first();
-                        prop_assert_eq!(q.pop(), want);
-                        if let Some(h) = hint {
-                            let head = q.head().expect("a hint means two were pending");
-                            prop_assert!(std::ptr::eq(h, &q.slab[head.slot as usize]));
-                        }
-                    } else {
-                        let key = EventKey { time: SimTime(time), lane, seq };
-                        if let std::collections::btree_map::Entry::Vacant(v) = oracle.entry(key) {
-                            v.insert(seq);
-                            q.push(key, seq);
-                        }
-                    }
-                    peak = peak.max(q.len());
-                    check(&q, &oracle, peak);
-                    hint = q.after_head_slot().map(|s| s as *const Slot<u64>);
-                    prop_assert_eq!(hint.is_some(), !q.heap.is_empty() && q.len() >= 2);
-                }
+                run_oracle(ops.into_iter().map(|(op, time, lane, seq)| {
+                    (op != 0).then_some(EventKey { time: SimTime(time), lane, seq })
+                }));
             }
 
             /// The same oracle on traffic shaped like the engine's: every
             /// push is at or after the last pop, as bursts of up to 24
             /// events at one instant (the settled one included),
-            /// near-future sends 1–100 µs out, and timers out to 2^40 µs.
+            /// near-future sends 1–100 µs out, and timers out to 2^40 µs;
+            /// no push rebases.
             #[test]
             fn des_shaped_traffic_matches_btreemap_oracle(
                 ops in prop::collection::vec((0u8..8, 0u64..1 << 40, 0u32..4, 1u64..25), 1..600)
@@ -937,7 +1074,6 @@ mod tests {
                 let mut oracle: BTreeMap<EventKey, u64> = BTreeMap::new();
                 let mut now = 0u64;
                 let mut seq = 0u64;
-                let mut peak = 0;
                 for (op, far, lane, burst) in ops {
                     let (at, count) = match op {
                         0..=2 => {
@@ -961,13 +1097,67 @@ mod tests {
                         seq += 1;
                     }
                     prop_assert_eq!(q.settled, settled, "a monotone push rebased");
-                    peak = peak.max(q.len());
-                    check(&q, &oracle, peak);
+                    check(&q, &oracle);
                 }
                 while let Some(want) = oracle.pop_first() {
                     prop_assert_eq!(q.pop(), Some(want));
                 }
                 prop_assert_eq!(q.pop(), None);
+            }
+
+            /// Monotone traffic 0–1,023 µs after the last pop, so instants
+            /// cross several multiples of the window, the window's index
+            /// wraps, and one instant is reached both from a bucket and
+            /// from the window.
+            #[test]
+            fn window_crossing_traffic_matches_btreemap_oracle(
+                ops in prop::collection::vec((0u8..3, 0u64..1024, 0u32..3, 0u64..1000), 1..500)
+            ) {
+                run_oracle(after_now(ops));
+            }
+
+            /// Events far out first, then, once the clock has come within
+            /// the window of them, more at the same instants: a bucket's
+            /// entries and a window list's meet at one instant and must
+            /// order by lane, and by `seq` within a lane (`seq` drawn from
+            /// a small range, so lane ties are common).
+            #[test]
+            fn far_and_window_events_at_one_instant_match_the_oracle(
+                far in prop::collection::vec((0u64..4, 0u32..3, 0u64..50), 1..40),
+                near in prop::collection::vec((0u64..4, 0u32..3, 0u64..50), 1..40),
+            ) {
+                let at = |k: u64| SimTime(3 * WINDOW + 37 * k);
+                let first = far.iter().map(|&(k, lane, seq)| Some(EventKey { time: at(k), lane, seq }));
+                // A marker just before the targets brings the clock within
+                // the window of them without settling any of them.
+                let marker = EventKey { time: SimTime(at(0).0 - 1), lane: 9, seq: 0 };
+                let then = near.iter().map(|&(k, lane, seq)| Some(EventKey { time: at(k), lane, seq }));
+                run_oracle(first.chain([Some(marker), None]).chain(then));
+            }
+
+            /// Pushes at the due instant while it drains: each step pops or
+            /// pushes at the last popped time, now and then further out.
+            #[test]
+            fn pushes_at_the_due_instant_mid_drain_match_the_oracle(
+                ops in prop::collection::vec((0u8..4, 0u64..600, 0u32..4, 0u64..1000), 1..400)
+            ) {
+                run_oracle(after_now(
+                    ops.into_iter()
+                        .map(|(op, d, lane, seq)| (op, if op == 1 { d } else { 0 }, lane, seq))
+                        .collect(),
+                ));
+            }
+
+            /// Pushes earlier than the settled instant, from every state:
+            /// times anywhere in 0–2,047 with pops between, so a rebase
+            /// meets a due instant mid-drain, window lists and buckets.
+            #[test]
+            fn pushes_before_the_settled_instant_match_the_oracle(
+                ops in prop::collection::vec((0u8..3, 0u64..2048, 0u32..3, 0u64..1000), 1..400)
+            ) {
+                run_oracle(ops.into_iter().map(|(op, time, lane, seq)| {
+                    (op != 0).then_some(EventKey { time: SimTime(time), lane, seq })
+                }));
             }
         }
     }
@@ -993,19 +1183,5 @@ mod tests {
             last = Some(k);
         }
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn clear_drops_everything() {
-        let mut q = KeyedQueue::new();
-        for i in 0..1000u64 {
-            q.push(EventKey::for_node(SimTime(i * 7), 0, i), i);
-        }
-        q.pop();
-        q.clear();
-        assert!(q.is_empty() && q.pop().is_none() && q.peek_head().is_none());
-        assert_eq!((q.chunks, q.slab_slots()), (0, 0));
-        q.push(EventKey::system(SimTime(3), 0), 3);
-        assert_eq!(q.pop().map(|(_, v)| v), Some(3));
     }
 }

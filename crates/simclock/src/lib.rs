@@ -12,7 +12,7 @@
 //!
 //! For the emulator's engine, [`keyed`] provides the canonical ordering
 //! `(time, lane, seq)`, which depends on who created an event and not on
-//! the order of pushes, and a slab-backed [`KeyedQueue`] that pops in it.
+//! the order of pushes, and a [`KeyedQueue`] that pops in it.
 
 #![forbid(unsafe_code)]
 
