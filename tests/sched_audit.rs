@@ -73,6 +73,24 @@ fn partitioned_multifactor_run(audit: DecisionLog) -> ScheduleReport {
     simulate(&jobs, &mut policy, &cfg)
 }
 
+/// The multi-tenant layers that runs use: the re-sorted multifactor queue
+/// and a charging fair-share ledger, over thousands of users.
+fn multifactor_run(audit: DecisionLog) -> ScheduleReport {
+    let jobs = TraceConfig::multi_tenant(500, 42)
+        .with_users(200)
+        .generate();
+    let mut policy = PredictiveLimit::new(EstimatorConfig::default());
+    let cfg = BackfillConfig {
+        algo: SchedAlgo::Easy,
+        audit,
+        policies: SchedPolicies::default()
+            .with_priority(MultifactorPriority::slurm_default())
+            .with_fairshare(FairShareLedger::new(SimSpan::from_hours(24), 48)),
+        ..BackfillConfig::new(96)
+    };
+    simulate(&jobs, &mut policy, &cfg)
+}
+
 const EASY_GOLDEN: (u64, usize, u64) = (0xe0f200983dee2c1e, 2094, 0x5c147ca230b7e535);
 const CONSERVATIVE_GOLDEN: (u64, usize, u64) = (0xaf0c7ccc5d77dc22, 1124, 0x64dffa86ede8c7e2);
 const MULTI_TENANT_GOLDEN: (u64, usize, u64) = (0x148279a5376e049f, 4731, 0x88a107f06883e88e);
@@ -125,6 +143,34 @@ fn decision_logs_match_the_committed_goldens() {
     for decision in ["partition_full", "priority_ranked", "backfilled"] {
         assert!(jsonl.contains(&format!("\"{decision}\"")), "no {decision}");
     }
+}
+
+/// `multifactor_run`'s outcome, pinned on the planner that still carried
+/// a partition layer and a QoS priority term: the `ScheduleReport` debug
+/// hash and the hash of its decision log without the `priority_ranked`
+/// lines (how often a ranking is logged depends on the priority's scale,
+/// not on the decisions). Removing layers no run configures must leave
+/// both untouched.
+const MULTIFACTOR_PINS: (u64, u64) = (0xbad1d8242cbd0ea7, 0xc7bbd09182d80863);
+
+#[test]
+fn multifactor_outcome_matches_the_pins() {
+    let log = DecisionLog::unbounded();
+    let report = multifactor_run(log.clone());
+    let decisions: String = log
+        .to_jsonl()
+        .lines()
+        .filter(|l| !l.contains("\"decision\":\"priority_ranked\""))
+        .flat_map(|l| [l, "\n"])
+        .collect();
+    assert_eq!(
+        (
+            fnv1a(format!("{report:?}").as_bytes()),
+            fnv1a(decisions.as_bytes())
+        ),
+        MULTIFACTOR_PINS,
+        "multifactor: (report hash, log hash without priority_ranked)"
+    );
 }
 
 fn assert_reports_identical(a: &ScheduleReport, b: &ScheduleReport) {
