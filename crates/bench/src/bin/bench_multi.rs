@@ -1,14 +1,14 @@
 //! `bench_multi` — multi-tenant scheduling benchmark: the same
 //! thousands-of-users trace run under FIFO ordering and under the
-//! multifactor priority stack (fair-share + age + size + QOS), reporting
+//! multifactor priority stack (fair-share + age + size), reporting
 //! queue-wait percentiles, per-user and per-bank wait fairness, and
 //! priority-inversion counts for each policy.
 //!
 //! Also gates the policy layers' zero-cost default: a run through
 //! `BackfillConfig::new` (no policies mentioned at all) must
 //! fingerprint-identically match a run that spells out the default
-//! partition set, uniform priority, and disabled fair-share ledger — the
-//! benchmark aborts otherwise.
+//! uniform priority and disabled fair-share ledger — the benchmark aborts
+//! otherwise.
 //!
 //! Writes `BENCH_MULTI.json` at the repository root (plus tables on
 //! stdout) so the `multi-tenant` CI job can archive and gate the numbers.
@@ -23,8 +23,8 @@ use eslurm_bench::{
 use estimate::EstimatorConfig;
 use obs::audit::{Decision, DecisionLog};
 use sched::prelude::{
-    bank_of, simulate, BackfillConfig, FairShareLedger, MultifactorPriority, PartitionSet,
-    SchedAlgo, SchedPolicies, ScheduleReport,
+    bank_of, simulate, BackfillConfig, FairShareLedger, MultifactorPriority, SchedAlgo,
+    SchedPolicies, ScheduleReport,
 };
 use serde::Value;
 use simclock::SimSpan;
@@ -184,9 +184,7 @@ fn main() {
     let users = args.scale(2500, 300);
     let nodes = 256u32;
     let banks = 48u32;
-    let trace = TraceConfig::multi_tenant(n_jobs, args.seed)
-        .with_users(users)
-        .with_banks(banks as usize);
+    let trace = TraceConfig::multi_tenant(n_jobs, args.seed).with_users(users);
     let jobs = trace.generate();
 
     // ---- zero-cost-default gate: not mentioning the policy layers and
@@ -204,7 +202,6 @@ fn main() {
         let cfg = BackfillConfig {
             algo: SchedAlgo::Easy,
             policies: SchedPolicies::default()
-                .with_partitions(PartitionSet::single_default())
                 .with_priority(MultifactorPriority::uniform())
                 .with_fairshare(FairShareLedger::disabled()),
             ..BackfillConfig::new(nodes)

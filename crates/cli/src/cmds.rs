@@ -880,10 +880,10 @@ struct AuditRun {
 /// (whose seed/jobs/nodes are tuned so backfills, skips, and kills all
 /// occur). The predictive policy is the default so decisions carry model
 /// estimates with cluster ids. `--users N` switches the synthetic trace to
-/// the multi-tenant generator with that many accounts over `--banks`
-/// banks, and `--priority multifactor` ranks the queue with the
-/// Slurm-flavored factor composition (per-factor contributions land in
-/// the audit log).
+/// the multi-tenant generator with that many accounts, and `--priority
+/// multifactor` ranks the queue with the Slurm-flavored factor composition
+/// over a fair-share ledger of `--banks` banks (per-factor contributions
+/// land in the audit log).
 fn audit_run(o: &Opts) -> Result<AuditRun, CliError> {
     let nodes = o.value("nodes")?;
     let users: usize = o.value("users")?;
@@ -896,7 +896,6 @@ fn audit_run(o: &Opts) -> Result<AuditRun, CliError> {
             if users > 0 {
                 TraceConfig::multi_tenant(n, seed)
                     .with_users(users)
-                    .with_banks(banks)
                     .generate()
             } else {
                 TraceConfig::small(n, seed).generate()

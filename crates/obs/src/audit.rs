@@ -98,8 +98,6 @@ pub enum SkipReason {
     /// Starting now would push back another job's profile reservation
     /// (conservative backfill).
     WouldDelayReservation,
-    /// The job's partition is at its concurrent-node capacity.
-    PartitionFull,
 }
 
 impl SkipReason {
@@ -109,7 +107,6 @@ impl SkipReason {
             SkipReason::NoFreeNodes => "no_free_nodes",
             SkipReason::WouldDelayHead => "would_delay_head",
             SkipReason::WouldDelayReservation => "would_delay_reservation",
-            SkipReason::PartitionFull => "partition_full",
         }
     }
 }
@@ -657,7 +654,6 @@ pub fn render_timeline(job: u64, records: &[DecisionRecord]) -> String {
                     SkipReason::NoFreeNodes => "not enough free nodes",
                     SkipReason::WouldDelayHead => "would delay the reserved head",
                     SkipReason::WouldDelayReservation => "would delay another reservation",
-                    SkipReason::PartitionFull => "its partition is at capacity",
                 };
                 format!("skipped backfill    {why} ({})", fmt_est(&r.est))
             }

@@ -47,21 +47,11 @@ fn push_chrome_event(out: &mut String, e: &TraceEvent) {
     out.push_str("}}");
 }
 
-/// Render events as a Chrome-trace document (`{"traceEvents":[...]}`).
-/// Events are sorted by timestamp so the file loads with a monotone
-/// timeline regardless of recording order.
-pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
-    ChromeTrace {
-        events,
-        ..Default::default()
-    }
-    .render()
-}
-
-/// A Chrome-trace document with optional tracks beside the node lanes.
-/// Every track defaults to empty, and an empty track adds no byte: with
-/// only `events` set, [`ChromeTrace::render`] is [`to_chrome_trace`]. Set
-/// the tracks you have and take the rest from `..Default::default()`.
+/// A Chrome-trace document (`{"traceEvents":[...]}`): the node lanes and
+/// optional tracks beside them. Every track defaults to empty, and an
+/// empty track adds no byte, so `ChromeTrace { events, ..Default::default()
+/// }` renders the node lanes alone. Set the tracks you have and take the
+/// rest from `..Default::default()`.
 #[derive(Clone, Copy, Default)]
 pub struct ChromeTrace<'a> {
     /// The node lanes (pid 0, one thread per node), in virtual time.
@@ -266,24 +256,6 @@ fn chrome_f64(v: f64) -> String {
     } else {
         "0".to_string()
     }
-}
-
-/// Render SLO transitions as JSONL, one object per line in firing order —
-/// the streaming companion to the Chrome SLO track.
-pub fn slo_to_jsonl(events: &[SloEvent]) -> String {
-    let mut out = String::with_capacity(events.len() * 96);
-    for e in events {
-        let _ = writeln!(
-            out,
-            "{{\"ts_us\":{},\"kind\":\"{}\",\"slo\":\"{}\",\"value\":{},\"target\":{}}}",
-            e.t_us,
-            e.kind.as_str(),
-            e.name,
-            chrome_f64(e.value),
-            chrome_f64(e.target),
-        );
-    }
-    out
 }
 
 /// Render events as JSONL: one flat object per line, in recording order
@@ -515,7 +487,12 @@ mod tests {
         r.span(10, 5, 1, EventKind::MsgSend, 2, 7);
         r.event(20, 2, EventKind::NodeDown, 0, 0);
         r.event(15, 2, EventKind::MsgRecv, 1, 7);
-        let doc = to_chrome_trace(&r.events());
+        let events = r.events();
+        let doc = ChromeTrace {
+            events: &events,
+            ..Default::default()
+        }
+        .render();
 
         let v = serde_json::parse_value_str(&doc).expect("chrome trace must be valid JSON");
         let events = v

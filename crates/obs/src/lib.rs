@@ -30,7 +30,7 @@
 //!   full trace on (`eslurm explain`, `critical-path`, `why-job`) instead
 //!   of keeping a ring of recent events. No instrument writes a file
 //!   mid-run.
-//! - **Exports are deterministic.** [`export::to_chrome_trace`] renders a
+//! - **Exports are deterministic.** [`export::ChromeTrace`] renders a
 //!   `chrome://tracing` / Perfetto-loadable document, [`export::to_jsonl`]
 //!   one object per line, [`export::to_prometheus`] the text exposition
 //!   format, and [`series::SeriesStore::to_csv`] the sampler's time series
@@ -53,7 +53,8 @@
 //! sampler.snapshot(SimTime::from_secs(1), &rec);
 //! assert!(sampler.to_csv().starts_with("metric,t_us,value\n"));
 //!
-//! let doc = obs::export::to_chrome_trace(&rec.events());
+//! let events = rec.events();
+//! let doc = obs::export::ChromeTrace { events: &events, ..Default::default() }.render();
 //! assert!(doc.starts_with("{\"traceEvents\":["));
 //! ```
 

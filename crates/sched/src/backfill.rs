@@ -12,10 +12,10 @@
 
 use crate::metrics::{bounded_slowdown, ScheduleReport};
 use crate::policy::{LimitInfo, LimitPolicy};
-use crate::priority::{FactorCtx, FactorShare};
+use crate::priority::FactorCtx;
 use crate::profile_resv::AvailabilityProfile;
 use crate::SchedPolicies;
-use obs::audit::{Decision, DecisionLog, EstSource, EstimateRef, SkipReason};
+use obs::audit::{Decision, DecisionLog, EstimateRef, SkipReason};
 use obs::{Counter, EventKind, Gauge, Hist, MetricId, Recorder, Sampler};
 use simclock::{EventQueue, SimSpan, SimTime};
 use std::cmp::Reverse;
@@ -105,9 +105,9 @@ pub struct BackfillConfig {
     /// non-perturbing: the simulation makes identical policy calls and
     /// produces bit-identical outcomes whether the log is enabled or not.
     pub audit: DecisionLog,
-    /// Multi-tenant policy layers: partition routing/limits, fair-share
-    /// accounting, and queue-ordering priority. The default bundle is
-    /// bit-identical to a policy-unaware scheduler.
+    /// Multi-tenant policy layers: fair-share accounting and
+    /// queue-ordering priority. The default bundle is bit-identical to a
+    /// policy-unaware scheduler.
     pub policies: SchedPolicies,
 }
 
@@ -174,8 +174,6 @@ struct Queued {
     original_submit: SimTime,
     /// The estimate the current limit was derived from (audit provenance).
     est: EstimateRef,
-    /// Index of the partition the job routed to (0 under the trivial set).
-    part: u32,
     /// Composed priority in milli-units, recomputed before each
     /// scheduling pass when the priority layer is non-uniform; the queue
     /// sorts on this integer (stable, descending).
@@ -418,7 +416,6 @@ impl Queue {
             now,
             submit: q.original_submit,
             cluster_nodes: cfg.nodes,
-            partition: cfg.policies.partitions.get(q.part as usize),
             fairshare: &cfg.policies.fairshare,
         };
         for q in &mut self.recs {
@@ -443,7 +440,7 @@ impl Queue {
         // Log first rankings and drifts past ~1.5% of the last logged value:
         // enough for `why-job` to show why a job ranked where it did, without
         // re-logging every age tick. Never read by scheduling decisions.
-        let mut shares: Vec<FactorShare> = Vec::new();
+        let mut shares = Vec::new();
         for (rank, q) in self.recs.iter_mut().enumerate() {
             if q.logged_prio != i64::MIN
                 && (q.prio_milli - q.logged_prio).abs() < (q.logged_prio.abs() / 64).max(1)
@@ -463,7 +460,7 @@ impl Queue {
                 Decision::PriorityRanked {
                     priority_milli: q.prio_milli,
                     rank: rank as u32,
-                    factors: shares.iter().map(|s| (s.name, s.milli)).collect(),
+                    factors: shares.clone(),
                 },
             );
         }
@@ -475,8 +472,6 @@ struct Running {
     nodes: u32,
     /// Job id, so reservations can name their blockers.
     job_id: u64,
-    /// Partition holding the nodes (releases its capacity at end).
-    part: u32,
 }
 
 /// Where a running job sits in [`RunningSet`]: when the scheduler believes
@@ -611,9 +606,6 @@ struct SchedState {
     free: u32,
     queue: Queue,
     running: RunningSet,
-    /// Nodes each partition currently occupies (all in partition 0 under
-    /// the trivial set, where no capacity is ever consulted).
-    part_busy: Vec<u32>,
     cursor: AuditCursor,
 }
 
@@ -686,27 +678,20 @@ pub fn simulate(
         }
         match ev {
             Ev::Arrive(i) => {
-                let mut info = policy.limit_info(&jobs[i]);
-                let width = jobs[i].nodes.min(cfg.nodes);
-                let mut part = 0u32;
-                if !cfg.policies.partitions.is_trivial() {
-                    part = cfg.policies.partitions.route(width) as u32;
-                    apply_partition_limits(cfg, part, &mut info);
-                }
+                let info = policy.limit_info(&jobs[i]);
                 if cfg.audit.enabled() {
                     cfg.audit
                         .record(now.as_micros(), jobs[i].id.0, info.est, Decision::Submitted);
                 }
                 st.enqueue(
                     cfg,
-                    width,
+                    jobs[i].nodes.min(cfg.nodes),
                     Queued {
                         job: i,
                         limit: info.limit,
                         resubmits: 0,
                         original_submit: jobs[i].submit,
                         est: info.est,
-                        part,
                         prio_milli: 0,
                         logged_prio: i64::MIN,
                     },
@@ -760,7 +745,7 @@ pub fn simulate(
                         );
                         // The policy is consulted unconditionally so its
                         // internal state cannot diverge with auditing off.
-                        let mut next = policy.resubmit_info(
+                        let next = policy.resubmit_info(
                             job,
                             LimitInfo {
                                 limit: queued.limit,
@@ -768,15 +753,6 @@ pub fn simulate(
                             },
                             queued.resubmits + 1,
                         );
-                        if !cfg.policies.partitions.is_trivial() {
-                            // The resubmission ladder cannot climb past the
-                            // partition's hard cap.
-                            if let Some(m) =
-                                cfg.policies.partitions.get(queued.part as usize).max_time
-                            {
-                                next.limit = next.limit.min(m);
-                            }
-                        }
                         if cfg.audit.enabled() {
                             st.cursor.forget(job.id.0);
                             cfg.audit.record(
@@ -849,22 +825,6 @@ pub fn simulate(
     report
 }
 
-/// Apply the routed partition's time policies to a fresh limit: the
-/// default walltime replaces a policy default, and the hard cap clamps
-/// whatever survives. Only called under a non-trivial partition set.
-fn apply_partition_limits(cfg: &BackfillConfig, part: u32, info: &mut LimitInfo) {
-    let p = cfg.policies.partitions.get(part as usize);
-    if info.est.source == EstSource::Default {
-        if let Some(d) = p.default_time {
-            info.limit = d;
-            info.est = EstimateRef::new(d.as_micros(), EstSource::Default);
-        }
-    }
-    if let Some(m) = p.max_time {
-        info.limit = info.limit.min(m);
-    }
-}
-
 /// Per-source / per-cluster estimator accuracy into the labeled metric
 /// registry, from where `Sampler::snapshot` feeds the SeriesStore and
 /// `export::to_prometheus` the text exposition. Signed error is
@@ -928,7 +888,6 @@ impl SchedState {
             free: cfg.nodes,
             queue: Queue::default(),
             running: RunningSet::default(),
-            part_busy: vec![0; cfg.policies.partitions.len()],
             cursor: AuditCursor::default(),
         }
     }
@@ -947,17 +906,7 @@ impl SchedState {
     fn release(&mut self, run: RunKey) -> Running {
         let r = self.running.remove(run);
         self.free += r.nodes;
-        self.part_busy[r.part as usize] -= r.nodes;
         r
-    }
-
-    /// Nodes a partition may still take on (`u32::MAX` when uncapped, as
-    /// the one partition of the trivial set always is).
-    fn part_headroom(&self, cfg: &BackfillConfig, part: u32) -> u32 {
-        match cfg.policies.partitions.get(part as usize).capacity {
-            Some(cap) => cap.saturating_sub(self.part_busy[part as usize]),
-            None => u32::MAX,
-        }
     }
 
     /// Publish queue/occupancy/reservation gauges after a scheduling pass.
@@ -984,9 +933,9 @@ impl SchedState {
         // A non-uniform priority layer re-sorts the queue before every pass;
         // the uniform default returns immediately, leaving arrival order.
         self.queue.reorder_by_priority(now, jobs, cfg);
-        // Start jobs in queue order while they fit (cluster + partition).
+        // Start jobs in queue order while they fit.
         while let Some((key, head)) = self.queue.front() {
-            if key.width > self.free || key.width > self.part_headroom(cfg, head.part) {
+            if key.width > self.free {
                 break;
             }
             self.queue.take(self.queue.head);
@@ -1034,19 +983,13 @@ impl SchedState {
         let head_nodes = head_key.width;
 
         // EASY reservation for the head: walk planned ends, soonest first,
-        // until enough nodes accumulate — both cluster-wide and, when the
-        // head's partition is capped, within that partition (releases from
-        // other partitions do not relieve a partition-full head).
+        // until enough nodes accumulate.
         let mut acc = self.free;
-        let mut part_acc = self.part_headroom(cfg, head.part);
         let mut shadow = SimTime(u64::MAX);
         let mut extra = 0u32;
         for (end, r) in self.running.iter() {
             acc += r.nodes;
-            if r.part == head.part {
-                part_acc = part_acc.saturating_add(r.nodes);
-            }
-            if acc >= head_nodes && part_acc >= head_nodes {
+            if acc >= head_nodes {
                 shadow = end;
                 extra = acc - head_nodes;
                 break;
@@ -1059,11 +1002,8 @@ impl SchedState {
         // Backfill the rest of the queue. No entry is narrower than
         // `narrowest`, so once fewer nodes are free nothing more can start
         // and the pass is over; only the audit log still wants the
-        // `NoFreeNodes` verdicts that changed. A capped partition is the
-        // one test that needs the record of a candidate that will not
-        // start.
+        // `NoFreeNodes` verdicts that changed.
         let audit = cfg.audit.enabled();
-        let capped = !cfg.policies.partitions.is_trivial();
         // Saturating: a job run past its limit leaves a shadow behind
         // `now`, and then nothing fits before it (a zero budget admits
         // more than that, never less).
@@ -1080,8 +1020,6 @@ impl SchedState {
             let key = self.queue.keys[i];
             let skip = if key.width > free {
                 SkipReason::NoFreeNodes
-            } else if capped && key.width > self.part_headroom(cfg, self.queue.recs[i].part) {
-                SkipReason::PartitionFull
             } else {
                 let fits_before_shadow = now + key.occupied <= shadow;
                 if fits_before_shadow || key.width <= extra {
@@ -1155,13 +1093,7 @@ impl SchedState {
             profile.reserve(start_at, start_at + key.occupied, nodes);
             // Whoever has nothing live in front of it is the head.
             let is_head = i == self.queue.head;
-            if start_at == now && nodes > self.part_headroom(cfg, q.part) {
-                // The cluster-wide profile found room now, but the job's
-                // partition is at capacity (reservations are partition-blind
-                // planning constructs; actual starts are not).
-                self.queue
-                    .record_skip(i, SkipReason::PartitionFull, now, jobs, cfg);
-            } else if start_at == now {
+            if start_at == now {
                 self.queue.take(i);
                 let (counter, kind) = if is_head {
                     (Counter::BackfillHeadStarts, EventKind::BackfillHeadStart)
@@ -1215,7 +1147,6 @@ impl SchedState {
         let nodes = job.nodes.min(cfg.nodes);
         debug_assert!(nodes <= self.free);
         self.free -= nodes;
-        self.part_busy[q.part as usize] += nodes;
 
         if cfg.audit.enabled() {
             self.cursor.forget(job.id.0);
@@ -1251,7 +1182,6 @@ impl SchedState {
             Running {
                 nodes,
                 job_id: job.id.0,
-                part: q.part,
             },
         );
         events.push(
@@ -1271,6 +1201,7 @@ mod tests {
     use super::*;
     use crate::policy::{OracleLimit, UserLimit};
     use crate::priority::MultifactorPriority;
+    use obs::audit::EstSource;
     use proptest::prelude::*;
     use workload::{JobId, TraceConfig, UserId};
 
@@ -1629,7 +1560,6 @@ mod tests {
                     resubmits: 0,
                     original_submit: job.submit,
                     est: EstimateRef::new(limit.as_micros(), EstSource::User),
-                    part: 0,
                     prio_milli: 0,
                     logged_prio: i64::MIN,
                 },
@@ -1751,8 +1681,8 @@ mod tests {
         }
     }
 
-    /// Whether EASY's start test could pass for `k` (a capped partition
-    /// may still turn it down): the keys a block walk must not step over.
+    /// Whether EASY's start test could pass for `k`: the keys a block walk
+    /// must not step over.
     fn may_start(k: &ScanKey, free: u32, extra: u32, budget: SimSpan) -> bool {
         k.is_live() && k.width <= free && (k.width <= extra || k.occupied <= budget)
     }
@@ -1833,7 +1763,6 @@ mod tests {
                                 resubmits: 0,
                                 original_submit: SimTime::from_secs(now),
                                 est: EstimateRef::new(0, EstSource::User),
-                                part: 0,
                                 prio_milli: 0,
                                 logged_prio: i64::MIN,
                             },

@@ -1,5 +1,5 @@
 //! Fair-share accounting: per-user / per-bank consumed CPU-time with
-//! exponential half-life decay — the second multi-tenant policy layer
+//! exponential half-life decay — the first multi-tenant policy layer
 //! (Slurm's accounting database + `PriorityDecayHalfLife`).
 //!
 //! The backfill simulator charges the ledger on every job end (completion
@@ -14,9 +14,8 @@
 //! summation order).
 //!
 //! Banks are derived, not stored on jobs: user `u` belongs to bank
-//! `u % banks` (see [`bank_of`]), the same convention
-//! `workload::TraceConfig` uses, so the generator and the ledger agree
-//! without widening the `Job` record.
+//! `u % banks` (see [`bank_of`]), so the ledger needs no field on the
+//! `Job` record.
 
 use simclock::{SimSpan, SimTime};
 use std::cell::RefCell;
@@ -26,7 +25,7 @@ use std::rc::Rc;
 /// Decay epochs per half-life: usage decays by `0.5^(1/16)` per epoch.
 const EPOCHS_PER_HALF_LIFE: u64 = 16;
 
-/// The shared user→bank convention: user `u` belongs to bank `u % banks`
+/// The user→bank rule: user `u` belongs to bank `u % banks`
 /// (everything in bank 0 when `banks` is 0 or 1).
 pub fn bank_of(user: u32, banks: u32) -> u32 {
     if banks <= 1 {
@@ -152,14 +151,6 @@ impl FairShareLedger {
         self.0.as_ref().map(|l| l.borrow().half_life)
     }
 
-    /// The bank `user` belongs to under this ledger's convention.
-    pub fn bank_of(&self, user: u32) -> u32 {
-        match &self.0 {
-            Some(l) => bank_of(user, l.borrow().banks),
-            None => 0,
-        }
-    }
-
     /// Charge `cores × busy` to `user` (and its bank) as of `now`.
     pub fn charge(&self, user: u32, cores: u64, busy: SimSpan, now: SimTime) {
         let Some(l) = &self.0 else { return };
@@ -259,7 +250,6 @@ mod tests {
         let u = fs.usage(5, SimTime::from_secs(10));
         assert!((u - 400.0).abs() < 1e-9, "{u}");
         // user 5 of 4 banks -> bank 1.
-        assert_eq!(fs.bank_of(5), 1);
         assert!((fs.bank_usage(1, SimTime::from_secs(10)) - 400.0).abs() < 1e-9);
         assert_eq!(fs.active_users(), 1);
     }

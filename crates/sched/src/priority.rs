@@ -1,27 +1,26 @@
-//! Multifactor priority: the third multi-tenant policy layer (Slurm's
+//! Multifactor priority: the queue-ordering policy layer (Slurm's
 //! `priority/multifactor` plugin).
 //!
-//! A [`PriorityFactor`] scores one dimension of a queued job — age, size,
-//! fair-share, QOS — and a [`MultifactorPriority`] composes factors into
-//! one number: `priority = Σ weightᵢ × scoreᵢ`. The backfill loop keeps
-//! its queue sorted by that priority (descending, stable: equal-priority
-//! jobs stay in arrival order) and records every material change, with
-//! each factor's weighted contribution, into the decision audit log — so
-//! `eslurm why-job` can show exactly why a job ranked where it did.
+//! A [`MultifactorPriority`] is either uniform or the fixed Slurm-flavored
+//! sum of three weighted terms, each a score in `[0, 1]`:
+//! `priority = 2000 × fair-share + 1000 × age + 500 × size`. The backfill
+//! loop keeps its queue sorted by that priority (descending, stable:
+//! equal-priority jobs stay in arrival order) and records every material
+//! change, with each term's weighted contribution, into the decision audit
+//! log — so `eslurm why-job` can show exactly why a job ranked where it
+//! did.
 //!
 //! The uniform composer ([`MultifactorPriority::uniform`], the default)
-//! has no factors: the queue is never reordered and scheduling is
+//! has no terms: the queue is never reordered and scheduling is
 //! bit-identical to the pre-priority FIFO behavior. All arithmetic is
 //! fixed-point milli-units end to end, so queue order can never depend on
 //! float summation quirks.
 
 use crate::fairshare::FairShareLedger;
-use crate::partition::Partition;
 use simclock::{SimSpan, SimTime};
-use std::rc::Rc;
 use workload::Job;
 
-/// Everything a factor may consult about the world around a queued job.
+/// Everything a term may consult about the world around a queued job.
 pub struct FactorCtx<'a> {
     /// The scheduling pass's virtual time.
     pub now: SimTime,
@@ -30,196 +29,96 @@ pub struct FactorCtx<'a> {
     pub submit: SimTime,
     /// Cluster size in nodes.
     pub cluster_nodes: u32,
-    /// The partition the job routed to.
-    pub partition: &'a Partition,
-    /// The fair-share ledger (disabled ⇒ every factor reads 1.0).
+    /// The fair-share ledger (disabled ⇒ the fair-share score reads 1.0).
     pub fairshare: &'a FairShareLedger,
 }
 
-/// One dimension of a job's priority. Scores are nominally in `[0, 1]`
-/// (QOS may exceed 1 for privileged partitions); the composer applies the
-/// weights.
-pub trait PriorityFactor {
-    /// Stable factor name (audit fields, `why-job` rendering).
-    fn name(&self) -> &'static str;
+/// Term weights (in the spirit of `PriorityWeightFairshare=2000` etc.).
+const FAIR_SHARE_WEIGHT: f64 = 2000.0;
+const AGE_WEIGHT: f64 = 1000.0;
+const SIZE_WEIGHT: f64 = 500.0;
 
-    /// The unweighted score of `job` under `ctx`.
-    fn score(&self, job: &Job, ctx: &FactorCtx) -> f64;
-}
+/// Queue wait that earns the full age score (Slurm's `PriorityMaxAge`).
+const MAX_AGE: SimSpan = SimSpan::from_hours(24);
 
-/// Queue-age factor: grows linearly from 0 to 1 over `max_age` of waiting
-/// (Slurm's `PriorityMaxAge`), then saturates.
-pub struct AgeFactor {
-    /// Wait that earns the full age score.
-    pub max_age: SimSpan,
-}
-
-impl Default for AgeFactor {
-    /// Saturate after a day in the queue.
-    fn default() -> Self {
-        AgeFactor {
-            max_age: SimSpan::from_hours(24),
-        }
-    }
-}
-
-impl PriorityFactor for AgeFactor {
-    fn name(&self) -> &'static str {
-        "age"
-    }
-
-    fn score(&self, _job: &Job, ctx: &FactorCtx) -> f64 {
-        if ctx.now <= ctx.submit {
-            return 0.0;
-        }
-        let waited = (ctx.now - ctx.submit).as_micros() as f64;
-        (waited / self.max_age.as_micros().max(1) as f64).min(1.0)
-    }
-}
-
-/// Job-size factor: the fraction of the cluster the job asks for (Slurm's
-/// default favors large jobs, keeping wide jobs from starving under a
-/// backfill regime that loves narrow ones).
-#[derive(Default)]
-pub struct SizeFactor;
-
-impl PriorityFactor for SizeFactor {
-    fn name(&self) -> &'static str {
-        "size"
-    }
-
-    fn score(&self, job: &Job, ctx: &FactorCtx) -> f64 {
-        job.nodes.min(ctx.cluster_nodes) as f64 / ctx.cluster_nodes.max(1) as f64
-    }
-}
-
-/// Fair-share factor: the ledger's `2^(-usage/share)` score — 1 for idle
-/// users, decaying toward 0 as a user (and their bank) consumes beyond
-/// their equal share.
-#[derive(Default)]
-pub struct FairShareFactor;
-
-impl PriorityFactor for FairShareFactor {
-    fn name(&self) -> &'static str {
-        "fair-share"
-    }
-
-    fn score(&self, job: &Job, ctx: &FactorCtx) -> f64 {
-        ctx.fairshare.factor(job.user.0, ctx.now)
-    }
-}
-
-/// QOS factor: the routed partition's service-class weight (1.0 neutral,
-/// above 1 for privileged partitions).
-#[derive(Default)]
-pub struct QosFactor;
-
-impl PriorityFactor for QosFactor {
-    fn name(&self) -> &'static str {
-        "qos"
-    }
-
-    fn score(&self, _job: &Job, ctx: &FactorCtx) -> f64 {
-        ctx.partition.qos_weight
-    }
-}
-
-/// One factor's weighted contribution to a composed priority, in
-/// milli-units (`weight × score × 1000`, rounded) — the exact integers
-/// the audit log records.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FactorShare {
-    /// The factor's stable name.
-    pub name: &'static str,
-    /// Weighted contribution × 1000.
-    pub milli: i64,
-}
-
-/// A weighted composition of priority factors ordering the backfill
-/// queue. Cheap to clone (factors are shared).
-#[derive(Clone, Default)]
+/// The queue-ordering priority: uniform, or the weighted fair-share, age
+/// and size terms.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct MultifactorPriority {
-    factors: Rc<Vec<(f64, Box<dyn PriorityFactor>)>>,
-}
-
-impl std::fmt::Debug for MultifactorPriority {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.is_uniform() {
-            return f.write_str("MultifactorPriority(uniform)");
-        }
-        write!(f, "MultifactorPriority(")?;
-        for (i, (w, fac)) in self.factors.iter().enumerate() {
-            if i > 0 {
-                f.write_str(", ")?;
-            }
-            write!(f, "{} ×{w}", fac.name())?;
-        }
-        f.write_str(")")
-    }
+    weighted: bool,
 }
 
 impl MultifactorPriority {
-    /// The uniform (factor-less) composer: the queue keeps arrival order
-    /// and scheduling is bit-identical to pre-priority behavior.
+    /// The uniform (term-less) composer: the queue keeps arrival order and
+    /// scheduling is bit-identical to pre-priority behavior.
     pub fn uniform() -> Self {
         Self::default()
     }
 
-    /// Compose the given `(weight, factor)` pairs.
-    pub fn new(factors: Vec<(f64, Box<dyn PriorityFactor>)>) -> Self {
-        MultifactorPriority {
-            factors: Rc::new(factors),
-        }
-    }
-
-    /// The Slurm-flavored default: fair-share dominates, age breaks ties,
-    /// size keeps wide jobs alive, QOS honors partition service classes
-    /// (weights in the spirit of `PriorityWeightFairshare=2000` etc.).
+    /// The Slurm-flavored composition: fair-share dominates, age breaks
+    /// ties, size keeps wide jobs from starving under a backfill regime
+    /// that loves narrow ones.
     pub fn slurm_default() -> Self {
-        Self::new(vec![
-            (2000.0, Box::new(FairShareFactor) as Box<dyn PriorityFactor>),
-            (1000.0, Box::new(AgeFactor::default())),
-            (500.0, Box::new(SizeFactor)),
-            (1000.0, Box::new(QosFactor)),
-        ])
+        MultifactorPriority { weighted: true }
     }
 
     /// Whether this composer never reorders the queue.
     pub fn is_uniform(&self) -> bool {
-        self.factors.is_empty()
+        !self.weighted
     }
 
-    /// The composed priority in milli-units, appending each factor's
-    /// weighted contribution to `shares` (cleared first). The composition
-    /// sums the *rounded* per-factor integers, so the total always equals
-    /// the sum of the audited contributions.
-    pub fn score_into(&self, job: &Job, ctx: &FactorCtx, shares: &mut Vec<FactorShare>) -> i64 {
-        shares.clear();
-        let mut total = 0i64;
-        for (w, f) in self.factors.iter() {
-            let milli = (w * f.score(job, ctx) * 1000.0).round() as i64;
-            shares.push(FactorShare {
-                name: f.name(),
-                milli,
-            });
-            total += milli;
+    /// Each term's name and weighted contribution in milli-units
+    /// (`weight × score × 1000`, rounded), in summing order; `None` for
+    /// the uniform composer, which evaluates nothing.
+    fn terms(&self, job: &Job, ctx: &FactorCtx) -> Option<[(&'static str, i64); 3]> {
+        if !self.weighted {
+            return None;
         }
-        total
+        // The ledger's `2^(-usage/share)`: 1 for idle users, decaying
+        // toward 0 as a user (and their bank) consumes beyond their share.
+        let fair_share = ctx.fairshare.factor(job.user.0, ctx.now);
+        // Grows linearly over `MAX_AGE` of waiting, then saturates.
+        let age = if ctx.now <= ctx.submit {
+            0.0
+        } else {
+            let waited = (ctx.now - ctx.submit).as_micros() as f64;
+            (waited / MAX_AGE.as_micros() as f64).min(1.0)
+        };
+        // The fraction of the cluster the job asks for.
+        let size = job.nodes.min(ctx.cluster_nodes) as f64 / ctx.cluster_nodes.max(1) as f64;
+        let milli = |w: f64, score: f64| (w * score * 1000.0).round() as i64;
+        Some([
+            ("fair-share", milli(FAIR_SHARE_WEIGHT, fair_share)),
+            ("age", milli(AGE_WEIGHT, age)),
+            ("size", milli(SIZE_WEIGHT, size)),
+        ])
+    }
+
+    /// The composed priority in milli-units, writing each term's weighted
+    /// contribution to `shares` (cleared first). The composition sums the
+    /// *rounded* per-term integers, so the total always equals the sum of
+    /// the audited contributions.
+    pub fn score_into(
+        &self,
+        job: &Job,
+        ctx: &FactorCtx,
+        shares: &mut Vec<(&'static str, i64)>,
+    ) -> i64 {
+        shares.clear();
+        shares.extend(self.terms(job, ctx).into_iter().flatten());
+        shares.iter().map(|&(_, milli)| milli).sum()
     }
 
     /// The composed priority in milli-units, without the breakdown.
     pub fn priority_milli(&self, job: &Job, ctx: &FactorCtx) -> i64 {
-        self.factors
-            .iter()
-            .map(|(w, f)| (w * f.score(job, ctx) * 1000.0).round() as i64)
-            .sum()
+        self.terms(job, ctx)
+            .map_or(0, |t| t.iter().map(|&(_, milli)| milli).sum())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::Partition;
     use workload::{JobId, UserId};
 
     fn job(user: u32, nodes: u32) -> Job {
@@ -235,85 +134,70 @@ mod tests {
         }
     }
 
-    fn ctx<'a>(now_s: u64, part: &'a Partition, fs: &'a FairShareLedger) -> FactorCtx<'a> {
+    fn ctx(now_s: u64, fs: &FairShareLedger) -> FactorCtx<'_> {
         FactorCtx {
             now: SimTime::from_secs(now_s),
             submit: SimTime::ZERO,
             cluster_nodes: 100,
-            partition: part,
             fairshare: fs,
         }
     }
 
+    fn share(name: &str, j: &Job, c: &FactorCtx) -> i64 {
+        let mut shares = Vec::new();
+        MultifactorPriority::slurm_default().score_into(j, c, &mut shares);
+        shares.iter().find(|s| s.0 == name).expect("a named term").1
+    }
+
     #[test]
     fn age_saturates_at_max_age() {
-        let part = Partition::named("all");
         let fs = FairShareLedger::disabled();
-        let f = AgeFactor {
-            max_age: SimSpan::from_secs(100),
-        };
-        assert_eq!(f.score(&job(0, 1), &ctx(0, &part, &fs)), 0.0);
-        assert!((f.score(&job(0, 1), &ctx(50, &part, &fs)) - 0.5).abs() < 1e-9);
-        assert_eq!(f.score(&job(0, 1), &ctx(1000, &part, &fs)), 1.0);
+        let day = MAX_AGE.as_secs();
+        assert_eq!(share("age", &job(0, 1), &ctx(0, &fs)), 0);
+        assert_eq!(share("age", &job(0, 1), &ctx(day / 2, &fs)), 500_000);
+        assert_eq!(share("age", &job(0, 1), &ctx(10 * day, &fs)), 1_000_000);
     }
 
     #[test]
     fn size_is_cluster_fraction() {
-        let part = Partition::named("all");
         let fs = FairShareLedger::disabled();
-        assert!((SizeFactor.score(&job(0, 25), &ctx(0, &part, &fs)) - 0.25).abs() < 1e-9);
+        assert_eq!(share("size", &job(0, 25), &ctx(0, &fs)), 125_000);
         // Oversized jobs clamp to the cluster.
-        assert_eq!(SizeFactor.score(&job(0, 500), &ctx(0, &part, &fs)), 1.0);
+        assert_eq!(share("size", &job(0, 500), &ctx(0, &fs)), 500_000);
     }
 
     #[test]
-    fn qos_reads_the_partition_weight() {
-        let part = Partition::named("gold").qos(1.5);
-        let fs = FairShareLedger::disabled();
-        assert_eq!(QosFactor.score(&job(0, 1), &ctx(0, &part, &fs)), 1.5);
-    }
-
-    #[test]
-    fn fairshare_factor_penalizes_heavy_users() {
-        let part = Partition::named("all");
+    fn fairshare_term_penalizes_heavy_users() {
         let fs = FairShareLedger::new(SimSpan::from_hours(24), 1);
         fs.charge(1, 100, SimSpan::from_hours(10), SimTime::from_secs(1));
-        let heavy = FairShareFactor.score(&job(1, 1), &ctx(10, &part, &fs));
-        let idle = FairShareFactor.score(&job(2, 1), &ctx(10, &part, &fs));
+        let heavy = share("fair-share", &job(1, 1), &ctx(10, &fs));
+        let idle = share("fair-share", &job(2, 1), &ctx(10, &fs));
         assert!(heavy < idle, "{heavy} vs {idle}");
     }
 
     #[test]
     fn uniform_composer_scores_zero_with_no_shares() {
-        let part = Partition::named("all");
         let fs = FairShareLedger::disabled();
         let p = MultifactorPriority::uniform();
         assert!(p.is_uniform());
-        let mut shares = vec![FactorShare {
-            name: "stale",
-            milli: 1,
-        }];
-        assert_eq!(
-            p.score_into(&job(0, 1), &ctx(0, &part, &fs), &mut shares),
-            0
-        );
+        let mut shares = vec![("stale", 1)];
+        assert_eq!(p.score_into(&job(0, 1), &ctx(0, &fs), &mut shares), 0);
         assert!(shares.is_empty());
+        assert_eq!(p.priority_milli(&job(0, 1), &ctx(0, &fs)), 0);
     }
 
     #[test]
     fn composed_total_equals_sum_of_contributions() {
-        let part = Partition::named("all").qos(1.2);
         let fs = FairShareLedger::disabled();
         let p = MultifactorPriority::slurm_default();
         assert!(!p.is_uniform());
         let mut shares = Vec::new();
         let j = job(3, 10);
-        let c = ctx(3600, &part, &fs);
+        let c = ctx(3600, &fs);
         let total = p.score_into(&j, &c, &mut shares);
-        assert_eq!(shares.len(), 4);
-        assert_eq!(total, shares.iter().map(|s| s.milli).sum::<i64>());
+        assert_eq!(total, shares.iter().map(|s| s.1).sum::<i64>());
         assert_eq!(total, p.priority_milli(&j, &c));
-        let names: Vec<&str> = shares.iter().map(|s| s.name).collect();
-        assert_eq!(names, vec!["fair-share", "age", "size", "qos"]);
+        let names: Vec<&str> = shares.iter().map(|s| s.0).collect();
+        assert_eq!(names, vec!["fair-share", "age", "size"]);
     }
 }

@@ -90,10 +90,6 @@ pub struct TraceConfig {
     /// `1/(r+1)^user_zipf`. Production systems are highly concentrated —
     /// this is what sets the long-interval correlation plateau (Fig. 5b).
     pub user_zipf: f64,
-    /// Accounting banks (allocations/projects) users charge against. The
-    /// mapping is the shared convention `user % banks` (see
-    /// [`TraceConfig::bank_of`]); `0` or `1` means a single bank.
-    pub banks: usize,
 }
 
 impl TraceConfig {
@@ -115,7 +111,6 @@ impl TraceConfig {
             burst_prob: 0.25,
             burst_max: 12,
             user_zipf: 2.0,
-            banks: 1,
         }
     }
 
@@ -137,7 +132,6 @@ impl TraceConfig {
             burst_prob: 0.20,
             burst_max: 12,
             user_zipf: 1.2,
-            banks: 1,
         }
     }
 
@@ -158,15 +152,15 @@ impl TraceConfig {
             burst_prob: 0.25,
             burst_max: 12,
             user_zipf: 1.8,
-            banks: 1,
         }
     }
 
-    /// A multi-tenant trace: thousands of distinct users spread over
-    /// dozens of accounting banks, with the same realistic per-user
-    /// submission repetition as the machine presets. The flatter Zipf
-    /// exponent keeps the tail of users active enough that fair-share
-    /// and priority layers have real contention to arbitrate.
+    /// A multi-tenant trace: thousands of distinct users (which the
+    /// scheduler's fair-share ledger groups into banks by `user % banks`),
+    /// with the same realistic per-user submission repetition as the
+    /// machine presets. The flatter Zipf exponent keeps the tail of users
+    /// active enough that fair-share and priority layers have real
+    /// contention to arbitrate.
     pub fn multi_tenant(jobs: usize, seed: u64) -> Self {
         TraceConfig {
             jobs,
@@ -183,7 +177,6 @@ impl TraceConfig {
             burst_prob: 0.25,
             burst_max: 12,
             user_zipf: 0.8,
-            banks: 48,
         }
     }
 
@@ -197,24 +190,6 @@ impl TraceConfig {
     pub fn with_users(mut self, users: usize) -> Self {
         self.users = users;
         self
-    }
-
-    /// Replace the bank count.
-    pub fn with_banks(mut self, banks: usize) -> Self {
-        self.banks = banks;
-        self
-    }
-
-    /// The bank `user` charges against — the `user % banks` convention
-    /// shared with the scheduler's fair-share ledger (`sched::fairshare::
-    /// bank_of`), so generator and accounting agree without widening the
-    /// `Job` record.
-    pub fn bank_of(&self, user: u32) -> u32 {
-        if self.banks <= 1 {
-            0
-        } else {
-            user % self.banks as u32
-        }
     }
 
     /// Replace the seed.
@@ -622,24 +597,14 @@ mod tests {
         let jobs = cfg.generate();
         let users: std::collections::HashSet<u32> = jobs.iter().map(|j| j.user.0).collect();
         assert!(users.len() > 1000, "only {} distinct users", users.len());
-        let banks: std::collections::HashSet<u32> =
-            jobs.iter().map(|j| cfg.bank_of(j.user.0)).collect();
-        assert_eq!(banks.len(), cfg.banks, "every bank should see traffic");
+        // Every one of 48 banks (the ledger's `user % banks`) sees traffic.
+        let banks: std::collections::HashSet<u32> = jobs.iter().map(|j| j.user.0 % 48).collect();
+        assert_eq!(banks.len(), 48, "every bank should see traffic");
         // Per-user repetition still dominates, though the measured 24 h
         // rate sits below the 120-user machine presets: with thousands of
         // sparse accounts, many submissions have no same-day predecessor.
         let p = stats::resubmit_within_24h_prob(&jobs);
         assert!(p > 0.5, "resubmit prob {p}");
-    }
-
-    #[test]
-    fn bank_mapping_is_stable_and_total() {
-        let cfg = TraceConfig::small(10, 1).with_banks(7);
-        for u in 0..100 {
-            assert_eq!(cfg.bank_of(u), u % 7);
-        }
-        let single = TraceConfig::small(10, 1);
-        assert_eq!(single.bank_of(42), 0);
     }
 
     /// FNV-1a over every field of every job.

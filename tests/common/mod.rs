@@ -149,7 +149,11 @@ pub fn assert_non_perturbing_on<S: Stack, H: Clone>(
         (
             outcome_fingerprint(&r.sys),
             r.sampler.to_csv(),
-            export::to_chrome_trace(&events),
+            export::ChromeTrace {
+                events: &events,
+                ..Default::default()
+            }
+            .render(),
             export::to_jsonl(&events),
         )
     };

@@ -9,19 +9,18 @@ use eslurm_suite::eslurm::PredictiveLimit;
 use eslurm_suite::estimate::EstimatorConfig;
 use eslurm_suite::obs::audit::{Decision, DecisionLog};
 use eslurm_suite::sched::prelude::{
-    simulate, BackfillConfig, FairShareLedger, MultifactorPriority, PartitionSet, SchedAlgo,
-    SchedPolicies, ScheduleReport,
+    simulate, BackfillConfig, FairShareLedger, MultifactorPriority, SchedAlgo, SchedPolicies,
+    ScheduleReport,
 };
 use eslurm_suite::simclock::{SimSpan, SimTime};
 use eslurm_suite::workload::TraceConfig;
 use proptest::prelude::*;
 
-/// The explicit spelling of the default bundle: single default partition,
-/// uniform priority, disabled fair-share. Must be indistinguishable from
-/// never mentioning policies at all.
+/// The explicit spelling of the default bundle: uniform priority, disabled
+/// fair-share. Must be indistinguishable from never mentioning policies at
+/// all.
 fn explicit_default_policies() -> SchedPolicies {
     SchedPolicies::default()
-        .with_partitions(PartitionSet::single_default())
         .with_priority(MultifactorPriority::uniform())
         .with_fairshare(FairShareLedger::disabled())
 }
@@ -69,7 +68,7 @@ fn assert_reports_identical(a: &ScheduleReport, b: &ScheduleReport, label: &str)
     assert_eq!(a.per_user, b.per_user, "{label}: per_user");
 }
 
-/// Default partition + uniform priority + disabled fair-share reproduces
+/// Uniform priority + disabled fair-share reproduces
 /// the policy-unaware scheduler bit for bit, on the fig9/fig10 default
 /// seed and a second seed, under both backfill disciplines.
 #[test]

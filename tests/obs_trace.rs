@@ -94,13 +94,18 @@ fn same_seed_runs_record_identical_traces() {
 #[test]
 fn chrome_export_of_a_real_run_parses() {
     let (rec, _) = faulted_run(7);
-    let json = obs::export::to_chrome_trace(&rec.events());
+    let recorded = rec.events();
+    let json = obs::export::ChromeTrace {
+        events: &recorded,
+        ..Default::default()
+    }
+    .render();
     let v: serde::Value = serde_json::from_str(&json).expect("chrome trace is valid JSON");
     let events = match v.get("traceEvents") {
         Some(serde::Value::Array(a)) => a,
         other => panic!("traceEvents missing or not an array: {other:?}"),
     };
-    assert_eq!(events.len(), rec.events().len());
+    assert_eq!(events.len(), recorded.len());
     // Chrome requires ph/ts/pid/tid/name on every record; exporter sorts
     // by timestamp so Perfetto ingests without complaints.
     let mut last_ts = 0.0f64;

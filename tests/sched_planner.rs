@@ -6,17 +6,17 @@
 //! slots collected and sorted on every pass — as a reference simulator
 //! built from the public API only, and checks on small clusters that both
 //! produce the same `ScheduleReport` (every field, floats by bits) **and**
-//! the same decision-log JSONL, for every algorithm × trivial/capped
-//! partitions × uniform/multifactor priority × an RM outage window.
+//! the same decision-log JSONL, for every algorithm × uniform/multifactor
+//! priority × an RM outage window.
 //!
 //! Slow in debug builds, where it shrinks itself to a smoke run; CI runs
 //! the full suite with `--release`.
 
-use eslurm_suite::obs::audit::{Decision, DecisionLog, EstSource, EstimateRef, SkipReason};
+use eslurm_suite::obs::audit::{Decision, DecisionLog, EstimateRef, SkipReason};
 use eslurm_suite::sched::prelude::{
     bounded_slowdown, simulate, AvailabilityProfile, BackfillConfig, DispatchModel, FactorCtx,
-    FairShareLedger, LimitInfo, LimitPolicy, MultifactorPriority, Partition, PartitionSet,
-    SchedAlgo, SchedPolicies, ScheduleReport, UserLimit,
+    FairShareLedger, LimitInfo, LimitPolicy, MultifactorPriority, SchedAlgo, SchedPolicies,
+    ScheduleReport, UserLimit,
 };
 use eslurm_suite::simclock::{EventQueue, SimSpan, SimTime};
 use eslurm_suite::workload::{Job, JobId, UserId};
@@ -36,7 +36,6 @@ struct Q {
     resubmits: u32,
     est: EstimateRef,
     last_skip: Option<SkipReason>,
-    part: usize,
     prio: i64,
     logged_prio: i64,
 }
@@ -46,7 +45,6 @@ struct R {
     nodes: u32,
     planned_end: SimTime,
     job_id: u64,
-    part: usize,
 }
 
 enum Ev {
@@ -66,7 +64,6 @@ struct Reference<'a> {
     free: u32,
     queue: Vec<Q>,
     running: Vec<Option<R>>,
-    part_busy: Vec<u32>,
     events: EventQueue<Ev>,
     report: ScheduleReport,
     last_head: Option<u64>,
@@ -89,13 +86,6 @@ impl Reference<'_> {
 
     fn width(&self, q: &Q) -> u32 {
         self.jobs[q.job].nodes.min(self.cfg.nodes)
-    }
-
-    fn headroom(&self, part: usize) -> u32 {
-        match self.cfg.policies.partitions.get(part).capacity {
-            Some(cap) => cap.saturating_sub(self.part_busy[part]),
-            None => u32::MAX,
-        }
     }
 
     fn skip(&mut self, now: SimTime, i: usize, reason: SkipReason) {
@@ -148,7 +138,6 @@ impl Reference<'_> {
         let job = &self.jobs[q.job];
         let nodes = self.width(&q);
         self.free -= nodes;
-        self.part_busy[q.part] += nodes;
         self.forget(job.id.0);
         self.log(now, job, q.est, Decision::Started { nodes });
         let killed = job.actual_runtime > q.limit;
@@ -159,7 +148,6 @@ impl Reference<'_> {
             nodes,
             planned_end: now + self.cfg.dispatch.occupation(nodes, q.limit),
             job_id: job.id.0,
-            part: q.part,
         };
         let slot = match self.running.iter().position(|r| r.is_none()) {
             Some(s) => s,
@@ -189,7 +177,6 @@ impl Reference<'_> {
             now,
             submit: self.jobs[q.job].submit,
             cluster_nodes: self.cfg.nodes,
-            partition: pol.partitions.get(q.part),
             fairshare: &pol.fairshare,
         };
         for i in 0..self.queue.len() {
@@ -215,7 +202,7 @@ impl Reference<'_> {
                 Decision::PriorityRanked {
                     priority_milli: q.prio,
                     rank: rank as u32,
-                    factors: shares.iter().map(|s| (s.name, s.milli)).collect(),
+                    factors: shares.clone(),
                 },
             );
         }
@@ -226,7 +213,7 @@ impl Reference<'_> {
         self.reorder(now);
         while let Some(&head) = self.queue.first() {
             let nodes = self.width(&head);
-            if nodes > self.free || nodes > self.headroom(head.part) {
+            if nodes > self.free {
                 break;
             }
             self.queue.remove(0);
@@ -246,14 +233,11 @@ impl Reference<'_> {
         let head_nodes = self.width(&head);
         let mut ends: Vec<R> = self.running.iter().flatten().copied().collect();
         ends.sort_by_key(|r| r.planned_end);
-        let (mut acc, mut part_acc) = (self.free, self.headroom(head.part));
+        let mut acc = self.free;
         let (mut shadow, mut extra) = (SimTime(u64::MAX), 0);
         for r in ends {
             acc += r.nodes;
-            if r.part == head.part {
-                part_acc = part_acc.saturating_add(r.nodes);
-            }
-            if acc >= head_nodes && part_acc >= head_nodes {
+            if acc >= head_nodes {
                 (shadow, extra) = (r.planned_end, acc - head_nodes);
                 break;
             }
@@ -265,8 +249,6 @@ impl Reference<'_> {
             let nodes = self.width(&cand);
             if nodes > self.free {
                 self.skip(now, i, SkipReason::NoFreeNodes);
-            } else if nodes > self.headroom(cand.part) {
-                self.skip(now, i, SkipReason::PartitionFull);
             } else {
                 let done = now + self.cfg.dispatch.occupation(nodes, cand.limit);
                 if done <= shadow || nodes <= extra {
@@ -305,9 +287,7 @@ impl Reference<'_> {
             let occupied = self.cfg.dispatch.occupation(nodes, q.limit);
             let at = profile.earliest_fit(now, nodes, occupied);
             profile.reserve(at, at + occupied, nodes);
-            if at == now && nodes > self.headroom(q.part) {
-                self.skip(now, i, SkipReason::PartitionFull);
-            } else if at == now {
+            if at == now {
                 self.queue.remove(i);
                 if i > 0 {
                     let head_job = self.jobs[self.queue[0].job].id.0;
@@ -336,19 +316,7 @@ impl Reference<'_> {
 
     fn arrive(&mut self, now: SimTime, i: usize, policy: &mut dyn LimitPolicy) {
         let job = &self.jobs[i];
-        let mut info = policy.limit_info(job);
-        let parts = &self.cfg.policies.partitions;
-        let part = parts.route(job.nodes.min(self.cfg.nodes));
-        let p = parts.get(part);
-        if info.est.source == EstSource::Default {
-            if let Some(d) = p.default_time {
-                info.limit = d;
-                info.est = EstimateRef::new(d.as_micros(), EstSource::Default);
-            }
-        }
-        if let Some(m) = p.max_time {
-            info.limit = info.limit.min(m);
-        }
+        let info = policy.limit_info(job);
         self.log(now, job, info.est, Decision::Submitted);
         self.queue.push(Q {
             job: i,
@@ -356,7 +324,6 @@ impl Reference<'_> {
             resubmits: 0,
             est: info.est,
             last_skip: None,
-            part,
             prio: 0,
             logged_prio: i64::MIN,
         });
@@ -372,7 +339,6 @@ impl Reference<'_> {
         policy: &mut dyn LimitPolicy,
     ) {
         self.free += r.nodes;
-        self.part_busy[r.part] -= r.nodes;
         let job = &self.jobs[q.job];
         let pol = &self.cfg.policies;
         if pol.fairshare.enabled() {
@@ -412,10 +378,7 @@ impl Reference<'_> {
             limit: q.limit,
             est: q.est,
         };
-        let mut next = policy.resubmit_info(job, prev, q.resubmits + 1);
-        if let Some(m) = pol.partitions.get(q.part).max_time {
-            next.limit = next.limit.min(m);
-        }
+        let next = policy.resubmit_info(job, prev, q.resubmits + 1);
         self.forget(job.id.0);
         self.log(
             now,
@@ -456,7 +419,6 @@ fn reference_simulate(
         free: cfg.nodes,
         queue: Vec::new(),
         running: Vec::new(),
-        part_busy: vec![0; cfg.policies.partitions.len()],
         events,
         report: ScheduleReport {
             nodes: cfg.nodes,
@@ -495,7 +457,6 @@ fn reference_simulate(
 #[derive(Clone, Copy, Debug)]
 struct Scenario {
     algo: SchedAlgo,
-    capped: bool,
     multifactor: bool,
     outage: bool,
     /// Launch and teardown cost the same at every width, so jobs of
@@ -507,15 +468,14 @@ struct Scenario {
 const ALGOS: [SchedAlgo; 3] = [SchedAlgo::Fcfs, SchedAlgo::Easy, SchedAlgo::Conservative];
 
 impl Scenario {
-    const COUNT: usize = 48;
+    const COUNT: usize = 24;
 
     fn all() -> impl Iterator<Item = Scenario> {
         (0..Self::COUNT).map(|i| Scenario {
             algo: ALGOS[i % 3],
-            capped: i / 3 % 2 == 1,
-            multifactor: i / 6 % 2 == 1,
-            outage: i / 12 % 2 == 1,
-            flat_dispatch: i / 24 % 2 == 1,
+            multifactor: i / 3 % 2 == 1,
+            outage: i / 6 % 2 == 1,
+            flat_dispatch: i / 12 % 2 == 1,
         })
     }
 
@@ -523,19 +483,6 @@ impl Scenario {
     /// each run gets its own).
     fn config(&self, nodes: u32, horizon: SimSpan, audit: DecisionLog) -> BackfillConfig {
         let mut policies = SchedPolicies::default();
-        if self.capped {
-            policies = policies.with_partitions(PartitionSet::new(vec![
-                Partition::named("debug")
-                    .job_nodes(0, Some(2))
-                    .capacity((nodes / 4).max(2))
-                    .max_time(SimSpan::from_secs(900)),
-                Partition::named("batch")
-                    .job_nodes(3, Some(nodes / 2))
-                    .capacity(nodes / 2 + 1)
-                    .default_time(SimSpan::from_secs(1200)),
-                Partition::named("all"),
-            ]));
-        }
         if self.multifactor {
             policies = policies
                 .with_priority(MultifactorPriority::slurm_default())
@@ -567,7 +514,7 @@ impl Scenario {
 /// so equal planned ends, equal widths and same-instant arrivals are
 /// common; widths run from 0 to past the cluster size (both clamp edges);
 /// a third of the jobs underestimate their runtime (kills, resubmissions)
-/// and a fifth give no estimate at all (partition default time).
+/// and a fifth give no estimate at all (the policy's default limit).
 fn burst(seed: u64, nodes: u32, n: usize) -> (Vec<Job>, SimSpan) {
     let mut rng = StdRng::seed_from_u64(seed);
     let horizon_s = n as u64 * 12;

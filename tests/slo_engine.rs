@@ -15,8 +15,8 @@ mod common;
 
 use common::{assert_non_perturbing, assert_non_perturbing_on, sampled_run, scenario_on};
 use eslurm_suite::eslurm::{EslurmSystemBuilder, SystemBuilder};
-use eslurm_suite::obs::export::{self, ChromeTrace};
-use eslurm_suite::obs::{Recorder, SloEngine, SloEventKind, SloSpec};
+use eslurm_suite::obs::export::ChromeTrace;
+use eslurm_suite::obs::{Recorder, SloEngine, SloEventKind, SloSpec, SLO_TRACK_PID};
 use eslurm_suite::rm::RmProfile;
 
 /// A spec set with one objective tight enough to breach in this scenario
@@ -64,31 +64,44 @@ fn slo_trace_exports_are_byte_identical_plus_breach_track() {
     let (run, slo) = assert_non_perturbing(Recorder::full, tight_slo, EslurmSystemBuilder::slo);
     let rec_events = run.rec.events();
 
-    // An empty SLO event list leaves even the combined export unchanged.
-    let with_track = |slo| ChromeTrace {
-        events: &rec_events,
-        slo,
-        ..Default::default()
-    };
-    assert_eq!(
-        with_track(&[]).render(),
-        export::to_chrome_trace(&rec_events),
-        "empty SLO track must not change the combined export"
-    );
-
-    // With events, the combined export gains the named SLO track and a
-    // breach instant; the SLO JSONL names the breached spec.
+    // The combined export gains the named SLO track and a breach instant
+    // for the breached spec, and nothing else: without its pid-3 items it
+    // is the node lanes' export, item for item.
     let events = slo.events();
-    assert!(!events.is_empty());
-    let combined = with_track(&events).render();
+    assert!(events
+        .iter()
+        .any(|e| e.kind == SloEventKind::Breach && e.name == "sweep_p99_us"));
+    let render = |slo| {
+        ChromeTrace {
+            events: &rec_events,
+            slo,
+            ..Default::default()
+        }
+        .render()
+    };
+    let combined = render(&events);
     assert!(combined.contains("\"name\":\"slo\""), "missing slo track");
     assert!(
         combined.contains("breach:sweep_p99_us"),
         "missing breach instant"
     );
-    let jsonl = export::slo_to_jsonl(&events);
-    assert!(jsonl.contains("\"kind\":\"breach\""));
-    assert!(jsonl.contains("\"slo\":\"sweep_p99_us\""));
+    let items = |doc: &str| match serde_json::parse_value_str(doc)
+        .expect("valid JSON")
+        .get("traceEvents")
+    {
+        Some(serde::Value::Array(a)) => a.clone(),
+        other => panic!("traceEvents is not an array: {other:?}"),
+    };
+    let slo_pid = serde::Value::Number(serde::Number::U64(SLO_TRACK_PID.into()));
+    let lanes: Vec<serde::Value> = items(&combined)
+        .into_iter()
+        .filter(|e| e.get("pid") != Some(&slo_pid))
+        .collect();
+    assert_eq!(
+        lanes,
+        items(&render(&[])),
+        "the SLO track changed the lanes"
+    );
 }
 
 /// The detection behaviour itself: the tight objective breaches, the
